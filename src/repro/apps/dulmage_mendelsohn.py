@@ -17,15 +17,14 @@ computing it from different algorithms' matchings and comparing.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import VerificationError
 from repro.graph.csr import BipartiteCSR
-from repro.matching.base import UNMATCHED, Matching
-from repro.matching.verify import is_maximum_matching
+from repro.matching.base import Matching
+from repro.matching.verify import alternating_certificate, alternating_reach
 
 
 @dataclass(frozen=True)
@@ -53,50 +52,14 @@ def dulmage_mendelsohn(graph: BipartiteCSR, matching: Matching) -> DMDecompositi
     Raises :class:`VerificationError` if ``matching`` is not maximum (the
     decomposition is only defined for maximum matchings).
     """
-    if not is_maximum_matching(graph, matching):
+    # Vertical: the certificate's alternating reach from unmatched rows.
+    reach_v_x, reach_v_y, found = alternating_certificate(graph, matching)
+    if found:
         raise VerificationError("Dulmage-Mendelsohn needs a maximum matching")
-
-    # Alternating BFS from unmatched columns: free Y --(any edge)--> X
-    # --(matched edge)--> Y ...
-    reach_h_x = np.zeros(graph.n_x, dtype=bool)
-    reach_h_y = np.zeros(graph.n_y, dtype=bool)
-    queue: deque[int] = deque()
-    for y in matching.unmatched_y():
-        reach_h_y[y] = True
-        queue.append(int(y))
-    while queue:
-        y = queue.popleft()
-        for x in graph.neighbors_y(y):
-            x = int(x)
-            if reach_h_x[x]:
-                continue
-            reach_h_x[x] = True
-            mate = int(matching.mate_x[x])
-            # x must be matched: an unmatched x adjacent to a free/alternating
-            # -reachable y would be an augmenting path, contradicting
-            # maximality.
-            if mate != UNMATCHED and not reach_h_y[mate]:
-                reach_h_y[mate] = True
-                queue.append(mate)
-
-    # Alternating BFS from unmatched rows: free X --(any edge)--> Y
-    # --(matched edge)--> X ...
-    reach_v_x = np.zeros(graph.n_x, dtype=bool)
-    reach_v_y = np.zeros(graph.n_y, dtype=bool)
-    for x in matching.unmatched_x():
-        reach_v_x[x] = True
-        queue.append(int(x))
-    while queue:
-        x = queue.popleft()
-        for y in graph.neighbors_x(x):
-            y = int(y)
-            if reach_v_y[y]:
-                continue
-            reach_v_y[y] = True
-            mate = int(matching.mate_y[y])
-            if mate != UNMATCHED and not reach_v_x[mate]:
-                reach_v_x[mate] = True
-                queue.append(mate)
+    # Horizontal: the same sweep from unmatched columns, roles swapped.
+    reach_h_y, reach_h_x, _ = alternating_reach(
+        graph.y_ptr, graph.y_adj, matching.mate_y, matching.mate_x
+    )
 
     if bool(np.any(reach_h_x & reach_v_x)) or bool(np.any(reach_h_y & reach_v_y)):
         raise VerificationError(

@@ -126,15 +126,7 @@ class Matching:
 
     def is_consistent(self) -> bool:
         """mate_x and mate_y are mutual inverses and in range."""
-        for x in range(self.n_x):
-            y = self.mate_x[x]
-            if y != UNMATCHED and (y < 0 or y >= self.n_y or self.mate_y[y] != x):
-                return False
-        for y in range(self.n_y):
-            x = self.mate_y[y]
-            if x != UNMATCHED and (x < 0 or x >= self.n_x or self.mate_x[x] != y):
-                return False
-        return True
+        return _points_back(self.mate_x, self.mate_y) and _points_back(self.mate_y, self.mate_x)
 
     def copy(self) -> "Matching":
         return Matching(self.n_x, self.n_y, self.mate_x.copy(), self.mate_y.copy())
@@ -151,6 +143,15 @@ class Matching:
 
     def __repr__(self) -> str:
         return f"Matching(n_x={self.n_x}, n_y={self.n_y}, |M|={self.cardinality})"
+
+
+def _points_back(mate: np.ndarray, other: np.ndarray) -> bool:
+    """Every matched entry of ``mate`` indexes ``other`` and ``other`` maps it back."""
+    matched = np.flatnonzero(mate != UNMATCHED)
+    partners = mate[matched]
+    if partners.size and (partners.min() < 0 or partners.max() >= other.shape[0]):
+        return False
+    return bool(np.array_equal(other[partners], matched))
 
 
 @dataclass

@@ -1,17 +1,19 @@
 """Matching verification: validity, maximality, and maximum certificates.
 
-``is_maximum_matching`` certifies optimality without trusting any matching
-algorithm: by Berge's theorem a matching is maximum iff no augmenting path
-exists, which one multi-source BFS over the final matching decides. From the
-same search we extract a König vertex cover whose size equals the matching
-cardinality — an independent, self-checking certificate
-(:func:`koenig_vertex_cover`).
+``verify_maximum`` certifies optimality without trusting any matching
+algorithm, from one validity pass (array checks on the mate arrays, and one
+``searchsorted`` of the matched pairs over the sorted CSR edge keys) and one
+alternating reachability: a level-synchronous frontier sweep from the free X
+vertices (:func:`alternating_reach`). By Berge's theorem the matching is
+maximum iff the sweep reaches no free Y vertex. The König vertex cover and the
+Hall witness come from the same ``(reach_x, reach_y)`` and are checked against
+the edge list, not the sweep: the cover must cover every edge, and ``N(S)``
+must equal ``reach_y``. Nothing here is shared with the engines it certifies.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -19,14 +21,109 @@ from repro.errors import VerificationError
 from repro.graph.csr import BipartiteCSR
 from repro.matching.base import UNMATCHED, Matching
 
+Edges = Tuple[np.ndarray, np.ndarray]
+Reach = Tuple[np.ndarray, np.ndarray, bool]
+
+
+def _rows(ptr: np.ndarray, adj: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Concatenated CSR rows of ``vertices``."""
+    starts = ptr[vertices]
+    counts = ptr[vertices + 1] - starts
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return adj[shift + np.arange(shift.shape[0])]
+
+
+def alternating_reach(
+    ptr: np.ndarray, adj: np.ndarray, mate_src: np.ndarray, mate_dst: np.ndarray
+) -> Reach:
+    """Alternating reachability from every free source vertex.
+
+    ``ptr``/``adj`` is the source side's CSR. Returns ``(reach_src,
+    reach_dst, found)``: the vertices reachable by an alternating path from a
+    free source, and whether one reaches a free destination (an augmenting
+    path). The sweep always runs to the full closure.
+    """
+    reach_src = mate_src == UNMATCHED
+    reach_dst = np.zeros(mate_dst.shape[0], dtype=bool)
+    frontier = np.flatnonzero(reach_src)
+    found = False
+    while frontier.size:
+        dst = _rows(ptr, adj, frontier)
+        dst = np.unique(dst[~reach_dst[dst]])
+        reach_dst[dst] = True
+        mates = mate_dst[dst]
+        found = found or bool(np.any(mates == UNMATCHED))
+        mates = mates[mates != UNMATCHED]
+        frontier = mates[~reach_src[mates]]
+        reach_src[frontier] = True
+    return reach_src, reach_dst, found
+
+
+def _invalidity(graph: BipartiteCSR, matching: Matching, edges: Edges) -> Optional[str]:
+    """Why ``matching`` is not a matching of ``graph``, or ``None`` if it is."""
+    if (matching.n_x, matching.n_y, matching.mate_x.shape, matching.mate_y.shape) != (
+        graph.n_x, graph.n_y, (graph.n_x,), (graph.n_y,)
+    ):
+        return "mate arrays do not fit the graph"
+    if not matching.is_consistent():
+        return "mate arrays are out of range or not mutual inverses"
+    xs = np.flatnonzero(matching.mate_x != UNMATCHED)
+    keys = edges[0] * graph.n_y + edges[1]  # strictly increasing in CSR order
+    wanted = xs * graph.n_y + matching.mate_x[xs]
+    pos = np.searchsorted(keys, wanted)
+    if np.any(pos >= keys.shape[0]) or not np.array_equal(keys[pos], wanted):
+        return "a matched pair is not a graph edge"
+    return None
+
+
+def _certify(graph: BipartiteCSR, matching: Matching) -> Tuple[Edges, Reach]:
+    """The shared pass: ``(edges, reach)`` after one validity check and one sweep."""
+    edges = graph.edge_arrays()
+    problem = _invalidity(graph, matching, edges)
+    if problem is not None:
+        raise VerificationError(f"matching is structurally invalid for this graph: {problem}")
+    return edges, alternating_reach(graph.x_ptr, graph.x_adj, matching.mate_x, matching.mate_y)
+
+
+def _koenig_cover(matching: Matching, edges: Edges, reach: Reach) -> Tuple[np.ndarray, np.ndarray]:
+    reach_x, reach_y, found = reach
+    if found:
+        raise VerificationError("König cover requested for a non-maximum matching")
+    in_cover_x = (matching.mate_x != UNMATCHED) & ~reach_x
+    cover_size = int(np.count_nonzero(in_cover_x)) + int(np.count_nonzero(reach_y))
+    if cover_size != matching.cardinality:
+        raise VerificationError(
+            f"König cover size {cover_size} != matching cardinality {matching.cardinality}"
+        )
+    # Self-check: every edge must be covered.
+    if not bool(np.all(in_cover_x[edges[0]] | reach_y[edges[1]])):
+        raise VerificationError("König construction failed to cover all edges")
+    return np.flatnonzero(in_cover_x), np.flatnonzero(reach_y)
+
+
+def _hall_witness(
+    graph: BipartiteCSR, matching: Matching, edges: Edges, reach: Reach
+) -> np.ndarray:
+    reach_x, reach_y, found = reach
+    if found:
+        raise VerificationError("Hall violator requested for a non-maximum matching")
+    # N(S) from the edge list, independently of the sweep.
+    neighborhood = np.zeros(graph.n_y, dtype=bool)
+    neighborhood[edges[1][reach_x[edges[0]]]] = True
+    if not np.array_equal(neighborhood, reach_y):
+        raise VerificationError("alternating reachability produced an inconsistent N(S)")
+    deficiency = int(np.count_nonzero(reach_x)) - int(np.count_nonzero(neighborhood))
+    expected = graph.n_x - matching.cardinality
+    if deficiency != expected:
+        raise VerificationError(
+            f"Hall defect {deficiency} != n_x - |M| = {expected}"
+        )
+    return np.flatnonzero(reach_x)
+
 
 def is_valid_matching(graph: BipartiteCSR, matching: Matching) -> bool:
     """Mate arrays are mutually consistent and every pair is a graph edge."""
-    if matching.n_x != graph.n_x or matching.n_y != graph.n_y:
-        return False
-    if not matching.is_consistent():
-        return False
-    return all(graph.has_edge(x, y) for x, y in matching.pairs())
+    return _invalidity(graph, matching, graph.edge_arrays()) is None
 
 
 def assert_valid_matching(graph: BipartiteCSR, matching: Matching) -> None:
@@ -35,54 +132,25 @@ def assert_valid_matching(graph: BipartiteCSR, matching: Matching) -> None:
         raise VerificationError("matching is structurally invalid for this graph")
 
 
-def _alternating_reachability(
-    graph: BipartiteCSR, matching: Matching
-) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """BFS over alternating paths from all unmatched X vertices.
+def alternating_certificate(graph: BipartiteCSR, matching: Matching) -> Reach:
+    """``(reach_x, reach_y, found)`` from the free X vertices of a valid matching.
 
-    Returns ``(reach_x, reach_y, found_augmenting)`` where the reach arrays
-    flag vertices reachable by an alternating path that starts with an
-    unmatched X vertex (and hence starts with an unmatched edge).
+    Raises :class:`VerificationError` if the matching is invalid.
     """
-    reach_x = np.zeros(graph.n_x, dtype=bool)
-    reach_y = np.zeros(graph.n_y, dtype=bool)
-    queue: deque[int] = deque()
-    for x in matching.unmatched_x():
-        reach_x[x] = True
-        queue.append(int(x))
-    found = False
-    while queue:
-        x = queue.popleft()
-        for y in graph.neighbors_x(x):
-            y = int(y)
-            if reach_y[y]:
-                continue
-            reach_y[y] = True
-            mate = int(matching.mate_y[y])
-            if mate == UNMATCHED:
-                found = True  # augmenting path exists; keep going for cover
-            elif not reach_x[mate]:
-                reach_x[mate] = True
-                queue.append(mate)
-    return reach_x, reach_y, found
+    return _certify(graph, matching)[1]
 
 
 def is_maximal_matching(graph: BipartiteCSR, matching: Matching) -> bool:
     """No graph edge has both endpoints free."""
     free_y = matching.mate_y == UNMATCHED
-    for x in matching.unmatched_x():
-        nbrs = graph.neighbors_x(int(x))
-        if nbrs.size and bool(free_y[nbrs].any()):
-            return False
-    return True
+    return not bool(np.any(free_y[_rows(graph.x_ptr, graph.x_adj, matching.unmatched_x())]))
 
 
 def is_maximum_matching(graph: BipartiteCSR, matching: Matching) -> bool:
     """Valid and admits no augmenting path (Berge's theorem)."""
     if not is_valid_matching(graph, matching):
         return False
-    _, _, found_augmenting = _alternating_reachability(graph, matching)
-    return not found_augmenting
+    return not alternating_reach(graph.x_ptr, graph.x_adj, matching.mate_x, matching.mate_y)[2]
 
 
 def koenig_vertex_cover(
@@ -93,29 +161,10 @@ def koenig_vertex_cover(
     For a *maximum* matching, the König construction — matched X vertices
     not reachable by alternating paths from free X vertices, plus reachable
     Y vertices — is a vertex cover of size exactly ``|M|``. Raises
-    :class:`VerificationError` if the input matching is not maximum (the
-    construction then fails to cover, which we detect).
+    :class:`VerificationError` if the input matching is invalid or not
+    maximum (the construction then fails to cover, which we detect).
     """
-    reach_x, reach_y, found = _alternating_reachability(graph, matching)
-    if found:
-        raise VerificationError("König cover requested for a non-maximum matching")
-    matched_x = matching.mate_x != UNMATCHED
-    cover_x = np.flatnonzero(matched_x & ~reach_x)
-    cover_y = np.flatnonzero(reach_y)
-    cover_size = cover_x.size + cover_y.size
-    if cover_size != matching.cardinality:
-        raise VerificationError(
-            f"König cover size {cover_size} != matching cardinality {matching.cardinality}"
-        )
-    # Self-check: every edge must be covered.
-    in_cover_x = np.zeros(graph.n_x, dtype=bool)
-    in_cover_x[cover_x] = True
-    in_cover_y = np.zeros(graph.n_y, dtype=bool)
-    in_cover_y[cover_y] = True
-    xs, ys = graph.edge_arrays()
-    if not bool(np.all(in_cover_x[xs] | in_cover_y[ys])):
-        raise VerificationError("König construction failed to cover all edges")
-    return cover_x, cover_y
+    return _koenig_cover(matching, *_certify(graph, matching))
 
 
 def hall_violator(graph: BipartiteCSR, matching: Matching) -> np.ndarray:
@@ -127,37 +176,22 @@ def hall_violator(graph: BipartiteCSR, matching: Matching) -> np.ndarray:
     reachable by alternating paths from free X vertices attains the
     maximum. Returns the (possibly empty) witness set as an index array and
     self-checks the defect identity; raises
-    :class:`~repro.errors.VerificationError` for non-maximum input.
+    :class:`~repro.errors.VerificationError` for invalid or non-maximum input.
     """
-    reach_x, reach_y, found = _alternating_reachability(graph, matching)
-    if found:
-        raise VerificationError("Hall violator requested for a non-maximum matching")
-    s = np.flatnonzero(reach_x)
-    # N(S) == reachable Y: every neighbour of a reachable x is reachable.
-    neighborhood: set[int] = set()
-    for x in s:
-        neighborhood.update(int(y) for y in graph.neighbors_x(int(x)))
-    if neighborhood != set(np.flatnonzero(reach_y).tolist()):
-        raise VerificationError("alternating reachability produced an inconsistent N(S)")
-    deficiency = int(s.size) - len(neighborhood)
-    expected = graph.n_x - matching.cardinality
-    if deficiency != expected:
-        raise VerificationError(
-            f"Hall defect {deficiency} != n_x - |M| = {expected}"
-        )
-    return s
+    return _hall_witness(graph, matching, *_certify(graph, matching))
 
 
 def verify_maximum(graph: BipartiteCSR, matching: Matching) -> int:
     """Full certificate check; returns the certified maximum cardinality.
 
     Validates the matching, confirms no augmenting path exists, and
-    cross-checks with a König cover of equal size. Raises
-    :class:`VerificationError` on any failure.
+    cross-checks with a König cover of equal size and a Hall witness, all
+    from one reachability sweep. Raises :class:`VerificationError` on any
+    failure.
     """
-    assert_valid_matching(graph, matching)
-    if not is_maximum_matching(graph, matching):
+    edges, reach = _certify(graph, matching)
+    if reach[2]:
         raise VerificationError("matching admits an augmenting path (not maximum)")
-    koenig_vertex_cover(graph, matching)
-    hall_violator(graph, matching)
+    _koenig_cover(matching, edges, reach)
+    _hall_witness(graph, matching, edges, reach)
     return matching.cardinality

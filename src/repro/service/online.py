@@ -243,10 +243,12 @@ class MatchingDaemon:
             if not line.strip():
                 continue
             response = self.handle_line(line)
-            wfile.write(protocol.encode(response))
-            wfile.flush()
-            if response.get("result", {}).get("stopping"):
-                return
+            try:
+                wfile.write(protocol.encode(response))
+                wfile.flush()
+            finally:
+                if response.get("result", {}).get("stopping"):
+                    self.shutdown()  # only now: the process may exit once serving stops
 
     def handle_line(self, line: str) -> Dict[str, Any]:
         """Decode, dispatch, and classify one request (pure; testable).
@@ -467,7 +469,7 @@ class MatchingDaemon:
         }
 
     def _cmd_shutdown(self, request: protocol.Request, rid: int) -> Dict[str, Any]:
-        self.shutdown()
+        self._shutdown.set()  # handle_stream stops serving once the reply is out
         return {"stopping": True, "requests_served": self.requests_served + 1}
 
 
