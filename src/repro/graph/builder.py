@@ -20,7 +20,7 @@ def _csr_from_sorted(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Build (ptr, adj) from edge arrays already sorted by (row, col)."""
     ptr = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
-    np.add.at(ptr, rows + 1, 1)
+    ptr[1:] = np.bincount(rows, minlength=n_rows)
     np.cumsum(ptr, out=ptr)
     return ptr, cols.astype(INDEX_DTYPE, copy=True)
 

@@ -12,8 +12,11 @@ every graph class.
 
 This module reproduces those round semantics deterministically (claims are
 resolved by a seeded priority), giving the benchmark suite an initial
-matching of realistic parallel-KS quality. The serial heuristic lives in
-:mod:`repro.matching.karp_sipser`.
+matching of realistic parallel-KS quality. Every round is a handful of
+whole-array passes, in the style of the round-based GPU and external-memory
+initialisers: the proposals of a round are one CSR gather, and residual
+degrees are kept incrementally rather than recounted. The serial heuristic
+lives in :mod:`repro.matching.karp_sipser`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import time
 
 import numpy as np
 
-from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
+from repro.core.kernels import _gather_segments
+from repro.graph.csr import BipartiteCSR
 from repro.instrument.counters import Counters
 from repro.matching.base import MatchResult, Matching, init_matching
 from repro.util.rng import SeedLike, as_rng
@@ -50,6 +54,28 @@ def karp_sipser_parallel(
     caps step 1 per iteration (the real implementation's threads interleave
     rule-1 and random matches; a low cap emulates more interleaving and
     yields slightly lower quality).
+
+    Residual degrees (free neighbours of each free vertex) are counted once
+    at the start. After each round the adjacency of the newly matched
+    vertices is subtracted from their free neighbours' degrees, so the
+    degrees are exact at every round and their upkeep reads each vertex's
+    adjacency at most once over the whole run.
+
+    Randomness: each round with proposals draws one
+    ``rng.permutation(#proposals)`` for the claim priorities, and each
+    random round draws one ``rng.integers(0, deg)`` over the candidates'
+    residual degrees before it. The values and the generator's final state
+    are those of one scalar ``rng.integers(0, deg[x])`` per candidate in
+    row order, so a shared generator advances exactly as the per-vertex
+    formulation would advance it.
+
+    ``counters.phases`` is the number of random proposal rounds.
+    ``counters.edges_traversed`` counts the adjacency entries read: both
+    directions once for the initial degree count, the rows of newly matched
+    vertices, and the rows of degree-1 and random proposers. Wall time is
+    not bounded by that count: each round still makes O(n) array passes,
+    so a path-like graph that needs O(n) uncapped degree-1 rounds costs
+    O(n * rounds).
     """
     start = time.perf_counter()
     rng = as_rng(seed)
@@ -60,67 +86,48 @@ def karp_sipser_parallel(
     y_ptr, y_adj = graph.y_ptr, graph.y_adj
     mate_x = matching.mate_x
     mate_y = matching.mate_y
-    edges = 0
 
     free_x = mate_x == -1
     free_y = mate_y == -1
 
-    def residual_degrees() -> tuple[np.ndarray, np.ndarray]:
-        """Degrees counting only free opposite endpoints (full recount).
+    def free_counts(ptr: np.ndarray, adj: np.ndarray, free_other: np.ndarray,
+                    free_self: np.ndarray) -> np.ndarray:
+        """Per-row count of free neighbours (0 on matched rows)."""
+        hits = np.zeros(adj.shape[0] + 1, dtype=np.int64)
+        np.cumsum(free_other[adj], out=hits[1:])
+        deg = hits[ptr[1:]] - hits[ptr[:-1]]
+        deg[~free_self] = 0
+        return deg
 
-        The parallel implementation keeps approximate counters; a recount
-        per round is equivalent and vectorizes cleanly.
-        """
+    deg_x = free_counts(x_ptr, x_adj, free_y, free_x)
+    deg_y = free_counts(y_ptr, y_adj, free_x, free_y)
+    edges = graph.num_directed_edges
+
+    def commit(wx: np.ndarray, wy: np.ndarray) -> None:
+        """Match the pairs ``(wx, wy)`` and update the residual degrees."""
         nonlocal edges
-        deg_x = np.zeros(n_x, dtype=np.int64)
-        np.add.at(deg_x, _edge_sources_x(), free_y[x_adj].astype(np.int64))
-        deg_y = np.zeros(n_y, dtype=np.int64)
-        np.add.at(deg_y, _edge_sources_y(), free_x[y_adj].astype(np.int64))
-        deg_x[~free_x] = 0
-        deg_y[~free_y] = 0
-        edges += graph.num_directed_edges
-        return deg_x, deg_y
+        mate_x[wx] = wy
+        mate_y[wy] = wx
+        free_x[wx] = False
+        free_y[wy] = False
+        deg_x[wx] = 0
+        deg_y[wy] = 0
+        _, nbr_y, _ = _gather_segments(x_ptr, x_adj, wx, need_sources=False)
+        _, nbr_x, _ = _gather_segments(y_ptr, y_adj, wy, need_sources=False)
+        edges += int(nbr_x.shape[0] + nbr_y.shape[0])
+        deg_x[:] -= np.bincount(nbr_x[free_x[nbr_x]], minlength=n_x)
+        deg_y[:] -= np.bincount(nbr_y[free_y[nbr_y]], minlength=n_y)
 
-    src_x_cache: list[np.ndarray] = []
-    src_y_cache: list[np.ndarray] = []
-
-    def _edge_sources_x() -> np.ndarray:
-        if not src_x_cache:
-            src_x_cache.append(
-                np.repeat(np.arange(n_x, dtype=INDEX_DTYPE), np.diff(x_ptr))
-            )
-        return src_x_cache[0]
-
-    def _edge_sources_y() -> np.ndarray:
-        if not src_y_cache:
-            src_y_cache.append(
-                np.repeat(np.arange(n_y, dtype=INDEX_DTYPE), np.diff(y_ptr))
-            )
-        return src_y_cache[0]
-
-    def first_free_neighbor_x(xs: np.ndarray) -> np.ndarray:
-        """For each x, a free neighbour (the first) or -1."""
-        out = np.full(xs.shape[0], -1, dtype=INDEX_DTYPE)
-        for i, x in enumerate(xs):  # rows are degree-1-ish: cheap scans
-            row = x_adj[x_ptr[x] : x_ptr[x + 1]]
-            hits = row[free_y[row]]
-            if hits.size:
-                out[i] = hits[0]
-        return out
-
-    def first_free_neighbor_y(ys: np.ndarray) -> np.ndarray:
-        out = np.full(ys.shape[0], -1, dtype=INDEX_DTYPE)
-        for i, y in enumerate(ys):
-            row = y_adj[y_ptr[y] : y_ptr[y + 1]]
-            hits = row[free_x[row]]
-            if hits.size:
-                out[i] = hits[0]
-        return out
+    def free_neighbors(ptr: np.ndarray, adj: np.ndarray, rows: np.ndarray,
+                       free_other: np.ndarray) -> np.ndarray:
+        """The free neighbours of ``rows``, concatenated in row order."""
+        nonlocal edges
+        _, nbrs, _ = _gather_segments(ptr, adj, rows, need_sources=False)
+        edges += int(nbrs.shape[0])
+        return nbrs[free_other[nbrs]]
 
     def resolve(proposers: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """One winner per target, chosen by seeded random priority."""
-        if proposers.size == 0:
-            return np.empty(0, dtype=np.int64)
         priority = rng.permutation(proposers.shape[0])
         order = np.argsort(targets[priority], kind="stable")
         t_sorted = targets[priority][order]
@@ -129,7 +136,6 @@ def karp_sipser_parallel(
         return priority[order][keep]
 
     while True:
-        deg_x, deg_y = residual_degrees()
         progressed = False
 
         # --- degree-1 rounds ------------------------------------------- #
@@ -137,59 +143,41 @@ def karp_sipser_parallel(
         while True:
             if max_degree_one_rounds is not None and rounds >= max_degree_one_rounds:
                 break
-            ones_x = np.flatnonzero(free_x & (deg_x == 1))
-            ones_y = np.flatnonzero(free_y & (deg_y == 1))
+            ones_x = np.flatnonzero(deg_x == 1)
+            ones_y = np.flatnonzero(deg_y == 1)
             if ones_x.size == 0 and ones_y.size == 0:
                 break
             rounds += 1
-            tx = first_free_neighbor_x(ones_x)
-            ty = first_free_neighbor_y(ones_y)
-            edges += int(ones_x.size + ones_y.size)
+            # Degrees are exact, so each degree-1 row has exactly one free
+            # neighbour and the free entries line up with the rows.
+            tx = free_neighbors(x_ptr, x_adj, ones_x, free_y)
+            ty = free_neighbors(y_ptr, y_adj, ones_y, free_x)
             # Combine both sides' proposals into (x, y) pairs.
-            px = np.concatenate([ones_x[tx != -1], ty[ty != -1]])
-            py = np.concatenate([tx[tx != -1], ones_y[ty != -1]])
-            if px.size == 0:
-                break
+            px = np.concatenate([ones_x, ty])
+            py = np.concatenate([tx, ones_y])
             # A vertex may appear as both proposer and target across sides;
             # resolve per-y first, then drop duplicate x's.
             win = resolve(px, py)
             wx, wy = px[win], py[win]
             _, first = np.unique(wx, return_index=True)
-            wx, wy = wx[first], wy[first]
-            still = free_x[wx] & free_y[wy]
-            wx, wy = wx[still], wy[still]
-            if wx.size == 0:
-                break
-            mate_x[wx] = wy
-            mate_y[wy] = wx
-            free_x[wx] = False
-            free_y[wy] = False
+            commit(wx[first], wy[first])
             progressed = True
-            # Recount degrees after the simultaneous round.
-            deg_x, deg_y = residual_degrees()
 
         # --- one random proposal round --------------------------------- #
-        candidates = np.flatnonzero(free_x & (deg_x > 0))
+        candidates = np.flatnonzero(deg_x > 0)
         if candidates.size == 0:
             if not progressed:
                 break
             continue
-        # Every free x proposes a random free neighbour.
-        proposals = np.full(candidates.shape[0], -1, dtype=INDEX_DTYPE)
-        for i, x in enumerate(candidates):
-            row = x_adj[x_ptr[x] : x_ptr[x + 1]]
-            hits = row[free_y[row]]
-            edges += int(row.shape[0])
-            if hits.size:
-                proposals[i] = hits[rng.integers(0, hits.size)]
-        valid = proposals != -1
-        px, py = candidates[valid], proposals[valid]
+        # Every free x proposes a random free neighbour: the k-th free
+        # entry of its row, k drawn below its (exact) residual degree.
+        cand_deg = deg_x[candidates]
+        pick = rng.integers(0, cand_deg)
+        pick[1:] += np.cumsum(cand_deg[:-1])
+        hits = free_neighbors(x_ptr, x_adj, candidates, free_y)
+        px, py = candidates, hits[pick]
         win = resolve(px, py)
-        wx, wy = px[win], py[win]
-        mate_x[wx] = wy
-        mate_y[wy] = wx
-        free_x[wx] = False
-        free_y[wy] = False
+        commit(px[win], py[win])
         counters.phases += 1
 
     counters.edges_traversed = edges
