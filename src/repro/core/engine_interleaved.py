@@ -23,23 +23,21 @@ hundred vertices).
 
 from __future__ import annotations
 
-import time
 from typing import Generator, Iterable, List, Optional
 
 import numpy as np
 
 from repro.core import kernels
+from repro.core.engine_loop import PhaseSteps, run_phases
 from repro.core.forest import ForestState
 from repro.core.options import GraftOptions
 from repro.errors import InvariantViolation, ReproError
 from repro.graph.csr import BipartiteCSR
-from repro.instrument.counters import Counters
 from repro.matching._common import adjacency_lists
-from repro.matching.base import UNMATCHED, MatchResult, Matching, init_matching
+from repro.matching.base import UNMATCHED, MatchResult, Matching
 from repro.parallel.atomics import AtomicArray
 from repro.parallel.shared import RegionMonitor, SharedArray
 from repro.parallel.simulator import InterleavedSimulator, SimThreadState
-from repro.telemetry.session import NULL_TELEMETRY
 from repro.util.rng import SeedLike
 
 NON_ATOMIC_VISITED = "non-atomic-visited"
@@ -75,137 +73,126 @@ def run_interleaved(
         raise ReproError(
             f"unknown fault injection(s) {sorted(unknown)}; known: {sorted(KNOWN_FAULTS)}"
         )
-    start = time.perf_counter()
-    tel = options.telemetry if options.telemetry is not None else NULL_TELEMETRY
-    with tel.run_span("interleaved", algorithm=options.algorithm_name, graph=graph):
-        return _run_interleaved(
-            graph,
-            initial,
-            options,
-            tel,
-            start,
-            threads=threads,
-            seed=seed,
-            monitor=monitor,
-            faults=faults,
-            max_phases=max_phases,
-        )
+
+    def setup(matching: Matching, counters) -> _InterleavedSteps:
+        sim = InterleavedSimulator(threads, seed, faults=faults)
+        return _InterleavedSteps(graph, matching, options, sim, monitor, max_phases)
+
+    return run_phases(
+        "interleaved", graph, initial, options, setup,
+        algorithm=options.algorithm_name + "-interleaved",
+    )
 
 
-def _run_interleaved(
-    graph: BipartiteCSR,
-    initial: Matching | None,
-    options: GraftOptions,
-    tel,
-    start: float,
-    *,
-    threads: int,
-    seed: SeedLike,
-    monitor: Optional[RegionMonitor],
-    faults: frozenset,
-    max_phases: Optional[int],
-) -> MatchResult:
-    with tel.step("setup"):
-        matching = init_matching(graph, initial)
-        counters = Counters()
-        state = ForestState.for_graph(graph)
+class _InterleavedSteps(PhaseSteps):
+    """Every ``parallel for`` runs as simulated threads on ``sim``."""
+
+    def __init__(
+        self,
+        graph: BipartiteCSR,
+        matching: Matching,
+        options: GraftOptions,
+        sim: InterleavedSimulator,
+        monitor: Optional[RegionMonitor],
+        max_phases: Optional[int],
+    ) -> None:
+        self.graph = graph
+        self.matching = matching
+        self.sim = sim
+        self.monitor = monitor
+        self.max_phases = max_phases
+        self.check_invariants = options.check_invariants
+        self.state = state = ForestState.for_graph(graph)
         x_ptr, x_adj, y_ptr, y_adj = adjacency_lists(graph)
-        mate_x = matching.mate_x
-        mate_y = matching.mate_y
-        parent, root_x, root_y, leaf = (
-            state.parent,
-            state.root_x,
-            state.root_y,
-            state.leaf,
-        )
         # Shared-state views for the item programs. Serial code between
         # regions keeps using the raw arrays; programs go through these
         # wrappers so the monitor sees every access.
         visited = AtomicArray(state.visited, name="visited", observer=monitor)
-        sh_parent = SharedArray(parent, "parent", monitor)
-        sh_root_x = SharedArray(root_x, "root_x", monitor)
-        sh_root_y = SharedArray(root_y, "root_y", monitor)
-        sh_leaf = SharedArray(leaf, "leaf", monitor)
-        sh_mate_y = SharedArray(mate_y, "mate_y", monitor)
-        sim = InterleavedSimulator(threads, seed, faults=faults)
+        sh_parent = SharedArray(state.parent, "parent", monitor)
+        sh_root_x = SharedArray(state.root_x, "root_x", monitor)
+        sh_root_y = SharedArray(state.root_y, "root_y", monitor)
+        sh_leaf = SharedArray(state.leaf, "leaf", monitor)
+        sh_mate_y = SharedArray(matching.mate_y, "mate_y", monitor)
         if monitor is not None:
             monitor.bind(sim=sim, graph=graph, state=state, matching=matching)
-        alpha = options.alpha
-        edges = 0
-        deg_x = graph.deg_x
+        self.edges = 0
         state.attach_degrees(graph.deg_y)
-        path_bound = 2 * (graph.n_x + graph.n_y) + 1
         # Initial frontier: all unmatched X vertices become tree roots
         # (seeds the state's persistent unmatched-X list).
-        frontier = state.refresh_seeds(matching)
-        root_x[frontier] = frontier
-        leaf[frontier] = UNMATCHED
+        self.frontier = state.refresh_seeds(matching)
+        state.root_x[self.frontier] = self.frontier
+        state.leaf[self.frontier] = UNMATCHED
+        self.active_y = self.renewable_y = self.frontier[:0]
 
-    def prefer_top_down(frontier: np.ndarray) -> bool:
-        if not options.direction_optimizing:
-            return True
-        if options.direction_strategy == "edge":
-            frontier_edges = int(deg_x[frontier].sum())
-            return frontier_edges < state.unvisited_deg / alpha
-        return frontier.size < state.num_unvisited_y / alpha
-
-    def topdown_program(x: int, ts: SimThreadState) -> Generator[None, None, None]:
-        nonlocal edges
-        rx = sh_root_x.load(x)
-        if rx == UNMATCHED or sh_leaf.load(rx) != UNMATCHED:
-            return
-        for i in range(x_ptr[x], x_ptr[x + 1]):
-            yield  # one interleaving point per scanned edge
-            edges += 1
-            if sh_leaf.load(rx) != UNMATCHED:
-                break  # racy read — may miss a concurrent leaf write; benign
-            y = x_adj[i]
-            if visited.load(y):
-                continue  # cheap pre-check before the atomic (Section III-B)
-            yield  # check-then-act window: another thread may claim y here
-            if NON_ATOMIC_VISITED in sim.faults:
-                # FAULT: plain store instead of CAS — the pre-check load above
-                # and this write no longer form an atomic claim, so two
-                # threads can both "win" y.
-                visited.store(y, 1)
-            elif not visited.compare_and_swap(y, 0, 1):
-                continue  # lost the claim race
-            # The claim won: this thread owns y's pointers.
-            sh_parent.store(y, x)
-            sh_root_y.store(y, rx)
-            state.count_visit(y)
-            mate = sh_mate_y.load(y)
-            if mate != UNMATCHED:
-                sh_root_x.store(mate, rx)
-                ts.local["queue"].append(mate)
-            else:
-                sh_leaf.store(rx, y)  # benign race: last concurrent writer wins
-
-    def bottomup_program(y: int, ts: SimThreadState) -> Generator[None, None, None]:
-        nonlocal edges
-        for i in range(y_ptr[y], y_ptr[y + 1]):
-            yield
-            edges += 1
-            x = y_adj[i]
-            rx = sh_root_x.load(x)  # racy: may see a concurrently grafted tree
+        def topdown_program(x: int, ts: SimThreadState) -> Generator[None, None, None]:
+            rx = sh_root_x.load(x)
             if rx == UNMATCHED or sh_leaf.load(rx) != UNMATCHED:
-                continue
-            # y is owned by this thread: plain store, no atomic needed.
-            if not visited.load(y):
+                return
+            for i in range(x_ptr[x], x_ptr[x + 1]):
+                yield  # one interleaving point per scanned edge
+                self.edges += 1
+                if sh_leaf.load(rx) != UNMATCHED:
+                    break  # racy read — may miss a concurrent leaf write; benign
+                y = x_adj[i]
+                if visited.load(y):
+                    continue  # cheap pre-check before the atomic (Section III-B)
+                yield  # check-then-act window: another thread may claim y here
+                if NON_ATOMIC_VISITED in sim.faults:
+                    # FAULT: plain store instead of CAS — the pre-check load above
+                    # and this write no longer form an atomic claim, so two
+                    # threads can both "win" y.
+                    visited.store(y, 1)
+                elif not visited.compare_and_swap(y, 0, 1):
+                    continue  # lost the claim race
+                # The claim won: this thread owns y's pointers.
+                sh_parent.store(y, x)
+                sh_root_y.store(y, rx)
                 state.count_visit(y)
-            visited.store(y, 1)
-            sh_parent.store(y, x)
-            sh_root_y.store(y, rx)
-            mate = sh_mate_y.load(y)
-            if mate != UNMATCHED:
-                sh_root_x.store(mate, rx)
-                ts.local["queue"].append(mate)
-            else:
-                sh_leaf.store(rx, y)
-            break
+                mate = sh_mate_y.load(y)
+                if mate != UNMATCHED:
+                    sh_root_x.store(mate, rx)
+                    ts.local["queue"].append(mate)
+                else:
+                    sh_leaf.store(rx, y)  # benign race: last concurrent writer wins
 
-    def run_region(items: np.ndarray, program) -> np.ndarray:
-        thread_states = sim.parallel_for(
+        def bottomup_program(y: int, ts: SimThreadState) -> Generator[None, None, None]:
+            for i in range(y_ptr[y], y_ptr[y + 1]):
+                yield
+                self.edges += 1
+                x = y_adj[i]
+                rx = sh_root_x.load(x)  # racy: may see a concurrently grafted tree
+                if rx == UNMATCHED or sh_leaf.load(rx) != UNMATCHED:
+                    continue
+                # y is owned by this thread: plain store, no atomic needed.
+                if not visited.load(y):
+                    state.count_visit(y)
+                visited.store(y, 1)
+                sh_parent.store(y, x)
+                sh_root_y.store(y, rx)
+                mate = sh_mate_y.load(y)
+                if mate != UNMATCHED:
+                    sh_root_x.store(mate, rx)
+                    ts.local["queue"].append(mate)
+                else:
+                    sh_leaf.store(rx, y)
+                break
+
+        self.topdown_program = topdown_program
+        self.bottomup_program = bottomup_program
+
+    @property
+    def num_unvisited_y(self) -> int:
+        return self.state.num_unvisited_y
+
+    @property
+    def unvisited_deg(self) -> int:
+        return self.state.unvisited_deg
+
+    def _run_region(self, items: np.ndarray, program):
+        """One ``parallel for`` over ``items``; returns
+        ``(next_frontier, edges, claims)`` with the per-thread queues merged."""
+        before, edges_before = self.state.num_unvisited_y, self.edges
+        thread_states = self.sim.parallel_for(
             items,
             program,
             on_thread_start=lambda ts: ts.local.__setitem__("queue", []),
@@ -213,102 +200,74 @@ def _run_interleaved(
         merged: List[int] = []
         for ts in thread_states:
             merged.extend(ts.local["queue"])
-        if monitor is not None:
-            monitor.after_barrier()
-        return np.asarray(merged, dtype=np.int64)
+        if self.monitor is not None:
+            self.monitor.after_barrier()
+        return (
+            np.asarray(merged, dtype=np.int64),
+            self.edges - edges_before,
+            before - self.state.num_unvisited_y,
+        )
 
-    while True:
-        counters.phases += 1
-        options.begin_phase(counters.phases)
-        if max_phases is not None and counters.phases > max_phases:
+    def topdown(self, frontier: np.ndarray):
+        return self._run_region(frontier, self.topdown_program)
+
+    def bottomup(self, frontier: np.ndarray):
+        return self._run_region(self.state.unvisited_candidates(), self.bottomup_program)
+
+    def augment(self) -> List[int]:
+        """Flip the discovered paths (vertex-disjoint; order is irrelevant)."""
+        mate_x, mate_y = self.matching.mate_x, self.matching.mate_y
+        parent, leaf = self.state.parent, self.state.leaf
+        path_bound = 2 * (self.graph.n_x + self.graph.n_y) + 1
+        lengths: List[int] = []
+        for x0 in np.flatnonzero((mate_x == UNMATCHED) & (leaf != UNMATCHED)):
+            y = int(leaf[x0])
+            length = 0
+            while True:
+                if length > path_bound:
+                    raise InvariantViolation(
+                        f"augmenting path from root {int(x0)} exceeds {path_bound} "
+                        f"edges; parent/mate pointers form a cycle"
+                    )
+                x = int(parent[y])
+                prev_mate = int(mate_x[x])
+                mate_x[x] = y
+                mate_y[y] = x
+                length += 1
+                if prev_mate == UNMATCHED:
+                    break
+                y = prev_mate
+                length += 1
+            lengths.append(length)
+        return lengths
+
+    def partition(self):
+        state = self.state
+        renewable_x = np.flatnonzero(state.renewable_x_mask())
+        state.root_x[renewable_x] = UNMATCHED
+        active_x_count = int(np.count_nonzero(state.root_x != UNMATCHED))
+        self.active_y = np.flatnonzero(state.active_y_mask())
+        self.renewable_y = np.flatnonzero(state.renewable_y_mask())
+        return active_x_count, int(self.renewable_y.size)
+
+    def graft(self):
+        # Serial recycling goes through the state helpers so the packed
+        # mirror, candidate list, and direction counters stay exact.
+        kernels.reset_rows(self.state, self.renewable_y)
+        return self._run_region(self.renewable_y, self.bottomup_program)
+
+    def rebuild(self) -> np.ndarray:
+        kernels.reset_rows(self.state, self.renewable_y)
+        kernels.reset_rows(self.state, self.active_y)
+        return kernels.rebuild_from_unmatched(self.state, self.matching)
+
+    def end_phase(self, phase: int) -> None:
+        if self.check_invariants:
+            self.state.check_invariants(self.graph, self.matching)
+        if self.monitor is not None:
+            self.monitor.after_phase()
+        if self.max_phases is not None and phase >= self.max_phases:
             raise ReproError(
-                f"phase limit {max_phases} exceeded; the run is not converging "
+                f"phase limit {self.max_phases} exceeded; the run is not converging "
                 f"(possible state corruption from fault injection)"
             )
-        # Step 1: BFS forest.
-        while frontier.size:
-            if state.num_unvisited_y == 0:
-                frontier = frontier[:0]
-                break
-            tel.observe_frontier(int(frontier.size))
-            counters.bfs_levels += 1
-            unvisited_before = state.num_unvisited_y
-            edges_before = edges
-            if prefer_top_down(frontier):
-                counters.topdown_steps += 1
-                with tel.step("topdown"):
-                    frontier = run_region(frontier, topdown_program)
-                tel.count_level(
-                    "topdown", claims=unvisited_before - state.num_unvisited_y
-                )
-            else:
-                counters.bottomup_steps += 1
-                with tel.step("bottomup"):
-                    rows = state.unvisited_candidates()
-                    frontier = run_region(rows, bottomup_program)
-                tel.count_level(
-                    "bottomup", claims=unvisited_before - state.num_unvisited_y
-                )
-            tel.count_edges(edges - edges_before)
-            tel.observe_candidates(state.num_unvisited_y)
-
-        # Step 2: augment (paths are vertex-disjoint; order is irrelevant).
-        augmented = 0
-        with tel.step("augment"):
-            for x0 in np.flatnonzero((mate_x == UNMATCHED) & (leaf != UNMATCHED)):
-                y = int(leaf[x0])
-                length = 0
-                while True:
-                    if length > path_bound:
-                        raise InvariantViolation(
-                            f"augmenting path from root {int(x0)} exceeds {path_bound} "
-                            f"edges; parent/mate pointers form a cycle"
-                        )
-                    x = int(parent[y])
-                    prev_mate = int(mate_x[x])
-                    mate_x[x] = y
-                    mate_y[y] = x
-                    length += 1
-                    if prev_mate == UNMATCHED:
-                        break
-                    y = prev_mate
-                    length += 1
-                counters.record_path(length)
-                augmented += 1
-        if augmented == 0:
-            break
-
-        # Step 3: GRAFT.
-        with tel.step("statistics"):
-            renewable_x = np.flatnonzero(state.renewable_x_mask())
-            root_x[renewable_x] = UNMATCHED
-            active_x_count = int(np.count_nonzero(root_x != UNMATCHED))
-            active_y = np.flatnonzero(state.active_y_mask())
-            renewable_y = np.flatnonzero(state.renewable_y_mask())
-        with tel.step("grafting"):
-            # Serial recycling goes through the state helpers so the packed
-            # mirror, candidate list, and direction counters stay exact.
-            kernels.reset_rows(state, renewable_y)
-            if options.grafting and active_x_count > renewable_y.size / alpha:
-                before = state.num_unvisited_y
-                edges_before = edges
-                frontier = run_region(renewable_y, bottomup_program)
-                tel.count_edges(edges - edges_before)
-                counters.grafts += before - state.num_unvisited_y
-            else:
-                counters.tree_rebuilds += 1
-                kernels.reset_rows(state, active_y)
-                frontier = kernels.rebuild_from_unmatched(state, matching)
-        if options.check_invariants:
-            state.check_invariants(graph, matching)
-        if monitor is not None:
-            monitor.after_phase()
-
-    counters.edges_traversed = edges
-    tel.finish_run(counters)
-    return MatchResult(
-        matching=matching,
-        algorithm=options.algorithm_name + "-interleaved",
-        counters=counters,
-        wall_seconds=time.perf_counter() - start,
-    )

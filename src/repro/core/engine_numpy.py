@@ -8,25 +8,21 @@ sweep, and the GRAFT statistics pass — which the simulated machine then
 schedules onto threads.
 
 Region kinds match the paper's Fig. 6 legend: ``topdown``, ``bottomup``,
-``augment``, ``grafting``, ``statistics``.
+``augment``, ``grafting``, ``statistics``. The phase loop itself is
+:func:`repro.core.engine_loop.run_phases`; this module supplies its kernels.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core import kernels
+from repro.core.engine_loop import PhaseSteps, run_phases
 from repro.core.forest import ForestState
 from repro.core.options import GraftOptions
 from repro.graph.csr import BipartiteCSR
-from repro.instrument.counters import Counters
-from repro.instrument.frontier import FrontierLog
-from repro.matching.base import MatchResult, Matching, init_matching
+from repro.matching.base import MatchResult, Matching
 from repro.parallel.trace import WorkTrace
-from repro.telemetry.session import NULL_TELEMETRY
-from repro.util.timer import StepTimer
 
 
 def run_numpy(
@@ -41,147 +37,107 @@ def run_numpy(
     :class:`~repro.parallel.shared.BulkAccessObserver` to the forest state,
     so the race detector can audit the kernels' bulk accesses.
     """
-    start = time.perf_counter()
-    tel = options.telemetry if options.telemetry is not None else NULL_TELEMETRY
-    with tel.run_span("numpy", algorithm=options.algorithm_name, graph=graph):
-        result = _run_numpy(graph, initial, options, observer, tel, start)
-    return result
 
-
-def _run_numpy(
-    graph: BipartiteCSR,
-    initial: Matching | None,
-    options: GraftOptions,
-    observer,
-    tel,
-    start: float,
-) -> MatchResult:
-    with tel.step("setup"):
-        matching = init_matching(graph, initial)
-        counters = Counters()
-        timer = StepTimer()
-        trace = WorkTrace() if options.emit_trace else None
-        frontier_log = FrontierLog() if options.record_frontiers else None
+    def setup(matching: Matching, counters) -> NumpySteps:
         state = ForestState.for_graph(graph)
         state.observer = observer
         workspace = kernels.KernelWorkspace.for_graph(graph)
-        workspace.want_costs = trace is not None
-        alpha = options.alpha
-        deg_x = graph.deg_x
+        return NumpySteps(graph, matching, options, state, workspace)
+
+    return run_phases("numpy", graph, initial, options, setup)
+
+
+class NumpySteps(PhaseSteps):
+    """The vectorized kernels, plus one work-trace region per barrier.
+
+    The level dispatch (:meth:`topdown_level`, :meth:`bottomup_level`) is
+    the seam the mp engine overrides to scatter heavy levels over its
+    worker pool; everything else, trace emission included, is shared.
+    """
+
+    def __init__(
+        self,
+        graph: BipartiteCSR,
+        matching: Matching,
+        options: GraftOptions,
+        state: ForestState,
+        workspace: kernels.KernelWorkspace,
+    ) -> None:
+        self.graph = graph
+        self.matching = matching
+        self.state = state
+        self.workspace = workspace
+        self.check_invariants = options.check_invariants
+        self.trace = WorkTrace() if options.emit_trace else None
+        workspace.want_costs = self.trace is not None
         state.attach_degrees(graph.deg_y)
-        frontier = kernels.rebuild_from_unmatched(state, matching)
+        self.frontier = kernels.rebuild_from_unmatched(state, matching)
+        self.gstats: kernels.GraftStats | None = None
 
-    def prefer_top_down(frontier: np.ndarray) -> bool:
-        if not options.direction_optimizing:
-            return True
-        if options.direction_strategy == "edge":
-            # state.unvisited_deg is the running sum of unvisited-Y degrees,
-            # so the switch costs O(|frontier|) instead of an O(n_y) masked
-            # sum per level.
-            frontier_edges = int(deg_x[frontier].sum())
-            return frontier_edges < state.unvisited_deg / alpha
-        return frontier.size < state.num_unvisited_y / alpha
+    @property
+    def num_unvisited_y(self) -> int:
+        return self.state.num_unvisited_y
 
-    while True:
-        counters.phases += 1
-        options.begin_phase(counters.phases)
-        if frontier_log is not None:
-            frontier_log.start_phase()
+    @property
+    def unvisited_deg(self) -> int:
+        return self.state.unvisited_deg
 
-        # --- Step 1: grow the alternating BFS forest ------------------- #
-        while frontier.size:
-            if state.num_unvisited_y == 0:
-                # No undiscovered Y vertex remains: the frontier cannot make
-                # progress or find an augmenting path, so the phase is over.
-                frontier = frontier[:0]
-                break
-            if frontier_log is not None:
-                frontier_log.record(int(frontier.size))
-            tel.observe_frontier(int(frontier.size))
-            counters.bfs_levels += 1
-            if prefer_top_down(frontier):
-                counters.topdown_steps += 1
-                with timer.step("topdown"), tel.step("topdown"):
-                    stats = kernels.topdown_level(graph, state, matching, frontier, workspace)
-                tel.count_level("topdown", claims=stats.claims)
-                if trace is not None:
-                    trace.add(
-                        "topdown",
-                        stats.item_costs,
-                        atomics=stats.attempts,
-                        queue_appends=int(stats.next_frontier.size),
-                    )
-            else:
-                counters.bottomup_steps += 1
-                with timer.step("bottomup"), tel.step("bottomup"):
-                    rows = state.unvisited_candidates()
-                    stats = kernels.bottomup_level(graph, state, matching, rows, workspace)
-                tel.count_level("bottomup", claims=stats.claims)
-                if trace is not None:
-                    trace.add(
-                        "bottomup",
-                        stats.item_costs,
-                        queue_appends=int(stats.next_frontier.size),
-                    )
-            counters.edges_traversed += stats.edges
-            tel.count_edges(stats.edges)
-            tel.observe_candidates(state.num_unvisited_y)
-            frontier = stats.next_frontier
+    def topdown_level(self, frontier: np.ndarray) -> kernels.LevelStats:
+        return kernels.topdown_level(
+            self.graph, self.state, self.matching, frontier, self.workspace
+        )
 
-        # --- Step 2: augment along the discovered paths ---------------- #
-        with timer.step("augment"), tel.step("augment"):
-            roots, lengths = kernels.augment_all(state, matching)
-        counters.record_paths(lengths)
-        if trace is not None and lengths.size:
-            trace.add(
-                "augment",
-                lengths.astype(np.float64),
-                memory_pattern="irregular",
+    def bottomup_level(self, rows: np.ndarray, region: str) -> kernels.LevelStats:
+        return kernels.bottomup_level(
+            self.graph, self.state, self.matching, rows, self.workspace, region=region
+        )
+
+    def topdown(self, frontier: np.ndarray):
+        stats = self.topdown_level(frontier)
+        if self.trace is not None:
+            self.trace.add(
+                "topdown",
+                stats.item_costs,
+                atomics=stats.attempts,
+                queue_appends=int(stats.next_frontier.size),
             )
-        if lengths.size == 0:
-            break  # no augmenting path in this phase: maximum reached
+        return stats.next_frontier, stats.edges, stats.claims
 
-        # --- Step 3: rebuild the frontier (GRAFT) ---------------------- #
-        with timer.step("statistics"), tel.step("statistics"):
-            gstats = kernels.graft_partition(state, tracked=True)
-        if trace is not None:
-            trace.add_uniform("statistics", graph.n_x + graph.n_y, 1.0)
-        with timer.step("grafting"), tel.step("grafting"):
-            use_graft = options.grafting and (
-                gstats.active_x_count > gstats.renewable_y.size / alpha
+    def bottomup(self, frontier: np.ndarray):
+        return self._attach(self.state.unvisited_candidates(), "bottomup")
+
+    def _attach(self, rows: np.ndarray, region: str):
+        stats = self.bottomup_level(rows, region)
+        if self.trace is not None:
+            self.trace.add(
+                region, stats.item_costs, queue_appends=int(stats.next_frontier.size)
             )
-            if use_graft:
-                stats = kernels.bottomup_level(
-                    graph, state, matching, gstats.renewable_y, workspace, region="grafting"
-                )
-                counters.edges_traversed += stats.edges
-                tel.count_edges(stats.edges)
-                counters.grafts += stats.claims
-                frontier = stats.next_frontier
-                if trace is not None:
-                    trace.add(
-                        "grafting",
-                        stats.item_costs,
-                        queue_appends=int(stats.next_frontier.size),
-                    )
-            else:
-                counters.tree_rebuilds += 1
-                kernels.reset_rows(state, gstats.active_y)
-                frontier = kernels.rebuild_from_unmatched(state, matching)
-                if trace is not None:
-                    trace.add_uniform(
-                        "grafting", int(gstats.active_y.size) + int(frontier.size), 1.0
-                    )
-        if options.check_invariants:
-            state.check_invariants(graph, matching)
+        return stats.next_frontier, stats.edges, stats.claims
 
-    tel.finish_run(counters)
-    return MatchResult(
-        matching=matching,
-        algorithm=options.algorithm_name,
-        counters=counters,
-        trace=trace,
-        breakdown=dict(timer.totals),
-        frontier_log=frontier_log,
-        wall_seconds=time.perf_counter() - start,
-    )
+    def augment(self) -> np.ndarray:
+        _, lengths = kernels.augment_all(self.state, self.matching)
+        if self.trace is not None and lengths.size:
+            self.trace.add("augment", lengths.astype(np.float64), memory_pattern="irregular")
+        return lengths
+
+    def partition(self):
+        self.gstats = kernels.graft_partition(self.state, tracked=True)
+        if self.trace is not None:
+            self.trace.add_uniform("statistics", self.graph.n_x + self.graph.n_y, 1.0)
+        return self.gstats.active_x_count, int(self.gstats.renewable_y.size)
+
+    def graft(self):
+        return self._attach(self.gstats.renewable_y, "grafting")
+
+    def rebuild(self) -> np.ndarray:
+        kernels.reset_rows(self.state, self.gstats.active_y)
+        frontier = kernels.rebuild_from_unmatched(self.state, self.matching)
+        if self.trace is not None:
+            self.trace.add_uniform(
+                "grafting", int(self.gstats.active_y.size) + int(frontier.size), 1.0
+            )
+        return frontier
+
+    def end_phase(self, phase: int) -> None:
+        if self.check_invariants:
+            self.state.check_invariants(self.graph, self.matching)

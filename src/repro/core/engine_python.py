@@ -7,78 +7,72 @@ stop scanning at their first active neighbour. This engine is the
 correctness oracle the vectorized and interleaved engines are tested
 against; it is also the fairest serial implementation for the Fig. 1-style
 edge counts.
+
+The phase loop is :func:`repro.core.engine_loop.run_phases`; this module
+supplies its kernels over plain Python lists. The per-edge loops bind
+their lists to locals on entry, since an attribute lookup per edge would
+shift the interpreted/vectorized dispatch crossover
+(:data:`~repro.core.options.DISPATCH_WORK_THRESHOLD`).
 """
 
 from __future__ import annotations
 
-import time
 from typing import List
 
+from repro.core.engine_loop import PhaseSteps, run_phases
 from repro.core.options import GraftOptions
 from repro.graph.csr import BipartiteCSR
-from repro.instrument.counters import Counters
-from repro.instrument.frontier import FrontierLog
 from repro.matching._common import adjacency_lists
-from repro.matching.base import MatchResult, Matching, init_matching
-from repro.telemetry.session import NULL_TELEMETRY
-from repro.util.timer import StepTimer
+from repro.matching.base import MatchResult, Matching
 
 
 def run_python(
     graph: BipartiteCSR, initial: Matching | None, options: GraftOptions
 ) -> MatchResult:
     """Serial MS-BFS-Graft (Algorithm 3), pure-Python reference."""
-    start = time.perf_counter()
-    tel = options.telemetry if options.telemetry is not None else NULL_TELEMETRY
-    with tel.run_span("python", algorithm=options.algorithm_name, graph=graph):
-        result = _run_python(graph, initial, options, tel, start)
-    return result
+    return run_phases(
+        "python", graph, initial, options,
+        lambda matching, counters: _PythonSteps(graph, matching),
+    )
 
 
-def _run_python(
-    graph: BipartiteCSR,
-    initial: Matching | None,
-    options: GraftOptions,
-    tel,
-    start: float,
-) -> MatchResult:
-    with tel.step("setup"):
-        matching = init_matching(graph, initial)
-        counters = Counters()
-        timer = StepTimer()
-        frontier_log = FrontierLog() if options.record_frontiers else None
-        x_ptr, x_adj, y_ptr, y_adj = adjacency_lists(graph)
-        n_x, n_y = graph.n_x, graph.n_y
-        mate_x = matching.mate_x.tolist()
-        mate_y = matching.mate_y.tolist()
-        visited = [0] * n_y
-        parent = [-1] * n_y
-        root_x = [-1] * n_x
-        root_y = [-1] * n_y
-        leaf = [-1] * n_x
-        alpha = options.alpha
-        edges = 0
-        num_unvisited = n_y
-        deg_x = [x_ptr[x + 1] - x_ptr[x] for x in range(n_x)]
-        deg_y = [y_ptr[y + 1] - y_ptr[y] for y in range(n_y)]
-        unvisited_deg = sum(deg_y)
-        # Initial frontier: all unmatched X vertices become tree roots.
-        frontier = [x for x in range(n_x) if mate_x[x] == -1]
+class _PythonSteps(PhaseSteps):
+    """Algorithms 4-7 over Python lists; mates are written back at the end."""
+
+    def __init__(self, graph: BipartiteCSR, matching: Matching) -> None:
+        self.matching = matching
+        self.x_ptr, self.x_adj, self.y_ptr, self.y_adj = adjacency_lists(graph)
+        self.n_x, self.n_y = n_x, n_y = graph.n_x, graph.n_y
+        self.mate_x = matching.mate_x.tolist()
+        self.mate_y = matching.mate_y.tolist()
+        self.visited = [0] * n_y
+        self.parent = [-1] * n_y
+        self.root_x = [-1] * n_x
+        self.root_y = [-1] * n_y
+        self.leaf = [-1] * n_x
+        self.deg_y = [self.y_ptr[y + 1] - self.y_ptr[y] for y in range(n_y)]
+        self.num_unvisited_y = n_y
+        self.unvisited_deg = sum(self.deg_y)
+        self.active_y: List[int] = []
+        self.renewable_y: List[int] = []
+        self.frontier = self._seed_roots()
+
+    def _seed_roots(self) -> List[int]:
+        """All unmatched X vertices become tree roots."""
+        mate_x, root_x, leaf = self.mate_x, self.root_x, self.leaf
+        frontier = [x for x in range(self.n_x) if mate_x[x] == -1]
         for x in frontier:
             root_x[x] = x
             leaf[x] = -1
+        return frontier
 
-    def prefer_top_down(frontier: List[int]) -> bool:
-        if not options.direction_optimizing:
-            return True
-        if options.direction_strategy == "edge":
-            return sum(deg_x[x] for x in frontier) < unvisited_deg / alpha
-        return len(frontier) < num_unvisited / alpha
-
-    def topdown(frontier: List[int]) -> List[int]:
+    def topdown(self, frontier: List[int]):
         """Algorithm 4: expand active-tree frontier vertices."""
-        nonlocal edges, num_unvisited, unvisited_deg
+        x_ptr, x_adj, visited, parent = self.x_ptr, self.x_adj, self.visited, self.parent
+        root_x, root_y, leaf = self.root_x, self.root_y, self.leaf
+        mate_y, deg_y = self.mate_y, self.deg_y
         queue: List[int] = []
+        edges = claimed = claimed_deg = 0
         for x in frontier:
             rx = root_x[x]
             if rx == -1 or leaf[rx] != -1:
@@ -89,8 +83,8 @@ def _run_python(
                 if visited[y]:
                     continue
                 visited[y] = 1
-                num_unvisited -= 1
-                unvisited_deg -= deg_y[y]
+                claimed += 1
+                claimed_deg += deg_y[y]
                 parent[y] = x
                 root_y[y] = rx
                 mate = mate_y[y]
@@ -100,12 +94,21 @@ def _run_python(
                 else:
                     leaf[rx] = y  # augmenting path found; tree is renewable
                     break  # serial semantics: stop growing this tree
-        return queue
+        self.num_unvisited_y -= claimed
+        self.unvisited_deg -= claimed_deg
+        return queue, edges, claimed
 
-    def bottomup(rows: List[int]) -> List[int]:
+    def bottomup(self, frontier: List[int]):
+        visited = self.visited
+        return self._attach([y for y in range(self.n_y) if not visited[y]])
+
+    def _attach(self, rows: List[int]):
         """Algorithm 6: attach rows of R to any active tree (first hit)."""
-        nonlocal edges, num_unvisited, unvisited_deg
+        y_ptr, y_adj, visited, parent = self.y_ptr, self.y_adj, self.visited, self.parent
+        root_x, root_y, leaf = self.root_x, self.root_y, self.leaf
+        mate_y, deg_y = self.mate_y, self.deg_y
         queue: List[int] = []
+        edges = claimed = claimed_deg = 0
         for y in rows:
             for i in range(y_ptr[y], y_ptr[y + 1]):
                 edges += 1
@@ -113,8 +116,8 @@ def _run_python(
                 rx = root_x[x]
                 if rx != -1 and leaf[rx] == -1:
                     visited[y] = 1
-                    num_unvisited -= 1
-                    unvisited_deg -= deg_y[y]
+                    claimed += 1
+                    claimed_deg += deg_y[y]
                     parent[y] = x
                     root_y[y] = rx
                     mate = mate_y[y]
@@ -124,117 +127,71 @@ def _run_python(
                     else:
                         leaf[rx] = y
                     break  # stop exploring y's neighbours (Alg. 6 line 7)
-        return queue
+        self.num_unvisited_y -= claimed
+        self.unvisited_deg -= claimed_deg
+        return queue, edges, claimed
 
-    while True:
-        counters.phases += 1
-        options.begin_phase(counters.phases)
-        if frontier_log is not None:
-            frontier_log.start_phase()
+    def augment(self) -> List[int]:
+        mate_x, mate_y, parent, leaf = self.mate_x, self.mate_y, self.parent, self.leaf
+        lengths: List[int] = []
+        for x0 in range(self.n_x):
+            if mate_x[x0] != -1 or leaf[x0] == -1:
+                continue
+            length = 0
+            y = leaf[x0]
+            while True:
+                x = parent[y]
+                prev_mate = mate_x[x]
+                mate_x[x] = y
+                mate_y[y] = x
+                length += 1
+                if prev_mate == -1:
+                    break
+                y = prev_mate
+                length += 1
+            lengths.append(length)
+        if not lengths:
+            # The run ends here: hand the final mates to the matching.
+            self.matching.mate_x[:] = mate_x
+            self.matching.mate_y[:] = mate_y
+        return lengths
 
-        # --- Step 1: grow the alternating BFS forest ------------------- #
-        while frontier:
-            if num_unvisited == 0:
-                # No undiscovered Y vertex remains; the phase cannot make
-                # further progress.
-                frontier = []
-                break
-            if frontier_log is not None:
-                frontier_log.record(len(frontier))
-            tel.observe_frontier(len(frontier))
-            counters.bfs_levels += 1
-            unvisited_before = num_unvisited
-            edges_before = edges
-            if prefer_top_down(frontier):
-                counters.topdown_steps += 1
-                with timer.step("topdown"), tel.step("topdown"):
-                    frontier = topdown(frontier)
-                tel.count_level("topdown", claims=unvisited_before - num_unvisited)
-            else:
-                counters.bottomup_steps += 1
-                with timer.step("bottomup"), tel.step("bottomup"):
-                    rows = [y for y in range(n_y) if not visited[y]]
-                    frontier = bottomup(rows)
-                tel.count_level("bottomup", claims=unvisited_before - num_unvisited)
-            tel.count_edges(edges - edges_before)
-            tel.observe_candidates(num_unvisited)
+    def partition(self):
+        root_x, root_y, leaf = self.root_x, self.root_y, self.leaf
+        active_x_count = 0
+        for x in range(self.n_x):
+            rx = root_x[x]
+            if rx != -1:
+                if leaf[rx] == -1:
+                    active_x_count += 1
+                else:
+                    root_x[x] = -1  # renewable X: clear stale root
+        self.renewable_y = renewable_y = []
+        self.active_y = active_y = []
+        for y in range(self.n_y):
+            ry = root_y[y]
+            if ry != -1:
+                if leaf[ry] == -1:
+                    active_y.append(y)
+                else:
+                    renewable_y.append(y)
+        return active_x_count, len(renewable_y)
 
-        # --- Step 2: augment along the discovered paths ---------------- #
-        augmented = 0
-        with timer.step("augment"), tel.step("augment"):
-            for x0 in range(n_x):
-                if mate_x[x0] != -1 or leaf[x0] == -1:
-                    continue
-                length = 0
-                y = leaf[x0]
-                while True:
-                    x = parent[y]
-                    prev_mate = mate_x[x]
-                    mate_x[x] = y
-                    mate_y[y] = x
-                    length += 1
-                    if prev_mate == -1:
-                        break
-                    y = prev_mate
-                    length += 1
-                counters.record_path(length)
-                augmented += 1
-        if augmented == 0:
-            break  # no augmenting path in this phase: matching is maximum
+    def _reset_rows(self, rows: List[int]) -> None:
+        visited, root_y, deg_y = self.visited, self.root_y, self.deg_y
+        for y in rows:
+            visited[y] = 0
+            root_y[y] = -1
+        self.num_unvisited_y += len(rows)
+        self.unvisited_deg += sum([deg_y[y] for y in rows])
 
-        # --- Step 3: rebuild the frontier (GRAFT, Algorithm 7) --------- #
-        with timer.step("statistics"), tel.step("statistics"):
-            active_x_count = 0
-            for x in range(n_x):
-                rx = root_x[x]
-                if rx != -1:
-                    if leaf[rx] == -1:
-                        active_x_count += 1
-                    else:
-                        root_x[x] = -1  # renewable X: clear stale root
-            renewable_y: List[int] = []
-            active_y: List[int] = []
-            for y in range(n_y):
-                ry = root_y[y]
-                if ry != -1:
-                    if leaf[ry] == -1:
-                        active_y.append(y)
-                    else:
-                        renewable_y.append(y)
-        with timer.step("grafting"), tel.step("grafting"):
-            for y in renewable_y:
-                visited[y] = 0
-                root_y[y] = -1
-                unvisited_deg += deg_y[y]
-            num_unvisited += len(renewable_y)
-            if options.grafting and active_x_count > len(renewable_y) / alpha:
-                edges_before = edges
-                frontier = bottomup(renewable_y)
-                tel.count_edges(edges - edges_before)
-                counters.grafts += len(frontier)
-            else:
-                counters.tree_rebuilds += 1
-                for y in active_y:
-                    visited[y] = 0
-                    root_y[y] = -1
-                    unvisited_deg += deg_y[y]
-                num_unvisited += len(active_y)
-                for x in range(n_x):
-                    root_x[x] = -1
-                frontier = [x for x in range(n_x) if mate_x[x] == -1]
-                for x in frontier:
-                    root_x[x] = x
-                    leaf[x] = -1
+    def graft(self):
+        self._reset_rows(self.renewable_y)
+        queue, edges, _ = self._attach(self.renewable_y)
+        return queue, edges, len(queue)
 
-    matching.mate_x[:] = mate_x
-    matching.mate_y[:] = mate_y
-    counters.edges_traversed = edges
-    tel.finish_run(counters)
-    return MatchResult(
-        matching=matching,
-        algorithm=options.algorithm_name,
-        counters=counters,
-        breakdown=dict(timer.totals),
-        frontier_log=frontier_log,
-        wall_seconds=time.perf_counter() - start,
-    )
+    def rebuild(self) -> List[int]:
+        self._reset_rows(self.renewable_y)
+        self._reset_rows(self.active_y)
+        self.root_x[:] = [-1] * self.n_x
+        return self._seed_roots()

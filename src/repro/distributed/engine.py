@@ -52,6 +52,7 @@ from repro.distributed.commit import (
     retire_trees,
 )
 from repro.distributed.partition import Partition1D
+from repro.errors import ReproError
 from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
 from repro.instrument.counters import Counters
 from repro.matching.base import UNMATCHED, Matching, init_matching
@@ -74,6 +75,16 @@ class DistributedResult:
         return self.matching.cardinality
 
 
+def require_vertex_rule(options: GraftOptions) -> None:
+    """Reject the ``edge`` direction rule: the distributed engines only
+    implement the ``vertex`` one, and must not silently run it instead."""
+    if options.direction_strategy != "vertex":
+        raise ReproError(
+            f"direction_strategy={options.direction_strategy!r} is not supported "
+            f"by the distributed engines; they implement only the 'vertex' rule"
+        )
+
+
 def distributed_ms_bfs_graft(
     graph: BipartiteCSR,
     initial: Matching | None = None,
@@ -88,13 +99,16 @@ def distributed_ms_bfs_graft(
 
     ``options`` carries the runtime seam shared with the shared-memory
     engines (deadline, phase_hook, telemetry) and, when given, overrides
-    the ``alpha``/``grafting``/``direction_optimizing`` keywords.
+    the ``alpha``/``grafting``/``direction_optimizing`` keywords. Its
+    ``direction_strategy`` must be ``"vertex"``; ``"edge"`` raises
+    :class:`~repro.errors.ReproError`.
     """
     start = time.perf_counter()
     if options is None:
         options = GraftOptions(
             alpha=alpha, grafting=grafting, direction_optimizing=direction_optimizing
         )
+    require_vertex_rule(options)
     alpha = options.alpha
     grafting = options.grafting
     direction_optimizing = options.direction_optimizing

@@ -44,7 +44,7 @@ from repro.distributed.commit import (
     release_rows,
     retire_trees,
 )
-from repro.distributed.engine import DistributedResult
+from repro.distributed.engine import DistributedResult, require_vertex_rule
 from repro.distributed.grid import Grid2D
 from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
 from repro.instrument.counters import Counters
@@ -68,13 +68,16 @@ def distributed_ms_bfs_graft_2d(
 
     ``options`` carries the runtime seam shared with the shared-memory
     engines (deadline, phase_hook, telemetry) and, when given, overrides
-    the ``alpha``/``grafting``/``direction_optimizing`` keywords.
+    the ``alpha``/``grafting``/``direction_optimizing`` keywords. Its
+    ``direction_strategy`` must be ``"vertex"``; ``"edge"`` raises
+    :class:`~repro.errors.ReproError`.
     """
     start = time.perf_counter()
     if options is None:
         options = GraftOptions(
             alpha=alpha, grafting=grafting, direction_optimizing=direction_optimizing
         )
+    require_vertex_rule(options)
     alpha = options.alpha
     grafting = options.grafting
     direction_optimizing = options.direction_optimizing

@@ -4,8 +4,6 @@ Everything the paper's evaluation section measures lives here:
 
 * :class:`Counters` — traversed edges, phases, augmenting-path lengths
   (Fig. 1a-c);
-* :class:`repro.util.timer.StepTimer` integration for the per-step runtime
-  breakdown (Fig. 6);
 * :class:`FrontierLog` — frontier size per BFS level per phase (Fig. 8);
 * :func:`mteps` — millions of traversed edges per second (Fig. 4);
 * :func:`parallel_sensitivity` — psi = 100 * sigma / mu (Section V-B).

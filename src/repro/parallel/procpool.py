@@ -37,12 +37,15 @@ import multiprocessing
 import os
 import tempfile
 import time
+from dataclasses import replace
 from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 
 from repro.core import kernels
 from repro.core.bitset import bitset_words
+from repro.core.engine_loop import run_phases
+from repro.core.engine_numpy import NumpySteps
 from repro.core.forest import ForestState
 from repro.core.options import GraftOptions
 from repro.distributed.commit import (
@@ -52,14 +55,10 @@ from repro.distributed.commit import (
 )
 from repro.errors import DeadlineExceeded, ReproError, WorkerCrashed
 from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
-from repro.instrument.counters import Counters
-from repro.instrument.frontier import FrontierLog
-from repro.matching.base import UNMATCHED, MatchResult, Matching, init_matching
-from repro.parallel.trace import WorkTrace
+from repro.matching.base import UNMATCHED, MatchResult, Matching
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.session import NULL_TELEMETRY
 from repro.telemetry.worker import WorkerRecorder, merge_worker_traces
-from repro.util.timer import StepTimer
 
 DEFAULT_WORKERS = 2
 """Worker count when ``engine="mp"`` is requested without one."""
@@ -675,24 +674,6 @@ def run_mp(
     """
     start = time.perf_counter()
     tel = options.telemetry if options.telemetry is not None else NULL_TELEMETRY
-    with tel.run_span("mp", algorithm=options.algorithm_name, graph=graph):
-        return _run_mp(
-            graph, initial, options, workers, min_level_items, pool,
-            start_method, tel, start,
-        )
-
-
-def _run_mp(
-    graph: BipartiteCSR,
-    initial: Matching | None,
-    options: GraftOptions,
-    workers: int,
-    min_level_items: int,
-    pool: ProcPool | None,
-    start_method: str | None,
-    tel,
-    start: float,
-) -> MatchResult:
     own_pool = pool is None
     if own_pool:
         pool = ProcPool(graph, workers, start_method=start_method)
@@ -723,200 +704,22 @@ def _run_mp(
             n_x=graph.n_x, n_y=graph.n_y, nnz=graph.nnz,
             segment=pool.segment_name, pids=pool.worker_pids(),
         )
+    threshold = max(int(min_level_items), pool.workers)
     try:
-        with tel.step("setup"):
-            matching = init_matching(graph, initial)
-            counters = Counters()
-            timer = StepTimer()
-            trace = WorkTrace() if options.emit_trace else None
-            frontier_log = FrontierLog() if options.record_frontiers else None
-            # Re-home the worker-scanned arrays onto the shared segment:
-            # every later mark_visited / leaf / root_x update the master
-            # makes is visible to the workers with no copies at all.
-            pool.visited_words[:] = state.visited_words
-            pool.root_x[:] = state.root_x
-            pool.leaf[:] = state.leaf
-            state.visited_words = pool.visited_words
-            state.root_x = pool.root_x
-            state.leaf = pool.leaf
-            ws = pool.workspace
-            ws.want_costs = trace is not None
-            alpha = options.alpha
-            deg_x = graph.deg_x
-            state.attach_degrees(graph.deg_y)
-            frontier = kernels.rebuild_from_unmatched(state, matching)
-        threshold = max(int(min_level_items), pool.workers)
-
-        def prefer_top_down(frontier: np.ndarray) -> bool:
-            if not options.direction_optimizing:
-                return True
-            if options.direction_strategy == "edge":
-                frontier_edges = int(deg_x[frontier].sum())
-                return frontier_edges < state.unvisited_deg / alpha
-            return frontier.size < state.num_unvisited_y / alpha
-
-        def run_topdown(frontier: np.ndarray) -> kernels.LevelStats:
-            if frontier.size < threshold:
-                return kernels.topdown_level(graph, state, matching, frontier, ws)
-            frontier = frontier[kernels._active_tree_mask(state, frontier)]
-            if frontier.size == 0:
-                return kernels._empty_stats()
-            winners, sources, edges, attempts = pool.topdown_superstep(frontier)
-            if ws.want_costs:
-                item_costs = (deg_x[frontier] + 1).astype(np.float64)
-            else:
-                item_costs = kernels._NO_COSTS
-            return kernels.apply_claims(
-                state, matching, winners, sources, sources,
-                item_costs, edges, attempts, ws,
-            )
-
-        def run_bottomup(rows: np.ndarray, region: str) -> kernels.LevelStats:
-            if rows.size < threshold:
-                return kernels.bottomup_level(
-                    graph, state, matching, rows, ws, region=region
-                )
-            rows = np.asarray(rows, dtype=INDEX_DTYPE)
-            # Same global starting chunk as the single-process kernel, so
-            # per-row scan costs don't depend on the partitioning.
-            if region == "grafting":
-                total_deg = int((graph.y_ptr[rows + 1] - graph.y_ptr[rows]).sum())
-                chunk = max(4, min(512, total_deg // max(int(rows.shape[0]), 1)))
-            else:
-                chunk = 4
-            winners, sources, edges, costs = pool.bottomup_superstep(
-                rows, chunk, ws.want_costs
-            )
-            item_costs = (
-                costs.astype(np.float64) + 1.0 if costs is not None else kernels._NO_COSTS
-            )
-            return kernels.apply_claims(
-                state, matching, winners, sources, winners,
-                item_costs, edges, 0, ws,
-            )
-
-        while True:
-            counters.phases += 1
-            options.begin_phase(counters.phases)
-            if frontier_log is not None:
-                frontier_log.start_phase()
-
-            # --- Step 1: grow the alternating BFS forest --------------- #
-            while frontier.size:
-                if state.num_unvisited_y == 0:
-                    frontier = frontier[:0]
-                    break
-                if frontier_log is not None:
-                    frontier_log.record(int(frontier.size))
-                tel.observe_frontier(int(frontier.size))
-                counters.bfs_levels += 1
-                top_down = prefer_top_down(frontier)
-                if flight is not None:
-                    flight.record(
-                        "level",
-                        phase=counters.phases,
-                        level=counters.bfs_levels,
-                        direction="topdown" if top_down else "bottomup",
-                        frontier=int(frontier.size),
-                        unvisited_y=int(state.num_unvisited_y),
-                    )
-                if top_down:
-                    counters.topdown_steps += 1
-                    with timer.step("topdown"), tel.step("topdown"):
-                        stats = run_topdown(frontier)
-                    tel.count_level("topdown", claims=stats.claims)
-                    if trace is not None:
-                        trace.add(
-                            "topdown",
-                            stats.item_costs,
-                            atomics=stats.attempts,
-                            queue_appends=int(stats.next_frontier.size),
-                        )
-                else:
-                    counters.bottomup_steps += 1
-                    with timer.step("bottomup"), tel.step("bottomup"):
-                        rows = state.unvisited_candidates()
-                        stats = run_bottomup(rows, "bottomup")
-                    tel.count_level("bottomup", claims=stats.claims)
-                    if trace is not None:
-                        trace.add(
-                            "bottomup",
-                            stats.item_costs,
-                            queue_appends=int(stats.next_frontier.size),
-                        )
-                counters.edges_traversed += stats.edges
-                tel.count_edges(stats.edges)
-                tel.observe_candidates(state.num_unvisited_y)
-                frontier = stats.next_frontier
-
-            # --- Step 2: augment along the discovered paths ------------ #
-            with timer.step("augment"), tel.step("augment"):
-                roots, lengths = kernels.augment_all(state, matching)
-            counters.record_paths(lengths)
-            if flight is not None:
-                flight.record(
-                    "augment",
-                    phase=counters.phases,
-                    paths=int(lengths.size),
-                    matched=int(matching.cardinality),
-                )
-            if trace is not None and lengths.size:
-                trace.add(
-                    "augment",
-                    lengths.astype(np.float64),
-                    memory_pattern="irregular",
-                )
-            if lengths.size == 0:
-                break  # no augmenting path in this phase: maximum reached
-
-            # --- Step 3: rebuild the frontier (GRAFT) ------------------ #
-            with timer.step("statistics"), tel.step("statistics"):
-                gstats = kernels.graft_partition(state, tracked=True)
-            if trace is not None:
-                trace.add_uniform("statistics", graph.n_x + graph.n_y, 1.0)
-            with timer.step("grafting"), tel.step("grafting"):
-                use_graft = options.grafting and (
-                    gstats.active_x_count > gstats.renewable_y.size / alpha
-                )
-                if use_graft:
-                    stats = run_bottomup(gstats.renewable_y, "grafting")
-                    counters.edges_traversed += stats.edges
-                    tel.count_edges(stats.edges)
-                    counters.grafts += stats.claims
-                    frontier = stats.next_frontier
-                    if trace is not None:
-                        trace.add(
-                            "grafting",
-                            stats.item_costs,
-                            queue_appends=int(stats.next_frontier.size),
-                        )
-                else:
-                    counters.tree_rebuilds += 1
-                    kernels.reset_rows(state, gstats.active_y)
-                    frontier = kernels.rebuild_from_unmatched(state, matching)
-                    if trace is not None:
-                        trace.add_uniform(
-                            "grafting", int(gstats.active_y.size) + int(frontier.size), 1.0
-                        )
-            if options.check_invariants:
-                state.check_invariants(graph, matching)
-
-        tel.finish_run(counters)
+        result = run_phases(
+            "mp", graph, initial, options,
+            lambda matching, counters: _MpSteps(
+                graph, matching, options, state, pool, threshold, flight, counters
+            ),
+        )
         if worker_trace_paths:
             # Drain the per-worker span files into the master tracer so the
             # Chrome export shows one lane per worker pid next to the
             # master's superstep spans (same CLOCK_MONOTONIC time base).
             pool.stop_worker_tracing()
             merge_worker_traces(tel.tracer, worker_trace_paths)
-        return MatchResult(
-            matching=matching,
-            algorithm=options.algorithm_name,
-            counters=counters,
-            trace=trace,
-            breakdown=dict(timer.totals),
-            frontier_log=frontier_log,
-            wall_seconds=time.perf_counter() - start,
-        )
+        # The caller also paid for the pool start-up above.
+        return replace(result, wall_seconds=time.perf_counter() - start)
     except (WorkerCrashed, DeadlineExceeded) as exc:
         if flight is not None:
             flight.record(
@@ -952,3 +755,104 @@ def _run_mp(
             state.leaf = np.array(state.leaf)
         if own_pool:
             pool.close()
+
+
+class _MpSteps(NumpySteps):
+    """numpy's steps with heavy levels scattered over the worker pool, plus
+    flight-recorder events."""
+
+    def __init__(
+        self,
+        graph: BipartiteCSR,
+        matching: Matching,
+        options: GraftOptions,
+        state: ForestState,
+        pool: ProcPool,
+        threshold: int,
+        flight: FlightRecorder | None,
+        counters,
+    ) -> None:
+        # Re-home the worker-scanned arrays onto the shared segment:
+        # every later mark_visited / leaf / root_x update the master
+        # makes is visible to the workers with no copies at all.
+        pool.visited_words[:] = state.visited_words
+        pool.root_x[:] = state.root_x
+        pool.leaf[:] = state.leaf
+        state.visited_words = pool.visited_words
+        state.root_x = pool.root_x
+        state.leaf = pool.leaf
+        super().__init__(graph, matching, options, state, pool.workspace)
+        self.pool = pool
+        self.threshold = threshold
+        self.flight = flight
+        self.counters = counters
+
+    def _record_level(self, direction: str, frontier: np.ndarray) -> None:
+        if self.flight is not None:
+            self.flight.record(
+                "level",
+                phase=self.counters.phases,
+                level=self.counters.bfs_levels,
+                direction=direction,
+                frontier=int(frontier.size),
+                unvisited_y=int(self.state.num_unvisited_y),
+            )
+
+    def topdown(self, frontier: np.ndarray):
+        self._record_level("topdown", frontier)
+        return super().topdown(frontier)
+
+    def bottomup(self, frontier: np.ndarray):
+        self._record_level("bottomup", frontier)
+        return super().bottomup(frontier)
+
+    def augment(self) -> np.ndarray:
+        lengths = super().augment()
+        if self.flight is not None:
+            self.flight.record(
+                "augment",
+                phase=self.counters.phases,
+                paths=int(lengths.size),
+                matched=int(self.matching.cardinality),
+            )
+        return lengths
+
+    def topdown_level(self, frontier: np.ndarray) -> kernels.LevelStats:
+        if frontier.size < self.threshold:
+            return super().topdown_level(frontier)
+        state, ws = self.state, self.workspace
+        frontier = frontier[kernels._active_tree_mask(state, frontier)]
+        if frontier.size == 0:
+            return kernels._empty_stats()
+        winners, sources, edges, attempts = self.pool.topdown_superstep(frontier)
+        if ws.want_costs:
+            item_costs = (self.graph.deg_x[frontier] + 1).astype(np.float64)
+        else:
+            item_costs = kernels._NO_COSTS
+        return kernels.apply_claims(
+            state, self.matching, winners, sources, sources,
+            item_costs, edges, attempts, ws,
+        )
+
+    def bottomup_level(self, rows: np.ndarray, region: str) -> kernels.LevelStats:
+        if rows.size < self.threshold:
+            return super().bottomup_level(rows, region)
+        rows = np.asarray(rows, dtype=INDEX_DTYPE)
+        # Same global starting chunk as the single-process kernel, so
+        # per-row scan costs don't depend on the partitioning.
+        if region == "grafting":
+            y_ptr = self.graph.y_ptr
+            total_deg = int((y_ptr[rows + 1] - y_ptr[rows]).sum())
+            chunk = max(4, min(512, total_deg // max(int(rows.shape[0]), 1)))
+        else:
+            chunk = 4
+        winners, sources, edges, costs = self.pool.bottomup_superstep(
+            rows, chunk, self.workspace.want_costs
+        )
+        item_costs = (
+            costs.astype(np.float64) + 1.0 if costs is not None else kernels._NO_COSTS
+        )
+        return kernels.apply_claims(
+            self.state, self.matching, winners, sources, winners,
+            item_costs, edges, 0, self.workspace,
+        )

@@ -1,15 +1,12 @@
-"""Shared utilities: RNG handling, timers, and small numeric helpers."""
+"""Shared utilities: RNG handling and small numeric helpers."""
 
 from repro.util.rng import as_rng, spawn_rngs, derive_seed
-from repro.util.timer import Timer, StepTimer
 from repro.util.stats import mean, stddev, coefficient_of_variation, geometric_mean
 
 __all__ = [
     "as_rng",
     "spawn_rngs",
     "derive_seed",
-    "Timer",
-    "StepTimer",
     "mean",
     "stddev",
     "coefficient_of_variation",

@@ -149,6 +149,7 @@ class TestRealTree:
             "distributed/engine.py",
             "distributed/commit.py",
             "core/forest.py",
+            "core/engine_loop.py",
         ):
             dest = tmp_path / rel
             dest.parent.mkdir(parents=True, exist_ok=True)
@@ -190,6 +191,22 @@ class TestRealTree:
             ],
         )
         assert "REP005" in {f.code for f in findings}
+
+    def test_regression_guard_shared_loop_missing_begin_phase(self, tmp_path):
+        # The python, numpy, interleaved and mp engines all run their phases
+        # through core/engine_loop.py, so this one loop carries REP005 for
+        # all four (the mp backend included).
+        findings = self._mutated_copy(
+            tmp_path,
+            [
+                (
+                    "core/engine_loop.py",
+                    "options.begin_phase(counters.phases)",
+                    "pass",
+                )
+            ],
+        )
+        assert ("core/engine_loop.py", "REP005") in {(f.path, f.code) for f in findings}
 
     def test_regression_guard_dropped_bitset_mirror(self, tmp_path):
         findings = self._mutated_copy(

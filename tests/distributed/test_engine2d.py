@@ -9,6 +9,7 @@ from tests.conftest import EXPECTED_MAXIMUM, SMALL_GRAPHS, reference_maximum
 
 from repro.core.driver import ms_bfs_graft
 from repro.distributed import distributed_ms_bfs_graft, distributed_ms_bfs_graft_2d
+from repro.core.options import GraftOptions
 from repro.distributed.grid import Grid2D
 from repro.errors import ReproError
 from repro.graph.generators import random_bipartite, surplus_core_bipartite
@@ -109,3 +110,16 @@ class TestCommunicationScoping:
         labels = result.log.by_label()
         assert any(k.endswith("-bitmap") or k.endswith("-fbcast") for k in labels)
         assert "statistics" in labels
+
+
+@pytest.mark.parametrize(
+    "engine", [distributed_ms_bfs_graft, distributed_ms_bfs_graft_2d]
+)
+def test_edge_direction_rule_is_rejected(engine):
+    # Both distributed engines implement only the vertex rule; asking for
+    # the edge rule must fail loudly instead of running the vertex rule.
+    graph = random_bipartite(20, 20, 60, seed=2)
+    with pytest.raises(ReproError, match="direction_strategy='edge'"):
+        engine(graph, ranks=2, options=GraftOptions(direction_strategy="edge"))
+    vertex = engine(graph, ranks=2, options=GraftOptions(direction_strategy="vertex"))
+    verify_maximum(graph, vertex.matching)
