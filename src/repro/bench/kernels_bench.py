@@ -44,12 +44,7 @@ from repro.core.driver import available_cores, choose_engine, ms_bfs_graft
 from repro.errors import BenchmarkError
 from repro.graph import generators as gen
 from repro.graph.csr import BipartiteCSR
-from repro.graph.reorder import (
-    REORDER_CHOICES,
-    REORDER_STRATEGIES,
-    apply_plan,
-    plan_reorder,
-)
+from repro.graph.reorder import REORDER_CHOICES, REORDER_STRATEGIES, reorder_graph
 from repro.matching.verify import verify_maximum
 
 SCHEMA_VERSION = 3
@@ -246,19 +241,18 @@ def run_kernel_bench(
         elif reorder != "none":
             variants.append((reorder, reorder))
 
-        plans: Dict[str, tuple] = {}  # strategy -> (plan, permuted CSR)
+        layouts: Dict[str, tuple] = {}  # strategy -> (permuted CSR, plan)
         baseline_cardinality: int | None = None
         for label, strategy in variants:
             plan = layout = None
             if strategy is not None:
-                if strategy not in plans:
+                if strategy not in layouts:
                     if prepared is not None:
                         lay = cache.prepare_layout(prepared, strategy)
-                        plans[strategy] = (lay.reorder_plan, lay.graph)
+                        layouts[strategy] = (lay.graph, lay.reorder_plan)
                     else:
-                        p = plan_reorder(graph, strategy)
-                        plans[strategy] = (p, apply_plan(graph, p))
-                plan, layout = plans[strategy]
+                        layouts[strategy] = reorder_graph(graph, strategy)
+                layout, plan = layouts[strategy]
             engines = ENGINES if label == "none" else REORDERED_ENGINES
             timings: Dict[str, Dict[str, object]] = {}
             cardinalities: Dict[str, int] = {}

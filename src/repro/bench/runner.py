@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Dict, Optional
 
 from repro.core.driver import choose_engine, ms_bfs_graft
 from repro.core.options import Deadline
 from repro.errors import BenchmarkError
 from repro.graph.csr import BipartiteCSR
-from repro.graph.reorder import REORDER_CHOICES, apply_plan, plan_reorder
+from repro.graph.reorder import REORDER_CHOICES, run_reordered
 from repro.matching.base import MatchResult, Matching
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.karp_sipser import karp_sipser
@@ -92,11 +91,10 @@ def run_algorithm(
     through here.
 
     ``reorder`` applies a locality-aware vertex relabelling before the
-    run and maps the matching back afterwards. Driver-backed algorithms
-    get it natively (the driver plans, permutes, and inverts); every
-    other algorithm is wrapped generically here — plan, permute graph
-    and initial matching, run, un-permute — so the differential suite
-    can exercise ``reorder -> match -> unpermute`` across the whole
+    run and maps the matching back afterwards, through
+    :func:`~repro.graph.reorder.run_reordered` for every algorithm (inside
+    the driver for the driver-backed ones), so the differential suite can
+    exercise ``reorder -> match -> unpermute`` across the whole
     registry. ``"auto"`` resolves through the dispatcher's joint
     ordering decision. ``reorder_plan``/``reorder_layout`` short-circuit
     the planning step with a precomputed
@@ -145,17 +143,9 @@ def run_algorithm(
             if reorder_layout is not None:
                 driver_kwargs["reorder_layout"] = reorder_layout
         return fn(graph, initial, **driver_kwargs)
-    plan = reorder_plan
-    if plan is None:
-        if reorder == "auto":
-            reorder = choose_engine(graph, reorder="auto").reorder
-        if reorder == "none":
-            return fn(graph, initial)
-        plan = plan_reorder(graph, reorder)
-    run_graph = reorder_layout if reorder_layout is not None else apply_plan(graph, plan)
-    run_initial = plan.permute_matching(initial) if initial is not None else None
-    result = fn(run_graph, run_initial)
-    return replace(result, matching=plan.unpermute_matching(result.matching))
+    if reorder_plan is None and reorder == "auto":
+        reorder = choose_engine(graph, reorder="auto").reorder
+    return run_reordered(graph, initial, fn, reorder, reorder_plan, reorder_layout)
 
 
 def simulated_seconds(

@@ -49,12 +49,7 @@ from repro.cache.prepare import (
 )
 from repro.errors import CacheCorruptionError, ReproError
 from repro.graph.csr import BipartiteCSR
-from repro.graph.reorder import (
-    REORDER_STRATEGIES,
-    ReorderPlan,
-    apply_plan,
-    plan_reorder,
-)
+from repro.graph.reorder import REORDER_STRATEGIES, ReorderPlan, reorder_graph
 from repro.matching.base import Matching
 
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
@@ -150,15 +145,7 @@ class GraphCache:
             if tel is not None:
                 tel.count_reorder_cached(strategy)
             return hit
-        if tel is not None:
-            with tel.step("reorder_plan"):
-                plan = plan_reorder(prepared.graph, strategy)
-            tel.count_reorder_plan(strategy)
-            with tel.step("reorder_apply"):
-                permuted = apply_plan(prepared.graph, plan)
-        else:
-            plan = plan_reorder(prepared.graph, strategy)
-            permuted = apply_plan(prepared.graph, plan)
+        permuted, plan = reorder_graph(prepared.graph, strategy, tel)
         self._store(
             key,
             permuted,

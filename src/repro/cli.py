@@ -971,10 +971,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="resolve bench inputs through this "
                            "content-addressed cache directory")
     p_bk.add_argument("--reorder", choices=REORDER_CHOICES, default="none",
-                      help="record one row per (graph, strategy): 'none' "
-                           "keeps the original numbering only, a concrete "
-                           "strategy adds that ordering, 'auto' adds all "
-                           "three plus the dispatcher's joint pick")
+                      help="record one row per (graph, ordering): 'none' "
+                           "keeps the original numbering only, 'hubsplit' "
+                           "adds that ordering, 'auto' adds it plus the "
+                           "dispatcher's joint pick")
     p_bk.set_defaults(fn=_cmd_bench_kernels)
 
     p_trace = sub.add_parser(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from typing import Callable, Optional
 
 from repro.core.engine_interleaved import run_interleaved
@@ -22,12 +21,10 @@ from repro.graph.csr import BipartiteCSR
 from repro.graph.reorder import (
     REORDER_CHOICES,
     ReorderPlan,
-    apply_plan,
-    plan_reorder,
+    run_reordered,
 )
 from repro.matching.base import MatchResult, Matching
 from repro.parallel.procpool import DEFAULT_WORKERS, run_mp
-from repro.telemetry.session import NULL_TELEMETRY
 from repro.util.rng import SeedLike
 
 _ENGINES = ("auto", "numpy", "python", "interleaved", "mp")
@@ -327,8 +324,8 @@ def ms_bfs_graft(
         default. The result is identical either way.
     reorder:
         Locality-aware relabelling before the run
-        (:mod:`repro.graph.reorder`): ``"none"`` (default), a concrete
-        strategy (``"degree"``, ``"bfs"``, ``"hubsplit"``), or ``"auto"``
+        (:mod:`repro.graph.reorder`): ``"none"`` (default), the
+        ``"hubsplit"`` strategy, or ``"auto"``
         — resolved jointly with the backend by :func:`choose_engine`'s
         locality term. The engine runs on the permuted layout; the result
         matching is mapped back to the original vertex ids before being
@@ -364,7 +361,6 @@ def ms_bfs_graft(
         telemetry=telemetry,
         flight_dir=flight_dir,
     )
-    tel = telemetry if telemetry is not None else NULL_TELEMETRY
     if reorder not in REORDER_CHOICES:
         raise ReproError(
             f"unknown reorder {reorder!r}; expected one of {REORDER_CHOICES}"
@@ -381,42 +377,27 @@ def ms_bfs_graft(
             engine = decision.engine
         if strategy == "auto":
             strategy = decision.reorder
-    plan = reorder_plan
-    if plan is None and strategy != "none":
-        with tel.step("reorder_plan"):
-            plan = plan_reorder(graph, strategy)
-        tel.count_reorder_plan(strategy)
-    run_graph, run_initial = graph, initial
-    if plan is not None:
-        if reorder_layout is not None:
-            run_graph = reorder_layout
-        else:
-            with tel.step("reorder_apply"):
-                run_graph = apply_plan(graph, plan)
-        if initial is not None:
-            run_initial = plan.permute_matching(initial)
-        tel.count_reorder_run(plan.strategy)
 
-    if engine == "numpy":
-        result = run_numpy(run_graph, run_initial, options)
-    elif engine == "python":
-        result = run_python(run_graph, run_initial, options)
-    elif engine == "interleaved":
-        result = run_interleaved(
-            run_graph, run_initial, options, threads=threads, seed=seed
-        )
-    elif engine == "mp":
-        mp_kwargs = {}
-        if mp_min_level_items is not None:
-            mp_kwargs["min_level_items"] = int(mp_min_level_items)
-        result = run_mp(
-            run_graph, run_initial, options,
-            workers=max(workers if workers is not None else DEFAULT_WORKERS, 1),
-            **mp_kwargs,
-        )
-    else:
+    def run(run_graph: BipartiteCSR, run_initial: Optional[Matching]) -> MatchResult:
+        if engine == "numpy":
+            return run_numpy(run_graph, run_initial, options)
+        if engine == "python":
+            return run_python(run_graph, run_initial, options)
+        if engine == "interleaved":
+            return run_interleaved(
+                run_graph, run_initial, options, threads=threads, seed=seed
+            )
+        if engine == "mp":
+            mp_kwargs = {}
+            if mp_min_level_items is not None:
+                mp_kwargs["min_level_items"] = int(mp_min_level_items)
+            return run_mp(
+                run_graph, run_initial, options,
+                workers=max(workers if workers is not None else DEFAULT_WORKERS, 1),
+                **mp_kwargs,
+            )
         raise ReproError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    if plan is not None:
-        with tel.step("reorder_invert"):
-            result = replace(result, matching=plan.unpermute_matching(result.matching))
-    return result
+
+    return run_reordered(
+        graph, initial, run, strategy, reorder_plan, reorder_layout, telemetry
+    )

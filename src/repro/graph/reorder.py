@@ -10,47 +10,40 @@ is therefore a legitimate preparation stage: permute the graph once (cost
 amortised by the content-addressed layout cache, :mod:`repro.cache`), run
 any engine on the permuted layout, and map the matching back through the
 inverse permutation. Results are bit-exact in cardinality — the suites in
-``tests/matching`` certify every strategy differentially.
+``tests/matching`` certify the strategy differentially.
 
-Three strategies, one interface (:func:`plan_reorder`):
+One strategy, ``hubsplit`` (:func:`plan_reorder`): it partitions hub
+rows from tail rows the way the 2D engines treat hubs, so hub adjacency
+packs contiguously (X hubs at the back, Y hubs at the front). Tail X
+vertices are placed in a Karp-Sipser-style *elimination order* — repeatedly
+place the vertex with the fewest still-unclaimed neighbours — which makes
+the engines' first-claim map nearly injective in phase 1: far more distinct
+Y claims land in the first greedy sweep, so the repair-phase cascade (and
+its grafting churn) collapses. It is the measured winner on every
+benchmark family (``docs/performance.md``).
 
-``degree``
-    Descending-degree sort per side. Hot (high-degree) adjacency rows pack
-    to the front of each CSR; the classic cache-locality ordering.
+:func:`reorder_graph` is the one plan-and-apply site and
+:func:`run_reordered` the one run-and-invert site.
 
-``bfs``
-    Cuthill–McKee-style alternating BFS seeded from the highest-degree X
-    vertex, neighbours enqueued in ascending-degree order, then reversed
-    (RCM). Clusters each BFS level contiguously, which narrows the span of
-    indices a traversal level touches.
-
-``hubsplit``
-    Partitions hub rows from tail rows the way the 2D engines treat hubs,
-    so hub adjacency packs contiguously (X hubs at the back, Y hubs at the
-    front). Tail X vertices are placed in a Karp-Sipser-style *elimination
-    order* — repeatedly place the vertex with the fewest still-unclaimed
-    neighbours — which makes the engines' first-claim map nearly injective
-    in phase 1: far more distinct Y claims land in the first greedy sweep,
-    so the repair-phase cascade (and its grafting churn) collapses. This is
-    the measured winner on every benchmark family (``docs/performance.md``).
-
-Planning cost is O(m log n) and paid once per ``(graph, strategy)`` — the
+Planning cost is O(m log n) and paid once per graph — the
 cache stores the permuted CSR plus both permutations as a derived layout
 entry (``repro.cache.store.GraphCache.prepare_layout``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
 from repro.graph.permute import permute
-from repro.matching.base import UNMATCHED, Matching
+from repro.matching.base import UNMATCHED, Matching, MatchResult
+from repro.telemetry.session import NULL_TELEMETRY
 
-REORDER_STRATEGIES = ("degree", "bfs", "hubsplit")
+REORDER_STRATEGIES = ("hubsplit",)
 """The concrete reordering strategies behind :func:`plan_reorder`."""
 
 REORDER_CHOICES = ("none",) + REORDER_STRATEGIES + ("auto",)
@@ -143,23 +136,15 @@ def plan_reorder(graph: BipartiteCSR, strategy: str) -> ReorderPlan:
     ``"auto"`` are dispatch-level concepts and are rejected here — resolve
     them first (:func:`repro.core.driver.choose_engine`).
     """
-    if strategy == "degree":
-        x_order = _sort_order(-graph.deg_x)
-        y_order = _sort_order(-graph.deg_y)
-    elif strategy == "bfs":
-        x_order, y_order = _rcm_orders(graph)
-    elif strategy == "hubsplit":
-        x_order = _hubsplit_x_order(graph)
-        y_order = _sort_order(-graph.deg_y, shuffled=True, n=graph.n_y)
-    else:
+    if strategy != "hubsplit":
         raise GraphError(
             f"unknown reorder strategy {strategy!r}; "
             f"expected one of {REORDER_STRATEGIES}"
         )
     return ReorderPlan(
         strategy=strategy,
-        x_perm=_perm_from_order(x_order),
-        y_perm=_perm_from_order(y_order),
+        x_perm=_perm_from_order(_hubsplit_x_order(graph)),
+        y_perm=_perm_from_order(_sort_order(-graph.deg_y)),
     )
 
 
@@ -169,10 +154,47 @@ def apply_plan(graph: BipartiteCSR, plan: ReorderPlan) -> BipartiteCSR:
     return new_graph
 
 
-def reorder_graph(graph: BipartiteCSR, strategy: str) -> tuple[BipartiteCSR, ReorderPlan]:
-    """Plan + apply in one call; returns ``(permuted_graph, plan)``."""
-    plan = plan_reorder(graph, strategy)
-    return apply_plan(graph, plan), plan
+def reorder_graph(
+    graph: BipartiteCSR, strategy: str, telemetry=None
+) -> tuple[BipartiteCSR, ReorderPlan]:
+    """Plan + apply in one call; returns ``(permuted_graph, plan)``.
+
+    Timed as the ``reorder_plan`` / ``reorder_apply`` steps of
+    ``telemetry`` (when given), which also counts the plan.
+    """
+    tel = telemetry if telemetry is not None else NULL_TELEMETRY
+    with tel.step("reorder_plan"):
+        plan = plan_reorder(graph, strategy)
+    tel.count_reorder_plan(strategy)
+    with tel.step("reorder_apply"):
+        permuted = apply_plan(graph, plan)
+    return permuted, plan
+
+
+def run_reordered(
+    graph: BipartiteCSR,
+    initial: Optional[Matching],
+    run: Callable[[BipartiteCSR, Optional[Matching]], MatchResult],
+    strategy: str = "none",
+    plan: Optional[ReorderPlan] = None,
+    layout: Optional[BipartiteCSR] = None,
+    telemetry=None,
+) -> MatchResult:
+    """``run(graph, initial)`` on the layout of ``plan`` (planned from
+    ``strategy`` when absent, applied when ``layout`` is absent), answered
+    in the original ids; ``strategy="none"`` without a plan runs as is."""
+    tel = telemetry if telemetry is not None else NULL_TELEMETRY
+    if plan is None:
+        if strategy == "none":
+            return run(graph, initial)
+        layout, plan = reorder_graph(graph, strategy, tel)
+    elif layout is None:
+        with tel.step("reorder_apply"):
+            layout = apply_plan(graph, plan)
+    tel.count_reorder_run(plan.strategy)
+    result = run(layout, plan.permute_matching(initial) if initial is not None else None)
+    with tel.step("reorder_invert"):
+        return replace(result, matching=plan.unpermute_matching(result.matching))
 
 
 def hub_mask(deg: np.ndarray) -> np.ndarray:
@@ -194,60 +216,12 @@ def _perm_from_order(order: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _sort_order(key: np.ndarray, shuffled: bool = False, n: int | None = None) -> np.ndarray:
-    """Stable ascending sort of ``key``, optionally with a seeded shuffle
-    tie-break so equal-key vertices don't inherit generator order."""
-    if not shuffled:
-        return np.argsort(key, kind="stable").astype(INDEX_DTYPE)
+def _sort_order(key: np.ndarray) -> np.ndarray:
+    """Stable ascending sort of ``key`` with a seeded shuffle tie-break, so
+    equal-key vertices don't inherit generator order."""
     rng = np.random.default_rng(_TIEBREAK_SEED)
-    shuffle = rng.permutation(n if n is not None else key.shape[0])
+    shuffle = rng.permutation(key.shape[0])
     return shuffle[np.argsort(key[shuffle], kind="stable")].astype(INDEX_DTYPE)
-
-
-def _rcm_orders(graph: BipartiteCSR) -> tuple[np.ndarray, np.ndarray]:
-    """Cuthill–McKee alternating BFS, reversed (RCM).
-
-    Components are seeded from the highest-degree unseen X vertex;
-    neighbours enter the queue in ascending-degree order (the CM rule).
-    """
-    deg_x, deg_y = graph.deg_x, graph.deg_y
-    seen_x = np.zeros(graph.n_x, dtype=bool)
-    seen_y = np.zeros(graph.n_y, dtype=bool)
-    order_x: list[np.ndarray] = []
-    order_y: list[np.ndarray] = []
-    for seed in np.argsort(-deg_x, kind="stable"):
-        if seen_x[seed]:
-            continue
-        frontier = np.array([seed], dtype=INDEX_DTYPE)
-        seen_x[seed] = True
-        on_x = True
-        while frontier.size:
-            if on_x:
-                order_x.append(frontier)
-                ptr, adj, seen, deg = graph.x_ptr, graph.x_adj, seen_y, deg_y
-            else:
-                order_y.append(frontier)
-                ptr, adj, seen, deg = graph.y_ptr, graph.y_adj, seen_x, deg_x
-            starts, stops = ptr[frontier], ptr[frontier + 1]
-            nbrs = np.concatenate(
-                [adj[a:b] for a, b in zip(starts, stops)]
-            ) if frontier.size else np.empty(0, dtype=INDEX_DTYPE)
-            nbrs = np.unique(nbrs[~seen[nbrs]]) if nbrs.size else nbrs
-            nbrs = nbrs[np.argsort(deg[nbrs], kind="stable")]
-            seen[nbrs] = True
-            frontier = nbrs.astype(INDEX_DTYPE, copy=False)
-            on_x = not on_x
-    x_order = _concat_with_rest(order_x, seen_x)
-    y_order = _concat_with_rest(order_y, seen_y)
-    # RCM: reverse the CM visit order.
-    return x_order[::-1].copy(), y_order[::-1].copy()
-
-
-def _concat_with_rest(parts: list[np.ndarray], seen: np.ndarray) -> np.ndarray:
-    rest = np.flatnonzero(~seen).astype(INDEX_DTYPE)
-    if not parts:
-        return rest
-    return np.concatenate(parts + [rest]).astype(INDEX_DTYPE, copy=False)
 
 
 def _hubsplit_x_order(graph: BipartiteCSR) -> np.ndarray:

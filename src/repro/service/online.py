@@ -351,19 +351,20 @@ class MatchingDaemon:
             for x, y in protocol.parse_edge_pairs(payload, "deletes")
         ]
         deadline = self._deadline(payload)
-        started = self._clock()
-        try:
-            with self.telemetry.repair_span(session.name, rid):
-                stats = session.matcher.apply_batch(updates, deadline=deadline)
-        finally:
-            elapsed = self._clock() - started
-            self.telemetry.observe_repair(elapsed)
+        with session.lock:
+            started = self._clock()
+            try:
+                with self.telemetry.repair_span(session.name, rid):
+                    stats = session.matcher.apply_batch(updates, deadline=deadline)
+            finally:
+                elapsed = self._clock() - started
+                self.telemetry.observe_repair(elapsed)
+            session.record_batch(stats, elapsed)
         self.telemetry.count_updates(stats.inserted + stats.deleted)
         self.telemetry.count_session_updates(
             session.name, stats.inserted + stats.deleted
         )
         self.telemetry.count_repair_sweeps(stats.bfs_rounds)
-        session.record_batch(stats, elapsed)
         if self.flight is not None:
             self.flight.record(
                 "repair", rid=rid, session=session.name,
@@ -376,19 +377,20 @@ class MatchingDaemon:
     def _cmd_match(self, request: protocol.Request, rid: int) -> Dict[str, Any]:
         session = self.sessions.get(request.session)
         matcher = session.matcher
-        result: Dict[str, Any] = {
-            "session": session.name,
-            "cardinality": matcher.cardinality,
-        }
-        if request.payload.get("verify"):
-            verify_maximum(matcher.graph(), matcher.matching())
-            result["verified"] = True
-        if request.payload.get("pairs"):
-            pairs = matcher.matching().pairs()
-            result["pairs"] = [
-                [int(x), int(y)] for x, y in pairs[: self.config.max_pairs]
-            ]
-            result["pairs_truncated"] = len(pairs) > self.config.max_pairs
+        with session.lock:
+            result: Dict[str, Any] = {
+                "session": session.name,
+                "cardinality": matcher.cardinality,
+            }
+            if request.payload.get("verify"):
+                verify_maximum(matcher.graph(), matcher.matching())
+                result["verified"] = True
+            if request.payload.get("pairs"):
+                pairs = matcher.matching().pairs()
+                result["pairs"] = [
+                    [int(x), int(y)] for x, y in pairs[: self.config.max_pairs]
+                ]
+                result["pairs_truncated"] = len(pairs) > self.config.max_pairs
         return result
 
     def _cmd_stats(self, request: protocol.Request, rid: int) -> Dict[str, Any]:

@@ -54,12 +54,18 @@ class SessionStats:
 
 
 class Session:
-    """One resident graph + matching + counters."""
+    """One resident graph + matching + counters.
+
+    ``lock`` serializes everything that mutates or reads the matcher
+    (update, match, snapshot): connections are served on separate threads,
+    and a repair must never interleave with another repair or a read.
+    """
 
     def __init__(self, name: str, matcher: IncrementalMatcher, wall: float) -> None:
         self.name = name
         self.matcher = matcher
         self.stats = SessionStats(created_wall=wall)
+        self.lock = threading.Lock()
 
     def record_batch(self, stats: BatchRepairStats, seconds: float) -> None:
         s = self.stats
@@ -148,21 +154,21 @@ class SessionManager:
             )
         session = self.get(name)
         matcher = session.matcher
-        edges = matcher.edge_list()
-        h = hashlib.sha256()
-        h.update(f"{matcher.n_x},{matcher.n_y};".encode("ascii"))
-        for x, y in edges:
-            h.update(f"{x},{y};".encode("ascii"))
-        # The spec name participates in the cache key, so it must NOT be
-        # the session name: two sessions holding the same graph have to
-        # address the same entry. The session only rides in `source`.
-        prepared = self.cache.prepare_spec(
-            "snapshot",
-            "graph",
-            {"n_x": matcher.n_x, "n_y": matcher.n_y, "edges_sha": h.hexdigest()},
-            lambda: matcher.graph(),
-            source=f"online-session:{name}",
-        )
+        with session.lock:
+            h = hashlib.sha256()
+            h.update(f"{matcher.n_x},{matcher.n_y};".encode("ascii"))
+            for x, y in matcher.edge_list():
+                h.update(f"{x},{y};".encode("ascii"))
+            # The spec name participates in the cache key, so it must NOT be
+            # the session name: two sessions holding the same graph have to
+            # address the same entry. The session only rides in `source`.
+            prepared = self.cache.prepare_spec(
+                "snapshot",
+                "graph",
+                {"n_x": matcher.n_x, "n_y": matcher.n_y, "edges_sha": h.hexdigest()},
+                lambda: matcher.graph(),
+                source=f"online-session:{name}",
+            )
         return prepared.key
 
     def get(self, name: str) -> Session:

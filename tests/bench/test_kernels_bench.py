@@ -31,13 +31,13 @@ class TestCommittedBaseline:
         assert baseline["schema_version"] == 3
         assert baseline["scale"] == 1.0
         assert baseline["reorder"] == "auto"
-        # One row per (graph, ordering): none + every strategy + auto.
+        # One row per (graph, ordering): none + hubsplit + auto.
         assert sorted(set(g["name"] for g in baseline["graphs"])) == [
             "er", "rmat", "skewed"
         ]
         for name in ("rmat", "er", "skewed"):
             labels = [g["reorder"] for g in baseline["graphs"] if g["name"] == name]
-            assert labels == ["none", "degree", "bfs", "hubsplit", "auto"]
+            assert labels == ["none", "hubsplit", "auto"]
 
     def test_rmat_acceptance_claim(self, baseline):
         """The committed numbers back the >=3x vectorization claim on rmat14."""
@@ -124,13 +124,15 @@ class TestHarness:
             scale=0.02, repeats=1, graphs=["er"], verify=False, reorder="auto"
         )
         validate_kernel_bench(doc)
+        assert [g["reorder"] for g in doc["graphs"]] == ["none", "hubsplit", "auto"]
         auto = next(g for g in doc["graphs"] if g["reorder"] == "auto")
         assert auto["reorder_resolved"] == "none"
         assert "floor" in auto["reorder_reason"]
 
     def test_unknown_reorder_rejected(self):
-        with pytest.raises(BenchmarkError, match="unknown reorder"):
-            run_kernel_bench(scale=0.02, graphs=["er"], reorder="metis")
+        for reorder in ("metis", "degree", "bfs"):
+            with pytest.raises(BenchmarkError, match="unknown reorder"):
+                run_kernel_bench(scale=0.02, graphs=["er"], reorder=reorder)
 
 
 class TestValidator:
@@ -157,7 +159,7 @@ class TestValidator:
             (lambda d: d["graphs"][0].update(speedup=123.0), "inconsistent"),
             (lambda d: d.update(reorder="metis"), "reorder"),
             (lambda d: d["graphs"][0].update(reorder="metis"), "reorder"),
-            (lambda d: d["graphs"][0].update(reorder="bfs"), "no reorder='none' row"),
+            (lambda d: d["graphs"][0].update(reorder="hubsplit"), "no reorder='none' row"),
             (
                 lambda d: d["graphs"].append(copy.deepcopy(d["graphs"][0])),
                 "duplicate reorder rows",

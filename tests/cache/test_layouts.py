@@ -3,18 +3,21 @@
 A layout entry is keyed by ``(parent prepared key, strategy)`` and stores
 the permuted CSR plus both permutation arrays. The contract mirrors the
 prepared-graph entries: a hit skips the ordering computation entirely, a
-corrupted layout reads as a miss *for that strategy only* (the parent and
-sibling strategies keep answering), and ``verify()`` covers layout arrays
+corrupted layout reads as a miss *for that layout only* (the parent and
+sibling layouts keep answering), and ``verify()`` covers layout arrays
 bit-for-bit like any other entry.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.cache import GraphCache
 from repro.cache.keys import layout_key
+from repro.cli import main
 from repro.errors import ReproError
 from repro.graph.generators import power_law_bipartite
 from repro.graph.reorder import REORDER_STRATEGIES, plan_reorder
@@ -44,7 +47,7 @@ class TestLayoutKey:
     def test_distinct_per_strategy_and_parent(self, prepared):
         keys = {layout_key(prepared.key, s) for s in REORDER_STRATEGIES}
         assert len(keys) == len(REORDER_STRATEGIES)
-        assert layout_key("0" * 64, "degree") != layout_key(prepared.key, "degree")
+        assert layout_key("0" * 64, "hubsplit") != layout_key(prepared.key, "hubsplit")
         assert prepared.key not in keys
 
 
@@ -85,18 +88,18 @@ class TestPrepareLayout:
             cache.prepare_layout(prepared, "auto")
 
     def test_entries_carry_strategy_and_parent(self, cache, prepared):
-        cache.prepare_layout(prepared, "degree")
+        cache.prepare_layout(prepared, "hubsplit")
         layouts = [e for e in cache.entries() if e["kind"] == "layout"]
         assert len(layouts) == 1
         (entry,) = layouts
-        assert entry["strategy"] == "degree"
+        assert entry["strategy"] == "hubsplit"
         assert entry["parent"] == prepared.key
 
     def test_load_entry_round_trips_plan(self, cache, prepared):
-        cold = cache.prepare_layout(prepared, "bfs")
+        cold = cache.prepare_layout(prepared, "hubsplit")
         loaded = cache.load_entry(cold.key)
         assert loaded is not None and loaded.reorder_plan is not None
-        assert loaded.reorder_plan.strategy == "bfs"
+        assert loaded.reorder_plan.strategy == "hubsplit"
         np.testing.assert_array_equal(
             loaded.reorder_plan.x_perm, cold.reorder_plan.x_perm
         )
@@ -105,15 +108,18 @@ class TestPrepareLayout:
 class TestLayoutCorruption:
     def test_corrupt_layout_is_a_scoped_miss(self, cache, prepared):
         hub = cache.prepare_layout(prepared, "hubsplit")
-        deg = cache.prepare_layout(prepared, "degree")
+        sibling_parent = cache.prepare_spec(
+            "test", "skewed", {"seed": 12}, _builder
+        )
+        sibling = cache.prepare_layout(sibling_parent, "hubsplit")
         victim = cache._entry_dir(hub.key) / "x_perm.npy"
         victim.write_bytes(victim.read_bytes()[:-16])
-        # The damaged strategy rebuilds...
+        # The damaged layout rebuilds...
         again = cache.prepare_layout(prepared, "hubsplit")
         assert not again.from_cache
-        # ...while the sibling strategy and the parent still answer warm.
-        assert cache.prepare_layout(prepared, "degree").from_cache
-        assert deg.key != hub.key
+        # ...while a sibling layout and the parent still answer warm.
+        assert cache.prepare_layout(sibling_parent, "hubsplit").from_cache
+        assert sibling.key != hub.key
         assert cache.prepare_spec(
             "test", "skewed", {"seed": 11}, _builder
         ).from_cache
@@ -122,7 +128,7 @@ class TestLayoutCorruption:
         assert cache.verify() == []
 
     def test_verify_flags_bit_flip_in_perm_array(self, cache, prepared):
-        cold = cache.prepare_layout(prepared, "bfs")
+        cold = cache.prepare_layout(prepared, "hubsplit")
         victim = cache._entry_dir(cold.key) / "y_perm.npy"
         raw = bytearray(victim.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
@@ -133,6 +139,26 @@ class TestLayoutCorruption:
         assert key == cold.key and "y_perm" in problem
 
     def test_mangled_layout_meta_falls_back(self, cache, prepared):
-        cold = cache.prepare_layout(prepared, "degree")
+        cold = cache.prepare_layout(prepared, "hubsplit")
         (cache._entry_dir(cold.key) / "meta.json").write_text("{not json")
-        assert not cache.prepare_layout(prepared, "degree").from_cache
+        assert not cache.prepare_layout(prepared, "hubsplit").from_cache
+
+    @pytest.mark.parametrize("stale", ["degree", "bfs"])
+    def test_stale_strategy_entry_is_listed_verified_and_missed(
+        self, cache, prepared, stale, capsys
+    ):
+        # Stores written before the degree and bfs strategies were removed
+        # may still hold their layouts: listed and checksum-clean, but a miss.
+        cold = cache.prepare_layout(prepared, "hubsplit")
+        meta_path = cache._entry_dir(cold.key) / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["strategy"] = stale
+        meta_path.write_text(json.dumps(meta))
+        root = str(cache.root)
+        assert main(["cache", "ls", "--cache-dir", root]) == 0
+        assert f"layout[{stale}]" in capsys.readouterr().out
+        assert cache.verify() == []
+        assert main(["cache", "verify", "--cache-dir", root]) == 0
+        assert cache.load_entry(cold.key) is None
+        assert not cache._entry_dir(cold.key).exists()
+        assert cold.key not in {e["key"] for e in cache.entries()}

@@ -212,13 +212,14 @@ class TestJointReorderDispatch:
         assert "regular" in decision.reorder_reason
 
     def test_explicit_strategy_passes_through(self, small_graph):
-        decision = choose_engine(small_graph, emit_trace=False, reorder="bfs")
-        assert decision.reorder == "bfs"
+        decision = choose_engine(small_graph, emit_trace=False, reorder="hubsplit")
+        assert decision.reorder == "hubsplit"
         assert "explicitly requested" in decision.reorder_reason
 
     def test_unknown_reorder_rejected(self, small_graph):
-        with pytest.raises(ReproError, match="unknown reorder"):
-            choose_engine(small_graph, emit_trace=False, reorder="metis")
+        for reorder in ("metis", "degree", "bfs"):
+            with pytest.raises(ReproError, match="unknown reorder"):
+                choose_engine(small_graph, emit_trace=False, reorder=reorder)
 
     def test_stats_free_fallback_is_deterministic_and_noted(self, big_skewed):
         from repro.telemetry.flight import FlightRecorder
@@ -257,3 +258,5 @@ class TestJointReorderDispatch:
             "repro_reorder_plans_total", {"strategy": "hubsplit"}
         )
         assert plans is not None and plans.value >= 1.0
+        names = {span.name for span in tel.tracer.spans}
+        assert {"reorder_plan", "reorder_apply", "reorder_invert"} <= names

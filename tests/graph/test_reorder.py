@@ -19,6 +19,7 @@ from repro.graph.reorder import (
     hub_mask,
     plan_reorder,
     reorder_graph,
+    run_reordered,
 )
 from repro.matching.base import UNMATCHED, Matching
 
@@ -48,7 +49,7 @@ class TestPlanReorder:
         assert np.array_equal(a.x_perm, b.x_perm)
         assert np.array_equal(a.y_perm, b.y_perm)
 
-    @pytest.mark.parametrize("strategy", ("none", "auto", "metis"))
+    @pytest.mark.parametrize("strategy", ("none", "auto", "metis", "degree", "bfs"))
     def test_dispatch_level_names_rejected(self, er, strategy):
         with pytest.raises(GraphError, match="unknown reorder strategy"):
             plan_reorder(er, strategy)
@@ -70,12 +71,6 @@ class TestPlanReorder:
         permuted, plan = reorder_graph(g, strategy)
         assert (permuted.n_x, permuted.n_y) == (4, 6)
         assert sorted(plan.x_perm.tolist()) == list(range(4))
-
-    def test_degree_sorts_descending_per_side(self, skewed):
-        plan = plan_reorder(skewed, "degree")
-        permuted = apply_plan(skewed, plan)
-        assert np.all(np.diff(permuted.deg_x) <= 0)
-        assert np.all(np.diff(permuted.deg_y) <= 0)
 
     def test_hubsplit_packs_x_hubs_at_back_y_hubs_at_front(self, skewed):
         plan = plan_reorder(skewed, "hubsplit")
@@ -144,7 +139,64 @@ class TestMatchingRoundTrip:
 
     def test_empty_matching_round_trip(self):
         g = rmat_bipartite(scale=5, edge_factor=3, seed=1)
-        plan = plan_reorder(g, "bfs")
+        plan = plan_reorder(g, "hubsplit")
         empty = Matching.empty(g)
         assert plan.permute_matching(empty).cardinality == 0
         assert plan.unpermute_matching(empty).cardinality == 0
+
+
+class TestSharedSites:
+    """``reorder_graph`` and ``run_reordered`` own the reorder steps."""
+
+    def _step_names(self, tel):
+        return [s.name for s in tel.tracer.spans]
+
+    def test_reorder_graph_emits_plan_and_apply_steps(self, er):
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry()
+        permuted, plan = reorder_graph(er, "hubsplit", tel)
+        assert self._step_names(tel) == ["reorder_plan", "reorder_apply"]
+        plans = tel.metrics.get("repro_reorder_plans_total", {"strategy": "hubsplit"})
+        assert plans is not None and plans.value == 1.0
+        np.testing.assert_array_equal(permuted.x_adj, apply_plan(er, plan).x_adj)
+
+    def test_run_reordered_warm_path_skips_apply(self, er):
+        from repro.matching.hopcroft_karp import hopcroft_karp
+        from repro.telemetry import Telemetry
+
+        layout, plan = reorder_graph(er, "hubsplit")
+        seen = []
+
+        def run(graph, initial):
+            seen.append((graph, initial))
+            return hopcroft_karp(graph, initial)
+
+        tel = Telemetry()
+        result = run_reordered(er, None, run, plan=plan, layout=layout, telemetry=tel)
+        assert len(seen) == 1 and seen[0][0] is layout and seen[0][1] is None
+        assert self._step_names(tel) == ["reorder_invert"]
+        assert result.cardinality == hopcroft_karp(er).cardinality
+        for x, y in result.matching.pairs():
+            assert er.has_edge(x, y)
+
+    def test_run_reordered_without_layout_applies_and_permutes_initial(self, er):
+        from repro.matching.hopcroft_karp import hopcroft_karp
+        from repro.matching.karp_sipser import karp_sipser
+        from repro.telemetry import Telemetry
+
+        plan = plan_reorder(er, "hubsplit")
+        initial = karp_sipser(er, seed=4).matching
+        seen = []
+
+        def run(graph, run_initial):
+            seen.append(run_initial)
+            return hopcroft_karp(graph, run_initial)
+
+        tel = Telemetry()
+        result = run_reordered(er, initial, run, plan=plan, telemetry=tel)
+        assert self._step_names(tel) == ["reorder_apply", "reorder_invert"]
+        np.testing.assert_array_equal(
+            seen[0].mate_x, plan.permute_matching(initial).mate_x
+        )
+        assert result.cardinality == hopcroft_karp(er).cardinality

@@ -5,9 +5,10 @@ Roughly 200 seeded random graphs across the three benchmark families
 graph, isolated vertices, planted perfect matchings, long augmenting
 chains). On every instance, both MS-BFS-Graft backends (the serial python
 reference and the vectorized numpy engine) and the three baseline
-algorithms must return the same cardinality, and every returned matching
-must independently certify as maximum (Berge + König + Hall in
-``matching/verify.py``).
+algorithms must return the same cardinality as scipy's compiled
+``maximum_bipartite_matching`` (an oracle outside this package), and every
+returned matching must independently certify as maximum (Berge + König +
+Hall in ``matching/verify.py``).
 
 This is the primary correctness witness for the vectorized frontier
 kernels: the python engine is a direct transcription of Algorithm 3, so
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from repro.graph.builder import from_edges
 from repro.graph.generators import (
@@ -131,10 +134,18 @@ ALGORITHMS = (
 )
 
 
+def scipy_cardinality(graph) -> int:
+    """Maximum matching size from scipy's compiled matcher, an oracle that
+    shares none of this package's CSR or matching code."""
+    xs, ys = graph.edge_arrays()
+    biadj = csr_matrix((np.ones(xs.size), (xs, ys)), shape=(graph.n_x, graph.n_y))
+    return int((maximum_bipartite_matching(biadj, perm_type="column") >= 0).sum())
+
+
 @pytest.mark.parametrize(("name", "builder"), CASES, ids=[c[0] for c in CASES])
 def test_all_algorithms_agree(name, builder):
     graph = builder()
-    cardinalities = {}
+    cardinalities = {"scipy": scipy_cardinality(graph)}
     for algo_name, run in ALGORITHMS:
         result = run(graph)
         # Every matching must certify as maximum on its own (Berge + König),

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -299,6 +300,48 @@ class TestEndToEnd:
         for t in threads:
             t.join(timeout=10)
         assert errors == []
+
+    def test_updates_on_one_session_are_serialized(self, daemon):
+        # Two connections update one session: the repairs must not overlap.
+        with OnlineClient(daemon.config.socket_path) as client:
+            client.create("shared", 4, 4)
+        matcher = daemon.sessions.get("shared").matcher
+        apply_batch = matcher.apply_batch
+        guard = threading.Lock()
+        callers = {"now": 0, "peak": 0}
+
+        def slow_apply_batch(updates, **kwargs):
+            with guard:
+                callers["now"] += 1
+                callers["peak"] = max(callers["peak"], callers["now"])
+            try:
+                time.sleep(0.05)
+                return apply_batch(updates, **kwargs)
+            finally:
+                with guard:
+                    callers["now"] -= 1
+
+        matcher.apply_batch = slow_apply_batch
+        start = threading.Barrier(2)
+        errors = []
+
+        def worker(i):
+            try:
+                with OnlineClient(daemon.config.socket_path) as client:
+                    start.wait(timeout=5)
+                    client.update("shared", inserts=[(i, i)])
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert errors == []
+        assert callers["peak"] == 1
+        with OnlineClient(daemon.config.socket_path) as client:
+            assert client.match("shared", verify=True)["cardinality"] == 2
 
     def test_client_retries_transient_errors(self, daemon):
         failures = {"left": 2}
