@@ -24,6 +24,8 @@ def ms_bfs(
     phase_hook=None,
     telemetry=None,
     reorder: str = "none",
+    reorder_plan=None,
+    reorder_layout=None,
 ) -> MatchResult:
     """Maximum matching by multi-source BFS without tree grafting."""
     # Imported lazily: repro.core depends on repro.matching.base, and a
@@ -43,4 +45,6 @@ def ms_bfs(
         phase_hook=phase_hook,
         telemetry=telemetry,
         reorder=reorder,
+        reorder_plan=reorder_plan,
+        reorder_layout=reorder_layout,
     )

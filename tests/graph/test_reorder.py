@@ -23,6 +23,8 @@ from repro.graph.reorder import (
 )
 from repro.matching.base import UNMATCHED, Matching
 
+from tests.graph.permutation_families import PERMUTATION_FAMILIES, family_plan
+
 
 @pytest.fixture(scope="module")
 def skewed():
@@ -34,11 +36,20 @@ def er():
     return random_bipartite(150, 130, 600, seed=9)
 
 
+def _relabel(graph, family):
+    """``(permuted, plan)`` — through :func:`reorder_graph` for a library
+    strategy, through :func:`apply_plan` for a test-built family."""
+    if family in REORDER_STRATEGIES:
+        return reorder_graph(graph, family)
+    plan = family_plan(graph, family)
+    return apply_plan(graph, plan), plan
+
+
 class TestPlanReorder:
-    @pytest.mark.parametrize("strategy", REORDER_STRATEGIES)
-    def test_perms_are_valid(self, skewed, strategy):
-        plan = plan_reorder(skewed, strategy)
-        assert plan.strategy == strategy
+    @pytest.mark.parametrize("family", PERMUTATION_FAMILIES)
+    def test_perms_are_valid(self, skewed, family):
+        plan = family_plan(skewed, family)
+        assert plan.strategy == family
         assert sorted(plan.x_perm.tolist()) == list(range(skewed.n_x))
         assert sorted(plan.y_perm.tolist()) == list(range(skewed.n_y))
 
@@ -58,17 +69,17 @@ class TestPlanReorder:
         with pytest.raises(GraphError, match="unknown reorder strategy"):
             ReorderPlan("metis", np.arange(3), np.arange(3))
 
-    @pytest.mark.parametrize("strategy", REORDER_STRATEGIES)
-    def test_empty_graph(self, strategy):
+    @pytest.mark.parametrize("family", PERMUTATION_FAMILIES)
+    def test_empty_graph(self, family):
         g = from_edges(0, 0, np.empty((0, 2), dtype=np.int64))
-        permuted, plan = reorder_graph(g, strategy)
+        permuted, plan = _relabel(g, family)
         assert permuted.n_x == 0 and permuted.nnz == 0
         assert plan.x_perm.size == 0 and plan.y_perm.size == 0
 
-    @pytest.mark.parametrize("strategy", REORDER_STRATEGIES)
-    def test_edgeless_graph(self, strategy):
+    @pytest.mark.parametrize("family", PERMUTATION_FAMILIES)
+    def test_edgeless_graph(self, family):
         g = from_edges(4, 6, np.empty((0, 2), dtype=np.int64))
-        permuted, plan = reorder_graph(g, strategy)
+        permuted, plan = _relabel(g, family)
         assert (permuted.n_x, permuted.n_y) == (4, 6)
         assert sorted(plan.x_perm.tolist()) == list(range(4))
 
@@ -91,9 +102,9 @@ class TestPlanReorder:
         assert 20 >= HUB_DEGREE_FACTOR * deg.mean()
         assert hub_mask(np.empty(0, dtype=np.int64)).size == 0
 
-    @pytest.mark.parametrize("strategy", REORDER_STRATEGIES)
-    def test_structure_preserved(self, er, strategy):
-        permuted, plan = reorder_graph(er, strategy)
+    @pytest.mark.parametrize("family", PERMUTATION_FAMILIES)
+    def test_structure_preserved(self, er, family):
+        permuted, plan = _relabel(er, family)
         assert permuted.nnz == er.nnz
         for x, y in er.edges():
             assert permuted.has_edge(int(plan.x_perm[x]), int(plan.y_perm[y]))
@@ -104,11 +115,19 @@ class TestPlanReorder:
 
 
 class TestMatchingRoundTrip:
-    @pytest.mark.parametrize("strategy", REORDER_STRATEGIES)
-    def test_permute_then_unpermute_is_identity(self, er, strategy):
+    def test_families_are_distinct_nontrivial_relabellings(self, er):
+        identity = np.arange(er.n_x)
+        x_perms = [family_plan(er, f).x_perm for f in PERMUTATION_FAMILIES]
+        for i, perm in enumerate(x_perms):
+            assert not np.array_equal(perm, identity)
+            for other in x_perms[i + 1:]:
+                assert not np.array_equal(perm, other)
+
+    @pytest.mark.parametrize("family", PERMUTATION_FAMILIES)
+    def test_permute_then_unpermute_is_identity(self, er, family):
         from repro.matching.karp_sipser import karp_sipser
 
-        plan = plan_reorder(er, strategy)
+        plan = family_plan(er, family)
         matching = karp_sipser(er, seed=2).matching
         back = plan.unpermute_matching(plan.permute_matching(matching))
         assert np.array_equal(back.mate_x, matching.mate_x)
