@@ -2,8 +2,10 @@
 
 A circuit-editing scenario: start from a structurally nonsingular system,
 delete and insert pattern entries one at a time, and watch the structural
-rank (maximum matching) update in O(one BFS) per edit instead of a full
-recompute — with a from-scratch MS-BFS-Graft run cross-checking every step.
+rank (maximum matching) update after each edit. Each edit is repaired by
+MS-BFS-Graft warm-started from the current matching, which keeps every
+matched edge the edit left alone; a from-scratch run cross-checks every
+step.
 
 Run:  python examples/incremental_updates.py
 """

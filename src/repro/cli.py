@@ -330,10 +330,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the online matching daemon until a client sends shutdown."""
-    from repro.service.online import MatchingDaemon, OnlineConfig
-    from repro.telemetry import Telemetry, write_prometheus
+    from repro.service.online import MatchingDaemon, OnlineConfig, daemon_telemetry
+    from repro.telemetry import write_prometheus
 
-    telemetry = Telemetry()
+    telemetry = daemon_telemetry()
     daemon = MatchingDaemon(
         OnlineConfig(
             socket_path=args.socket,

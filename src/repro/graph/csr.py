@@ -68,6 +68,21 @@ class BipartiteCSR:
         if validate:
             self._validate()
 
+    @classmethod
+    def from_sorted_keys(
+        cls, n_x: int, n_y: int, x_keys: np.ndarray, y_keys: np.ndarray
+    ) -> "BipartiteCSR":
+        """CSR of an edge set held as two sorted, duplicate-free key arrays.
+
+        ``x_keys`` holds ``x * n_y + y`` and ``y_keys`` holds ``y * n_x + x``
+        for every edge. Each pointer array is a ``searchsorted`` of the row
+        bases and each adjacency a key remainder, so rows come out sorted
+        and unique by construction and validation is skipped.
+        """
+        x_ptr = np.searchsorted(x_keys, np.arange(n_x + 1, dtype=INDEX_DTYPE) * n_y)
+        y_ptr = np.searchsorted(y_keys, np.arange(n_y + 1, dtype=INDEX_DTYPE) * n_x)
+        return cls(n_x, n_y, x_ptr, x_keys % n_y, y_ptr, y_keys % n_x, validate=False)
+
     # ------------------------------------------------------------------ #
     # basic properties
     # ------------------------------------------------------------------ #
@@ -172,23 +187,21 @@ class BipartiteCSR:
             raise GraphError("x_adj contains out-of-range Y indices")
         if self.y_adj.size and (self.y_adj.min() < 0 or self.y_adj.max() >= self.n_x):
             raise GraphError("y_adj contains out-of-range X indices")
-        for x in range(self.n_x):
-            row = self.neighbors_x(x)
-            if row.shape[0] > 1 and np.any(np.diff(row) <= 0):
-                raise GraphError(f"adjacency row of x={x} is not strictly increasing")
-        for y in range(self.n_y):
-            row = self.neighbors_y(y)
-            if row.shape[0] > 1 and np.any(np.diff(row) <= 0):
-                raise GraphError(f"adjacency row of y={y} is not strictly increasing")
-        # The two directions must describe the same edge set.
-        xs, ys = self.edge_arrays()
-        ys2 = np.repeat(np.arange(self.n_y, dtype=INDEX_DTYPE), np.diff(self.y_ptr))
-        xs2 = self.y_adj
-        order1 = np.lexsort((ys, xs))
-        order2 = np.lexsort((ys2, xs2))
-        if not (
-            np.array_equal(xs[order1], xs2[order2]) and np.array_equal(ys[order1], ys2[order2])
-        ):
+        for name, ptr, adj in (("x", self.x_ptr, self.x_adj), ("y", self.y_ptr, self.y_adj)):
+            # One diff over the whole adjacency; a drop where a row starts
+            # is the next row's first entry, not a violation.
+            bad = np.diff(adj) <= 0
+            starts = ptr[1:-1]
+            bad[starts[(starts > 0) & (starts < adj.shape[0])] - 1] = False
+            if bad.any():
+                row = int(np.searchsorted(ptr, int(np.argmax(bad)), side="right")) - 1
+                raise GraphError(f"adjacency row of {name}={row} is not strictly increasing")
+        # The two directions must describe the same edge set. With sorted
+        # rows the x side's keys x * n_y + y are already increasing, so
+        # only the y side's need a sort.
+        xs = np.repeat(np.arange(self.n_x, dtype=INDEX_DTYPE), self.deg_x)
+        ys = np.repeat(np.arange(self.n_y, dtype=INDEX_DTYPE), self.deg_y)
+        if not np.array_equal(xs * self.n_y + self.x_adj, np.sort(self.y_adj * self.n_y + ys)):
             raise GraphError("x-side and y-side adjacency describe different edge sets")
 
     # ------------------------------------------------------------------ #

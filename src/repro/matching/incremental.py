@@ -1,55 +1,40 @@
 """Incremental (dynamic) maximum matching.
 
 Downstream users of BTF/structural-rank pipelines often edit the matrix
-pattern one entry at a time (circuit edits, symbolic factorisation updates)
-and need the maximum matching maintained without recomputing from scratch.
-Classic observation: inserting an edge can raise the matching number by at
-most one, and deleting an edge can lower it by at most one — so one
-augmenting-path search per update suffices.
+pattern a few entries at a time (circuit edits, symbolic factorisation
+updates), and the online daemon (:mod:`repro.service.online`) streams
+insert/delete batches into resident sessions. Both need the maximum
+matching maintained without recomputing it from scratch.
 
-:class:`IncrementalMatcher` keeps an adjacency-set representation (the CSR
-graph is immutable by design) plus a matching, and repairs optimality after
-each update with a single alternating BFS. Every public operation keeps
-the invariant "current matching is maximum for the current graph", which
-the property tests check against from-scratch recomputation after random
-update sequences.
+:class:`IncrementalMatcher` holds the edge set as two sorted ``int64``
+key arrays, X-major ``x * n_y + y`` and Y-major ``y * n_x + x``, plus the
+mate arrays. A batch applies its net edits to both arrays with
+``searchsorted`` and ``np.delete``/``np.insert``, derives the CSR from the
+keys (:meth:`BipartiteCSR.from_sorted_keys`), and repairs optimality by
+running Algorithm 3 (:func:`~repro.core.driver.ms_bfs_graft`) from the
+current matching. A repair is just the paper's phase loop warm-started:
+deleting matched edges only frees vertices, so the current matching is a
+valid initial matching, and the engine's phases of all-free-vertex
+alternating BFS stop at the first phase that finds no augmenting path,
+which by Berge's theorem certifies the matching maximum. Deveci et al.
+(PAPERS.md) repeat all-free-vertex BFS to a fixpoint the same way.
 
-For streaming workloads (the online matching daemon in
-:mod:`repro.service.online`) the per-update repair is too expensive: every
-single-edge update pays one multi-source BFS seeded from *every* free X
-vertex. :meth:`IncrementalMatcher.apply_batch` instead applies a whole
-batch of inserts/deletes structurally and then repairs once, reusing the
-paper's MS-BFS idea: each sweep is one multi-source alternating BFS that
-extracts a maximal set of *vertex-disjoint* augmenting paths, and sweeps
-repeat until none remains. A batch of B updates therefore costs
-``O(paths + 1)`` graph sweeps instead of ``O(B)`` — the win the online
-augmenting-path literature (PAPERS.md: *A Tight Bound for Shortest
-Augmenting Paths on Trees*) predicts for this regime.
-
-Correctness note on seeding: a first repair round runs seeded only from
-free X vertices the batch touched (endpoints of inserted edges, X vertices
-freed by deleting a matched edge) — that is where repairs concentrate.
-Seeding alone is *not* sufficient, though: an inserted edge can sit in the
-middle of an augmenting path whose free endpoints the batch never touched
-(and deleting a matched edge frees a Y vertex that an untouched free X may
-now reach). The repair loop therefore always finishes with global sweeps
-from every free X vertex until one finds nothing, which by Berge's theorem
-certifies the matching maximum. The differential suite in
-``tests/matching/test_incremental_batch.py`` checks this against
-from-scratch :func:`~repro.core.driver.ms_bfs_graft` recomputation.
+Single-edge :meth:`~IncrementalMatcher.add_edge` and
+:meth:`~IncrementalMatcher.remove_edge` are batches of one. The
+differential suite in ``tests/matching/test_incremental_batch.py`` and the
+state machine in ``tests/matching/test_incremental_state.py`` check every
+result against from-scratch recomputation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bitset import bitset_set, bitset_test, bitset_words
 from repro.errors import MatchingError
-from repro.graph.builder import from_edges
-from repro.graph.csr import BipartiteCSR
+from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
 from repro.matching.base import UNMATCHED, Matching
 
 INSERT = "insert"
@@ -64,10 +49,9 @@ _OP_ALIASES = {
 class BatchRepairStats:
     """What one :meth:`IncrementalMatcher.apply_batch` call did.
 
-    ``bfs_rounds`` counts multi-source BFS sweeps (including the final
-    empty sweep that certifies maximality) — the batched-repair cost unit
-    the benchmark compares against one sweep *per update* in the per-edge
-    path.
+    ``bfs_rounds`` counts the repair engine's phases, including the final
+    phase that finds no augmenting path and so certifies maximality;
+    ``augmented`` is the cardinality the repair gained.
     """
 
     inserted: int
@@ -87,6 +71,24 @@ class BatchRepairStats:
         }
 
 
+def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of ``keys`` occur in ``sorted_keys``."""
+    pos = np.searchsorted(sorted_keys, keys)
+    hit = pos < sorted_keys.size
+    hit[hit] = sorted_keys[pos[hit]] == keys[hit]
+    return hit
+
+
+def _edit_keys(keys: np.ndarray, drop: np.ndarray, add: np.ndarray) -> np.ndarray:
+    """Sorted ``keys`` without ``drop`` (all present) and with ``add``
+    (all absent); both edits are sorted."""
+    if drop.size:
+        keys = np.delete(keys, np.searchsorted(keys, drop))
+    if add.size:
+        keys = np.insert(keys, np.searchsorted(keys, add), add)
+    return keys
+
+
 class IncrementalMatcher:
     """Maximum matching maintained under edge insertions and deletions."""
 
@@ -95,28 +97,39 @@ class IncrementalMatcher:
             raise MatchingError(f"negative vertex counts: ({n_x}, {n_y})")
         self.n_x = n_x
         self.n_y = n_y
-        self.adj_x: List[Set[int]] = [set() for _ in range(n_x)]
-        self.adj_y: List[Set[int]] = [set() for _ in range(n_y)]
-        self.mate_x = [UNMATCHED] * n_x
-        self.mate_y = [UNMATCHED] * n_y
+        self._x_keys = np.empty(0, dtype=INDEX_DTYPE)
+        self._y_keys = np.empty(0, dtype=INDEX_DTYPE)
+        self._graph = BipartiteCSR.from_sorted_keys(n_x, n_y, self._x_keys, self._y_keys)
+        self.mate_x = np.full(n_x, UNMATCHED, dtype=INDEX_DTYPE)
+        self.mate_y = np.full(n_y, UNMATCHED, dtype=INDEX_DTYPE)
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
 
     @classmethod
+    def from_edges(
+        cls, n_x: int, n_y: int, xs: np.ndarray, ys: np.ndarray
+    ) -> "IncrementalMatcher":
+        """Start from parallel edge arrays (duplicates collapse; matching
+        computed from scratch). Out-of-range edges raise
+        :class:`~repro.errors.MatchingError`."""
+        matcher = cls(n_x, n_y)
+        xs = np.asarray(xs, dtype=INDEX_DTYPE)
+        ys = np.asarray(ys, dtype=INDEX_DTYPE)
+        bad = (xs < 0) | (xs >= n_x) | (ys < 0) | (ys >= n_y)
+        if bad.any():
+            i = int(np.argmax(bad))
+            matcher._check(int(xs[i]), int(ys[i]))
+        matcher._x_keys = np.unique(xs * n_y + ys)
+        matcher._y_keys = np.unique(ys * n_x + xs)
+        matcher.repair()
+        return matcher
+
+    @classmethod
     def from_graph(cls, graph: BipartiteCSR) -> "IncrementalMatcher":
         """Start from an existing graph (matching computed from scratch)."""
-        matcher = cls(graph.n_x, graph.n_y)
-        from repro.core.driver import ms_bfs_graft
-
-        result = ms_bfs_graft(graph, emit_trace=False)
-        for x, y in graph.edges():
-            matcher.adj_x[x].add(y)
-            matcher.adj_y[y].add(x)
-        matcher.mate_x = result.matching.mate_x.tolist()
-        matcher.mate_y = result.matching.mate_y.tolist()
-        return matcher
+        return cls.from_edges(graph.n_x, graph.n_y, *graph.edge_arrays())
 
     # ------------------------------------------------------------------ #
     # queries
@@ -124,81 +137,54 @@ class IncrementalMatcher:
 
     @property
     def cardinality(self) -> int:
-        return sum(1 for m in self.mate_x if m != UNMATCHED)
+        return int(np.count_nonzero(self.mate_x != UNMATCHED))
+
+    @property
+    def nnz(self) -> int:
+        """Number of edges in the current graph."""
+        return int(self._x_keys.size)
 
     def has_edge(self, x: int, y: int) -> bool:
         self._check(x, y)
-        return y in self.adj_x[x]
+        return bool(_member(self._x_keys, np.array([x * self.n_y + y]))[0])
 
     def matching(self) -> Matching:
         """Snapshot of the current matching."""
-        return Matching(
-            self.n_x,
-            self.n_y,
-            np.asarray(self.mate_x, dtype=np.int64),
-            np.asarray(self.mate_y, dtype=np.int64),
-        )
+        return Matching(self.n_x, self.n_y, self.mate_x.copy(), self.mate_y.copy())
 
     def edge_list(self) -> List[Tuple[int, int]]:
-        """Canonical (sorted) edge list of the current graph.
+        """Canonical edge list of the current graph, sorted by ``(x, y)``.
 
-        Python-set iteration order depends on each set's insert/delete
-        *history* (and, in general, on the hash seed), so the raw adjacency
-        sets must never leak into anything persisted or hashed — snapshots
-        and content-addressed cache keys go through this sorted view.
+        Snapshots hash this list into their cache key, so its order is a
+        function of the edge set alone, never of the edit history.
         """
-        return [(x, y) for x in range(self.n_x) for y in sorted(self.adj_x[x])]
+        xs, ys = np.divmod(self._x_keys, self.n_y)
+        return list(zip(xs.tolist(), ys.tolist()))
 
     def graph(self) -> BipartiteCSR:
-        """Snapshot of the current graph as an immutable CSR.
+        """The current graph as an immutable, validated CSR.
 
-        Adjacency is sorted before :func:`from_edges` so two matchers
-        holding the same edge set produce bit-identical snapshots
-        regardless of how their adjacency sets were built up.
+        Two matchers holding the same edge set return bit-identical CSRs,
+        whatever edits built them up.
         """
-        return from_edges(self.n_x, self.n_y, self.edge_list())
+        self._graph._validate()
+        return self._graph
 
     # ------------------------------------------------------------------ #
     # updates
     # ------------------------------------------------------------------ #
 
     def add_edge(self, x: int, y: int) -> bool:
-        """Insert edge (x, y); returns True if the matching grew.
-
-        Insertion raises the matching number by at most one, and any new
-        augmenting path must use the new edge — possibly in its *middle*
-        (both endpoints matched, reached through their mates), so freeness
-        of x or y is not required. One multi-source alternating BFS decides.
-        """
+        """Insert edge (x, y); returns True if the matching grew."""
         self._check(x, y)
-        if y in self.adj_x[x]:
-            return False
-        self.adj_x[x].add(y)
-        self.adj_y[y].add(x)
-        return self._augment_once()
+        before = self.cardinality
+        return self.apply_batch([(INSERT, x, y)]).cardinality > before
 
     def remove_edge(self, x: int, y: int) -> bool:
-        """Delete edge (x, y); returns True if the matching shrank.
-
-        If the edge was matched, unmatch it and try to re-augment from the
-        freed X endpoint; failing that the matching number genuinely drops.
-        """
+        """Delete edge (x, y); returns True if the matching shrank."""
         self._check(x, y)
-        if y not in self.adj_x[x]:
-            return False
-        self.adj_x[x].discard(y)
-        self.adj_y[y].discard(x)
-        if self.mate_x[x] != y:
-            return False  # unmatched edge: matching untouched, still maximum
-        self.mate_x[x] = UNMATCHED
-        self.mate_y[y] = UNMATCHED
-        # The shrunken matching is maximum iff no augmenting path exists
-        # now; one search restores optimality either way.
-        return not self._augment_once()
-
-    # ------------------------------------------------------------------ #
-    # batched updates
-    # ------------------------------------------------------------------ #
+        before = self.cardinality
+        return self.apply_batch([(DELETE, x, y)]).cardinality < before
 
     def apply_batch(
         self,
@@ -210,23 +196,22 @@ class IncrementalMatcher:
 
         ``updates`` is an iterable of ``(op, x, y)`` with ``op`` one of
         ``"insert"``/``"+"``/``"add"`` or ``"delete"``/``"-"``/``"remove"``.
-        Updates are applied structurally *in order* (so a duplicate
-        insert-then-delete of the same edge within one batch nets out to
-        absent), matched deleted edges are unmatched, and a single repair
-        phase then restores maximality: a seeded fast round from the free X
-        vertices the batch touched, followed by global multi-source sweeps
-        until one finds no augmenting path.
+        Updates take effect *in order* (so an insert-then-delete of the
+        same edge within one batch nets out to absent, and an insert of a
+        present edge or a delete of an absent one is ``skipped``), and
+        deleting a matched edge unmatches it (``freed``). The whole batch
+        is parsed and range-checked before anything changes. The net edits
+        then land in both key arrays, and one warm-started engine run
+        restores maximality.
 
         ``deadline`` is an optional cooperative :class:`~repro.core.options.
-        Deadline`; it is checked between BFS sweeps (the natural preemption
-        point, mirroring the engines' phase boundaries). On expiry the
-        structural updates are already applied and the matching is valid
-        but possibly non-maximum — callers retrying after
+        Deadline`; the engine checks it at every phase boundary. On expiry
+        the structural updates are already applied and the matching is
+        valid but possibly non-maximum: callers retrying after
         :class:`~repro.errors.DeadlineExceeded` should re-repair with an
         empty batch.
         """
-        inserted = deleted = skipped = freed = 0
-        touched: Set[int] = set()
+        ops: List[Tuple[bool, int, int]] = []
         for entry in updates:
             try:
                 op_raw, x, y = entry
@@ -241,27 +226,34 @@ class IncrementalMatcher:
                 )
             x, y = int(x), int(y)
             self._check(x, y)
-            if op == INSERT:
-                if y in self.adj_x[x]:
+            ops.append((op == INSERT, x, y))
+        inserted = deleted = skipped = freed = 0
+        if ops:
+            keys = [x * self.n_y + y for _, x, y in ops]
+            found = _member(self._x_keys, np.array(keys, dtype=INDEX_DTYPE))
+            before: Dict[int, bool] = dict(zip(keys, found.tolist()))
+            present = dict(before)
+            for (insert, x, y), key in zip(ops, keys):
+                if insert == present[key]:
                     skipped += 1
                     continue
-                self.adj_x[x].add(y)
-                self.adj_y[y].add(x)
-                inserted += 1
-                touched.add(x)
-            else:
-                if y not in self.adj_x[x]:
-                    skipped += 1
+                present[key] = insert
+                if insert:
+                    inserted += 1
                     continue
-                self.adj_x[x].discard(y)
-                self.adj_y[y].discard(x)
                 deleted += 1
                 if self.mate_x[x] == y:
                     self.mate_x[x] = UNMATCHED
                     self.mate_y[y] = UNMATCHED
                     freed += 1
-                touched.add(x)
-        augmented, rounds = self._repair(touched, deadline=deadline)
+            net = {k: p for k, p in present.items() if p != before[k]}
+            add = np.array(sorted(k for k, p in net.items() if p), dtype=INDEX_DTYPE)
+            drop = np.array(sorted(k for k, p in net.items() if not p), dtype=INDEX_DTYPE)
+            self._x_keys = _edit_keys(self._x_keys, drop, add)
+            self._y_keys = _edit_keys(
+                self._y_keys, np.sort(self._transpose(drop)), np.sort(self._transpose(add))
+            )
+        augmented, rounds = self._run_repair(deadline)
         return BatchRepairStats(
             inserted=inserted, deleted=deleted, skipped=skipped, freed=freed,
             augmented=augmented, bfs_rounds=rounds,
@@ -269,7 +261,7 @@ class IncrementalMatcher:
         )
 
     def repair(self, *, deadline: Optional[object] = None) -> BatchRepairStats:
-        """Re-run the repair phase alone (e.g. after a deadline expiry)."""
+        """Re-run the repair alone (e.g. after a deadline expiry)."""
         return self.apply_batch((), deadline=deadline)
 
     # ------------------------------------------------------------------ #
@@ -280,138 +272,24 @@ class IncrementalMatcher:
         if not (0 <= x < self.n_x and 0 <= y < self.n_y):
             raise MatchingError(f"edge ({x}, {y}) out of range")
 
-    def _augment_once(self) -> bool:
-        """One multi-source alternating BFS; augments and returns True on
-        success. Because the matching was maximum before the last update,
-        at most one augmenting path can exist, so a single pass suffices.
+    def _transpose(self, x_keys: np.ndarray) -> np.ndarray:
+        """Y-major keys of the edges behind X-major ``x_keys``."""
+        xs, ys = np.divmod(x_keys, self.n_y)
+        return ys * self.n_x + xs
 
-        Visited Y vertices are tracked in the same bit-packed uint64 words
-        the engines use (:mod:`repro.core.bitset`), not a per-vertex hash
-        set: the packed mirror is the representation every other BFS in the
-        repo consults, its footprint is a fixed ``ceil(n_y / 64)`` words
-        per repair instead of a dict that rehashes as the frontier grows,
-        and testing it here keeps the incremental path covered by the same
-        visited semantics the kernel differential suite certifies.
-        """
-        visited = bitset_words(self.n_y)
-        parent = np.full(self.n_y, UNMATCHED, dtype=np.int64)
-        frontier = [x for x in range(self.n_x) if self.mate_x[x] == UNMATCHED]
-        end_y = -1
-        while frontier and end_y == -1:
-            next_frontier: List[int] = []
-            for x in frontier:
-                for y in self.adj_x[x]:
-                    if bitset_test(visited, y):
-                        continue
-                    bitset_set(visited, y)
-                    parent[y] = x
-                    mate = self.mate_y[y]
-                    if mate == UNMATCHED:
-                        end_y = y
-                        break
-                    next_frontier.append(mate)
-                if end_y != -1:
-                    break
-            frontier = next_frontier
-        if end_y == -1:
-            return False
-        y = end_y
-        while True:
-            x = int(parent[y])
-            prev = self.mate_x[x]
-            self.mate_x[x] = y
-            self.mate_y[y] = x
-            if prev == UNMATCHED:
-                return True
-            y = prev
+    def _run_repair(self, deadline: Optional[object]) -> Tuple[int, int]:
+        """Rebuild the CSR from the keys and run the engine from the
+        current matching; returns ``(augmented, phases)``."""
+        from repro.core.driver import ms_bfs_graft
 
-    def _repair(
-        self, touched: Set[int], *, deadline: Optional[object] = None
-    ) -> Tuple[int, int]:
-        """Restore maximality after a batch; returns ``(augmented, sweeps)``.
-
-        Round one is seeded from the batch-touched free X vertices only —
-        cheap when the batch perturbs a small region. The loop then runs
-        global sweeps (every free X vertex) to fixpoint, which is what
-        makes the result *provably* maximum: inserted edges can sit mid-path
-        between untouched free endpoints, so touched-only seeding alone
-        would under-match (see the module docstring).
-        """
-        augmented = 0
-        rounds = 0
-        seeds = sorted(x for x in touched if self.mate_x[x] == UNMATCHED)
-        while seeds:
-            if deadline is not None:
-                deadline.check("incremental batch repair (seeded sweep)")
-            rounds += 1
-            found = self._augment_sweep(seeds)
-            augmented += found
-            if not found:
-                break
-            seeds = [x for x in seeds if self.mate_x[x] == UNMATCHED]
-        while True:
-            if deadline is not None:
-                deadline.check("incremental batch repair (global sweep)")
-            rounds += 1
-            found = self._augment_sweep(None)
-            augmented += found
-            if not found:
-                return augmented, rounds
-
-    def _augment_sweep(self, seeds: Optional[Sequence[int]]) -> int:
-        """One multi-source alternating BFS; augments a maximal set of
-        vertex-disjoint augmenting paths and returns how many.
-
-        ``seeds`` restricts the BFS sources (they must be free X vertices);
-        ``None`` seeds from every free X vertex. Unlike
-        :meth:`_augment_once` the sweep does not stop at the first free Y
-        reached — it records parents for the whole reachable region, then
-        greedily extracts disjoint paths from every free Y endpoint found,
-        skipping endpoints whose walk-back runs into an X vertex already
-        flipped this sweep (those are re-found by the next sweep).
-        """
-        visited = bitset_words(self.n_y)
-        parent = np.full(self.n_y, UNMATCHED, dtype=np.int64)
-        if seeds is None:
-            frontier = [x for x in range(self.n_x) if self.mate_x[x] == UNMATCHED]
-        else:
-            frontier = list(seeds)
-        free_ys: List[int] = []
-        while frontier:
-            next_frontier: List[int] = []
-            for x in frontier:
-                for y in self.adj_x[x]:
-                    if bitset_test(visited, y):
-                        continue
-                    bitset_set(visited, y)
-                    parent[y] = x
-                    mate = self.mate_y[y]
-                    if mate == UNMATCHED:
-                        free_ys.append(y)
-                    else:
-                        next_frontier.append(mate)
-            frontier = next_frontier
-        augmented = 0
-        used_x: Set[int] = set()
-        for end_y in free_ys:
-            path: List[Tuple[int, int]] = []
-            y = end_y
-            ok = True
-            while True:
-                x = int(parent[y])
-                if x in used_x:
-                    ok = False
-                    break
-                path.append((x, y))
-                prev = int(self.mate_x[x])
-                if prev == UNMATCHED:
-                    break
-                y = prev
-            if not ok:
-                continue
-            for x, y in path:
-                used_x.add(x)
-                self.mate_x[x] = y
-                self.mate_y[y] = x
-            augmented += 1
-        return augmented
+        self._graph = BipartiteCSR.from_sorted_keys(
+            self.n_x, self.n_y, self._x_keys, self._y_keys
+        )
+        before = self.cardinality
+        result = ms_bfs_graft(
+            self._graph, Matching(self.n_x, self.n_y, self.mate_x, self.mate_y),
+            engine="numpy", emit_trace=False, deadline=deadline,
+        )
+        self.mate_x = result.matching.mate_x
+        self.mate_y = result.matching.mate_y
+        return self.cardinality - before, result.counters.phases

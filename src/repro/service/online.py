@@ -6,14 +6,14 @@ daemon that holds graphs in memory as :class:`~repro.service.sessions.
 Session` objects, absorbs edge insert/delete batches over a line-delimited
 JSON protocol (:mod:`repro.service.protocol`) on a local Unix socket, and
 repairs optimality with :meth:`~repro.matching.incremental.
-IncrementalMatcher.apply_batch` — one batched multi-source repair per
+IncrementalMatcher.apply_batch` — one warm-started MS-BFS-Graft run per
 request instead of one BFS per edge.
 
 The daemon degrades the same way the batch executor does:
 
 * every ``update``/``match`` runs under a cooperative
   :class:`~repro.core.options.Deadline` (per-request override or server
-  default), checked between repair sweeps; expiry maps to
+  default), checked at the repair engine's phase boundaries; expiry maps to
   ``error.kind == "deadline"``;
 * handler failures are classified through the retry taxonomy
   (:func:`~repro.service.retry.classify_failure`) and reported to the
@@ -33,6 +33,9 @@ for scrapers that do not speak the line protocol. When ``flight_dir``
 is set the daemon keeps a :class:`~repro.telemetry.flight.FlightRecorder`
 ring of recent requests and dumps it as post-mortem JSONL whenever a
 request fails — the failing request is the last line of the dump.
+:func:`daemon_telemetry` is the telemetry ``repro-match serve`` runs
+with: its tracer keeps only the newest :data:`SPAN_CAPACITY` spans, so
+the ``request``/``repair`` spans of a long-lived daemon do not pile up.
 
 ``repro-match serve`` is the CLI front end; ``repro-match client`` drives
 a scripted session against it (the CI ``online-smoke`` job does exactly
@@ -59,8 +62,20 @@ from repro.service import protocol
 from repro.service.retry import RetryPolicy
 from repro.service.sessions import SessionManager
 from repro.telemetry.flight import DEFAULT_CAPACITY, FlightRecorder
-from repro.telemetry.session import NULL_TELEMETRY
+from repro.telemetry.session import NULL_TELEMETRY, Telemetry
+from repro.telemetry.spans import Tracer
 from repro.util.rng import as_rng
+
+SPAN_CAPACITY = 1024
+"""Spans the serving daemon's tracer retains (the newest; see
+:func:`daemon_telemetry`)."""
+
+
+def daemon_telemetry() -> Telemetry:
+    """Telemetry for a long-lived daemon: every metric, and a span ring of
+    :data:`SPAN_CAPACITY`. Nothing in ``serve`` reads old spans, and an
+    unbounded tracer would grow by a few spans per request for good."""
+    return Telemetry(tracer=Tracer(capacity=SPAN_CAPACITY))
 
 
 @dataclass

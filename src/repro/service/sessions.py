@@ -26,6 +26,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import ServiceError
 from repro.matching.incremental import BatchRepairStats, IncrementalMatcher
 from repro.telemetry.session import NULL_TELEMETRY
@@ -81,7 +83,7 @@ class Session:
             "session": self.name,
             "n_x": m.n_x,
             "n_y": m.n_y,
-            "edges": sum(len(a) for a in m.adj_x),
+            "edges": m.nnz,
             "cardinality": m.cardinality,
             **self.stats.to_dict(),
         }
@@ -127,9 +129,8 @@ class SessionManager:
         wall: float = 0.0,
     ) -> Session:
         """Create (or replace) a session from explicit dimensions + edges."""
-        matcher = IncrementalMatcher(n_x, n_y)
-        if edges:
-            matcher.apply_batch([("insert", x, y) for x, y in edges])
+        pairs = np.asarray(edges or [], dtype=np.int64).reshape(-1, 2)
+        matcher = IncrementalMatcher.from_edges(n_x, n_y, pairs[:, 0], pairs[:, 1])
         return self._install(name, matcher, wall)
 
     def load_snapshot(self, name: str, key: str, *, wall: float = 0.0) -> Session:

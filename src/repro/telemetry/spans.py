@@ -11,16 +11,20 @@ logs and other systems.
 
 The tracer keeps one open-span stack per OS thread, so concurrent
 instrumented code attributes spans to the thread that opened them. Both
-clocks are injectable for deterministic tests.
+clocks are injectable for deterministic tests. A long-lived process (the
+online daemon) gives the tracer a ``capacity``: it then keeps only the
+newest spans, like the flight recorder's ring, so retention stays bounded
+however many requests it serves.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
 
 from repro.errors import TelemetryError
 
@@ -80,13 +84,18 @@ class Tracer:
         *,
         clock: Callable[[], float] = time.perf_counter,
         wall: Callable[[], float] = time.time,
+        capacity: Optional[int] = None,
     ) -> None:
+        if capacity is not None and capacity < 1:
+            raise TelemetryError(f"tracer capacity must be >= 1, got {capacity}")
         self._clock = clock
         self._wall = wall
         self._lock = threading.Lock()
         self._local = threading.local()
         self._next_id = 0
-        self.spans: List[Span] = []
+        self.spans: Deque[Span] = deque(maxlen=capacity)
+        """Recorded spans, oldest first; with a ``capacity`` only the newest
+        that many (evicted spans still close normally)."""
 
     # ------------------------------------------------------------------ #
     # span lifecycle

@@ -130,6 +130,50 @@ class TestValidation:
                 np.array([0, 0]),
             )
 
+    def test_descending_pair_inside_x_row(self):
+        # edges (0,1), (1,2), (1,0); x row 1 is stored as [2, 0]
+        with pytest.raises(GraphError, match=r"row of x=1 is not strictly"):
+            BipartiteCSR(
+                3, 3,
+                np.array([0, 1, 3, 3]),
+                np.array([1, 2, 0]),
+                np.array([0, 1, 2, 3]),
+                np.array([1, 0, 1]),
+            )
+
+    def test_descending_pair_inside_y_row(self):
+        # edges (0,0), (1,0), (2,1); y row 0 is stored as [1, 0]
+        with pytest.raises(GraphError, match=r"row of y=0 is not strictly"):
+            BipartiteCSR(
+                3, 3,
+                np.array([0, 1, 2, 3]),
+                np.array([0, 0, 1]),
+                np.array([0, 2, 3, 3]),
+                np.array([1, 0, 2]),
+            )
+
+    def test_drop_across_row_boundary_is_valid(self):
+        # edges (0,2), (2,0), (2,1) with x row 1 empty: x_adj drops 2 -> 0
+        # and y_adj repeats 2, 2 -> 0, each only where a new row starts
+        g = BipartiteCSR(
+            4, 3,
+            np.array([0, 1, 1, 3, 3]),
+            np.array([2, 0, 1]),
+            np.array([0, 1, 2, 3]),
+            np.array([2, 2, 0]),
+        )
+        assert sorted(g.edges()) == [(0, 2), (2, 0), (2, 1)]
+
+    def test_from_sorted_keys(self, small):
+        xs, ys = small.edge_arrays()
+        g = BipartiteCSR.from_sorted_keys(
+            3, 4, np.sort(xs * 4 + ys), np.sort(ys * 3 + xs)
+        )
+        g._validate()
+        assert g == small
+        assert np.array_equal(g.y_ptr, small.y_ptr)
+        assert np.array_equal(g.y_adj, small.y_adj)
+
     def test_empty_graph_valid(self):
         g = BipartiteCSR(0, 0, np.array([0]), np.array([]), np.array([0]), np.array([]))
         assert g.nnz == 0

@@ -84,6 +84,23 @@ class TestBasicOperations:
         with pytest.raises(MatchingError):
             m.add_edge(5, 0)
 
+    def test_rejected_batch_changes_nothing(self):
+        # The whole batch is checked before any edit lands: a bad entry at
+        # the end leaves the edges and the matching as they were.
+        m = IncrementalMatcher(3, 3)
+        m.apply_batch([("insert", 0, 0), ("insert", 1, 1)])
+        with pytest.raises(MatchingError, match="out of range"):
+            m.apply_batch([("delete", 0, 0), ("insert", 2, 2), ("insert", 9, 0)])
+        assert m.edge_list() == [(0, 0), (1, 1)]
+        assert m.matching().pairs() == [(0, 0), (1, 1)]
+
+    def test_from_edges_collapses_duplicates(self):
+        m = IncrementalMatcher.from_edges(3, 3, [0, 0, 1, 2], [1, 1, 0, 2])
+        assert m.edge_list() == [(0, 1), (1, 0), (2, 2)]
+        assert m.cardinality == 3
+        with pytest.raises(MatchingError, match=r"edge \(1, 3\) out of range"):
+            IncrementalMatcher.from_edges(3, 3, [0, 1], [0, 3])
+
     def test_from_graph(self):
         g = random_bipartite(15, 15, 50, seed=0)
         m = IncrementalMatcher.from_graph(g)
@@ -129,15 +146,14 @@ class TestAlwaysMaximumInvariant:
 
 
 class TestPackedVisitedRepairBFS:
-    """Regression tests for the repair BFS's packed ``visited_words`` mirror.
+    """Repairs across the engine's packed ``visited_words`` mirror.
 
-    The repair BFS used to track visited Y vertices in a per-call dict; it
-    now consults the same bit-packed uint64 words as the engines
-    (:mod:`repro.core.bitset`). These cases pin the semantics the packed
-    representation must preserve: first-visit-wins parenting across shared
-    words, vertices on both sides of a 64-bit word boundary, and exact
-    agreement with from-scratch recomputation on instances big enough that
-    many Y indices hash into the same word.
+    The repair runs the numpy engine, whose visited Y set is bit-packed
+    into uint64 words (:mod:`repro.core.bitset`). These cases pin the
+    semantics the packed representation must preserve: first-visit-wins
+    parenting across shared words, vertices on both sides of a 64-bit word
+    boundary, and exact agreement with from-scratch recomputation on
+    instances big enough that many Y indices share a word.
     """
 
     def test_shared_word_first_visit_wins(self):
@@ -163,15 +179,14 @@ class TestPackedVisitedRepairBFS:
         m = IncrementalMatcher(n, n)
         for i in (62, 63, 64, 65):
             assert m.add_edge(i, i) is True
-        # Chain across the boundary: free x61 -> y63 -> mate x63 -> y64 ...
-        m.adj_x[61].add(63)
-        m.adj_y[63].add(61)
-        m.adj_x[63].add(64)
-        m.adj_y[64].add(63)
-        m.adj_x[64].add(66)
-        m.adj_y[66].add(64)
-        assert m._augment_once() is True
+        # Chain across the boundary, inserted as one batch:
+        # free x61 -> y63 -> mate x63 -> y64 -> mate x64 -> free y66.
+        stats = m.apply_batch(
+            [("insert", 61, 63), ("insert", 63, 64), ("insert", 64, 66)]
+        )
+        assert stats.augmented == 1
         assert m.cardinality == 5
+        assert m.mate_x[61] == 63 and m.mate_x[63] == 64 and m.mate_x[64] == 66
         verify_maximum(m.graph(), m.matching())
 
     def test_dense_instance_matches_recompute(self):

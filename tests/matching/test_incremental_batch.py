@@ -229,20 +229,21 @@ class TestDeadline:
 
 class TestDeterministicSnapshots:
     def test_edge_list_independent_of_set_history(self):
-        # Python small-int set iteration order depends on insert/delete
-        # HISTORY (e.g. {8, 0} built as add(8),add(0) vs add(0),add(8)
-        # iterate differently once the 8-slot table collides). graph() used
-        # to feed raw set order into from_edges, so two matchers holding
-        # identical edge sets could hash to different snapshot keys.
+        # Two matchers reach the same edge set through different insert
+        # orders (and one through a delete and re-insert); the edge list and
+        # the graph snapshot, which feed the snapshot key, must not depend
+        # on that history.
         a = IncrementalMatcher(1, 16)
         for y in (8, 0, 1, 9):
             a.apply_batch([("insert", 0, y)])
         b = IncrementalMatcher(1, 16)
         for y in (0, 1, 9, 8):
             b.apply_batch([("insert", 0, y)])
-        # Same edge set, different set-build histories.
-        assert a.adj_x[0] == b.adj_x[0]
+        b.apply_batch([("delete", 0, 8), ("insert", 0, 8)])
         assert a.edge_list() == b.edge_list() == [(0, 0), (0, 1), (0, 8), (0, 9)]
+        assert a.graph() == b.graph()
+        assert np.array_equal(a.graph().y_ptr, b.graph().y_ptr)
+        assert np.array_equal(a.graph().y_adj, b.graph().y_adj)
 
     def test_graph_snapshots_bit_identical_across_histories(self):
         rng = np.random.default_rng(21)

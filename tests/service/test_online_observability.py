@@ -10,7 +10,13 @@ import urllib.request
 import pytest
 
 from repro.errors import ServiceError
-from repro.service.online import MatchingDaemon, OnlineClient, OnlineConfig
+from repro.service.online import (
+    SPAN_CAPACITY,
+    MatchingDaemon,
+    OnlineClient,
+    OnlineConfig,
+    daemon_telemetry,
+)
 from repro.service.protocol import COMMANDS
 from repro.telemetry import Telemetry, lint_prometheus
 from repro.telemetry.flight import read_flight_dump
@@ -62,6 +68,34 @@ class TestRequestIds:
         ]
         assert rids == sorted(rids)
         assert len(rids) == len(set(rids))
+
+
+class TestSpanRetention:
+    def test_daemon_tracer_stays_bounded(self, tmp_path):
+        # 1000 in-process requests open 1500 request/repair spans; the
+        # serving daemon's tracer keeps only the newest SPAN_CAPACITY.
+        d = MatchingDaemon(
+            OnlineConfig(socket_path=tmp_path / "d.sock"),
+            telemetry=daemon_telemetry(),
+        )
+
+        def send(cmd, **payload):
+            response = d.handle_line(json.dumps({"cmd": cmd, **payload}))
+            assert response["ok"], response
+            return response
+
+        send("create", session="g", n_x=8, n_y=8)
+        for i in range(500):
+            send("update", session="g", inserts=[[i % 8, (3 * i) % 8]])
+            send("match", session="g")
+        spans = d.telemetry.tracer.spans
+        assert 0 < len(spans) <= SPAN_CAPACITY < 1500
+        # the newest update's repair span still nests under its request span
+        repair = [s for s in spans if s.name == "repair"][-1]
+        (parent,) = [s for s in spans if s.span_id == repair.parent_id]
+        assert parent.name == "request"
+        assert parent.attributes["rid"] == repair.attributes["rid"]
+        assert parent.attributes["cmd"] == "update"
 
 
 class TestMetricsRPC:

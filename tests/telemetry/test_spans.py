@@ -153,3 +153,33 @@ class TestTreeQueries:
 
     def test_coverage_no_roots(self):
         assert Tracer().coverage() == 0.0
+
+
+class TestCapacity:
+    def test_ring_keeps_newest_spans(self):
+        tracer = Tracer(capacity=3)
+        for i in range(5):
+            with tracer.span("s", i=i):
+                pass
+        assert [s.attributes["i"] for s in tracer.spans] == [2, 3, 4]
+        assert [s.span_id for s in tracer.spans] == [2, 3, 4]
+
+    def test_evicted_open_span_still_closes(self):
+        tracer = Tracer(capacity=2)
+        with tracer.span("outer") as outer:
+            for _ in range(3):
+                with tracer.span("inner") as inner:
+                    assert inner.parent_id == outer.span_id
+        assert not outer.open
+        assert [s.name for s in tracer.spans] == ["inner", "inner"]
+
+    def test_unbounded_by_default(self):
+        tracer = Tracer()
+        for _ in range(2000):
+            with tracer.span("s"):
+                pass
+        assert len(tracer.spans) == 2000
+
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(TelemetryError):
+            Tracer(capacity=0)
