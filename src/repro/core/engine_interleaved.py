@@ -122,7 +122,7 @@ class _InterleavedSteps(PhaseSteps):
         self.frontier = state.refresh_seeds(matching)
         state.root_x[self.frontier] = self.frontier
         state.leaf[self.frontier] = UNMATCHED
-        self.active_y = self.renewable_y = self.frontier[:0]
+        self.active_x = self.active_y = self.renewable_y = self.frontier[:0]
 
         def topdown_program(x: int, ts: SimThreadState) -> Generator[None, None, None]:
             rx = sh_root_x.load(x)
@@ -245,15 +245,17 @@ class _InterleavedSteps(PhaseSteps):
         state = self.state
         renewable_x = np.flatnonzero(state.renewable_x_mask())
         state.root_x[renewable_x] = UNMATCHED
-        active_x_count = int(np.count_nonzero(state.root_x != UNMATCHED))
+        self.active_x = np.flatnonzero(state.root_x != UNMATCHED)
         self.active_y = np.flatnonzero(state.active_y_mask())
         self.renewable_y = np.flatnonzero(state.renewable_y_mask())
-        return active_x_count, int(self.renewable_y.size)
+        return int(self.active_x.size), int(self.renewable_y.size)
 
-    def graft(self):
+    def graft(self, top_down: bool):
         # Serial recycling goes through the state helpers so the packed
         # mirror, candidate list, and direction counters stay exact.
         kernels.reset_rows(self.state, self.renewable_y)
+        if top_down:
+            return self._run_region(self.active_x, self.topdown_program)
         return self._run_region(self.renewable_y, self.bottomup_program)
 
     def rebuild(self) -> np.ndarray:

@@ -43,9 +43,11 @@ class PhaseSteps:
     * ``augment()`` — flip every discovered path; return their lengths;
     * ``partition()`` — the GRAFT statistics pass; return
       ``(active_x_count, renewable_y_count)``;
-    * ``graft()`` — re-attach the renewable Y vertices to active trees;
-      return ``(next_frontier, edges, grafted)``, where ``grafted`` is the
-      engine's own graft count;
+    * ``graft(top_down)`` — re-attach the renewable Y vertices to active
+      trees, either by scanning the renewable rows for an active neighbour
+      (bottom-up, Algorithm 7) or by expanding the active X vertices
+      (top-down); return ``(next_frontier, edges, grafted)``, where
+      ``grafted`` is the engine's own graft count;
     * ``rebuild()`` — destroy the active trees and re-root every unmatched
       X vertex; return the new frontier.
     """
@@ -79,9 +81,9 @@ def run_phases(
             frontier = steps.frontier
         breakdown: Dict[str, float] = {}
 
-        def timed(name, kernel, *args):
+        def timed(name, kernel, *args, **attributes):
             t0 = time.perf_counter()
-            with tel.step(name):
+            with tel.step(name, **attributes):
                 out = kernel(*args)
             breakdown[name] = breakdown.get(name, 0.0) + time.perf_counter() - t0
             return out
@@ -136,9 +138,18 @@ def run_phases(
             # --- Step 3: graft or rebuild (Algorithm 7) -------------------- #
             active_x, renewable_y = timed("statistics", steps.partition)
             if options.grafting and active_x > renewable_y / alpha:
-                frontier, edges, grafted = timed("grafting", steps.graft)
+                # Graft from the smaller side. Every unvisited Y next to an
+                # active X is renewable (the phase exhausted the active
+                # trees' neighbourhoods), so both sweeps claim the same rows
+                # and differ only in the parent each row gets.
+                top_down = options.direction_optimizing and active_x < renewable_y
+                direction = "topdown" if top_down else "bottomup"
+                frontier, edges, grafted = timed(
+                    "grafting", steps.graft, top_down, direction=direction
+                )
                 counters.edges_traversed += edges
                 tel.count_edges(edges)
+                tel.count_graft(direction, edges)
                 counters.grafts += grafted
             else:
                 counters.tree_rebuilds += 1

@@ -82,9 +82,10 @@ class NumpySteps(PhaseSteps):
     def unvisited_deg(self) -> int:
         return self.state.unvisited_deg
 
-    def topdown_level(self, frontier: np.ndarray) -> kernels.LevelStats:
+    def topdown_level(self, frontier: np.ndarray, region: str) -> kernels.LevelStats:
         return kernels.topdown_level(
-            self.graph, self.state, self.matching, frontier, self.workspace
+            self.graph, self.state, self.matching, frontier, self.workspace,
+            region=region,
         )
 
     def bottomup_level(self, rows: np.ndarray, region: str) -> kernels.LevelStats:
@@ -93,10 +94,13 @@ class NumpySteps(PhaseSteps):
         )
 
     def topdown(self, frontier: np.ndarray):
-        stats = self.topdown_level(frontier)
+        return self._expand(frontier, "topdown")
+
+    def _expand(self, frontier: np.ndarray, region: str):
+        stats = self.topdown_level(frontier, region)
         if self.trace is not None:
             self.trace.add(
-                "topdown",
+                region,
                 stats.item_costs,
                 atomics=stats.attempts,
                 queue_appends=int(stats.next_frontier.size),
@@ -126,7 +130,11 @@ class NumpySteps(PhaseSteps):
             self.trace.add_uniform("statistics", self.graph.n_x + self.graph.n_y, 1.0)
         return self.gstats.active_x_count, int(self.gstats.renewable_y.size)
 
-    def graft(self):
+    def graft(self, top_down: bool):
+        if top_down:
+            # The tracked partition leaves the active X in tree-join order,
+            # so a contested row goes to its shallowest active neighbour.
+            return self._expand(self.state.tree_x_parts[0], "grafting")
         return self._attach(self.gstats.renewable_y, "grafting")
 
     def rebuild(self) -> np.ndarray:

@@ -53,6 +53,7 @@ class _PythonSteps(PhaseSteps):
         self.deg_y = [self.y_ptr[y + 1] - self.y_ptr[y] for y in range(n_y)]
         self.num_unvisited_y = n_y
         self.unvisited_deg = sum(self.deg_y)
+        self.active_x: List[int] = []
         self.active_y: List[int] = []
         self.renewable_y: List[int] = []
         self.frontier = self._seed_roots()
@@ -158,12 +159,12 @@ class _PythonSteps(PhaseSteps):
 
     def partition(self):
         root_x, root_y, leaf = self.root_x, self.root_y, self.leaf
-        active_x_count = 0
+        self.active_x = active_x = []
         for x in range(self.n_x):
             rx = root_x[x]
             if rx != -1:
                 if leaf[rx] == -1:
-                    active_x_count += 1
+                    active_x.append(x)
                 else:
                     root_x[x] = -1  # renewable X: clear stale root
         self.renewable_y = renewable_y = []
@@ -175,7 +176,7 @@ class _PythonSteps(PhaseSteps):
                     active_y.append(y)
                 else:
                     renewable_y.append(y)
-        return active_x_count, len(renewable_y)
+        return len(active_x), len(renewable_y)
 
     def _reset_rows(self, rows: List[int]) -> None:
         visited, root_y, deg_y = self.visited, self.root_y, self.deg_y
@@ -185,9 +186,12 @@ class _PythonSteps(PhaseSteps):
         self.num_unvisited_y += len(rows)
         self.unvisited_deg += sum([deg_y[y] for y in rows])
 
-    def graft(self):
+    def graft(self, top_down: bool):
         self._reset_rows(self.renewable_y)
-        queue, edges, _ = self._attach(self.renewable_y)
+        if top_down:
+            queue, edges, _ = self.topdown(self.active_x)
+        else:
+            queue, edges, _ = self._attach(self.renewable_y)
         return queue, edges, len(queue)
 
     def rebuild(self) -> List[int]:

@@ -196,8 +196,10 @@ def topdown_level(
     matching: Matching,
     frontier: np.ndarray,
     workspace: KernelWorkspace | None = None,
+    region: str = "topdown",
 ) -> LevelStats:
-    """Algorithm 4, one level, parallel semantics.
+    """Algorithm 4 over ``frontier`` (a top-down level or a top-down graft),
+    parallel semantics.
 
     Every active-tree frontier vertex scans its full adjacency (as the
     concurrent version does — no serial early-break); unvisited targets are
@@ -211,7 +213,7 @@ def topdown_level(
     if frontier.size == 0:
         return _empty_stats()
     if obs is not None:
-        obs.begin_region("topdown")
+        obs.begin_region(region)
     src, dst, offsets = _gather_segments(graph.x_ptr, graph.x_adj, frontier, ws=ws)
     edges = int(dst.shape[0])
     if ws.want_costs:

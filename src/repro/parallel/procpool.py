@@ -817,9 +817,9 @@ class _MpSteps(NumpySteps):
             )
         return lengths
 
-    def topdown_level(self, frontier: np.ndarray) -> kernels.LevelStats:
+    def topdown_level(self, frontier: np.ndarray, region: str) -> kernels.LevelStats:
         if frontier.size < self.threshold:
-            return super().topdown_level(frontier)
+            return super().topdown_level(frontier, region)
         state, ws = self.state, self.workspace
         frontier = frontier[kernels._active_tree_mask(state, frontier)]
         if frontier.size == 0:

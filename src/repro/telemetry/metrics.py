@@ -21,6 +21,8 @@ import threading
 import warnings
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import TelemetryError
 
 METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -152,6 +154,25 @@ class Histogram(_Instrument):
             self.bucket_counts[index] += 1
             self.sum += value
             self.count += 1
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Observe every value in ``values`` with one vectorised update.
+
+        Same buckets, sum and count as calling :meth:`observe` per value:
+        ``searchsorted(..., side="left")`` picks the first bound ``>=`` each
+        value, and ``bincount`` tallies them, the +Inf bucket included.
+        """
+        arr = np.asarray(values, dtype=np.float64).ravel()
+        if arr.size == 0:
+            return
+        index = np.searchsorted(np.asarray(self.buckets), arr, side="left")
+        tally = np.bincount(index, minlength=len(self.bucket_counts))
+        total = float(arr.sum())
+        with self._lock:
+            for i, c in enumerate(tally.tolist()):
+                self.bucket_counts[i] += c
+            self.sum += total
+            self.count += int(arr.size)
 
     def cumulative_counts(self) -> List[int]:
         """Cumulative counts per bound, ending with the +Inf total."""

@@ -60,7 +60,7 @@ class NullTelemetry:
     def run_span(self, engine: str, algorithm: str = "", graph: Any = None) -> _NullContext:
         return _NULL_CONTEXT
 
-    def step(self, name: str) -> _NullContext:
+    def step(self, name: str, **attributes: Any) -> _NullContext:
         return _NULL_CONTEXT
 
     def begin_phase(self, phase: int) -> None:
@@ -73,6 +73,9 @@ class NullTelemetry:
         return None
 
     def count_edges(self, edges: int) -> None:
+        return None
+
+    def count_graft(self, direction: str, edges: int) -> None:
         return None
 
     def observe_candidates(self, remaining: int) -> None:
@@ -203,9 +206,9 @@ class Telemetry(NullTelemetry):
             "repro_phases_total", "Engine phases executed (paper Fig. 1b)"
         ).inc()
 
-    def step(self, name: str):
+    def step(self, name: str, **attributes: Any):
         """Span for one engine step (topdown/bottomup/augment/...)."""
-        return self.tracer.span(name)
+        return self.tracer.span(name, **attributes)
 
     def observe_frontier(self, size: int) -> None:
         self.metrics.histogram(
@@ -234,6 +237,20 @@ class Telemetry(NullTelemetry):
                 "Adjacency entries examined (the paper's MTEPS numerator)",
             ).inc(int(edges))
 
+    def count_graft(self, direction: str, edges: int) -> None:
+        """One grafting sweep finished, by direction (topdown/bottomup)."""
+        labels = {"direction": direction}
+        self.metrics.counter(
+            "repro_graft_sweeps_total",
+            "Grafting sweeps (Algorithm 7) by direction",
+            labels=labels,
+        ).inc()
+        self.metrics.counter(
+            "repro_graft_edges_total",
+            "Adjacency entries examined by grafting sweeps, by direction",
+            labels=labels,
+        ).inc(int(edges))
+
     def observe_candidates(self, remaining: int) -> None:
         """Per-level gauge: unvisited-Y candidates left after this level."""
         self.metrics.gauge(
@@ -253,8 +270,8 @@ class Telemetry(NullTelemetry):
         self._phase_span = None
         if counters is None:
             return
-        # Mirroring costs one histogram observe per augmenting path; give it
-        # its own span so the run's coverage accounts for telemetry time too.
+        # Mirroring the path lengths is one vectorised histogram update; it
+        # keeps its own span so the run's coverage accounts for it too.
         with self.tracer.span("finalize"):
             self.metrics.counter(
                 "repro_grafted_vertices_total",
@@ -267,13 +284,11 @@ class Telemetry(NullTelemetry):
             self.metrics.counter(
                 "repro_augmentations_total", "Augmenting paths applied"
             ).inc(int(counters.augmentations))
-            paths = self.metrics.histogram(
+            self.metrics.histogram(
                 "repro_augmenting_path_length_edges",
                 "Augmenting path lengths in edges (always odd)",
                 buckets=PATH_LENGTH_BUCKETS,
-            )
-            for length in counters.path_lengths:
-                paths.observe(length)
+            ).observe_many(counters.path_lengths)
 
     # ------------------------------------------------------------------ #
     # service vocabulary (wired through BatchExecutor)

@@ -260,3 +260,55 @@ class TestNumpyEngineRacecheck:
         graph, init = contended
         with pytest.raises(ReproError, match="unknown racecheck engine"):
             run_racecheck(graph, init, engine="openmp")
+
+
+class TestTopDownGraftRacecheck:
+    """A top-down grafting sweep claims ``visited`` by CAS, like a top-down
+    level: several active X may reach one renewable row."""
+
+    @pytest.fixture(scope="class")
+    def audited(self):
+        from repro.bench.suite import get_suite_graph
+        from repro.core.engine_numpy import run_numpy
+        from repro.telemetry.session import Telemetry
+
+        # The racecheck CI step audits the same instance.
+        graph = get_suite_graph("kkt-like", scale=0.02).graph
+        init = greedy_matching(graph, shuffle=True, seed=1).matching
+        monitor = BulkRaceMonitor()
+        tel = Telemetry()
+        options = GraftOptions(telemetry=tel, check_invariants=True)
+        result = run_numpy(graph, init, options, observer=monitor)
+        return graph, init, monitor, tel, result
+
+    @staticmethod
+    def sweeps(tel, direction):
+        return tel.metrics.get(
+            "repro_graft_sweeps_total", labels={"direction": direction}
+        ).value
+
+    def test_grafting_regions_claim_visited_atomically_when_top_down(self, audited):
+        _, _, monitor, tel, _ = audited
+        grafting = {
+            i + 1 for i, kind in enumerate(monitor.region_kinds) if kind == "grafting"
+        }
+        claims = {}
+        for ev in monitor.events:
+            if ev.region in grafting and ev.array == "visited" and ev.kind == WRITE:
+                claims.setdefault(ev.region, set()).add(ev.atomic)
+        # A region's claims are all CAS (top-down) or all owned-row stores
+        # (bottom-up), one region per sweep.
+        assert all(len(kinds) == 1 for kinds in claims.values())
+        atomic = sum(1 for kinds in claims.values() if kinds == {True})
+        plain = sum(1 for kinds in claims.values() if kinds == {False})
+        assert atomic == self.sweeps(tel, "topdown") > 0
+        assert plain == self.sweeps(tel, "bottomup") > 0
+
+    def test_top_down_grafting_has_no_harmful_races(self, audited):
+        graph, init, monitor, _, result = audited
+        from tests.conftest import reference_maximum
+
+        assert monitor.analyze().harmful == []
+        outcome = run_racecheck(graph, init, engine="numpy")
+        assert outcome.ok, outcome.report.summary()
+        assert outcome.result.cardinality == result.cardinality == reference_maximum(graph)

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import TelemetryError
@@ -40,6 +43,43 @@ class TestHistogram:
         assert h.cumulative_counts() == [1, 2, 3, 4]
         assert h.count == 4
         assert h.sum == pytest.approx(106.0)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [1, 2, 4, 99],
+            [0, 1, 3, 3, 5, 5, 6, -2],
+            [0.5, 1.0, 1.0000001, 2.9999, 3.0, 4.75, 1e9, float("nan")],
+            list(range(1, 200, 2)),
+        ],
+    )
+    def test_observe_many_matches_observe(self, values):
+        one = MetricsRegistry().histogram("a", buckets=(1, 3, 5))
+        many = MetricsRegistry().histogram("a", buckets=(1, 3, 5))
+        for value in values:
+            one.observe(value)
+        many.observe(7)  # lands on top of earlier observations
+        one.observe(7)
+        many.observe_many(values)
+        assert many.bucket_counts == one.bucket_counts
+        assert all(type(c) is int for c in many.bucket_counts)
+        assert many.count == one.count
+        if any(math.isnan(v) for v in values):
+            assert math.isnan(many.sum) and math.isnan(one.sum)
+        else:
+            assert many.sum == pytest.approx(one.sum)
+
+    def test_observe_many_integer_sum_is_exact(self):
+        values = np.arange(1, 10_001, 2)
+        one = MetricsRegistry().histogram("a", buckets=(1, 3, 5, 9, 93))
+        many = MetricsRegistry().histogram("a", buckets=(1, 3, 5, 9, 93))
+        for value in values:
+            one.observe(value)
+        many.observe_many(values)
+        assert (many.bucket_counts, many.sum, many.count) == (
+            one.bucket_counts, one.sum, one.count
+        )
 
     def test_boundary_value_is_inclusive(self):
         h = MetricsRegistry().histogram("x", buckets=(1.0, 2.0))

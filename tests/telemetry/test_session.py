@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.driver import ms_bfs_graft
-from repro.graph.generators import surplus_core_bipartite
+from repro.graph.generators import random_bipartite, surplus_core_bipartite
 from repro.matching.greedy import greedy_matching
+from repro.errors import TelemetryError
 from repro.telemetry.exporters import lint_prometheus, prometheus_text
 from repro.telemetry.session import NULL_TELEMETRY, NullTelemetry, Telemetry
 
@@ -101,6 +102,75 @@ class TestEngineInstrumentation:
         assert traced.counters.edges_traversed == plain.counters.edges_traversed
 
 
+class TestGraftAttribution:
+    """Grafting sweeps are attributed by direction through spans and
+    metrics only; ``Counters`` (hashed by the parity golden) is unchanged."""
+
+    DIRECTIONS = ("topdown", "bottomup")
+
+    @staticmethod
+    def run(engine, direction_optimizing=True):
+        # The er parity graph: both sweep directions fire on it.
+        graph = random_bipartite(120, 100, 400, seed=3)
+        tel = Telemetry()
+        result = ms_bfs_graft(
+            graph, engine=engine, telemetry=tel, direction_optimizing=direction_optimizing
+        )
+        return tel, result
+
+    @staticmethod
+    def graft_metric(tel, family, direction):
+        """``repro_graft_<family>_total{direction}``, 0 if never counted."""
+        try:
+            return tel.metrics.get(
+                f"repro_graft_{family}_total", labels={"direction": direction}
+            ).value
+        except TelemetryError:
+            return 0
+
+    def sweeps(self, tel, direction):
+        return self.graft_metric(tel, "sweeps", direction)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_grafting_spans_carry_direction(self, engine):
+        tel, result = self.run(engine)
+        spans = tel.tracer.by_name("grafting")
+        swept = [s for s in spans if "direction" in s.attributes]
+        assert {s.attributes["direction"] for s in swept} <= set(self.DIRECTIONS)
+        assert len(spans) - len(swept) == result.counters.tree_rebuilds
+        for direction in self.DIRECTIONS:
+            assert self.sweeps(tel, direction) == sum(
+                1 for s in swept if s.attributes["direction"] == direction
+            )
+
+    def test_numpy_sweeps_both_directions(self):
+        tel, result = self.run("numpy")
+        assert self.sweeps(tel, "topdown") > 0
+        assert self.sweeps(tel, "bottomup") > 0
+        total = sum(self.graft_metric(tel, "edges", d) for d in self.DIRECTIONS)
+        assert 0 < total < result.counters.edges_traversed
+
+    def test_ablation_keeps_the_bottomup_sweep(self):
+        tel, result = self.run("numpy", direction_optimizing=False)
+        assert result.counters.grafts > 0
+        assert self.sweeps(tel, "topdown") == 0
+        assert self.sweeps(tel, "bottomup") > 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_graft_exposition_lints_clean(self, engine):
+        tel, _ = self.run(engine)
+        text = prometheus_text(tel.metrics)
+        assert 'repro_graft_sweeps_total{direction="' in text
+        assert 'repro_graft_edges_total{direction="' in text
+        assert lint_prometheus(text)
+
+    def test_path_histogram_mirrors_counters(self):
+        tel, result = self.run("numpy")
+        hist = tel.metrics.get("repro_augmenting_path_length_edges")
+        assert hist.count == result.counters.augmentations
+        assert hist.sum == result.counters.total_augmenting_path_length
+
+
 class TestNullTelemetry:
     def test_shared_context_is_reused(self):
         null = NULL_TELEMETRY
@@ -117,6 +187,8 @@ class TestNullTelemetry:
                 null.observe_frontier(10)
                 null.count_level("topdown", claims=5)
                 null.count_edges(100)
+            with null.step("grafting", direction="topdown"):
+                null.count_graft("topdown", 50)
             null.finish_run()
         null.count_job("done")
         null.count_retry()
