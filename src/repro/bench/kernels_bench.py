@@ -18,15 +18,10 @@ entry records mp timings at the document's worker count, and
 ``mp_scaling=True`` additionally sweeps the rmat instance over 1/2/4
 workers and records what :func:`repro.core.driver.choose_engine` decides
 for that instance on the recording host — on a single-core box the honest
-answer is a decline, and the baseline says so. Schema v3 adds the
-locality-aware reorderings: every entry carries a ``reorder`` field and
-``reorder="auto"`` records one row per (graph, strategy) plus the
-dispatcher's joint pick, each timed on the already-permuted layout
-(planning and permutation happen outside the timer — the cached-layout
-semantics of a warm ``--cache-dir`` run). Reordered rows time the python
-and numpy engines only; the ``none`` row keeps the full v2 content
-including mp. See ``docs/performance.md`` for the kernel design and
-ordering strategies and ``docs/multicore.md`` for the mp backend.
+answer is a decline, and the baseline says so. Schema v4 drops the
+per-ordering rows of v3 (vertex reordering was removed): one row per
+graph, on the generator's own numbering. See ``docs/performance.md`` for
+the kernel design and ``docs/multicore.md`` for the mp backend.
 """
 
 from __future__ import annotations
@@ -44,18 +39,11 @@ from repro.core.driver import available_cores, choose_engine, ms_bfs_graft
 from repro.errors import BenchmarkError
 from repro.graph import generators as gen
 from repro.graph.csr import BipartiteCSR
-from repro.graph.reorder import REORDER_CHOICES, REORDER_STRATEGIES, reorder_graph
 from repro.matching.verify import verify_maximum
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 ENGINES = ("python", "numpy", "mp")
-
-REORDERED_ENGINES = ("python", "numpy")
-"""Engines timed on reordered layouts: the ordering story is about the
-deterministic claim trajectory of the single-process engines; mp timings
-stay on the ``none`` row only (they are dominated by barrier overhead on
-small hosts and would triple the bench wall time for no extra signal)."""
 
 MP_SCALING_WORKERS = (1, 2, 4)
 """Worker counts of the ``mp_scaling`` sweep (the rmat14 speedup-vs-workers
@@ -113,22 +101,11 @@ def _time_engine(
     engine: str,
     repeats: int,
     workers: int | None = None,
-    plan=None,
-    layout: BipartiteCSR | None = None,
 ) -> tuple[Dict[str, object], int]:
-    """Best/mean wall seconds over ``repeats`` runs plus the cardinality.
-
-    With ``plan``/``layout`` the engine runs on the already-permuted CSR
-    and the timer includes only the matching itself plus the (cheap)
-    inversion back to the original numbering — the planning and the
-    permutation happened outside, which is exactly what a warm
-    layout-cache run pays.
-    """
+    """Best/mean wall seconds over ``repeats`` runs plus the cardinality."""
     times: List[float] = []
     cardinality = -1
     kwargs: Dict[str, object] = {"workers": workers} if engine == "mp" else {}
-    if plan is not None:
-        kwargs.update(reorder_plan=plan, reorder_layout=layout)
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         result = ms_bfs_graft(graph, engine=engine, emit_trace=False, **kwargs)
@@ -177,7 +154,6 @@ def run_kernel_bench(
     cache=None,
     workers: int = 2,
     mp_scaling: bool = False,
-    reorder: str = "none",
 ) -> Dict[str, object]:
     """Time every backend on every benchmark input; return the JSON doc.
 
@@ -192,20 +168,7 @@ def run_kernel_bench(
     mp engine's pool size for the per-entry timings; ``mp_scaling=True``
     additionally sweeps the rmat entry over :data:`MP_SCALING_WORKERS` and
     records the host's dispatch decision (see :func:`_mp_scaling_sweep`).
-
-    ``reorder`` selects the ordering rows recorded per graph: ``"none"``
-    times the original numbering only; a concrete strategy adds that
-    ordering; ``"auto"`` adds every strategy plus an ``auto`` row carrying
-    what the joint dispatch decision resolved to, timed on the resolved
-    layout. Permuted layouts are built *outside* the timers (cached-layout
-    semantics) and every row must reproduce the cardinality of the
-    original numbering — the un-permuted results stay on the original
-    graph, so the agreement check crosses orderings too.
     """
-    if reorder not in REORDER_CHOICES:
-        raise BenchmarkError(
-            f"unknown reorder {reorder!r}; known: {REORDER_CHOICES}"
-        )
     selected = [g for g in BENCH_GRAPHS if graphs is None or g.name in graphs]
     if graphs is not None:
         unknown = set(graphs) - {g.name for g in BENCH_GRAPHS}
@@ -217,88 +180,42 @@ def run_kernel_bench(
     entries: List[Dict[str, object]] = []
     for spec in selected:
         if cache is not None:
-            prepared = cache.prepare_spec(
+            graph = cache.prepare_spec(
                 "bench", spec.name, {"scale": float(scale)},
                 lambda spec=spec: spec.build(scale),
                 source=f"bench:{spec.name} {spec.describe(scale)}",
-            )
-            graph = prepared.graph
+            ).graph
         else:
-            prepared = None
             graph = spec.build(scale)
-        # Ordering rows for this graph. "auto" additionally resolves the
-        # joint dispatch decision so the baseline documents what a
-        # `--reorder auto` run would actually execute.
-        variants: List[tuple[str, str | None]] = [("none", None)]
-        decision = None
-        if reorder == "auto":
-            variants += [(s, s) for s in REORDER_STRATEGIES]
-            decision = choose_engine(
-                graph, emit_trace=False, workers=workers, reorder="auto"
+        timings: Dict[str, Dict[str, object]] = {}
+        cardinalities: Dict[str, int] = {}
+        for engine in ENGINES:
+            timings[engine], cardinalities[engine] = _time_engine(
+                graph, engine, repeats, workers=workers
             )
-            resolved = decision.reorder
-            variants.append(("auto", None if resolved == "none" else resolved))
-        elif reorder != "none":
-            variants.append((reorder, reorder))
-
-        layouts: Dict[str, tuple] = {}  # strategy -> (permuted CSR, plan)
-        baseline_cardinality: int | None = None
-        for label, strategy in variants:
-            plan = layout = None
-            if strategy is not None:
-                if strategy not in layouts:
-                    if prepared is not None:
-                        lay = cache.prepare_layout(prepared, strategy)
-                        layouts[strategy] = (lay.graph, lay.reorder_plan)
-                    else:
-                        layouts[strategy] = reorder_graph(graph, strategy)
-                layout, plan = layouts[strategy]
-            engines = ENGINES if label == "none" else REORDERED_ENGINES
-            timings: Dict[str, Dict[str, object]] = {}
-            cardinalities: Dict[str, int] = {}
-            for engine in engines:
-                timings[engine], cardinalities[engine] = _time_engine(
-                    graph, engine, repeats, workers=workers,
-                    plan=plan, layout=layout,
-                )
-            if len(set(cardinalities.values())) != 1:
-                raise BenchmarkError(
-                    f"backends disagree on {spec.name} "
-                    f"(reorder={label}): {cardinalities}"
-                )
-            cardinality = cardinalities["numpy"]
-            if baseline_cardinality is None:
-                baseline_cardinality = cardinality
-            elif cardinality != baseline_cardinality:
-                raise BenchmarkError(
-                    f"reorder={label} changed the cardinality on "
-                    f"{spec.name}: {cardinality} != {baseline_cardinality}"
-                )
-            if verify:
-                result = ms_bfs_graft(
-                    graph, engine="numpy", emit_trace=False,
-                    reorder_plan=plan, reorder_layout=layout,
-                )
-                verify_maximum(graph, result.matching)
-            entry: Dict[str, object] = {
-                "name": spec.name,
-                "family": spec.family,
-                "generator": spec.describe(scale),
-                "reorder": label,
-                "n_x": graph.n_x,
-                "n_y": graph.n_y,
-                "nnz": graph.nnz,
-                "cardinality": int(cardinality),
-                "timings": timings,
-                "speedup": timings["python"]["best_seconds"]
-                / max(timings["numpy"]["best_seconds"], 1e-12),
-            }
-            if label == "auto" and decision is not None:
-                entry["reorder_resolved"] = decision.reorder
-                entry["reorder_reason"] = decision.reorder_reason
-            if label == "none" and mp_scaling and spec.name == "rmat":
-                entry["mp_scaling"] = _mp_scaling_sweep(graph, repeats, workers)
-            entries.append(entry)
+        if len(set(cardinalities.values())) != 1:
+            raise BenchmarkError(
+                f"backends disagree on {spec.name}: {cardinalities}"
+            )
+        cardinality = cardinalities["numpy"]
+        if verify:
+            result = ms_bfs_graft(graph, engine="numpy", emit_trace=False)
+            verify_maximum(graph, result.matching)
+        entry: Dict[str, object] = {
+            "name": spec.name,
+            "family": spec.family,
+            "generator": spec.describe(scale),
+            "n_x": graph.n_x,
+            "n_y": graph.n_y,
+            "nnz": graph.nnz,
+            "cardinality": int(cardinality),
+            "timings": timings,
+            "speedup": timings["python"]["best_seconds"]
+            / max(timings["numpy"]["best_seconds"], 1e-12),
+        }
+        if mp_scaling and spec.name == "rmat":
+            entry["mp_scaling"] = _mp_scaling_sweep(graph, repeats, workers)
+        entries.append(entry)
     return {
         "schema_version": SCHEMA_VERSION,
         "benchmark": "ms-bfs-graft kernel backends",
@@ -306,7 +223,6 @@ def run_kernel_bench(
         "repeats": repeats,
         "engines": list(ENGINES),
         "workers": int(workers),
-        "reorder": reorder,
         "host": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -339,8 +255,6 @@ def validate_kernel_bench(doc: Dict[str, object]) -> Dict[str, object]:
     expect(doc.get("engines") == list(ENGINES), f"engines must be {list(ENGINES)}")
     expect(isinstance(doc.get("workers"), int) and doc.get("workers", 0) >= 1,
            "workers must be a positive integer (mp pool size of the timings)")
-    expect(doc.get("reorder") in REORDER_CHOICES,
-           f"reorder must be one of {REORDER_CHOICES}: {doc.get('reorder')!r}")
     entries = doc.get("graphs")
     expect(isinstance(entries, list) and len(entries) >= 1, "graphs must be a non-empty list")
     for i, entry in enumerate(entries if isinstance(entries, list) else []):
@@ -356,22 +270,11 @@ def validate_kernel_bench(doc: Dict[str, object]) -> Dict[str, object]:
                    f"{where}.{key} must be a non-negative integer")
         expect(isinstance(entry.get("cardinality"), int) and entry.get("cardinality", -1) >= 0,
                f"{where}.cardinality must be a non-negative integer")
-        entry_reorder = entry.get("reorder")
-        expect(entry_reorder in REORDER_CHOICES,
-               f"{where}.reorder must be one of {REORDER_CHOICES}: {entry_reorder!r}")
-        if entry_reorder == "auto":
-            expect(entry.get("reorder_resolved") in ("none",) + REORDER_STRATEGIES,
-                   f"{where}.reorder_resolved must name the resolved strategy")
-            expect(isinstance(entry.get("reorder_reason"), str) and entry.get("reorder_reason"),
-                   f"{where}.reorder_reason must be a non-empty string")
         timings = entry.get("timings")
         if not isinstance(timings, dict):
             problems.append(f"{where}.timings is not an object")
             continue
-        # The original-numbering row carries all engines; reordered rows
-        # time the single-process engines only (see REORDERED_ENGINES).
-        required_engines = ENGINES if entry_reorder == "none" else REORDERED_ENGINES
-        for engine in required_engines:
+        for engine in ENGINES:
             t = timings.get(engine)
             if not isinstance(t, dict):
                 problems.append(f"{where}.timings.{engine} missing")
@@ -420,23 +323,9 @@ def validate_kernel_bench(doc: Dict[str, object]) -> Dict[str, object]:
             for key in ("requested_workers", "cores"):
                 expect(isinstance(dispatch.get(key), int) and dispatch.get(key, 0) >= 1,
                        f"{where}.mp_scaling.dispatch.{key} must be a positive integer")
-    # Cross-row invariants per graph: exactly one row per ordering, a
-    # reorder="none" anchor row, and one cardinality across all orderings
-    # (reordering must never change the answer).
     if isinstance(entries, list):
-        rows_by_name: Dict[str, List[dict]] = {}
-        for entry in entries:
-            if isinstance(entry, dict) and isinstance(entry.get("name"), str):
-                rows_by_name.setdefault(entry["name"], []).append(entry)
-        for name, rows in rows_by_name.items():
-            labels = [r.get("reorder") for r in rows]
-            expect("none" in labels, f"graph {name!r} has no reorder='none' row")
-            expect(len(labels) == len(set(labels)),
-                   f"graph {name!r} has duplicate reorder rows: {labels}")
-            cards = {r.get("cardinality") for r in rows
-                     if isinstance(r.get("cardinality"), int)}
-            expect(len(cards) <= 1,
-                   f"graph {name!r} rows disagree on cardinality: {sorted(cards)}")
+        names = [e.get("name") for e in entries if isinstance(e, dict)]
+        expect(len(names) == len(set(names)), f"duplicate graph rows: {names}")
     if problems:
         raise BenchmarkError(
             "BENCH_kernels schema: " + "; ".join(problems)
@@ -451,13 +340,9 @@ def render_kernel_bench(doc: Dict[str, object]) -> str:
     rows = []
     for entry in doc["graphs"]:
         mp = entry["timings"].get("mp")
-        label = entry.get("reorder", "none")
-        if label == "auto":
-            label = f"auto[{entry.get('reorder_resolved', '?')}]"
         rows.append(
             [
                 entry["name"],
-                label,
                 entry["n_x"] + entry["n_y"],
                 entry["nnz"],
                 entry["cardinality"],
@@ -468,12 +353,11 @@ def render_kernel_bench(doc: Dict[str, object]) -> str:
             ]
         )
     table = format_table(
-        ["graph", "reorder", "n", "nnz", "|M|", "python (s)", "numpy (s)",
+        ["graph", "n", "nnz", "|M|", "python (s)", "numpy (s)",
          f"mp/{doc['workers']}w (s)", "speedup"],
         rows,
         title=f"Kernel backends, scale={doc['scale']} "
-              f"(best of {doc['repeats']} runs, empty initial matching; "
-              f"reordered rows timed on the cached permuted layout)",
+              f"(best of {doc['repeats']} runs, empty initial matching)",
     )
     scaling_lines = []
     for entry in doc["graphs"]:
@@ -489,12 +373,6 @@ def render_kernel_bench(doc: Dict[str, object]) -> str:
             f"dispatch (workers={d['requested_workers']}, cores={d['cores']}): "
             f"{d['engine']} — {d['reason']}"
         )
-    for entry in doc["graphs"]:
-        if entry.get("reorder") == "auto":
-            scaling_lines.append(
-                f"reorder auto [{entry['name']}]: "
-                f"{entry.get('reorder_resolved')} — {entry.get('reorder_reason')}"
-            )
     if scaling_lines:
         table += "\n" + "\n".join(scaling_lines)
     return table

@@ -15,7 +15,7 @@ regressions — an accidentally quadratic kernel, a dropped fast path — not
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.kernels_bench import (
@@ -32,14 +32,6 @@ that per-edge normalisation cannot factor out, so at CI's tiny scales the
 ratio would measure process startup, not kernel speed. mp coverage lives in
 the differential/determinism suites and the baseline's ``mp_scaling``
 record instead."""
-
-AUTO_REORDER_MAX_RATIO = 1.05
-"""Acceptance bound of the joint ordering decision: within one document,
-the ``reorder="auto"`` row's numpy time must not exceed the ``none`` row's
-by more than 5% on any family. ``auto`` may decline to reorder (then the
-two rows time the same layout and the ratio is pure noise), but it must
-never *pick* an ordering that loses — that would mean the dispatch
-heuristic is wrong, not just noisy."""
 
 _TOLERANCE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*x?\s*$", re.IGNORECASE)
 
@@ -85,9 +77,6 @@ class PerfCheckReport:
 
     rows: List[PerfCheckRow]
     tolerance: float
-    auto_problems: List[str] = field(default_factory=list)
-    """Violations of :data:`AUTO_REORDER_MAX_RATIO` in the fresh document
-    (empty when it carries no ``reorder="auto"`` rows)."""
 
     @property
     def regressions(self) -> List[PerfCheckRow]:
@@ -95,7 +84,7 @@ class PerfCheckReport:
 
     @property
     def ok(self) -> bool:
-        return not self.regressions and not self.auto_problems
+        return not self.regressions
 
     def render(self) -> str:
         from repro.bench.report import format_table
@@ -117,77 +106,24 @@ class PerfCheckReport:
             table_rows,
             title=f"perf-check vs committed baseline (tolerance {self.tolerance:g}x)",
         )
-        lines = [table]
-        for problem in self.auto_problems:
-            lines.append(f"reorder-auto guard: {problem}")
         if self.ok:
-            lines.append("perf-check PASSED: all per-edge times within tolerance")
-        else:
-            parts = []
-            if self.regressions:
-                parts.append(
-                    f"{len(self.regressions)} (graph, engine) pair(s) "
-                    f"beyond {self.tolerance:g}x"
-                )
-            if self.auto_problems:
-                parts.append(
-                    f"{len(self.auto_problems)} reorder-auto guard "
-                    f"violation(s) (> {AUTO_REORDER_MAX_RATIO:g}x vs none)"
-                )
-            lines.append("perf-check FAILED: " + "; ".join(parts))
-        return "\n".join(lines)
+            return table + "\nperf-check PASSED: all per-edge times within tolerance"
+        return (
+            f"{table}\nperf-check FAILED: {len(self.regressions)} (graph, engine) "
+            f"pair(s) beyond {self.tolerance:g}x"
+        )
 
 
 def _per_edge_times(doc: Dict[str, object]) -> Dict[str, Dict[str, float]]:
-    """``{graph_name: {engine: best_seconds / nnz}}`` for one document.
-
-    Only the ``reorder="none"`` rows participate: the regression gate
-    compares the original-numbering kernels across machines and scales,
-    and a v3 document may carry one row per ordering for the same graph.
-    """
+    """``{graph_name: {engine: best_seconds / nnz}}`` for one document."""
     out: Dict[str, Dict[str, float]] = {}
     for entry in doc["graphs"]:
-        if entry.get("reorder", "none") != "none":
-            continue
         nnz = max(int(entry["nnz"]), 1)
         out[str(entry["name"])] = {
             engine: float(entry["timings"][engine]["best_seconds"]) / nnz
             for engine in GATED_ENGINES
         }
     return out
-
-
-def check_auto_vs_none(
-    doc: Dict[str, object], max_ratio: float = AUTO_REORDER_MAX_RATIO
-) -> List[str]:
-    """Within-document guard: the ``auto`` row must keep up with ``none``.
-
-    Compares the numpy ``best_seconds`` of each graph's ``reorder="auto"``
-    row against its ``reorder="none"`` row — both timed on this host in
-    the same run, so the ratio is layout effect plus noise, never machine
-    drift. Returns one problem string per violating graph (empty when the
-    document has no auto rows).
-    """
-    problems: List[str] = []
-    by_name: Dict[str, Dict[str, dict]] = {}
-    for entry in doc["graphs"]:
-        by_name.setdefault(str(entry["name"]), {})[
-            str(entry.get("reorder", "none"))
-        ] = entry
-    for name in sorted(by_name):
-        rows = by_name[name]
-        if "auto" not in rows or "none" not in rows:
-            continue
-        auto_t = float(rows["auto"]["timings"]["numpy"]["best_seconds"])
-        none_t = float(rows["none"]["timings"]["numpy"]["best_seconds"])
-        ratio = auto_t / max(none_t, 1e-15)
-        if ratio > max_ratio:
-            problems.append(
-                f"{name}: auto ({rows['auto'].get('reorder_resolved', '?')}) "
-                f"numpy {auto_t:.4f}s vs none {none_t:.4f}s = {ratio:.2f}x "
-                f"(limit {max_ratio:g}x)"
-            )
-    return problems
 
 
 def compare_kernel_bench(
@@ -221,11 +157,7 @@ def compare_kernel_bench(
         for name in common
         for engine in GATED_ENGINES
     ]
-    return PerfCheckReport(
-        rows=rows,
-        tolerance=tolerance,
-        auto_problems=check_auto_vs_none(fresh),
-    )
+    return PerfCheckReport(rows=rows, tolerance=tolerance)
 
 
 def run_perf_check(

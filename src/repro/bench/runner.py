@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.core.driver import choose_engine, ms_bfs_graft
+from repro.core.driver import check_no_reorder, ms_bfs_graft
 from repro.core.options import Deadline
 from repro.errors import BenchmarkError
 from repro.graph.csr import BipartiteCSR
-from repro.graph.reorder import REORDER_CHOICES, run_reordered
 from repro.matching.base import MatchResult, Matching
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.karp_sipser import karp_sipser
@@ -72,7 +71,7 @@ def run_algorithm(
     mp_min_level_items: int | None = None,
     reorder: str = "none",
     reorder_plan=None,
-    reorder_layout: BipartiteCSR | None = None,
+    reorder_layout=None,
 ) -> MatchResult:
     """Run one registered algorithm, Karp-Sipser-initialised by default
     (as every experiment in the paper is).
@@ -90,16 +89,9 @@ def run_algorithm(
     batch service threads its deadlines, fault hooks, and telemetry
     through here.
 
-    ``reorder`` applies a locality-aware vertex relabelling before the
-    run and maps the matching back afterwards, through
-    :func:`~repro.graph.reorder.run_reordered` for every algorithm (inside
-    the driver for the driver-backed ones), so the differential suite can
-    exercise ``reorder -> match -> unpermute`` across the whole
-    registry. ``"auto"`` resolves through the dispatcher's joint
-    ordering decision. ``reorder_plan``/``reorder_layout`` short-circuit
-    the planning step with a precomputed
-    :class:`~repro.graph.reorder.ReorderPlan` and (optionally) its
-    already-permuted CSR — the graph cache's layout entries enter here.
+    ``reorder``, ``reorder_plan`` and ``reorder_layout`` are kept for
+    older callers only (:func:`~repro.core.driver.check_no_reorder`):
+    every algorithm runs on ``graph``'s own numbering.
     """
     fn = ALGORITHMS.get(name)
     if fn is None:
@@ -124,10 +116,7 @@ def run_algorithm(
             f"algorithm {name!r} does not run on the MS-BFS-Graft driver; "
             f"{sorted(driver_kwargs)} apply only to {ENGINE_AWARE}"
         )
-    if reorder not in REORDER_CHOICES:
-        raise BenchmarkError(
-            f"unknown reorder {reorder!r}; known: {REORDER_CHOICES}"
-        )
+    check_no_reorder(reorder, reorder_plan, reorder_layout)
     if initial is None:
         if init == "karp-sipser-parallel":
             initial = suite_initializer(graph, seed=seed)
@@ -135,17 +124,7 @@ def run_algorithm(
             initial = karp_sipser(graph, seed=seed).matching
         elif init != "none":
             raise BenchmarkError(f"unknown initialiser {init!r}")
-    if name in ENGINE_AWARE:
-        if reorder != "none":
-            driver_kwargs["reorder"] = reorder
-        if reorder_plan is not None:
-            driver_kwargs["reorder_plan"] = reorder_plan
-            if reorder_layout is not None:
-                driver_kwargs["reorder_layout"] = reorder_layout
-        return fn(graph, initial, **driver_kwargs)
-    if reorder_plan is None and reorder == "auto":
-        reorder = choose_engine(graph, reorder="auto").reorder
-    return run_reordered(graph, initial, fn, reorder, reorder_plan, reorder_layout)
+    return fn(graph, initial, **driver_kwargs)
 
 
 def simulated_seconds(

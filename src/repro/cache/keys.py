@@ -53,30 +53,6 @@ def spec_key(kind: str, name: str, params: Mapping[str, Any]) -> str:
     )
 
 
-def layout_key(parent_key: str, strategy: str) -> str:
-    """Key for a derived reordered layout of an already-keyed graph.
-
-    A layout entry stores the permuted CSR plus the ``(x_perm, y_perm)``
-    pair that produced it, derived deterministically from the parent
-    entry's graph by one reordering strategy. The parent key already
-    folds in the raw input and :data:`BUILDER_VERSION`; the layout key
-    adds the strategy name and the reordering pipeline version
-    (:data:`repro.graph.reorder.REORDER_VERSION`), so a change to any
-    strategy's ordering rule orphans stale layouts without touching the
-    parent entries they were derived from.
-    """
-    from repro.graph.reorder import REORDER_VERSION
-
-    return _digest(
-        [
-            b"layout",
-            parent_key.encode("utf-8"),
-            strategy.encode("utf-8"),
-            f"reorder=v{REORDER_VERSION}".encode("utf-8"),
-        ]
-    )
-
-
 def file_key(path: Union[str, Path], fmt: str) -> str:
     """Key for an on-disk graph file: raw bytes + format + builder version.
 

@@ -17,11 +17,6 @@ from repro.graph.csr import BipartiteCSR
 PREPARED_ARRAYS = ("x_ptr", "x_adj", "y_ptr", "y_adj", "deg_x", "deg_y")
 """Array names persisted for every cache entry, in meta.json order."""
 
-LAYOUT_ARRAYS = PREPARED_ARRAYS + ("x_perm", "y_perm")
-"""Array names persisted for derived layout entries: the permuted CSR
-plus the permutation pair needed to map matchings back to the parent
-graph's numbering."""
-
 
 @dataclass
 class PreparedGraph:
@@ -37,10 +32,6 @@ class PreparedGraph:
     """Backing cache entry, when the graph went through a store."""
     warm_seeds: tuple[int, ...] = field(default_factory=tuple)
     """Initialiser seeds with a persisted Karp-Sipser warm start."""
-    reorder_plan: "object | None" = None
-    """:class:`repro.graph.reorder.ReorderPlan` when ``graph`` is a derived
-    reordered layout (its matchings live in permuted coordinates and must
-    be mapped back through this plan); ``None`` for original layouts."""
 
 
 def build_suite_graph(name: str, scale: float) -> BipartiteCSR:

@@ -37,9 +37,8 @@ from typing import Any, Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from repro.cache.keys import BUILDER_VERSION, file_key, hash_file, layout_key, spec_key
+from repro.cache.keys import BUILDER_VERSION, file_key, hash_file, spec_key
 from repro.cache.prepare import (
-    LAYOUT_ARRAYS,
     PREPARED_ARRAYS,
     PreparedGraph,
     build_graph_file,
@@ -47,9 +46,8 @@ from repro.cache.prepare import (
     resolve_format,
     warm_start_matching,
 )
-from repro.errors import CacheCorruptionError, ReproError
+from repro.errors import CacheCorruptionError
 from repro.graph.csr import BipartiteCSR
-from repro.graph.reorder import REORDER_STRATEGIES, ReorderPlan, reorder_graph
 from repro.matching.base import Matching
 
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
@@ -112,62 +110,6 @@ class GraphCache:
         return self._prepare(
             key, builder, kind=kind, fmt="generator",
             source=source or f"{kind}:{name} {dict(params)}",
-        )
-
-    def prepare_layout(
-        self,
-        prepared: PreparedGraph,
-        strategy: str,
-        *,
-        telemetry: Optional[object] = None,
-    ) -> PreparedGraph:
-        """Derived reordered layout of ``prepared``, cached per strategy.
-
-        Keyed by ``layout_key(prepared.key, strategy)``: the permuted CSR
-        plus its ``(x_perm, y_perm)`` pair, stored as a first-class entry
-        so warm runs skip the ordering computation entirely (a hit counts
-        ``repro_reorder_layout_hits_total``; only a miss plans and counts
-        ``repro_reorder_plans_total``). Corruption in a layout entry is a
-        miss for that strategy alone — the parent entry and sibling
-        strategies are untouched, and the layout is rebuilt from the
-        parent graph already in hand.
-        """
-        if strategy not in REORDER_STRATEGIES:
-            raise ReproError(
-                f"unknown reorder strategy {strategy!r} "
-                f"(expected one of {REORDER_STRATEGIES})"
-            )
-        tel = telemetry if telemetry is not None else self.telemetry
-        key = layout_key(prepared.key, strategy)
-        hit = self._lookup(key)
-        if hit is not None and hit.reorder_plan is not None:
-            hit.source = prepared.source or hit.source
-            if tel is not None:
-                tel.count_reorder_cached(strategy)
-            return hit
-        permuted, plan = reorder_graph(prepared.graph, strategy, tel)
-        self._store(
-            key,
-            permuted,
-            kind="layout",
-            fmt="derived",
-            source=prepared.source,
-            extra_arrays={"x_perm": plan.x_perm, "y_perm": plan.y_perm},
-            extra_meta={"strategy": strategy, "parent": prepared.key},
-        )
-        # Serve the stored entry (memory-mapped arrays); fall back to the
-        # in-memory layout if it was evicted immediately.
-        stored = self._lookup(key)
-        if stored is not None and stored.reorder_plan is not None:
-            stored.source = prepared.source or stored.source
-            stored.from_cache = False
-            return stored
-        return PreparedGraph(
-            graph=permuted,
-            key=key,
-            from_cache=False,
-            source=prepared.source,
-            reorder_plan=plan,
         )
 
     def load_entry(self, key: str) -> Optional[PreparedGraph]:
@@ -238,11 +180,6 @@ class GraphCache:
                         for p in self._entry_dir(key).glob("ks_*.npz")
                     ),
                 )
-                if meta.get("kind") == "layout":
-                    row.update(
-                        strategy=meta.get("strategy", "?"),
-                        parent=meta.get("parent", ""),
-                    )
             except CacheCorruptionError as exc:
                 row["corrupt"] = str(exc)
             out.append(row)
@@ -329,9 +266,13 @@ class GraphCache:
             return None
         try:
             meta = self._read_meta(key)
-            is_layout = meta.get("kind") == "layout"
+            if meta.get("kind") == "layout":
+                # A reordered CSR written before reordering was removed:
+                # never serve it as a graph, but leave it to `cache ls`,
+                # `verify` and `clear`.
+                return None
             arrays = {}
-            for name in LAYOUT_ARRAYS if is_layout else PREPARED_ARRAYS:
+            for name in PREPARED_ARRAYS:
                 info = meta["arrays"].get(name)
                 path = entry / f"{name}.npy"
                 if info is None or not path.is_file():
@@ -355,21 +296,6 @@ class GraphCache:
                 or arrays["deg_y"].shape != (n_y,)
             ):
                 raise CacheCorruptionError("array shapes disagree with meta.json")
-            plan = None
-            if is_layout:
-                strategy = meta.get("strategy", "")
-                if strategy not in REORDER_STRATEGIES:
-                    raise CacheCorruptionError(
-                        f"layout entry has unknown strategy {strategy!r}"
-                    )
-                if (
-                    arrays["x_perm"].shape != (n_x,)
-                    or arrays["y_perm"].shape != (n_y,)
-                ):
-                    raise CacheCorruptionError(
-                        "layout permutation shapes disagree with meta.json"
-                    )
-                plan = ReorderPlan(strategy, arrays["x_perm"], arrays["y_perm"])
         except CacheCorruptionError:
             # Fallback-to-rebuild: a broken entry must never mask the source.
             self._remove_entry(key)
@@ -392,7 +318,6 @@ class GraphCache:
             warm_seeds=tuple(
                 sorted(int(p.stem.split("_", 1)[1]) for p in entry.glob("ks_*.npz"))
             ),
-            reorder_plan=plan,
         )
 
     def _store(
@@ -404,7 +329,6 @@ class GraphCache:
         fmt: str,
         source: str,
         extra_arrays: Optional[Mapping[str, np.ndarray]] = None,
-        extra_meta: Optional[Mapping[str, Any]] = None,
     ) -> None:
         tmp = self.root / f".tmp-{key[:16]}-{os.getpid()}"
         shutil.rmtree(tmp, ignore_errors=True)
@@ -437,8 +361,6 @@ class GraphCache:
                 "nnz": int(graph.nnz),
                 "arrays": meta_arrays,
             }
-            if extra_meta:
-                meta.update(extra_meta)
             meta_path = tmp / "meta.json"
             meta_path.write_text(json.dumps(meta, indent=2), encoding="utf-8")
             final = self._entry_dir(key)

@@ -22,7 +22,6 @@ from repro.bench import experiments
 from repro.bench.runner import ALGORITHMS, run_algorithm
 from repro.bench.suite import get_suite_graph, suite_counterpart, suite_specs
 from repro.graph.io import read_matrix_market
-from repro.graph.reorder import REORDER_CHOICES
 from repro.matching.verify import verify_maximum
 
 
@@ -39,55 +38,22 @@ def _open_cache(args: argparse.Namespace, telemetry=None):
 def _acquire_suite_graph(args: argparse.Namespace, telemetry=None):
     """Resolve the suite graph for run/trace, through the cache when asked.
 
-    Returns ``(graph, initial_matching_or_None, status_line_or_None,
-    cache_or_None, prepared_or_None)``: with a cache the Karp-Sipser warm
-    start comes from the entry too (keyed by seed), so a warm invocation
-    skips the whole ingest path, and the ``(cache, prepared)`` pair lets
-    the caller derive cached reordered layouts from the same entry.
+    Returns ``(graph, initial_matching_or_None, status_line_or_None)``:
+    with a cache the Karp-Sipser warm start comes from the entry too
+    (keyed by seed), so a warm invocation skips the whole ingest path.
     """
     cache = _open_cache(args, telemetry=telemetry)
     if cache is None:
         graph = get_suite_graph(args.graph, scale=args.scale).graph
-        return graph, None, None, None, None
+        return graph, None, None
     prepared = cache.prepare_suite(args.graph, args.scale)
     initial = cache.warm_start(prepared, args.seed)
     status = (
         f"cache        : {'hit' if prepared.from_cache else 'miss'} "
         f"{prepared.key[:12]} ({cache.total_bytes:,} bytes in store)"
     )
-    return prepared.graph, initial, status, cache, prepared
+    return prepared.graph, initial, status
 
-
-def _resolve_reorder(args, graph, cache=None, prepared=None, telemetry=None):
-    """Resolve ``--reorder`` for one run, through the layout cache if any.
-
-    Returns ``(reorder, plan, layout, status_line_or_None)`` ready to pass
-    to :func:`run_algorithm`. ``auto`` is resolved here (against the joint
-    dispatch decision) so the layout cache is keyed by the concrete
-    strategy; with a cache the permuted CSR comes back memory-mapped and a
-    warm hit skips the ordering computation entirely.
-    """
-    reorder = getattr(args, "reorder", "none") or "none"
-    if reorder == "none":
-        return "none", None, None, None
-    strategy = reorder
-    if strategy == "auto":
-        from repro.core.driver import choose_engine
-
-        decision = choose_engine(graph, reorder="auto",
-                                 workers=getattr(args, "workers", None) or 1)
-        strategy = decision.reorder
-        if strategy == "none":
-            return "none", None, None, (
-                f"reorder      : auto -> none ({decision.reorder_reason})"
-            )
-    if cache is not None and prepared is not None:
-        layout = cache.prepare_layout(prepared, strategy, telemetry=telemetry)
-        state = "layout hit" if layout.from_cache else "layout built"
-        return strategy, layout.reorder_plan, layout.graph, (
-            f"reorder      : {strategy} ({state} {layout.key[:12]})"
-        )
-    return strategy, None, None, f"reorder      : {strategy} (planned inline)"
 
 _EXPERIMENTS: Dict[str, Callable[[float], object]] = {
     "table1": lambda scale: experiments.table1.run(),
@@ -122,15 +88,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
-    graph, initial, cache_status, cache, prepared = _acquire_suite_graph(
-        args, telemetry=telemetry)
-    reorder, plan, layout, reorder_status = _resolve_reorder(
-        args, graph, cache=cache, prepared=prepared, telemetry=telemetry)
+    graph, initial, cache_status = _acquire_suite_graph(args, telemetry=telemetry)
     result = run_algorithm(args.algorithm, graph, initial, seed=args.seed,
                            engine=args.engine, telemetry=telemetry,
-                           workers=args.workers, flight_dir=args.flight_dir,
-                           reorder=reorder, reorder_plan=plan,
-                           reorder_layout=layout)
+                           workers=args.workers, flight_dir=args.flight_dir)
     verify_maximum(graph, result.matching)
     if telemetry is not None:
         from repro.telemetry import write_prometheus
@@ -149,8 +110,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"graph        : {args.graph} ({suite_counterpart(args.graph)}); n={graph.num_vertices:,} m={graph.num_directed_edges:,}")
     if cache_status is not None:
         print(cache_status)
-    if reorder_status is not None:
-        print(reorder_status)
     print(f"algorithm    : {result.algorithm}")
     print(f"|M|          : {result.cardinality:,} (maximum, certified)")
     print(f"fraction     : {result.matching.matching_fraction():.4f} of |V|")
@@ -204,7 +163,7 @@ def _read_graph_file(path: str, fmt: str):
 def _cmd_match(args: argparse.Namespace) -> int:
     graph, labels = _read_graph_file(args.path, args.format)
     result = run_algorithm(args.algorithm, graph, seed=args.seed, engine=args.engine,
-                           workers=args.workers, reorder=args.reorder)
+                           workers=args.workers)
     verify_maximum(graph, result.matching)
     print(f"{args.path}: n_rows={graph.n_x:,} n_cols={graph.n_y:,} nnz={graph.nnz:,}")
     print(f"maximum matching (structural rank): {result.cardinality:,}")
@@ -478,7 +437,7 @@ def _cmd_bench_kernels(args: argparse.Namespace) -> int:
 
     doc = run_kernel_bench(scale=args.scale, repeats=args.repeats, graphs=args.graphs,
                            cache=_open_cache(args), workers=args.workers,
-                           mp_scaling=args.mp_scaling, reorder=args.reorder)
+                           mp_scaling=args.mp_scaling)
     print(render_kernel_bench(doc))
     if args.out:
         write_kernel_bench(doc, args.out)
@@ -491,17 +450,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.telemetry import Telemetry, write_chrome_trace, write_prometheus
 
     telemetry = Telemetry()
-    graph, initial, cache_status, cache, prepared = _acquire_suite_graph(
-        args, telemetry=telemetry)
-    reorder, plan, layout, reorder_status = _resolve_reorder(
-        args, graph, cache=cache, prepared=prepared, telemetry=telemetry)
+    graph, initial, cache_status = _acquire_suite_graph(args, telemetry=telemetry)
     result = run_algorithm(args.algorithm, graph, initial, seed=args.seed,
                            engine=args.engine, telemetry=telemetry,
                            workers=args.workers,
                            flight_dir=args.flight_dir,
-                           mp_min_level_items=args.mp_min_level,
-                           reorder=reorder, reorder_plan=plan,
-                           reorder_layout=layout)
+                           mp_min_level_items=args.mp_min_level)
     verify_maximum(graph, result.matching)
     out = args.out or f"{args.graph}.trace.json"
     write_chrome_trace(
@@ -520,8 +474,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
           f"n={graph.num_vertices:,} m={graph.num_directed_edges:,}")
     if cache_status is not None:
         print(cache_status.replace("cache        :", "cache    :"))
-    if reorder_status is not None:
-        print(reorder_status.replace("reorder      :", "reorder  :"))
     print(f"|M|      : {result.cardinality:,} (maximum, certified)")
     print(f"trace    : {out} ({len(spans)} spans; open in "
           f"https://ui.perfetto.dev or chrome://tracing)")
@@ -598,15 +550,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 print(f"{e['key'][:12]}  CORRUPT: {e['corrupt']}")
                 continue
             seeds = f" ks-seeds={e['warm_seeds']}" if e.get("warm_seeds") else ""
-            kind = e["kind"]
-            source = e["source"]
-            if kind == "layout":
-                # Derived entries: show the strategy and the parent entry
-                # they were permuted from.
-                kind = f"layout[{e.get('strategy', '?')}]"
-                source = f"{source} <- {(e.get('parent') or '?')[:12]}"
+            # Reordered layouts from older versions are never served.
+            kind = "layout (stale)" if e["kind"] == "layout" else e["kind"]
             print(f"{e['key'][:12]}  {e['bytes']:>12,} B  lru-seq={e['seq']:<6} "
-                  f"{kind}: {source} (n_x={e['n_x']:,} n_y={e['n_y']:,} "
+                  f"{kind}: {e['source']} (n_x={e['n_x']:,} n_y={e['n_y']:,} "
                   f"nnz={e['nnz']:,}){seeds}")
         print(f"total: {cache.total_bytes:,} bytes in {len(entries)} entries "
               f"(cap {cache.max_bytes:,})")
@@ -803,12 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="content-addressed graph cache directory; warm "
                             "entries skip generator/ingest work entirely "
                             "(see 'repro-match cache')")
-    p_run.add_argument("--reorder", choices=REORDER_CHOICES, default="none",
-                       help="locality-aware vertex reordering before the run "
-                            "(matching mapped back afterwards); 'auto' joins "
-                            "the engine dispatch decision, and with "
-                            "--cache-dir the permuted layout is cached per "
-                            "strategy")
     p_run.set_defaults(fn=_cmd_run)
 
     p_suite = sub.add_parser("suite", help="print the Table II suite report")
@@ -836,10 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("--show-pairs", type=int, default=5,
                          help="matched pairs to echo in the file's original "
                               "vertex ids (SNAP inputs only)")
-    p_match.add_argument("--reorder", choices=REORDER_CHOICES, default="none",
-                         help="locality-aware vertex reordering before the "
-                              "run; the matching is reported in the file's "
-                              "own numbering either way")
     p_match.set_defaults(fn=_cmd_match)
 
     p_rep = sub.add_parser("report-all", help="run every experiment into one report")
@@ -970,11 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bk.add_argument("--cache-dir", default=None,
                       help="resolve bench inputs through this "
                            "content-addressed cache directory")
-    p_bk.add_argument("--reorder", choices=REORDER_CHOICES, default="none",
-                      help="record one row per (graph, ordering): 'none' "
-                           "keeps the original numbering only, 'hubsplit' "
-                           "adds that ordering, 'auto' adds it plus the "
-                           "dispatcher's joint pick")
     p_bk.set_defaults(fn=_cmd_bench_kernels)
 
     p_trace = sub.add_parser(
@@ -1013,10 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--cache-dir", default=None,
                          help="content-addressed graph cache directory; on a "
                               "warm entry the trace contains no build span")
-    p_trace.add_argument("--reorder", choices=REORDER_CHOICES, default="none",
-                         help="locality-aware vertex reordering before the "
-                              "run; reorder_plan/apply/invert appear as "
-                              "spans in the trace")
     p_trace.set_defaults(fn=_cmd_trace)
 
     p_pc = sub.add_parser(

@@ -11,18 +11,12 @@ from repro.core.engine_python import run_python
 from repro.core.options import (
     DISPATCH_WORK_THRESHOLD,
     MP_DISPATCH_MIN_WORK,
-    REORDER_MIN_WORK,
     Deadline,
     DispatchDecision,
     GraftOptions,
 )
 from repro.errors import ReproError
 from repro.graph.csr import BipartiteCSR
-from repro.graph.reorder import (
-    REORDER_CHOICES,
-    ReorderPlan,
-    run_reordered,
-)
 from repro.matching.base import MatchResult, Matching
 from repro.parallel.procpool import DEFAULT_WORKERS, run_mp
 from repro.util.rng import SeedLike
@@ -43,65 +37,20 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _choose_reorder(
-    graph: BipartiteCSR,
-    reorder: str,
-    work: int,
-    reorder_min_work: int,
-    flight=None,
-) -> tuple[str, str]:
-    """The locality term of the joint dispatch: resolve ``reorder``.
+def check_no_reorder(reorder: str = "none", plan=None, layout=None) -> None:
+    """Accept the removed reordering keywords only as their no-op values.
 
-    ``"auto"`` consults the graph-family statistics that
-    :mod:`repro.graph.properties` derives (degree skew): a graph whose work
-    estimate clears :data:`~repro.core.options.REORDER_MIN_WORK` and whose
-    degree distribution is not perfectly regular is relabelled with the
-    ``hubsplit`` strategy — the measured winner on every benchmark family
-    (hub rows pack contiguously; the elimination-ordered tail collapses the
-    repair-phase cascade, see ``docs/performance.md``). When the statistics
-    cannot be computed the decision falls back to ``"none"``
-    deterministically instead of raising, leaving a note on ``flight``
-    (a :class:`repro.telemetry.flight.FlightRecorder`) when one is attached.
+    Every engine runs on the numbering it is given. ``reorder`` may still
+    be ``"none"`` or ``"auto"`` (both mean the original numbering) and
+    ``reorder_plan``/``reorder_layout`` may still be ``None``, so older
+    callers keep working; anything else raises :class:`ReproError`.
     """
-    if reorder != "auto":
-        return reorder, f"reorder {reorder!r} explicitly requested"
-    if work < reorder_min_work:
-        return "none", (
-            f"work estimate {work} < {reorder_min_work}: below the reorder "
-            f"floor, relabelling cannot pay for the layout lookup"
+    if reorder not in ("none", "auto") or plan is not None or layout is not None:
+        raise ReproError(
+            "vertex reordering was removed: runs always use the caller's "
+            f"numbering, so reorder must be 'none' or 'auto' (got {reorder!r}) "
+            "and reorder_plan/reorder_layout must be None"
         )
-    try:
-        deg_x, deg_y = graph.deg_x, graph.deg_y
-        regular = bool(
-            (deg_x.size == 0 or int(deg_x.max()) == int(deg_x.min()))
-            and (deg_y.size == 0 or int(deg_y.max()) == int(deg_y.min()))
-        )
-        skew = (
-            float(deg_x.max()) / float(deg_x.mean())
-            if deg_x.size and float(deg_x.mean()) > 0
-            else 0.0
-        )
-    except Exception as exc:  # stats-free CSR: degrade, never raise
-        if flight is not None:
-            flight.record(
-                "reorder_fallback",
-                error=f"{type(exc).__name__}: {exc}",
-                chosen="none",
-            )
-        return "none", (
-            f"graph statistics unavailable ({type(exc).__name__}); "
-            f"deterministic fallback to no reordering"
-        )
-    if regular:
-        return "none", (
-            "degree distribution is perfectly regular: relabelling cannot "
-            "change claim collisions, ordering left untouched"
-        )
-    return "hubsplit", (
-        f"work estimate {work} >= {reorder_min_work} with degree skew "
-        f"{skew:.2f}: hub rows pack contiguously and the elimination-ordered "
-        f"tail minimises first-phase claim collisions"
-    )
 
 
 def choose_engine(
@@ -113,8 +62,6 @@ def choose_engine(
     mp_threshold: int = MP_DISPATCH_MIN_WORK,
     cores: int | None = None,
     reorder: str = "none",
-    reorder_min_work: int = REORDER_MIN_WORK,
-    flight=None,
 ) -> DispatchDecision:
     """Cost-model backend dispatch: pick the python, numpy, or mp engine.
 
@@ -137,29 +84,17 @@ def choose_engine(
     Work traces for the simulated machine only exist on the vectorized
     backend, so ``emit_trace=True`` forces numpy regardless of size.
 
-    ``reorder`` makes the decision joint over ordering *and* backend:
-    ``"auto"`` resolves through the locality term (:func:`_choose_reorder`
-    — work floor, degree-skew statistics, deterministic fallback when the
-    statistics are unavailable), a concrete strategy or ``"none"`` passes
-    through. The outcome lands in the decision's ``reorder`` /
-    ``reorder_reason`` fields.
+    ``reorder`` is checked by :func:`check_no_reorder` and otherwise
+    ignored; the decision's ``reorder`` is always ``"none"``.
     """
+    check_no_reorder(reorder)
     work = int(graph.nnz + graph.n_x + graph.n_y)
-    if reorder not in REORDER_CHOICES:
-        raise ReproError(
-            f"unknown reorder {reorder!r}; expected one of {REORDER_CHOICES}"
-        )
-    chosen_reorder, reorder_reason = _choose_reorder(
-        graph, reorder, work, reorder_min_work, flight
-    )
     if emit_trace:
         return DispatchDecision(
             engine="numpy",
             reason="work trace requested; only the vectorized backend emits traces",
             work=work,
             threshold=threshold,
-            reorder=chosen_reorder,
-            reorder_reason=reorder_reason,
         )
     if work < threshold:
         return DispatchDecision(
@@ -170,8 +105,6 @@ def choose_engine(
             ),
             work=work,
             threshold=threshold,
-            reorder=chosen_reorder,
-            reorder_reason=reorder_reason,
         )
     if workers >= 2:
         cores = available_cores() if cores is None else int(cores)
@@ -187,8 +120,6 @@ def choose_engine(
                 ),
                 work=work,
                 threshold=threshold,
-                reorder=chosen_reorder,
-                reorder_reason=reorder_reason,
             )
         if effective < 2:
             decline = (
@@ -209,8 +140,6 @@ def choose_engine(
             ),
             work=work,
             threshold=threshold,
-            reorder=chosen_reorder,
-            reorder_reason=reorder_reason,
         )
     return DispatchDecision(
         engine="numpy",
@@ -220,8 +149,6 @@ def choose_engine(
         ),
         work=work,
         threshold=threshold,
-        reorder=chosen_reorder,
-        reorder_reason=reorder_reason,
     )
 
 
@@ -246,8 +173,8 @@ def ms_bfs_graft(
     flight_dir: str | None = None,
     mp_min_level_items: int | None = None,
     reorder: str = "none",
-    reorder_plan: ReorderPlan | None = None,
-    reorder_layout: BipartiteCSR | None = None,
+    reorder_plan=None,
+    reorder_layout=None,
 ) -> MatchResult:
     """Maximum cardinality bipartite matching by MS-BFS with tree grafting.
 
@@ -322,25 +249,9 @@ def ms_bfs_graft(
         fewer work items run on the master; ``0`` forces every level
         through the pool (tests, tracing demos). ``None`` keeps the
         default. The result is identical either way.
-    reorder:
-        Locality-aware relabelling before the run
-        (:mod:`repro.graph.reorder`): ``"none"`` (default), the
-        ``"hubsplit"`` strategy, or ``"auto"``
-        — resolved jointly with the backend by :func:`choose_engine`'s
-        locality term. The engine runs on the permuted layout; the result
-        matching is mapped back to the original vertex ids before being
-        returned, so verification and all downstream consumers see the
-        caller's numbering. Counters, traces, and frontier logs describe
-        the permuted run.
-    reorder_plan:
-        A precomputed :class:`~repro.graph.reorder.ReorderPlan` (typically
-        from the layout cache). When given, ``reorder`` is ignored and no
-        planning happens here.
-    reorder_layout:
-        The already-permuted graph matching ``reorder_plan`` (a cached
-        layout). When given alongside ``reorder_plan``, the permutation is
-        not re-applied — ``graph`` is then only used for its identity as
-        the original numbering.
+    reorder, reorder_plan, reorder_layout:
+        Kept for older callers only (:func:`check_no_reorder`): the run
+        always uses ``graph``'s own numbering.
 
     Returns
     -------
@@ -361,43 +272,26 @@ def ms_bfs_graft(
         telemetry=telemetry,
         flight_dir=flight_dir,
     )
-    if reorder not in REORDER_CHOICES:
-        raise ReproError(
-            f"unknown reorder {reorder!r}; expected one of {REORDER_CHOICES}"
-        )
-    strategy = reorder_plan.strategy if reorder_plan is not None else reorder
-    if engine == "auto" or strategy == "auto":
-        decision = choose_engine(
+    check_no_reorder(reorder, reorder_plan, reorder_layout)
+    if engine == "auto":
+        engine = choose_engine(
             graph,
             emit_trace=emit_trace,
             workers=workers if workers is not None else 1,
-            reorder=strategy if reorder_plan is None else "none",
+        ).engine
+    if engine == "numpy":
+        return run_numpy(graph, initial, options)
+    if engine == "python":
+        return run_python(graph, initial, options)
+    if engine == "interleaved":
+        return run_interleaved(graph, initial, options, threads=threads, seed=seed)
+    if engine == "mp":
+        mp_kwargs = {}
+        if mp_min_level_items is not None:
+            mp_kwargs["min_level_items"] = int(mp_min_level_items)
+        return run_mp(
+            graph, initial, options,
+            workers=max(workers if workers is not None else DEFAULT_WORKERS, 1),
+            **mp_kwargs,
         )
-        if engine == "auto":
-            engine = decision.engine
-        if strategy == "auto":
-            strategy = decision.reorder
-
-    def run(run_graph: BipartiteCSR, run_initial: Optional[Matching]) -> MatchResult:
-        if engine == "numpy":
-            return run_numpy(run_graph, run_initial, options)
-        if engine == "python":
-            return run_python(run_graph, run_initial, options)
-        if engine == "interleaved":
-            return run_interleaved(
-                run_graph, run_initial, options, threads=threads, seed=seed
-            )
-        if engine == "mp":
-            mp_kwargs = {}
-            if mp_min_level_items is not None:
-                mp_kwargs["min_level_items"] = int(mp_min_level_items)
-            return run_mp(
-                run_graph, run_initial, options,
-                workers=max(workers if workers is not None else DEFAULT_WORKERS, 1),
-                **mp_kwargs,
-            )
-        raise ReproError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-
-    return run_reordered(
-        graph, initial, run, strategy, reorder_plan, reorder_layout, telemetry
-    )
+    raise ReproError(f"unknown engine {engine!r}; expected one of {_ENGINES}")

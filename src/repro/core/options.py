@@ -38,20 +38,6 @@ acceptance graph (work ≈ 290k) sits above the floor by design, and
 ``benchmarks/BENCH_kernels.json`` records the measured worker scaling
 behind it. See ``docs/multicore.md``."""
 
-REORDER_MIN_WORK = 32_768
-"""Work floor of the locality term in ``engine="auto"`` dispatch.
-
-Below this, ``--reorder auto`` resolves to ``"none"``: a run this small
-either lands on the python engine (where ordering changes nothing the
-dispatcher can predict) or finishes in microseconds on numpy, so even a
-cache-hit layout lookup is not worth the I/O. Above it, the ordering
-changes the engines' deterministic claim trajectory enough to pay for
-itself on every measured family — ``benchmarks/BENCH_kernels.json``
-records the per-family before/after and ``docs/performance.md`` the
-calibration. The floor is deliberately far above
-:data:`DISPATCH_WORK_THRESHOLD` so the joint decision never reorders a
-graph it would hand to the interpreted backend."""
-
 
 class Deadline:
     """Cooperative soft deadline for one engine run.
@@ -103,10 +89,8 @@ class Deadline:
 class DispatchDecision:
     """Outcome of the backend cost model, with its inputs for reporting.
 
-    ``reorder``/``reorder_reason`` are filled by the joint
-    ordering+backend decision (``choose_engine(..., reorder="auto")``);
-    they default to the no-reorder state so engine-only call sites keep
-    constructing decisions unchanged.
+    ``reorder`` is always ``"none"``: vertex reordering was removed, and
+    the field stays for callers that still read it.
     """
 
     engine: str
@@ -114,7 +98,6 @@ class DispatchDecision:
     work: int
     threshold: int
     reorder: str = "none"
-    reorder_reason: str = ""
 
 
 @dataclass(frozen=True)

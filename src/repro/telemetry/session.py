@@ -87,15 +87,6 @@ class NullTelemetry:
     def count_cache(self, hit: bool, total_bytes: int | None = None) -> None:
         return None
 
-    def count_reorder_plan(self, strategy: str) -> None:
-        return None
-
-    def count_reorder_cached(self, strategy: str) -> None:
-        return None
-
-    def count_reorder_run(self, strategy: str) -> None:
-        return None
-
     def job_span(self, job_id: str, algorithm: str, engine: Optional[str]) -> _NullContext:
         return _NULL_CONTEXT
 
@@ -448,36 +439,3 @@ class Telemetry(NullTelemetry):
                 "repro_cache_bytes",
                 "Total bytes held by the graph-preparation cache store",
             ).set(int(total_bytes))
-
-    # ------------------------------------------------------------------ #
-    # reorder vocabulary (wired through the driver + the layout cache)
-    # ------------------------------------------------------------------ #
-
-    def count_reorder_plan(self, strategy: str) -> None:
-        """An ordering was *computed* (driver inline or layout-cache miss).
-
-        A warm layout cache keeps this at zero — the acceptance check for
-        "second run skips the ordering computation" watches exactly this
-        counter against :meth:`count_reorder_cached`.
-        """
-        self.metrics.counter(
-            "repro_reorder_plans_total",
-            "Reorder plans computed (inline or on layout-cache miss)",
-            labels={"strategy": strategy},
-        ).inc()
-
-    def count_reorder_cached(self, strategy: str) -> None:
-        """A reordered CSR layout was served from the content-addressed cache."""
-        self.metrics.counter(
-            "repro_reorder_layout_hits_total",
-            "Reordered CSR layouts served from the graph cache",
-            labels={"strategy": strategy},
-        ).inc()
-
-    def count_reorder_run(self, strategy: str) -> None:
-        """One matching run executed on a reordered layout."""
-        self.metrics.counter(
-            "repro_reorder_runs_total",
-            "Matching runs executed on a reordered (permuted) layout",
-            labels={"strategy": strategy},
-        ).inc()

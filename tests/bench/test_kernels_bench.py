@@ -28,53 +28,16 @@ class TestCommittedBaseline:
         return load_kernel_bench(BASELINE_PATH)
 
     def test_schema_valid(self, baseline):
-        assert baseline["schema_version"] == 3
+        assert baseline["schema_version"] == 4
         assert baseline["scale"] == 1.0
-        assert baseline["reorder"] == "auto"
-        # One row per (graph, ordering): none + hubsplit + auto.
-        assert sorted(set(g["name"] for g in baseline["graphs"])) == [
-            "er", "rmat", "skewed"
-        ]
-        for name in ("rmat", "er", "skewed"):
-            labels = [g["reorder"] for g in baseline["graphs"] if g["name"] == name]
-            assert labels == ["none", "hubsplit", "auto"]
+        assert [g["name"] for g in baseline["graphs"]] == ["rmat", "er", "skewed"]
 
     def test_rmat_acceptance_claim(self, baseline):
         """The committed numbers back the >=3x vectorization claim on rmat14."""
-        rmat = next(
-            g
-            for g in baseline["graphs"]
-            if g["name"] == "rmat" and g["reorder"] == "none"
-        )
+        rmat = next(g for g in baseline["graphs"] if g["name"] == "rmat")
         assert rmat["n_x"] == rmat["n_y"] == 2**14
         assert rmat["speedup"] >= 3.0
         assert rmat["cardinality"] > 0
-
-    def test_er_reorder_acceptance_claim(self, baseline):
-        """Under the best ordering even the ER family clears 3x — the
-        reordering acceptance criterion (the none row sits near 2x)."""
-        best = max(
-            g["speedup"]
-            for g in baseline["graphs"]
-            if g["name"] == "er" and g["reorder"] != "none"
-        )
-        assert best >= 3.0
-
-    def test_auto_rows_resolved_and_never_losing(self, baseline):
-        from repro.bench.perf_check import check_auto_vs_none
-
-        for entry in baseline["graphs"]:
-            if entry["reorder"] == "auto":
-                assert entry["reorder_resolved"]
-                assert entry["reorder_reason"]
-        assert check_auto_vs_none(baseline) == []
-
-    def test_reordered_rows_share_the_none_cardinality(self, baseline):
-        for name in ("rmat", "er", "skewed"):
-            cards = {
-                g["cardinality"] for g in baseline["graphs"] if g["name"] == name
-            }
-            assert len(cards) == 1
 
 
 class TestHarness:
@@ -105,35 +68,6 @@ class TestHarness:
         # CI and the CLI --graphs choices both rely on these exact names.
         assert [g.name for g in BENCH_GRAPHS] == ["rmat", "er", "skewed"]
 
-    def test_concrete_reorder_adds_one_row(self):
-        doc = run_kernel_bench(
-            scale=0.02, repeats=1, graphs=["er"], verify=False, reorder="hubsplit"
-        )
-        validate_kernel_bench(doc)
-        labels = [g["reorder"] for g in doc["graphs"]]
-        assert labels == ["none", "hubsplit"]
-        none_row, hub_row = doc["graphs"]
-        # Reordered rows time the single-process engines only.
-        assert set(hub_row["timings"]) == {"python", "numpy"}
-        assert hub_row["cardinality"] == none_row["cardinality"]
-
-    def test_auto_reorder_resolves_below_floor(self):
-        # At scale 0.02 every bench graph sits under REORDER_MIN_WORK, so
-        # auto must decline — and say why — while still validating.
-        doc = run_kernel_bench(
-            scale=0.02, repeats=1, graphs=["er"], verify=False, reorder="auto"
-        )
-        validate_kernel_bench(doc)
-        assert [g["reorder"] for g in doc["graphs"]] == ["none", "hubsplit", "auto"]
-        auto = next(g for g in doc["graphs"] if g["reorder"] == "auto")
-        assert auto["reorder_resolved"] == "none"
-        assert "floor" in auto["reorder_reason"]
-
-    def test_unknown_reorder_rejected(self):
-        for reorder in ("metis", "degree", "bfs"):
-            with pytest.raises(BenchmarkError, match="unknown reorder"):
-                run_kernel_bench(scale=0.02, graphs=["er"], reorder=reorder)
-
 
 class TestValidator:
     """Schema drift must fail loudly, field by field."""
@@ -157,16 +91,9 @@ class TestValidator:
                 "best_seconds",
             ),
             (lambda d: d["graphs"][0].update(speedup=123.0), "inconsistent"),
-            (lambda d: d.update(reorder="metis"), "reorder"),
-            (lambda d: d["graphs"][0].update(reorder="metis"), "reorder"),
-            (lambda d: d["graphs"][0].update(reorder="hubsplit"), "no reorder='none' row"),
             (
                 lambda d: d["graphs"].append(copy.deepcopy(d["graphs"][0])),
-                "duplicate reorder rows",
-            ),
-            (
-                lambda d: d["graphs"][0].update(reorder="auto", reorder_reason="x"),
-                "reorder_resolved",
+                "duplicate graph rows",
             ),
         ],
     )

@@ -94,31 +94,6 @@ class TestCompare:
         graphs = {r.graph for r in report.rows}
         assert graphs == {baseline["graphs"][0]["name"]}
 
-    def test_auto_guard_violation_detected(self, baseline):
-        # Inflate every auto row uniformly (speedup stays self-consistent):
-        # auto now trails none well beyond AUTO_REORDER_MAX_RATIO.
-        bad = copy.deepcopy(baseline)
-        for entry in bad["graphs"]:
-            if entry["reorder"] == "auto":
-                for engine in entry["timings"]:
-                    entry["timings"][engine]["best_seconds"] *= 2.0
-        report = compare_kernel_bench(bad, baseline, tolerance=5.0)
-        assert not report.ok
-        assert report.auto_problems  # one per bench family
-        assert not report.regressions  # the gated none rows are untouched
-        rendered = report.render()
-        assert "reorder-auto guard" in rendered and "FAILED" in rendered
-
-    def test_auto_guard_only_reads_the_fresh_doc(self, baseline):
-        # A baseline-side violation must not fail a clean fresh run.
-        bad_base = copy.deepcopy(baseline)
-        for entry in bad_base["graphs"]:
-            if entry["reorder"] == "auto":
-                for engine in entry["timings"]:
-                    entry["timings"][engine]["best_seconds"] *= 2.0
-        report = compare_kernel_bench(baseline, bad_base, tolerance=5.0)
-        assert report.ok
-
     def test_zero_overlap_is_an_error(self, baseline):
         renamed = copy.deepcopy(baseline)
         for entry in renamed["graphs"]:

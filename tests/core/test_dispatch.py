@@ -14,11 +14,10 @@ from repro.core.driver import available_cores, choose_engine, ms_bfs_graft
 from repro.core.options import (
     DISPATCH_WORK_THRESHOLD,
     MP_DISPATCH_MIN_WORK,
-    REORDER_MIN_WORK,
     DispatchDecision,
 )
 from repro.errors import ReproError
-from repro.graph.generators import chain_graph, power_law_bipartite, random_bipartite
+from repro.graph.generators import chain_graph, random_bipartite, rmat_bipartite
 
 
 @pytest.fixture(scope="module")
@@ -154,16 +153,12 @@ class TestAutoDispatchEndToEnd:
 
 
 @pytest.fixture(scope="module")
-def big_skewed():
-    # work well above REORDER_MIN_WORK, strongly skewed degrees.
-    return power_law_bipartite(
-        20_000, 20_000, avg_degree=4.0, exponent=2.0, seed=7
-    )
+def small_rmat():
+    return rmat_bipartite(scale=8, edge_factor=16, seed=103)
 
 
 class _StatsFreeGraph:
-    """Proxy that forwards everything but refuses the degree arrays —
-    exercises the dispatcher's deterministic stats-free fallback."""
+    """Proxy that forwards everything but refuses the degree arrays."""
 
     def __init__(self, graph):
         self._graph = graph
@@ -175,28 +170,27 @@ class _StatsFreeGraph:
 
 
 class TestJointReorderDispatch:
-    """The locality term: ordering and backend are one decision."""
+    """Vertex reordering is gone, but callers that still pass its keywords
+    (the end-to-end benchmark's warm-rmat op does) keep working: ``"none"``
+    and ``"auto"`` mean the caller's numbering, anything else is an error."""
+
+    def _same_as_plain(self, graph, **kwargs):
+        plain = ms_bfs_graft(graph, emit_trace=False)
+        auto = ms_bfs_graft(graph, emit_trace=False, reorder="auto", **kwargs)
+        assert (auto.matching.mate_x == plain.matching.mate_x).all()
+        return auto
 
     def test_default_decision_keeps_original_numbering(self, large_graph):
         decision = choose_engine(large_graph, emit_trace=False)
         assert decision.reorder == "none"
 
-    def test_auto_picks_hubsplit_on_big_skewed(self, big_skewed):
-        decision = choose_engine(big_skewed, emit_trace=False, reorder="auto")
-        assert decision.reorder == "hubsplit"
-        assert "degree skew" in decision.reorder_reason
-
     def test_auto_declines_below_work_floor(self, large_graph):
-        work = large_graph.nnz + large_graph.n_x + large_graph.n_y
-        assert work < REORDER_MIN_WORK
         decision = choose_engine(large_graph, emit_trace=False, reorder="auto")
         assert decision.reorder == "none"
-        assert "below the reorder floor" in decision.reorder_reason
+        self._same_as_plain(large_graph)
 
     def test_auto_declines_on_regular_degrees(self):
-        # Every x has degree 2, every y has degree 2: relabelling cannot
-        # change the claim-collision structure, so auto must decline even
-        # though the work estimate clears the floor.
+        # Every x and every y has degree 2.
         from repro.graph.builder import from_edges
 
         n = 20_000
@@ -206,57 +200,61 @@ class TestJointReorderDispatch:
             axis=1,
         ).reshape(-1)
         graph = from_edges(n, n, np.stack([x, y], axis=1))
-        assert graph.nnz + 2 * n >= REORDER_MIN_WORK
         decision = choose_engine(graph, emit_trace=False, reorder="auto")
         assert decision.reorder == "none"
-        assert "regular" in decision.reorder_reason
+        assert self._same_as_plain(graph).cardinality == n
 
-    def test_explicit_strategy_passes_through(self, small_graph):
-        decision = choose_engine(small_graph, emit_trace=False, reorder="hubsplit")
-        assert decision.reorder == "hubsplit"
-        assert "explicitly requested" in decision.reorder_reason
-
-    def test_unknown_reorder_rejected(self, small_graph):
-        for reorder in ("metis", "degree", "bfs"):
-            with pytest.raises(ReproError, match="unknown reorder"):
-                choose_engine(small_graph, emit_trace=False, reorder=reorder)
-
-    def test_stats_free_fallback_is_deterministic_and_noted(self, big_skewed):
-        from repro.telemetry.flight import FlightRecorder
-
-        flight = FlightRecorder()
-        proxy = _StatsFreeGraph(big_skewed)
+    def test_stats_free_fallback_without_flight(self, large_graph):
+        # The decision never needs the degree arrays.
         decision = choose_engine(
-            proxy, emit_trace=False, reorder="auto", flight=flight
-        )
-        assert decision.reorder == "none"
-        assert "statistics unavailable" in decision.reorder_reason
-        kinds = [event["kind"] for event in flight.snapshot()]
-        assert "reorder_fallback" in kinds
-
-    def test_stats_free_fallback_without_flight(self, big_skewed):
-        # No recorder attached: still degrades, never raises.
-        decision = choose_engine(
-            _StatsFreeGraph(big_skewed), emit_trace=False, reorder="auto"
+            _StatsFreeGraph(large_graph), emit_trace=False, reorder="auto"
         )
         assert decision.reorder == "none"
 
-    def test_driver_reorder_end_to_end_with_telemetry(self, big_skewed):
+    def test_driver_reorder_end_to_end_with_telemetry(self, large_graph):
         from repro.telemetry import Telemetry
 
-        plain = ms_bfs_graft(big_skewed, emit_trace=False)
         tel = Telemetry()
-        reordered = ms_bfs_graft(
-            big_skewed, emit_trace=False, reorder="hubsplit", telemetry=tel
+        self._same_as_plain(large_graph, telemetry=tel)
+        assert tel.tracer.spans and tel.metrics.families()
+        assert not any("reorder" in s.name for s in tel.tracer.spans)
+        assert not any("reorder" in name for name, *_ in tel.metrics.families())
+
+    def test_frozen_caller_sequence(self, small_rmat):
+        from repro.bench.runner import run_algorithm, suite_initializer
+        from repro.telemetry import Telemetry
+
+        from tests.matching.test_differential import scipy_cardinality
+
+        expected = scipy_cardinality(small_rmat)
+        initial = suite_initializer(small_rmat)
+        decision = choose_engine(small_rmat, reorder="auto", workers=1)
+        assert decision.reorder == "none"
+        via_runner = run_algorithm(
+            "ms-bfs-graft", small_rmat, initial,
+            reorder=decision.reorder, reorder_plan=None, reorder_layout=None,
         )
-        assert reordered.cardinality == plain.cardinality
-        runs = tel.metrics.get(
-            "repro_reorder_runs_total", {"strategy": "hubsplit"}
+        tel = Telemetry()
+        via_driver = ms_bfs_graft(
+            small_rmat, initial, engine=decision.engine, telemetry=tel,
+            reorder_plan=None, reorder_layout=None,
         )
-        assert runs is not None and runs.value >= 1.0
-        plans = tel.metrics.get(
-            "repro_reorder_plans_total", {"strategy": "hubsplit"}
-        )
-        assert plans is not None and plans.value >= 1.0
-        names = {span.name for span in tel.tracer.spans}
-        assert {"reorder_plan", "reorder_apply", "reorder_invert"} <= names
+        via_ms_bfs = repro.ms_bfs(small_rmat, initial, reorder="auto")
+        for result in (via_runner, via_driver, via_ms_bfs):
+            assert result.cardinality == expected
+        assert not any(s.name.startswith("reorder") for s in tel.tracer.spans)
+
+    def test_unknown_reorder_rejected(self, small_rmat):
+        from repro.bench.runner import run_algorithm
+
+        for strategy in ("hubsplit", "degree", "bfs", "metis"):
+            with pytest.raises(ReproError, match="reordering was removed"):
+                choose_engine(small_rmat, reorder=strategy)
+            with pytest.raises(ReproError, match="reordering was removed"):
+                ms_bfs_graft(small_rmat, reorder=strategy)
+            with pytest.raises(ReproError, match="reordering was removed"):
+                run_algorithm("hopcroft-karp", small_rmat, reorder=strategy)
+        with pytest.raises(ReproError, match="reordering was removed"):
+            ms_bfs_graft(small_rmat, reorder_plan=object())
+        with pytest.raises(ReproError, match="reordering was removed"):
+            run_algorithm("ms-bfs-graft", small_rmat, reorder_layout=small_rmat)

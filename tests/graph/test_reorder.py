@@ -1,29 +1,24 @@
-"""Reorder plans: validity, determinism, structure, and round-trips."""
+"""Relabellings through ``graph/permute.py``: validity, determinism,
+structure, and matching round-trips, on the test-built families of
+``tests/graph/permutation_families.py``."""
 
 import numpy as np
 import pytest
 
-from repro.errors import GraphError
 from repro.graph.builder import from_edges
 from repro.graph.generators import (
     power_law_bipartite,
     random_bipartite,
     rmat_bipartite,
 )
-from repro.graph.reorder import (
-    HUB_DEGREE_FACTOR,
-    REORDER_CHOICES,
-    REORDER_STRATEGIES,
-    ReorderPlan,
-    apply_plan,
-    hub_mask,
-    plan_reorder,
-    reorder_graph,
-    run_reordered,
-)
 from repro.matching.base import UNMATCHED, Matching
 
-from tests.graph.permutation_families import PERMUTATION_FAMILIES, family_plan
+from tests.graph.permutation_families import (
+    HUB_DEGREE_FACTOR,
+    PERMUTATION_FAMILIES,
+    family_plan,
+    hub_mask,
+)
 
 
 @pytest.fixture(scope="module")
@@ -37,37 +32,28 @@ def er():
 
 
 def _relabel(graph, family):
-    """``(permuted, plan)`` — through :func:`reorder_graph` for a library
-    strategy, through :func:`apply_plan` for a test-built family."""
-    if family in REORDER_STRATEGIES:
-        return reorder_graph(graph, family)
     plan = family_plan(graph, family)
-    return apply_plan(graph, plan), plan
+    return plan.apply(graph), plan
 
 
 class TestPlanReorder:
     @pytest.mark.parametrize("family", PERMUTATION_FAMILIES)
     def test_perms_are_valid(self, skewed, family):
         plan = family_plan(skewed, family)
-        assert plan.strategy == family
+        assert plan.family == family
         assert sorted(plan.x_perm.tolist()) == list(range(skewed.n_x))
         assert sorted(plan.y_perm.tolist()) == list(range(skewed.n_y))
 
-    @pytest.mark.parametrize("strategy", REORDER_STRATEGIES)
-    def test_deterministic(self, er, strategy):
-        a = plan_reorder(er, strategy)
-        b = plan_reorder(er, strategy)
+    @pytest.mark.parametrize("family", PERMUTATION_FAMILIES)
+    def test_deterministic(self, er, family):
+        a = family_plan(er, family)
+        b = family_plan(er, family)
         assert np.array_equal(a.x_perm, b.x_perm)
         assert np.array_equal(a.y_perm, b.y_perm)
 
-    @pytest.mark.parametrize("strategy", ("none", "auto", "metis", "degree", "bfs"))
-    def test_dispatch_level_names_rejected(self, er, strategy):
-        with pytest.raises(GraphError, match="unknown reorder strategy"):
-            plan_reorder(er, strategy)
-
-    def test_plan_rejects_unknown_strategy(self):
-        with pytest.raises(GraphError, match="unknown reorder strategy"):
-            ReorderPlan("metis", np.arange(3), np.arange(3))
+    def test_plan_rejects_unknown_strategy(self, er):
+        with pytest.raises(ValueError, match="unknown permutation family"):
+            family_plan(er, "metis")
 
     @pytest.mark.parametrize("family", PERMUTATION_FAMILIES)
     def test_empty_graph(self, family):
@@ -84,16 +70,15 @@ class TestPlanReorder:
         assert sorted(plan.x_perm.tolist()) == list(range(4))
 
     def test_hubsplit_packs_x_hubs_at_back_y_hubs_at_front(self, skewed):
-        plan = plan_reorder(skewed, "hubsplit")
-        permuted = apply_plan(skewed, plan)
+        permuted, _ = _relabel(skewed, "hubsplit")
         x_hubs = hub_mask(permuted.deg_x)
-        if x_hubs.any():
-            first_hub = int(np.flatnonzero(x_hubs)[0])
-            assert x_hubs[first_hub:].all(), "X hubs must be contiguous at the back"
+        assert x_hubs.any() and not x_hubs.all()
+        first_hub = int(np.flatnonzero(x_hubs)[0])
+        assert x_hubs[first_hub:].all(), "X hubs must be contiguous at the back"
         y_hubs = hub_mask(permuted.deg_y)
-        if y_hubs.any():
-            last_hub = int(np.flatnonzero(y_hubs)[-1])
-            assert y_hubs[: last_hub + 1].all(), "Y hubs must be contiguous at the front"
+        assert y_hubs.any() and not y_hubs.all()
+        last_hub = int(np.flatnonzero(y_hubs)[-1])
+        assert y_hubs[: last_hub + 1].all(), "Y hubs must be contiguous at the front"
 
     def test_hub_mask_threshold(self):
         deg = np.array([1, 1, 1, 1, 20], dtype=np.int64)
@@ -108,10 +93,6 @@ class TestPlanReorder:
         assert permuted.nnz == er.nnz
         for x, y in er.edges():
             assert permuted.has_edge(int(plan.x_perm[x]), int(plan.y_perm[y]))
-
-    def test_choices_cover_strategies(self):
-        assert REORDER_CHOICES[0] == "none" and REORDER_CHOICES[-1] == "auto"
-        assert set(REORDER_STRATEGIES) < set(REORDER_CHOICES)
 
 
 class TestMatchingRoundTrip:
@@ -137,7 +118,7 @@ class TestMatchingRoundTrip:
         # mate_new[x_perm[x]] == y_perm[mate_old[x]] — the permute() contract.
         from repro.matching.karp_sipser import karp_sipser
 
-        plan = plan_reorder(er, "hubsplit")
+        plan = family_plan(er, "hubsplit")
         matching = karp_sipser(er, seed=3).matching
         permuted = plan.permute_matching(matching)
         for x in range(er.n_x):
@@ -148,9 +129,10 @@ class TestMatchingRoundTrip:
     def test_unpermuted_matching_lives_on_original_graph(self, skewed):
         from repro.core.driver import ms_bfs_graft
 
-        permuted, plan = reorder_graph(skewed, "hubsplit")
+        permuted, plan = _relabel(skewed, "hubsplit")
         result = ms_bfs_graft(permuted, emit_trace=False)
         back = plan.unpermute_matching(result.matching)
+        assert back.cardinality == result.cardinality
         for x in range(skewed.n_x):
             y = back.mate_x[x]
             if y != UNMATCHED:
@@ -158,64 +140,7 @@ class TestMatchingRoundTrip:
 
     def test_empty_matching_round_trip(self):
         g = rmat_bipartite(scale=5, edge_factor=3, seed=1)
-        plan = plan_reorder(g, "hubsplit")
+        plan = family_plan(g, "hubsplit")
         empty = Matching.empty(g)
         assert plan.permute_matching(empty).cardinality == 0
         assert plan.unpermute_matching(empty).cardinality == 0
-
-
-class TestSharedSites:
-    """``reorder_graph`` and ``run_reordered`` own the reorder steps."""
-
-    def _step_names(self, tel):
-        return [s.name for s in tel.tracer.spans]
-
-    def test_reorder_graph_emits_plan_and_apply_steps(self, er):
-        from repro.telemetry import Telemetry
-
-        tel = Telemetry()
-        permuted, plan = reorder_graph(er, "hubsplit", tel)
-        assert self._step_names(tel) == ["reorder_plan", "reorder_apply"]
-        plans = tel.metrics.get("repro_reorder_plans_total", {"strategy": "hubsplit"})
-        assert plans is not None and plans.value == 1.0
-        np.testing.assert_array_equal(permuted.x_adj, apply_plan(er, plan).x_adj)
-
-    def test_run_reordered_warm_path_skips_apply(self, er):
-        from repro.matching.hopcroft_karp import hopcroft_karp
-        from repro.telemetry import Telemetry
-
-        layout, plan = reorder_graph(er, "hubsplit")
-        seen = []
-
-        def run(graph, initial):
-            seen.append((graph, initial))
-            return hopcroft_karp(graph, initial)
-
-        tel = Telemetry()
-        result = run_reordered(er, None, run, plan=plan, layout=layout, telemetry=tel)
-        assert len(seen) == 1 and seen[0][0] is layout and seen[0][1] is None
-        assert self._step_names(tel) == ["reorder_invert"]
-        assert result.cardinality == hopcroft_karp(er).cardinality
-        for x, y in result.matching.pairs():
-            assert er.has_edge(x, y)
-
-    def test_run_reordered_without_layout_applies_and_permutes_initial(self, er):
-        from repro.matching.hopcroft_karp import hopcroft_karp
-        from repro.matching.karp_sipser import karp_sipser
-        from repro.telemetry import Telemetry
-
-        plan = plan_reorder(er, "hubsplit")
-        initial = karp_sipser(er, seed=4).matching
-        seen = []
-
-        def run(graph, run_initial):
-            seen.append(run_initial)
-            return hopcroft_karp(graph, run_initial)
-
-        tel = Telemetry()
-        result = run_reordered(er, initial, run, plan=plan, telemetry=tel)
-        assert self._step_names(tel) == ["reorder_apply", "reorder_invert"]
-        np.testing.assert_array_equal(
-            seen[0].mate_x, plan.permute_matching(initial).mate_x
-        )
-        assert result.cardinality == hopcroft_karp(er).cardinality

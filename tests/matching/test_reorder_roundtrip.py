@@ -1,16 +1,15 @@
-"""Reorder metamorphic suite: reorder -> match -> unpermute == direct.
+"""Relabelling metamorphic suite: relabel -> match -> map back == direct.
 
-The reordering strategy, on every algorithm of the differential registry,
-must leave the answer untouched: run the matcher on the permuted layout,
-map the matching back through the inverse permutation, and the result
-must certify as a maximum matching *of the original graph* with the
-cardinality of both the direct run and scipy's compiled matcher.
+Every algorithm of the differential registry must be indifferent to vertex
+numbering: run the matcher on a relabelled copy of the graph
+(:func:`repro.graph.permute.permute`), map the matching back through the
+inverse permutation, and the result must certify as a maximum matching
+*of the original graph* with the cardinality of both the direct run and
+scipy's compiled matcher.
 
-The full 200-instance catalogue (5 algorithms x ``hubsplit``) runs in
-tier-1 through the cold path (the algorithm plans and applies). A spread
-subset also runs through the warm path (plan and layout supplied, as a
-layout-cache hit supplies them) under three relabellings: ``hubsplit``
-and the test-built ``degree`` and ``bfs`` families of
+The full 200-instance catalogue (5 algorithms) runs under the test-built
+``hubsplit`` relabelling, with no initial matching. A spread subset runs
+the default Karp-Sipser-initialised pipeline under all three families of
 ``tests/graph/permutation_families.py``.
 """
 
@@ -19,7 +18,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.runner import run_algorithm
-from repro.graph.reorder import REORDER_STRATEGIES, apply_plan
 from repro.matching.verify import verify_maximum
 
 from tests.graph.permutation_families import PERMUTATION_FAMILIES, family_plan
@@ -33,22 +31,32 @@ ROUNDTRIP_ALGORITHMS = (
     "push-relabel",
 )
 
+CATALOGUE_FAMILIES = ("hubsplit",)
 
-@pytest.mark.parametrize("strategy", REORDER_STRATEGIES)
+
+def _relabelled_run(algorithm, graph, family, **kwargs):
+    """Run ``algorithm`` on ``graph`` relabelled by ``family``; returns the
+    result with its matching mapped back to the original ids."""
+    plan = family_plan(graph, family)
+    result = run_algorithm(algorithm, plan.apply(graph), **kwargs)
+    return result.cardinality, plan.unpermute_matching(result.matching)
+
+
+@pytest.mark.parametrize("strategy", CATALOGUE_FAMILIES)
 @pytest.mark.parametrize("algorithm", ROUNDTRIP_ALGORITHMS)
 @pytest.mark.parametrize(("name", "builder"), CASES, ids=[c[0] for c in CASES])
 def test_reorder_roundtrip(name, builder, algorithm, strategy):
     graph = builder()
     direct = run_algorithm(algorithm, graph, init="none")
-    reordered = run_algorithm(algorithm, graph, init="none", reorder=strategy)
+    cardinality, back = _relabelled_run(algorithm, graph, strategy, init="none")
     expected = scipy_cardinality(graph)
-    assert reordered.cardinality == direct.cardinality == expected, (
-        f"{name}/{algorithm}/{strategy}: reordered {reordered.cardinality}, "
+    assert cardinality == direct.cardinality == expected, (
+        f"{name}/{algorithm}/{strategy}: relabelled {cardinality}, "
         f"direct {direct.cardinality}, scipy {expected}"
     )
-    # The un-permuted matching must be a maximum matching of the ORIGINAL
+    # The mapped-back matching must be a maximum matching of the ORIGINAL
     # graph — this certifies the inverse mapping, not just the count.
-    verify_maximum(graph, reordered.matching)
+    verify_maximum(graph, back)
 
 
 # Every ~10th case crosses all families (er square/wide/tall, rmat, skewed,
@@ -63,40 +71,42 @@ QUICK_CASES = CASES[::10]
 )
 def test_reorder_roundtrip_quick(name, builder, algorithm, family):
     graph = builder()
-    plan = family_plan(graph, family)
-    direct = run_algorithm(algorithm, graph, init="none")
-    reordered = run_algorithm(
-        algorithm, graph, init="none",
-        reorder_plan=plan, reorder_layout=apply_plan(graph, plan),
+    direct = run_algorithm(algorithm, graph, seed=1)
+    cardinality, back = _relabelled_run(algorithm, graph, family, seed=1)
+    assert cardinality == direct.cardinality, (
+        f"{name}/{algorithm}/{family}: {cardinality} != {direct.cardinality}"
     )
-    assert reordered.cardinality == direct.cardinality, (
-        f"{name}/{algorithm}/{family}: "
-        f"{reordered.cardinality} != {direct.cardinality}"
-    )
-    verify_maximum(graph, reordered.matching)
+    verify_maximum(graph, back)
 
 
 @pytest.mark.parametrize(
     ("name", "builder"), QUICK_CASES[:5], ids=[c[0] for c in QUICK_CASES[:5]]
 )
 def test_reorder_auto_roundtrip(name, builder):
-    # "auto" resolves through the dispatcher (usually to "none" at these
-    # sizes) and must be exact either way.
+    # "auto" is only accepted for older callers: the run must stay on the
+    # caller's numbering, so its matching is the direct one, pair for pair.
     graph = builder()
     direct = run_algorithm("ms-bfs-graft", graph, init="none")
     auto = run_algorithm("ms-bfs-graft", graph, init="none", reorder="auto")
     assert auto.cardinality == direct.cardinality
+    assert (auto.matching.mate_x == direct.matching.mate_x).all()
     verify_maximum(graph, auto.matching)
 
 
 def test_reorder_with_warm_start_initial():
-    # The suite initialiser path: the initial matching is permuted in and
-    # the result mapped back out.
+    # A warm start computed on the original ids is permuted in, the engine
+    # repairs it on the relabelled graph, and the answer is mapped back out.
     from repro.graph.generators import rmat_bipartite
+    from repro.matching.karp_sipser import karp_sipser
 
     graph = rmat_bipartite(scale=7, edge_factor=4, seed=42)
-    direct = run_algorithm("ms-bfs-graft", graph, seed=1)
-    for strategy in REORDER_STRATEGIES:
-        reordered = run_algorithm("ms-bfs-graft", graph, seed=1, reorder=strategy)
-        assert reordered.cardinality == direct.cardinality
-        verify_maximum(graph, reordered.matching)
+    initial = karp_sipser(graph, seed=1).matching
+    direct = run_algorithm("ms-bfs-graft", graph, initial)
+    for family in PERMUTATION_FAMILIES:
+        plan = family_plan(graph, family)
+        result = run_algorithm(
+            "ms-bfs-graft", plan.apply(graph), plan.permute_matching(initial)
+        )
+        back = plan.unpermute_matching(result.matching)
+        assert result.cardinality == direct.cardinality
+        verify_maximum(graph, back)
