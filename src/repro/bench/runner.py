@@ -11,7 +11,7 @@ from repro.graph.csr import BipartiteCSR
 from repro.matching.base import MatchResult, Matching
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.karp_sipser import karp_sipser
-from repro.matching.karp_sipser_parallel import karp_sipser_parallel
+from repro.matching.karp_sipser_parallel import suite_warm_start
 from repro.matching.ms_bfs import ms_bfs
 from repro.matching.pothen_fan import pothen_fan
 from repro.matching.push_relabel import push_relabel
@@ -52,7 +52,7 @@ def suite_initializer(graph: BipartiteCSR, seed: int = 0) -> Matching:
     outright, which would collapse the multi-phase dynamics the paper
     measures; the parallel rounds leave the realistic 1-10% deficit.
     """
-    return karp_sipser_parallel(graph, seed=seed, max_degree_one_rounds=2).matching
+    return suite_warm_start(graph, seed=seed)
 
 
 def run_algorithm(

@@ -20,7 +20,12 @@ BUILDER_VERSION = 1
 """Version of the graph-preparation pipeline baked into every key.
 
 Bump when the prepared representation changes (CSR layout, degree arrays,
-warm-start semantics) so previously cached entries are never reused.
+warm-start semantics) so previously cached entries are never reused. The
+cached ``ks_<seed>.npz`` warm starts are
+:func:`repro.matching.karp_sipser_parallel.suite_warm_start` matchings;
+``tests/integration/test_golden_regression.py`` pins one by SHA-256, so a
+change that moves them fails there before it can serve stale entries. The
+push/pull degree upkeep left them bit-identical, so the version stayed 1.
 """
 
 _CHUNK = 1 << 20

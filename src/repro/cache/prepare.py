@@ -68,8 +68,8 @@ def resolve_format(path: Union[str, Path], fmt: str) -> str:
 
 
 def warm_start_matching(graph: BipartiteCSR, seed: int):
-    """The suite's Karp-Sipser-parallel warm start (see
-    :func:`repro.bench.runner.suite_initializer`)."""
-    from repro.matching.karp_sipser_parallel import karp_sipser_parallel
+    """The suite's Karp-Sipser-parallel warm start
+    (:func:`repro.matching.karp_sipser_parallel.suite_warm_start`)."""
+    from repro.matching.karp_sipser_parallel import suite_warm_start
 
-    return karp_sipser_parallel(graph, seed=seed, max_degree_one_rounds=2).matching
+    return suite_warm_start(graph, seed=seed)

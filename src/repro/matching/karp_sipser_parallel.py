@@ -14,9 +14,10 @@ This module reproduces those round semantics deterministically (claims are
 resolved by a seeded priority), giving the benchmark suite an initial
 matching of realistic parallel-KS quality. Every round is a handful of
 whole-array passes, in the style of the round-based GPU and external-memory
-initialisers: the proposals of a round are one CSR gather, and residual
-degrees are kept incrementally rather than recounted. The serial heuristic
-lives in :mod:`repro.matching.karp_sipser`.
+initialisers: the proposals of a round are one CSR gather, and after each
+round every side either pushes the rows of its newly matched neighbours into
+its residual degrees or pulls one recount, whichever is cheaper. The serial
+heuristic lives in :mod:`repro.matching.karp_sipser`.
 """
 
 from __future__ import annotations
@@ -25,11 +26,62 @@ import time
 
 import numpy as np
 
-from repro.core.kernels import _gather_segments
+from repro.core.kernels import KernelWorkspace, _gather_segments
 from repro.graph.csr import BipartiteCSR
 from repro.instrument.counters import Counters
 from repro.matching.base import MatchResult, Matching, init_matching
 from repro.util.rng import SeedLike, as_rng
+
+PUSH_PULL_COST_RATIO = 4
+"""Time of one pushed adjacency entry over one pulled entry.
+
+A push gathers the rows of the newly matched opposite vertices and
+subtracts a ``bincount``: about 17 ns per entry. A pull recounts every row
+with one ``np.add.reduceat``: about 4.5 ns per entry plus 21 ns per
+non-empty row, i.e. one pushed entry per row. Fitted over RMAT, ER, grid
+and chain graphs (see ``docs/performance.md``).
+"""
+
+
+class _Side:
+    """One side's CSR rows, free mask and residual degrees (free
+    neighbours of each free row, 0 on matched rows)."""
+
+    __slots__ = ("ptr", "adj", "lengths", "live", "starts", "free", "deg",
+                 "pull_cost")
+
+    def __init__(self, ptr: np.ndarray, adj: np.ndarray, lengths: np.ndarray,
+                 free: np.ndarray) -> None:
+        self.ptr, self.adj, self.lengths, self.free = ptr, adj, lengths, free
+        # reduceat needs in-range starts and gives an empty row the entry at
+        # its start, so recounts cover the non-empty rows only; an empty
+        # row's degree stays 0 throughout.
+        self.live = np.flatnonzero(lengths)
+        self.starts = ptr[self.live]
+        # With no opposite vertex matched, every neighbour is free.
+        self.deg = lengths.astype(np.int64)
+        # A pull's time in pushed entries.
+        self.pull_cost = adj.shape[0] / PUSH_PULL_COST_RATIO + self.live.size
+
+    def recount(self, free_other: np.ndarray) -> int:
+        """Pull: recount every row's free neighbours. Returns the entries read."""
+        if self.live.size:
+            self.deg[self.live] = np.add.reduceat(
+                free_other[self.adj], self.starts, dtype=np.int64)
+        self.deg[~self.free] = 0
+        return int(self.adj.shape[0])
+
+    def drop(self, other: "_Side", taken: np.ndarray, ws: KernelWorkspace) -> int:
+        """Take the newly matched ``other`` vertices ``taken`` out of the
+        degrees: push their rows, or pull a recount when pushing would take
+        longer. Returns the entries read."""
+        push = int(other.lengths[taken].sum())
+        if push > self.pull_cost:
+            return self.recount(other.free)
+        _, nbrs, _ = _gather_segments(other.ptr, other.adj, taken,
+                                      need_sources=False, ws=ws)
+        self.deg -= np.bincount(nbrs[self.free[nbrs]], minlength=self.deg.shape[0])
+        return push
 
 
 def karp_sipser_parallel(
@@ -55,11 +107,14 @@ def karp_sipser_parallel(
     rule-1 and random matches; a low cap emulates more interleaving and
     yields slightly lower quality).
 
-    Residual degrees (free neighbours of each free vertex) are counted once
-    at the start. After each round the adjacency of the newly matched
-    vertices is subtracted from their free neighbours' degrees, so the
-    degrees are exact at every round and their upkeep reads each vertex's
-    adjacency at most once over the whole run.
+    Residual degrees (free neighbours of each free vertex) start as the
+    row lengths when ``initial`` is empty; only a partial ``initial`` needs
+    a counting pass. After each round each side takes its newly matched
+    neighbours out of its degrees by a *push* (gather their rows, subtract
+    a ``bincount``) or a *pull* (recount every row with one
+    ``np.add.reduceat``), whichever :data:`PUSH_PULL_COST_RATIO` predicts
+    is faster — degree upkeep in the direction-optimising style of the
+    paper's top-down/bottom-up choice. The degrees are exact at every round.
 
     Randomness: each round with proposals draws one
     ``rng.permutation(#proposals)`` for the claim priorities, and each
@@ -70,9 +125,10 @@ def karp_sipser_parallel(
     formulation would advance it.
 
     ``counters.phases`` is the number of random proposal rounds.
-    ``counters.edges_traversed`` counts the adjacency entries read: both
-    directions once for the initial degree count, the rows of newly matched
-    vertices, and the rows of degree-1 and random proposers. Wall time is
+    ``counters.edges_traversed`` counts the adjacency entries read: none
+    for the row-length start degrees, both directions for a partial
+    ``initial``'s counting pass, the pushed rows, ``nnz`` for each one-side
+    pull, and the rows of degree-1 and random proposers. Wall time is
     not bounded by that count: each round still makes O(n) array passes,
     so a path-like graph that needs O(n) uncapped degree-1 rounds costs
     O(n * rounds).
@@ -81,27 +137,17 @@ def karp_sipser_parallel(
     rng = as_rng(seed)
     matching = init_matching(graph, initial)
     counters = Counters()
-    n_x, n_y = graph.n_x, graph.n_y
-    x_ptr, x_adj = graph.x_ptr, graph.x_adj
-    y_ptr, y_adj = graph.y_ptr, graph.y_adj
     mate_x = matching.mate_x
     mate_y = matching.mate_y
+    ws = KernelWorkspace(graph.n_x, graph.n_y)
 
-    free_x = mate_x == -1
-    free_y = mate_y == -1
-
-    def free_counts(ptr: np.ndarray, adj: np.ndarray, free_other: np.ndarray,
-                    free_self: np.ndarray) -> np.ndarray:
-        """Per-row count of free neighbours (0 on matched rows)."""
-        hits = np.zeros(adj.shape[0] + 1, dtype=np.int64)
-        np.cumsum(free_other[adj], out=hits[1:])
-        deg = hits[ptr[1:]] - hits[ptr[:-1]]
-        deg[~free_self] = 0
-        return deg
-
-    deg_x = free_counts(x_ptr, x_adj, free_y, free_x)
-    deg_y = free_counts(y_ptr, y_adj, free_x, free_y)
-    edges = graph.num_directed_edges
+    X = _Side(graph.x_ptr, graph.x_adj, graph.deg_x, mate_x == -1)
+    Y = _Side(graph.y_ptr, graph.y_adj, graph.deg_y, mate_y == -1)
+    free_x, free_y, deg_x, deg_y = X.free, Y.free, X.deg, Y.deg
+    edges = 0
+    if not free_x.all():
+        # Only a partial start matching needs the counting pass.
+        edges += X.recount(free_y) + Y.recount(free_x)
 
     def commit(wx: np.ndarray, wy: np.ndarray) -> None:
         """Match the pairs ``(wx, wy)`` and update the residual degrees."""
@@ -112,19 +158,14 @@ def karp_sipser_parallel(
         free_y[wy] = False
         deg_x[wx] = 0
         deg_y[wy] = 0
-        _, nbr_y, _ = _gather_segments(x_ptr, x_adj, wx, need_sources=False)
-        _, nbr_x, _ = _gather_segments(y_ptr, y_adj, wy, need_sources=False)
-        edges += int(nbr_x.shape[0] + nbr_y.shape[0])
-        deg_x[:] -= np.bincount(nbr_x[free_x[nbr_x]], minlength=n_x)
-        deg_y[:] -= np.bincount(nbr_y[free_y[nbr_y]], minlength=n_y)
+        edges += X.drop(Y, wy, ws) + Y.drop(X, wx, ws)
 
-    def free_neighbors(ptr: np.ndarray, adj: np.ndarray, rows: np.ndarray,
-                       free_other: np.ndarray) -> np.ndarray:
-        """The free neighbours of ``rows``, concatenated in row order."""
+    def free_neighbors(side: _Side, other: _Side, rows: np.ndarray) -> np.ndarray:
+        """The free neighbours of ``side``'s ``rows``, concatenated in row order."""
         nonlocal edges
-        _, nbrs, _ = _gather_segments(ptr, adj, rows, need_sources=False)
+        _, nbrs, _ = _gather_segments(side.ptr, side.adj, rows, need_sources=False, ws=ws)
         edges += int(nbrs.shape[0])
-        return nbrs[free_other[nbrs]]
+        return nbrs[other.free[nbrs]]
 
     def resolve(proposers: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """One winner per target, chosen by seeded random priority."""
@@ -150,8 +191,8 @@ def karp_sipser_parallel(
             rounds += 1
             # Degrees are exact, so each degree-1 row has exactly one free
             # neighbour and the free entries line up with the rows.
-            tx = free_neighbors(x_ptr, x_adj, ones_x, free_y)
-            ty = free_neighbors(y_ptr, y_adj, ones_y, free_x)
+            tx = free_neighbors(X, Y, ones_x)
+            ty = free_neighbors(Y, X, ones_y)
             # Combine both sides' proposals into (x, y) pairs.
             px = np.concatenate([ones_x, ty])
             py = np.concatenate([tx, ones_y])
@@ -174,7 +215,7 @@ def karp_sipser_parallel(
         cand_deg = deg_x[candidates]
         pick = rng.integers(0, cand_deg)
         pick[1:] += np.cumsum(cand_deg[:-1])
-        hits = free_neighbors(x_ptr, x_adj, candidates, free_y)
+        hits = free_neighbors(X, Y, candidates)
         px, py = candidates, hits[pick]
         win = resolve(px, py)
         commit(px[win], py[win])
@@ -187,3 +228,11 @@ def karp_sipser_parallel(
         counters=counters,
         wall_seconds=time.perf_counter() - start,
     )
+
+
+def suite_warm_start(graph: BipartiteCSR, seed: SeedLike = 0) -> Matching:
+    """Parallel Karp-Sipser capped at two degree-1 rounds per iteration,
+    the experiment suite's initial matching.
+    :func:`repro.bench.runner.suite_initializer` and the graph cache's warm
+    starts both call this, so cached and uncached runs start alike."""
+    return karp_sipser_parallel(graph, seed=seed, max_degree_one_rounds=2).matching

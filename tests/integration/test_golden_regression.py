@@ -8,11 +8,15 @@ is intentional (e.g. a kernel optimisation that legitimately alters scan
 order), re-derive the constants and say so in the commit.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 import repro
 import repro.matching as matching_mod
 from repro.graph.generators import grid_bipartite, rmat_bipartite, surplus_core_bipartite
+from repro.bench.runner import suite_initializer
 from repro.matching.karp_sipser import karp_sipser
 from repro.matching.karp_sipser_parallel import karp_sipser_parallel
 
@@ -104,3 +108,21 @@ class TestBaselineGolden:
         c = result.counters
         assert (c.edges_traversed, c.phases) == (5085, 2)
         assert c.avg_augmenting_path_length == pytest.approx(3.0)
+
+
+class TestWarmStartGolden:
+    def test_suite_initializer_matching_digest(self):
+        """The cache serves ``ks_<seed>.npz`` warm starts across versions
+        while ``cache.keys.BUILDER_VERSION`` is unchanged, so the suite
+        initialiser's matching must stay bit-identical; bump the version
+        if these digests have to change."""
+        init = suite_initializer(rmat_bipartite(12, edge_factor=16, seed=103))
+        digests = [
+            hashlib.sha256(np.ascontiguousarray(m, dtype=np.int64).tobytes()).hexdigest()
+            for m in (init.mate_x, init.mate_y)
+        ]
+        assert init.cardinality == 2040
+        assert digests == [
+            "d00f9e287c16c987a6f0b2d3431d5184f16ea7a653dd68da5aa7916be5467912",
+            "8326c5b973c9b392f3ebc45875b85725c2e826e752654b7b759d42dd5dfde561",
+        ]

@@ -10,6 +10,8 @@ and leave a shared generator in the same state.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import time
 
 import numpy as np
@@ -27,7 +29,7 @@ from repro.graph.generators import (
 from repro.instrument.counters import Counters
 from repro.matching.base import MatchResult, Matching, init_matching
 from repro.matching.greedy import greedy_matching
-from repro.matching.karp_sipser_parallel import karp_sipser_parallel
+from repro.matching.karp_sipser_parallel import _Side, karp_sipser_parallel
 from repro.util.rng import SeedLike, as_rng
 
 # --------------------------------------------------------------------------- #
@@ -234,6 +236,72 @@ def partial_initial(graph: BipartiteCSR) -> Matching:
                                [(int(x), int(full.mate_x[x])) for x in xs])
 
 
+def hub_graph(hubs: int = 40, n_background: int = 300, seed: int = 9) -> BipartiteCSR:
+    """Complete ``hubs x hubs`` core whose every hub has a private
+    degree-1 leaf, beside a sparse random background.
+
+    The first degree-1 round matches every hub to its leaf, which takes
+    the whole core out of both sides' degrees at once: a pull on each side.
+    """
+    rng = np.random.default_rng(seed)
+    n = 2 * hubs + n_background
+    core = np.arange(hubs)
+    edges = {(int(x), int(y)) for x in core for y in core}
+    edges |= {(int(h), int(hubs + h)) for h in core}  # X hub <- Y leaf
+    edges |= {(int(hubs + h), int(h)) for h in core}  # Y hub <- X leaf
+    bx = rng.integers(2 * hubs, n, 3 * n_background)
+    by = rng.integers(2 * hubs, n, 3 * n_background)
+    edges |= set(zip(bx.tolist(), by.tolist()))
+    # A few hub edges into the background, so the core is not isolated.
+    edges |= set(zip(rng.integers(0, hubs, 60).tolist(),
+                     rng.integers(2 * hubs, n, 60).tolist()))
+    return from_edges(n, n, sorted(edges))
+
+
+def scratch_er_shape(scale: int) -> BipartiteCSR:
+    """The ER shape of the end-to-end benchmark's scratch-er workload."""
+    n = 1 << scale
+    return random_bipartite(n, n - n // 64, 6 * n, seed=7)
+
+
+BENCH_SCALE_GRAPHS = {
+    "rmat-15-s103": lambda: rmat_bipartite(15, edge_factor=16, seed=103),
+    "rmat-15-s104": lambda: rmat_bipartite(15, edge_factor=16, seed=104),
+    "rmat-15-s105": lambda: rmat_bipartite(15, edge_factor=16, seed=105),
+    "er-13": lambda: scratch_er_shape(13),
+    "hubs": hub_graph,
+}
+BENCH_SCALE_CAPS = [None, 2]
+
+
+@functools.cache
+def bench_scale_graph(name: str) -> BipartiteCSR:
+    return BENCH_SCALE_GRAPHS[name]()
+
+
+@pytest.fixture
+def upkeep(monkeypatch):
+    """Logs every degree update after a commit as ``(side adjacency,
+    entries in the pushed rows, entries charged, pulled)``."""
+    log: list[tuple[np.ndarray, int, int, bool]] = []
+    drop, recount = _Side.drop, _Side.recount
+    pulled: list[bool] = []
+
+    def logged_recount(self, free_other):
+        pulled.append(True)
+        return recount(self, free_other)
+
+    def logged_drop(self, other, taken, ws):
+        pulled.clear()
+        charged = drop(self, other, taken, ws)
+        log.append((self.adj, int(other.lengths[taken].sum()), charged, bool(pulled)))
+        return charged
+
+    monkeypatch.setattr(_Side, "recount", logged_recount)
+    monkeypatch.setattr(_Side, "drop", logged_drop)
+    return log
+
+
 def assert_same(graph, initial, seed, cap):
     new = karp_sipser_parallel(graph, initial, seed=seed, max_degree_one_rounds=cap)
     ref = reference_karp_sipser_parallel(graph, initial, seed=seed,
@@ -251,6 +319,23 @@ def test_matches_reference(name, with_initial, cap):
     initial = partial_initial(graph) if with_initial else None
     for seed in range(3):
         assert_same(graph, initial, seed, cap)
+
+
+@pytest.mark.parametrize("cap", BENCH_SCALE_CAPS, ids=lambda c: f"cap={c}")
+@pytest.mark.parametrize("with_initial", [False, True], ids=["empty-init", "partial-init"])
+@pytest.mark.parametrize("name", sorted(BENCH_SCALE_GRAPHS))
+def test_matches_reference_at_benchmark_scale(name, with_initial, cap, upkeep):
+    graph = bench_scale_graph(name)
+    initial = partial_initial(graph) if with_initial else None
+    for seed in range(3):
+        upkeep.clear()
+        assert_same(graph, initial, seed, cap)
+        if not with_initial:
+            # Half a greedy matching can leave every round too small for a
+            # pull, so only empty starts must exercise both branches.
+            for adj in (graph.x_adj, graph.y_adj):
+                assert any(side is adj and pulled for side, *_, pulled in upkeep)
+                assert any(side is adj and not pulled for side, *_, pulled in upkeep)
 
 
 @pytest.mark.parametrize("cap", CAPS, ids=lambda c: f"cap={c}")
@@ -291,3 +376,37 @@ def test_edge_counter_linear_on_uncapped_path():
 
 def test_edge_counter_on_empty_graph():
     assert karp_sipser_parallel(GRAPHS["no-edges"], seed=0).counters.edges_traversed == 0
+
+
+def test_empty_start_charges_no_counting_pass():
+    # Star K_{1,m}: the m leaves read their rows to propose to the centre,
+    # then the winner's row (1 entry) and the centre's (m) are pushed. The
+    # start degrees are the row lengths, so nothing else is read.
+    m = 50
+    graph = from_edges(1, m, [(0, y) for y in range(m)])
+    result = karp_sipser_parallel(graph, seed=0)
+    assert result.cardinality == 1
+    assert result.counters.edges_traversed == 2 * m + 1
+    # A partial start that already matches the centre pays one counting
+    # pass over both directions and finds nothing left to match.
+    initial = Matching.from_pairs(1, m, [(0, 0)])
+    partial = karp_sipser_parallel(graph, initial, seed=0)
+    assert partial.counters.edges_traversed == graph.num_directed_edges
+
+
+def test_each_pull_charges_nnz(monkeypatch, upkeep):
+    graph = hub_graph()
+    mixed = karp_sipser_parallel(graph, seed=0)
+    pulls = [(push, charged) for _, push, charged, pulled in upkeep if pulled]
+    assert pulls and all(charged == graph.nnz for _, charged in pulls)
+    assert all(charged == push for _, push, charged, pulled in upkeep if not pulled)
+    # Pushing every update instead reads the pushed rows where each pull
+    # read nnz, and finds the same matching.
+    ksp_module = importlib.import_module("repro.matching.karp_sipser_parallel")
+    monkeypatch.setattr(ksp_module, "PUSH_PULL_COST_RATIO", 1e-12)
+    upkeep.clear()
+    pushed = karp_sipser_parallel(graph, seed=0)
+    assert not any(pulled for *_, pulled in upkeep)
+    np.testing.assert_array_equal(pushed.matching.mate_x, mixed.matching.mate_x)
+    assert (mixed.counters.edges_traversed - pushed.counters.edges_traversed
+            == sum(graph.nnz - push for push, _ in pulls))
