@@ -1,4 +1,4 @@
-"""Kernel backend benchmark: python vs numpy vs process-parallel engines.
+"""Kernel backend benchmark: the python engine against the numpy engine.
 
 This is the repo's recorded perf trajectory for the MS-BFS-Graft hot path.
 :func:`run_kernel_bench` times the driver backends on three input families
@@ -7,21 +7,18 @@ the matching cardinality, and produces a JSON-serialisable document; the
 committed baseline lives at ``benchmarks/BENCH_kernels.json`` and is
 refreshed with::
 
-    repro-match bench-kernels --mp-scaling --out benchmarks/BENCH_kernels.json
+    repro-match bench-kernels --out benchmarks/BENCH_kernels.json
 
 ``scale=1.0`` sizes the RMAT instance at 2^14 vertices per side (the
 acceptance graph for the vectorization work); the CI smoke job runs the
 same harness at a tiny scale and only validates the schema
 (:func:`validate_kernel_bench`), because absolute timings are
-machine-specific. Schema v2 adds the shared-memory ``mp`` engine: every
-entry records mp timings at the document's worker count, and
-``mp_scaling=True`` additionally sweeps the rmat instance over 1/2/4
-workers and records what :func:`repro.core.driver.choose_engine` decides
-for that instance on the recording host — on a single-core box the honest
-answer is a decline, and the baseline says so. Schema v4 drops the
-per-ordering rows of v3 (vertex reordering was removed): one row per
-graph, on the generator's own numbering. See ``docs/performance.md`` for
-the kernel design and ``docs/multicore.md`` for the mp backend.
+machine-specific. Schema v4 dropped the per-ordering rows of v3 (vertex
+reordering was removed): one row per graph, on the generator's own
+numbering. Schema v5 drops the process-pool engine's timings, its worker
+count and its scaling sweep (that engine was removed): every row times
+python and numpy only. See ``docs/performance.md`` for the kernel design
+and ``docs/multicore.md`` for why there is no process-parallel engine.
 """
 
 from __future__ import annotations
@@ -35,19 +32,15 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.driver import available_cores, choose_engine, ms_bfs_graft
+from repro.core.driver import ms_bfs_graft
 from repro.errors import BenchmarkError
 from repro.graph import generators as gen
 from repro.graph.csr import BipartiteCSR
 from repro.matching.verify import verify_maximum
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
-ENGINES = ("python", "numpy", "mp")
-
-MP_SCALING_WORKERS = (1, 2, 4)
-"""Worker counts of the ``mp_scaling`` sweep (the rmat14 speedup-vs-workers
-record the roadmap asks for)."""
+ENGINES = ("python", "numpy")
 
 
 @dataclass(frozen=True)
@@ -97,18 +90,14 @@ BENCH_GRAPHS: tuple[KernelBenchGraph, ...] = (
 
 
 def _time_engine(
-    graph: BipartiteCSR,
-    engine: str,
-    repeats: int,
-    workers: int | None = None,
+    graph: BipartiteCSR, engine: str, repeats: int
 ) -> tuple[Dict[str, object], int]:
     """Best/mean wall seconds over ``repeats`` runs plus the cardinality."""
     times: List[float] = []
     cardinality = -1
-    kwargs: Dict[str, object] = {"workers": workers} if engine == "mp" else {}
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        result = ms_bfs_graft(graph, engine=engine, emit_trace=False, **kwargs)
+        result = ms_bfs_graft(graph, engine=engine, emit_trace=False)
         times.append(time.perf_counter() - t0)
         cardinality = result.cardinality
     stats = {
@@ -119,41 +108,12 @@ def _time_engine(
     return stats, cardinality
 
 
-def _mp_scaling_sweep(
-    graph: BipartiteCSR, repeats: int, workers_requested: int
-) -> Dict[str, object]:
-    """Time the mp engine at each sweep worker count and record what the
-    cost model would actually dispatch for this instance on this host.
-
-    The dispatch record is the honest half of the story: on a single-core
-    machine every mp timing is pure barrier overhead, and
-    :func:`~repro.core.driver.choose_engine` declines — the baseline then
-    documents the decline (engine + reason) instead of implying a speedup.
-    """
-    sweep: List[Dict[str, object]] = []
-    for w in MP_SCALING_WORKERS:
-        stats, _ = _time_engine(graph, "mp", repeats, workers=w)
-        sweep.append({"workers": w, "best_seconds": stats["best_seconds"]})
-    decision = choose_engine(graph, emit_trace=False, workers=workers_requested)
-    return {
-        "workers": sweep,
-        "dispatch": {
-            "requested_workers": int(workers_requested),
-            "cores": int(available_cores()),
-            "engine": decision.engine,
-            "reason": decision.reason,
-        },
-    }
-
-
 def run_kernel_bench(
     scale: float = 1.0,
     repeats: int = 3,
     graphs: Sequence[str] | None = None,
     verify: bool = True,
     cache=None,
-    workers: int = 2,
-    mp_scaling: bool = False,
 ) -> Dict[str, object]:
     """Time every backend on every benchmark input; return the JSON doc.
 
@@ -164,10 +124,7 @@ def run_kernel_bench(
     additionally certifies the vectorized result (Berge + König).
     ``cache`` is an optional :class:`repro.cache.GraphCache`: the bench
     inputs then resolve content-addressed (keyed under ``kind="bench"`` so
-    they never collide with same-named suite graphs). ``workers`` sets the
-    mp engine's pool size for the per-entry timings; ``mp_scaling=True``
-    additionally sweeps the rmat entry over :data:`MP_SCALING_WORKERS` and
-    records the host's dispatch decision (see :func:`_mp_scaling_sweep`).
+    they never collide with same-named suite graphs).
     """
     selected = [g for g in BENCH_GRAPHS if graphs is None or g.name in graphs]
     if graphs is not None:
@@ -190,9 +147,7 @@ def run_kernel_bench(
         timings: Dict[str, Dict[str, object]] = {}
         cardinalities: Dict[str, int] = {}
         for engine in ENGINES:
-            timings[engine], cardinalities[engine] = _time_engine(
-                graph, engine, repeats, workers=workers
-            )
+            timings[engine], cardinalities[engine] = _time_engine(graph, engine, repeats)
         if len(set(cardinalities.values())) != 1:
             raise BenchmarkError(
                 f"backends disagree on {spec.name}: {cardinalities}"
@@ -213,8 +168,6 @@ def run_kernel_bench(
             "speedup": timings["python"]["best_seconds"]
             / max(timings["numpy"]["best_seconds"], 1e-12),
         }
-        if mp_scaling and spec.name == "rmat":
-            entry["mp_scaling"] = _mp_scaling_sweep(graph, repeats, workers)
         entries.append(entry)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -222,7 +175,6 @@ def run_kernel_bench(
         "scale": scale,
         "repeats": repeats,
         "engines": list(ENGINES),
-        "workers": int(workers),
         "host": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -253,8 +205,6 @@ def validate_kernel_bench(doc: Dict[str, object]) -> Dict[str, object]:
     expect(isinstance(doc.get("scale"), (int, float)) and doc.get("scale", 0) > 0,
            "scale must be a positive number")
     expect(doc.get("engines") == list(ENGINES), f"engines must be {list(ENGINES)}")
-    expect(isinstance(doc.get("workers"), int) and doc.get("workers", 0) >= 1,
-           "workers must be a positive integer (mp pool size of the timings)")
     entries = doc.get("graphs")
     expect(isinstance(entries, list) and len(entries) >= 1, "graphs must be a non-empty list")
     for i, entry in enumerate(entries if isinstance(entries, list) else []):
@@ -293,36 +243,6 @@ def validate_kernel_bench(doc: Dict[str, object]) -> Dict[str, object]:
             if isinstance(py, (int, float)) and isinstance(npy, (int, float)) and npy > 0:
                 expect(abs(speedup - py / npy) <= 1e-6 * max(1.0, speedup),
                        f"{where}.speedup inconsistent with recorded timings")
-        scaling = entry.get("mp_scaling")
-        if scaling is not None:
-            if not isinstance(scaling, dict):
-                problems.append(f"{where}.mp_scaling is not an object")
-                continue
-            sweep = scaling.get("workers")
-            expect(isinstance(sweep, list) and len(sweep) >= 1,
-                   f"{where}.mp_scaling.workers must be a non-empty list")
-            for j, point in enumerate(sweep if isinstance(sweep, list) else []):
-                pwhere = f"{where}.mp_scaling.workers[{j}]"
-                if not isinstance(point, dict):
-                    problems.append(f"{pwhere} is not an object")
-                    continue
-                expect(isinstance(point.get("workers"), int) and point.get("workers", 0) >= 1,
-                       f"{pwhere}.workers must be a positive integer")
-                expect(isinstance(point.get("best_seconds"), (int, float))
-                       and point.get("best_seconds", -1) > 0,
-                       f"{pwhere}.best_seconds must be a positive number")
-            dispatch = scaling.get("dispatch")
-            if not isinstance(dispatch, dict):
-                problems.append(f"{where}.mp_scaling.dispatch is not an object")
-                continue
-            expect(dispatch.get("engine") in ("mp", "numpy", "python"),
-                   f"{where}.mp_scaling.dispatch.engine must be a concrete "
-                   f"engine name ('mp', 'numpy', or 'python')")
-            expect(isinstance(dispatch.get("reason"), str) and dispatch.get("reason"),
-                   f"{where}.mp_scaling.dispatch.reason must be a non-empty string")
-            for key in ("requested_workers", "cores"):
-                expect(isinstance(dispatch.get(key), int) and dispatch.get(key, 0) >= 1,
-                       f"{where}.mp_scaling.dispatch.{key} must be a positive integer")
     if isinstance(entries, list):
         names = [e.get("name") for e in entries if isinstance(e, dict)]
         expect(len(names) == len(set(names)), f"duplicate graph rows: {names}")
@@ -339,7 +259,6 @@ def render_kernel_bench(doc: Dict[str, object]) -> str:
 
     rows = []
     for entry in doc["graphs"]:
-        mp = entry["timings"].get("mp")
         rows.append(
             [
                 entry["name"],
@@ -348,34 +267,15 @@ def render_kernel_bench(doc: Dict[str, object]) -> str:
                 entry["cardinality"],
                 entry["timings"]["python"]["best_seconds"],
                 entry["timings"]["numpy"]["best_seconds"],
-                mp["best_seconds"] if mp else "-",
                 f"{entry['speedup']:.1f}x",
             ]
         )
-    table = format_table(
-        ["graph", "n", "nnz", "|M|", "python (s)", "numpy (s)",
-         f"mp/{doc['workers']}w (s)", "speedup"],
+    return format_table(
+        ["graph", "n", "nnz", "|M|", "python (s)", "numpy (s)", "speedup"],
         rows,
         title=f"Kernel backends, scale={doc['scale']} "
               f"(best of {doc['repeats']} runs, empty initial matching)",
     )
-    scaling_lines = []
-    for entry in doc["graphs"]:
-        scaling = entry.get("mp_scaling")
-        if not scaling:
-            continue
-        points = ", ".join(
-            f"{p['workers']}w={p['best_seconds']:.3f}s" for p in scaling["workers"]
-        )
-        d = scaling["dispatch"]
-        scaling_lines.append(
-            f"mp scaling [{entry['name']}]: {points}\n"
-            f"dispatch (workers={d['requested_workers']}, cores={d['cores']}): "
-            f"{d['engine']} — {d['reason']}"
-        )
-    if scaling_lines:
-        table += "\n" + "\n".join(scaling_lines)
-    return table
 
 
 def write_kernel_bench(doc: Dict[str, object], path: str) -> None:

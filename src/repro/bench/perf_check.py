@@ -19,19 +19,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.kernels_bench import (
+    ENGINES,
     load_kernel_bench,
     run_kernel_bench,
     validate_kernel_bench,
 )
 from repro.errors import BenchmarkError
-
-GATED_ENGINES = ("python", "numpy")
-"""Engines the regression gate compares. The mp engine is deliberately
-excluded: its wall time is dominated by a fixed pool-spawn/barrier cost
-that per-edge normalisation cannot factor out, so at CI's tiny scales the
-ratio would measure process startup, not kernel speed. mp coverage lives in
-the differential/determinism suites and the baseline's ``mp_scaling``
-record instead."""
 
 _TOLERANCE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*x?\s*$", re.IGNORECASE)
 
@@ -121,7 +114,7 @@ def _per_edge_times(doc: Dict[str, object]) -> Dict[str, Dict[str, float]]:
         nnz = max(int(entry["nnz"]), 1)
         out[str(entry["name"])] = {
             engine: float(entry["timings"][engine]["best_seconds"]) / nnz
-            for engine in GATED_ENGINES
+            for engine in ENGINES
         }
     return out
 
@@ -155,7 +148,7 @@ def compare_kernel_bench(
             tolerance=tolerance,
         )
         for name in common
-        for engine in GATED_ENGINES
+        for engine in ENGINES
     ]
     return PerfCheckReport(rows=rows, tolerance=tolerance)
 

@@ -67,8 +67,6 @@ def run_algorithm(
     phase_hook=None,
     telemetry=None,
     workers: int | None = None,
-    flight_dir: str | None = None,
-    mp_min_level_items: int | None = None,
     reorder: str = "none",
     reorder_plan=None,
     reorder_layout=None,
@@ -80,18 +78,16 @@ def run_algorithm(
     ``"karp-sipser-parallel"`` (the suite default), ``"karp-sipser"``
     (serial), or ``"none"`` (empty matching). ``engine`` overrides the
     MS-BFS-Graft backend dispatcher, ``deadline`` is the cooperative soft
-    timeout, ``phase_hook`` a per-phase callback, ``telemetry`` a
-    :class:`repro.telemetry.Telemetry` session, and ``workers`` the process
-    count for ``engine="mp"`` (and the worker term of ``"auto"``).
-    ``flight_dir`` and ``mp_min_level_items`` pass through to the mp
-    engine's crash flight recorder and scatter floor. All of these apply
-    only to the driver-backed algorithms in :data:`ENGINE_AWARE` — the
-    batch service threads its deadlines, fault hooks, and telemetry
-    through here.
+    timeout, ``phase_hook`` a per-phase callback, and ``telemetry`` a
+    :class:`repro.telemetry.Telemetry` session. All of these apply only to
+    the driver-backed algorithms in :data:`ENGINE_AWARE` — the batch
+    service threads its deadlines, fault hooks, and telemetry through here.
 
-    ``reorder``, ``reorder_plan`` and ``reorder_layout`` are kept for
-    older callers only (:func:`~repro.core.driver.check_no_reorder`):
-    every algorithm runs on ``graph``'s own numbering.
+    ``workers``, ``reorder``, ``reorder_plan`` and ``reorder_layout`` are
+    kept for older callers only. ``workers`` is ignored (every algorithm
+    runs in this one process) and is not forwarded; the reorder keywords
+    go through :func:`~repro.core.driver.check_no_reorder`: every
+    algorithm runs on ``graph``'s own numbering.
     """
     fn = ALGORITHMS.get(name)
     if fn is None:
@@ -105,12 +101,6 @@ def run_algorithm(
         driver_kwargs["phase_hook"] = phase_hook
     if telemetry is not None:
         driver_kwargs["telemetry"] = telemetry
-    if workers is not None:
-        driver_kwargs["workers"] = workers
-    if flight_dir is not None:
-        driver_kwargs["flight_dir"] = flight_dir
-    if mp_min_level_items is not None:
-        driver_kwargs["mp_min_level_items"] = mp_min_level_items
     if driver_kwargs and name not in ENGINE_AWARE:
         raise BenchmarkError(
             f"algorithm {name!r} does not run on the MS-BFS-Graft driver; "

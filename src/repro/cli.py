@@ -21,6 +21,7 @@ from typing import Callable, Dict
 from repro.bench import experiments
 from repro.bench.runner import ALGORITHMS, run_algorithm
 from repro.bench.suite import get_suite_graph, suite_counterpart, suite_specs
+from repro.core.driver import ENGINES
 from repro.graph.io import read_matrix_market
 from repro.matching.verify import verify_maximum
 
@@ -90,8 +91,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         telemetry = Telemetry()
     graph, initial, cache_status = _acquire_suite_graph(args, telemetry=telemetry)
     result = run_algorithm(args.algorithm, graph, initial, seed=args.seed,
-                           engine=args.engine, telemetry=telemetry,
-                           workers=args.workers, flight_dir=args.flight_dir)
+                           engine=args.engine, telemetry=telemetry)
     verify_maximum(graph, result.matching)
     if telemetry is not None:
         from repro.telemetry import write_prometheus
@@ -162,8 +162,7 @@ def _read_graph_file(path: str, fmt: str):
 
 def _cmd_match(args: argparse.Namespace) -> int:
     graph, labels = _read_graph_file(args.path, args.format)
-    result = run_algorithm(args.algorithm, graph, seed=args.seed, engine=args.engine,
-                           workers=args.workers)
+    result = run_algorithm(args.algorithm, graph, seed=args.seed, engine=args.engine)
     verify_maximum(graph, result.matching)
     print(f"{args.path}: n_rows={graph.n_x:,} n_cols={graph.n_y:,} nnz={graph.nnz:,}")
     print(f"maximum matching (structural rank): {result.cardinality:,}")
@@ -436,8 +435,7 @@ def _cmd_bench_kernels(args: argparse.Namespace) -> int:
     )
 
     doc = run_kernel_bench(scale=args.scale, repeats=args.repeats, graphs=args.graphs,
-                           cache=_open_cache(args), workers=args.workers,
-                           mp_scaling=args.mp_scaling)
+                           cache=_open_cache(args))
     print(render_kernel_bench(doc))
     if args.out:
         write_kernel_bench(doc, args.out)
@@ -452,10 +450,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     telemetry = Telemetry()
     graph, initial, cache_status = _acquire_suite_graph(args, telemetry=telemetry)
     result = run_algorithm(args.algorithm, graph, initial, seed=args.seed,
-                           engine=args.engine, telemetry=telemetry,
-                           workers=args.workers,
-                           flight_dir=args.flight_dir,
-                           mp_min_level_items=args.mp_min_level)
+                           engine=args.engine, telemetry=telemetry)
     verify_maximum(graph, result.matching)
     out = args.out or f"{args.graph}.trace.json"
     write_chrome_trace(
@@ -464,11 +459,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                   "algorithm": result.algorithm,
                   "cardinality": int(result.cardinality)},
     )
-    # merged_coverage() == coverage() when there are no worker lanes, and
-    # additionally requires every mp worker lane to account for its own
-    # window (scan + idle spans) when there are.
-    coverage = telemetry.tracer.merged_coverage()
-    lanes = telemetry.tracer.lane_coverage()
+    coverage = telemetry.tracer.coverage()
     spans = [s for s in telemetry.tracer.spans if not s.open]
     print(f"graph    : {args.graph} (scale {args.scale}); "
           f"n={graph.num_vertices:,} m={graph.num_directed_edges:,}")
@@ -477,13 +468,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"|M|      : {result.cardinality:,} (maximum, certified)")
     print(f"trace    : {out} ({len(spans)} spans; open in "
           f"https://ui.perfetto.dev or chrome://tracing)")
-    if lanes:
-        lane_text = ", ".join(
-            f"pid {pid} {cov:.1%}" for pid, cov in sorted(lanes.items())
-        )
-        print(f"lanes    : {len(lanes)} mp worker lanes ({lane_text})")
-    print(f"coverage : {coverage:.1%} of the run is covered by spans "
-          f"(master phases{' + worker lanes' if lanes else ''})")
+    print(f"coverage : {coverage:.1%} of the run is covered by spans")
     if args.metrics_out:
         write_prometheus(telemetry.metrics, args.metrics_out)
         print(f"metrics  : {args.metrics_out} (Prometheus text format)")
@@ -723,14 +708,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="ms-bfs-graft")
     p_run.add_argument("--scale", type=float, default=0.3)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--engine",
-                       choices=["auto", "numpy", "python", "interleaved", "mp"],
-                       default=None,
+    p_run.add_argument("--engine", choices=ENGINES, default=None,
                        help="override the backend dispatcher (MS-BFS-Graft "
                             "family only; default: cost-model auto-dispatch)")
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="process count for the mp engine; with --engine "
-                            "auto, >= 2 lets the cost model consider mp")
     p_run.add_argument("--report", action="store_true",
                        help="print the full instrumented run report")
     p_run.add_argument("--machine", choices=["mirasol", "edison", "laptop", "manycore"],
@@ -740,9 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--threads", type=int, default=40,
                        help="simulated thread count for the --report cost "
                             "model (default: 40, the paper's Mirasol runs)")
-    p_run.add_argument("--flight-dir", default=None,
-                       help="mp engine: dump the crash flight recorder here "
-                            "on worker crashes / deadline expiry")
     p_run.add_argument("--metrics-out", default=None,
                        help="write run metrics here in Prometheus text "
                             "exposition format")
@@ -765,13 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("path")
     p_match.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="ms-bfs-graft")
     p_match.add_argument("--seed", type=int, default=0)
-    p_match.add_argument("--engine",
-                         choices=["auto", "numpy", "python", "interleaved", "mp"],
-                         default=None,
+    p_match.add_argument("--engine", choices=ENGINES, default=None,
                          help="override the backend dispatcher (MS-BFS-Graft "
                               "family only)")
-    p_match.add_argument("--workers", type=int, default=None,
-                         help="process count for the mp engine")
     p_match.add_argument("--format", choices=["auto", "mtx", "snap", "dimacs"],
                          default="auto")
     p_match.add_argument("--show-pairs", type=int, default=5,
@@ -804,9 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="ms-bfs-graft")
     p_batch.add_argument("--scale", type=float, default=0.2)
     p_batch.add_argument("--seed", type=int, default=0)
-    p_batch.add_argument("--engine",
-                         choices=["auto", "numpy", "python", "interleaved", "mp"],
-                         default=None)
+    p_batch.add_argument("--engine", choices=ENGINES, default=None)
     p_batch.add_argument("--deadline", type=float, default=None,
                          help="per-job soft deadline in seconds (checked at "
                               "engine phase boundaries)")
@@ -887,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bk = sub.add_parser(
         "bench-kernels",
-        help="time the python/numpy/mp backends (BENCH_kernels.json baseline)",
+        help="time the python/numpy backends (BENCH_kernels.json baseline)",
     )
     p_bk.add_argument("--scale", type=float, default=1.0,
                       help="instance scale; 1.0 = the 2^14-vertex RMAT baseline")
@@ -896,11 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bk.add_argument("--graphs", nargs="+", default=None,
                       choices=["rmat", "er", "skewed"],
                       help="subset of bench inputs (default: all three)")
-    p_bk.add_argument("--workers", type=int, default=2,
-                      help="mp engine pool size for the per-graph timings")
-    p_bk.add_argument("--mp-scaling", action="store_true",
-                      help="also sweep the rmat entry over 1/2/4 mp workers "
-                           "and record the host's dispatch decision")
     p_bk.add_argument("--out", default=None,
                       help="write the validated JSON document here "
                            "(e.g. benchmarks/BENCH_kernels.json)")
@@ -919,11 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="ms-bfs-graft")
     p_trace.add_argument("--scale", type=float, default=0.3)
     p_trace.add_argument("--seed", type=int, default=0)
-    p_trace.add_argument("--engine",
-                         choices=["auto", "numpy", "python", "interleaved", "mp"],
-                         default=None)
-    p_trace.add_argument("--workers", type=int, default=None,
-                         help="process count for the mp engine")
+    p_trace.add_argument("--engine", choices=ENGINES, default=None)
     p_trace.add_argument("--out", default=None,
                          help="trace path (default: <graph>.trace.json)")
     p_trace.add_argument("--metrics-out", default=None,
@@ -932,16 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write spans+metrics as EventLog-compatible JSONL")
     p_trace.add_argument("--min-coverage", type=float, default=0.0,
                          help="fail (exit 1) if spans cover less than this "
-                              "fraction of the run (e.g. 0.95); with mp worker "
-                              "lanes this is the minimum over the master "
-                              "phase coverage and every worker lane")
-    p_trace.add_argument("--mp-min-level", type=int, default=None,
-                         help="mp engine: override the per-level scatter "
-                              "floor (0 forces every level through the "
-                              "worker pool, giving full worker lanes)")
-    p_trace.add_argument("--flight-dir", default=None,
-                         help="mp engine: dump the crash flight recorder "
-                              "here on worker crashes / deadline expiry")
+                              "fraction of the run (e.g. 0.95)")
     p_trace.add_argument("--cache-dir", default=None,
                          help="content-addressed graph cache directory; on a "
                               "warm entry the trace contains no build span")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional
 
 from repro.core.engine_interleaved import run_interleaved
@@ -10,7 +9,6 @@ from repro.core.engine_numpy import run_numpy
 from repro.core.engine_python import run_python
 from repro.core.options import (
     DISPATCH_WORK_THRESHOLD,
-    MP_DISPATCH_MIN_WORK,
     Deadline,
     DispatchDecision,
     GraftOptions,
@@ -18,23 +16,11 @@ from repro.core.options import (
 from repro.errors import ReproError
 from repro.graph.csr import BipartiteCSR
 from repro.matching.base import MatchResult, Matching
-from repro.parallel.procpool import DEFAULT_WORKERS, run_mp
 from repro.util.rng import SeedLike
 
-_ENGINES = ("auto", "numpy", "python", "interleaved", "mp")
-
-
-def available_cores() -> int:
-    """Cores this process may actually run on (affinity-aware).
-
-    ``sched_getaffinity`` respects cgroup/taskset restrictions — the number
-    that matters for a process pool — with ``cpu_count`` as the portable
-    fallback.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
+ENGINES = ("auto", "numpy", "python", "interleaved")
+"""Engine names :func:`ms_bfs_graft` accepts; the batch service and the
+CLI validate against this same tuple."""
 
 
 def check_no_reorder(reorder: str = "none", plan=None, layout=None) -> None:
@@ -59,33 +45,24 @@ def choose_engine(
     emit_trace: bool = True,
     threshold: int = DISPATCH_WORK_THRESHOLD,
     workers: int = 1,
-    mp_threshold: int = MP_DISPATCH_MIN_WORK,
-    cores: int | None = None,
     reorder: str = "none",
 ) -> DispatchDecision:
-    """Cost-model backend dispatch: pick the python, numpy, or mp engine.
+    """Cost-model backend dispatch: pick the python or numpy engine.
 
     Mirrors the shape of the paper's direction rule (Algorithm 3 line 9,
-    ``|F| < numUnvisitedY / alpha``): work estimates compared against
-    calibrated thresholds. The estimate is ``nnz + n_x + n_y`` — the
+    ``|F| < numUnvisitedY / alpha``): a work estimate compared against a
+    calibrated threshold. The estimate is ``nnz + n_x + n_y`` — the
     per-phase touch count of the level kernels — and the python/numpy
     crossover is the measured point where numpy's per-call overhead stops
     dominating (:data:`~repro.core.options.DISPATCH_WORK_THRESHOLD`).
 
-    The process-parallel backend enters the decision only when the caller
-    asked for ``workers >= 2``; it is picked when the pool can actually
-    run in parallel (``min(workers, cores) >= 2`` — a pool pinned to one
-    core merely adds barrier latency) **and** the work estimate clears
-    :data:`~repro.core.options.MP_DISPATCH_MIN_WORK`, the floor below
-    which process barriers cost more than the scans they parallelise.
-    ``cores`` is injectable for tests; it defaults to the live affinity
-    count (:func:`available_cores`).
-
     Work traces for the simulated machine only exist on the vectorized
     backend, so ``emit_trace=True`` forces numpy regardless of size.
 
-    ``reorder`` is checked by :func:`check_no_reorder` and otherwise
-    ignored; the decision's ``reorder`` is always ``"none"``.
+    ``workers`` and ``reorder`` are kept for older callers and do not
+    change the decision: every engine runs in this one process, and
+    ``reorder`` is checked by :func:`check_no_reorder` (the decision's
+    ``reorder`` is always ``"none"``).
     """
     check_no_reorder(reorder)
     work = int(graph.nnz + graph.n_x + graph.n_y)
@@ -102,41 +79,6 @@ def choose_engine(
             reason=(
                 f"work estimate {work} < {threshold}: below the vectorization "
                 f"overhead crossover, interpreted loops win"
-            ),
-            work=work,
-            threshold=threshold,
-        )
-    if workers >= 2:
-        cores = available_cores() if cores is None else int(cores)
-        effective = min(int(workers), cores)
-        if effective >= 2 and work >= mp_threshold:
-            return DispatchDecision(
-                engine="mp",
-                reason=(
-                    f"work estimate {work} >= {mp_threshold} with "
-                    f"{effective} usable workers (requested {workers}, "
-                    f"{cores} cores): per-level scans amortise the process "
-                    f"barriers"
-                ),
-                work=work,
-                threshold=threshold,
-            )
-        if effective < 2:
-            decline = (
-                f"mp declined: min(workers={workers}, cores={cores}) = "
-                f"{effective} < 2, a pool pinned to one core only adds "
-                f"barrier latency"
-            )
-        else:
-            decline = (
-                f"mp declined: work estimate {work} < {mp_threshold}, "
-                f"process barriers would dominate the per-level scans"
-            )
-        return DispatchDecision(
-            engine="numpy",
-            reason=(
-                f"work estimate {work} >= {threshold}: bulk kernels amortise "
-                f"their per-call overhead ({decline})"
             ),
             work=work,
             threshold=threshold,
@@ -170,8 +112,6 @@ def ms_bfs_graft(
     threads: int = 4,
     seed: SeedLike = 0,
     workers: int | None = None,
-    flight_dir: str | None = None,
-    mp_min_level_items: int | None = None,
     reorder: str = "none",
     reorder_plan=None,
     reorder_layout=None,
@@ -199,14 +139,12 @@ def ms_bfs_graft(
         (Beamer's degree-weighted rule); see
         :class:`~repro.core.options.GraftOptions`.
     engine:
-        ``"auto"`` (cost-model dispatch between python, numpy, and — when
-        ``workers >= 2`` — mp, see :func:`choose_engine`), ``"numpy"``
-        (vectorized, parallel semantics, emits work traces), ``"python"``
-        (serial reference), ``"interleaved"`` (simulated concurrent
-        execution; honours ``threads`` and ``seed``), or ``"mp"``
-        (process-parallel shared-memory pool; honours ``workers``).
-        Passing a concrete engine name is the explicit override of the
-        dispatcher.
+        ``"auto"`` (cost-model dispatch between python and numpy, see
+        :func:`choose_engine`), ``"numpy"`` (vectorized, parallel
+        semantics, emits work traces), ``"python"`` (serial reference), or
+        ``"interleaved"`` (simulated concurrent execution; honours
+        ``threads`` and ``seed``); :data:`ENGINES` lists them. Passing a
+        concrete engine name is the explicit override of the dispatcher.
     record_frontiers:
         Record per-level frontier sizes (Fig. 8).
     emit_trace:
@@ -230,28 +168,11 @@ def ms_bfs_graft(
         claims, grafts vs rebuilds, ...); see ``docs/observability.md``.
     threads, seed:
         Interleaved engine: simulated thread count and schedule seed.
-    workers:
-        Process count for the mp engine; also the worker term of the
-        ``"auto"`` cost model (mp is only considered when ``workers >= 2``
-        and at least two cores are actually available). ``None`` means "not
-        requested": auto-dispatch never picks mp, while an explicit
-        ``engine="mp"`` falls back to the pool default
-        (:data:`~repro.parallel.procpool.DEFAULT_WORKERS`). The result is
-        bit-identical for every worker count.
-    flight_dir:
-        Directory for crash flight-recorder dumps (mp engine): the master
-        keeps a bounded ring of per-level events and writes it there as
-        post-mortem JSONL on worker crashes or deadline expiry. ``None``
-        (the default) records nothing.
-    mp_min_level_items:
-        mp engine only: override the per-level scatter floor
-        (:data:`~repro.parallel.procpool.MIN_LEVEL_ITEMS`). Levels with
-        fewer work items run on the master; ``0`` forces every level
-        through the pool (tests, tracing demos). ``None`` keeps the
-        default. The result is identical either way.
-    reorder, reorder_plan, reorder_layout:
-        Kept for older callers only (:func:`check_no_reorder`): the run
-        always uses ``graph``'s own numbering.
+    workers, reorder, reorder_plan, reorder_layout:
+        Kept for older callers only. ``workers`` is ignored: every engine
+        runs in this one process. The reorder keywords go through
+        :func:`check_no_reorder`: the run always uses ``graph``'s own
+        numbering.
 
     Returns
     -------
@@ -270,28 +191,14 @@ def ms_bfs_graft(
         deadline=deadline,
         phase_hook=phase_hook,
         telemetry=telemetry,
-        flight_dir=flight_dir,
     )
     check_no_reorder(reorder, reorder_plan, reorder_layout)
     if engine == "auto":
-        engine = choose_engine(
-            graph,
-            emit_trace=emit_trace,
-            workers=workers if workers is not None else 1,
-        ).engine
+        engine = choose_engine(graph, emit_trace=emit_trace).engine
     if engine == "numpy":
         return run_numpy(graph, initial, options)
     if engine == "python":
         return run_python(graph, initial, options)
     if engine == "interleaved":
         return run_interleaved(graph, initial, options, threads=threads, seed=seed)
-    if engine == "mp":
-        mp_kwargs = {}
-        if mp_min_level_items is not None:
-            mp_kwargs["min_level_items"] = int(mp_min_level_items)
-        return run_mp(
-            graph, initial, options,
-            workers=max(workers if workers is not None else DEFAULT_WORKERS, 1),
-            **mp_kwargs,
-        )
-    raise ReproError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+    raise ReproError(f"unknown engine {engine!r}; expected one of {ENGINES}")

@@ -1,6 +1,6 @@
 """The MS-BFS-Graft phase loop (Algorithm 3), written once.
 
-The python, numpy, interleaved and mp engines all run through
+The python, numpy and interleaved engines all run through
 :func:`run_phases`. An engine hands the driver a :class:`PhaseSteps` object
 holding its kernels; the driver owns the control flow around them: the run
 span and ``setup`` step, the phase counter and ``options.begin_phase``, the

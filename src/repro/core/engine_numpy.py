@@ -48,12 +48,7 @@ def run_numpy(
 
 
 class NumpySteps(PhaseSteps):
-    """The vectorized kernels, plus one work-trace region per barrier.
-
-    The level dispatch (:meth:`topdown_level`, :meth:`bottomup_level`) is
-    the seam the mp engine overrides to scatter heavy levels over its
-    worker pool; everything else, trace emission included, is shared.
-    """
+    """The vectorized kernels, plus one work-trace region per barrier."""
 
     def __init__(
         self,
@@ -82,22 +77,14 @@ class NumpySteps(PhaseSteps):
     def unvisited_deg(self) -> int:
         return self.state.unvisited_deg
 
-    def topdown_level(self, frontier: np.ndarray, region: str) -> kernels.LevelStats:
-        return kernels.topdown_level(
-            self.graph, self.state, self.matching, frontier, self.workspace,
-            region=region,
-        )
-
-    def bottomup_level(self, rows: np.ndarray, region: str) -> kernels.LevelStats:
-        return kernels.bottomup_level(
-            self.graph, self.state, self.matching, rows, self.workspace, region=region
-        )
-
     def topdown(self, frontier: np.ndarray):
         return self._expand(frontier, "topdown")
 
     def _expand(self, frontier: np.ndarray, region: str):
-        stats = self.topdown_level(frontier, region)
+        stats = kernels.topdown_level(
+            self.graph, self.state, self.matching, frontier, self.workspace,
+            region=region,
+        )
         if self.trace is not None:
             self.trace.add(
                 region,
@@ -111,7 +98,9 @@ class NumpySteps(PhaseSteps):
         return self._attach(self.state.unvisited_candidates(), "bottomup")
 
     def _attach(self, rows: np.ndarray, region: str):
-        stats = self.bottomup_level(rows, region)
+        stats = kernels.bottomup_level(
+            self.graph, self.state, self.matching, rows, self.workspace, region=region
+        )
         if self.trace is not None:
             self.trace.add(
                 region, stats.item_costs, queue_appends=int(stats.next_frontier.size)

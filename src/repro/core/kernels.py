@@ -418,17 +418,6 @@ def _apply_claims(
     )
 
 
-apply_claims = _apply_claims
-"""Public alias of the sanctioned claim-commit path.
-
-The process-pool engine (:mod:`repro.parallel.procpool`) merges worker
-claims at its phase barriers and applies them through this exact routine,
-so every ``visited``/``parent``/``root_y`` transition — regardless of
-backend — flows through one channel that the analyzer and the race
-observer both understand.
-"""
-
-
 def augment_all(
     state: ForestState, matching: Matching
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -22,22 +22,6 @@ is below this threshold. The value is calibrated on ER bipartite graphs
 crosses 1.0 between work ≈ 2,400 (ratio 0.5) and work ≈ 4,800 (ratio 1.0);
 ``docs/performance.md`` records the calibration table."""
 
-MP_DISPATCH_MIN_WORK = 200_000
-"""Work floor for the process-parallel backend (``engine="mp"``).
-
-The process pool adds fixed costs no single-process backend pays: worker
-spawn plus shared-segment setup (milliseconds) and, per level, one pipe
-round-trip barrier per worker (~0.1 ms each). A run whose total work
-``nnz + n_x + n_y`` is below this floor finishes in single-digit
-milliseconds on the numpy engine, so there is nothing for extra cores to
-win back; above it the per-level scan dominates the barriers and the pool
-can profit *when spare cores exist*. The dispatcher therefore requires
-both this floor and ``min(workers, available cores) >= 2`` before picking
-``mp`` (see :func:`repro.core.driver.choose_engine`); the rmat-14
-acceptance graph (work ≈ 290k) sits above the floor by design, and
-``benchmarks/BENCH_kernels.json`` records the measured worker scaling
-behind it. See ``docs/multicore.md``."""
-
 
 class Deadline:
     """Cooperative soft deadline for one engine run.
@@ -156,16 +140,6 @@ class GraftOptions:
     per phase — the disabled-overhead bound in the telemetry tests relies
     on this field staying a plain attribute. Excluded from equality, like
     the other runtime-only fields."""
-    flight_dir: Optional[str] = field(default=None, compare=False)
-    """Directory for crash flight-recorder dumps (mp engine).
-
-    When set, the mp master keeps a bounded ring of per-level events
-    (:class:`repro.telemetry.flight.FlightRecorder`) and dumps it here as
-    post-mortem JSONL on :class:`~repro.errors.WorkerCrashed` or
-    :class:`~repro.errors.DeadlineExceeded` before re-raising. ``None``
-    (the default) records nothing. Runtime-only like ``telemetry``, so it
-    is excluded from equality."""
-
     def __post_init__(self) -> None:
         if self.alpha <= 0:
             raise ReproError(f"alpha must be positive, got {self.alpha}")

@@ -114,44 +114,6 @@ def retire_trees(root_x: np.ndarray, cols: np.ndarray) -> None:
 
 
 @superstep_commit
-def commit_task(task: np.ndarray, items: np.ndarray) -> None:
-    """Publish one level's frontier / row set into the shared task buffer.
-
-    The process-pool engine (:mod:`repro.parallel.procpool`) is the caller:
-    the master writes the level's work items once, at the barrier before
-    scattering chunk descriptors, and workers only ever *read* the buffer.
-    """
-    task[: items.shape[0]] = items
-
-
-@superstep_commit
-def commit_worker_claims(
-    out_y: np.ndarray,
-    out_x: np.ndarray,
-    winners: np.ndarray,
-    sources: np.ndarray,
-) -> None:
-    """Deposit a worker's locally-resolved claims in its private out region.
-
-    Each worker owns its region exclusively (no other process writes it),
-    and the master reads it only after the worker's barrier reply — the
-    shared-memory analogue of draining a BSP inbox. Claims here are
-    *candidates*: the master still runs the global first-writer-wins
-    resolution before committing them to the forest.
-    """
-    k = winners.shape[0]
-    out_y[:k] = winners
-    out_x[:k] = sources
-
-
-@superstep_commit
-def commit_worker_costs(out_c: np.ndarray, costs: np.ndarray) -> None:
-    """Deposit a worker's per-item scan costs (work-trace input) in its
-    private out region, same ownership discipline as the claim regions."""
-    out_c[: costs.shape[0]] = costs
-
-
-@superstep_commit
 def commit_rebuild(
     root_x: np.ndarray,
     leaf: np.ndarray,

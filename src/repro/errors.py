@@ -77,18 +77,6 @@ class TransientEngineError(ServiceError):
     """
 
 
-class WorkerCrashed(TransientEngineError):
-    """A process-pool worker died mid-superstep (``engine="mp"``).
-
-    Raised by :class:`repro.parallel.procpool.ProcPool` when a worker's
-    pipe closes unexpectedly — killed, OOM-reaped, or segfaulted. Transient
-    by classification: a fresh attempt respawns the pool and can succeed;
-    when the retry budget is exhausted the service degrades the job along
-    the ``mp → numpy → python`` chain. The shared segment is always
-    unlinked by the pool's ``close`` regardless.
-    """
-
-
 class CacheError(ReproError):
     """Raised by the content-addressed graph cache (:mod:`repro.cache`)."""
 

@@ -206,13 +206,6 @@ class BatchExecutor:
         first = spec.engine or "auto"
         if first == "python":
             return ["python"]
-        if first == "mp":
-            # Pool failures (worker crashes included) fall back to the
-            # same-semantics single-process vectorized engine first, then
-            # to the reference engine — the mp result is bit-identical to
-            # numpy's, so degradation never changes the answer, only the
-            # core count.
-            return ["mp", "numpy", "python"]
         return [first, "python"]
 
     def _execute(self, spec: JobSpec, log: EventLog, injector: FaultInjector) -> JobOutcome:

@@ -18,10 +18,9 @@ from typing import Any, List, Mapping, Optional, Sequence, Union
 
 from repro.bench.runner import ALGORITHMS, ENGINE_AWARE
 from repro.bench.suite import suite_specs
+from repro.core.driver import ENGINES
 from repro.errors import ServiceError
 from repro.graph.csr import BipartiteCSR
-
-_ENGINES = ("auto", "numpy", "python", "interleaved", "mp")
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,10 @@ class JobSpec:
                 f"known: {sorted(ALGORITHMS)}"
             )
         if self.engine is not None:
-            if self.engine not in _ENGINES:
+            if self.engine not in ENGINES:
                 raise ServiceError(
                     f"job {self.job_id!r}: unknown engine {self.engine!r}; "
-                    f"known: {_ENGINES}"
+                    f"known: {ENGINES}"
                 )
             if self.algorithm not in ENGINE_AWARE:
                 raise ServiceError(

@@ -11,10 +11,8 @@ The observability layer of the reproduction (see ``docs/observability.md``):
   with the service :class:`~repro.service.events.EventLog`;
 * :mod:`repro.telemetry.session` — the :class:`Telemetry` bundle the
   driver, batch executor, and CLI accept, plus :data:`NULL_TELEMETRY`;
-* :mod:`repro.telemetry.worker` — per-process span recorder for mp
-  workers and the master-side merge into one multi-pid trace;
 * :mod:`repro.telemetry.flight` — the bounded crash flight recorder the
-  mp master and online daemon dump on failures.
+  online daemon dumps on failed requests.
 """
 
 from repro.telemetry.exporters import (
@@ -28,7 +26,6 @@ from repro.telemetry.exporters import (
 )
 from repro.telemetry.flight import FlightRecorder, read_flight_dump
 from repro.telemetry.metrics import (
-    BARRIER_WAIT_BUCKETS,
     DEFAULT_SECONDS_BUCKETS,
     FRONTIER_BUCKETS,
     PATH_LENGTH_BUCKETS,
@@ -39,7 +36,6 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.session import ENGINE_STEPS, NULL_TELEMETRY, NullTelemetry, Telemetry
 from repro.telemetry.spans import Span, Tracer
-from repro.telemetry.worker import WorkerRecorder, merge_worker_traces
 
 __all__ = [
     "Span",
@@ -54,9 +50,6 @@ __all__ = [
     "ENGINE_STEPS",
     "FlightRecorder",
     "read_flight_dump",
-    "WorkerRecorder",
-    "merge_worker_traces",
-    "BARRIER_WAIT_BUCKETS",
     "DEFAULT_SECONDS_BUCKETS",
     "FRONTIER_BUCKETS",
     "PATH_LENGTH_BUCKETS",

@@ -33,7 +33,7 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.spans import Span, Tracer
+from repro.telemetry.spans import Tracer
 
 # --------------------------------------------------------------------------- #
 # Chrome trace (chrome://tracing, Perfetto)
@@ -52,10 +52,6 @@ _STEP_CATEGORIES = {
     "batch": "service",
     "job": "service",
     "attempt": "service",
-    "superstep": "mp",
-    "barrier_wait": "mp",
-    "worker_scan": "mp",
-    "worker_idle": "mp",
     "request": "online",
     "repair": "online",
 }
@@ -67,27 +63,19 @@ def chrome_trace(
     """Serialise a tracer's spans as a Chrome ``traceEvents`` document.
 
     Open spans are skipped (a trace is exported after the run finishes).
-    Spans recorded in this process render under pid 0 ("repro-match");
-    spans merged from mp workers (``Span.pid`` set) each get their real
-    pid as its own process lane with ``process_name`` metadata, so a
-    merged mp trace shows one row group per worker next to the master.
-    Thread ids are compacted to small integers per pid in first-seen
-    order, with ``thread_name`` metadata so Perfetto labels the rows.
+    Every span renders under pid 0 ("repro-match"). Thread ids are
+    compacted to small integers in first-seen order, with ``thread_name``
+    metadata so Perfetto labels the rows.
     """
     spans = [s for s in tracer.spans if not s.open]
     origin = min((s.start for s in spans), default=0.0)
-    tids: Dict[tuple, int] = {}
+    tids: Dict[int, int] = {}
     events: List[Dict[str, Any]] = [
         {"ph": "M", "pid": 0, "tid": 0, "name": "process_name",
          "args": {"name": "repro-match"}},
     ]
-    worker_pids: List[int] = []
     for span in spans:
-        pid = span.pid if span.pid is not None else 0
-        if pid and pid not in worker_pids:
-            worker_pids.append(pid)
-        per_pid = sum(1 for key in tids if key[0] == pid)
-        tid = tids.setdefault((pid, span.thread), per_pid)
+        tid = tids.setdefault(span.thread, len(tids))
         args = {k: _json_safe(v) for k, v in span.attributes.items()}
         args["span_id"] = span.span_id
         if span.parent_id is not None:
@@ -99,23 +87,14 @@ def chrome_trace(
                 "cat": _STEP_CATEGORIES.get(span.name, "repro"),
                 "ts": round((span.start - origin) * 1e6, 3),
                 "dur": round(span.duration * 1e6, 3),
-                "pid": pid,
+                "pid": 0,
                 "tid": tid,
                 "args": args,
             }
         )
-    for index, pid in enumerate(sorted(worker_pids)):
+    for ident, tid in tids.items():
         events.append(
-            {"ph": "M", "pid": pid, "tid": 0, "name": "process_name",
-             "args": {"name": f"mp-worker (pid {pid})"}}
-        )
-        events.append(
-            {"ph": "M", "pid": pid, "tid": 0, "name": "process_sort_index",
-             "args": {"sort_index": index + 1}}
-        )
-    for (pid, ident), tid in tids.items():
-        events.append(
-            {"ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
+            {"ph": "M", "pid": 0, "tid": tid, "name": "thread_name",
              "args": {"name": f"thread-{tid} (os {ident})"}}
         )
     doc: Dict[str, Any] = {
@@ -123,8 +102,6 @@ def chrome_trace(
         "displayTimeUnit": "ms",
         "otherData": {"exporter": "repro.telemetry", "spans": len(spans)},
     }
-    if worker_pids:
-        doc["otherData"]["worker_pids"] = sorted(worker_pids)
     if metadata:
         doc["otherData"].update({k: _json_safe(v) for k, v in metadata.items()})
     return doc

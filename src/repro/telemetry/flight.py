@@ -1,20 +1,17 @@
 """Crash flight recorder: a bounded ring of recent telemetry events.
 
-Both long-running subsystems — the mp master loop
-(:mod:`repro.parallel.procpool`) and the online daemon
-(:mod:`repro.service.online`) — keep one :class:`FlightRecorder` around
-and :meth:`record` cheap structured events as they go (one dict per
-level / per request). The ring is bounded (``deque(maxlen=...)``), so the
-recorder costs O(capacity) memory forever and nothing is ever written in
-the happy path.
+The online daemon (:mod:`repro.service.online`) keeps one
+:class:`FlightRecorder` around and passes cheap structured events to
+:meth:`~FlightRecorder.record` as it goes (one dict per request). The
+ring is bounded (``deque(maxlen=...)``), so the recorder costs
+O(capacity) memory forever and nothing is ever written in the happy path.
 
-When something goes wrong — a :class:`~repro.errors.WorkerCrashed`, a
-deadline expiry, a failed daemon request — the owner calls :meth:`dump`
-and the last ``capacity`` events land in a post-mortem JSONL file whose
-*first* line is a header (reason + context) and whose *tail* is the crash
-context itself, recorded immediately before dumping. That turns "the mp
-engine degraded to numpy" from a log line into an artifact: which level,
-which direction, how large the frontier, which worker pid died.
+When something goes wrong — a failed daemon request, a repair past its
+deadline — the owner calls :meth:`dump` and the last ``capacity`` events
+land in a post-mortem JSONL file whose *first* line is a header (reason +
+context) and whose *tail* is the failure context itself, recorded
+immediately before dumping. That turns "the request failed" from a log
+line into an artifact: which session, which command, how large the batch.
 
 The format is plain JSONL (one object per line), deliberately independent
 of the service :class:`~repro.service.events.EventLog` — a flight dump

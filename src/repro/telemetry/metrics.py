@@ -44,14 +44,6 @@ PATH_LENGTH_BUCKETS = (1, 3, 5, 7, 9, 13, 21, 35, 57, 93)
 """Odd augmenting-path lengths (edges); sub-Fibonacci growth mirrors the
 paper's observation that most paths are short with a long tail."""
 
-BARRIER_WAIT_BUCKETS = (
-    0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.5,
-)
-"""Per-superstep barrier-wait buckets (seconds): one pipe round-trip per
-worker is ~0.1 ms, so the interesting range sits well below the
-latency-style :data:`DEFAULT_SECONDS_BUCKETS`."""
-
 
 def _label_items(labels: Optional[Mapping[str, str]]) -> LabelItems:
     if not labels:

@@ -21,7 +21,6 @@ from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
 from repro.telemetry.metrics import (
-    BARRIER_WAIT_BUCKETS,
     FRONTIER_BUCKETS,
     PATH_LENGTH_BUCKETS,
     MetricsRegistry,
@@ -116,12 +115,6 @@ class NullTelemetry:
 
     def set_sessions(self, n: int) -> None:
         return None
-
-    def superstep_span(self, kind: str, items: int, superstep: int) -> _NullContext:
-        return _NULL_CONTEXT
-
-    def barrier_wait(self, kind: str) -> _NullContext:
-        return _NULL_CONTEXT
 
     def request_span(
         self, cmd: str, rid: int, session: Optional[str] = None
@@ -313,43 +306,6 @@ class Telemetry(NullTelemetry):
             "repro_job_degradations_total",
             "Jobs degraded to the python reference engine",
         ).inc()
-
-    # ------------------------------------------------------------------ #
-    # mp-engine vocabulary (wired through repro.parallel.procpool)
-    # ------------------------------------------------------------------ #
-
-    def superstep_span(self, kind: str, items: int, superstep: int):
-        """Span around one distributed level (scatter → scan → gather)."""
-        self.metrics.counter(
-            "repro_mp_supersteps_total",
-            "Distributed mp supersteps by scan kind",
-            labels={"kind": kind},
-        ).inc()
-        return self.tracer.span(
-            "superstep", kind=kind, items=int(items), superstep=int(superstep)
-        )
-
-    @contextmanager
-    def barrier_wait(self, kind: str) -> Iterator[Span]:
-        """Span + histogram for the master's wait at one superstep barrier.
-
-        Measures the time between the last descriptor send and the last
-        worker reply — the paper's Section IV scalability analysis is
-        exactly about how this grows with worker count, so it gets both a
-        span (visible per superstep in the Chrome trace) and a histogram
-        (aggregated across the run).
-        """
-        span = self.tracer.start_span("barrier_wait", kind=kind)
-        try:
-            yield span
-        finally:
-            if span.open:
-                self.tracer.end_span(span)
-            self.metrics.histogram(
-                "repro_mp_barrier_wait_seconds",
-                "Master wait at the mp superstep barrier (reply gather)",
-                buckets=BARRIER_WAIT_BUCKETS,
-            ).observe(span.duration)
 
     # ------------------------------------------------------------------ #
     # online-daemon vocabulary (wired through repro.service.online)

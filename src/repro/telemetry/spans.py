@@ -47,9 +47,6 @@ class Span:
     thread: int
     end: Optional[float] = None
     attributes: Dict[str, Any] = field(default_factory=dict)
-    pid: Optional[int] = None
-    """Originating process id for spans merged from another process
-    (mp worker lanes); ``None`` for spans recorded in this process."""
 
     @property
     def open(self) -> bool:
@@ -163,48 +160,6 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def record_closed_span(
-        self,
-        name: str,
-        *,
-        start: float,
-        end: float,
-        start_wall: float = 0.0,
-        pid: Optional[int] = None,
-        thread: int = 0,
-        parent_id: Optional[int] = None,
-        attributes: Optional[Dict[str, Any]] = None,
-    ) -> Span:
-        """Append an already-finished span (cross-process merge path).
-
-        Used by the mp master to graft worker-recorded spans into this
-        tracer after pool teardown: the span id is allocated from the same
-        counter as live spans, so merged and native ids never collide, and
-        ``start``/``end`` are trusted as-is — on Linux ``perf_counter`` is
-        the system-wide CLOCK_MONOTONIC, so worker readings are directly
-        comparable with the master's.
-        """
-        if end < start:
-            raise TelemetryError(
-                f"merged span {name!r} ends before it starts ({end} < {start})"
-            )
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
-            span = Span(
-                name=name,
-                span_id=span_id,
-                parent_id=parent_id,
-                start=start,
-                start_wall=start_wall,
-                thread=thread,
-                end=end,
-                attributes=dict(attributes or {}),
-                pid=pid,
-            )
-            self.spans.append(span)
-        return span
-
     def finish(self) -> None:
         """Close every span still open on this thread (outermost last)."""
         stack = self._stack()
@@ -257,48 +212,3 @@ class Tracer:
                 covered += hi - lo
                 cursor = hi
         return covered / total
-
-    def lane_coverage(self) -> Dict[int, float]:
-        """Self-coverage of each merged worker lane, keyed by pid.
-
-        A lane is the set of closed spans sharing one ``pid``; its window
-        runs from the earliest span start to the latest span end, and its
-        coverage is the union of span intervals over that window. Worker
-        recorders tile their timeline with alternating ``worker_idle`` /
-        ``worker_scan`` spans, so a healthy lane scores close to 1.0 — a
-        hole means the recorder lost time it cannot account for.
-        """
-        lanes: Dict[int, List[Span]] = {}
-        for span in self.spans:
-            if span.pid is not None and not span.open:
-                lanes.setdefault(span.pid, []).append(span)
-        out: Dict[int, float] = {}
-        for pid, spans in lanes.items():
-            window_lo = min(s.start for s in spans)
-            window_hi = max(s.end for s in spans if s.end is not None)
-            total = window_hi - window_lo
-            if total <= 0.0:
-                out[pid] = 1.0
-                continue
-            covered = 0.0
-            cursor = window_lo
-            for lo, hi in sorted((s.start, s.end) for s in spans):
-                lo = max(lo, cursor)
-                if hi > lo:
-                    covered += hi - lo
-                    cursor = hi
-            out[pid] = covered / total
-        return out
-
-    def merged_coverage(self, root: Optional[Span] = None) -> float:
-        """Coverage accounting for merged worker lanes.
-
-        The minimum of the master root's child coverage (:meth:`coverage`)
-        and every worker lane's self-coverage (:meth:`lane_coverage`) — an
-        mp trace only passes a ``--min-coverage`` gate when *each* process
-        timeline is accounted for, not just the master's. Degenerates to
-        plain :meth:`coverage` when no worker spans were merged.
-        """
-        lanes = self.lane_coverage()
-        base = self.coverage(root)
-        return min([base, *lanes.values()]) if lanes else base

@@ -193,9 +193,9 @@ class TestRealTree:
         assert "REP005" in {f.code for f in findings}
 
     def test_regression_guard_shared_loop_missing_begin_phase(self, tmp_path):
-        # The python, numpy, interleaved and mp engines all run their phases
+        # The python, numpy and interleaved engines all run their phases
         # through core/engine_loop.py, so this one loop carries REP005 for
-        # all four (the mp backend included).
+        # all three.
         findings = self._mutated_copy(
             tmp_path,
             [

@@ -28,8 +28,10 @@ class TestCommittedBaseline:
         return load_kernel_bench(BASELINE_PATH)
 
     def test_schema_valid(self, baseline):
-        assert baseline["schema_version"] == 4
+        assert baseline["schema_version"] == 5
         assert baseline["scale"] == 1.0
+        assert baseline["engines"] == ["python", "numpy"]
+        assert all(set(g["timings"]) == {"python", "numpy"} for g in baseline["graphs"])
         assert [g["name"] for g in baseline["graphs"]] == ["rmat", "er", "skewed"]
 
     def test_rmat_acceptance_claim(self, baseline):

@@ -2,15 +2,18 @@ import pytest
 
 from repro.bench.runner import (
     ALGORITHMS,
+    ENGINE_AWARE,
     PARALLEL_ALGORITHMS,
     run_algorithm,
     simulated_seconds,
     suite_initializer,
 )
+from repro.core.options import Deadline
 from repro.errors import BenchmarkError
 from repro.graph.generators import random_bipartite, surplus_core_bipartite
 from repro.matching.verify import is_maximal_matching, verify_maximum
 from repro.parallel.machine import MIRASOL
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +46,34 @@ class TestRegistry:
     def test_serial_karp_sipser_init(self, graph):
         result = run_algorithm("ms-bfs-graft", graph, init="karp-sipser")
         verify_maximum(graph, result.matching)
+
+
+class TestDriverKeywords:
+    """Every keyword ``run_algorithm`` forwards reaches each driver-backed
+    algorithm, and ``workers`` (kept for older callers) is never forwarded."""
+
+    @pytest.mark.parametrize("keyword", ["engine", "deadline", "phase_hook", "telemetry"])
+    @pytest.mark.parametrize("name", ENGINE_AWARE)
+    def test_forwarded_keyword_accepted(self, name, keyword, graph):
+        phases = []
+        value = {
+            "engine": "numpy",
+            "deadline": Deadline(600.0),
+            "phase_hook": phases.append,
+            "telemetry": Telemetry(),
+        }[keyword]
+        result = run_algorithm(name, graph, **{keyword: value})
+        verify_maximum(graph, result.matching)
+        if keyword == "phase_hook":
+            assert phases == list(range(1, result.counters.phases + 1))
+        if keyword == "telemetry":
+            assert value.tracer.by_name("run")
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_workers_accepted_and_ignored(self, name, graph):
+        with_workers = run_algorithm(name, graph, workers=2)
+        without = run_algorithm(name, graph)
+        assert (with_workers.matching.mate_x == without.matching.mate_x).all()
 
 
 class TestSuiteInitializer:

@@ -6,18 +6,18 @@ its decision table rather than timings (timings live in
 ``benchmarks/BENCH_kernels.json``).
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 import repro
-from repro.core.driver import available_cores, choose_engine, ms_bfs_graft
-from repro.core.options import (
-    DISPATCH_WORK_THRESHOLD,
-    MP_DISPATCH_MIN_WORK,
-    DispatchDecision,
-)
-from repro.errors import ReproError
+from repro.bench.runner import run_algorithm
+from repro.core.driver import ENGINES, choose_engine, ms_bfs_graft
+from repro.core.options import DISPATCH_WORK_THRESHOLD, DispatchDecision
+from repro.errors import ReproError, ServiceError
 from repro.graph.generators import chain_graph, random_bipartite, rmat_bipartite
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -66,65 +66,101 @@ class TestChooseEngine:
         assert decision.reason  # human-readable, never empty
 
 
-@pytest.fixture(scope="module")
-def huge_graph():
-    # work = nnz + n_x + n_y must clear MP_DISPATCH_MIN_WORK.
-    n = 40_000
-    return random_bipartite(n, n, MP_DISPATCH_MIN_WORK, seed=3)
-
-
 class TestMpDispatch:
-    """The worker-count term: mp enters the decision only on request, and
-    only when the pool can actually run in parallel."""
+    """No decision is ever the removed process-pool engine: ``workers`` is
+    accepted for older callers and changes nothing."""
 
     def test_default_never_considers_mp(self, large_graph):
-        # workers defaults to 1: every pre-existing decision is unchanged.
         decision = choose_engine(large_graph, emit_trace=False)
         assert decision.engine == "numpy"
         assert "mp" not in decision.reason
 
-    def test_mp_picked_with_cores_and_work(self, huge_graph):
-        decision = choose_engine(huge_graph, emit_trace=False, workers=4, cores=8)
-        assert decision.engine == "mp"
-        assert "usable workers" in decision.reason
-
-    def test_mp_declined_on_one_core(self, huge_graph):
-        # The acceptance criterion's honest branch: on a single-core host
-        # the cost model must decline, with the core count in the reason.
-        decision = choose_engine(huge_graph, emit_trace=False, workers=4, cores=1)
-        assert decision.engine == "numpy"
-        assert "mp declined" in decision.reason and "cores=1" in decision.reason
-
-    def test_mp_declined_below_work_floor(self, large_graph):
-        # large_graph clears the python/numpy threshold but not the mp floor.
-        assert large_graph.nnz + large_graph.n_x + large_graph.n_y < MP_DISPATCH_MIN_WORK
-        decision = choose_engine(large_graph, emit_trace=False, workers=4, cores=8)
-        assert decision.engine == "numpy"
-        assert "mp declined" in decision.reason and "work estimate" in decision.reason
-
-    def test_worker_request_capped_by_cores(self, huge_graph):
-        decision = choose_engine(huge_graph, emit_trace=False, workers=16, cores=2)
-        assert decision.engine == "mp"
-        assert "2 usable workers" in decision.reason
-
-    def test_trace_still_forces_numpy(self, huge_graph):
-        decision = choose_engine(huge_graph, emit_trace=True, workers=4, cores=8)
+    def test_trace_still_forces_numpy(self, large_graph):
+        decision = choose_engine(large_graph, emit_trace=True, workers=4)
         assert decision.engine == "numpy"
 
     def test_small_graph_still_python(self, small_graph):
-        # The python crossover outranks any worker request.
-        decision = choose_engine(small_graph, emit_trace=False, workers=4, cores=8)
+        decision = choose_engine(small_graph, emit_trace=False, workers=4)
         assert decision.engine == "python"
 
-    def test_live_cores_default_is_sane(self):
-        assert available_cores() >= 1
-
     def test_auto_with_workers_end_to_end(self, large_graph):
-        # Whatever the host's core count decides, auto + workers must still
-        # produce the exact numpy answer (mp is trajectory-identical).
         auto = ms_bfs_graft(large_graph, engine="auto", workers=4, emit_trace=False)
         explicit = ms_bfs_graft(large_graph, engine="numpy", emit_trace=False)
-        assert auto.cardinality == explicit.cardinality
+        assert (auto.matching.mate_x == explicit.matching.mate_x).all()
+        assert asdict(auto.counters) == asdict(explicit.counters)
+
+
+@pytest.fixture(scope="module")
+def scratch_er():
+    # The end-to-end benchmark's scratch-er shape, at 2^11 per side.
+    n = 1 << 11
+    return random_bipartite(n, n - n // 64, 6 * n, seed=7)
+
+
+def _same_run(a, b):
+    assert (a.matching.mate_x == b.matching.mate_x).all()
+    assert (a.matching.mate_y == b.matching.mate_y).all()
+    assert asdict(a.counters) == asdict(b.counters)
+
+
+class TestFrozenBenchmarkCalls:
+    """The calls the end-to-end benchmark (``e2ebench/offline.py``) makes
+    with ``workers=2`` return exactly what they return without it."""
+
+    def test_choose_engine(self, scratch_er):
+        assert choose_engine(scratch_er, workers=2) == choose_engine(scratch_er)
+
+    def test_ms_bfs_graft_with_telemetry(self, scratch_er):
+        d = choose_engine(scratch_er, workers=2)
+        with_workers = ms_bfs_graft(scratch_er, engine=d.engine, workers=2,
+                                    telemetry=Telemetry())
+        without = ms_bfs_graft(scratch_er, engine=d.engine, telemetry=Telemetry())
+        _same_run(with_workers, without)
+
+    def test_run_algorithm_from_empty(self, scratch_er):
+        with_workers = run_algorithm("ms-bfs-graft", scratch_er, init="none", workers=2)
+        without = run_algorithm("ms-bfs-graft", scratch_er, init="none")
+        _same_run(with_workers, without)
+
+
+class TestOneEngineList:
+    """``core.driver.ENGINES`` is the one list of engine names; the driver,
+    the batch job model and the CLI all reject anything else by it."""
+
+    def test_engines(self):
+        from repro.service import jobs
+
+        assert ENGINES == ("auto", "numpy", "python", "interleaved")
+        assert jobs.ENGINES is ENGINES
+
+    def test_driver_rejects_mp(self, small_graph):
+        with pytest.raises(ReproError, match="unknown engine 'mp'") as err:
+            ms_bfs_graft(small_graph, engine="mp")
+        assert all(name in str(err.value) for name in ENGINES)
+
+    def test_job_spec_rejects_mp(self):
+        from repro.service.jobs import JobSpec
+
+        with pytest.raises(ServiceError, match="unknown engine 'mp'") as err:
+            JobSpec(job_id="j", graph={"suite": "rmat", "scale": 0.05}, engine="mp")
+        assert all(name in str(err.value) for name in ENGINES)
+
+    @pytest.mark.parametrize("command", ["run", "match", "batch", "trace"])
+    def test_cli_rejects_mp(self, command, capsys):
+        from repro.cli import build_parser
+
+        argv = {
+            "run": ["run"],
+            "match": ["match", "graph.mtx"],
+            "batch": ["batch", "--run-dir", "d"],
+            "trace": ["trace", "rmat"],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*argv, "--engine", "mp"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'mp'" in err
+        assert all(f"'{name}'" in err for name in ENGINES)
 
 
 class TestAutoDispatchEndToEnd:

@@ -1,6 +1,6 @@
 """The shared phase driver gives every engine the same result fields.
 
-The python, numpy, interleaved and mp engines all run through
+The python, numpy and interleaved engines all run through
 :func:`repro.core.engine_loop.run_phases`, so each of them must fill the
 frontier log and the step breakdown the same way.
 """
@@ -16,14 +16,12 @@ from repro.core.options import GraftOptions
 from repro.errors import ReproError
 from repro.graph.generators import surplus_core_bipartite
 from repro.matching.greedy import greedy_matching
-from repro.parallel.procpool import run_mp
 from repro.telemetry.session import Telemetry
 
 ENGINES = {
     "python": run_python,
     "numpy": run_numpy,
     "interleaved": lambda g, init, opts: run_interleaved(g, init, opts, threads=4, seed=3),
-    "mp": lambda g, init, opts: run_mp(g, init, opts, workers=2, min_level_items=0),
 }
 
 
@@ -54,7 +52,7 @@ def test_breakdown_keys_are_the_emitted_step_spans(case, engine):
     assert set(result.breakdown) == {s.name for s in steps}
     # One perf_counter pair around each step span: a step's breakdown
     # entry covers all of its spans and no more than the run.
-    (run,) = [s for s in spans if s.name == "run" and s.pid is None]
+    (run,) = [s for s in spans if s.name == "run"]
     for name, seconds in result.breakdown.items():
         inside = sum(s.duration for s in steps if s.name == name)
         assert inside <= seconds <= run.duration

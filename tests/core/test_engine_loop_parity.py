@@ -1,12 +1,12 @@
-"""Trajectory parity of the four shared-memory engines.
+"""Trajectory parity of the three shared-memory engines.
 
-Pins, for the python, numpy, interleaved and mp engines, everything a run
+Pins, for the python, numpy and interleaved engines, everything a run
 reports about its execution: every ``Counters`` field (``path_lengths``
 included), the per-phase frontier sizes, the algorithm name and the final
 matching. The grid covers six graph shapes, grafting on/off, direction
 optimisation on/off and both direction rules (``vertex`` and ``edge``).
 
-All four engines run through the shared phase driver
+All three engines run through the shared phase driver
 (:mod:`repro.core.engine_loop`); these values were recorded from the
 engines' own loops before that driver existed, so any difference means the
 driver changed some engine's execution order or work accounting. The one
@@ -16,8 +16,7 @@ only the grafting, direction-optimising er and isolated rows, re-recorded
 with it; every other row, and every rmat/surplus/grid/chain row, is the
 original recording. Each row
 keeps the headline counters readable next to a digest of the full record.
-The mp engine is bit-identical to numpy by design, so it is checked
-against the numpy rows. The interleaved engine kept no frontier log before
+The interleaved engine kept no frontier log before
 the driver existed, so its digest leaves the frontier sizes out.
 """
 
@@ -45,7 +44,6 @@ from repro.graph.generators import (
 )
 from repro.matching.base import Matching
 from repro.matching.greedy import greedy_matching
-from repro.parallel.procpool import run_mp
 
 
 def _chain_case():
@@ -94,9 +92,7 @@ def run_engine(engine, graph, initial, grafting, direction, strategy):
         return run_python(graph, initial, options)
     if engine == "numpy":
         return run_numpy(graph, initial, options)
-    if engine == "interleaved":
-        return run_interleaved(graph, initial, options, threads=4, seed=7)
-    return run_mp(graph, initial, options, workers=2, min_level_items=0)
+    return run_interleaved(graph, initial, options, threads=4, seed=7)
 
 
 def record(result, frontiers=True):
@@ -273,15 +269,14 @@ def graphs():
     return {name: build() for name, build in GRAPHS.items()}
 
 
-@pytest.mark.parametrize("engine", ["python", "numpy", "interleaved", "mp"])
+@pytest.mark.parametrize("engine", ["python", "numpy", "interleaved"])
 @pytest.mark.parametrize("graph_name", list(GRAPHS))
 def test_engine_matches_recorded_trajectory(graphs, graph_name, engine):
     graph, initial = graphs[graph_name]
-    golden_engine = "numpy" if engine == "mp" else engine
     for flags in FLAGS:
         result = run_engine(engine, graph, initial, *flags)
         got = record(result, frontiers=engine != "interleaved")
-        assert got == GOLDEN[(graph_name, golden_engine, *flags)], (
+        assert got == GOLDEN[(graph_name, engine, *flags)], (
             graph_name,
             engine,
             flags,

@@ -1,16 +1,20 @@
-"""Differential suite for the process-parallel backend (``engine="mp"``).
+"""Differential suite for the multi-processor execution models.
 
-Reuses the full instance catalogue of ``test_differential`` — the ~200
-seeded graphs that pin the numpy kernels to the python reference — and
-demands the same two certificates from the mp engine on every one of them:
-cardinality equal to Hopcroft–Karp's, and independent maximality
-certification (Berge + König) of the returned matching.
+The paper's algorithm runs on many processors at once; this package models
+that in two ways, both single-process: the interleaved engine
+(``engine="interleaved"``) runs the phases as simulated threads racing on
+shared forest state, and the distributed engine
+(:func:`repro.distributed.distributed_ms_bfs_graft`) runs them as ranks
+exchanging messages at superstep boundaries. ``test_differential`` pins
+the python and numpy engines to an outside oracle; this module reuses its
+instance catalogue — the ~200 seeded graphs — and demands the same two
+certificates from both models: cardinality equal to Hopcroft–Karp's, and
+independent maximality certification (Berge + König) of the returned
+matching.
 
-Each case drives the whole pool machinery (segment creation, worker spawn,
-barrier supersteps, teardown); the graphs are tiny, so most levels run on
-the master — a dedicated low-threshold sweep at the bottom forces real
-scatter/gather through the workers on a representative subset, and the
-``slow``-marked stress case does it at scale.
+The interleaved engine runs two simulated threads, with a schedule seed
+per instance, on every instance; the distributed engine runs two ranks on
+every 10th.
 """
 
 from __future__ import annotations
@@ -18,11 +22,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.driver import ms_bfs_graft
-from repro.core.options import GraftOptions
-from repro.graph.generators import rmat_bipartite
+from repro.distributed import distributed_ms_bfs_graft
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.verify import verify_maximum
-from repro.parallel.procpool import run_mp
 from tests.matching.test_differential import CASES
 
 
@@ -30,34 +32,23 @@ from tests.matching.test_differential import CASES
 def test_mp_agrees_and_certifies(name, build):
     graph = build()
     expected = hopcroft_karp(graph).cardinality
-    result = ms_bfs_graft(graph, engine="mp", workers=2, emit_trace=False)
+    seed = CASES.index((name, build))
+    result = ms_bfs_graft(graph, engine="interleaved", threads=2, seed=seed,
+                          emit_trace=False)
     assert result.cardinality == expected, (
-        f"{name}: mp returned {result.cardinality}, hopcroft-karp {expected}"
+        f"{name}: interleaved returned {result.cardinality}, hopcroft-karp {expected}"
     )
     verify_maximum(graph, result.matching)
 
 
 @pytest.mark.parametrize("index", range(0, len(CASES), 10))
 def test_mp_fully_distributed_subset(index):
-    # Every 10th instance with min_level_items=0: every level goes through
-    # the worker scatter/claim/commit path, no master-local shortcut.
+    # Every 10th instance on two ranks: every level goes through the
+    # rank-local scans and the owner-side superstep commits.
     name, build = CASES[index]
     graph = build()
     expected = hopcroft_karp(graph).cardinality
-    result = run_mp(
-        graph, None, GraftOptions(emit_trace=False),
-        workers=2, min_level_items=0,
-    )
-    assert result.cardinality == expected, f"{name} (fully distributed)"
+    result = distributed_ms_bfs_graft(graph, ranks=2)
+    assert result.cardinality == expected, f"{name} (distributed, 2 ranks)"
     verify_maximum(graph, result.matching)
 
-
-@pytest.mark.slow
-def test_mp_stress_rmat13():
-    graph = rmat_bipartite(scale=13, edge_factor=16, seed=103)
-    expected = hopcroft_karp(graph).cardinality
-    for workers in (2, 4):
-        result = ms_bfs_graft(graph, engine="mp", workers=workers,
-                              emit_trace=False)
-        assert result.cardinality == expected
-        verify_maximum(graph, result.matching)

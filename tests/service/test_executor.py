@@ -102,17 +102,6 @@ class TestDegradation:
         assert degraded[0]["from_engine"] == "numpy"
         assert degraded[0]["to_engine"] == "python"
 
-    def test_mp_chain_degrades_through_numpy(self, tmp_path):
-        # Worker crashes are transient; the mp job's degradation path goes
-        # through the same-semantics numpy engine before the reference one.
-        # (The end-to-end crash-then-degrade scenario lives in
-        # tests/parallel/test_procpool.py::TestRobustness.)
-        ex = BatchExecutor(tmp_path / "run", retry=FAST_RETRY, clock=ManualClock())
-        assert ex._engine_chain(spec(engine="mp")) == ["mp", "numpy", "python"]
-
-    def test_mp_engine_accepted_by_job_spec(self):
-        assert spec(engine="mp").engine == "mp"
-
     def test_python_engine_has_no_fallback(self, tmp_path):
         # Force a permanent failure on the python engine: no degradation
         # target remains, so the job is failed (not retried forever).

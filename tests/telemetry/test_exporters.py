@@ -273,18 +273,3 @@ class TestDaemonMetricsLint:
             "repro_online_sessions",
             "repro_online_session_evictions_total",
         } <= families
-
-    def test_mp_vocabulary_lints_clean(self):
-        from repro.telemetry.session import Telemetry
-
-        tel = Telemetry()
-        with tel.superstep_span("topdown", 4096, 0):
-            pass
-        with tel.barrier_wait("topdown"):
-            pass
-        text = prometheus_text(tel.metrics)
-        families = set(lint_prometheus(text))
-        assert {
-            "repro_mp_supersteps_total",
-            "repro_mp_barrier_wait_seconds",
-        } <= families

@@ -65,12 +65,12 @@ class TestDump:
         rec = manual_recorder()
         rec.record("level", level=1)
         rec.record("crash", error="boom")
-        path = rec.dump(tmp_path / "f.jsonl", reason="WorkerCrashed",
+        path = rec.dump(tmp_path / "f.jsonl", reason="DeadlineExceeded",
                         context={"phase": 3})
         records = read_flight_dump(path)
         header = records[0]
         assert header["kind"] == "flight_dump"
-        assert header["reason"] == "WorkerCrashed"
+        assert header["reason"] == "DeadlineExceeded"
         assert header["pid"] == os.getpid()
         assert header["events"] == 2
         assert header["context"] == {"phase": 3}
@@ -87,11 +87,11 @@ class TestDump:
     def test_dump_to_dir_names_never_collide(self, tmp_path):
         rec = manual_recorder()
         rec.record("x")
-        p1 = rec.dump_to_dir(tmp_path, "mp", reason="a")
-        p2 = rec.dump_to_dir(tmp_path, "mp", reason="b")
+        p1 = rec.dump_to_dir(tmp_path, "online", reason="a")
+        p2 = rec.dump_to_dir(tmp_path, "online", reason="b")
         assert p1 != p2
         assert rec.dumps_written == 2
-        assert all(p.name.startswith("flight-mp-pid") for p in (p1, p2))
+        assert all(p.name.startswith("flight-online-pid") for p in (p1, p2))
 
     def test_every_line_is_strict_json(self, tmp_path):
         rec = manual_recorder()
