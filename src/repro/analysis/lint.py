@@ -18,6 +18,11 @@ Generic linters (ruff) cover style and obvious bugs; these rules encode
 * **REP003 wallclock-cost-model** — cost-model code (the work-span model,
   machine specs, BSP model) must derive simulated time from the model,
   never from the host clock (``time.time``, ``perf_counter``, ...).
+* **REP009 independent-checker** — the certificate checker
+  (``matching/verify.py``) imports nothing from ``repro.core``,
+  ``repro.parallel`` or ``repro.distributed``: it must not share code with
+  the engines whose answers it certifies, so an engine bug cannot also
+  hide in the check.
 
 A violation can be locally suppressed with a ``# lint: allow-<rule-name>``
 comment on the offending line *or* on the first line of the enclosing
@@ -224,6 +229,34 @@ def _check_wallclock(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
 
 
 # --------------------------------------------------------------------------- #
+# REP009: the certificate checker imports nothing from the engines
+# --------------------------------------------------------------------------- #
+
+_ENGINE_PACKAGES = ("repro.core", "repro.parallel", "repro.distributed")
+
+
+def _is_engine_module(name: str) -> bool:
+    return any(name == pkg or name.startswith(pkg + ".") for pkg in _ENGINE_PACKAGES)
+
+
+def _check_independent_checker(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            # ``from repro import core`` names the package through the alias.
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        engine = next((name for name in names if _is_engine_module(name)), None)
+        if engine is not None:
+            yield node, (
+                f"the certificate checker imports {engine!r}; it must stay "
+                f"independent of the engines it certifies ({', '.join(_ENGINE_PACKAGES)})"
+            )
+
+
+# --------------------------------------------------------------------------- #
 # registry + runner
 # --------------------------------------------------------------------------- #
 
@@ -255,6 +288,14 @@ RULES: Tuple[LintRule, ...] = (
         ),
         exclude=(),
         check=_check_wallclock,
+    ),
+    LintRule(
+        code="REP009",
+        name="independent-checker",
+        description="the certificate checker imports nothing from core/, parallel/ or distributed/",
+        scope=("matching/verify.py",),
+        exclude=(),
+        check=_check_independent_checker,
     ),
 )
 

@@ -8,7 +8,7 @@ phase-loop iteration passes through ``GraftOptions.begin_phase`` (which
 bundles ``Deadline.check``, the telemetry phase span, and ``phase_hook``).
 This module checks that contract statically, against the interprocedural
 effect summaries of :mod:`repro.analysis.effects`, and extends the lint
-rule set (REP001–REP003, :mod:`repro.analysis.lint`) with:
+rule set (REP001–REP003 and REP009, :mod:`repro.analysis.lint`) with:
 
 * **REP004 raw-write-in-phase** — inside a *phase body* (a generator item
   program under ``core/``/``parallel/``, or a phase closure in a
@@ -343,7 +343,7 @@ PHASE_RULES: Tuple[PhaseRule, ...] = (
 
 
 def rule_catalog() -> List[Tuple[str, str, str]]:
-    """(code, name, description) for every analyzer rule, REP001–REP008."""
+    """(code, name, description) for every analyzer rule, REP001–REP009."""
     out = [(r.code, r.name, r.description) for r in LINT_RULES]
     out += [(r.code, r.name, r.description) for r in PHASE_RULES]
     return sorted(out)
@@ -459,7 +459,7 @@ def run_analyze(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
 ) -> List[Finding]:
-    """Run every analyzer rule (REP001–REP008) over a package tree.
+    """Run every analyzer rule (REP001–REP009) over a package tree.
 
     Returns *all* findings, pre-baseline, sorted by location. Suppression
     comments are honored per rule (except REP007); parse failures surface

@@ -953,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache.set_defaults(fn=_cmd_cache)
 
-    p_lint = sub.add_parser("lint", help="repo-specific AST lint rules (REP001-REP003)")
+    p_lint = sub.add_parser("lint", help="repo-specific AST lint rules (REP001-REP003, REP009)")
     p_lint.add_argument("paths", nargs="*",
                         help="package-shaped directories to lint (default: src/repro)")
     p_lint.add_argument("--select", action="append", default=None, metavar="RULE",

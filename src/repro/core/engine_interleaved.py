@@ -263,6 +263,9 @@ class _InterleavedSteps(PhaseSteps):
         kernels.reset_rows(self.state, self.active_y)
         return kernels.rebuild_from_unmatched(self.state, self.matching)
 
+    def cover_y(self) -> np.ndarray:
+        return self.state.visited != 0
+
     def end_phase(self, phase: int) -> None:
         if self.check_invariants:
             self.state.check_invariants(self.graph, self.matching)

@@ -8,6 +8,13 @@ frontier log, the alpha direction rule (``vertex`` and ``edge``), the level,
 step and edge counters with their telemetry hooks, the stop when a phase
 augments nothing, the alpha graft-or-rebuild test, and the ``MatchResult``.
 
+The result's matching carries the Y side of the final forest as
+``cover_y``. The last phase augments nothing, so every tree is active and
+has been grown until its frontier emptied: its visited Y are exactly the
+Y reachable by alternating paths from the free X, the Y side of a König
+cover. :func:`~repro.matching.verify.verify_maximum` checks that cover
+instead of searching again, and falls back to its own sweep if it fails.
+
 Each step is timed once: one ``perf_counter`` pair around the step's
 telemetry span feeds ``MatchResult.breakdown``, so the breakdown keys are
 exactly the step spans the run emitted.
@@ -49,7 +56,9 @@ class PhaseSteps:
       (top-down); return ``(next_frontier, edges, grafted)``, where
       ``grafted`` is the engine's own graft count;
     * ``rebuild()`` — destroy the active trees and re-root every unmatched
-      X vertex; return the new frontier.
+      X vertex; return the new frontier;
+    * ``cover_y()`` — after the last phase, the visited flags as a boolean
+      mask over Y (or ``None`` from an engine that cannot vouch for them).
     """
 
     trace = None
@@ -156,6 +165,7 @@ def run_phases(
                 frontier = timed("grafting", steps.rebuild)
             steps.end_phase(counters.phases)
 
+        matching.cover_y = steps.cover_y()
         tel.finish_run(counters)
         return MatchResult(
             matching=matching,

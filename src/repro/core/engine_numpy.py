@@ -138,3 +138,6 @@ class NumpySteps(PhaseSteps):
     def end_phase(self, phase: int) -> None:
         if self.check_invariants:
             self.state.check_invariants(self.graph, self.matching)
+
+    def cover_y(self) -> np.ndarray:
+        return self.state.visited != 0

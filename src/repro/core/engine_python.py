@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.core.engine_loop import PhaseSteps, run_phases
 from repro.core.options import GraftOptions
 from repro.graph.csr import BipartiteCSR
@@ -199,3 +201,6 @@ class _PythonSteps(PhaseSteps):
         self._reset_rows(self.active_y)
         self.root_x[:] = [-1] * self.n_x
         return self._seed_roots()
+
+    def cover_y(self) -> np.ndarray:
+        return np.array(self.visited, dtype=bool)

@@ -6,6 +6,16 @@ every array indexes a single vertex space:
 
 * ``mate_x[x]`` — the Y partner of x, or -1;
 * ``mate_y[y]`` — the X partner of y, or -1.
+
+A matching may also carry ``cover_y``, a boolean mask over Y that its
+producer claims is the Y side of a König vertex cover: the Y vertices
+reachable by alternating paths from the free X vertices. The MS-BFS-Graft
+engines attach the Y side of their final forest here, and
+:func:`~repro.matching.verify.verify_maximum` checks it in one edge pass
+instead of re-running that search. Nothing trusts it: a wrong or stale
+cover only sends the verifier back to its own sweep. :meth:`Matching.match`,
+:meth:`~Matching.unmatch` and :meth:`~Matching.augment_pairs` clear it,
+:meth:`Matching.copy` keeps it, and every constructor starts without one.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ UNMATCHED = -1
 class Matching:
     """A (partial) matching of a bipartite graph."""
 
-    __slots__ = ("n_x", "n_y", "mate_x", "mate_y")
+    __slots__ = ("n_x", "n_y", "mate_x", "mate_y", "cover_y")
 
     def __init__(self, n_x: int, n_y: int, mate_x: np.ndarray, mate_y: np.ndarray) -> None:
         self.n_x = int(n_x)
@@ -37,6 +47,7 @@ class Matching:
         self.mate_y = np.ascontiguousarray(mate_y, dtype=INDEX_DTYPE)
         if self.mate_x.shape != (self.n_x,) or self.mate_y.shape != (self.n_y,):
             raise MatchingError("mate array shapes do not match vertex counts")
+        self.cover_y: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -78,6 +89,7 @@ class Matching:
         """Add edge (x, y) to the matching (endpoints must be free)."""
         if self.mate_x[x] != UNMATCHED or self.mate_y[y] != UNMATCHED:
             raise MatchingError(f"match({x}, {y}) would double-match a vertex")
+        self.cover_y = None
         self.mate_x[x] = y
         self.mate_y[y] = x
 
@@ -85,6 +97,7 @@ class Matching:
         """Remove x's matched edge (no-op if x is free)."""
         y = self.mate_x[x]
         if y != UNMATCHED:
+            self.cover_y = None
             self.mate_x[x] = UNMATCHED
             self.mate_y[y] = UNMATCHED
 
@@ -95,6 +108,7 @@ class Matching:
         endpoints — the caller guarantees the pairs come from alternating
         path flips, which keep the matching consistent overall.
         """
+        self.cover_y = None
         for x, y in pairs:
             self.mate_x[x] = y
             self.mate_y[y] = x
@@ -129,7 +143,10 @@ class Matching:
         return _points_back(self.mate_x, self.mate_y) and _points_back(self.mate_y, self.mate_x)
 
     def copy(self) -> "Matching":
-        return Matching(self.n_x, self.n_y, self.mate_x.copy(), self.mate_y.copy())
+        """An independent copy of the mates, carrying the same ``cover_y``."""
+        clone = Matching(self.n_x, self.n_y, self.mate_x.copy(), self.mate_y.copy())
+        clone.cover_y = self.cover_y
+        return clone
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
@@ -180,7 +197,9 @@ class MatchResult:
 def init_matching(graph: BipartiteCSR, initial: Matching | None) -> Matching:
     """Copy-or-create the working matching for an algorithm run.
 
-    Algorithms never mutate the caller's matching in place.
+    Algorithms never mutate the caller's matching in place. The copy carries
+    no ``cover_y``: algorithms write the mate arrays directly, which would
+    leave the caller's cover stale.
     """
     if initial is None:
         return Matching.empty(graph)
@@ -189,4 +208,4 @@ def init_matching(graph: BipartiteCSR, initial: Matching | None) -> Matching:
             f"initial matching sized ({initial.n_x}, {initial.n_y}) does not fit "
             f"graph ({graph.n_x}, {graph.n_y})"
         )
-    return initial.copy()
+    return Matching(initial.n_x, initial.n_y, initial.mate_x.copy(), initial.mate_y.copy())

@@ -102,6 +102,9 @@ class IncrementalMatcher:
         self._graph = BipartiteCSR.from_sorted_keys(n_x, n_y, self._x_keys, self._y_keys)
         self.mate_x = np.full(n_x, UNMATCHED, dtype=INDEX_DTYPE)
         self.mate_y = np.full(n_y, UNMATCHED, dtype=INDEX_DTYPE)
+        # The last repair's König cover (Y side), or None once an edit
+        # has changed the keys or mates since.
+        self._cover_y: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -149,8 +152,10 @@ class IncrementalMatcher:
         return bool(_member(self._x_keys, np.array([x * self.n_y + y]))[0])
 
     def matching(self) -> Matching:
-        """Snapshot of the current matching."""
-        return Matching(self.n_x, self.n_y, self.mate_x.copy(), self.mate_y.copy())
+        """Snapshot of the current matching, with the last repair's ``cover_y``."""
+        snapshot = Matching(self.n_x, self.n_y, self.mate_x.copy(), self.mate_y.copy())
+        snapshot.cover_y = self._cover_y
+        return snapshot
 
     def edge_list(self) -> List[Tuple[int, int]]:
         """Canonical edge list of the current graph, sorted by ``(x, y)``.
@@ -229,6 +234,7 @@ class IncrementalMatcher:
             ops.append((op == INSERT, x, y))
         inserted = deleted = skipped = freed = 0
         if ops:
+            self._cover_y = None
             keys = [x * self.n_y + y for _, x, y in ops]
             found = _member(self._x_keys, np.array(keys, dtype=INDEX_DTYPE))
             before: Dict[int, bool] = dict(zip(keys, found.tolist()))
@@ -292,4 +298,5 @@ class IncrementalMatcher:
         )
         self.mate_x = result.matching.mate_x
         self.mate_y = result.matching.mate_y
+        self._cover_y = result.matching.cover_y
         return self.cardinality - before, result.counters.phases

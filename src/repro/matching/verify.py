@@ -1,14 +1,29 @@
 """Matching verification: validity, maximality, and maximum certificates.
 
 ``verify_maximum`` certifies optimality without trusting any matching
-algorithm, from one validity pass (array checks on the mate arrays, and one
-``searchsorted`` of the matched pairs over the sorted CSR edge keys) and one
-alternating reachability: a level-synchronous frontier sweep from the free X
-vertices (:func:`alternating_reach`). By Berge's theorem the matching is
-maximum iff the sweep reaches no free Y vertex. The König vertex cover and the
-Hall witness come from the same ``(reach_x, reach_y)`` and are checked against
-the edge list, not the sweep: the cover must cover every edge, and ``N(S)``
-must equal ``reach_y``. Nothing here is shared with the engines it certifies.
+algorithm. It starts with one validity pass: array checks on the mate arrays,
+and one ``searchsorted`` of the matched pairs over the sorted CSR edge keys.
+Maximality then has two paths.
+
+* **Supplied cover.** A matching may carry ``cover_y``, a boolean mask over
+  Y (the MS-BFS-Graft engines attach the Y side of their final forest). The
+  checker completes it with ``cover_x``, the matched X whose mate is not in
+  ``cover_y``. If every cover-Y is matched, each matched edge then has exactly
+  one endpoint in ``C = cover_x | cover_y``, so ``|C| = |M|``. If ``C`` also
+  covers every edge, no matching is larger than ``|M|`` (König's theorem):
+  one O(nnz) pass over the edge list certifies the matching.
+* **Sweep.** Without a cover, or when the supplied one fails any check, one
+  alternating reachability runs: a level-synchronous frontier sweep from the
+  free X vertices (:func:`alternating_reach`). By Berge's theorem the
+  matching is maximum iff it reaches no free Y vertex. The König cover of
+  the reached sets is then checked against the edge list, not the sweep.
+
+Soundness never rests on where a cover came from: a wrong or stale cover
+only costs the sweep. ``koenig_vertex_cover`` and ``hall_violator`` always
+sweep; the Hall witness additionally checks its ``N(S)`` against the edge
+list. Nothing here is shared with the engines it certifies, and lint rule
+REP009 keeps this module free of imports from ``repro.core``,
+``repro.parallel`` and ``repro.distributed``.
 """
 
 from __future__ import annotations
@@ -76,29 +91,58 @@ def _invalidity(graph: BipartiteCSR, matching: Matching, edges: Edges) -> Option
     return None
 
 
-def _certify(graph: BipartiteCSR, matching: Matching) -> Tuple[Edges, Reach]:
-    """The shared pass: ``(edges, reach)`` after one validity check and one sweep."""
+def _valid_edges(graph: BipartiteCSR, matching: Matching) -> Edges:
+    """The edge list, after one validity check of ``matching`` against it."""
     edges = graph.edge_arrays()
     problem = _invalidity(graph, matching, edges)
     if problem is not None:
         raise VerificationError(f"matching is structurally invalid for this graph: {problem}")
+    return edges
+
+
+def _certify(graph: BipartiteCSR, matching: Matching) -> Tuple[Edges, Reach]:
+    """The shared pass: ``(edges, reach)`` after one validity check and one sweep."""
+    edges = _valid_edges(graph, matching)
     return edges, alternating_reach(graph.x_ptr, graph.x_adj, matching.mate_x, matching.mate_y)
 
 
-def _koenig_cover(matching: Matching, edges: Edges, reach: Reach) -> Tuple[np.ndarray, np.ndarray]:
-    reach_x, reach_y, found = reach
+def _cover_x(
+    graph: BipartiteCSR, matching: Matching, cover_y: object, edges: Edges
+) -> Optional[np.ndarray]:
+    """The X side completing the mask ``cover_y`` to a König cover of
+    ``matching``, or ``None`` if it does not complete to one.
+
+    ``matching`` must already be valid. The X side is the matched X whose
+    mate is not in ``cover_y``. Once every cover-Y is matched, each matched
+    edge contributes exactly one endpoint (its Y if that is in ``cover_y``,
+    its X otherwise), so the cover has size ``|M|`` by construction; it
+    remains to check that it covers every edge.
+    """
+    if not (
+        isinstance(cover_y, np.ndarray)
+        and cover_y.dtype == np.bool_
+        and cover_y.shape == (graph.n_y,)
+    ):
+        return None
+    if np.any(matching.mate_y[cover_y] == UNMATCHED):
+        return None
+    cover_x = matching.mate_x != UNMATCHED
+    cover_x[matching.mate_y[cover_y]] = False
+    if not np.all(cover_x[edges[0]] | cover_y[edges[1]]):
+        return None
+    return cover_x
+
+
+def _koenig_cover(
+    graph: BipartiteCSR, matching: Matching, edges: Edges, reach: Reach
+) -> Tuple[np.ndarray, np.ndarray]:
+    _, reach_y, found = reach
     if found:
         raise VerificationError("König cover requested for a non-maximum matching")
-    in_cover_x = (matching.mate_x != UNMATCHED) & ~reach_x
-    cover_size = int(np.count_nonzero(in_cover_x)) + int(np.count_nonzero(reach_y))
-    if cover_size != matching.cardinality:
-        raise VerificationError(
-            f"König cover size {cover_size} != matching cardinality {matching.cardinality}"
-        )
-    # Self-check: every edge must be covered.
-    if not bool(np.all(in_cover_x[edges[0]] | reach_y[edges[1]])):
+    cover_x = _cover_x(graph, matching, reach_y, edges)
+    if cover_x is None:
         raise VerificationError("König construction failed to cover all edges")
-    return np.flatnonzero(in_cover_x), np.flatnonzero(reach_y)
+    return np.flatnonzero(cover_x), np.flatnonzero(reach_y)
 
 
 def _hall_witness(
@@ -164,7 +208,7 @@ def koenig_vertex_cover(
     :class:`VerificationError` if the input matching is invalid or not
     maximum (the construction then fails to cover, which we detect).
     """
-    return _koenig_cover(matching, *_certify(graph, matching))
+    return _koenig_cover(graph, matching, *_certify(graph, matching))
 
 
 def hall_violator(graph: BipartiteCSR, matching: Matching) -> np.ndarray:
@@ -184,14 +228,16 @@ def hall_violator(graph: BipartiteCSR, matching: Matching) -> np.ndarray:
 def verify_maximum(graph: BipartiteCSR, matching: Matching) -> int:
     """Full certificate check; returns the certified maximum cardinality.
 
-    Validates the matching, confirms no augmenting path exists, and
-    cross-checks with a König cover of equal size and a Hall witness, all
-    from one reachability sweep. Raises :class:`VerificationError` on any
-    failure.
+    Validates the matching, then checks a König cover of size ``|M|``:
+    the one the matching carries in ``cover_y`` if it holds up, otherwise
+    the reached Y of an alternating sweep that must find no augmenting path.
+    Raises :class:`VerificationError` on any failure.
     """
-    edges, reach = _certify(graph, matching)
+    edges = _valid_edges(graph, matching)
+    if _cover_x(graph, matching, matching.cover_y, edges) is not None:
+        return matching.cardinality
+    reach = alternating_reach(graph.x_ptr, graph.x_adj, matching.mate_x, matching.mate_y)
     if reach[2]:
         raise VerificationError("matching admits an augmenting path (not maximum)")
-    _koenig_cover(matching, edges, reach)
-    _hall_witness(graph, matching, edges, reach)
+    _koenig_cover(graph, matching, edges, reach)
     return matching.cardinality

@@ -58,6 +58,12 @@ class TestFixtures:
         assert codes(hits) == ["REP003", "REP003"]
         assert "host clock" in hits[0].message
 
+    def test_engine_import_in_checker_trips_rep009(self, violations):
+        hits = [v for v in violations if "matching/verify" in v.path]
+        assert codes(hits) == ["REP009", "REP009", "REP009"]
+        assert [v.line for v in hits] == [3, 4, 9]
+        assert "repro.distributed" in hits[2].message
+
 
 class TestRealTree:
     def test_shipped_package_is_clean(self):
@@ -81,6 +87,17 @@ class TestRealTree:
         (bad / "engine_interleaved.py").write_text(source)
         violations = run_lint(tmp_path)
         assert "REP001" in codes(violations)
+
+    def test_checker_regression_guard(self, tmp_path):
+        """A future PR importing engine code into the checker is caught."""
+        bad = tmp_path / "matching"
+        bad.mkdir()
+        source = (DEFAULT_ROOT / "matching" / "verify.py").read_text()
+        anchor = "from repro.errors import VerificationError\n"
+        assert anchor in source
+        source = source.replace(anchor, anchor + "from repro.core.forest import ForestState\n")
+        (bad / "verify.py").write_text(source)
+        assert codes(run_lint(tmp_path)) == ["REP009"]
 
     def test_syntax_error_reported_not_raised(self, tmp_path):
         broken = tmp_path / "broken.py"

@@ -284,7 +284,7 @@ class TestBaseline:
 class TestFormats:
     def test_rule_catalog_covers_all_codes(self):
         codes = [code for code, _, _ in rule_catalog()]
-        assert codes == [f"REP00{i}" for i in range(1, 9)]
+        assert codes == [f"REP00{i}" for i in range(1, 10)]
 
     def test_json_format(self, fixture_findings):
         payload = json.loads(format_json(fixture_findings, 0, str(FIXTURES)))
@@ -301,7 +301,7 @@ class TestFormats:
         assert sarif["version"] == "2.1.0"
         run = sarif["runs"][0]
         rules = run["tool"]["driver"]["rules"]
-        assert [r["id"] for r in rules] == [f"REP00{i}" for i in range(1, 9)]
+        assert [r["id"] for r in rules] == [f"REP00{i}" for i in range(1, 10)]
         assert len(run["results"]) == len(fixture_findings)
         result = run["results"][0]
         assert result["partialFingerprints"]["reproAnalyze/v1"]

@@ -203,3 +203,28 @@ class TestPackedVisitedRepairBFS:
                 m.add_edge(x, y)
         assert m.cardinality == recompute_maximum(m)
         verify_maximum(m.graph(), m.matching())
+
+
+class TestCover:
+    """The matcher hands each repair's König cover to its snapshots."""
+
+    def test_repair_sets_cover_and_interrupted_edit_clears_it(self):
+        from repro.core.options import Deadline
+        from repro.errors import DeadlineExceeded
+        from repro.matching.verify import alternating_reach
+
+        m = IncrementalMatcher.from_edges(4, 4, np.array([0, 1, 2]), np.array([0, 0, 1]))
+        snap = m.matching()
+        g = m.graph()
+        reach_y = alternating_reach(g.x_ptr, g.x_adj, snap.mate_x, snap.mate_y)[1]
+        assert np.array_equal(snap.cover_y, reach_y)
+        # Every clock reading is 10 s later: the repair expires at its
+        # first phase, after the edit has changed the keys.
+        ticks = iter(range(0, 1000, 10))
+        deadline = Deadline(1.0, clock=lambda: float(next(ticks)))
+        with pytest.raises(DeadlineExceeded):
+            m.apply_batch([("insert", 3, 2), ("delete", 0, 0)], deadline=deadline)
+        assert m.matching().cover_y is None
+        m.repair()
+        assert m.matching().cover_y is not None
+        assert verify_maximum(m.graph(), m.matching()) == m.cardinality == 3

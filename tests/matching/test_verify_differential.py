@@ -7,9 +7,14 @@ scipy's compiled matcher (independent of this package) and from Hopcroft-Karp;
 their cardinalities are cross-checked. Each graph's matchings are then
 corrupted in five ways, and the verdict, reach sets, König cover and Hall
 witness of both implementations must agree exactly.
+
+The MS-BFS-Graft engines attach their final forest's Y side to the matching as
+``cover_y``; a second property holds it to the sweep's reach set and checks that
+dropping any one cover vertex sends ``verify_maximum`` back to its sweep.
 """
 
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +23,16 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from repro.core.driver import ms_bfs_graft
 from repro.errors import VerificationError
 from repro.graph.builder import from_edges
+from repro.matching import verify
 from repro.matching.base import UNMATCHED, Matching
 from repro.matching.hopcroft_karp import hopcroft_karp
+from repro.matching.karp_sipser import karp_sipser
 from repro.matching.verify import (
     alternating_certificate,
+    alternating_reach,
     hall_violator,
     is_maximal_matching,
     is_maximum_matching,
@@ -189,3 +198,33 @@ def test_vectorised_certificate_matches_reference(graph, seed):
     # Arbitrary (mostly non-maximum) valid matchings: greedy prefixes of M.
     pairs = reference.pairs()
     assert_same_verdicts(g, Matching.from_pairs(n_x, n_y, pairs[: len(pairs) // 2]))
+
+
+@given(graph=graphs(), karp_sipser_init=st.booleans(), seed=st.integers(0, 3))
+# K_{3,2} from empty: grafting puts both Y back into the last free X's tree,
+# so the final phase starts with no unvisited Y and a non-empty frontier and
+# ends on the ``num_unvisited_y == 0`` early exit, every Y in the cover.
+@example(graph=(3, 2, [(x, y) for x in range(3) for y in range(2)]),
+         karp_sipser_init=False, seed=0)
+@example(graph=(0, 0, []), karp_sipser_init=False, seed=0)
+@example(graph=(4, 4, []), karp_sipser_init=True, seed=0)
+@settings(max_examples=60, deadline=None)
+def test_engine_cover_is_the_alternating_reach(graph, karp_sipser_init, seed):
+    n_x, n_y, edges = graph
+    g = from_edges(n_x, n_y, edges)
+    initial = karp_sipser(g, seed=seed).matching if karp_sipser_init else None
+    for engine in ("numpy", "python", "interleaved"):
+        m = ms_bfs_graft(g, initial, engine=engine, emit_trace=False, seed=seed).matching
+        _, reach_y, found = alternating_reach(g.x_ptr, g.x_adj, m.mate_x, m.mate_y)
+        assert not found
+        assert m.cover_y is not None
+        assert np.array_equal(m.cover_y, reach_y), engine
+        with mock.patch.object(verify, "alternating_reach", wraps=alternating_reach) as sweep:
+            assert verify_maximum(g, m) == m.cardinality
+            assert sweep.call_count == 0
+            for y in np.flatnonzero(m.cover_y):
+                dropped = m.copy()
+                dropped.cover_y = m.cover_y.copy()
+                dropped.cover_y[y] = False
+                assert verify_maximum(g, dropped) == m.cardinality
+            assert sweep.call_count == np.count_nonzero(m.cover_y)
