@@ -31,7 +31,7 @@ def main() -> None:
     rows = []
     expected = None
     for algo in ALGORITHMS:
-        result = run_algorithm(algo, graph, init)
+        result = run_algorithm(algo, graph, init, emit_trace=True)
         repro.verify_maximum(graph, result.matching)
         if expected is None:
             expected = result.cardinality

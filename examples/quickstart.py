@@ -23,7 +23,8 @@ def main() -> None:
     print(f"Karp-Sipser (parallel rounds) initial matching: |M| = {init.cardinality:,}")
 
     # Step 2 — MS-BFS-Graft to maximum cardinality (Algorithm 3).
-    result = repro.ms_bfs_graft(graph, init.matching)
+    # emit_trace keeps the work trace the simulator reads below.
+    result = repro.ms_bfs_graft(graph, init.matching, emit_trace=True)
     print(f"maximum matching:             |M| = {result.cardinality:,}")
     print(f"matching number (2|M|/|V|):   {result.matching.matching_fraction():.4f}")
 

@@ -23,7 +23,7 @@ def main() -> None:
     for name in GRAPHS:
         sg = get_suite_graph(name, scale=0.5)
         init = suite_initializer(sg.graph, seed=0)
-        result = run_algorithm("ms-bfs-graft", sg.graph, init)
+        result = run_algorithm("ms-bfs-graft", sg.graph, init, emit_trace=True)
         print(f"\n=== {name} ({sg.group}; n={sg.graph.num_vertices:,}, "
               f"m={sg.graph.num_directed_edges:,}) ===")
         for machine in (repro.MIRASOL, repro.EDISON):

@@ -70,9 +70,6 @@ VISITED_TRANSITION_HELPERS = frozenset(
 )
 """ForestState methods that perform sanctioned visited-flag transitions."""
 
-BITSET_WRITE_HELPERS = frozenset({"bitset_set", "bitset_clear"})
-"""Packed-mirror updates; modelled as atomic fetch-or/fetch-and on arg 0."""
-
 COMMIT_DECORATOR = "superstep_commit"
 """Decorator marking a function as a superstep-boundary commit helper.
 
@@ -300,16 +297,8 @@ def _collect_direct_effects(
                 continue
             if receiver is not None and method in VISITED_TRANSITION_HELPERS:
                 # state.mark_visited(rows): sanctioned transition of the
-                # visited byte array and its packed mirror.
+                # visited flag array.
                 eff.atomic_writes.add(receiver + ".visited")
-                eff.atomic_writes.add(receiver + ".visited_words")
-                continue
-            if method in BITSET_WRITE_HELPERS and node.args:
-                # bitset_set(words, idx): an unbuffered fetch-or/fetch-and
-                # on shared words — atomic by construction.
-                arg0 = attr_chain(node.args[0])
-                if arg0 is not None:
-                    eff.atomic_writes.add(arg0)
                 continue
             args = tuple(attr_chain(a) for a in node.args)
             calls.append(CallSite(target=func_path, args=args, lineno=node.lineno))

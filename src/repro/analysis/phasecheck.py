@@ -2,10 +2,11 @@
 
 The MS-BFS-Graft engines share one correctness contract (the "phase
 discipline"): work happens in barrier-synchronized phases, shared arrays
-are claimed only through atomic first-writer-wins channels, the packed
-``visited_words`` mirror tracks every byte-view transition, and every
-phase-loop iteration passes through ``GraftOptions.begin_phase`` (which
-bundles ``Deadline.check``, the telemetry phase span, and ``phase_hook``).
+are claimed only through atomic first-writer-wins channels, every
+``visited`` transition in ``core/`` keeps the forest's unvisited-Y
+counters exact, and every phase-loop iteration passes through
+``GraftOptions.begin_phase`` (which bundles ``Deadline.check``, the
+telemetry phase span, and ``phase_hook``).
 This module checks that contract statically, against the interprocedural
 effect summaries of :mod:`repro.analysis.effects`, and extends the lint
 rule set (REP001–REP003 and REP009, :mod:`repro.analysis.lint`) with:
@@ -23,12 +24,13 @@ rule set (REP001–REP003 and REP009, :mod:`repro.analysis.lint`) with:
   ``while`` loop advancing a ``.phases`` counter in an engine module)
   must call ``begin_phase(...)``, so Deadline enforcement, the telemetry
   span, and ``phase_hook`` fire on every phase of every engine.
-* **REP006 unsynced-bitset-mirror** — in core modules that maintain the
-  packed ``visited_words`` mirror, any function raw-writing a ``visited``
-  byte-view must also update the mirror (``bitset_set``/``bitset_clear``
-  or the ``mark_visited``/``clear_visited`` helpers) — a byte write
-  without the word write silently breaks the direction-optimizer's
-  claim mirror.
+* **REP006 raw-visited-write** — in ``core/``, only
+  ``ForestState.mark_visited``/``clear_visited`` raw-write a
+  ForestState's ``visited`` array (``self.visited`` in its methods,
+  ``state.visited`` elsewhere); everything else goes through them. They keep
+  ``num_unvisited_y``, ``num_candidates`` and ``unvisited_deg`` exact,
+  and the direction rule and the ``num_unvisited_y == 0`` phase exit read
+  those counters, so a raw write that skips them can end a phase early.
 * **REP007 unused-suppression** — a ``# lint: allow-<rule>`` comment that
   masks no violation (or names no known rule) must be removed; stale
   suppressions hide future regressions.
@@ -68,6 +70,7 @@ from typing import (
 )
 
 from repro.analysis.effects import (
+    FunctionInfo,
     PackageEffects,
     attr_chain,
     base_name,
@@ -231,46 +234,48 @@ def _check_missing_deadline(pkg: PackageEffects) -> Iterator[RawFinding]:
 
 
 # --------------------------------------------------------------------------- #
-# REP006: visited byte-view writes keep the packed bitset mirror in step
+# REP006: visited writes in core go through the counting transitions
 # --------------------------------------------------------------------------- #
 
-
-def _module_mentions_mirror(tree: ast.Module) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "visited_words":
-            return True
-        if isinstance(node, ast.Name) and node.id == "visited_words":
-            return True
-    return False
+VISITED_WRITERS = frozenset({"ForestState.mark_visited", "ForestState.clear_visited"})
+"""The only core functions allowed to raw-write a ForestState's ``visited``."""
 
 
-def _check_bitset_mirror(pkg: PackageEffects) -> Iterator[RawFinding]:
+def _is_forest_visited(info: FunctionInfo, path: str) -> bool:
+    """Whether ``path`` names a ForestState's ``visited`` array.
+
+    That is ``self.visited`` inside a ForestState method, or any
+    ``....state.visited`` (core code names its ForestState ``state``).
+    Arrays other engines keep for themselves, such as the python engine's
+    ``visited`` list, are outside the rule.
+    """
+    parts = path.split(".")
+    if len(parts) < 2 or parts[-1] != "visited":
+        return False
+    if parts[-2] == "state":
+        return True
+    return parts == ["self", "visited"] and info.qualname.startswith("ForestState.")
+
+
+def _check_raw_visited_write(pkg: PackageEffects) -> Iterator[RawFinding]:
     for relpath, mod in pkg.modules.items():
         if not fnmatch(relpath, "core/*.py"):
             continue
-        if not _module_mentions_mirror(mod.tree):
-            continue
         for info in mod.functions.values():
-            byte_writes = sorted(
-                p for p in info.direct.raw_writes if base_name(p) == "visited"
-            )
-            if not byte_writes:
+            if info.qualname in VISITED_WRITERS:
                 continue
-            mirror_writes = {
-                p
-                for p in info.direct.raw_writes | info.direct.atomic_writes
-                if base_name(p) == "visited_words"
-            }
-            if not mirror_writes:
+            writes = sorted(
+                p for p in info.direct.raw_writes if _is_forest_visited(info, p)
+            )
+            if writes:
                 yield (
                     relpath,
                     info.lineno,
                     0,
-                    f"{info.name!r} writes the visited byte-view "
-                    f"({', '.join(byte_writes)}) without updating the "
-                    f"visited_words bitset mirror; use "
-                    f"mark_visited/clear_visited or pair the write with "
-                    f"bitset_set/bitset_clear",
+                    f"{info.name!r} raw-writes {', '.join(writes)}, skipping "
+                    f"the num_unvisited_y/num_candidates/unvisited_deg upkeep "
+                    f"the direction rule and phase exit read; use "
+                    f"mark_visited/clear_visited",
                 )
 
 
@@ -321,11 +326,12 @@ PHASE_RULES: Tuple[PhaseRule, ...] = (
     ),
     PhaseRule(
         code="REP006",
-        name="unsynced-bitset-mirror",
+        name="raw-visited-write",
         description=(
-            "visited byte-view writes update the packed visited_words mirror"
+            "core writes visited only through mark_visited/clear_visited, "
+            "which keep the unvisited-Y counters exact"
         ),
-        check=_check_bitset_mirror,
+        check=_check_raw_visited_write,
     ),
     PhaseRule(
         code="REP007",

@@ -45,7 +45,7 @@ def solve_btf(matrix, b: np.ndarray, matching: Matching | None = None) -> np.nda
     if matching is None:
         from repro.core.driver import ms_bfs_graft
 
-        matching = ms_bfs_graft(graph, emit_trace=False).matching
+        matching = ms_bfs_graft(graph).matching
     if matching.cardinality != n:
         raise ReproError(
             f"matrix is structurally singular: sprank {matching.cardinality} < {n}"

@@ -38,10 +38,12 @@ def run_trio(
     algorithms: tuple[str, ...] = ("ms-bfs-graft", "pothen-fan", "push-relabel"),
     seed: int = 0,
 ) -> TrioRun:
-    """Run the compared algorithms on one graph with a shared initialiser."""
+    """Run the compared algorithms on one graph with a shared initialiser,
+    each with the work trace the simulated-time figures read."""
     init = suite_initializer(suite_graph.graph, seed=seed)
     results = {
-        name: run_algorithm(name, suite_graph.graph, init) for name in algorithms
+        name: run_algorithm(name, suite_graph.graph, init, emit_trace=True)
+        for name in algorithms
     }
     return TrioRun(suite_graph=suite_graph, results=results)
 

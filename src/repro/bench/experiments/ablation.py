@@ -53,7 +53,7 @@ def alpha_sweep(
         sg = get_suite_graph(name, scale=scale)
         init = suite_initializer(sg.graph, seed=seed)
         for alpha in alphas:
-            result = ms_bfs_graft(sg.graph, init, alpha=alpha)
+            result = ms_bfs_graft(sg.graph, init, alpha=alpha, emit_trace=True)
             sim = model.simulate(result.trace, 40)
             rows.append(
                 [name, alpha, result.counters.edges_traversed, result.counters.phases,
@@ -130,7 +130,8 @@ def direction_strategy_comparison(
         init = suite_initializer(sg.graph, seed=seed)
         baseline = None
         for strategy in ("vertex", "edge"):
-            result = ms_bfs_graft(sg.graph, init, direction_strategy=strategy)
+            result = ms_bfs_graft(sg.graph, init, direction_strategy=strategy,
+                                  emit_trace=True)
             if baseline is None:
                 baseline = result.cardinality
             assert result.cardinality == baseline
@@ -167,7 +168,7 @@ def queue_capacity_sweep(
     for name in names:
         sg = get_suite_graph(name, scale=scale)
         init = suite_initializer(sg.graph, seed=seed)
-        result = ms_bfs_graft(sg.graph, init)
+        result = ms_bfs_graft(sg.graph, init, emit_trace=True)
         for capacity in capacities:
             spec = replace(machine, queue_capacity=capacity)
             sim = CostModel(spec).simulate(result.trace, 40)

@@ -54,7 +54,6 @@ def run(
             grafting=(algo == "graft"),
             direction_optimizing=False,  # pure frontier dynamics, as Fig. 8
             record_frontiers=True,
-            emit_trace=False,
         )
         log = result.frontier_log
         out = []

@@ -59,8 +59,9 @@ def run(
     """Profile both variants phase by phase on one suite graph."""
     sg = get_suite_graph(graph_name, scale=scale)
     init = suite_initializer(sg.graph, seed=seed)
-    graft = ms_bfs_graft(sg.graph, init, direction_optimizing=False)
-    nograft = ms_bfs_graft(sg.graph, init, direction_optimizing=False, grafting=False)
+    graft = ms_bfs_graft(sg.graph, init, direction_optimizing=False, emit_trace=True)
+    nograft = ms_bfs_graft(sg.graph, init, direction_optimizing=False, grafting=False,
+                           emit_trace=True)
     assert graft.cardinality == nograft.cardinality
     return PhaseDynamicsResult(
         graph=graph_name,

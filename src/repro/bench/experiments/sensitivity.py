@@ -79,7 +79,7 @@ def run(
             shuffled, _, _ = permute(sg.graph, seed=run_seed)
             init = suite_initializer(shuffled, seed=run_seed)
             for algo in ALGOS:
-                result = run_algorithm(algo, shuffled, init)
+                result = run_algorithm(algo, shuffled, init, emit_trace=True)
                 times[algo].append(model.simulate(result.trace, threads).seconds)
         rows.append(
             SensitivityRow(

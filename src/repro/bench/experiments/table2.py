@@ -50,7 +50,7 @@ def run(scale: float = 0.3) -> Table2Result:
     rows = []
     for sg in build_suite(scale=scale):
         graph = sg.graph
-        result = ms_bfs_graft(graph, emit_trace=False)
+        result = ms_bfs_graft(graph)
         verify_maximum(graph, result.matching)
         rows.append(
             Table2Row(

@@ -97,7 +97,7 @@ def _time_engine(
     cardinality = -1
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        result = ms_bfs_graft(graph, engine=engine, emit_trace=False)
+        result = ms_bfs_graft(graph, engine=engine)
         times.append(time.perf_counter() - t0)
         cardinality = result.cardinality
     stats = {
@@ -154,7 +154,7 @@ def run_kernel_bench(
             )
         cardinality = cardinalities["numpy"]
         if verify:
-            result = ms_bfs_graft(graph, engine="numpy", emit_trace=False)
+            result = ms_bfs_graft(graph, engine="numpy")
             verify_maximum(graph, result.matching)
         entry: Dict[str, object] = {
             "name": spec.name,

@@ -27,8 +27,8 @@ ALGORITHMS: Dict[str, AlgorithmFn] = {
     "ms-bfs-graft-td": lambda g, m, **kw: ms_bfs_graft(g, m, direction_optimizing=False, **kw),
     "ms-bfs-do": lambda g, m, **kw: ms_bfs_graft(g, m, grafting=False, **kw),
     "ms-bfs": lambda g, m, **kw: ms_bfs(g, m, **kw),
-    "pothen-fan": lambda g, m: pothen_fan(g, m),
-    "push-relabel": lambda g, m: push_relabel(g, m),
+    "pothen-fan": lambda g, m, **kw: pothen_fan(g, m, **kw),
+    "push-relabel": lambda g, m, **kw: push_relabel(g, m, **kw),
     "hopcroft-karp": lambda g, m: hopcroft_karp(g, m),
     "ss-bfs": lambda g, m: ss_bfs(g, m),
     "ss-dfs": lambda g, m: ss_dfs(g, m),
@@ -40,6 +40,9 @@ PARALLEL_ALGORITHMS = ("ms-bfs-graft", "pothen-fan", "push-relabel")
 
 ENGINE_AWARE = ("ms-bfs-graft", "ms-bfs-graft-td", "ms-bfs-do", "ms-bfs")
 """Algorithms that run on the MS-BFS-Graft driver and accept an ``engine``."""
+
+TRACED = ENGINE_AWARE + ("pothen-fan", "push-relabel")
+"""Algorithms that can build a work trace for the machine simulator."""
 
 
 def suite_initializer(graph: BipartiteCSR, seed: int = 0) -> Matching:
@@ -66,6 +69,7 @@ def run_algorithm(
     deadline: Deadline | None = None,
     phase_hook=None,
     telemetry=None,
+    emit_trace: bool = False,
     workers: int | None = None,
     reorder: str = "none",
     reorder_plan=None,
@@ -82,6 +86,10 @@ def run_algorithm(
     :class:`repro.telemetry.Telemetry` session. All of these apply only to
     the driver-backed algorithms in :data:`ENGINE_AWARE` — the batch
     service threads its deadlines, fault hooks, and telemetry through here.
+
+    ``emit_trace`` asks the algorithms in :data:`TRACED` for the work
+    trace :func:`simulated_seconds` reads; the others never build one, so
+    their ``trace`` stays ``None``.
 
     ``workers``, ``reorder``, ``reorder_plan`` and ``reorder_layout`` are
     kept for older callers only. ``workers`` is ignored (every algorithm
@@ -114,6 +122,8 @@ def run_algorithm(
             initial = karp_sipser(graph, seed=seed).matching
         elif init != "none":
             raise BenchmarkError(f"unknown initialiser {init!r}")
+    if emit_trace and name in TRACED:
+        driver_kwargs["emit_trace"] = True
     return fn(graph, initial, **driver_kwargs)
 
 

@@ -91,7 +91,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         telemetry = Telemetry()
     graph, initial, cache_status = _acquire_suite_graph(args, telemetry=telemetry)
     result = run_algorithm(args.algorithm, graph, initial, seed=args.seed,
-                           engine=args.engine, telemetry=telemetry)
+                           engine=args.engine, telemetry=telemetry,
+                           emit_trace=args.report)
     verify_maximum(graph, result.matching)
     if telemetry is not None:
         from repro.telemetry import write_prometheus
@@ -386,7 +387,7 @@ def _cmd_btf(args: argparse.Namespace) -> int:
     from repro.core.driver import ms_bfs_graft
 
     graph = read_matrix_market(args.path)
-    result = ms_bfs_graft(graph, emit_trace=False)
+    result = ms_bfs_graft(graph)
     verify_maximum(graph, result.matching)
     dm = dulmage_mendelsohn(graph, result.matching)
     btf = block_triangular_form(graph, result.matching)

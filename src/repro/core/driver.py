@@ -57,7 +57,14 @@ def choose_engine(
     dominating (:data:`~repro.core.options.DISPATCH_WORK_THRESHOLD`).
 
     Work traces for the simulated machine only exist on the vectorized
-    backend, so ``emit_trace=True`` forces numpy regardless of size.
+    backend, so ``emit_trace=True`` forces numpy regardless of size, and
+    ``emit_trace=False`` decides on work alone. :func:`ms_bfs_graft`
+    passes its own flag, which is off by default, so its ``"auto"`` runs
+    dispatch on work. A direct call that leaves ``emit_trace`` out keeps
+    the answer it had when every run built a trace, numpy: the end-to-end
+    benchmark (``e2ebench/offline.py``) makes that call and times the
+    engine it returns under a layer-coverage gate that a python-engine op
+    on its smallest graphs does not meet.
 
     ``workers`` and ``reorder`` are kept for older callers and do not
     change the decision: every engine runs in this one process, and
@@ -104,7 +111,7 @@ def ms_bfs_graft(
     direction_strategy: str = "vertex",
     engine: str = "auto",
     record_frontiers: bool = False,
-    emit_trace: bool = True,
+    emit_trace: bool = False,
     check_invariants: bool = False,
     deadline: Deadline | None = None,
     phase_hook: Optional[Callable[[int], None]] = None,
@@ -148,8 +155,10 @@ def ms_bfs_graft(
     record_frontiers:
         Record per-level frontier sizes (Fig. 8).
     emit_trace:
-        Emit a :class:`~repro.parallel.trace.WorkTrace` (numpy engine only;
-        steers ``"auto"`` towards numpy).
+        Build the :class:`~repro.parallel.trace.WorkTrace` the parallel
+        machine simulator reads (numpy engine only, so it steers ``"auto"``
+        to numpy). Off by default: only the simulated-time experiments and
+        ``run --report`` read a trace, so other runs skip its bookkeeping.
     check_invariants:
         Assert forest invariants each phase (slow; for tests).
     deadline:

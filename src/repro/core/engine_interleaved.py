@@ -251,8 +251,8 @@ class _InterleavedSteps(PhaseSteps):
         return int(self.active_x.size), int(self.renewable_y.size)
 
     def graft(self, top_down: bool):
-        # Serial recycling goes through the state helpers so the packed
-        # mirror, candidate list, and direction counters stay exact.
+        # Serial recycling goes through the state helpers so the candidate
+        # list and direction counters stay exact.
         kernels.reset_rows(self.state, self.renewable_y)
         if top_down:
             return self._run_region(self.active_x, self.topdown_program)

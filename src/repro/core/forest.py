@@ -18,8 +18,6 @@ On top of the paper's arrays the state maintains the hot-path bookkeeping
 that keeps per-level work proportional to *remaining* work instead of graph
 size:
 
-* ``visited_words`` — a bit-packed uint64 mirror of ``visited`` (see
-  :mod:`repro.core.bitset`) that the vectorized kernels test against;
 * ``candidates_y`` — a phase-persistent superset of the unvisited Y
   vertices (minus isolated ones once :meth:`attach_degrees` ran),
   compacted lazily by :meth:`unvisited_candidates` so a bottom-up level
@@ -34,18 +32,19 @@ size:
 
 All visited-flag transitions must go through :meth:`mark_visited` /
 :meth:`clear_visited` (bulk) or :meth:`count_visit` (the interleaved
-engine's per-element claims) so the mirror, candidate list, and counters
-stay consistent with the byte array.
+engine's per-element claims) so the candidate list and the
+``num_unvisited_y``/``num_candidates``/``unvisited_deg`` counters stay
+consistent with ``visited``: the direction rule and the phase's
+``num_unvisited_y == 0`` exit read those counters, so a drifted count can
+end a phase early.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bitset import bitset_clear, bitset_set, bitset_words
 from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
 from repro.matching.base import UNMATCHED, Matching
-from repro.parallel.shared import WRITE
 
 
 class ForestState:
@@ -55,13 +54,12 @@ class ForestState:
     ``observer`` optionally holds a
     :class:`~repro.parallel.shared.BulkAccessObserver`; when set, the
     vectorized kernels report their bulk shared-array accesses to it so the
-    dynamic race detector can audit the numpy fast path (including the
-    packed-word updates, reported as atomic fetch-or/fetch-and).
+    dynamic race detector can audit the numpy fast path.
     """
 
     __slots__ = (
         "n_x", "n_y", "visited", "parent", "root_x", "root_y", "leaf",
-        "num_unvisited_y", "observer", "visited_words", "candidates_y",
+        "num_unvisited_y", "observer", "candidates_y",
         "num_candidates", "seeds_x", "unvisited_deg", "last_scan_cost",
         "tree_x_parts", "tree_y_parts", "_deg_y",
     )
@@ -76,7 +74,6 @@ class ForestState:
         self.leaf = np.full(n_x, UNMATCHED, dtype=INDEX_DTYPE)
         self.num_unvisited_y = n_y
         self.observer = None
-        self.visited_words = bitset_words(n_y)
         self.candidates_y = np.arange(n_y, dtype=INDEX_DTYPE)
         self.num_candidates = n_y
         self.seeds_x = None
@@ -122,16 +119,11 @@ class ForestState:
 
     def mark_visited(self, rows: np.ndarray) -> None:
         """Flag ``rows`` (all currently unvisited) as visited, updating the
-        packed mirror and the direction-strategy counters."""
+        direction-strategy counters."""
         n = int(rows.shape[0])
         if n == 0:
             return
         self.visited[rows] = 1
-        bitset_set(self.visited_words, rows)
-        if self.observer is not None:
-            # Packed-word mirror of the claim: fetch-or on shared words
-            # (distinct vertices may share a word, hence atomic).
-            self.observer.record_bulk("visited_words", rows >> 6, WRITE, True, rows)
         self.num_unvisited_y -= n
         if self._deg_y is not None:
             d = self._deg_y[rows]
@@ -160,9 +152,6 @@ class ForestState:
         self.candidates_y = np.concatenate([self.candidates_y, back])
         self.num_candidates += int(back.shape[0])
         self.visited[rows] = 0
-        bitset_clear(self.visited_words, rows)
-        if self.observer is not None:
-            self.observer.record_bulk("visited_words", rows >> 6, WRITE, True, rows)
         self.num_unvisited_y += n
 
     def count_visit(self, y: int) -> None:
@@ -170,9 +159,8 @@ class ForestState:
 
         The simulated item programs set the ``visited`` byte themselves
         (through the observable CAS wrapper); this keeps the direction
-        counters in step. The packed mirror is *not* updated here — the
-        interleaved engine never reads it, and candidate compaction filters
-        against the byte array, so the lazy superset invariant holds.
+        counters in step. Candidate compaction filters against the byte
+        array, so the lazy superset invariant holds.
         """
         self.num_unvisited_y -= 1
         if self._deg_y is not None:

@@ -21,9 +21,8 @@ Implementation notes on the fast path:
   scratch arrays are allocated once per run, not once per level.
 * Per-level work is proportional to the level, never to the graph: tree
   membership is derived per frontier vertex / per gathered edge instead of
-  via the O(n_x) ``active_x_mask`` gather, visited pre-checks test the
-  bit-packed ``visited_words`` mirror (:mod:`repro.core.bitset`,
-  re-exported here), and all visited transitions go through
+  via the O(n_x) ``active_x_mask`` gather, visited pre-checks gather the
+  ``visited`` bytes of the targets, and all visited transitions go through
   ``ForestState.mark_visited``/``clear_visited`` so the incremental
   candidate list and direction counters stay exact.
 * Augmentation advances all discovered augmenting paths in lockstep
@@ -43,13 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bitset import (  # noqa: F401  (re-exported kernel helpers)
-    bitset_clear,
-    bitset_count,
-    bitset_set,
-    bitset_test,
-    bitset_words,
-)
 from repro.core.forest import ForestState
 from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
 from repro.matching.base import UNMATCHED, Matching
@@ -220,9 +212,6 @@ def topdown_level(
         item_costs = np.diff(offsets).astype(np.float64) + 1.0
     else:
         item_costs = _NO_COSTS
-    # Pre-check on the visited bytes: at this scale the plain byte gather
-    # beats bit extraction from the packed words (see docs/performance.md);
-    # the words stay the claim mirror that mark_visited maintains.
     unvis = state.visited[dst] == 0
     src_u = src[unvis]
     dst_u = dst[unvis]

@@ -113,7 +113,7 @@ class GraftOptions:
       earlier; exposed for the ablation bench.
     """
     record_frontiers: bool = False
-    emit_trace: bool = True
+    emit_trace: bool = False
     check_invariants: bool = False
     """Run forest invariant assertions every phase (slow; tests only)."""
     deadline: Optional[Deadline] = field(default=None, compare=False)

@@ -111,9 +111,7 @@ def match_by_components(
     MS-BFS-Graft. Counters are merged across components.
     """
     if algorithm is None:
-        from repro.core.driver import ms_bfs_graft
-
-        algorithm = lambda g: ms_bfs_graft(g, emit_trace=False)  # noqa: E731
+        from repro.core.driver import ms_bfs_graft as algorithm
 
     labels = connected_components(graph)
     matching = Matching.empty(graph.n_x, graph.n_y)

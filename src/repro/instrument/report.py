@@ -2,10 +2,10 @@
 
 Collects everything a :class:`~repro.matching.base.MatchResult` knows —
 cardinality, the paper's Fig. 1 counters, the wall-clock step breakdown,
-and (when a work trace exists) simulated parallel times on a machine — into
-one formatted block. Used by ``repro-match run --report`` and handy in
-notebooks. :func:`batch_report` renders the batch service's per-job
-summary table the same way.
+and simulated parallel times on a machine (from the run's work trace; a
+run without one says so) — into one formatted block. Used by
+``repro-match run --report`` and handy in notebooks. :func:`batch_report`
+renders the batch service's per-job summary table the same way.
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ def run_report(
             )
         )
         lines.append(f"step breakdown   : {parts}")
-    if result.trace is not None and machine is not None:
+    if machine is not None and result.trace is None:
+        lines.append("simulated        : n/a (no work trace)")
+    elif machine is not None:
         model = CostModel(machine)
         serial = model.simulate(result.trace, 1)
         parallel = model.simulate(result.trace, threads)

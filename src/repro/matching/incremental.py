@@ -294,7 +294,7 @@ class IncrementalMatcher:
         before = self.cardinality
         result = ms_bfs_graft(
             self._graph, Matching(self.n_x, self.n_y, self.mate_x, self.mate_y),
-            engine="numpy", emit_trace=False, deadline=deadline,
+            engine="numpy", deadline=deadline,
         )
         self.mate_x = result.matching.mate_x
         self.mate_y = result.matching.mate_y

@@ -19,7 +19,7 @@ def ms_bfs(
     *,
     engine: str = "auto",
     record_frontiers: bool = False,
-    emit_trace: bool = True,
+    emit_trace: bool = False,
     deadline=None,
     phase_hook=None,
     telemetry=None,

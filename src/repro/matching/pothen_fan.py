@@ -13,10 +13,11 @@ applied immediately. Two classic refinements:
   the "PF with fairness" variant the paper compares against).
 
 The parallel PF of Azad et al. assigns whole DFS trees to threads — a
-coarse-grained decomposition. The emitted work trace therefore has one item
-per root per phase (cost = edges that root's search traversed) scheduled
-dynamically, which is exactly why PF shows load imbalance and high
-run-to-run variability in the paper's Figs. 3 and Section V-B.
+coarse-grained decomposition. The work trace (``emit_trace=True``)
+therefore has one item per root per phase (cost = edges that root's search
+traversed) scheduled dynamically, which is exactly why PF shows load
+imbalance and high run-to-run variability in the paper's Figs. 3 and
+Section V-B.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def pothen_fan(
     *,
     fairness: bool = True,
     lookahead: bool = True,
-    emit_trace: bool = True,
+    emit_trace: bool = False,
 ) -> MatchResult:
     """Maximum matching with the Pothen-Fan algorithm."""
     start = time.perf_counter()

@@ -40,7 +40,7 @@ def push_relabel(
     *,
     queue_limit: int = 500,
     relabel_frequency: float = 2.0,
-    emit_trace: bool = True,
+    emit_trace: bool = False,
 ) -> MatchResult:
     """Maximum matching with FIFO push-relabel + global relabelling."""
     start = time.perf_counter()

@@ -1,15 +1,28 @@
-"""Fixture: REP006 — visited byte writes must update the packed mirror."""
+"""Fixture: REP006 — core writes a ForestState's ``visited`` only through
+the counting transitions ``mark_visited``/``clear_visited``."""
 
 
-def bitset_set(words, rows):
-    for r in rows:
-        words[r >> 6] |= 1 << (r & 63)
-
-
-class MirrorState:
-    def bad_mark(self, rows):
-        self.visited[rows] = 1  # byte view written, mirror skipped: REP006
-
-    def good_mark(self, rows):
+class ForestState:
+    def mark_visited(self, rows):
         self.visited[rows] = 1
-        bitset_set(self.visited_words, rows)
+        self.num_unvisited_y -= len(rows)
+
+    def clear_visited(self, rows):
+        self.visited[rows] = 0
+        self.num_unvisited_y += len(rows)
+
+    def reset_row(self, rows):
+        self.visited[rows] = 0  # raw write, counters skipped: REP006
+
+
+def bad_claim(state, rows):
+    state.visited[rows] = 1  # raw write, counters skipped: REP006
+
+
+def good_claim(state, rows):
+    state.mark_visited(rows)
+
+
+class OwnSteps:
+    def claim(self, y):
+        self.visited[y] = 1  # the engine's own array, not a ForestState's

@@ -63,12 +63,7 @@ class TestDirectEffects:
     def test_visited_transition_helper(self, tmp_path):
         src = "def f(state, rows):\n    state.mark_visited(rows)\n"
         eff = summary(build_package_effects(write_tree(tmp_path, {"m.py": src})), "m.py", "f")
-        assert eff.atomic_writes == {"state.visited", "state.visited_words"}
-
-    def test_bitset_helper_is_atomic_mirror_write(self, tmp_path):
-        src = "def f(words, rows):\n    bitset_set(words, rows)\n"
-        eff = summary(build_package_effects(write_tree(tmp_path, {"m.py": src})), "m.py", "f")
-        assert eff.atomic_writes == {"words"}
+        assert eff.atomic_writes == {"state.visited"}
 
     def test_locally_allocated_arrays_are_private(self, tmp_path):
         src = (

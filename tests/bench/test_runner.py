@@ -1,5 +1,6 @@
 import pytest
 
+from repro.bench.experiments._shared import run_trio
 from repro.bench.runner import (
     ALGORITHMS,
     ENGINE_AWARE,
@@ -8,6 +9,7 @@ from repro.bench.runner import (
     simulated_seconds,
     suite_initializer,
 )
+from repro.bench.suite import get_suite_graph
 from repro.core.options import Deadline
 from repro.errors import BenchmarkError
 from repro.graph.generators import random_bipartite, surplus_core_bipartite
@@ -91,10 +93,23 @@ class TestSuiteInitializer:
 class TestSimulatedSeconds:
     def test_parallel_trio_all_have_traces(self, graph):
         for name in PARALLEL_ALGORITHMS:
-            result = run_algorithm(name, graph, seed=0)
+            result = run_algorithm(name, graph, seed=0, emit_trace=True)
             sim = simulated_seconds(result, MIRASOL, 40)
             assert sim.seconds > 0
             assert sim.machine == "Mirasol"
+
+    def test_trace_is_opt_in(self, graph):
+        for name in PARALLEL_ALGORITHMS:
+            assert run_algorithm(name, graph, seed=0).trace is None
+
+    def test_trace_free_algorithms_ignore_the_request(self, graph):
+        assert run_algorithm("ss-bfs", graph, seed=0, emit_trace=True).trace is None
+
+    def test_run_trio_asks_for_traces(self):
+        trio = run_trio(get_suite_graph("rmat", scale=0.05))
+        assert set(trio.results) == set(PARALLEL_ALGORITHMS)
+        assert all(r.trace is not None for r in trio.results.values())
+        assert set(trio.simulate(MIRASOL, 40)) == set(PARALLEL_ALGORITHMS)
 
     def test_missing_trace_raises(self, graph):
         result = run_algorithm("ss-bfs", graph, seed=0)

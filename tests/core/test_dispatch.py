@@ -66,6 +66,55 @@ class TestChooseEngine:
         assert decision.reason  # human-readable, never empty
 
 
+class TestTraceIsOptIn:
+    """No run pays for a work trace it did not ask for, so ``engine="auto"``
+    dispatches on work alone."""
+
+    @pytest.fixture
+    def engines_run(self, monkeypatch):
+        import repro.core.driver as driver
+
+        seen = []
+        for name in ("run_python", "run_numpy"):
+            real = getattr(driver, name)
+
+            def wrapped(*args, _real=real, _name=name, **kwargs):
+                seen.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(driver, name, wrapped)
+        return seen
+
+    def test_auto_default_is_work_only(self, small_graph, large_graph, engines_run):
+        ms_bfs_graft(small_graph)
+        run_algorithm("ms-bfs-graft", small_graph)
+        ms_bfs_graft(large_graph)
+        assert engines_run == ["run_python", "run_python", "run_numpy"]
+
+    def test_auto_with_trace_request_runs_numpy(self, small_graph, engines_run):
+        assert ms_bfs_graft(small_graph, emit_trace=True).trace is not None
+        assert engines_run == ["run_numpy"]
+
+    def test_direct_choose_engine_default_keeps_numpy(self, small_graph):
+        # e2ebench/offline.py times the engine this call returns under a
+        # coverage gate sized for numpy ops on its smallest graphs.
+        assert choose_engine(small_graph).engine == "numpy"
+        assert choose_engine(small_graph) == choose_engine(small_graph, emit_trace=True)
+
+    def test_ms_bfs_graft_default_has_no_trace(self, small_graph, large_graph):
+        assert ms_bfs_graft(small_graph).trace is None
+        assert ms_bfs_graft(large_graph).trace is None
+
+    def test_run_algorithm_default_has_no_trace(self, large_graph):
+        assert run_algorithm("ms-bfs-graft", large_graph).trace is None
+
+    def test_forest_state_has_no_packed_mirror(self):
+        from repro.core.forest import ForestState
+
+        assert "visited_words" not in ForestState.__slots__
+        assert not hasattr(ForestState(4, 4), "visited_words")
+
+
 class TestMpDispatch:
     """No decision is ever the removed process-pool engine: ``workers`` is
     accepted for older callers and changes nothing."""

@@ -92,8 +92,9 @@ class TestPhaseProfileFromRealRuns:
     def runs(self):
         graph = surplus_core_bipartite(400, 240, seed=0)
         init = greedy_matching(graph, shuffle=True, seed=1).matching
-        graft = ms_bfs_graft(graph, init, direction_optimizing=False)
-        nograft = ms_bfs_graft(graph, init, direction_optimizing=False, grafting=False)
+        graft = ms_bfs_graft(graph, init, direction_optimizing=False, emit_trace=True)
+        nograft = ms_bfs_graft(graph, init, direction_optimizing=False, grafting=False,
+                               emit_trace=True)
         return graft, nograft
 
     def test_phase_count_matches_counters(self, runs):

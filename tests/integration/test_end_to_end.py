@@ -61,7 +61,7 @@ class TestSimulationPipeline:
         # Run from the empty matching so the trace is compute-bound (the
         # suite initialiser leaves little work on this instance, and a
         # barrier-bound trace cannot demonstrate machine scaling).
-        result = run_algorithm("ms-bfs-graft", graph, init="none", seed=0)
+        result = run_algorithm("ms-bfs-graft", graph, init="none", seed=0, emit_trace=True)
         for machine in (MIRASOL, EDISON):
             model = CostModel(machine)
             serial = model.simulate(result.trace, 1).seconds
@@ -86,7 +86,7 @@ class TestSimulationPipeline:
 
     def test_smt_never_catastrophic_on_real_trace(self):
         graph = surplus_core_bipartite(5000, 3000, seed=4)
-        result = run_algorithm("ms-bfs-graft", graph, init="none", seed=0)
+        result = run_algorithm("ms-bfs-graft", graph, init="none", seed=0, emit_trace=True)
         model = CostModel(MIRASOL)
         t40 = model.simulate(result.trace, 40).seconds
         t80 = model.simulate(result.trace, 80).seconds

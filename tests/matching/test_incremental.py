@@ -146,19 +146,19 @@ class TestAlwaysMaximumInvariant:
 
 
 class TestPackedVisitedRepairBFS:
-    """Repairs across the engine's packed ``visited_words`` mirror.
+    """Repairs through the numpy engine's vectorized visited claims.
 
-    The repair runs the numpy engine, whose visited Y set is bit-packed
-    into uint64 words (:mod:`repro.core.bitset`). These cases pin the
-    semantics the packed representation must preserve: first-visit-wins
-    parenting across shared words, vertices on both sides of a 64-bit word
-    boundary, and exact agreement with from-scratch recomputation on
-    instances big enough that many Y indices share a word.
+    Each repair runs the numpy engine, which resolves a level's contested
+    ``visited`` claims in one scatter. These cases pin what that
+    resolution must preserve: first-visit-wins parenting when two X reach
+    one Y in the same level, chains across neighbouring Y indices, and
+    exact agreement with from-scratch recomputation on instances with
+    many contested claims.
     """
 
     def test_shared_word_first_visit_wins(self):
-        # y0 and y1 share packed word 0; reaching y1 from two different x's
-        # in the same level must keep the first parent (the dict version's
+        # Reaching a Y from two different x's in the same level must keep
+        # the first parent (the dict version's
         # `if y in parent` guard), or the augmenting-path walk corrupts
         # mate_x. A diamond forces the double reach.
         m = IncrementalMatcher(3, 2)
@@ -172,9 +172,8 @@ class TestPackedVisitedRepairBFS:
         verify_maximum(m.graph(), m.matching())
 
     def test_word_boundary_vertices(self):
-        # Y vertices 63 and 64 land in different packed words; an
-        # off-by-one in the word/bit split would either false-positive
-        # (path never found) or false-negative (vertex visited twice).
+        # An augmenting path through neighbouring Y indices 63 and 64:
+        # each must be claimed exactly once for the path to be found.
         n = 70
         m = IncrementalMatcher(n, n)
         for i in (62, 63, 64, 65):
@@ -190,7 +189,7 @@ class TestPackedVisitedRepairBFS:
         verify_maximum(m.graph(), m.matching())
 
     def test_dense_instance_matches_recompute(self):
-        # 130 Y vertices -> 3 packed words, heavily shared; every repair
+        # Dense enough for many contested claims per level; every repair
         # must still agree with a from-scratch maximum.
         g = random_bipartite(130, 130, 700, seed=3)
         m = IncrementalMatcher.from_graph(g)

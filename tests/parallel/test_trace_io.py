@@ -51,7 +51,7 @@ class TestTraceRoundtrip:
         from repro.graph.generators import surplus_core_bipartite
 
         graph = surplus_core_bipartite(200, 120, seed=0)
-        result = run_algorithm("ms-bfs-graft", graph, seed=0)
+        result = run_algorithm("ms-bfs-graft", graph, seed=0, emit_trace=True)
         path = tmp_path / "t.npz"
         save_trace(result.trace, path)
         loaded = load_trace(path)

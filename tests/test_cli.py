@@ -225,6 +225,12 @@ class TestTelemetryCommands:
         seen = lint_prometheus(out.read_text())
         assert "repro_phases_total" in seen
 
+    def test_run_report_requests_the_trace(self, capsys):
+        assert main(["run", "--graph", "rmat", "--scale", "0.05", "--report"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("simulated Mirasol") for line in lines)
+        assert not any("n/a (no work trace)" in line for line in lines)
+
     def test_run_report_machine_and_threads(self, capsys):
         assert main(["run", "--graph", "rmat", "--scale", "0.05", "--report",
                      "--machine", "edison", "--threads", "12"]) == 0
