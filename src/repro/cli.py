@@ -229,11 +229,10 @@ def _cmd_report_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    """Run a fault-tolerant batch of matching jobs with checkpoint/resume."""
+    """Run a batch of matching jobs under deadlines, with checkpoint/resume."""
     from repro.instrument.report import batch_report
     from repro.service import (
         BatchExecutor,
-        RetryPolicy,
         load_jobs_file,
         parse_faults,
         read_events,
@@ -259,8 +258,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         telemetry = Telemetry()
     executor = BatchExecutor(
         args.run_dir,
-        retry=RetryPolicy(max_attempts=args.retries, base_delay=args.backoff),
-        faults=parse_faults(args.inject or []),
+        slow_phase_seconds=parse_faults(args.inject or []),
         default_deadline=args.deadline,
         telemetry=telemetry,
         progress=lambda line: print(line, file=sys.stderr),
@@ -763,8 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser(
         "batch",
-        help="fault-tolerant batch of matching jobs (deadlines, retries, "
-             "checkpoint/resume)",
+        help="batch of matching jobs (deadlines, checkpoint/resume)",
     )
     p_batch.add_argument("--run-dir", required=True,
                          help="run directory (manifest, events.jsonl, checkpoints); "
@@ -782,19 +779,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--deadline", type=float, default=None,
                          help="per-job soft deadline in seconds (checked at "
                               "engine phase boundaries)")
-    p_batch.add_argument("--retries", type=int, default=3,
-                         help="max attempts per engine before degrading/failing")
-    p_batch.add_argument("--backoff", type=float, default=0.05,
-                         help="base retry backoff in seconds (exponential + jitter)")
     p_batch.add_argument("--inject", nargs="+", default=None,
                          metavar="FAULT[:VALUE]",
-                         help="deterministic fault injection: flaky-engine[:k], "
+                         help="deterministic fault injection: "
                               "slow-phase[:seconds]")
     p_batch.add_argument("--metrics-out", default=None,
-                         help="write batch metrics (job/retry/degradation "
-                              "counters + engine metrics) here in Prometheus "
-                              "text format; also appends telemetry spans to "
-                              "the run directory's events.jsonl")
+                         help="write batch metrics (job counters + engine "
+                              "metrics) here in Prometheus text format; also "
+                              "appends telemetry spans to the run directory's "
+                              "events.jsonl")
     p_batch.add_argument("--cache-dir", default=None,
                          help="resolve job graphs through this "
                               "content-addressed cache directory")

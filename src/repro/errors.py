@@ -61,19 +61,8 @@ class DeadlineExceeded(ServiceError):
 
     The engines check the deadline at phase boundaries (a *soft* timeout):
     the run is abandoned at the next boundary after expiry, never mid-kernel,
-    so state teardown is always clean. Not a transient condition — retrying
-    the same job under the same deadline would time out again.
-    """
-
-
-class TransientEngineError(ServiceError):
-    """A backend failure worth retrying (and, failing that, degrading).
-
-    Raised by the service's fault injection (``flaky-engine``) and available
-    to engine wrappers for genuinely transient conditions (e.g. resource
-    exhaustion that backoff can outwait). The retry policy treats exactly
-    this type as retryable; every other failure is permanent for the
-    attempted engine.
+    so state teardown is always clean. A timed-out job is terminal: running
+    it again under the same deadline would time out again.
     """
 
 

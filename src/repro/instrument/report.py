@@ -86,13 +86,11 @@ def batch_report(
             o.status,
             o.spec.algorithm,
             o.engine_used if o.engine_used is not None else "native",
-            o.attempts,
-            "yes" if o.degraded else "",
             o.cardinality if o.cardinality is not None else "-",
             (o.error or "")[:48],
         ])
     lines = [format_table(
-        ["job", "status", "algorithm", "engine", "attempts", "degraded", "|M|", "error"],
+        ["job", "status", "algorithm", "engine", "|M|", "error"],
         rows,
         title="batch summary",
     )]

@@ -1,14 +1,14 @@
-"""Fault-tolerant batch job-execution service for matching workloads.
+"""Batch job-execution service for matching workloads.
 
 The paper's whole evaluation (the Table II suite, Figs. 1-8) is a batch of
 long-running matching jobs; at production scale such a batch must survive a
-hung instance, a flaky backend, or a killed process. This package runs a
-queue of :class:`~repro.service.jobs.JobSpec` requests under per-job
-cooperative deadlines, retries transient failures with exponential backoff
-and jitter, degrades gracefully from the ``numpy`` engine to the ``python``
-reference engine, checkpoints every certified matching through
-:mod:`repro.graph.serialize`, and resumes an interrupted run without
-recomputing completed jobs. ``repro-match batch`` is the CLI front end;
+hung instance or a killed process. This package runs a queue of
+:class:`~repro.service.jobs.JobSpec` requests, one engine run per job,
+under per-job cooperative deadlines, checkpoints every certified matching
+through :mod:`repro.graph.serialize`, and resumes an interrupted run
+without recomputing completed jobs. The engines are deterministic, so a
+failed run is a failed job: nothing is retried or re-run on another
+engine. ``repro-match batch`` is the CLI front end;
 ``docs/service.md`` documents the job model, the JSONL event schema, and
 the failure semantics.
 
@@ -20,11 +20,11 @@ multi-source BFS per request. ``repro-match serve`` starts it.
 """
 
 from repro.core.options import Deadline
-from repro.errors import DeadlineExceeded, ServiceError, TransientEngineError
+from repro.errors import DeadlineExceeded, ServiceError
 from repro.service.checkpoint import RunDirectory
 from repro.service.events import EventLog, read_events, summarize_events
 from repro.service.executor import BatchExecutor, ManualClock, SystemClock
-from repro.service.faults import KNOWN_FAULTS, FaultInjector, FaultPlan, parse_faults
+from repro.service.faults import KNOWN_FAULTS, parse_faults
 from repro.service.jobs import (
     JobOutcome,
     JobSpec,
@@ -33,7 +33,6 @@ from repro.service.jobs import (
     suite_jobs,
 )
 from repro.service.online import MatchingDaemon, OnlineClient, OnlineConfig
-from repro.service.retry import RetryPolicy, classify_failure
 from repro.service.sessions import Session, SessionManager
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "Deadline",
     "DeadlineExceeded",
     "EventLog",
-    "FaultInjector",
-    "FaultPlan",
     "JobOutcome",
     "JobSpec",
     "KNOWN_FAULTS",
@@ -50,14 +47,11 @@ __all__ = [
     "MatchingDaemon",
     "OnlineClient",
     "OnlineConfig",
-    "RetryPolicy",
     "RunDirectory",
     "ServiceError",
     "Session",
     "SessionManager",
     "SystemClock",
-    "TransientEngineError",
-    "classify_failure",
     "load_jobs_file",
     "parse_faults",
     "read_events",

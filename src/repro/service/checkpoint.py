@@ -86,8 +86,6 @@ class RunDirectory:
         matching: Matching,
         cardinality: int,
         engine: Optional[str],
-        attempts: int,
-        degraded: bool,
     ) -> Path:
         """Persist a completed job: checkpoint first, then manifest.
 
@@ -102,8 +100,6 @@ class RunDirectory:
             "digest": digest,
             "cardinality": int(cardinality),
             "engine": engine,
-            "attempts": int(attempts),
-            "degraded": bool(degraded),
         }
         self._save_manifest()
         return path

@@ -5,9 +5,9 @@ the event being written. Schema (``docs/service.md`` has the full table):
 
 .. code-block:: json
 
-    {"seq": 7, "ts": 1722873600.1, "event": "job_retried",
-     "job": "rmat-ms-bfs-graft", "attempt": 1, "engine": "numpy",
-     "delay_seconds": 0.061, "error": "injected flaky-engine fault ..."}
+    {"seq": 7, "ts": 1722873600.1, "event": "job_timeout",
+     "job": "rmat-ms-bfs-graft", "error": "deadline of 0.200s exceeded ...",
+     "engine": "numpy", "deadline_seconds": 0.2}
 
 ``seq`` is monotonically increasing across resumes of the same run
 directory (the log is re-opened in append mode), so the full history of an
@@ -28,8 +28,6 @@ BATCH_STARTED = "batch_started"
 BATCH_DONE = "batch_done"
 JOB_QUEUED = "job_queued"
 JOB_STARTED = "job_started"
-JOB_RETRIED = "job_retried"
-JOB_DEGRADED = "job_degraded"
 JOB_CHECKPOINTED = "job_checkpointed"
 JOB_DONE = "job_done"
 JOB_RESUMED = "job_resumed"
@@ -39,9 +37,9 @@ TELEMETRY_SPAN = "telemetry_span"
 TELEMETRY_METRIC = "telemetry_metric"
 
 EVENT_NAMES = frozenset({
-    BATCH_STARTED, BATCH_DONE, JOB_QUEUED, JOB_STARTED, JOB_RETRIED,
-    JOB_DEGRADED, JOB_CHECKPOINTED, JOB_DONE, JOB_RESUMED, JOB_TIMEOUT,
-    JOB_FAILED, TELEMETRY_SPAN, TELEMETRY_METRIC,
+    BATCH_STARTED, BATCH_DONE, JOB_QUEUED, JOB_STARTED, JOB_CHECKPOINTED,
+    JOB_DONE, JOB_RESUMED, JOB_TIMEOUT, JOB_FAILED, TELEMETRY_SPAN,
+    TELEMETRY_METRIC,
 })
 
 RESERVED_FIELDS = frozenset({"seq", "ts", "event"})

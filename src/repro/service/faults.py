@@ -2,15 +2,9 @@
 
 Extends the race detector's fault-injection idea (named, opt-in,
 deterministic faults — see :data:`repro.core.engine_interleaved.KNOWN_FAULTS`)
-to the service layer, so the retry, degradation, and deadline paths are
-testable without real flakiness or real waiting:
+to the service layer, so the deadline path is testable without real
+waiting:
 
-* ``flaky-engine[:k]`` — the first ``k`` attempts of every job on a *fast*
-  engine (anything but ``python``) raise
-  :class:`~repro.errors.TransientEngineError` before the engine runs
-  (default ``k=1``). With ``k < max_attempts`` a job succeeds via retry;
-  with ``k >= max_attempts`` retries exhaust and the job degrades to the
-  ``python`` engine — both acceptance paths from one knob.
 * ``slow-phase[:seconds]`` — every engine phase costs ``seconds`` extra on
   the service clock (default ``0.05``), injected through the engines'
   ``phase_hook``; jobs with tight deadlines then expire deterministically
@@ -19,84 +13,28 @@ testable without real flakiness or real waiting:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Iterable
 
-from repro.errors import ServiceError, TransientEngineError
+from repro.errors import ServiceError
 
-FLAKY_ENGINE = "flaky-engine"
 SLOW_PHASE = "slow-phase"
-KNOWN_FAULTS = frozenset({FLAKY_ENGINE, SLOW_PHASE})
+KNOWN_FAULTS = frozenset({SLOW_PHASE})
 
 
-@dataclass(frozen=True)
-class FaultPlan:
-    """Parsed fault configuration; the all-zeros plan injects nothing."""
-
-    flaky_failures: int = 0
-    slow_phase_seconds: float = 0.0
-
-    @property
-    def active(self) -> bool:
-        return self.flaky_failures > 0 or self.slow_phase_seconds > 0
-
-
-def parse_faults(specs: Iterable[str]) -> FaultPlan:
-    """Parse CLI fault specs (``name`` or ``name:value``) into a plan."""
-    flaky = 0
+def parse_faults(specs: Iterable[str]) -> float:
+    """Parse CLI fault specs (``name`` or ``name:value``) into the seconds
+    each engine phase burns on the service clock (``0.0`` injects nothing)."""
     slow = 0.0
     for spec in specs:
         name, _, value = spec.partition(":")
-        if name == FLAKY_ENGINE:
-            try:
-                flaky = int(value) if value else 1
-            except ValueError as exc:
-                raise ServiceError(f"bad fault spec {spec!r}: count must be an int") from exc
-            if flaky < 1:
-                raise ServiceError(f"bad fault spec {spec!r}: count must be >= 1")
-        elif name == SLOW_PHASE:
-            try:
-                slow = float(value) if value else 0.05
-            except ValueError as exc:
-                raise ServiceError(f"bad fault spec {spec!r}: seconds must be a float") from exc
-            if slow <= 0:
-                raise ServiceError(f"bad fault spec {spec!r}: seconds must be positive")
-        else:
+        if name != SLOW_PHASE:
             raise ServiceError(
                 f"unknown fault injection {name!r}; known: {sorted(KNOWN_FAULTS)}"
             )
-    return FaultPlan(flaky_failures=flaky, slow_phase_seconds=slow)
-
-
-class FaultInjector:
-    """Stateful per-run injector driven by a :class:`FaultPlan`.
-
-    Flaky-engine counts attempts per ``(job, engine)``, so after the
-    executor degrades a job to the ``python`` engine the fault no longer
-    fires — modelling a fast backend that is broken while the reference
-    backend is fine (the Deveci-style multi-backend degradation shape).
-    """
-
-    def __init__(self, plan: FaultPlan, sleep=None) -> None:
-        self.plan = plan
-        self._sleep = sleep
-        self._flaky_seen: Dict[Tuple[str, str], int] = {}
-
-    def before_attempt(self, job_id: str, engine: str) -> None:
-        """Raise the injected transient fault if this attempt is doomed."""
-        if self.plan.flaky_failures <= 0 or engine == "python":
-            return
-        key = (job_id, engine)
-        seen = self._flaky_seen.get(key, 0)
-        if seen < self.plan.flaky_failures:
-            self._flaky_seen[key] = seen + 1
-            raise TransientEngineError(
-                f"injected flaky-engine fault on {job_id!r} "
-                f"(engine {engine}, attempt {seen + 1} of "
-                f"{self.plan.flaky_failures} doomed)"
-            )
-
-    def phase_hook(self, phase: int) -> None:
-        """Engine phase hook: burn injected time on the service clock."""
-        if self.plan.slow_phase_seconds > 0 and self._sleep is not None:
-            self._sleep(self.plan.slow_phase_seconds)
+        try:
+            slow = float(value) if value else 0.05
+        except ValueError as exc:
+            raise ServiceError(f"bad fault spec {spec!r}: seconds must be a float") from exc
+        if slow <= 0:
+            raise ServiceError(f"bad fault spec {spec!r}: seconds must be positive")
+    return slow

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, List, Mapping, Optional, Sequence, Union
 
@@ -77,8 +77,8 @@ class JobSpec:
 
     @property
     def engine_aware(self) -> bool:
-        """Whether the job runs on the MS-BFS-Graft driver (deadline +
-        engine degradation apply only there)."""
+        """Whether the job runs on the MS-BFS-Graft driver (the engine
+        override, the deadline and the slow-phase fault apply only there)."""
         return self.algorithm in ENGINE_AWARE
 
     def digest(self) -> str:
@@ -228,13 +228,10 @@ class JobOutcome:
 
     spec: JobSpec
     status: str  # "done" | "resumed" | "timeout" | "failed"
-    attempts: int = 0
     engine_used: Optional[str] = None
     cardinality: Optional[int] = None
-    degraded: bool = False
     error: Optional[str] = None
     elapsed_seconds: float = 0.0
-    retries: int = field(default=0)
 
     @property
     def succeeded(self) -> bool:

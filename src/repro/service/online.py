@@ -9,16 +9,14 @@ repairs optimality with :meth:`~repro.matching.incremental.
 IncrementalMatcher.apply_batch` — one warm-started MS-BFS-Graft run per
 request instead of one BFS per edge.
 
-The daemon degrades the same way the batch executor does:
+Failures are reported, never retried:
 
 * every ``update``/``match`` runs under a cooperative
   :class:`~repro.core.options.Deadline` (per-request override or server
   default), checked at the repair engine's phase boundaries; expiry maps to
   ``error.kind == "deadline"``;
-* handler failures are classified through the retry taxonomy
-  (:func:`~repro.service.retry.classify_failure`) and reported to the
-  client, which retries ``transient`` errors under a
-  :class:`~repro.service.retry.RetryPolicy`;
+* every other handler failure is ``error.kind == "permanent"``; the
+  connection stays open for the next request;
 * SLO metrics flow through the shared telemetry layer
   (``repro_online_*`` counters, the repair-latency histogram whose
   p50/p99 the ``stats`` and ``metrics`` commands report, and the
@@ -56,15 +54,13 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Union
 
 from repro.core.options import Deadline
-from repro.errors import ServiceError, TransientEngineError
+from repro.errors import DeadlineExceeded, ServiceError
 from repro.matching.verify import verify_maximum
 from repro.service import protocol
-from repro.service.retry import RetryPolicy
 from repro.service.sessions import SessionManager
 from repro.telemetry.flight import DEFAULT_CAPACITY, FlightRecorder
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry
 from repro.telemetry.spans import Tracer
-from repro.util.rng import as_rng
 
 SPAN_CAPACITY = 1024
 """Spans the serving daemon's tracer retains (the newest; see
@@ -493,26 +489,13 @@ class MatchingDaemon:
 class OnlineClient:
     """Small blocking client for the daemon's protocol.
 
-    Retries ``transient`` failures under the same
-    :class:`~repro.service.retry.RetryPolicy` machinery the batch executor
-    uses, so a daemon and a batch run degrade identically from the
-    caller's point of view. ``deadline`` errors and ``permanent`` errors
-    raise immediately.
+    One round trip per request: an error reply raises at once
+    (:class:`~repro.errors.DeadlineExceeded` for ``deadline``,
+    :class:`~repro.errors.ServiceError` for anything else).
     """
 
-    def __init__(
-        self,
-        socket_path: Union[str, Path],
-        *,
-        retry: RetryPolicy = RetryPolicy(),
-        jitter_seed: int = 0,
-        timeout: float = 30.0,
-        sleep=time.sleep,
-    ) -> None:
+    def __init__(self, socket_path: Union[str, Path], *, timeout: float = 30.0) -> None:
         self.socket_path = str(socket_path)
-        self.retry = retry
-        self._rng = as_rng(jitter_seed)
-        self._sleep = sleep
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._sock.settimeout(timeout)
         self._sock.connect(self.socket_path)
@@ -524,30 +507,17 @@ class OnlineClient:
     def request(self, cmd: str, session: Optional[str] = None, **fields: Any) -> Dict[str, Any]:
         """Send one request; returns the ``result`` object on success.
 
-        Raises :class:`~repro.errors.TransientEngineError`,
-        :class:`~repro.errors.DeadlineExceeded`, or
-        :class:`~repro.errors.ServiceError` according to the error kind the
-        daemon reported, after exhausting transient retries.
+        Raises :class:`~repro.errors.DeadlineExceeded` on a ``deadline``
+        reply and :class:`~repro.errors.ServiceError` on any other error.
         """
-        attempt = 0
-        while True:
-            attempt += 1
-            response = self._roundtrip(cmd, session, fields)
-            if response.get("ok"):
-                return response.get("result", {})
-            error = response.get("error", {})
-            kind = error.get("kind", "permanent")
-            message = f"{error.get('type', 'Error')}: {error.get('message', '')}"
-            if kind == "transient" and attempt < self.retry.max_attempts:
-                self._sleep(self.retry.backoff_seconds(attempt, self._rng))
-                continue
-            if kind == "deadline":
-                from repro.errors import DeadlineExceeded
-
-                raise DeadlineExceeded(message)
-            if kind == "transient":
-                raise TransientEngineError(message)
-            raise ServiceError(message)
+        response = self._roundtrip(cmd, session, fields)
+        if response.get("ok"):
+            return response.get("result", {})
+        error = response.get("error", {})
+        message = f"{error.get('type', 'Error')}: {error.get('message', '')}"
+        if error.get("kind") == "deadline":
+            raise DeadlineExceeded(message)
+        raise ServiceError(message)
 
     def _roundtrip(
         self, cmd: str, session: Optional[str], fields: Mapping[str, Any]

@@ -18,10 +18,10 @@ Response (success / failure)::
      "error": {"kind": "deadline", "type": "DeadlineExceeded",
                "message": "deadline of 0.050s exceeded ..."}}
 
-``error.kind`` is the service's retry taxonomy
-(:func:`repro.service.retry.classify_failure`): clients retry
-``transient`` errors with backoff, treat ``deadline`` as a terminal
-timeout for that request, and never retry ``permanent`` ones.
+``error.kind`` is ``deadline`` when the request's cooperative deadline
+expired and ``permanent`` for every other failure;
+:class:`~repro.service.online.OnlineClient` raises on either at once,
+without retrying.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import ServiceError
-from repro.service.retry import classify_failure
+from repro.errors import DeadlineExceeded, ServiceError
 
 COMMANDS = (
     "ping", "create", "load", "update", "match", "stats",
@@ -100,12 +99,12 @@ def ok_response(req_id: int, result: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def error_response(req_id: int, exc: BaseException) -> Dict[str, Any]:
-    """Map a handler exception onto the retry taxonomy for the client."""
+    """Map a handler exception onto ``deadline`` | ``permanent`` for the client."""
     return {
         "id": req_id,
         "ok": False,
         "error": {
-            "kind": classify_failure(exc),
+            "kind": "deadline" if isinstance(exc, DeadlineExceeded) else "permanent",
             "type": type(exc).__name__,
             "message": str(exc),
         },

@@ -51,7 +51,6 @@ _STEP_CATEGORIES = {
     "statistics": "kernel",
     "batch": "service",
     "job": "service",
-    "attempt": "service",
     "request": "online",
     "repair": "online",
 }

@@ -89,16 +89,7 @@ class NullTelemetry:
     def job_span(self, job_id: str, algorithm: str, engine: Optional[str]) -> _NullContext:
         return _NULL_CONTEXT
 
-    def attempt_span(self, job_id: str, attempt: int, engine: str) -> _NullContext:
-        return _NULL_CONTEXT
-
     def count_job(self, status: str) -> None:
-        return None
-
-    def count_retry(self) -> None:
-        return None
-
-    def count_degradation(self) -> None:
         return None
 
     def count_request(self, cmd: str, status: str) -> None:
@@ -283,9 +274,6 @@ class Telemetry(NullTelemetry):
             "job", job=job_id, algorithm=algorithm, engine=engine or "auto"
         )
 
-    def attempt_span(self, job_id: str, attempt: int, engine: str):
-        return self.tracer.span("attempt", job=job_id, attempt=attempt, engine=engine)
-
     def count_job(self, status: str) -> None:
         self.metrics.counter(
             "repro_jobs_total", "Batch jobs by terminal status",
@@ -295,17 +283,6 @@ class Telemetry(NullTelemetry):
             self.metrics.counter(
                 "repro_job_timeouts_total", "Jobs terminated by deadline expiry"
             ).inc()
-
-    def count_retry(self) -> None:
-        self.metrics.counter(
-            "repro_job_retries_total", "Attempt retries after transient failures"
-        ).inc()
-
-    def count_degradation(self) -> None:
-        self.metrics.counter(
-            "repro_job_degradations_total",
-            "Jobs degraded to the python reference engine",
-        ).inc()
 
     # ------------------------------------------------------------------ #
     # online-daemon vocabulary (wired through repro.service.online)

@@ -3,8 +3,8 @@
 A :class:`Span` is one named interval of work with attributes; spans nest
 (each records its parent), so a run decomposes into a tree — ``run`` →
 ``phase`` → ``topdown``/``bottomup``/``augment``/``grafting``/
-``statistics`` for the matching engines, or ``batch`` → ``job`` →
-``attempt`` → ``run`` for the service. Durations come from the monotonic
+``statistics`` for the matching engines, or ``job`` → ``run`` for the
+service. Durations come from the monotonic
 clock (:func:`time.perf_counter`), immune to wall-clock jumps; every span
 also carries a wall-clock anchor so exported traces line up with event
 logs and other systems.

@@ -25,8 +25,7 @@ class TestRunDirectory:
         rd = RunDirectory(tmp_path / "run")
         m = make_matching()
         rd.record_done("j1", digest="d" * 16, matching=m,
-                       cardinality=m.cardinality, engine="numpy",
-                       attempts=1, degraded=False)
+                       cardinality=m.cardinality, engine="numpy")
         # A fresh handle (new process on resume) sees the completion.
         rd2 = RunDirectory(tmp_path / "run")
         entry = rd2.completed_entry("j1", "d" * 16)
@@ -38,16 +37,14 @@ class TestRunDirectory:
         rd = RunDirectory(tmp_path / "run")
         m = make_matching()
         rd.record_done("j1", digest="old-digest", matching=m,
-                       cardinality=m.cardinality, engine=None,
-                       attempts=1, degraded=False)
+                       cardinality=m.cardinality, engine=None)
         assert rd.completed_entry("j1", "new-digest") is None
 
     def test_missing_checkpoint_file_ignored(self, tmp_path):
         rd = RunDirectory(tmp_path / "run")
         m = make_matching()
         rd.record_done("j1", digest="d", matching=m,
-                       cardinality=m.cardinality, engine=None,
-                       attempts=1, degraded=False)
+                       cardinality=m.cardinality, engine=None)
         rd.checkpoint_path("j1").unlink()
         assert rd.completed_entry("j1", "d") is None
 
@@ -71,8 +68,7 @@ class TestRunDirectory:
         rd = RunDirectory(tmp_path / "run")
         m = make_matching()
         rd.record_done("j1", digest="d", matching=m,
-                       cardinality=m.cardinality, engine=None,
-                       attempts=1, degraded=False)
+                       cardinality=m.cardinality, engine=None)
         leftovers = [p for p in (tmp_path / "run").rglob("*.tmp")]
         assert leftovers == []
 

@@ -1,6 +1,8 @@
-"""End-to-end batch executor scenarios from the acceptance criteria:
-retry-then-succeed, numpy->python degradation, deadline timeout, and
-kill-then-resume with identical certified cardinalities."""
+"""End-to-end batch executor scenarios: one engine run per job, a failed
+run fails only its job, deadline timeout, and kill-then-resume with
+identical certified cardinalities."""
+
+import json
 
 import numpy as np
 import pytest
@@ -10,12 +12,9 @@ from repro.service import events as ev
 from repro.service.checkpoint import RunDirectory
 from repro.service.events import read_events
 from repro.service.executor import BatchExecutor, ManualClock
-from repro.service.faults import FaultPlan
 from repro.service.jobs import JobSpec, resolve_graph
-from repro.service.retry import RetryPolicy
 
 GRAPH = {"suite": "rmat", "scale": 0.05}
-FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0)
 
 
 def spec(job_id="j1", **kwargs):
@@ -27,9 +26,13 @@ def expected_cardinality(s):
     return run_algorithm(s.algorithm, resolve_graph(s), seed=s.seed).cardinality
 
 
-def events_of(run_dir, name):
+def events_of(run_dir, name, after_seq=0):
     return [e for e in read_events(RunDirectory(run_dir).events_path)
-            if e["event"] == name]
+            if e["event"] == name and e["seq"] > after_seq]
+
+
+def last_seq(run_dir):
+    return max(e["seq"] for e in read_events(RunDirectory(run_dir).events_path))
 
 
 class TestHappyPath:
@@ -37,7 +40,7 @@ class TestHappyPath:
         ex = BatchExecutor(tmp_path / "run", clock=ManualClock())
         [out] = ex.run_batch([spec()])
         assert out.status == "done" and out.succeeded
-        assert out.attempts == 1 and out.retries == 0 and not out.degraded
+        assert out.engine_used == "auto"
         assert out.cardinality == expected_cardinality(spec())
         assert (tmp_path / "run" / "checkpoints" / "j1.npz").exists()
         names = [e["event"] for e in read_events(tmp_path / "run" / "events.jsonl")]
@@ -55,78 +58,54 @@ class TestHappyPath:
         assert out.cardinality == expected_cardinality(s)
 
 
-class TestRetry:
-    def test_retry_then_succeed_under_flaky_engine(self, tmp_path):
-        clock = ManualClock()
-        ex = BatchExecutor(
-            tmp_path / "run", retry=FAST_RETRY,
-            faults=FaultPlan(flaky_failures=1), clock=clock,
-        )
-        [out] = ex.run_batch([spec(engine="numpy")])
-        assert out.status == "done"
-        assert out.attempts == 2 and out.retries == 1
-        assert not out.degraded and out.engine_used == "numpy"
-        retried = events_of(tmp_path / "run", ev.JOB_RETRIED)
-        assert len(retried) == 1
-        assert "flaky-engine" in retried[0]["error"]
-        # Backoff waited on the service clock, not real time.
-        assert clock.now() >= 0.01
+class TestFailure:
+    def test_engine_exception_fails_only_its_job(self, tmp_path, monkeypatch):
+        engines_tried = []
 
-    def test_backoff_delays_grow(self, tmp_path):
-        ex = BatchExecutor(
-            tmp_path / "run", retry=FAST_RETRY,
-            faults=FaultPlan(flaky_failures=2), clock=ManualClock(),
-        )
-        [out] = ex.run_batch([spec(engine="numpy")])
-        assert out.status == "done" and out.attempts == 3
-        delays = [e["delay_seconds"]
-                  for e in events_of(tmp_path / "run", ev.JOB_RETRIED)]
-        assert delays == pytest.approx([0.01, 0.02])
+        def exploding_engine(algorithm, graph, *, seed=0, engine=None, **kw):
+            if seed == 0:  # job "a"
+                engines_tried.append(engine)
+                raise RuntimeError("boom")
+            return run_algorithm(algorithm, graph, seed=seed, engine=engine, **kw)
 
+        monkeypatch.setattr("repro.service.executor.run_algorithm", exploding_engine)
+        ex = BatchExecutor(tmp_path / "run", clock=ManualClock())
+        a, b = ex.run_batch([spec("a", engine="numpy"), spec("b", seed=1)])
+        assert a.status == "failed" and a.error == "boom"
+        assert a.engine_used == "numpy" and engines_tried == ["numpy"]
+        started = [e for e in events_of(tmp_path / "run", ev.JOB_STARTED)
+                   if e["job"] == "a"]
+        assert len(started) == 1 and started[0]["engine"] == "numpy"
+        [failed] = events_of(tmp_path / "run", ev.JOB_FAILED)
+        assert failed["job"] == "a" and failed["error"] == "boom"
+        assert "exploding_engine" in failed["traceback"]
+        assert "RuntimeError: boom" in failed["traceback"]
+        assert b.status == "done"
 
-class TestDegradation:
-    def test_numpy_falls_back_to_python(self, tmp_path):
-        # k >= max_attempts: the fast engine's budget exhausts and the job
-        # degrades to the python reference engine, which the fault spares.
-        ex = BatchExecutor(
-            tmp_path / "run", retry=FAST_RETRY,
-            faults=FaultPlan(flaky_failures=3), clock=ManualClock(),
-        )
-        [out] = ex.run_batch([spec(engine="numpy")])
-        assert out.status == "done"
-        assert out.degraded and out.engine_used == "python"
-        assert out.attempts == 4  # 3 doomed numpy attempts + 1 python
-        assert out.cardinality == expected_cardinality(spec(engine="numpy"))
-        degraded = events_of(tmp_path / "run", ev.JOB_DEGRADED)
-        assert len(degraded) == 1
-        assert degraded[0]["from_engine"] == "numpy"
-        assert degraded[0]["to_engine"] == "python"
-
-    def test_python_engine_has_no_fallback(self, tmp_path):
-        # Force a permanent failure on the python engine: no degradation
-        # target remains, so the job is failed (not retried forever).
-        ex = BatchExecutor(tmp_path / "run", retry=FAST_RETRY, clock=ManualClock())
+    def test_unreadable_graph_fails_the_job(self, tmp_path):
+        ex = BatchExecutor(tmp_path / "run", clock=ManualClock())
         s = spec(engine="python", graph={"path": str(tmp_path / "missing.mtx")})
         [out] = ex.run_batch([s])
         assert out.status == "failed" and not out.succeeded
         assert out.error
+        [failed] = events_of(tmp_path / "run", ev.JOB_FAILED)
+        assert failed["stage"] == "resolve-graph" and failed["traceback"]
+        assert events_of(tmp_path / "run", ev.JOB_STARTED) == []
 
 
 class TestDeadline:
     def test_slow_phase_expires_deadline(self, tmp_path):
         clock = ManualClock()
-        ex = BatchExecutor(
-            tmp_path / "run", retry=FAST_RETRY,
-            faults=FaultPlan(slow_phase_seconds=0.15), clock=clock,
-        )
+        ex = BatchExecutor(tmp_path / "run", slow_phase_seconds=0.15, clock=clock)
         slow = spec("slow", deadline_seconds=0.2)
         ok = spec("ok")  # no deadline: the injected slowness is harmless
         outcomes = ex.run_batch([slow, ok])
         assert outcomes[0].status == "timeout"
         assert not outcomes[0].succeeded
         assert "deadline" in outcomes[0].error
-        # A timed-out job is terminal: exactly one attempt, no retries.
-        assert outcomes[0].attempts == 1 and outcomes[0].retries == 0
+        # A timed-out job is terminal: exactly one engine run.
+        assert [e["job"] for e in events_of(tmp_path / "run", ev.JOB_STARTED)
+                ].count("slow") == 1
         # The batch kept going past the timeout.
         assert outcomes[1].status == "done"
         timeout_events = events_of(tmp_path / "run", ev.JOB_TIMEOUT)
@@ -134,8 +113,7 @@ class TestDeadline:
 
     def test_default_deadline_applies(self, tmp_path):
         ex = BatchExecutor(
-            tmp_path / "run", retry=FAST_RETRY,
-            faults=FaultPlan(slow_phase_seconds=0.3),
+            tmp_path / "run", slow_phase_seconds=0.3,
             default_deadline=0.2, clock=ManualClock(),
         )
         [out] = ex.run_batch([spec()])
@@ -154,9 +132,11 @@ class TestResume:
         assert all(o.status == "done" for o in first)
 
         # "Kill" = a fresh executor process against the same run directory.
+        before = last_seq(tmp_path / "run")
         second = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch(jobs)
         assert all(o.status == "resumed" for o in second)
-        assert all(o.attempts == 0 for o in second)  # zero recomputation
+        # Zero recomputation: the second run started no engine.
+        assert events_of(tmp_path / "run", ev.JOB_STARTED, after_seq=before) == []
         assert [o.cardinality for o in second] == [o.cardinality for o in first]
         resumed = events_of(tmp_path / "run", ev.JOB_RESUMED)
         assert [e["job"] for e in resumed] == ["a", "b"]
@@ -186,8 +166,6 @@ class TestResume:
         assert rejected
 
     def test_manifest_cardinality_mismatch_recomputes(self, tmp_path):
-        import json
-
         s = spec("a")
         BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
         manifest_path = tmp_path / "run" / "manifest.json"
@@ -204,35 +182,51 @@ class TestResume:
                               clock=ManualClock()).run_batch([changed])
         assert out.status == "done"
 
+    def test_old_manifest_entry_still_resumes(self, tmp_path):
+        # Run directories outlive upgrades: an entry written when the
+        # manifest still recorded attempts/degraded resumes as before.
+        s = spec("a")
+        [first] = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
+        manifest_path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["jobs"]["a"].update(attempts=2, degraded=False)
+        manifest_path.write_text(json.dumps(manifest))
+        [out] = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
+        assert out.status == "resumed"
+        assert out.cardinality == first.cardinality
+
     def test_resume_after_faulty_first_run(self, tmp_path):
-        # The acceptance drill: first run under fault injection, second run
-        # resumes cleanly with faults off and identical certified results.
-        jobs = [spec("a", engine="numpy"), spec("b", seed=1)]
+        # The acceptance drill: a first run under fault injection times one
+        # job out; the second run, faults off, recomputes only that job and
+        # resumes the other with identical certified results.
+        jobs = [spec("a", engine="numpy", deadline_seconds=0.2), spec("b", seed=1)]
         first = BatchExecutor(
-            tmp_path / "run", retry=FAST_RETRY,
-            faults=FaultPlan(flaky_failures=1), clock=ManualClock(),
+            tmp_path / "run", slow_phase_seconds=0.15, clock=ManualClock(),
         ).run_batch(jobs)
-        assert all(o.status == "done" for o in first)
+        assert [o.status for o in first] == ["timeout", "done"]
+        before = last_seq(tmp_path / "run")
         second = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch(jobs)
-        assert all(o.status == "resumed" and o.attempts == 0 for o in second)
-        assert [o.cardinality for o in second] == [o.cardinality for o in first]
+        assert [o.status for o in second] == ["done", "resumed"]
+        started = events_of(tmp_path / "run", ev.JOB_STARTED, after_seq=before)
+        assert [e["job"] for e in started] == ["a"]
+        assert second[0].cardinality == expected_cardinality(jobs[0])
+        assert second[1].cardinality == first[1].cardinality
 
 
 class TestDeterminism:
     def test_identical_runs_identical_outcomes(self, tmp_path):
-        jobs = [spec("a", engine="numpy")]
-        kwargs = dict(retry=FAST_RETRY, faults=FaultPlan(flaky_failures=1),
-                      jitter_seed=5)
-        out1 = BatchExecutor(tmp_path / "r1", clock=ManualClock(),
-                             **kwargs).run_batch(jobs)
-        out2 = BatchExecutor(tmp_path / "r2", clock=ManualClock(),
-                             **kwargs).run_batch(jobs)
-        strip = [(o.status, o.attempts, o.retries, o.cardinality) for o in out1]
-        assert strip == [(o.status, o.attempts, o.retries, o.cardinality)
+        jobs = [spec("a", engine="numpy", deadline_seconds=0.2), spec("b", seed=1)]
+        out1 = BatchExecutor(tmp_path / "r1", slow_phase_seconds=0.15,
+                             clock=ManualClock()).run_batch(jobs)
+        out2 = BatchExecutor(tmp_path / "r2", slow_phase_seconds=0.15,
+                             clock=ManualClock()).run_batch(jobs)
+        strip = [(o.status, o.engine_used, o.cardinality, o.error) for o in out1]
+        assert strip == [(o.status, o.engine_used, o.cardinality, o.error)
                          for o in out2]
-        d1 = [e["delay_seconds"] for e in events_of(tmp_path / "r1", ev.JOB_RETRIED)]
-        d2 = [e["delay_seconds"] for e in events_of(tmp_path / "r2", ev.JOB_RETRIED)]
-        assert d1 == d2
+        assert [o.status for o in out1] == ["timeout", "done"]
+        # On the manual clock even the event logs agree record for record.
+        assert read_events(tmp_path / "r1" / "events.jsonl") == read_events(
+            tmp_path / "r2" / "events.jsonl")
 
     def test_manual_clock_advances_without_real_time(self):
         clock = ManualClock()
@@ -248,15 +242,12 @@ class TestBatchReport:
         from repro.instrument.report import batch_report
         from repro.service.events import summarize_events
 
-        ex = BatchExecutor(
-            tmp_path / "run", retry=FAST_RETRY,
-            faults=FaultPlan(flaky_failures=1), clock=ManualClock(),
-        )
+        ex = BatchExecutor(tmp_path / "run", clock=ManualClock())
         outcomes = ex.run_batch([spec(engine="numpy")])
         counts = summarize_events(read_events(tmp_path / "run" / "events.jsonl"))
         text = batch_report(outcomes, counts)
         assert "1/1 jobs succeeded" in text
-        assert "job_retried x1" in text
+        assert "job_done x1" in text
         assert str(outcomes[0].cardinality) in text
 
 

@@ -7,10 +7,9 @@ import time
 import pytest
 
 from repro.cache import GraphCache
-from repro.errors import DeadlineExceeded, ServiceError, TransientEngineError
+from repro.errors import DeadlineExceeded, GraphFormatError, ServiceError
 from repro.service import protocol
 from repro.service.online import MatchingDaemon, OnlineClient, OnlineConfig
-from repro.service.retry import RetryPolicy
 from repro.service.sessions import SessionManager
 from repro.telemetry.session import Telemetry
 
@@ -66,9 +65,10 @@ class TestProtocol:
                 protocol.parse_edge_pairs(bad, "edges")
 
     def test_error_response_carries_taxonomy(self):
-        assert protocol.error_response(1, TransientEngineError("x"))["error"]["kind"] == "transient"
         assert protocol.error_response(1, DeadlineExceeded("x"))["error"]["kind"] == "deadline"
-        assert protocol.error_response(1, ValueError("x"))["error"]["kind"] == "permanent"
+        for exc in (ServiceError("x"), GraphFormatError("x"), ValueError("x"),
+                    RuntimeError("x")):
+            assert protocol.error_response(1, exc)["error"]["kind"] == "permanent"
 
     def test_encode_decode_roundtrip(self):
         payload = protocol.ok_response(4, {"cardinality": 9})
@@ -343,48 +343,30 @@ class TestEndToEnd:
         with OnlineClient(daemon.config.socket_path) as client:
             assert client.match("shared", verify=True)["cardinality"] == 2
 
-    def test_client_retries_transient_errors(self, daemon):
-        failures = {"left": 2}
+    def test_handler_failure_is_one_reply_and_no_retry(self, daemon):
+        calls = []
         original = daemon._cmd_ping
 
-        def flaky(request, rid):
-            if failures["left"] > 0:
-                failures["left"] -= 1
-                raise TransientEngineError("injected flake")
+        def fails_once(request, rid):
+            calls.append(rid)
+            if len(calls) == 1:
+                raise RuntimeError("handler bug")
             return original(request, rid)
 
-        daemon._cmd_ping = flaky
-        sleeps = []
-        client = OnlineClient(
-            daemon.config.socket_path,
-            retry=RetryPolicy(max_attempts=3, base_delay=0.01),
-            sleep=sleeps.append,
-        )
+        daemon._cmd_ping = fails_once
+        served = daemon.requests_served
         try:
-            assert client.ping()["pong"] is True
+            with OnlineClient(daemon.config.socket_path) as client:
+                with pytest.raises(ServiceError, match="RuntimeError: handler bug"):
+                    client.ping()
+                assert len(calls) == 1  # one round trip, no retry
+                assert daemon.requests_served == served + 1
+                # The same connection serves the next request: the handler
+                # stayed alive.
+                assert client.ping()["pong"] is True
         finally:
             daemon._cmd_ping = original
-            client.close()
-        assert len(sleeps) == 2  # two transient failures, two backoffs
-
-    def test_client_gives_up_after_max_attempts(self, daemon):
-        original = daemon._cmd_ping
-
-        def always_flaky(request, rid):
-            raise TransientEngineError("injected flake")
-
-        daemon._cmd_ping = always_flaky
-        client = OnlineClient(
-            daemon.config.socket_path,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.001),
-            sleep=lambda _s: None,
-        )
-        try:
-            with pytest.raises(TransientEngineError):
-                client.ping()
-        finally:
-            daemon._cmd_ping = original
-            client.close()
+        assert len(calls) == 2
 
     def test_shutdown_command_stops_server(self, tmp_path):
         d = MatchingDaemon(OnlineConfig(socket_path=tmp_path / "d.sock"))

@@ -177,7 +177,6 @@ class TestNullTelemetry:
         ctx = null.run_span("numpy")
         assert null.step("topdown") is ctx
         assert null.job_span("j", "a", None) is ctx
-        assert null.attempt_span("j", 1, "numpy") is ctx
 
     def test_every_hook_is_noop(self):
         null = NullTelemetry()
@@ -191,8 +190,6 @@ class TestNullTelemetry:
                 null.count_graft("topdown", 50)
             null.finish_run()
         null.count_job("done")
-        null.count_retry()
-        null.count_degradation()
         assert not null.enabled
 
     def test_telemetry_is_enabled(self):
@@ -200,21 +197,23 @@ class TestNullTelemetry:
 
 
 class TestServiceVocabulary:
-    def test_job_and_attempt_spans_nest(self):
+    def test_job_span_wraps_the_run(self, tmp_path):
+        from repro.service.executor import BatchExecutor, ManualClock
+        from repro.service.jobs import JobSpec
+
         tel = Telemetry()
-        with tel.job_span("rmat-graft", "ms-bfs-graft", None) as job:
-            with tel.attempt_span("rmat-graft", 1, "numpy") as attempt:
-                pass
-        assert attempt.parent_id == job.span_id
-        assert job.attributes["engine"] == "auto"
+        job = JobSpec(job_id="rmat-graft", graph={"suite": "rmat", "scale": 0.05})
+        BatchExecutor(tmp_path / "run", clock=ManualClock(),
+                      telemetry=tel).run_batch([job])
+        [job_span] = [s for s in tel.tracer.spans if s.name == "job"]
+        [run_span] = [s for s in tel.tracer.spans if s.name == "run"]
+        assert run_span.parent_id == job_span.span_id
+        assert job_span.attributes["engine"] == "auto"
+        assert job_span.attributes["status"] == "done"
 
     def test_job_counters(self):
         tel = Telemetry()
         tel.count_job("done")
         tel.count_job("timeout")
-        tel.count_retry()
-        tel.count_degradation()
         assert tel.metrics.get("repro_jobs_total", {"status": "done"}).value == 1
         assert tel.metrics.get("repro_job_timeouts_total").value == 1
-        assert tel.metrics.get("repro_job_retries_total").value == 1
-        assert tel.metrics.get("repro_job_degradations_total").value == 1

@@ -1,6 +1,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ServiceError
 
 
 class TestParser:
@@ -156,21 +157,32 @@ class TestBatchCommand:
         assert "(1 resumed from checkpoint" in second
 
     def test_batch_with_fault_injection(self, tmp_path, capsys):
+        # slow-phase burns 0.15 s per phase, so the 0.2 s deadline expires
+        # at phase 3; a timed-out job is not retried.
         assert main(["batch", "--run-dir", str(tmp_path / "run"),
                      "--graphs", "rmat", "--scale", "0.05",
-                     "--engine", "numpy", "--backoff", "0.01",
-                     "--inject", "flaky-engine:1"]) == 0
+                     "--engine", "numpy", "--deadline", "0.2",
+                     "--inject", "slow-phase:0.15"]) == 1
         out = capsys.readouterr().out
-        assert "job_retried x1" in out
-        assert "1/1 jobs succeeded" in out
+        assert "0/1 jobs succeeded" in out and "1 timed out" in out
+        assert "job_started x1" in out and "job_timeout x1" in out
 
-    def test_batch_degradation_path(self, tmp_path, capsys):
+    def test_batch_refuses_deleted_fault(self, tmp_path):
+        with pytest.raises(ServiceError, match=r"known: \['slow-phase'\]"):
+            main(["batch", "--run-dir", str(tmp_path / "run"),
+                  "--graphs", "rmat", "--scale", "0.05",
+                  "--inject", "flaky-engine:1"])
+
+    def test_batch_engine_exception_exits_nonzero(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def broken_engine(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("repro.service.executor.run_algorithm", broken_engine)
         assert main(["batch", "--run-dir", str(tmp_path / "run"),
-                     "--graphs", "rmat", "--scale", "0.05",
-                     "--engine", "numpy", "--retries", "2",
-                     "--backoff", "0.01", "--inject", "flaky-engine:2"]) == 0
+                     "--graphs", "rmat", "--scale", "0.05"]) == 1
         out = capsys.readouterr().out
-        assert "job_degraded x1" in out
+        assert "1 failed" in out and "job_failed x1" in out
 
     def test_batch_jobs_file(self, tmp_path, capsys):
         import json
