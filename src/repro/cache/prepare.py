@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
 
 from repro.graph.csr import BipartiteCSR
 
@@ -39,32 +38,6 @@ def build_suite_graph(name: str, scale: float) -> BipartiteCSR:
     from repro.bench.suite import get_suite_graph
 
     return get_suite_graph(name, scale=scale).graph
-
-
-def build_graph_file(path: Union[str, Path], fmt: str) -> BipartiteCSR:
-    """Read an on-disk graph by format name (the cache-miss path).
-
-    Mirrors the batch service's reader table, including suffix-based
-    ``auto`` resolution, so cached and uncached loads agree bit-for-bit.
-    """
-    from repro.service.jobs import _read_graph_file
-
-    graph = _read_graph_file(Path(path), fmt)
-    # SNAP reads may return a LabelledGraph; the cache stores the graph only.
-    return getattr(graph, "graph", graph)
-
-
-def resolve_format(path: Union[str, Path], fmt: str) -> str:
-    """Resolve ``auto`` to a concrete format name (it participates in the
-    cache key, so two byte-identical files read by different parsers get
-    distinct entries)."""
-    if fmt != "auto":
-        return fmt
-    suffix = Path(path).suffix.lstrip(".").lower()
-    return {
-        "mtx": "mtx", "gr": "dimacs", "dimacs": "dimacs", "max": "dimacs",
-        "txt": "snap", "snap": "snap", "edges": "snap", "npz": "npz",
-    }.get(suffix, "mtx")
 
 
 def warm_start_matching(graph: BipartiteCSR, seed: int):

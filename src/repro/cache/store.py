@@ -41,13 +41,12 @@ from repro.cache.keys import BUILDER_VERSION, file_key, hash_file, spec_key
 from repro.cache.prepare import (
     PREPARED_ARRAYS,
     PreparedGraph,
-    build_graph_file,
     build_suite_graph,
-    resolve_format,
     warm_start_matching,
 )
 from repro.errors import CacheCorruptionError
 from repro.graph.csr import BipartiteCSR
+from repro.graph.readers import read_graph_file, resolve_format
 from repro.matching.base import Matching
 
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
@@ -86,11 +85,13 @@ class GraphCache:
 
     def prepare_file(self, path: Union[str, Path], fmt: str = "auto") -> PreparedGraph:
         """Prepared on-disk graph, keyed by the file's raw bytes + format."""
+        # The resolved format is part of the key: two byte-identical files
+        # read by different parsers get distinct entries.
         fmt = resolve_format(path, fmt)
         key = file_key(path, fmt)
         return self._prepare(
             key,
-            lambda: build_graph_file(path, fmt),
+            lambda: read_graph_file(path, fmt)[0],
             kind="file",
             fmt=fmt,
             source=str(path),

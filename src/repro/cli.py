@@ -22,7 +22,9 @@ from repro.bench import experiments
 from repro.bench.runner import ALGORITHMS, run_algorithm
 from repro.bench.suite import get_suite_graph, suite_counterpart, suite_specs
 from repro.core.driver import ENGINES
+from repro.errors import ServiceError
 from repro.graph.io import read_matrix_market
+from repro.graph.readers import GRAPH_FORMATS, read_graph_file
 from repro.matching.verify import verify_maximum
 
 
@@ -140,29 +142,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_graph_file(path: str, fmt: str):
-    """Load a graph file by format name; returns ``(graph, labels-or-None)``.
-
-    SNAP edge lists compact sparse vertex ids, so for them the original-id
-    label arrays come back too (see
-    :class:`repro.graph.readers.LabelledGraph`) and ``repro-match match``
-    reports matched pairs in the file's own ids.
-    """
-    from repro.graph.readers import read_dimacs, read_snap_edgelist
-
-    if fmt == "auto":
-        suffix = path.rsplit(".", 1)[-1].lower()
-        fmt = {"mtx": "mtx", "gr": "dimacs", "dimacs": "dimacs",
-               "txt": "snap", "snap": "snap", "edges": "snap"}.get(suffix, "mtx")
-    if fmt == "snap":
-        labelled = read_snap_edgelist(path, return_labels=True)
-        return labelled.graph, labelled
-    readers = {"mtx": read_matrix_market, "dimacs": read_dimacs}
-    return readers[fmt](path), None
-
-
 def _cmd_match(args: argparse.Namespace) -> int:
-    graph, labels = _read_graph_file(args.path, args.format)
+    graph, labels = read_graph_file(args.path, args.format)
     result = run_algorithm(args.algorithm, graph, seed=args.seed, engine=args.engine)
     verify_maximum(graph, result.matching)
     print(f"{args.path}: n_rows={graph.n_x:,} n_cols={graph.n_y:,} nnz={graph.nnz:,}")
@@ -737,15 +718,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--scale", type=float, default=0.2)
     p_exp.set_defaults(fn=_cmd_experiment)
 
-    p_match = sub.add_parser("match", help="match a MatrixMarket file")
+    p_match = sub.add_parser("match", help="match a graph file (MatrixMarket, SNAP, "
+                                           "DIMACS or .npz)")
     p_match.add_argument("path")
     p_match.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="ms-bfs-graft")
     p_match.add_argument("--seed", type=int, default=0)
     p_match.add_argument("--engine", choices=ENGINES, default=None,
                          help="override the backend dispatcher (MS-BFS-Graft "
                               "family only)")
-    p_match.add_argument("--format", choices=["auto", "mtx", "snap", "dimacs"],
-                         default="auto")
+    p_match.add_argument("--format", choices=["auto", *GRAPH_FORMATS], default="auto")
     p_match.add_argument("--show-pairs", type=int, default=5,
                          help="matched pairs to echo in the file's original "
                               "vertex ids (SNAP inputs only)")
@@ -1001,9 +982,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A :class:`~repro.errors.ServiceError` (a bad jobs file, an unknown
+    fault name, ...) is a usage error: one ``error:`` line on stderr and
+    exit code 2, as argparse does for a bad flag.
+    """
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ServiceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,8 +16,14 @@ This package builds that algorithm on a simulated message-passing cluster:
   real BSP semantics: every cross-rank information flow is an explicit
   message applied only at superstep boundaries, claims are resolved by the
   owning rank, augmenting paths are flipped by walker messages hopping
-  between owners, and grafting replicates the active-X bitmap the way
-  distributed direction-optimizing BFS replicates frontier bitmaps.
+  between owners, and a bottom-up graft replicates the active-X bitmap the
+  way distributed direction-optimizing BFS replicates frontier bitmaps.
+  Its :class:`~repro.distributed.engine.BSPForest` is the steps object of
+  the shared phase loop (:func:`repro.core.engine_loop.run_phases`), so
+  the distributed runs get the same direction and graft rules, step spans
+  and König cover as the shared-memory engines;
+* :mod:`repro.distributed.engine2d` — the 2D (grid) routing of the same
+  forest: row-scoped broadcasts, column-scoped reductions.
 
 The engine produces exactly the same matching cardinality as the
 shared-memory engines (tested across rank counts and seeds) and a

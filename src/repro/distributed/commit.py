@@ -91,9 +91,9 @@ def commit_activations(
 
 @superstep_commit
 def commit_match_flip(
-    mate_x: np.ndarray, mate_y: np.ndarray, x: int, y: int
+    mate_x: np.ndarray, mate_y: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> None:
-    """Flip one matched edge of an augmenting path at the endpoint owners."""
+    """Flip matched edges ``(x, y)`` of augmenting paths at the endpoint owners."""
     mate_x[x] = y
     mate_y[y] = x
 

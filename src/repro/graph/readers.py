@@ -11,18 +11,23 @@ readers let users point the library at those files directly:
   row->column entries of the biadjacency matrix;
 * :func:`read_dimacs` — the DIMACS ``p``/``a``/``e`` format used by the
   road-network challenge files.
+
+:func:`read_graph_file` picks the reader by format name or file suffix;
+the CLI, the batch service and the graph cache all load files through it.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple, TextIO, Union
+from typing import NamedTuple, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.builder import _from_edge_arrays
 from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
+from repro.graph.io import read_matrix_market
+from repro.graph.serialize import load_graph
 
 
 class LabelledGraph(NamedTuple):
@@ -163,3 +168,42 @@ def read_dimacs(source: Union[str, Path, TextIO]) -> BipartiteCSR:
         np.asarray(xs, dtype=INDEX_DTYPE), np.asarray(ys, dtype=INDEX_DTYPE),
         validate=False,
     )
+
+
+_READERS = {
+    "mtx": read_matrix_market,
+    "snap": lambda path: read_snap_edgelist(path, return_labels=True),
+    "dimacs": read_dimacs,
+    "npz": load_graph,
+}
+GRAPH_FORMATS = tuple(_READERS)
+"""Format names :func:`read_graph_file` accepts, besides ``auto``."""
+
+FORMAT_BY_SUFFIX = {
+    "mtx": "mtx", "gr": "dimacs", "dimacs": "dimacs", "max": "dimacs",
+    "txt": "snap", "snap": "snap", "edges": "snap", "npz": "npz",
+}
+"""What ``auto`` reads a file as, by suffix; any other suffix is MatrixMarket."""
+
+
+def resolve_format(path: Union[str, Path], fmt: str = "auto") -> str:
+    """The concrete format name for ``fmt`` (``auto`` goes by the suffix)."""
+    if fmt == "auto":
+        return FORMAT_BY_SUFFIX.get(Path(path).suffix.lstrip(".").lower(), "mtx")
+    if fmt not in _READERS:
+        raise GraphFormatError(f"unknown graph format {fmt!r}; known: {sorted(_READERS)}")
+    return fmt
+
+
+def read_graph_file(
+    path: Union[str, Path], fmt: str = "auto"
+) -> Tuple[BipartiteCSR, Optional[LabelledGraph]]:
+    """Read a graph file as ``(graph, labels)``.
+
+    ``labels`` is the :class:`LabelledGraph` of a SNAP edge list, whose
+    sparse ids are compacted, and ``None`` for every other format.
+    """
+    loaded = _READERS[resolve_format(path, fmt)](path)
+    if isinstance(loaded, LabelledGraph):
+        return loaded.graph, loaded
+    return loaded, None

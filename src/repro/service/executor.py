@@ -26,7 +26,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.bench.runner import run_algorithm
 from repro.core.options import Deadline
@@ -147,20 +147,23 @@ class BatchExecutor:
     def _run_job(self, spec: JobSpec, log: EventLog) -> JobOutcome:
         tel = self.telemetry
         with tel.job_span(spec.job_id, spec.algorithm, spec.engine) as span:
-            resumed = self._try_resume(spec, log)
-            if resumed is not None:
-                outcome = resumed
-            else:
-                outcome = self._execute(spec, log)
+            outcome, rejected = self._try_resume(spec, log)
+            if outcome is None:
+                outcome = self._execute(spec, log, note=rejected)
             if span is not None:
                 span.set(status=outcome.status)
             tel.count_job(outcome.status)
         return outcome
 
-    def _try_resume(self, spec: JobSpec, log: EventLog) -> Optional[JobOutcome]:
+    def _try_resume(
+        self, spec: JobSpec, log: EventLog
+    ) -> Tuple[Optional[JobOutcome], Optional[str]]:
+        """``(outcome, None)`` if the job resumes from its certified
+        checkpoint; ``(None, why)`` if the checkpoint fails re-certification;
+        ``(None, None)`` if there is none."""
         entry = self.run_dir.completed_entry(spec.job_id, spec.digest())
         if entry is None:
-            return None
+            return None, None
         try:
             graph = resolve_graph(spec, cache=self.cache)
             matching = self.run_dir.load_checkpoint(spec.job_id)
@@ -171,9 +174,7 @@ class BatchExecutor:
                     f"match manifest {entry['cardinality']}"
                 )
         except Exception as exc:  # noqa: BLE001 - any resume defect → recompute
-            log.emit(ev.JOB_STARTED, spec.job_id, engine=spec.engine,
-                     note=f"checkpoint rejected: {exc}")
-            return None
+            return None, f"checkpoint rejected: {exc}"
         log.emit(ev.JOB_RESUMED, spec.job_id,
                  cardinality=int(matching.cardinality),
                  engine=entry.get("engine"), recomputed=False)
@@ -182,15 +183,18 @@ class BatchExecutor:
             status="resumed",
             engine_used=entry.get("engine"),
             cardinality=int(matching.cardinality),
-        )
+        ), None
 
-    def _execute(self, spec: JobSpec, log: EventLog) -> JobOutcome:
+    def _execute(self, spec: JobSpec, log: EventLog, note: Optional[str] = None) -> JobOutcome:
+        """One engine run; ``note`` (why a checkpoint was rejected) rides on
+        its first event, ``job_started`` or a ``job_failed`` at graph resolution."""
+        noted = {"note": note} if note else {}
         started = self.clock.now()
         try:
             graph = resolve_graph(spec, cache=self.cache)
         except Exception as exc:  # noqa: BLE001 - reader errors are per-job, not batch
             log.emit(ev.JOB_FAILED, spec.job_id, error=str(exc), stage="resolve-graph",
-                     traceback=traceback.format_exc())
+                     traceback=traceback.format_exc(), **noted)
             return JobOutcome(spec=spec, status="failed", error=str(exc))
 
         deadline_seconds = (
@@ -201,7 +205,7 @@ class BatchExecutor:
         # Engine-unaware algorithms have a single native implementation.
         engine = (spec.engine or "auto") if spec.engine_aware else None
         log.emit(ev.JOB_STARTED, spec.job_id, engine=engine,
-                 deadline_seconds=deadline_seconds)
+                 deadline_seconds=deadline_seconds, **noted)
         try:
             result = self._run(spec, graph, engine, deadline_seconds)
             verify_maximum(graph, result.matching)

@@ -21,6 +21,7 @@ from repro.bench.suite import suite_specs
 from repro.core.driver import ENGINES
 from repro.errors import ServiceError
 from repro.graph.csr import BipartiteCSR
+from repro.graph.readers import GRAPH_FORMATS, read_graph_file
 
 
 @dataclass(frozen=True)
@@ -141,31 +142,11 @@ def resolve_graph(spec: JobSpec, cache=None) -> BipartiteCSR:
         return get_suite_graph(name, scale=scale).graph
     path = Path(str(source["path"]))
     fmt = str(source.get("format", "auto"))
+    if fmt != "auto" and fmt not in GRAPH_FORMATS:
+        raise ServiceError(f"unknown graph format {fmt!r}; known: {sorted(GRAPH_FORMATS)}")
     if cache is not None:
         return cache.prepare_file(path, fmt).graph
-    return _read_graph_file(path, fmt)
-
-
-def _read_graph_file(path: Path, fmt: str) -> BipartiteCSR:
-    from repro.graph.io import read_matrix_market
-    from repro.graph.readers import read_dimacs, read_snap_edgelist
-    from repro.graph.serialize import load_graph
-
-    readers = {
-        "mtx": read_matrix_market,
-        "snap": read_snap_edgelist,
-        "dimacs": read_dimacs,
-        "npz": load_graph,
-    }
-    if fmt == "auto":
-        suffix = path.suffix.lstrip(".").lower()
-        fmt = {
-            "mtx": "mtx", "gr": "dimacs", "dimacs": "dimacs", "max": "dimacs",
-            "txt": "snap", "snap": "snap", "edges": "snap", "npz": "npz",
-        }.get(suffix, "mtx")
-    if fmt not in readers:
-        raise ServiceError(f"unknown graph format {fmt!r}; known: {sorted(readers)}")
-    return readers[fmt](path)
+    return read_graph_file(path, fmt)[0]
 
 
 def load_jobs_file(path: Union[str, Path]) -> List[JobSpec]:

@@ -49,7 +49,6 @@ _STEP_CATEGORIES = {
     "augment": "kernel",
     "grafting": "kernel",
     "statistics": "kernel",
-    "batch": "service",
     "job": "service",
     "request": "online",
     "repair": "online",

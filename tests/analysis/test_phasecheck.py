@@ -174,32 +174,19 @@ class TestRealTree:
             [
                 (
                     "distributed/engine.py",
-                    "commit_claims(visited, parent, root_y, winners, win_x, roots)",
-                    "visited[winners] = 1\n"
-                    "        parent[winners] = win_x\n"
-                    "        root_y[winners] = roots",
+                    "commit_claims(self.visited, self.parent, self.root_y, winners, win_x, roots)",
+                    "self.visited[winners] = 1\n"
+                    "        self.parent[winners] = win_x\n"
+                    "        self.root_y[winners] = roots",
                 )
             ],
         )
-        assert "REP004" in {f.code for f in findings}
-
-    def test_regression_guard_missing_begin_phase(self, tmp_path):
-        findings = self._mutated_copy(
-            tmp_path,
-            [
-                (
-                    "distributed/engine.py",
-                    "options.begin_phase(counters.phases)",
-                    "pass",
-                )
-            ],
-        )
-        assert "REP005" in {f.code for f in findings}
+        assert ("distributed/engine.py", "REP004") in {(f.path, f.code) for f in findings}
 
     def test_regression_guard_shared_loop_missing_begin_phase(self, tmp_path):
-        # The python, numpy and interleaved engines all run their phases
+        # Every engine, the distributed ones included, runs its phases
         # through core/engine_loop.py, so this one loop carries REP005 for
-        # all three.
+        # all of them.
         findings = self._mutated_copy(
             tmp_path,
             [

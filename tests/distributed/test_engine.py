@@ -12,6 +12,7 @@ from repro.distributed import (
     BSPCostModel,
     ClusterSpec,
     distributed_ms_bfs_graft,
+    distributed_ms_bfs_graft_2d,
 )
 from repro.graph.generators import random_bipartite, surplus_core_bipartite
 from repro.matching.greedy import greedy_matching
@@ -102,3 +103,26 @@ class TestBSPAccounting:
         assert c.phases >= 1
         assert c.augmentations == len(c.path_lengths)
         assert all(length % 2 == 1 for length in c.path_lengths)
+
+
+@pytest.fixture
+def no_sweep(monkeypatch):
+    from repro.matching import verify
+
+    def tripwire(*args, **kwargs):
+        raise AssertionError("verify_maximum fell back to the alternating sweep")
+
+    monkeypatch.setattr(verify, "alternating_reach", tripwire)
+
+
+@pytest.mark.parametrize(
+    "engine", [distributed_ms_bfs_graft, distributed_ms_bfs_graft_2d], ids=["1d", "2d"]
+)
+def test_cover_certifies_without_sweep(engine, no_sweep, zoo_graph):
+    # The final forest's visited Y are a König cover, so verify_maximum
+    # certifies in one edge pass.
+    _, graph = zoo_graph
+    for init in (None, greedy_matching(graph, shuffle=True, seed=3).matching):
+        result = engine(graph, init, ranks=3)
+        assert result.matching.cover_y is not None
+        verify_maximum(graph, result.matching)

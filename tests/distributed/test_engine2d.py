@@ -10,7 +10,9 @@ from tests.conftest import EXPECTED_MAXIMUM, SMALL_GRAPHS, reference_maximum
 from repro.core.driver import ms_bfs_graft
 from repro.distributed import distributed_ms_bfs_graft, distributed_ms_bfs_graft_2d
 from repro.core.options import GraftOptions
+from repro.distributed.engine import Forest1D, run_bsp
 from repro.distributed.grid import Grid2D
+from repro.distributed.partition import Partition1D
 from repro.errors import ReproError
 from repro.graph.generators import random_bipartite, surplus_core_bipartite
 from repro.matching.greedy import greedy_matching
@@ -115,11 +117,33 @@ class TestCommunicationScoping:
 @pytest.mark.parametrize(
     "engine", [distributed_ms_bfs_graft, distributed_ms_bfs_graft_2d]
 )
-def test_edge_direction_rule_is_rejected(engine):
-    # Both distributed engines implement only the vertex rule; asking for
-    # the edge rule must fail loudly instead of running the vertex rule.
-    graph = random_bipartite(20, 20, 60, seed=2)
-    with pytest.raises(ReproError, match="direction_strategy='edge'"):
-        engine(graph, ranks=2, options=GraftOptions(direction_strategy="edge"))
-    vertex = engine(graph, ranks=2, options=GraftOptions(direction_strategy="vertex"))
-    verify_maximum(graph, vertex.matching)
+def test_edge_direction_rule_runs(engine):
+    # The forest keeps the unvisited-Y degree sum live, so the shared loop's
+    # degree-weighted direction rule runs on both decompositions.
+    options = GraftOptions(direction_strategy="edge")
+    bottomup = 0
+    for seed in range(4):
+        graph = random_bipartite(60, 50, 240, seed=seed)
+        result = engine(graph, ranks=3, options=options)
+        verify_maximum(graph, result.matching)
+        assert result.cardinality == reference_maximum(graph)
+        bottomup += result.counters.bottomup_steps
+    assert bottomup > 0
+
+
+class _CheckedForest(Forest1D):
+    def end_phase(self, phase):
+        unvisited = self.visited == 0
+        assert self.num_unvisited_y == int(unvisited.sum())
+        assert self.unvisited_deg == int(self.deg_y[unvisited].sum())
+
+
+@pytest.mark.parametrize("grafting", [True, False])
+def test_unvisited_counters_stay_exact(grafting):
+    graph = surplus_core_bipartite(200, 120, seed=4)
+    part = Partition1D(graph, 3)
+    options = GraftOptions(grafting=grafting, direction_strategy="edge")
+    result = run_bsp(
+        "bsp-1d", graph, None, options, lambda m: _CheckedForest(graph, m, part)
+    )
+    verify_maximum(graph, result.matching)

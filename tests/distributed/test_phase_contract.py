@@ -1,4 +1,4 @@
-"""Distributed engines honor the GraftOptions phase contract (REP005 fix)."""
+"""Distributed engines honor the GraftOptions phase contract (via run_phases)."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from repro.distributed import distributed_ms_bfs_graft
 from repro.distributed.engine2d import distributed_ms_bfs_graft_2d
 from repro.errors import DeadlineExceeded
 from repro.graph.generators import random_bipartite
+from repro.telemetry import Telemetry
 
 ENGINES = [
     pytest.param(distributed_ms_bfs_graft, id="bsp-1d"),
@@ -26,14 +27,6 @@ class FakeClock:
         return self.t
 
 
-class TelemetryStub:
-    def __init__(self):
-        self.phases = []
-
-    def begin_phase(self, phase):
-        self.phases.append(phase)
-
-
 @pytest.mark.parametrize("engine", ENGINES)
 class TestPhaseContract:
     def test_phase_hook_called_once_per_phase(self, engine):
@@ -44,10 +37,11 @@ class TestPhaseContract:
         assert seen == list(range(1, result.counters.phases + 1))
 
     def test_telemetry_begin_phase_mirrors_hook(self, engine):
-        stub = TelemetryStub()
-        options = GraftOptions(telemetry=stub)
+        tel = Telemetry()
+        options = GraftOptions(telemetry=tel)
         result = engine(make_graph(), ranks=3, options=options)
-        assert stub.phases == list(range(1, result.counters.phases + 1))
+        phases = [span.attributes["phase"] for span in tel.tracer.by_name("phase")]
+        assert phases == list(range(1, result.counters.phases + 1))
 
     def test_expired_deadline_raises_at_phase_boundary(self, engine):
         clock = FakeClock()
@@ -69,3 +63,10 @@ class TestPhaseContract:
         plain = engine(graph, ranks=3)
         seamed = engine(graph, ranks=3, options=GraftOptions(phase_hook=lambda p: None))
         assert seamed.cardinality == plain.cardinality
+
+    def test_steps_are_spans_and_breakdown(self, engine):
+        tel = Telemetry()
+        result = engine(make_graph(), ranks=3, options=GraftOptions(telemetry=tel))
+        spans = {span.name for span in tel.tracer.spans}
+        assert set(result.breakdown) == spans - {"run", "setup", "phase", "finalize"}
+        assert {"augment", "statistics", "grafting"} <= set(result.breakdown)

@@ -158,12 +158,35 @@ class TestResume:
         BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
         ckpt = tmp_path / "run" / "checkpoints" / "a.npz"
         ckpt.write_bytes(b"not an npz file")
+        before = last_seq(tmp_path / "run")
         [out] = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
         assert out.status == "done"  # recomputed, not resumed
         assert out.cardinality == expected_cardinality(s)
-        rejected = [e for e in events_of(tmp_path / "run", ev.JOB_STARTED)
-                    if "checkpoint rejected" in str(e.get("note", ""))]
-        assert rejected
+        # One start event for the one engine run, carrying why the
+        # checkpoint was not trusted.
+        started = events_of(tmp_path / "run", ev.JOB_STARTED, after_seq=before)
+        assert len(started) == 1
+        assert "checkpoint rejected" in started[0]["note"]
+
+    def test_rejection_note_survives_a_failed_recompute(self, tmp_path):
+        # The graph file vanished: the checkpoint cannot be re-certified and
+        # the recomputation cannot read the graph; the one event the job
+        # gets, job_failed, still says why the checkpoint was not used.
+        from repro.graph.generators import random_bipartite
+        from repro.graph.io import write_matrix_market
+
+        path = tmp_path / "g.mtx"
+        write_matrix_market(random_bipartite(20, 20, 60, seed=0), path)
+        s = spec("a", graph={"path": str(path)})
+        BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
+        path.unlink()
+        before = last_seq(tmp_path / "run")
+        [out] = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
+        assert out.status == "failed"
+        [failed] = events_of(tmp_path / "run", ev.JOB_FAILED, after_seq=before)
+        assert failed["stage"] == "resolve-graph"
+        assert "checkpoint rejected" in failed["note"]
+        assert events_of(tmp_path / "run", ev.JOB_STARTED, after_seq=before) == []
 
     def test_manifest_cardinality_mismatch_recomputes(self, tmp_path):
         s = spec("a")

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
-from repro.errors import ServiceError
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 class TestParser:
@@ -106,6 +113,21 @@ class TestNewCommands:
         assert main(["match", str(path), "--format", "snap"]) == 0
         assert "structural rank" in capsys.readouterr().out
 
+    def test_match_reads_max_and_npz_by_suffix(self, tmp_path, capsys):
+        # ``match``, ``batch`` and the cache share one suffix table: a DIMACS
+        # max-flow file and a saved .npz graph both load under ``auto``.
+        from repro.graph.generators import planted_matching
+        from repro.graph.serialize import save_graph
+
+        dimacs = tmp_path / "g.max"
+        dimacs.write_text("c flow\np max 6 3\nn 1 s\na 1 4 1\na 2 5 1\na 3 4 1\n")
+        assert main(["match", str(dimacs)]) == 0
+        assert "maximum matching (structural rank): 2" in capsys.readouterr().out
+        npz = tmp_path / "g.npz"
+        save_graph(planted_matching(12, extra_edges=10, seed=1), npz)
+        assert main(["match", str(npz)]) == 0
+        assert "maximum matching (structural rank): 12" in capsys.readouterr().out
+
 
 class TestAnalysisCommands:
     def test_lint_default_tree_clean(self, capsys):
@@ -167,11 +189,26 @@ class TestBatchCommand:
         assert "0/1 jobs succeeded" in out and "1 timed out" in out
         assert "job_started x1" in out and "job_timeout x1" in out
 
-    def test_batch_refuses_deleted_fault(self, tmp_path):
-        with pytest.raises(ServiceError, match=r"known: \['slow-phase'\]"):
-            main(["batch", "--run-dir", str(tmp_path / "run"),
-                  "--graphs", "rmat", "--scale", "0.05",
-                  "--inject", "flaky-engine:1"])
+    def test_batch_refuses_deleted_fault(self, tmp_path, capsys):
+        assert main(["batch", "--run-dir", str(tmp_path / "run"),
+                     "--graphs", "rmat", "--scale", "0.05",
+                     "--inject", "flaky-engine:1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "known: ['slow-phase']" in err
+        assert "Traceback" not in err
+
+    def test_batch_bad_jobs_file_is_one_line(self, tmp_path):
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text("{not json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "batch", "--run-dir",
+             str(tmp_path / "run"), "--jobs", str(jobs)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "not valid JSON" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_batch_engine_exception_exits_nonzero(self, tmp_path, capsys,
                                                    monkeypatch):
