@@ -63,10 +63,14 @@ class NumpySteps(PhaseSteps):
         self.state = state
         self.workspace = workspace
         self.check_invariants = options.check_invariants
+        self.alpha = options.alpha
         self.trace = WorkTrace() if options.emit_trace else None
         workspace.want_costs = self.trace is not None
         state.attach_degrees(graph.deg_y)
         self.frontier = kernels.rebuild_from_unmatched(state, matching)
+        self.fresh = True
+        """The next level is a fresh phase's first: its frontier is the
+        ascending seed list and the whole active set."""
         self.gstats: kernels.GraftStats | None = None
 
     @property
@@ -78,6 +82,7 @@ class NumpySteps(PhaseSteps):
         return self.state.unvisited_deg
 
     def topdown(self, frontier: np.ndarray):
+        self.fresh = False
         return self._expand(frontier, "topdown")
 
     def _expand(self, frontier: np.ndarray, region: str):
@@ -95,6 +100,21 @@ class NumpySteps(PhaseSteps):
         return stats.next_frontier, stats.edges, stats.claims
 
     def bottomup(self, frontier: np.ndarray):
+        fresh, self.fresh = self.fresh, False
+        # A fresh level's forest can be built from either side (see
+        # kernels.bottomup_from_frontier); read the frontier's rows when
+        # they hold fewer entries than the unvisited rows, by the same test
+        # as the "edge" direction rule. A work trace models Algorithm 6's
+        # row scan, so a traced run keeps it.
+        if (
+            fresh
+            and self.trace is None
+            and int(self.graph.deg_x[frontier].sum()) < self.state.unvisited_deg / self.alpha
+        ):
+            stats = kernels.bottomup_from_frontier(
+                self.graph, self.state, self.matching, frontier, self.workspace
+            )
+            return stats.next_frontier, stats.edges, stats.claims
         return self._attach(self.state.unvisited_candidates(), "bottomup")
 
     def _attach(self, rows: np.ndarray, region: str):
@@ -129,6 +149,7 @@ class NumpySteps(PhaseSteps):
     def rebuild(self) -> np.ndarray:
         kernels.reset_rows(self.state, self.gstats.active_y)
         frontier = kernels.rebuild_from_unmatched(self.state, self.matching)
+        self.fresh = True
         if self.trace is not None:
             self.trace.add_uniform(
                 "grafting", int(self.gstats.active_y.size) + int(frontier.size), 1.0

@@ -29,6 +29,9 @@ Implementation notes on the fast path:
   (:func:`augment_all`): the paths are vertex-disjoint, so the per-step
   scatter writes never conflict — the same argument that lets the paper
   flip them in parallel.
+* A fresh phase's first bottom-up level can be built from the frontier
+  side (:func:`bottomup_from_frontier`): the same forest as the row scan,
+  reading the frontier's adjacency instead of the unvisited rows'.
 * When a :class:`~repro.parallel.shared.BulkAccessObserver` is attached to
   the :class:`~repro.core.forest.ForestState` (``state.observer``), every
   kernel reports its bulk reads/writes of shared arrays, so the dynamic
@@ -206,6 +209,27 @@ def topdown_level(
         return _empty_stats()
     if obs is not None:
         obs.begin_region(region)
+    winners, claim_src, item_costs, edges, attempts = _claim_search(
+        graph, state, frontier, ws
+    )
+    return _apply_claims(
+        state, matching, winners, claim_src, claim_src, item_costs, edges, attempts, ws
+    )
+
+
+def _claim_search(
+    graph: BipartiteCSR,
+    state: ForestState,
+    frontier: np.ndarray,
+    ws: KernelWorkspace,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Algorithm 4's claim search: every frontier vertex reads its full
+    adjacency and claims its unvisited targets first-writer-wins.
+
+    Returns ``(winners, claim_src, item_costs, edges, attempts)``, winners
+    in the order of their first claimant.
+    """
+    obs = state.observer
     src, dst, offsets = _gather_segments(graph.x_ptr, graph.x_adj, frontier, ws=ws)
     edges = int(dst.shape[0])
     if ws.want_costs:
@@ -229,6 +253,46 @@ def topdown_level(
     else:
         winners = np.empty(0, dtype=INDEX_DTYPE)
         claim_src = np.empty(0, dtype=INDEX_DTYPE)
+    return winners, claim_src, item_costs, edges, attempts
+
+
+def bottomup_from_frontier(
+    graph: BipartiteCSR,
+    state: ForestState,
+    matching: Matching,
+    frontier: np.ndarray,
+    workspace: KernelWorkspace | None = None,
+) -> LevelStats:
+    """:func:`bottomup_level` over ``state.unvisited_candidates()``, built
+    from the frontier side.
+
+    Only valid at a fresh phase's first level, where ``frontier`` is the
+    ascending seed list and the whole active set. A row's first active
+    neighbour in its ascending adjacency is then its smallest frontier
+    neighbour, which is exactly the first claimant of a top-down claim
+    search over the ascending frontier. Reordering those winners into
+    candidate order makes every forest array, tree list, candidate list
+    and the next frontier's order identical to the row scan's, while
+    reading only the frontier's adjacency. ``edges`` counts those reads.
+    """
+    ws = workspace if workspace is not None else KernelWorkspace.for_graph(graph)
+    obs = state.observer
+    rows = state.unvisited_candidates()
+    if rows.size == 0:
+        return _empty_stats()
+    if obs is not None:
+        obs.begin_region("bottomup")
+    frontier = np.asarray(frontier, dtype=INDEX_DTYPE)
+    winners, claim_src, item_costs, edges, attempts = _claim_search(
+        graph, state, frontier, ws
+    )
+    if winners.size:
+        # The row scan emits its winners in candidate order.
+        position = ws.slot_y
+        position[rows] = ws.order(rows.shape[0])
+        order = np.argsort(position[winners])
+        winners = winners[order]
+        claim_src = claim_src[order]
     return _apply_claims(
         state, matching, winners, claim_src, claim_src, item_costs, edges, attempts, ws
     )

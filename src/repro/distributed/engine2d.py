@@ -50,8 +50,9 @@ class Forest2D(BSPForest):
         self.grid = grid
         self.xblock_of = grid.x_block(np.arange(graph.n_x, dtype=np.int64))
         self.yblock_of = grid.y_block(np.arange(graph.n_y, dtype=np.int64))
-        self.statistics_compute = np.full(ranks, (graph.n_x + graph.n_y) / ranks)
-        self.rebuild_compute = np.full(ranks, graph.n_y / ranks)
+        # Only the owners of a vertex block hold its state (1D's charge).
+        self.statistics_compute = self.per_rank(self.owner_x) + self.per_rank(self.owner_y)
+        self.rebuild_compute = self.per_rank(self.owner_y)
         # Grid row i's broadcasts leave from the owner of X-block i.
         self.row_root = np.array([grid.rank_of(i, i % grid.cols) for i in range(grid.rows)])
         self.bitmap_compute = np.full(ranks, graph.n_x / (64.0 * grid.cols))

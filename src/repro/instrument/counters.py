@@ -23,6 +23,10 @@ class Counters:
     """Mutable counter set shared by all matching algorithms."""
 
     edges_traversed: int = 0
+    """Adjacency entries the run actually read. Two runs that build the
+    same forest from different sides (the numpy engine's frontier-side
+    first bottom-up level against Algorithm 6's row scan) report
+    different counts."""
     phases: int = 0
     augmentations: int = 0
     total_augmenting_path_length: int = 0

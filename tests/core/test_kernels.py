@@ -1,13 +1,22 @@
 """Unit tests of the vectorized level kernels."""
 
+import copy
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from tests.core.test_engine_loop_parity import GRAPHS as PARITY_GRAPHS
+
 from repro.core import kernels
+from repro.core.engine_numpy import run_numpy
 from repro.core.forest import ForestState
+from repro.core.options import GraftOptions
 from repro.graph.builder import from_edges
-from repro.graph.generators import complete_bipartite, random_bipartite
+from repro.graph.generators import complete_bipartite, random_bipartite, rmat_bipartite
 from repro.matching.base import Matching
+from repro.matching.greedy import greedy_matching
+from repro.matching.karp_sipser import karp_sipser
 
 
 def fresh(graph, matching=None):
@@ -117,6 +126,101 @@ class TestBottomUp:
         state, matching, _ = fresh(g)
         stats = kernels.bottomup_level(g, state, matching, np.empty(0, dtype=np.int64))
         assert stats.edges == 0
+
+
+class TestBottomUpFromFrontier:
+    """At a fresh phase the frontier is the ascending seed list and the whole
+    active set, so the frontier-side sweep must leave exactly the forest,
+    bookkeeping and next frontier of Algorithm 6's row scan."""
+
+    FOREST = (
+        "visited", "parent", "root_x", "root_y", "leaf", "candidates_y", "seeds_x",
+        "num_unvisited_y", "num_candidates", "unvisited_deg", "last_scan_cost",
+    )
+
+    @staticmethod
+    def _fresh_state(g, matching):
+        state = ForestState.for_graph(g)
+        state.attach_degrees(g.deg_y)
+        return state, kernels.rebuild_from_unmatched(state, matching)
+
+    @staticmethod
+    def _rebuilt_state(g, matching):
+        # One phase with the grafting=False flow: grow, augment, partition,
+        # destroy the active trees and re-root every unmatched X.
+        state, frontier = TestBottomUpFromFrontier._fresh_state(g, matching)
+        while frontier.size:
+            frontier = kernels.topdown_level(g, state, matching, frontier).next_frontier
+        kernels.augment_all(state, matching)
+        gstats = kernels.graft_partition(state, tracked=True)
+        kernels.reset_rows(state, gstats.active_y)
+        return state, kernels.rebuild_from_unmatched(state, matching)
+
+    def _assert_same_level(self, g, matching, state, frontier):
+        assert frontier.size
+        scan_state, sweep_state = state, copy.deepcopy(state)
+        scan = kernels.bottomup_level(
+            g, scan_state, matching, scan_state.unvisited_candidates()
+        )
+        sweep = kernels.bottomup_from_frontier(g, sweep_state, matching, frontier)
+        assert scan.claims > 0
+        for name in self.FOREST:
+            np.testing.assert_array_equal(
+                getattr(sweep_state, name), getattr(scan_state, name), err_msg=name
+            )
+        for name in ("tree_x_parts", "tree_y_parts"):
+            got, want = getattr(sweep_state, name), getattr(scan_state, name)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b, err_msg=name)
+        np.testing.assert_array_equal(sweep.next_frontier, scan.next_frontier)
+        assert (sweep.claims, sweep.endpoints) == (scan.claims, scan.endpoints)
+        # Each side reads what it reads: the frontier's full rows here.
+        assert sweep.edges == int(g.deg_x[frontier].sum())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_phase_one_start(self, seed):
+        g = rmat_bipartite(9, edge_factor=8, seed=seed)
+        matching = karp_sipser(g).matching
+        state, frontier = self._fresh_state(g, matching)
+        self._assert_same_level(g, matching, state, frontier)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_after_rebuild(self, seed):
+        g = rmat_bipartite(9, edge_factor=8, seed=seed)
+        matching = greedy_matching(g, shuffle=True, seed=seed).matching
+        state, frontier = self._rebuilt_state(g, matching)
+        # Recycled rows were appended: the row scan's order is not ascending,
+        # so the sweep's reordering is what keeps the two identical.
+        cand = state.unvisited_candidates()
+        assert np.any(np.diff(cand) < 0)
+        self._assert_same_level(g, matching, state, frontier)
+
+    @pytest.mark.parametrize("rebuilt", [False, True])
+    def test_isolated_parity_graph(self, rebuilt):
+        g, _ = PARITY_GRAPHS["isolated"]()
+        matching = Matching.empty(g.n_x, g.n_y)
+        make = self._rebuilt_state if rebuilt else self._fresh_state
+        state, frontier = make(g, matching)
+        self._assert_same_level(g, matching, state, frontier)
+
+    def test_untraced_engine_reads_fewer_edges_for_the_same_run(self):
+        # A traced run keeps the row scan (the simulated machine models
+        # Algorithm 6); an untraced one takes the sweep on the first level.
+        g = rmat_bipartite(10, edge_factor=8, seed=0)
+        initial = karp_sipser(g).matching
+        runs = [
+            run_numpy(g, initial, GraftOptions(emit_trace=trace, record_frontiers=True))
+            for trace in (True, False)
+        ]
+        traced, untraced = runs
+        assert traced.counters.bottomup_steps > 0
+        np.testing.assert_array_equal(traced.matching.mate_x, untraced.matching.mate_x)
+        np.testing.assert_array_equal(traced.matching.cover_y, untraced.matching.cover_y)
+        assert traced.frontier_log.phases == untraced.frontier_log.phases
+        a, b = asdict(traced.counters), asdict(untraced.counters)
+        assert b.pop("edges_traversed") < a.pop("edges_traversed")
+        assert a == b
 
 
 class TestAugmentAll:

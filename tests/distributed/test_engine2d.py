@@ -114,6 +114,29 @@ class TestCommunicationScoping:
         assert "statistics" in labels
 
 
+@pytest.mark.parametrize("shape", [(2, 5), (1, 3), (3, 3)])
+def test_statistics_and_rebuild_charge_the_owned_blocks(shape):
+    # Vertex state lives only on the owner of each X-block (grid diagonal of
+    # its row) and each Y-block, so the slowest rank in the statistics sweep
+    # holds the largest owned |X| + |Y|, and in a rebuild the largest owned |Y|.
+    graph = surplus_core_bipartite(500, 300, seed=7)
+    grid = Grid2D(graph, *shape)
+    owned_x = np.zeros(grid.ranks)
+    owned_y = np.zeros(grid.ranks)
+    for i in range(grid.rows):
+        lo, hi = grid.x_range(i)
+        owned_x[grid.rank_of(i, i % grid.cols)] += hi - lo
+    for j in range(grid.cols):
+        lo, hi = grid.y_range(j)
+        owned_y[grid.rank_of(j % grid.rows, j)] += hi - lo
+    options = GraftOptions(grafting=False)
+    result = distributed_ms_bfs_graft_2d(graph, grid=grid, options=options)
+    steps = {s.label: s for s in result.log.steps}
+    assert steps["statistics"].compute.max() == (owned_x + owned_y).max()
+    assert steps["rebuild"].compute.max() == owned_y.max()
+    assert steps["statistics"].compute.sum() == graph.n_x + graph.n_y
+
+
 @pytest.mark.parametrize(
     "engine", [distributed_ms_bfs_graft, distributed_ms_bfs_graft_2d]
 )
