@@ -16,16 +16,18 @@ import json
 from pathlib import Path
 from typing import Any, Mapping, Union
 
-BUILDER_VERSION = 1
+BUILDER_VERSION = 2
 """Version of the graph-preparation pipeline baked into every key.
 
 Bump when the prepared representation changes (CSR layout, degree arrays,
-warm-start semantics) so previously cached entries are never reused. The
-cached ``ks_<seed>.npz`` warm starts are
+warm-start semantics or file format) so previously cached entries are never
+reused. The cached ``ks_<seed>.npy`` warm starts are
 :func:`repro.matching.karp_sipser_parallel.suite_warm_start` matchings;
 ``tests/integration/test_golden_regression.py`` pins one by SHA-256, so a
-change that moves them fails there before it can serve stale entries. The
-push/pull degree upkeep left them bit-identical, so the version stayed 1.
+change that moves them fails there before it can serve stale entries.
+Version 2 stores them as one raw ``int64`` array of ``mate_x ++ mate_y``
+instead of a compressed ``ks_<seed>.npz``, so no reader of the old files
+is kept.
 """
 
 _CHUNK = 1 << 20

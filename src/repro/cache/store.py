@@ -6,17 +6,23 @@ Layout (one directory per entry, fanned out by key prefix)::
     <root>/<key[:2]>/<key>/meta.json       provenance + per-file checksums
     <root>/<key[:2]>/<key>/x_ptr.npy       CSR + degree arrays (one file
     <root>/<key[:2]>/<key>/...             each, so loads memory-map)
-    <root>/<key[:2]>/<key>/ks_<seed>.npz   Karp-Sipser warm start per seed
+    <root>/<key[:2]>/<key>/ks_<seed>.npy   Karp-Sipser warm start per seed
+                                           (one int64 array, mate_x ++ mate_y)
 
 Design points:
 
-* **Memory-mapped loads.** Every array is its own ``.npy``, opened with
-  ``np.load(..., mmap_mode="r")``; a warm ``run`` touches only the pages
-  the traversal actually reads. Load-time integrity checks are therefore
-  *structural* (header fields, file sizes, shapes) — full SHA-256
-  verification would read every byte and defeat the mapping, so it lives
-  in the explicit :meth:`GraphCache.verify` pass (``repro-match cache
-  verify``).
+* **Memory-mapped loads.** Every graph array is its own ``.npy``, opened
+  with ``np.load(..., mmap_mode="r")``; a warm ``run`` touches only the
+  pages the traversal actually reads. Load-time integrity checks are
+  therefore *structural* (header fields, file sizes, shapes) — full
+  SHA-256 verification would read every byte and defeat the mapping, so
+  it lives in the explicit :meth:`GraphCache.verify` pass (``repro-match
+  cache verify``).
+* **Raw warm starts.** ``ks_<seed>.npy`` is read whole into a fresh
+  writable array (the engines flip mates in place) and served only if its
+  shape fits and its mates are consistent; anything else is recomputed.
+  Whether its pairs are graph edges is left to the caller's certificate
+  and to :meth:`GraphCache.verify`, which checks every warm start.
 * **Atomicity.** Entries are built in a temp directory and ``os.replace``d
   into place; the index is rewritten via temp file + rename. A crash
   leaves either the old state or the new one, never a torn entry.
@@ -24,7 +30,8 @@ Design points:
   entry and reports a miss; the caller rebuilds from source and re-stores.
 * **LRU cap.** ``max_bytes`` bounds the store; every hit or store bumps
   the entry's monotonic ``seq`` and eviction removes lowest-``seq``
-  entries until the total fits.
+  entries until the total fits. A hit on the entry that already holds the
+  top ``seq`` changes nothing, so it does not rewrite ``index.json``.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from repro.errors import CacheCorruptionError
 from repro.graph.csr import BipartiteCSR
 from repro.graph.readers import read_graph_file, resolve_format
 from repro.matching.base import Matching
+from repro.matching.verify import is_valid_matching
 
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 _INDEX_VERSION = 1
@@ -130,25 +138,21 @@ class GraphCache:
         """Karp-Sipser warm start for ``prepared``, cached per seed.
 
         Loaded matchings are fresh writable arrays (the engines flip them
-        in place), so sharing an entry across runs is safe.
+        in place), so sharing an entry across runs is safe. A file that
+        does not load, does not fit the graph or holds inconsistent mates
+        is recomputed and rewritten.
         """
-        from repro.graph.serialize import load_matching, save_matching
-
+        graph = prepared.graph
         if prepared.entry_dir is None or not prepared.entry_dir.is_dir():
-            return warm_start_matching(prepared.graph, seed)
-        path = prepared.entry_dir / f"ks_{int(seed)}.npz"
+            return warm_start_matching(graph, seed)
+        path = prepared.entry_dir / f"ks_{int(seed)}.npy"
         if path.is_file():
             try:
-                matching = load_matching(path)
-                if (
-                    matching.mate_x.shape[0] == prepared.graph.n_x
-                    and matching.mate_y.shape[0] == prepared.graph.n_y
-                ):
-                    return matching
-            except Exception:  # noqa: BLE001 - corrupt warm start → rebuild it
-                pass
-        matching = warm_start_matching(prepared.graph, seed)
-        save_matching(matching, path)
+                return _read_warm_start(path, graph.n_x, graph.n_y)
+            except CacheCorruptionError:
+                pass  # corrupt warm start: rebuild it
+        matching = warm_start_matching(graph, seed)
+        _write_warm_start(path, matching)
         self._touch(prepared.key, bytes_delta=self._entry_bytes(prepared.entry_dir), absolute=True)
         self._evict(protect={prepared.key})
         return matching
@@ -178,7 +182,7 @@ class GraphCache:
                     nnz=meta.get("nnz"),
                     warm_seeds=sorted(
                         int(p.stem.split("_", 1)[1])
-                        for p in self._entry_dir(key).glob("ks_*.npz")
+                        for p in self._entry_dir(key).glob("ks_*.npy")
                     ),
                 )
             except CacheCorruptionError as exc:
@@ -196,11 +200,13 @@ class GraphCache:
         return count
 
     def verify(self) -> list[tuple[str, str]]:
-        """Full integrity pass: SHA-256 every array file against meta.json.
+        """Full integrity pass over every entry.
 
-        Returns ``(key, problem)`` pairs; an empty list means the store is
-        bit-for-bit intact. This is the deep counterpart of the structural
-        checks lookups perform.
+        SHA-256 of every array file against meta.json, then every cached
+        warm start: it must load, fit the entry's shape, and be a
+        consistent, valid matching of the entry's graph. Returns ``(key,
+        problem)`` pairs; an empty list means the store is intact. This is
+        the deep counterpart of the structural checks lookups perform.
         """
         problems: list[tuple[str, str]] = []
         index = self._load_index()
@@ -218,9 +224,30 @@ class GraphCache:
                             f"{name}.npy checksum mismatch "
                             f"(stored {info['sha256'][:12]}, actual {digest[:12]})"
                         )
+                self._verify_warm_starts(entry, meta)
             except CacheCorruptionError as exc:
                 problems.append((key, str(exc)))
         return problems
+
+    @staticmethod
+    def _verify_warm_starts(entry: Path, meta: dict) -> None:
+        """Raise :class:`CacheCorruptionError` unless every ``ks_<seed>.npy``
+        of the (checksummed) entry is a valid matching of its graph."""
+        paths = sorted(entry.glob("ks_*.npy"))
+        if not paths:
+            return
+        n_x, n_y = int(meta["n_x"]), int(meta["n_y"])
+        try:
+            csr = [np.load(entry / f"{name}.npy", mmap_mode="r", allow_pickle=False)
+                   for name in ("x_ptr", "x_adj", "y_ptr", "y_adj")]
+        except Exception as exc:  # noqa: BLE001 - bad npy header
+            raise CacheCorruptionError(f"graph arrays unreadable: {exc}") from exc
+        graph = BipartiteCSR(n_x, n_y, *csr, validate=False)
+        for path in paths:
+            if not is_valid_matching(graph, _read_warm_start(path, n_x, n_y)):
+                raise CacheCorruptionError(
+                    f"{path.name} is not a valid matching of the entry's graph"
+                )
 
     # ------------------------------------------------------------------ #
     # core prepare path
@@ -317,7 +344,7 @@ class GraphCache:
             source=str(meta.get("source", "")),
             entry_dir=entry,
             warm_seeds=tuple(
-                sorted(int(p.stem.split("_", 1)[1]) for p in entry.glob("ks_*.npz"))
+                sorted(int(p.stem.split("_", 1)[1]) for p in entry.glob("ks_*.npy"))
             ),
         )
 
@@ -450,9 +477,21 @@ class GraphCache:
     def _touch(
         self, key: str, *, bytes_delta: Optional[int] = None, absolute: bool = False
     ) -> None:
-        """Bump ``key`` to most-recently-used; optionally set its size."""
+        """Bump ``key`` to most-recently-used; optionally set its size.
+
+        A key that already holds the top ``seq`` is most recently used, so a
+        plain touch of it leaves ``index.json`` as it is (the repeat-hit case
+        of a warm loop); the LRU order is the same either way.
+        """
         index = self._load_index()
-        info = index["entries"].setdefault(key, {"bytes": 0, "seq": 0})
+        entries = index["entries"]
+        if (
+            bytes_delta is None
+            and key in entries
+            and int(entries[key]["seq"]) == int(index["next_seq"]) - 1
+        ):
+            return
+        info = entries.setdefault(key, {"bytes": 0, "seq": 0})
         if bytes_delta is not None:
             info["bytes"] = int(bytes_delta) if absolute else info["bytes"] + int(bytes_delta)
         info["seq"] = int(index["next_seq"])
@@ -493,3 +532,37 @@ class GraphCache:
         if key in index["entries"]:
             del index["entries"][key]
             self._save_index(index)
+
+
+def _read_warm_start(path: Path, n_x: int, n_y: int) -> Matching:
+    """The warm start stored at ``path`` for an ``n_x`` by ``n_y`` graph.
+
+    Raises :class:`CacheCorruptionError` unless the file loads as one
+    ``int64`` array of ``mate_x ++ mate_y`` and the mates are consistent.
+    The load is a plain read, not a memory map: the engines flip the mates
+    in place.
+    """
+    try:
+        mates = np.load(path, allow_pickle=False)
+    except Exception as exc:  # noqa: BLE001 - bad npy header or body
+        raise CacheCorruptionError(f"{path.name} unreadable: {exc}") from exc
+    if mates.dtype != np.int64 or mates.shape != (n_x + n_y,):
+        raise CacheCorruptionError(
+            f"{path.name} does not fit the graph ({mates.dtype}{list(mates.shape)}, "
+            f"expected int64[{n_x + n_y}])"
+        )
+    matching = Matching(n_x, n_y, mates[:n_x], mates[n_x:])
+    if not matching.is_consistent():
+        raise CacheCorruptionError(f"{path.name} holds inconsistent mates")
+    return matching
+
+
+def _write_warm_start(path: Path, matching: Matching) -> None:
+    """Write ``mate_x ++ mate_y`` to ``path``; temp file + rename, so atomic."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.save(fh, np.concatenate([matching.mate_x, matching.mate_y]))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

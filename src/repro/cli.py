@@ -527,7 +527,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         removed = cache.clear()
         print(f"removed {removed} entr{'y' if removed == 1 else 'ies'} from {cache.root}")
         return 0
-    # verify: deep checksum pass
+    # verify: deep checksum and warm-start pass
     problems = cache.verify()
     checked = len(cache.entries())
     for key, problem in problems:
@@ -536,7 +536,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"{len(problems)}/{checked} entries corrupt", file=sys.stderr)
         return 1
     print(f"verified {checked} entr{'y' if checked == 1 else 'ies'}: "
-          f"all checksums match")
+          f"all checksums match, all warm starts valid")
     return 0
 
 
@@ -924,7 +924,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="delete every cache entry")
     cache_sub.add_parser(
         "verify", parents=[cache_common],
-        help="deep integrity pass: SHA-256 every stored array against meta.json",
+        help="deep integrity pass: SHA-256 every stored array against meta.json, "
+             "then check every cached warm start against its graph",
     )
     p_cache.set_defaults(fn=_cmd_cache)
 

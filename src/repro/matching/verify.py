@@ -1,8 +1,9 @@
 """Matching verification: validity, maximality, and maximum certificates.
 
 ``verify_maximum`` certifies optimality without trusting any matching
-algorithm. It starts with one validity pass: array checks on the mate arrays,
-and one ``searchsorted`` of the matched pairs over the sorted CSR edge keys.
+algorithm, and without building the edge list. It starts with one validity
+pass: array checks on the mate arrays, then one ``np.repeat(mate_x, deg_x) ==
+x_adj`` comparison that marks each matched pair found in its own X row.
 Maximality then has two paths.
 
 * **Supplied cover.** A matching may carry ``cover_y``, a boolean mask over
@@ -10,18 +11,30 @@ Maximality then has two paths.
   checker completes it with ``cover_x``, the matched X whose mate is not in
   ``cover_y``. If every cover-Y is matched, each matched edge then has exactly
   one endpoint in ``C = cover_x | cover_y``, so ``|C| = |M|``. If ``C`` also
-  covers every edge, no matching is larger than ``|M|`` (König's theorem):
-  one O(nnz) pass over the edge list certifies the matching.
+  covers every edge, no matching is larger than ``|M|`` (König's theorem).
+  Rows in ``cover_x`` are covered whole, so only the entries of the other
+  rows are looked up in ``cover_y``: at most one O(nnz) pass.
 * **Sweep.** Without a cover, or when the supplied one fails any check, one
   alternating reachability runs: a level-synchronous frontier sweep from the
   free X vertices (:func:`alternating_reach`). By Berge's theorem the
   matching is maximum iff it reaches no free Y vertex. The König cover of
-  the reached sets is then checked against the edge list, not the sweep.
+  the reached sets is then checked against the CSR rows, not the sweep.
+
+What the checks assume of the graph. Its edges are the entries of the X-side
+rows ``x_ptr``/``x_adj``; the Y side is not read. ``x_ptr`` must partition
+``x_adj`` (checked: it starts at 0, never decreases and ends at ``nnz``), and
+every entry must be a Y index in ``[0, n_y)`` (not checked). Rows need *not*
+be sorted or free of duplicates: cache hits build the CSR with
+``validate=False``, so nothing here rests on either. Validity asks that each
+matched X's own row hold its mate at least once; it never counts hits, since
+a duplicate entry in one row could then make up for a missing pair in another.
+The cover check reads every entry of every row it needs, whatever the order,
+so a duplicate entry is only checked twice.
 
 Soundness never rests on where a cover came from: a wrong or stale cover
 only costs the sweep. ``koenig_vertex_cover`` and ``hall_violator`` always
-sweep; the Hall witness additionally checks its ``N(S)`` against the edge
-list. Nothing here is shared with the engines it certifies, and lint rule
+sweep; the Hall witness additionally takes its ``N(S)`` from the rows of
+``S``. Nothing here is shared with the engines it certifies, and lint rule
 REP009 keeps this module free of imports from ``repro.core``,
 ``repro.parallel`` and ``repro.distributed``.
 """
@@ -36,7 +49,6 @@ from repro.errors import VerificationError
 from repro.graph.csr import BipartiteCSR
 from repro.matching.base import UNMATCHED, Matching
 
-Edges = Tuple[np.ndarray, np.ndarray]
 Reach = Tuple[np.ndarray, np.ndarray, bool]
 
 
@@ -74,7 +86,16 @@ def alternating_reach(
     return reach_src, reach_dst, found
 
 
-def _invalidity(graph: BipartiteCSR, matching: Matching, edges: Edges) -> Optional[str]:
+def _row_lengths(graph: BipartiteCSR) -> Optional[np.ndarray]:
+    """Lengths of the X rows, or ``None`` if ``x_ptr`` does not partition ``x_adj``."""
+    ptr = graph.x_ptr
+    if ptr.shape != (graph.n_x + 1,) or ptr[0] != 0 or ptr[-1] != graph.x_adj.shape[0]:
+        return None
+    deg = np.diff(ptr)
+    return deg if not np.any(deg < 0) else None
+
+
+def _invalidity(graph: BipartiteCSR, matching: Matching) -> Optional[str]:
     """Why ``matching`` is not a matching of ``graph``, or ``None`` if it is."""
     if (matching.n_x, matching.n_y, matching.mate_x.shape, matching.mate_y.shape) != (
         graph.n_x, graph.n_y, (graph.n_x,), (graph.n_y,)
@@ -82,33 +103,35 @@ def _invalidity(graph: BipartiteCSR, matching: Matching, edges: Edges) -> Option
         return "mate arrays do not fit the graph"
     if not matching.is_consistent():
         return "mate arrays are out of range or not mutual inverses"
-    xs = np.flatnonzero(matching.mate_x != UNMATCHED)
-    keys = edges[0] * graph.n_y + edges[1]  # strictly increasing in CSR order
-    wanted = xs * graph.n_y + matching.mate_x[xs]
-    pos = np.searchsorted(keys, wanted)
-    if np.any(pos >= keys.shape[0]) or not np.array_equal(keys[pos], wanted):
+    deg = _row_lengths(graph)
+    if deg is None:
+        return "x_ptr is not a row pointer over x_adj"
+    # An entry "hits" when it equals its own row's mate. A hit y in row x
+    # means mate_x[x] == y, so x == mate_y[y] (the mates are consistent):
+    # marking y marks the pair (mate_y[y], y) as found in its own row. Every
+    # matched y must be marked. Counting hits instead would let a duplicate
+    # entry in one row stand in for a missing pair in another.
+    hit = graph.x_adj[np.flatnonzero(np.repeat(matching.mate_x, deg) == graph.x_adj)]
+    found = np.zeros(graph.n_y, dtype=bool)
+    found[hit[hit != UNMATCHED]] = True  # an UNMATCHED entry hits only an unmatched row
+    if np.any((matching.mate_y != UNMATCHED) & ~found):
         return "a matched pair is not a graph edge"
     return None
 
 
-def _valid_edges(graph: BipartiteCSR, matching: Matching) -> Edges:
-    """The edge list, after one validity check of ``matching`` against it."""
-    edges = graph.edge_arrays()
-    problem = _invalidity(graph, matching, edges)
+def _assert_valid(graph: BipartiteCSR, matching: Matching) -> None:
+    problem = _invalidity(graph, matching)
     if problem is not None:
         raise VerificationError(f"matching is structurally invalid for this graph: {problem}")
-    return edges
 
 
-def _certify(graph: BipartiteCSR, matching: Matching) -> Tuple[Edges, Reach]:
-    """The shared pass: ``(edges, reach)`` after one validity check and one sweep."""
-    edges = _valid_edges(graph, matching)
-    return edges, alternating_reach(graph.x_ptr, graph.x_adj, matching.mate_x, matching.mate_y)
+def _certify(graph: BipartiteCSR, matching: Matching) -> Reach:
+    """The shared pass: one validity check, then one sweep."""
+    _assert_valid(graph, matching)
+    return alternating_reach(graph.x_ptr, graph.x_adj, matching.mate_x, matching.mate_y)
 
 
-def _cover_x(
-    graph: BipartiteCSR, matching: Matching, cover_y: object, edges: Edges
-) -> Optional[np.ndarray]:
+def _cover_x(graph: BipartiteCSR, matching: Matching, cover_y: object) -> Optional[np.ndarray]:
     """The X side completing the mask ``cover_y`` to a König cover of
     ``matching``, or ``None`` if it does not complete to one.
 
@@ -116,7 +139,9 @@ def _cover_x(
     mate is not in ``cover_y``. Once every cover-Y is matched, each matched
     edge contributes exactly one endpoint (its Y if that is in ``cover_y``,
     its X otherwise), so the cover has size ``|M|`` by construction; it
-    remains to check that it covers every edge.
+    remains to check that it covers every edge. Only the rows outside
+    ``cover_x`` need ``cover_y``: they are read alone when they hold under
+    half the entries, otherwise one pass reads every entry.
     """
     if not (
         isinstance(cover_y, np.ndarray)
@@ -128,32 +153,34 @@ def _cover_x(
         return None
     cover_x = matching.mate_x != UNMATCHED
     cover_x[matching.mate_y[cover_y]] = False
-    if not np.all(cover_x[edges[0]] | cover_y[edges[1]]):
-        return None
-    return cover_x
+    deg = np.diff(graph.x_ptr)
+    outside = np.flatnonzero(~cover_x)
+    if 2 * int(deg[outside].sum()) < graph.nnz:
+        covered = bool(np.all(cover_y[_rows(graph.x_ptr, graph.x_adj, outside)]))
+    else:
+        covered = bool(np.all(np.repeat(cover_x, deg) | cover_y[graph.x_adj]))
+    return cover_x if covered else None
 
 
 def _koenig_cover(
-    graph: BipartiteCSR, matching: Matching, edges: Edges, reach: Reach
+    graph: BipartiteCSR, matching: Matching, reach: Reach
 ) -> Tuple[np.ndarray, np.ndarray]:
     _, reach_y, found = reach
     if found:
         raise VerificationError("König cover requested for a non-maximum matching")
-    cover_x = _cover_x(graph, matching, reach_y, edges)
+    cover_x = _cover_x(graph, matching, reach_y)
     if cover_x is None:
         raise VerificationError("König construction failed to cover all edges")
     return np.flatnonzero(cover_x), np.flatnonzero(reach_y)
 
 
-def _hall_witness(
-    graph: BipartiteCSR, matching: Matching, edges: Edges, reach: Reach
-) -> np.ndarray:
+def _hall_witness(graph: BipartiteCSR, matching: Matching, reach: Reach) -> np.ndarray:
     reach_x, reach_y, found = reach
     if found:
         raise VerificationError("Hall violator requested for a non-maximum matching")
-    # N(S) from the edge list, independently of the sweep.
+    # N(S) from the rows of S, independently of the sweep.
     neighborhood = np.zeros(graph.n_y, dtype=bool)
-    neighborhood[edges[1][reach_x[edges[0]]]] = True
+    neighborhood[_rows(graph.x_ptr, graph.x_adj, np.flatnonzero(reach_x))] = True
     if not np.array_equal(neighborhood, reach_y):
         raise VerificationError("alternating reachability produced an inconsistent N(S)")
     deficiency = int(np.count_nonzero(reach_x)) - int(np.count_nonzero(neighborhood))
@@ -167,7 +194,7 @@ def _hall_witness(
 
 def is_valid_matching(graph: BipartiteCSR, matching: Matching) -> bool:
     """Mate arrays are mutually consistent and every pair is a graph edge."""
-    return _invalidity(graph, matching, graph.edge_arrays()) is None
+    return _invalidity(graph, matching) is None
 
 
 def assert_valid_matching(graph: BipartiteCSR, matching: Matching) -> None:
@@ -181,7 +208,7 @@ def alternating_certificate(graph: BipartiteCSR, matching: Matching) -> Reach:
 
     Raises :class:`VerificationError` if the matching is invalid.
     """
-    return _certify(graph, matching)[1]
+    return _certify(graph, matching)
 
 
 def is_maximal_matching(graph: BipartiteCSR, matching: Matching) -> bool:
@@ -208,7 +235,7 @@ def koenig_vertex_cover(
     :class:`VerificationError` if the input matching is invalid or not
     maximum (the construction then fails to cover, which we detect).
     """
-    return _koenig_cover(graph, matching, *_certify(graph, matching))
+    return _koenig_cover(graph, matching, _certify(graph, matching))
 
 
 def hall_violator(graph: BipartiteCSR, matching: Matching) -> np.ndarray:
@@ -222,7 +249,7 @@ def hall_violator(graph: BipartiteCSR, matching: Matching) -> np.ndarray:
     self-checks the defect identity; raises
     :class:`~repro.errors.VerificationError` for invalid or non-maximum input.
     """
-    return _hall_witness(graph, matching, *_certify(graph, matching))
+    return _hall_witness(graph, matching, _certify(graph, matching))
 
 
 def verify_maximum(graph: BipartiteCSR, matching: Matching) -> int:
@@ -233,11 +260,11 @@ def verify_maximum(graph: BipartiteCSR, matching: Matching) -> int:
     the reached Y of an alternating sweep that must find no augmenting path.
     Raises :class:`VerificationError` on any failure.
     """
-    edges = _valid_edges(graph, matching)
-    if _cover_x(graph, matching, matching.cover_y, edges) is not None:
+    _assert_valid(graph, matching)
+    if _cover_x(graph, matching, matching.cover_y) is not None:
         return matching.cardinality
     reach = alternating_reach(graph.x_ptr, graph.x_adj, matching.mate_x, matching.mate_y)
     if reach[2]:
         raise VerificationError("matching admits an augmenting path (not maximum)")
-    _koenig_cover(graph, matching, edges, reach)
+    _koenig_cover(graph, matching, reach)
     return matching.cardinality

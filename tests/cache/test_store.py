@@ -137,6 +137,46 @@ class TestCorruption:
         assert key == cold.key and "x_adj" in problem
 
 
+class TestDeepVerifyWarmStarts:
+    """``verify()`` checks each cached warm start against the entry's graph."""
+
+    def _entry_with_warm_start(self, cache):
+        prepared = cache.prepare_spec("test", "g", {}, _builder(40, 14))
+        good = cache.warm_start(prepared, 0)
+        assert cache.verify() == []
+        return prepared, good, prepared.entry_dir / "ks_0.npy"
+
+    def test_flipped_mate_x_entry_reported(self, cache):
+        prepared, good, path = self._entry_with_warm_start(cache)
+        mates = np.load(path)
+        x = int(np.flatnonzero(good.mate_x != -1)[0])
+        mates[x] = -1  # x forgets its mate, its mate still points back
+        np.save(path, mates)
+        (key, problem), = cache.verify()
+        assert key == prepared.key and "ks_0.npy" in problem
+
+    def test_consistent_non_edge_pair_reported(self, cache):
+        prepared, good, path = self._entry_with_warm_start(cache)
+        graph = prepared.graph
+        x, y = next(
+            (x, y) for x in np.flatnonzero(good.mate_x != -1)
+            for y in np.flatnonzero(good.mate_y == -1) if not graph.has_edge(int(x), int(y))
+        )
+        forged = good.copy()
+        forged.mate_y[forged.mate_x[x]] = -1
+        forged.mate_x[x], forged.mate_y[y] = y, x
+        assert forged.is_consistent()
+        np.save(path, np.concatenate([forged.mate_x, forged.mate_y]))
+        (key, problem), = cache.verify()
+        assert key == prepared.key and "not a valid matching" in problem
+
+    def test_truncated_warm_start_reported(self, cache):
+        prepared, _, path = self._entry_with_warm_start(cache)
+        path.write_bytes(path.read_bytes()[:-8])
+        (key, problem), = cache.verify()
+        assert key == prepared.key and "ks_0.npy" in problem
+
+
 class TestEviction:
     def test_lru_evicts_oldest_under_cap(self, tmp_path):
         probe = GraphCache(tmp_path / "probe")
@@ -164,6 +204,25 @@ class TestEviction:
         cache.prepare_spec("test", "g2", {}, _builder(60, 2))
         held = {e["key"] for e in cache.entries()}
         assert k0 in held, "a freshly hit entry must not be the victim"
+
+    def test_repeat_hit_leaves_index_untouched(self, cache):
+        cache.prepare_spec("test", "g0", {}, _builder(30, 0))
+        cache.prepare_spec("test", "g1", {}, _builder(30, 1))
+        index = cache.root / "index.json"
+        before, inode = index.read_bytes(), index.stat().st_ino
+        for _ in range(3):
+            assert cache.prepare_spec("test", "g1", {}, _builder(30, 1)).from_cache
+        assert index.read_bytes() == before
+        assert index.stat().st_ino == inode, "index.json was rewritten"
+
+    def test_hit_on_older_entry_still_bumps_it(self, cache):
+        k0 = cache.prepare_spec("test", "g0", {}, _builder(60, 0)).key
+        k1 = cache.prepare_spec("test", "g1", {}, _builder(60, 1)).key
+        assert cache.prepare_spec("test", "g0", {}, _builder(60, 0)).from_cache
+        assert [e["key"] for e in cache.entries()] == [k1, k0]
+        cache.max_bytes = cache.total_bytes - 1
+        assert cache._evict() == [k1]
+        assert [e["key"] for e in cache.entries()] == [k0]
 
     def test_oversized_graph_served_without_store(self, tmp_path):
         cache = GraphCache(tmp_path / "store", max_bytes=64)
@@ -216,11 +275,51 @@ class TestWarmStart:
     def test_corrupt_warm_start_rebuilt(self, cache):
         prepared = cache.prepare_spec("test", "g", {}, _builder(40, 12))
         cache.warm_start(prepared, 0)
-        path = prepared.entry_dir / "ks_0.npz"
+        path = prepared.entry_dir / "ks_0.npy"
         path.write_bytes(b"junk")
         got = cache.warm_start(prepared, 0)
         want = warm_start_matching(prepared.graph, 0)
         np.testing.assert_array_equal(got.mate_x, want.mate_x)
+        self._assert_rewritten(path, want)
+
+    @staticmethod
+    def _assert_rewritten(path, want):
+        stored = np.load(path)
+        assert stored.dtype == np.int64
+        np.testing.assert_array_equal(stored, np.concatenate([want.mate_x, want.mate_y]))
+
+    def _recomputed(self, cache, prepared, stored):
+        path = prepared.entry_dir / "ks_0.npy"
+        np.save(path, stored)
+        got = cache.warm_start(prepared, 0)
+        want = warm_start_matching(prepared.graph, 0)
+        assert got == want
+        self._assert_rewritten(path, want)
+
+    @pytest.mark.parametrize("reshape", [
+        lambda mates: mates[:-1],
+        lambda mates: np.concatenate([mates, [-1]]),
+        lambda mates: mates.reshape(2, -1),
+        lambda mates: mates.astype(np.int32),
+    ])
+    def test_misfit_warm_start_recomputed(self, cache, reshape):
+        prepared = cache.prepare_spec("test", "g", {}, _builder(40, 12))
+        good = cache.warm_start(prepared, 0)
+        self._recomputed(cache, prepared, reshape(np.concatenate([good.mate_x, good.mate_y])))
+
+    def test_inconsistent_warm_start_recomputed(self, cache):
+        prepared = cache.prepare_spec("test", "g", {}, _builder(40, 12))
+        good = cache.warm_start(prepared, 0)
+        mates = np.concatenate([good.mate_x, good.mate_y])
+        x = int(np.flatnonzero(good.mate_x != -1)[0])
+        mates[x] = (mates[x] + 1) % prepared.graph.n_y  # its old mate still points to x
+        self._recomputed(cache, prepared, mates)
+
+    def test_warm_start_file_is_raw_mates(self, cache):
+        prepared = cache.prepare_spec("test", "g", {}, _builder(40, 12))
+        got = cache.warm_start(prepared, 0)
+        assert sorted(p.name for p in prepared.entry_dir.glob("ks_*")) == ["ks_0.npy"]
+        self._assert_rewritten(prepared.entry_dir / "ks_0.npy", got)
 
 
 class TestEntriesListing:

@@ -112,7 +112,7 @@ class TestBaselineGolden:
 
 class TestWarmStartGolden:
     def test_suite_initializer_matching_digest(self):
-        """The cache serves ``ks_<seed>.npz`` warm starts across versions
+        """The cache serves ``ks_<seed>.npy`` warm starts across versions
         while ``cache.keys.BUILDER_VERSION`` is unchanged, so the suite
         initialiser's matching must stay bit-identical; bump the version
         if these digests have to change."""

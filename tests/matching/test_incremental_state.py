@@ -172,8 +172,9 @@ TestIncrementalMachine = IncrementalMachine.TestCase
 GOLDEN_EDGE_LIST_SHA = (
     "7cfc06649f73d0262a7fd3d8df075e89867082dde6747457c263042c6c37f0be"
 )
+# The snapshot key hashes ``cache.keys.BUILDER_VERSION`` too (recorded at 2).
 GOLDEN_SNAPSHOT_KEY = (
-    "b91a9b8718bb42a074f694fe64be5a7a3cc823104b83285971a6f1512d0dd1f0"
+    "4b874b8ea46d4893d79847432cfa8c88d2aa627514cfb984df7d3c51ae1d4260"
 )
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from repro.errors import VerificationError
 from repro.graph.builder import from_edges
+from repro.graph.csr import BipartiteCSR
 from repro.graph.generators import chain_graph, complete_bipartite, random_bipartite
 from repro.matching.base import Matching
 from repro.matching.verify import (
@@ -267,3 +268,108 @@ class TestSuppliedCover:
         for density in (0.1, 0.5, 0.9):
             for _ in range(50):
                 self.rejects(graph, short, rng.random(graph.n_y) < density)
+
+    # Both graphs: a matching one short of maximum, and a claimed cover of
+    # size |M| that misses exactly one edge, on a row outside cover_x.
+    # "under": x0, x1 (outside cover_x) hold 3 of 13 entries, so only their
+    # rows are read; "over": every row but x4 is outside cover_x, so the
+    # check makes one pass over all entries.
+    MISSES_ONE_EDGE = {
+        "under": (
+            [[0], [0, 1], list(range(2, 13))], 13,
+            [(0, 0), (2, 2)], [0],
+        ),
+        "over": (
+            [[0], [1], [2], [3], [0, 1, 2, 3, 4], [0, 1, 2, 3], [0, 1, 2, 3]], 5,
+            [(0, 0), (1, 1), (2, 2), (3, 3)], [0, 1, 2, 3],
+        ),
+    }
+
+    @pytest.mark.parametrize("branch", sorted(MISSES_ONE_EDGE))
+    def test_cover_missing_one_edge_falls_back(self, branch, sweeps):
+        rows, n_y, pairs, cover = self.MISSES_ONE_EDGE[branch]
+        g = from_edges(len(rows), n_y, [(x, y) for x, r in enumerate(rows) for y in r])
+        m = Matching.from_pairs(g.n_x, n_y, pairs)
+        cover_y = np.isin(np.arange(n_y), cover)
+        assert len(_uncovered_edges(g, m, cover_y)) == 1
+        outside = (m.mate_x == -1) | np.isin(np.arange(g.n_x), m.mate_y[cover_y])
+        share = np.diff(g.x_ptr)[outside].sum() / g.nnz
+        assert (share < 0.5) == (branch == "under")
+        self.rejects(g, m, cover_y)
+        assert len(sweeps) == 1
+
+
+def _raw_csr(n_x, n_y, rows):
+    """A ``validate=False`` CSR with the X rows exactly as given (any order,
+    duplicates kept), as a cache hit builds it."""
+    x_ptr = np.cumsum([0] + [len(r) for r in rows])
+    x_adj = np.array([y for r in rows for y in r], dtype=np.int64)
+    cols = [[x for x, r in enumerate(rows) for y in r if y == col] for col in range(n_y)]
+    y_ptr = np.cumsum([0] + [len(c) for c in cols])
+    y_adj = np.array([x for c in cols for x in c], dtype=np.int64)
+    return BipartiteCSR(n_x, n_y, x_ptr, x_adj, y_ptr, y_adj, validate=False)
+
+
+def _engine_maximum(graph):
+    from repro.core.driver import ms_bfs_graft
+
+    return ms_bfs_graft(graph, emit_trace=False).matching
+
+
+def _uncovered_edges(graph, m, cover_y):
+    """Edges with neither endpoint in the completed cover, by brute force."""
+    cover_x = (m.mate_x != -1) & ~np.isin(np.arange(graph.n_x), m.mate_y[cover_y])
+    return [(x, y) for x, y in graph.edges() if not cover_x[x] and not cover_y[y]]
+
+
+class TestSoundness:
+    """Mutations the certificate must reject, whatever the CSR rows look like.
+
+    Validity marks each matched pair found in its own X row and never counts
+    hits, and the cover check reads every entry of the rows outside
+    ``cover_x`` (alone, or in one pass over all entries), so neither rests on
+    rows being ascending or free of duplicates.
+    """
+
+    def test_forged_pair_rejected(self):
+        g = random_bipartite(40, 40, 90, seed=3)
+        maximum = _engine_maximum(g)
+        x, y = maximum.pairs()[0]
+        free_y = [int(v) for v in maximum.unmatched_y() if not g.has_edge(x, int(v))]
+        forged = maximum.copy()  # keeps the engine's cover
+        forged.mate_y[y] = -1
+        forged.mate_x[x] = free_y[0]
+        forged.mate_y[free_y[0]] = x
+        assert forged.is_consistent() and forged.cardinality == maximum.cardinality
+        assert not is_valid_matching(g, forged)
+        with pytest.raises(VerificationError, match="not a graph edge"):
+            verify_maximum(g, forged)
+
+    def test_duplicate_entry_never_masks_a_forged_pair(self):
+        # x0's row holds y1 twice; x1's row is [y2]. Counting hits would see
+        # two for |M| = 2 and accept the forged pair (x1, y0).
+        g = _raw_csr(2, 3, [[1, 1], [2]])
+        m = Matching.from_pairs(2, 3, [(0, 1), (1, 0)])
+        assert not is_valid_matching(g, m)
+        for cover in (None, np.ones(3, dtype=bool), np.array([False, True, False])):
+            m.cover_y = cover
+            with pytest.raises(VerificationError, match="not a graph edge"):
+                verify_maximum(g, m)
+
+    def test_unsorted_rows_with_duplicates_certify(self):
+        g = random_bipartite(60, 50, 200, seed=8)
+        rows = [list(g.neighbors_x(x))[::-1] * 2 for x in range(g.n_x)]
+        raw = _raw_csr(g.n_x, g.n_y, rows)
+        maximum = _engine_maximum(g)
+        assert verify_maximum(raw, maximum) == maximum.cardinality
+        short = maximum.copy()
+        short.unmatch(maximum.pairs()[0][0])
+        short.cover_y = maximum.cover_y
+        with pytest.raises(VerificationError, match="augmenting path"):
+            verify_maximum(raw, short)
+
+    def test_row_pointer_must_partition_adjacency(self):
+        g = _raw_csr(2, 2, [[0], [1]])
+        bad = BipartiteCSR(2, 2, np.array([0, 1, 1]), g.x_adj, g.y_ptr, g.y_adj, validate=False)
+        with pytest.raises(VerificationError, match="row pointer"):
+            verify_maximum(bad, Matching.from_pairs(2, 2, [(0, 0)]))
