@@ -26,8 +26,8 @@ reused. The cached ``ks_<seed>.npy`` warm starts are
 ``tests/integration/test_golden_regression.py`` pins one by SHA-256, so a
 change that moves them fails there before it can serve stale entries.
 Version 2 stores them as one raw ``int64`` array of ``mate_x ++ mate_y``
-instead of a compressed ``ks_<seed>.npz``, so no reader of the old files
-is kept.
+and the CRC-32 of those mates, instead of a compressed ``ks_<seed>.npz``,
+so no reader of the old files is kept.
 """
 
 _CHUNK = 1 << 20

@@ -6,8 +6,8 @@ Layout (one directory per entry, fanned out by key prefix)::
     <root>/<key[:2]>/<key>/meta.json       provenance + per-file checksums
     <root>/<key[:2]>/<key>/x_ptr.npy       CSR + degree arrays (one file
     <root>/<key[:2]>/<key>/...             each, so loads memory-map)
-    <root>/<key[:2]>/<key>/ks_<seed>.npy   Karp-Sipser warm start per seed
-                                           (one int64 array, mate_x ++ mate_y)
+    <root>/<key[:2]>/<key>/ks_<seed>.npy   Karp-Sipser warm start per seed (one
+                                           int64 array, mate_x ++ mate_y ++ crc32)
 
 Design points:
 
@@ -20,9 +20,10 @@ Design points:
   cache verify``).
 * **Raw warm starts.** ``ks_<seed>.npy`` is read whole into a fresh
   writable array (the engines flip mates in place) and served only if its
-  shape fits and its mates are consistent; anything else is recomputed.
-  Whether its pairs are graph edges is left to the caller's certificate
-  and to :meth:`GraphCache.verify`, which checks every warm start.
+  shape fits, its trailing CRC-32 matches the mates and the mates are
+  consistent; anything else is recomputed. The CRC turns damage that kept
+  the shape into a miss too. :meth:`GraphCache.verify` also checks that
+  every warm start is a valid matching of its entry's graph.
 * **Atomicity.** Entries are built in a temp directory and ``os.replace``d
   into place; the index is rewritten via temp file + rename. A crash
   leaves either the old state or the new one, never a torn entry.
@@ -39,6 +40,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import zlib
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Union
 
@@ -236,15 +238,9 @@ class GraphCache:
         paths = sorted(entry.glob("ks_*.npy"))
         if not paths:
             return
-        n_x, n_y = int(meta["n_x"]), int(meta["n_y"])
-        try:
-            csr = [np.load(entry / f"{name}.npy", mmap_mode="r", allow_pickle=False)
-                   for name in ("x_ptr", "x_adj", "y_ptr", "y_adj")]
-        except Exception as exc:  # noqa: BLE001 - bad npy header
-            raise CacheCorruptionError(f"graph arrays unreadable: {exc}") from exc
-        graph = BipartiteCSR(n_x, n_y, *csr, validate=False)
+        graph = _read_graph(entry, meta)
         for path in paths:
-            if not is_valid_matching(graph, _read_warm_start(path, n_x, n_y)):
+            if not is_valid_matching(graph, _read_warm_start(path, graph.n_x, graph.n_y)):
                 raise CacheCorruptionError(
                     f"{path.name} is not a valid matching of the entry's graph"
                 )
@@ -299,43 +295,11 @@ class GraphCache:
                 # never serve it as a graph, but leave it to `cache ls`,
                 # `verify` and `clear`.
                 return None
-            arrays = {}
-            for name in PREPARED_ARRAYS:
-                info = meta["arrays"].get(name)
-                path = entry / f"{name}.npy"
-                if info is None or not path.is_file():
-                    raise CacheCorruptionError(f"{name}.npy missing from entry")
-                if path.stat().st_size != int(info["bytes"]):
-                    raise CacheCorruptionError(
-                        f"{name}.npy truncated or resized "
-                        f"({path.stat().st_size} != {info['bytes']} bytes)"
-                    )
-                try:
-                    arrays[name] = np.load(path, mmap_mode="r", allow_pickle=False)
-                except Exception as exc:  # noqa: BLE001 - bad npy header
-                    raise CacheCorruptionError(f"{name}.npy unreadable: {exc}") from exc
-            n_x, n_y, nnz = int(meta["n_x"]), int(meta["n_y"]), int(meta["nnz"])
-            if (
-                arrays["x_ptr"].shape != (n_x + 1,)
-                or arrays["y_ptr"].shape != (n_y + 1,)
-                or arrays["x_adj"].shape != (nnz,)
-                or arrays["y_adj"].shape != (nnz,)
-                or arrays["deg_x"].shape != (n_x,)
-                or arrays["deg_y"].shape != (n_y,)
-            ):
-                raise CacheCorruptionError("array shapes disagree with meta.json")
+            graph = _read_graph(entry, meta)
         except CacheCorruptionError:
             # Fallback-to-rebuild: a broken entry must never mask the source.
             self._remove_entry(key)
             return None
-        graph = BipartiteCSR(
-            n_x, n_y,
-            arrays["x_ptr"], arrays["x_adj"],
-            arrays["y_ptr"], arrays["y_adj"],
-            validate=False,
-        )
-        graph._deg_x = arrays["deg_x"]
-        graph._deg_y = arrays["deg_y"]
         self._touch(key)
         return PreparedGraph(
             graph=graph,
@@ -534,23 +498,69 @@ class GraphCache:
             self._save_index(index)
 
 
+def _read_graph(entry: Path, meta: dict) -> BipartiteCSR:
+    """The graph of the entry at ``entry``, over memory-mapped arrays.
+
+    Raises :class:`CacheCorruptionError` if an array is missing, unreadable,
+    or sized or shaped unlike ``meta``. The CSR is built with
+    ``validate=False``: a full check would read every page.
+    """
+    arrays = {}
+    for name in PREPARED_ARRAYS:
+        info = meta["arrays"].get(name)
+        path = entry / f"{name}.npy"
+        if info is None or not path.is_file():
+            raise CacheCorruptionError(f"{name}.npy missing from entry")
+        if path.stat().st_size != int(info["bytes"]):
+            raise CacheCorruptionError(
+                f"{name}.npy truncated or resized "
+                f"({path.stat().st_size} != {info['bytes']} bytes)"
+            )
+        try:
+            arrays[name] = np.load(path, mmap_mode="r", allow_pickle=False)
+        except Exception as exc:  # noqa: BLE001 - bad npy header
+            raise CacheCorruptionError(f"{name}.npy unreadable: {exc}") from exc
+    n_x, n_y, nnz = int(meta["n_x"]), int(meta["n_y"]), int(meta["nnz"])
+    if (
+        arrays["x_ptr"].shape != (n_x + 1,)
+        or arrays["y_ptr"].shape != (n_y + 1,)
+        or arrays["x_adj"].shape != (nnz,)
+        or arrays["y_adj"].shape != (nnz,)
+        or arrays["deg_x"].shape != (n_x,)
+        or arrays["deg_y"].shape != (n_y,)
+    ):
+        raise CacheCorruptionError("array shapes disagree with meta.json")
+    graph = BipartiteCSR(
+        n_x, n_y,
+        arrays["x_ptr"], arrays["x_adj"],
+        arrays["y_ptr"], arrays["y_adj"],
+        validate=False,
+    )
+    graph._deg_x = arrays["deg_x"]
+    graph._deg_y = arrays["deg_y"]
+    return graph
+
+
 def _read_warm_start(path: Path, n_x: int, n_y: int) -> Matching:
     """The warm start stored at ``path`` for an ``n_x`` by ``n_y`` graph.
 
     Raises :class:`CacheCorruptionError` unless the file loads as one
-    ``int64`` array of ``mate_x ++ mate_y`` and the mates are consistent.
-    The load is a plain read, not a memory map: the engines flip the mates
-    in place.
+    ``int64`` array of ``mate_x ++ mate_y`` followed by the CRC-32 of
+    those mates, the CRC matches and the mates are consistent. The load is
+    a plain read, not a memory map: the engines flip the mates in place.
     """
     try:
-        mates = np.load(path, allow_pickle=False)
+        stored = np.load(path, allow_pickle=False)
     except Exception as exc:  # noqa: BLE001 - bad npy header or body
         raise CacheCorruptionError(f"{path.name} unreadable: {exc}") from exc
-    if mates.dtype != np.int64 or mates.shape != (n_x + n_y,):
+    if stored.dtype != np.int64 or stored.shape != (n_x + n_y + 1,):
         raise CacheCorruptionError(
-            f"{path.name} does not fit the graph ({mates.dtype}{list(mates.shape)}, "
-            f"expected int64[{n_x + n_y}])"
+            f"{path.name} does not fit the graph ({stored.dtype}{list(stored.shape)}, "
+            f"expected int64[{n_x + n_y + 1}])"
         )
+    mates = stored[:-1]
+    if zlib.crc32(mates) != stored[-1]:
+        raise CacheCorruptionError(f"{path.name} fails its CRC-32")
     matching = Matching(n_x, n_y, mates[:n_x], mates[n_x:])
     if not matching.is_consistent():
         raise CacheCorruptionError(f"{path.name} holds inconsistent mates")
@@ -558,11 +568,13 @@ def _read_warm_start(path: Path, n_x: int, n_y: int) -> Matching:
 
 
 def _write_warm_start(path: Path, matching: Matching) -> None:
-    """Write ``mate_x ++ mate_y`` to ``path``; temp file + rename, so atomic."""
+    """Write ``mate_x ++ mate_y ++ crc32`` to ``path``; temp file + rename,
+    so atomic."""
+    mates = np.concatenate([matching.mate_x, matching.mate_y])
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.save(fh, np.concatenate([matching.mate_x, matching.mate_y]))
+            np.save(fh, np.append(mates, zlib.crc32(mates)))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -13,7 +13,7 @@ Maximality then has two paths.
   one endpoint in ``C = cover_x | cover_y``, so ``|C| = |M|``. If ``C`` also
   covers every edge, no matching is larger than ``|M|`` (König's theorem).
   Rows in ``cover_x`` are covered whole, so only the entries of the other
-  rows are looked up in ``cover_y``: at most one O(nnz) pass.
+  rows are looked up in ``cover_y``; one mask over the entries picks them.
 * **Sweep.** Without a cover, or when the supplied one fails any check, one
   alternating reachability runs: a level-synchronous frontier sweep from the
   free X vertices (:func:`alternating_reach`). By Berge's theorem the
@@ -139,9 +139,8 @@ def _cover_x(graph: BipartiteCSR, matching: Matching, cover_y: object) -> Option
     mate is not in ``cover_y``. Once every cover-Y is matched, each matched
     edge contributes exactly one endpoint (its Y if that is in ``cover_y``,
     its X otherwise), so the cover has size ``|M|`` by construction; it
-    remains to check that it covers every edge. Only the rows outside
-    ``cover_x`` need ``cover_y``: they are read alone when they hold under
-    half the entries, otherwise one pass reads every entry.
+    remains to check that it covers every edge. Only the entries of the
+    rows outside ``cover_x`` need ``cover_y``, so only they are looked up.
     """
     if not (
         isinstance(cover_y, np.ndarray)
@@ -153,13 +152,8 @@ def _cover_x(graph: BipartiteCSR, matching: Matching, cover_y: object) -> Option
         return None
     cover_x = matching.mate_x != UNMATCHED
     cover_x[matching.mate_y[cover_y]] = False
-    deg = np.diff(graph.x_ptr)
-    outside = np.flatnonzero(~cover_x)
-    if 2 * int(deg[outside].sum()) < graph.nnz:
-        covered = bool(np.all(cover_y[_rows(graph.x_ptr, graph.x_adj, outside)]))
-    else:
-        covered = bool(np.all(np.repeat(cover_x, deg) | cover_y[graph.x_adj]))
-    return cover_x if covered else None
+    outside = np.repeat(~cover_x, np.diff(graph.x_ptr))
+    return cover_x if np.all(cover_y[graph.x_adj[outside]]) else None
 
 
 def _koenig_cover(

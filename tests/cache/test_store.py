@@ -9,6 +9,7 @@ run on every lookup; ``verify()`` is the deep bit-for-bit pass.
 from __future__ import annotations
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,25 @@ from repro.telemetry.session import Telemetry
 
 def _builder(n, seed):
     return lambda: random_bipartite(n, n, 4 * n, seed=seed)
+
+
+def _stored(mates):
+    """A warm-start file's array: ``mates`` with its CRC-32 appended."""
+    mates = np.asarray(mates, dtype=np.int64)
+    return np.append(mates, zlib.crc32(mates))
+
+
+def _consistent_non_edge(graph, good):
+    """``good`` with one matched X moved onto a free Y it has no edge to."""
+    x, y = next(
+        (x, y) for x in np.flatnonzero(good.mate_x != -1)
+        for y in np.flatnonzero(good.mate_y == -1) if not graph.has_edge(int(x), int(y))
+    )
+    forged = good.copy()
+    forged.mate_y[forged.mate_x[x]] = -1
+    forged.mate_x[x], forged.mate_y[y] = y, x
+    assert forged.is_consistent()
+    return np.concatenate([forged.mate_x, forged.mate_y])
 
 
 @pytest.fixture
@@ -148,25 +168,17 @@ class TestDeepVerifyWarmStarts:
 
     def test_flipped_mate_x_entry_reported(self, cache):
         prepared, good, path = self._entry_with_warm_start(cache)
-        mates = np.load(path)
+        stored = np.load(path)
         x = int(np.flatnonzero(good.mate_x != -1)[0])
-        mates[x] = -1  # x forgets its mate, its mate still points back
-        np.save(path, mates)
+        stored[x] = -1  # x forgets its mate, its mate still points back
+        np.save(path, stored)
         (key, problem), = cache.verify()
         assert key == prepared.key and "ks_0.npy" in problem
 
     def test_consistent_non_edge_pair_reported(self, cache):
+        # With a matching CRC, only the check against the graph can see it.
         prepared, good, path = self._entry_with_warm_start(cache)
-        graph = prepared.graph
-        x, y = next(
-            (x, y) for x in np.flatnonzero(good.mate_x != -1)
-            for y in np.flatnonzero(good.mate_y == -1) if not graph.has_edge(int(x), int(y))
-        )
-        forged = good.copy()
-        forged.mate_y[forged.mate_x[x]] = -1
-        forged.mate_x[x], forged.mate_y[y] = y, x
-        assert forged.is_consistent()
-        np.save(path, np.concatenate([forged.mate_x, forged.mate_y]))
+        np.save(path, _stored(_consistent_non_edge(prepared.graph, good)))
         (key, problem), = cache.verify()
         assert key == prepared.key and "not a valid matching" in problem
 
@@ -286,7 +298,7 @@ class TestWarmStart:
     def _assert_rewritten(path, want):
         stored = np.load(path)
         assert stored.dtype == np.int64
-        np.testing.assert_array_equal(stored, np.concatenate([want.mate_x, want.mate_y]))
+        np.testing.assert_array_equal(stored, _stored(np.concatenate([want.mate_x, want.mate_y])))
 
     def _recomputed(self, cache, prepared, stored):
         path = prepared.entry_dir / "ks_0.npy"
@@ -297,15 +309,15 @@ class TestWarmStart:
         self._assert_rewritten(path, want)
 
     @pytest.mark.parametrize("reshape", [
-        lambda mates: mates[:-1],
-        lambda mates: np.concatenate([mates, [-1]]),
-        lambda mates: mates.reshape(2, -1),
-        lambda mates: mates.astype(np.int32),
+        lambda stored: stored[:-1],
+        lambda stored: np.concatenate([stored, [-1]]),
+        lambda stored: stored.reshape(1, -1),
+        lambda stored: stored.astype(np.int32),
     ])
     def test_misfit_warm_start_recomputed(self, cache, reshape):
         prepared = cache.prepare_spec("test", "g", {}, _builder(40, 12))
-        good = cache.warm_start(prepared, 0)
-        self._recomputed(cache, prepared, reshape(np.concatenate([good.mate_x, good.mate_y])))
+        cache.warm_start(prepared, 0)
+        self._recomputed(cache, prepared, reshape(np.load(prepared.entry_dir / "ks_0.npy")))
 
     def test_inconsistent_warm_start_recomputed(self, cache):
         prepared = cache.prepare_spec("test", "g", {}, _builder(40, 12))
@@ -313,7 +325,16 @@ class TestWarmStart:
         mates = np.concatenate([good.mate_x, good.mate_y])
         x = int(np.flatnonzero(good.mate_x != -1)[0])
         mates[x] = (mates[x] + 1) % prepared.graph.n_y  # its old mate still points to x
-        self._recomputed(cache, prepared, mates)
+        self._recomputed(cache, prepared, _stored(mates))
+
+    def test_damaged_non_edge_warm_start_recomputed(self, cache):
+        # Damage that keeps the shape and leaves consistent mates holding a
+        # non-edge pair: the stale CRC makes it a miss, not a failed run.
+        prepared = cache.prepare_spec("test", "g", {}, _builder(40, 12))
+        good = cache.warm_start(prepared, 0)
+        stale_crc = np.load(prepared.entry_dir / "ks_0.npy")[-1]
+        forged = _consistent_non_edge(prepared.graph, good)
+        self._recomputed(cache, prepared, np.append(forged, stale_crc))
 
     def test_warm_start_file_is_raw_mates(self, cache):
         prepared = cache.prepare_spec("test", "g", {}, _builder(40, 12))
