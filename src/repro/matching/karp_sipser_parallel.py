@@ -14,23 +14,40 @@ This module reproduces those round semantics deterministically (claims are
 resolved by a seeded priority), giving the benchmark suite an initial
 matching of realistic parallel-KS quality. Every round is a handful of
 whole-array passes, in the style of the round-based GPU and external-memory
-initialisers: the proposals of a round are one CSR gather, and after each
-round every side either pushes the rows of its newly matched neighbours into
-its residual degrees or pulls one recount, whichever is cheaper. The serial
-heuristic lives in :mod:`repro.matching.karp_sipser`.
+initialisers:
+
+- the proposals of a round are one CSR gather;
+- claims are resolved in O(proposals) with no sort: a first-writer-wins
+  scatter over the proposals in seeded priority order
+  (:func:`repro.core.kernels.first_claim`), then, in a degree-1 round, a
+  ``np.minimum.at`` that keeps each X vertex's smallest won Y;
+- after each round every side either pushes the rows of its newly matched
+  neighbours into its residual degrees or pulls one recount, whichever is
+  cheaper. The two sides write disjoint degree arrays, so in a round where
+  a side pulls, and when the process may run on two CPUs, Y's update runs
+  on one persistent helper thread while the caller updates X (numpy's
+  gathers, ``reduceat`` and ``bincount`` release the GIL).
+
+The serial heuristic lives in :mod:`repro.matching.karp_sipser`.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.kernels import KernelWorkspace, _gather_segments
+from repro.core.kernels import KernelWorkspace, _gather_segments, first_claim
 from repro.graph.csr import BipartiteCSR
 from repro.instrument.counters import Counters
 from repro.matching.base import MatchResult, Matching, init_matching
 from repro.util.rng import SeedLike, as_rng
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 PUSH_PULL_COST_RATIO = 4
 """Time of one pushed adjacency entry over one pulled entry.
@@ -43,16 +60,46 @@ and chain graphs (see ``docs/performance.md``).
 """
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _upkeep_helper() -> ThreadPoolExecutor:
+    """The one thread, per process, that runs Y's degree upkeep.
+
+    Started on first use and kept for later calls. Concurrent callers
+    queue on it; each waits for its own job only, or takes the job back
+    when the helper has not started it. A forked child forgets it (the
+    thread does not survive a fork) and starts its own.
+    """
+    # Imported here: a process that never hands off an update (the online
+    # daemon, a one-CPU run) does not load the executor modules.
+    from concurrent import futures
+
+    return futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="ks-upkeep")
+
+
+os.register_at_fork(after_in_child=_upkeep_helper.cache_clear)
+
+
 class _Side:
     """One side's CSR rows, free mask and residual degrees (free
-    neighbours of each free row, 0 on matched rows)."""
+    neighbours of each free row, 0 on matched rows), with the workspace
+    its own gathers use: the two sides' drops may run at once."""
 
     __slots__ = ("ptr", "adj", "lengths", "live", "starts", "free", "deg",
-                 "pull_cost")
+                 "pull_cost", "ws")
 
     def __init__(self, ptr: np.ndarray, adj: np.ndarray, lengths: np.ndarray,
-                 free: np.ndarray) -> None:
+                 free: np.ndarray, ws: KernelWorkspace) -> None:
         self.ptr, self.adj, self.lengths, self.free = ptr, adj, lengths, free
+        self.ws = ws
         # reduceat needs in-range starts and gives an empty row the entry at
         # its start, so recounts cover the non-empty rows only; an empty
         # row's degree stays 0 throughout.
@@ -71,15 +118,19 @@ class _Side:
         self.deg[~self.free] = 0
         return int(self.adj.shape[0])
 
-    def drop(self, other: "_Side", taken: np.ndarray, ws: KernelWorkspace) -> int:
-        """Take the newly matched ``other`` vertices ``taken`` out of the
-        degrees: push their rows, or pull a recount when pushing would take
-        longer. Returns the entries read."""
-        push = int(other.lengths[taken].sum())
-        if push > self.pull_cost:
+    def pulls(self, push: int) -> bool:
+        """Whether a recount beats pushing ``push`` entries."""
+        return push > self.pull_cost
+
+    def drop(self, other: "_Side", taken: np.ndarray, push: int) -> int:
+        """Take the newly matched ``other`` vertices ``taken``, whose rows
+        hold ``push`` entries, out of the degrees: push their rows, or pull
+        a recount when pushing would take longer. Writes only ``self.deg``.
+        Returns the entries read."""
+        if self.pulls(push):
             return self.recount(other.free)
         _, nbrs, _ = _gather_segments(other.ptr, other.adj, taken,
-                                      need_sources=False, ws=ws)
+                                      need_sources=False, ws=self.ws)
         self.deg -= np.bincount(nbrs[self.free[nbrs]], minlength=self.deg.shape[0])
         return push
 
@@ -107,6 +158,11 @@ def karp_sipser_parallel(
     rule-1 and random matches; a low cap emulates more interleaving and
     yields slightly lower quality).
 
+    Claims are resolved without sorting: each target keeps the first
+    proposer in a seeded random priority order (a first-writer-wins
+    scatter), and in a degree-1 round each X vertex that won several
+    targets keeps the smallest one.
+
     Residual degrees (free neighbours of each free vertex) start as the
     row lengths when ``initial`` is empty; only a partial ``initial`` needs
     a counting pass. After each round each side takes its newly matched
@@ -115,6 +171,9 @@ def karp_sipser_parallel(
     ``np.add.reduceat``), whichever :data:`PUSH_PULL_COST_RATIO` predicts
     is faster — degree upkeep in the direction-optimising style of the
     paper's top-down/bottom-up choice. The degrees are exact at every round.
+    In a round where a side pulls, and when the process may run on two or
+    more CPUs, Y's update runs on the per-process helper thread while the
+    caller updates X; the result does not depend on it.
 
     Randomness: each round with proposals draws one
     ``rng.permutation(#proposals)`` for the claim priorities, and each
@@ -139,11 +198,14 @@ def karp_sipser_parallel(
     counters = Counters()
     mate_x = matching.mate_x
     mate_y = matching.mate_y
-    ws = KernelWorkspace(graph.n_x, graph.n_y)
 
-    X = _Side(graph.x_ptr, graph.x_adj, graph.deg_x, mate_x == -1)
-    Y = _Side(graph.y_ptr, graph.y_adj, graph.deg_y, mate_y == -1)
+    X = _Side(graph.x_ptr, graph.x_adj, graph.deg_x, mate_x == -1,
+              KernelWorkspace(graph.n_x, graph.n_y))
+    Y = _Side(graph.y_ptr, graph.y_adj, graph.deg_y, mate_y == -1,
+              KernelWorkspace(graph.n_x, graph.n_y))
     free_x, free_y, deg_x, deg_y = X.free, Y.free, X.deg, Y.deg
+    ws = X.ws  # the caller's scratch for proposals and claims, outside any drop
+    helper = _upkeep_helper() if _usable_cpus() >= 2 else None
     edges = 0
     if not free_x.all():
         # Only a partial start matching needs the counting pass.
@@ -158,7 +220,20 @@ def karp_sipser_parallel(
         free_y[wy] = False
         deg_x[wx] = 0
         deg_y[wy] = 0
-        edges += X.drop(Y, wy, ws) + Y.drop(X, wx, ws)
+        push_x, push_y = int(Y.lengths[wy].sum()), int(X.lengths[wx].sum())
+        # A pull reads all nnz entries; a round that only pushes is mostly
+        # too small to pay for waking the helper.
+        if helper is None or not (X.pulls(push_x) or Y.pulls(push_y)):
+            edges += X.drop(Y, wy, push_x) + Y.drop(X, wx, push_y)
+            return
+        y_done = helper.submit(Y.drop, X, wx, push_y)
+        try:
+            edges += X.drop(Y, wy, push_x)
+        finally:
+            # Take Y's update back if the helper has not started it, else
+            # wait for it (even when X's failed, so it never outlives the
+            # call).
+            edges += Y.drop(X, wx, push_y) if y_done.cancel() else y_done.result()
 
     def free_neighbors(side: _Side, other: _Side, rows: np.ndarray) -> np.ndarray:
         """The free neighbours of ``side``'s ``rows``, concatenated in row order."""
@@ -167,14 +242,11 @@ def karp_sipser_parallel(
         edges += int(nbrs.shape[0])
         return nbrs[other.free[nbrs]]
 
-    def resolve(proposers: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """One winner per target, chosen by seeded random priority."""
-        priority = rng.permutation(proposers.shape[0])
-        order = np.argsort(targets[priority], kind="stable")
-        t_sorted = targets[priority][order]
-        keep = np.ones(t_sorted.shape[0], dtype=bool)
-        keep[1:] = t_sorted[1:] != t_sorted[:-1]
-        return priority[order][keep]
+    def resolve(targets: np.ndarray) -> np.ndarray:
+        """One winner per target: the first proposer in a seeded random
+        priority order. Returns the winners' proposal positions."""
+        priority = rng.permutation(targets.shape[0])
+        return priority[first_claim(targets[priority], ws.slot_y, ws)]
 
     while True:
         progressed = False
@@ -197,11 +269,15 @@ def karp_sipser_parallel(
             px = np.concatenate([ones_x, ty])
             py = np.concatenate([tx, ones_y])
             # A vertex may appear as both proposer and target across sides;
-            # resolve per-y first, then drop duplicate x's.
-            win = resolve(px, py)
+            # resolve per-y first, then each x keeps its smallest won y (the
+            # first in ascending-y order, as a sort-based resolution keeps).
+            win = resolve(py)
             wx, wy = px[win], py[win]
-            _, first = np.unique(wx, return_index=True)
-            commit(wx[first], wy[first])
+            least = ws.slot_x
+            least[wx] = graph.n_y
+            np.minimum.at(least, wx, wy)
+            keep = least[wx] == wy
+            commit(wx[keep], wy[keep])
             progressed = True
 
         # --- one random proposal round --------------------------------- #
@@ -216,9 +292,9 @@ def karp_sipser_parallel(
         pick = rng.integers(0, cand_deg)
         pick[1:] += np.cumsum(cand_deg[:-1])
         hits = free_neighbors(X, Y, candidates)
-        px, py = candidates, hits[pick]
-        win = resolve(px, py)
-        commit(px[win], py[win])
+        py = hits[pick]
+        win = resolve(py)
+        commit(candidates[win], py[win])
         counters.phases += 1
 
     counters.edges_traversed = edges

@@ -224,7 +224,9 @@ class MatchingDaemon:
         deadline = self._clock() + 5.0
         path = str(self.config.socket_path)
         while self._clock() < deadline:
-            if Path(path).exists():
+            # The path appears at bind(), and a connect is refused until
+            # listen(); serve_forever stores the server once it listens.
+            if self._server is not None:
                 return thread
             time.sleep(0.005)
         raise ServiceError(f"daemon failed to bind {path} within 5s")

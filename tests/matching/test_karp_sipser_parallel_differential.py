@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import functools
 import importlib
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.core.kernels import KernelWorkspace
 from repro.graph.builder import from_edges
 from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
 from repro.graph.generators import (
@@ -31,6 +34,8 @@ from repro.matching.base import MatchResult, Matching, init_matching
 from repro.matching.greedy import greedy_matching
 from repro.matching.karp_sipser_parallel import _Side, karp_sipser_parallel
 from repro.util.rng import SeedLike, as_rng
+
+ksp_module = importlib.import_module("repro.matching.karp_sipser_parallel")
 
 # --------------------------------------------------------------------------- #
 # reference oracle (the per-vertex loop implementation)
@@ -282,19 +287,23 @@ def bench_scale_graph(name: str) -> BipartiteCSR:
 @pytest.fixture
 def upkeep(monkeypatch):
     """Logs every degree update after a commit as ``(side adjacency,
-    entries in the pushed rows, entries charged, pulled)``."""
+    entries in the pushed rows, entries charged, pulled)``.
+
+    X's and Y's updates may run at once on two threads, so each pull is
+    recorded against the side that made it."""
     log: list[tuple[np.ndarray, int, int, bool]] = []
     drop, recount = _Side.drop, _Side.recount
-    pulled: list[bool] = []
+    pulled: dict[int, bool] = {}
 
     def logged_recount(self, free_other):
-        pulled.append(True)
+        pulled[id(self)] = True
         return recount(self, free_other)
 
-    def logged_drop(self, other, taken, ws):
-        pulled.clear()
-        charged = drop(self, other, taken, ws)
-        log.append((self.adj, int(other.lengths[taken].sum()), charged, bool(pulled)))
+    def logged_drop(self, other, taken, push):
+        pulled[id(self)] = False
+        charged = drop(self, other, taken, push)
+        log.append((self.adj, int(other.lengths[taken].sum()), charged,
+                    pulled.pop(id(self))))
         return charged
 
     monkeypatch.setattr(_Side, "recount", logged_recount)
@@ -402,7 +411,6 @@ def test_each_pull_charges_nnz(monkeypatch, upkeep):
     assert all(charged == push for _, push, charged, pulled in upkeep if not pulled)
     # Pushing every update instead reads the pushed rows where each pull
     # read nnz, and finds the same matching.
-    ksp_module = importlib.import_module("repro.matching.karp_sipser_parallel")
     monkeypatch.setattr(ksp_module, "PUSH_PULL_COST_RATIO", 1e-12)
     upkeep.clear()
     pushed = karp_sipser_parallel(graph, seed=0)
@@ -410,3 +418,174 @@ def test_each_pull_charges_nnz(monkeypatch, upkeep):
     np.testing.assert_array_equal(pushed.matching.mate_x, mixed.matching.mate_x)
     assert (mixed.counters.edges_traversed - pushed.counters.edges_traversed
             == sum(graph.nnz - push for push, _ in pulls))
+
+
+# --------------------------------------------------------------------------- #
+# degree upkeep on the helper thread
+# --------------------------------------------------------------------------- #
+
+
+def use_helper(monkeypatch, on: bool) -> None:
+    """Let rounds that pull hand Y's degree upkeep to the helper thread, or
+    keep every update on the caller, whatever CPUs the process may use.
+
+    With ``on``, each job has started on the helper before ``submit``
+    returns, so the caller never takes it back and the helper path runs
+    deterministically."""
+    monkeypatch.setattr(ksp_module, "_usable_cpus", lambda: 2 if on else 1)
+    pool = ksp_module._upkeep_helper()
+
+    class StartedFirst:
+        def submit(self, fn, *args):
+            started = threading.Event()
+
+            def job():
+                started.set()
+                return fn(*args)
+
+            future = pool.submit(job)
+            assert started.wait(30)
+            return future
+
+    monkeypatch.setattr(ksp_module, "_upkeep_helper", StartedFirst)
+
+
+@pytest.fixture
+def drop_log(monkeypatch):
+    """Logs every degree update as ``(thread, side adjacency, workspace,
+    pulled)``."""
+    log: list[tuple[threading.Thread, np.ndarray, KernelWorkspace, bool]] = []
+    drop = _Side.drop
+
+    def logged_drop(self, other, taken, push):
+        log.append((threading.current_thread(), self.adj, self.ws, self.pulls(push)))
+        return drop(self, other, taken, push)
+
+    monkeypatch.setattr(_Side, "drop", logged_drop)
+    return log
+
+
+def run_state(graph, initial, cap, seed=5):
+    """A run from a fresh shared generator, with the generator's end state."""
+    rng = np.random.default_rng(seed)
+    result = karp_sipser_parallel(graph, initial, seed=rng, max_degree_one_rounds=cap)
+    return result, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS) + ["hubs", "rmat-15-s103"])
+def test_helper_on_and_off_match_reference(name, monkeypatch, drop_log):
+    graph = GRAPHS[name] if name in GRAPHS else bench_scale_graph(name)
+    caller = threading.current_thread()
+    for cap in CAPS:
+        for initial in (None, partial_initial(graph)):
+            ref_rng = np.random.default_rng(5)
+            ref = reference_karp_sipser_parallel(graph, initial, seed=ref_rng,
+                                                 max_degree_one_rounds=cap)
+            runs = {}
+            for on in (False, True):
+                with monkeypatch.context() as patch:
+                    use_helper(patch, on)
+                    drop_log.clear()
+                    runs[on] = run_state(graph, initial, cap)
+                # Each commit logs both sides' updates before the next one
+                # starts; Y's ran on the helper exactly when a side pulled.
+                commits = [drop_log[i:i + 2] for i in range(0, len(drop_log), 2)]
+                for pair in commits:
+                    on_helper = [adj for t, adj, *_ in pair if t is not caller]
+                    pulled = any(p for *_, p in pair)
+                    assert on_helper == ([graph.y_adj] if on and pulled else [])
+            (off, off_state), (on_, on_state) = runs[False], runs[True]
+            for result in (off, on_):
+                np.testing.assert_array_equal(result.matching.mate_x, ref.matching.mate_x)
+                np.testing.assert_array_equal(result.matching.mate_y, ref.matching.mate_y)
+                assert result.counters.phases == ref.counters.phases
+            assert on_.counters.edges_traversed == off.counters.edges_traversed
+            assert on_state == off_state == ref_rng.bit_generator.state
+
+
+def test_concurrent_updates_use_their_own_workspaces(monkeypatch, drop_log):
+    use_helper(monkeypatch, True)
+    karp_sipser_parallel(bench_scale_graph("hubs"), seed=0)
+    caller = threading.current_thread()
+    commits = [drop_log[i:i + 2] for i in range(0, len(drop_log), 2)]
+    concurrent = [pair for pair in commits if any(t is not caller for t, *_ in pair)]
+    assert concurrent
+    for (_, _, ws_a, _), (_, _, ws_b, _) in concurrent:
+        assert ws_a is not ws_b
+
+
+def test_helper_error_reaches_caller(monkeypatch):
+    use_helper(monkeypatch, True)
+    graph = bench_scale_graph("hubs")
+    caller = threading.current_thread()
+    drop = _Side.drop
+
+    def failing_drop(self, other, taken, push):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("helper side failed")
+        return drop(self, other, taken, push)
+
+    monkeypatch.setattr(_Side, "drop", failing_drop)
+    with pytest.raises(RuntimeError, match="helper side failed"):
+        karp_sipser_parallel(graph, seed=0)
+    # The helper survives its job's failure and serves the next calls.
+    monkeypatch.setattr(_Side, "drop", drop)
+    assert_same(graph, None, 0, None)
+    assert_same(graph, None, 1, 2)
+
+
+def test_caller_error_waits_for_helper(monkeypatch):
+    use_helper(monkeypatch, True)
+    caller = threading.current_thread()
+    drop = _Side.drop
+    finished = []
+
+    def slow_or_failing_drop(self, other, taken, push):
+        if threading.current_thread() is caller:
+            raise RuntimeError("caller side failed")
+        time.sleep(0.05)
+        result = drop(self, other, taken, push)
+        finished.append(True)
+        return result
+
+    monkeypatch.setattr(_Side, "drop", slow_or_failing_drop)
+    with pytest.raises(RuntimeError, match="caller side failed"):
+        karp_sipser_parallel(bench_scale_graph("hubs"), seed=0)
+    # Y's update had finished before the error left the call.
+    assert finished == [True]
+
+
+def test_concurrent_callers_match_their_serial_runs(monkeypatch):
+    # The real helper: callers queue on it or take their jobs back.
+    monkeypatch.setattr(ksp_module, "_usable_cpus", lambda: 2)
+    jobs = [("rmat-15-s104", 0, None), ("hubs", 1, 2), ("er-13", 2, None),
+            ("rmat-15-s105", 3, 2)]
+    graphs = {name: bench_scale_graph(name) for name, *_ in jobs}
+    serial = [run_state(graphs[name], None, cap, seed) for name, seed, cap in jobs]
+    start = threading.Barrier(len(jobs))
+    results: list = [None] * len(jobs)
+
+    def caller(i: int) -> None:
+        name, seed, cap = jobs[i]
+        start.wait(timeout=60)
+        results[i] = [run_state(graphs[name], None, cap, seed) for _ in range(3)]
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the callers' Python steps finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (want, want_state), runs in zip(serial, results):
+        assert runs is not None
+        for got, got_state in runs:
+            np.testing.assert_array_equal(got.matching.mate_x, want.matching.mate_x)
+            np.testing.assert_array_equal(got.matching.mate_y, want.matching.mate_y)
+            assert got.counters.phases == want.counters.phases
+            assert got.counters.edges_traversed == want.counters.edges_traversed
+            assert got_state == want_state

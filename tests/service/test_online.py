@@ -8,7 +8,7 @@ import pytest
 
 from repro.cache import GraphCache
 from repro.errors import DeadlineExceeded, GraphFormatError, ServiceError
-from repro.service import protocol
+from repro.service import online, protocol
 from repro.service.online import MatchingDaemon, OnlineClient, OnlineConfig
 from repro.service.sessions import SessionManager
 from repro.telemetry.session import Telemetry
@@ -258,6 +258,26 @@ def daemon(tmp_path):
 
 
 class TestEndToEnd:
+    def test_start_background_returns_once_listening(self, tmp_path, monkeypatch):
+        # Widen the window between bind(), which creates the socket path,
+        # and listen(): a connect in it is refused.
+        activate = online._Server.server_activate
+
+        def slow_activate(server):
+            time.sleep(0.2)
+            activate(server)
+
+        monkeypatch.setattr(online._Server, "server_activate", slow_activate)
+        d = MatchingDaemon(OnlineConfig(socket_path=tmp_path / "d.sock"))
+        thread = d.start_background()
+        try:
+            with OnlineClient(d.config.socket_path) as client:
+                assert client.ping()["pong"] is True
+        finally:
+            d.shutdown()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+
     def test_full_session_lifecycle(self, daemon):
         with OnlineClient(daemon.config.socket_path) as client:
             assert client.ping()["pong"] is True
