@@ -23,20 +23,17 @@ initialisers:
   ``np.minimum.at`` that keeps each X vertex's smallest won Y;
 - after each round every side either pushes the rows of its newly matched
   neighbours into its residual degrees or pulls one recount, whichever is
-  cheaper. The two sides write disjoint degree arrays, so in a round where
-  a side pulls, and when the process may run on two CPUs, Y's update runs
-  on one persistent helper thread while the caller updates X (numpy's
-  gathers, ``reduceat`` and ``bincount`` release the GIL).
+  cheaper. A push counts every gathered entry (a matched row's degree
+  only drops below 0, and no round reads it), a proposal gather
+  keeps its free entries with ``ndarray.compress`` rather than boolean
+  indexing, and a pull sums in int32, which halves numpy's cast copy.
 
 The serial heuristic lives in :mod:`repro.matching.karp_sipser`.
 """
 
 from __future__ import annotations
 
-import functools
-import os
 import time
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,9 +42,6 @@ from repro.graph.csr import BipartiteCSR
 from repro.instrument.counters import Counters
 from repro.matching.base import MatchResult, Matching, init_matching
 from repro.util.rng import SeedLike, as_rng
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 PUSH_PULL_COST_RATIO = 4
 """Time of one pushed adjacency entry over one pulled entry.
@@ -60,46 +54,17 @@ and chain graphs (see ``docs/performance.md``).
 """
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the platform
-    has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _upkeep_helper() -> ThreadPoolExecutor:
-    """The one thread, per process, that runs Y's degree upkeep.
-
-    Started on first use and kept for later calls. Concurrent callers
-    queue on it; each waits for its own job only, or takes the job back
-    when the helper has not started it. A forked child forgets it (the
-    thread does not survive a fork) and starts its own.
-    """
-    # Imported here: a process that never hands off an update (the online
-    # daemon, a one-CPU run) does not load the executor modules.
-    from concurrent import futures
-
-    return futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="ks-upkeep")
-
-
-os.register_at_fork(after_in_child=_upkeep_helper.cache_clear)
-
-
 class _Side:
-    """One side's CSR rows, free mask and residual degrees (free
-    neighbours of each free row, 0 on matched rows), with the workspace
-    its own gathers use: the two sides' drops may run at once."""
+    """One side's CSR rows, free mask and residual degrees: the free
+    neighbours of each free row, and at most 0 on matched rows, which no
+    round reads (a proposer has degree 1, a candidate more than 0)."""
 
     __slots__ = ("ptr", "adj", "lengths", "live", "starts", "free", "deg",
-                 "pull_cost", "ws")
+                 "pull_cost")
 
     def __init__(self, ptr: np.ndarray, adj: np.ndarray, lengths: np.ndarray,
-                 free: np.ndarray, ws: KernelWorkspace) -> None:
+                 free: np.ndarray) -> None:
         self.ptr, self.adj, self.lengths, self.free = ptr, adj, lengths, free
-        self.ws = ws
         # reduceat needs in-range starts and gives an empty row the entry at
         # its start, so recounts cover the non-empty rows only; an empty
         # row's degree stays 0 throughout.
@@ -113,25 +78,27 @@ class _Side:
     def recount(self, free_other: np.ndarray) -> int:
         """Pull: recount every row's free neighbours. Returns the entries read."""
         if self.live.size:
+            # numpy sums the gathered bools in a full-length copy of the sum
+            # dtype; a row's count is at most nnz, so int32 fits below 2**31
+            # entries and halves that copy.
+            dtype = np.int32 if self.adj.shape[0] < 2**31 else np.int64
             self.deg[self.live] = np.add.reduceat(
-                free_other[self.adj], self.starts, dtype=np.int64)
+                free_other[self.adj], self.starts, dtype=dtype)
         self.deg[~self.free] = 0
         return int(self.adj.shape[0])
 
-    def pulls(self, push: int) -> bool:
-        """Whether a recount beats pushing ``push`` entries."""
-        return push > self.pull_cost
-
-    def drop(self, other: "_Side", taken: np.ndarray, push: int) -> int:
-        """Take the newly matched ``other`` vertices ``taken``, whose rows
-        hold ``push`` entries, out of the degrees: push their rows, or pull
-        a recount when pushing would take longer. Writes only ``self.deg``.
-        Returns the entries read."""
-        if self.pulls(push):
+    def drop(self, other: "_Side", taken: np.ndarray, ws: KernelWorkspace) -> int:
+        """Take the newly matched ``other`` vertices ``taken`` out of the
+        degrees: push their rows, or pull a recount when pushing would take
+        longer. Returns the entries read."""
+        push = int(other.lengths[taken].sum())
+        if push > self.pull_cost:
             return self.recount(other.free)
         _, nbrs, _ = _gather_segments(other.ptr, other.adj, taken,
-                                      need_sources=False, ws=self.ws)
-        self.deg -= np.bincount(nbrs[self.free[nbrs]], minlength=self.deg.shape[0])
+                                      need_sources=False, ws=ws)
+        # Every entry counts, matched rows' too: their degrees only drop
+        # below 0, and skipping the free filter saves a gather and a copy.
+        self.deg -= np.bincount(nbrs, minlength=self.deg.shape[0])
         return push
 
 
@@ -170,10 +137,8 @@ def karp_sipser_parallel(
     a ``bincount``) or a *pull* (recount every row with one
     ``np.add.reduceat``), whichever :data:`PUSH_PULL_COST_RATIO` predicts
     is faster — degree upkeep in the direction-optimising style of the
-    paper's top-down/bottom-up choice. The degrees are exact at every round.
-    In a round where a side pulls, and when the process may run on two or
-    more CPUs, Y's update runs on the per-process helper thread while the
-    caller updates X; the result does not depend on it.
+    paper's top-down/bottom-up choice. The free rows' degrees are exact at
+    every round.
 
     Randomness: each round with proposals draws one
     ``rng.permutation(#proposals)`` for the claim priorities, and each
@@ -198,14 +163,11 @@ def karp_sipser_parallel(
     counters = Counters()
     mate_x = matching.mate_x
     mate_y = matching.mate_y
+    ws = KernelWorkspace(graph.n_x, graph.n_y)
 
-    X = _Side(graph.x_ptr, graph.x_adj, graph.deg_x, mate_x == -1,
-              KernelWorkspace(graph.n_x, graph.n_y))
-    Y = _Side(graph.y_ptr, graph.y_adj, graph.deg_y, mate_y == -1,
-              KernelWorkspace(graph.n_x, graph.n_y))
+    X = _Side(graph.x_ptr, graph.x_adj, graph.deg_x, mate_x == -1)
+    Y = _Side(graph.y_ptr, graph.y_adj, graph.deg_y, mate_y == -1)
     free_x, free_y, deg_x, deg_y = X.free, Y.free, X.deg, Y.deg
-    ws = X.ws  # the caller's scratch for proposals and claims, outside any drop
-    helper = _upkeep_helper() if _usable_cpus() >= 2 else None
     edges = 0
     if not free_x.all():
         # Only a partial start matching needs the counting pass.
@@ -220,27 +182,17 @@ def karp_sipser_parallel(
         free_y[wy] = False
         deg_x[wx] = 0
         deg_y[wy] = 0
-        push_x, push_y = int(Y.lengths[wy].sum()), int(X.lengths[wx].sum())
-        # A pull reads all nnz entries; a round that only pushes is mostly
-        # too small to pay for waking the helper.
-        if helper is None or not (X.pulls(push_x) or Y.pulls(push_y)):
-            edges += X.drop(Y, wy, push_x) + Y.drop(X, wx, push_y)
-            return
-        y_done = helper.submit(Y.drop, X, wx, push_y)
-        try:
-            edges += X.drop(Y, wy, push_x)
-        finally:
-            # Take Y's update back if the helper has not started it, else
-            # wait for it (even when X's failed, so it never outlives the
-            # call).
-            edges += Y.drop(X, wx, push_y) if y_done.cancel() else y_done.result()
+        edges += X.drop(Y, wy, ws) + Y.drop(X, wx, ws)
 
     def free_neighbors(side: _Side, other: _Side, rows: np.ndarray) -> np.ndarray:
         """The free neighbours of ``side``'s ``rows``, concatenated in row order."""
         nonlocal edges
         _, nbrs, _ = _gather_segments(side.ptr, side.adj, rows, need_sources=False, ws=ws)
         edges += int(nbrs.shape[0])
-        return nbrs[other.free[nbrs]]
+        # nbrs.compress(mask), not nbrs[mask]: numpy's boolean indexing took
+        # 0.62 ms where compress took 0.17 ms on 104k entries of the ks-rmat
+        # graph (the same copy, without the general index machinery).
+        return nbrs.compress(other.free[nbrs])
 
     def resolve(targets: np.ndarray) -> np.ndarray:
         """One winner per target: the first proposer in a seeded random

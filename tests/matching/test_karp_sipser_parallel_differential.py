@@ -19,7 +19,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.kernels import KernelWorkspace
 from repro.graph.builder import from_edges
 from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
 from repro.graph.generators import (
@@ -34,8 +33,6 @@ from repro.matching.base import MatchResult, Matching, init_matching
 from repro.matching.greedy import greedy_matching
 from repro.matching.karp_sipser_parallel import _Side, karp_sipser_parallel
 from repro.util.rng import SeedLike, as_rng
-
-ksp_module = importlib.import_module("repro.matching.karp_sipser_parallel")
 
 # --------------------------------------------------------------------------- #
 # reference oracle (the per-vertex loop implementation)
@@ -287,23 +284,19 @@ def bench_scale_graph(name: str) -> BipartiteCSR:
 @pytest.fixture
 def upkeep(monkeypatch):
     """Logs every degree update after a commit as ``(side adjacency,
-    entries in the pushed rows, entries charged, pulled)``.
-
-    X's and Y's updates may run at once on two threads, so each pull is
-    recorded against the side that made it."""
+    entries in the pushed rows, entries charged, pulled)``."""
     log: list[tuple[np.ndarray, int, int, bool]] = []
     drop, recount = _Side.drop, _Side.recount
-    pulled: dict[int, bool] = {}
+    pulled: list[bool] = []
 
     def logged_recount(self, free_other):
-        pulled[id(self)] = True
+        pulled.append(True)
         return recount(self, free_other)
 
-    def logged_drop(self, other, taken, push):
-        pulled[id(self)] = False
-        charged = drop(self, other, taken, push)
-        log.append((self.adj, int(other.lengths[taken].sum()), charged,
-                    pulled.pop(id(self))))
+    def logged_drop(self, other, taken, ws):
+        pulled.clear()
+        charged = drop(self, other, taken, ws)
+        log.append((self.adj, int(other.lengths[taken].sum()), charged, bool(pulled)))
         return charged
 
     monkeypatch.setattr(_Side, "recount", logged_recount)
@@ -411,6 +404,7 @@ def test_each_pull_charges_nnz(monkeypatch, upkeep):
     assert all(charged == push for _, push, charged, pulled in upkeep if not pulled)
     # Pushing every update instead reads the pushed rows where each pull
     # read nnz, and finds the same matching.
+    ksp_module = importlib.import_module("repro.matching.karp_sipser_parallel")
     monkeypatch.setattr(ksp_module, "PUSH_PULL_COST_RATIO", 1e-12)
     upkeep.clear()
     pushed = karp_sipser_parallel(graph, seed=0)
@@ -420,51 +414,6 @@ def test_each_pull_charges_nnz(monkeypatch, upkeep):
             == sum(graph.nnz - push for push, _ in pulls))
 
 
-# --------------------------------------------------------------------------- #
-# degree upkeep on the helper thread
-# --------------------------------------------------------------------------- #
-
-
-def use_helper(monkeypatch, on: bool) -> None:
-    """Let rounds that pull hand Y's degree upkeep to the helper thread, or
-    keep every update on the caller, whatever CPUs the process may use.
-
-    With ``on``, each job has started on the helper before ``submit``
-    returns, so the caller never takes it back and the helper path runs
-    deterministically."""
-    monkeypatch.setattr(ksp_module, "_usable_cpus", lambda: 2 if on else 1)
-    pool = ksp_module._upkeep_helper()
-
-    class StartedFirst:
-        def submit(self, fn, *args):
-            started = threading.Event()
-
-            def job():
-                started.set()
-                return fn(*args)
-
-            future = pool.submit(job)
-            assert started.wait(30)
-            return future
-
-    monkeypatch.setattr(ksp_module, "_upkeep_helper", StartedFirst)
-
-
-@pytest.fixture
-def drop_log(monkeypatch):
-    """Logs every degree update as ``(thread, side adjacency, workspace,
-    pulled)``."""
-    log: list[tuple[threading.Thread, np.ndarray, KernelWorkspace, bool]] = []
-    drop = _Side.drop
-
-    def logged_drop(self, other, taken, push):
-        log.append((threading.current_thread(), self.adj, self.ws, self.pulls(push)))
-        return drop(self, other, taken, push)
-
-    monkeypatch.setattr(_Side, "drop", logged_drop)
-    return log
-
-
 def run_state(graph, initial, cap, seed=5):
     """A run from a fresh shared generator, with the generator's end state."""
     rng = np.random.default_rng(seed)
@@ -472,92 +421,9 @@ def run_state(graph, initial, cap, seed=5):
     return result, rng.bit_generator.state
 
 
-@pytest.mark.parametrize("name", sorted(GRAPHS) + ["hubs", "rmat-15-s103"])
-def test_helper_on_and_off_match_reference(name, monkeypatch, drop_log):
-    graph = GRAPHS[name] if name in GRAPHS else bench_scale_graph(name)
-    caller = threading.current_thread()
-    for cap in CAPS:
-        for initial in (None, partial_initial(graph)):
-            ref_rng = np.random.default_rng(5)
-            ref = reference_karp_sipser_parallel(graph, initial, seed=ref_rng,
-                                                 max_degree_one_rounds=cap)
-            runs = {}
-            for on in (False, True):
-                with monkeypatch.context() as patch:
-                    use_helper(patch, on)
-                    drop_log.clear()
-                    runs[on] = run_state(graph, initial, cap)
-                # Each commit logs both sides' updates before the next one
-                # starts; Y's ran on the helper exactly when a side pulled.
-                commits = [drop_log[i:i + 2] for i in range(0, len(drop_log), 2)]
-                for pair in commits:
-                    on_helper = [adj for t, adj, *_ in pair if t is not caller]
-                    pulled = any(p for *_, p in pair)
-                    assert on_helper == ([graph.y_adj] if on and pulled else [])
-            (off, off_state), (on_, on_state) = runs[False], runs[True]
-            for result in (off, on_):
-                np.testing.assert_array_equal(result.matching.mate_x, ref.matching.mate_x)
-                np.testing.assert_array_equal(result.matching.mate_y, ref.matching.mate_y)
-                assert result.counters.phases == ref.counters.phases
-            assert on_.counters.edges_traversed == off.counters.edges_traversed
-            assert on_state == off_state == ref_rng.bit_generator.state
-
-
-def test_concurrent_updates_use_their_own_workspaces(monkeypatch, drop_log):
-    use_helper(monkeypatch, True)
-    karp_sipser_parallel(bench_scale_graph("hubs"), seed=0)
-    caller = threading.current_thread()
-    commits = [drop_log[i:i + 2] for i in range(0, len(drop_log), 2)]
-    concurrent = [pair for pair in commits if any(t is not caller for t, *_ in pair)]
-    assert concurrent
-    for (_, _, ws_a, _), (_, _, ws_b, _) in concurrent:
-        assert ws_a is not ws_b
-
-
-def test_helper_error_reaches_caller(monkeypatch):
-    use_helper(monkeypatch, True)
-    graph = bench_scale_graph("hubs")
-    caller = threading.current_thread()
-    drop = _Side.drop
-
-    def failing_drop(self, other, taken, push):
-        if threading.current_thread() is not caller:
-            raise RuntimeError("helper side failed")
-        return drop(self, other, taken, push)
-
-    monkeypatch.setattr(_Side, "drop", failing_drop)
-    with pytest.raises(RuntimeError, match="helper side failed"):
-        karp_sipser_parallel(graph, seed=0)
-    # The helper survives its job's failure and serves the next calls.
-    monkeypatch.setattr(_Side, "drop", drop)
-    assert_same(graph, None, 0, None)
-    assert_same(graph, None, 1, 2)
-
-
-def test_caller_error_waits_for_helper(monkeypatch):
-    use_helper(monkeypatch, True)
-    caller = threading.current_thread()
-    drop = _Side.drop
-    finished = []
-
-    def slow_or_failing_drop(self, other, taken, push):
-        if threading.current_thread() is caller:
-            raise RuntimeError("caller side failed")
-        time.sleep(0.05)
-        result = drop(self, other, taken, push)
-        finished.append(True)
-        return result
-
-    monkeypatch.setattr(_Side, "drop", slow_or_failing_drop)
-    with pytest.raises(RuntimeError, match="caller side failed"):
-        karp_sipser_parallel(bench_scale_graph("hubs"), seed=0)
-    # Y's update had finished before the error left the call.
-    assert finished == [True]
-
-
-def test_concurrent_callers_match_their_serial_runs(monkeypatch):
-    # The real helper: callers queue on it or take their jobs back.
-    monkeypatch.setattr(ksp_module, "_usable_cpus", lambda: 2)
+def test_concurrent_callers_match_their_serial_runs():
+    # Each call owns its workspace and generator, so callers on other
+    # threads cannot disturb one another.
     jobs = [("rmat-15-s104", 0, None), ("hubs", 1, 2), ("er-13", 2, None),
             ("rmat-15-s105", 3, 2)]
     graphs = {name: bench_scale_graph(name) for name, *_ in jobs}
