@@ -1,27 +1,28 @@
 """Content-addressed graph-preparation cache.
 
 Building an experiment graph — generator run or file parse, CSR
-construction in both orientations, degree vectors, Karp-Sipser warm start
-— costs far more than matching on it at bench scales. This package makes
-preparation a content-addressed, memory-mapped load: entries are keyed by
-SHA-256 of the raw input + format + builder version
-(:mod:`repro.cache.keys`), stored one directory per entry with per-array
-``.npy`` files and checksummed metadata (:mod:`repro.cache.store`), and
-capped by LRU eviction.
+construction in both orientations, Karp-Sipser warm start — costs far
+more than matching on it at bench scales. This package makes preparation
+a content-addressed, memory-mapped load: entries are keyed by SHA-256 of
+the raw input + format + builder version (:mod:`repro.cache.keys`) and
+stored one directory per entry, holding ``meta.json``, one ``graph.npy``
+and a ``ks_<seed>.npy`` per warm start (:mod:`repro.cache.store`). The
+file system is the only index: ``meta.json``'s mtime orders the LRU
+eviction, and concurrent callers in threads or processes share a store
+safely.
 
 Wired into ``repro-match run/trace/batch/bench-kernels`` via
 ``--cache-dir`` and managed with ``repro-match cache {warm,ls,clear,verify}``.
 """
 
 from repro.cache.keys import BUILDER_VERSION, file_key, spec_key
-from repro.cache.prepare import PREPARED_ARRAYS, PreparedGraph
+from repro.cache.prepare import PreparedGraph
 from repro.cache.store import DEFAULT_MAX_BYTES, GraphCache
 
 __all__ = [
     "BUILDER_VERSION",
     "DEFAULT_MAX_BYTES",
     "GraphCache",
-    "PREPARED_ARRAYS",
     "PreparedGraph",
     "file_key",
     "spec_key",

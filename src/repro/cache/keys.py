@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 from typing import Any, Mapping, Union
 
-BUILDER_VERSION = 2
+BUILDER_VERSION = 3
 """Version of the graph-preparation pipeline baked into every key.
 
 Bump when the prepared representation changes (CSR layout, degree arrays,
@@ -27,7 +27,9 @@ reused. The cached ``ks_<seed>.npy`` warm starts are
 change that moves them fails there before it can serve stale entries.
 Version 2 stores them as one raw ``int64`` array of ``mate_x ++ mate_y``
 and the CRC-32 of those mates, instead of a compressed ``ks_<seed>.npz``,
-so no reader of the old files is kept.
+so no reader of the old files is kept. Version 3 stores the CSR as one
+``graph.npy`` (``x_ptr ++ x_adj ++ y_ptr ++ y_adj``) instead of six
+per-array files with the degree vectors, and keeps no ``index.json``.
 """
 
 _CHUNK = 1 << 20

@@ -2,19 +2,16 @@
 
 A *prepared graph* is everything the engines need to start matching
 without touching the ingest pipeline again: the validated CSR (both
-orientations), the degree vectors, and — per initialiser seed — the
-Karp-Sipser warm-start matching the experiment suite begins from.
+orientations) and — per initialiser seed — the Karp-Sipser warm-start
+matching the experiment suite begins from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.graph.csr import BipartiteCSR
-
-PREPARED_ARRAYS = ("x_ptr", "x_adj", "y_ptr", "y_adj", "deg_x", "deg_y")
-"""Array names persisted for every cache entry, in meta.json order."""
 
 
 @dataclass
@@ -29,8 +26,6 @@ class PreparedGraph:
     """Human-readable provenance (``suite:rmat scale=1.0`` or a file path)."""
     entry_dir: Path | None = None
     """Backing cache entry, when the graph went through a store."""
-    warm_seeds: tuple[int, ...] = field(default_factory=tuple)
-    """Initialiser seeds with a persisted Karp-Sipser warm start."""
 
 
 def build_suite_graph(name: str, scale: float) -> BipartiteCSR:

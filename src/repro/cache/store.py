@@ -1,58 +1,68 @@
 """Content-addressed on-disk store of prepared graphs with LRU eviction.
 
-Layout (one directory per entry, fanned out by key prefix)::
+Layout (one directory per entry, fanned out by key prefix; the file
+system is the only index)::
 
-    <root>/index.json                      LRU bookkeeping (seq per key)
-    <root>/<key[:2]>/<key>/meta.json       provenance + per-file checksums
-    <root>/<key[:2]>/<key>/x_ptr.npy       CSR + degree arrays (one file
-    <root>/<key[:2]>/<key>/...             each, so loads memory-map)
+    <root>/<key[:2]>/<key>/meta.json       provenance, n_x/n_y/nnz, SHA-256 and
+                                           byte count of graph.npy; its mtime
+                                           is the entry's recency
+    <root>/<key[:2]>/<key>/graph.npy       one int64 array,
+                                           x_ptr ++ x_adj ++ y_ptr ++ y_adj
     <root>/<key[:2]>/<key>/ks_<seed>.npy   Karp-Sipser warm start per seed (one
                                            int64 array, mate_x ++ mate_y ++ crc32)
 
 Design points:
 
-* **Memory-mapped loads.** Every graph array is its own ``.npy``, opened
-  with ``np.load(..., mmap_mode="r")``; a warm ``run`` touches only the
-  pages the traversal actually reads. Load-time integrity checks are
-  therefore *structural* (header fields, file sizes, shapes) — full
-  SHA-256 verification would read every byte and defeat the mapping, so
-  it lives in the explicit :meth:`GraphCache.verify` pass (``repro-match
-  cache verify``).
+* **Memory-mapped loads.** ``graph.npy`` is memory-mapped once and
+  sliced into the four CSR views; the degree vectors are the graph's own
+  lazy ``deg_x``/``deg_y``. A warm ``run`` touches only the pages the
+  traversal actually reads. Load-time integrity checks are therefore
+  *structural* (file size and header) — full SHA-256 verification would
+  read every byte and defeat the mapping, so it lives in the explicit
+  :meth:`GraphCache.verify` pass (``repro-match cache verify``).
+* **Headers compared, not parsed.** Both files are plain ``.npy`` arrays
+  whose header the store writes itself (:func:`_npy_header`); a read
+  checks it byte for byte instead of calling ``np.load``. numpy parses a
+  header with ``ast.literal_eval``, and on CPython 3.11.7 concurrent
+  ``ast`` use from several threads can raise ``SystemError``.
 * **Raw warm starts.** ``ks_<seed>.npy`` is read whole into a fresh
   writable array (the engines flip mates in place) and served only if its
   shape fits, its trailing CRC-32 matches the mates and the mates are
   consistent; anything else is recomputed. The CRC turns damage that kept
   the shape into a miss too. :meth:`GraphCache.verify` also checks that
   every warm start is a valid matching of its entry's graph.
-* **Atomicity.** Entries are built in a temp directory and ``os.replace``d
-  into place; the index is rewritten via temp file + rename. A crash
-  leaves either the old state or the new one, never a torn entry.
+* **Atomicity and concurrent callers.** Entries are built in a temp
+  directory and warm starts in a temp file, each unique to the call
+  (:mod:`tempfile`), then renamed into place. A store that finds its
+  entry already in place keeps that entry: keys are content-addressed, so
+  its bytes are the same. Any ``OSError`` while reading an entry (another
+  caller may have evicted it mid-lookup) is a miss.
 * **Corruption = miss.** Any integrity failure during lookup deletes the
   entry and reports a miss; the caller rebuilds from source and re-stores.
-* **LRU cap.** ``max_bytes`` bounds the store; every hit or store bumps
-  the entry's monotonic ``seq`` and eviction removes lowest-``seq``
-  entries until the total fits. A hit on the entry that already holds the
-  top ``seq`` changes nothing, so it does not rewrite ``index.json``.
+  An entry written by another :data:`~repro.cache.keys.BUILDER_VERSION`
+  is never addressed, so it only ages out; ``verify`` names it.
+* **LRU cap.** ``max_bytes`` bounds the store. Every hit, store and
+  warm-start write sets the entry's ``meta.json`` mtime to the current
+  time; eviction scans the entry directories, sizes them with ``stat``
+  and removes the least recently used until the total fits.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import shutil
+import tempfile
+import time
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, BinaryIO, Callable, Mapping, Optional, Union
 
 import numpy as np
 
 from repro.cache.keys import BUILDER_VERSION, file_key, hash_file, spec_key
-from repro.cache.prepare import (
-    PREPARED_ARRAYS,
-    PreparedGraph,
-    build_suite_graph,
-    warm_start_matching,
-)
+from repro.cache.prepare import PreparedGraph, build_suite_graph, warm_start_matching
 from repro.errors import CacheCorruptionError
 from repro.graph.csr import BipartiteCSR
 from repro.graph.readers import read_graph_file, resolve_format
@@ -60,8 +70,10 @@ from repro.matching.base import Matching
 from repro.matching.verify import is_valid_matching
 
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
-_INDEX_VERSION = 1
-_META_VERSION = 1
+_GRAPH_FILE = "graph.npy"
+_META_FIELDS = frozenset(
+    {"key", "builder_version", "n_x", "n_y", "nnz", "sha256", "bytes"}
+)
 
 
 class GraphCache:
@@ -140,22 +152,26 @@ class GraphCache:
         """Karp-Sipser warm start for ``prepared``, cached per seed.
 
         Loaded matchings are fresh writable arrays (the engines flip them
-        in place), so sharing an entry across runs is safe. A file that
-        does not load, does not fit the graph or holds inconsistent mates
-        is recomputed and rewritten.
+        in place), so sharing an entry across runs is safe. A file that is
+        missing, does not load, does not fit the graph or holds
+        inconsistent mates is recomputed and rewritten; if the entry was
+        evicted meanwhile, the recomputed matching is served unstored.
         """
         graph = prepared.graph
-        if prepared.entry_dir is None or not prepared.entry_dir.is_dir():
+        entry = prepared.entry_dir
+        if entry is None:
             return warm_start_matching(graph, seed)
-        path = prepared.entry_dir / f"ks_{int(seed)}.npy"
-        if path.is_file():
-            try:
-                return _read_warm_start(path, graph.n_x, graph.n_y)
-            except CacheCorruptionError:
-                pass  # corrupt warm start: rebuild it
+        path = entry / f"ks_{int(seed)}.npy"
+        try:
+            return _read_warm_start(path, graph.n_x, graph.n_y)
+        except (CacheCorruptionError, OSError):
+            pass  # missing or corrupt warm start: rebuild it
         matching = warm_start_matching(graph, seed)
-        _write_warm_start(path, matching)
-        self._touch(prepared.key, bytes_delta=self._entry_bytes(prepared.entry_dir), absolute=True)
+        try:
+            _write_warm_start(path, matching)
+            _touch(entry)
+        except OSError:
+            return matching
         self._evict(protect={prepared.key})
         return matching
 
@@ -165,23 +181,21 @@ class GraphCache:
 
     @property
     def total_bytes(self) -> int:
-        index = self._load_index()
-        return sum(int(e["bytes"]) for e in index["entries"].values())
+        return sum(size for _, _, size in self._scan())
 
     def entries(self) -> list[dict]:
         """All entries, least-recently-used first."""
-        index = self._load_index()
         out = []
-        for key, info in sorted(index["entries"].items(), key=lambda kv: kv[1]["seq"]):
-            row = {"key": key, "bytes": int(info["bytes"]), "seq": int(info["seq"])}
+        for _, key, size in self._scan():
+            row: dict = {"key": key, "bytes": size}
             try:
                 meta = self._read_meta(key)
                 row.update(
                     kind=meta.get("kind", "?"),
                     source=meta.get("source", ""),
-                    n_x=meta.get("n_x"),
-                    n_y=meta.get("n_y"),
-                    nnz=meta.get("nnz"),
+                    n_x=meta["n_x"],
+                    n_y=meta["n_y"],
+                    nnz=meta["nnz"],
                     warm_seeds=sorted(
                         int(p.stem.split("_", 1)[1])
                         for p in self._entry_dir(key).glob("ks_*.npy")
@@ -194,40 +208,33 @@ class GraphCache:
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
-        index = self._load_index()
-        count = 0
-        for key in list(index["entries"]):
+        rows = self._scan()
+        for _, key, _ in rows:
             self._remove_entry(key)
-            count += 1
-        return count
+        return len(rows)
 
     def verify(self) -> list[tuple[str, str]]:
         """Full integrity pass over every entry.
 
-        SHA-256 of every array file against meta.json, then every cached
-        warm start: it must load, fit the entry's shape, and be a
-        consistent, valid matching of the entry's graph. Returns ``(key,
-        problem)`` pairs; an empty list means the store is intact. This is
-        the deep counterpart of the structural checks lookups perform.
+        SHA-256 of ``graph.npy`` against meta.json, then every cached warm
+        start: it must load, fit the entry's shape, and be a consistent,
+        valid matching of the entry's graph. Returns ``(key, problem)``
+        pairs; an empty list means the store is intact. This is the deep
+        counterpart of the structural checks lookups perform.
         """
         problems: list[tuple[str, str]] = []
-        index = self._load_index()
-        for key in sorted(index["entries"]):
+        for _, key, _ in self._scan():
+            entry = self._entry_dir(key)
             try:
                 meta = self._read_meta(key)
-                entry = self._entry_dir(key)
-                for name, info in meta["arrays"].items():
-                    path = entry / f"{name}.npy"
-                    if not path.is_file():
-                        raise CacheCorruptionError(f"{name}.npy missing")
-                    digest = hash_file(path)
-                    if digest != info["sha256"]:
-                        raise CacheCorruptionError(
-                            f"{name}.npy checksum mismatch "
-                            f"(stored {info['sha256'][:12]}, actual {digest[:12]})"
-                        )
+                digest = hash_file(entry / _GRAPH_FILE)
+                if digest != meta["sha256"]:
+                    raise CacheCorruptionError(
+                        f"{_GRAPH_FILE} checksum mismatch "
+                        f"(stored {meta['sha256'][:12]}, actual {digest[:12]})"
+                    )
                 self._verify_warm_starts(entry, meta)
-            except CacheCorruptionError as exc:
+            except (CacheCorruptionError, OSError) as exc:
                 problems.append((key, str(exc)))
         return problems
 
@@ -238,7 +245,7 @@ class GraphCache:
         paths = sorted(entry.glob("ks_*.npy"))
         if not paths:
             return
-        graph = _read_graph(entry, meta)
+        graph = _read_graph(entry / _GRAPH_FILE, meta)
         for path in paths:
             if not is_valid_matching(graph, _read_warm_start(path, graph.n_x, graph.n_y)):
                 raise CacheCorruptionError(
@@ -290,26 +297,18 @@ class GraphCache:
             return None
         try:
             meta = self._read_meta(key)
-            if meta.get("kind") == "layout":
-                # A reordered CSR written before reordering was removed:
-                # never serve it as a graph, but leave it to `cache ls`,
-                # `verify` and `clear`.
-                return None
-            graph = _read_graph(entry, meta)
-        except CacheCorruptionError:
+            graph = _read_graph(entry / _GRAPH_FILE, meta)
+            _touch(entry)
+        except (CacheCorruptionError, OSError):
             # Fallback-to-rebuild: a broken entry must never mask the source.
             self._remove_entry(key)
             return None
-        self._touch(key)
         return PreparedGraph(
             graph=graph,
             key=key,
             from_cache=True,
             source=str(meta.get("source", "")),
             entry_dir=entry,
-            warm_seeds=tuple(
-                sorted(int(p.stem.split("_", 1)[1]) for p in entry.glob("ks_*.npy"))
-            ),
         )
 
     def _store(
@@ -320,29 +319,13 @@ class GraphCache:
         kind: str,
         fmt: str,
         source: str,
-        extra_arrays: Optional[Mapping[str, np.ndarray]] = None,
     ) -> None:
-        tmp = self.root / f".tmp-{key[:16]}-{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        tmp.mkdir(parents=True)
+        final = self._entry_dir(key)
+        tmp = Path(tempfile.mkdtemp(prefix=f".tmp-{key[:16]}-", dir=self.root))
         try:
-            arrays = {
-                "x_ptr": graph.x_ptr, "x_adj": graph.x_adj,
-                "y_ptr": graph.y_ptr, "y_adj": graph.y_adj,
-                "deg_x": graph.deg_x, "deg_y": graph.deg_y,
-            }
-            if extra_arrays:
-                arrays.update(extra_arrays)
-            meta_arrays = {}
-            for name, arr in arrays.items():
-                path = tmp / f"{name}.npy"
-                np.save(path, arr)
-                meta_arrays[name] = {
-                    "sha256": hash_file(path),
-                    "bytes": path.stat().st_size,
-                }
+            path = tmp / _GRAPH_FILE
+            _write_npy(path, (graph.x_ptr, graph.x_adj, graph.y_ptr, graph.y_adj))
             meta = {
-                "version": _META_VERSION,
                 "key": key,
                 "kind": kind,
                 "format": fmt,
@@ -351,30 +334,48 @@ class GraphCache:
                 "n_x": int(graph.n_x),
                 "n_y": int(graph.n_y),
                 "nnz": int(graph.nnz),
-                "arrays": meta_arrays,
+                "sha256": hash_file(path),
+                "bytes": path.stat().st_size,
             }
-            meta_path = tmp / "meta.json"
-            meta_path.write_text(json.dumps(meta, indent=2), encoding="utf-8")
-            final = self._entry_dir(key)
+            (tmp / "meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
             final.parent.mkdir(parents=True, exist_ok=True)
-            if final.exists():
-                shutil.rmtree(final)
-            os.replace(tmp, final)
+            os.rename(tmp, final)
+        except OSError:
+            shutil.rmtree(tmp, ignore_errors=True)
+            if not final.is_dir():
+                raise
+            # Another caller stored this key first. Keys are content
+            # addressed, so its entry holds the same bytes: keep it.
         except BaseException:
             shutil.rmtree(tmp, ignore_errors=True)
             raise
-        self._touch(key, bytes_delta=self._entry_bytes(self._entry_dir(key)), absolute=True)
+        try:
+            _touch(final)
+        except OSError:
+            return  # evicted by another caller already: the lookup misses
         self._evict(protect={key})
 
     # ------------------------------------------------------------------ #
-    # index + eviction
+    # entry directories + eviction
     # ------------------------------------------------------------------ #
 
     def _entry_dir(self, key: str) -> Path:
         return self.root / key[:2] / key
 
-    def _entry_bytes(self, entry: Path) -> int:
-        return sum(p.stat().st_size for p in entry.iterdir() if p.is_file())
+    def _scan(self) -> list[tuple[int, str, int]]:
+        """``(recency_ns, key, bytes)`` of every entry, least recently used
+        first. An entry without ``meta.json`` sorts oldest."""
+        rows = []
+        for entry in self.root.glob("??/*"):
+            try:
+                stats = {p.name: p.stat() for p in entry.iterdir()}
+            except OSError:
+                continue  # not an entry, or removed meanwhile
+            meta = stats.get("meta.json")
+            used = meta.st_mtime_ns if meta is not None else 0
+            rows.append((used, entry.name, sum(s.st_size for s in stats.values())))
+        rows.sort()
+        return rows
 
     def _read_meta(self, key: str) -> dict:
         path = self._entry_dir(key) / "meta.json"
@@ -382,10 +383,17 @@ class GraphCache:
             meta = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise CacheCorruptionError(f"meta.json unreadable: {exc}") from exc
-        required = {"version", "key", "arrays", "n_x", "n_y", "nnz", "builder_version"}
-        if not required.issubset(meta):
+        if not isinstance(meta, dict):
+            raise CacheCorruptionError("meta.json is not an object")
+        if meta.get("builder_version") != BUILDER_VERSION:
             raise CacheCorruptionError(
-                f"meta.json missing fields {sorted(required - set(meta))}"
+                f"entry written by builder v{meta.get('builder_version', '?')}, "
+                f"which this version (v{BUILDER_VERSION}) does not read; "
+                "run `repro-match cache clear`"
+            )
+        if not _META_FIELDS.issubset(meta):
+            raise CacheCorruptionError(
+                f"meta.json missing fields {sorted(_META_FIELDS - set(meta))}"
             )
         if meta["key"] != key:
             raise CacheCorruptionError(
@@ -393,171 +401,101 @@ class GraphCache:
             )
         return meta
 
-    def _index_path(self) -> Path:
-        return self.root / "index.json"
+    def _evict(self, protect: frozenset | set = frozenset()) -> list[str]:
+        """Remove least-recently-used entries until the store fits.
 
-    def _load_index(self) -> dict:
-        path = self._index_path()
-        try:
-            index = json.loads(path.read_text(encoding="utf-8"))
-            if (
-                index.get("version") == _INDEX_VERSION
-                and isinstance(index.get("entries"), dict)
-            ):
-                return index
-        except (OSError, ValueError):
-            pass
-        return self._rebuild_index()
-
-    def _rebuild_index(self) -> dict:
-        """Reconstruct LRU bookkeeping by scanning entry directories.
-
-        Recency order is lost (keys are re-sequenced in scan order); sizes
-        and membership are re-derived from disk, so a deleted or hand-edited
-        index never strands entries.
+        ``max_bytes`` is an invariant, not a hint: protected (just-stored)
+        entries go last, but when one alone exceeds the budget it goes too,
+        and the caller serves the freshly built graph without an entry.
         """
-        entries: dict[str, dict] = {}
-        seq = 0
-        for prefix in sorted(self.root.iterdir()) if self.root.is_dir() else []:
-            if not prefix.is_dir() or len(prefix.name) != 2:
-                continue
-            for entry in sorted(prefix.iterdir()):
-                if entry.is_dir() and (entry / "meta.json").is_file():
-                    entries[entry.name] = {
-                        "bytes": self._entry_bytes(entry),
-                        "seq": seq,
-                    }
-                    seq += 1
-        index = {"version": _INDEX_VERSION, "next_seq": seq, "entries": entries}
-        self._save_index(index)
-        return index
-
-    def _save_index(self, index: dict) -> None:
-        path = self._index_path()
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(index, indent=0), encoding="utf-8")
-        os.replace(tmp, path)
-
-    def _touch(
-        self, key: str, *, bytes_delta: Optional[int] = None, absolute: bool = False
-    ) -> None:
-        """Bump ``key`` to most-recently-used; optionally set its size.
-
-        A key that already holds the top ``seq`` is most recently used, so a
-        plain touch of it leaves ``index.json`` as it is (the repeat-hit case
-        of a warm loop); the LRU order is the same either way.
-        """
-        index = self._load_index()
-        entries = index["entries"]
-        if (
-            bytes_delta is None
-            and key in entries
-            and int(entries[key]["seq"]) == int(index["next_seq"]) - 1
-        ):
-            return
-        info = entries.setdefault(key, {"bytes": 0, "seq": 0})
-        if bytes_delta is not None:
-            info["bytes"] = int(bytes_delta) if absolute else info["bytes"] + int(bytes_delta)
-        info["seq"] = int(index["next_seq"])
-        index["next_seq"] = int(index["next_seq"]) + 1
-        self._save_index(index)
-
-    def _evict(self, protect: Optional[set] = None) -> list[str]:
-        """Remove least-recently-used entries until the store fits."""
-        protect = protect or set()
-        index = self._load_index()
+        rows = self._scan()
+        total = sum(size for _, _, size in rows)
         evicted: list[str] = []
-        total = sum(int(e["bytes"]) for e in index["entries"].values())
-        victims = sorted(index["entries"].items(), key=lambda kv: kv[1]["seq"])
-        for key, info in victims:
+        for _, key, size in sorted(rows, key=lambda row: row[1] in protect):
             if total <= self.max_bytes:
                 break
-            if key in protect:
-                continue
             self._remove_entry(key)
-            total -= int(info["bytes"])
+            total -= size
             evicted.append(key)
-        # ``max_bytes`` is an invariant, not a hint: when the protected
-        # (just-stored) entry alone exceeds the budget it goes too, and the
-        # caller serves the freshly built graph without a backing entry.
-        if total > self.max_bytes:
-            for key, info in victims:
-                if total <= self.max_bytes:
-                    break
-                if key not in evicted:
-                    self._remove_entry(key)
-                    total -= int(info["bytes"])
-                    evicted.append(key)
         return evicted
 
     def _remove_entry(self, key: str) -> None:
         shutil.rmtree(self._entry_dir(key), ignore_errors=True)
-        index = self._load_index()
-        if key in index["entries"]:
-            del index["entries"][key]
-            self._save_index(index)
 
 
-def _read_graph(entry: Path, meta: dict) -> BipartiteCSR:
-    """The graph of the entry at ``entry``, over memory-mapped arrays.
+def _touch(entry: Path) -> None:
+    """Mark ``entry`` most recently used (its ``meta.json`` mtime)."""
+    now = time.time_ns()
+    os.utime(entry / "meta.json", ns=(now, now))
 
-    Raises :class:`CacheCorruptionError` if an array is missing, unreadable,
-    or sized or shaped unlike ``meta``. The CSR is built with
+
+def _npy_header(length: int) -> bytes:
+    """The ``.npy`` header of a 1-D little-endian ``int64`` array of
+    ``length`` values: what the store writes, and expects on read."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<i8", "fortran_order": False, "shape": (length,)}
+    )
+    return buf.getvalue()
+
+
+def _write_npy(path: Path, parts: tuple[np.ndarray, ...]) -> None:
+    """Write the concatenation of the ``int64`` arrays ``parts`` to
+    ``path`` as one ``.npy`` array, without concatenating in memory."""
+    with open(path, "wb") as fh:
+        fh.write(_npy_header(sum(part.shape[0] for part in parts)))
+        for part in parts:
+            fh.write(np.ascontiguousarray(part, dtype="<i8").data)
+
+
+def _check_npy(path: Path, fh: BinaryIO, length: int) -> int:
+    """Raise :class:`CacheCorruptionError` unless the file ``fh``, open at
+    its start, is exactly a ``.npy`` ``int64[length]`` array; returns the
+    data offset, where ``fh`` is left."""
+    header = _npy_header(length)
+    if (
+        os.fstat(fh.fileno()).st_size != len(header) + 8 * length
+        or fh.read(len(header)) != header
+    ):
+        raise CacheCorruptionError(f"{path.name} is not the int64[{length}] array expected")
+    return len(header)
+
+
+def _read_graph(path: Path, meta: dict) -> BipartiteCSR:
+    """The graph stored at ``path``, over views of one memory map.
+
+    Raises :class:`CacheCorruptionError` if the file is sized unlike
+    ``meta`` or is not the ``int64`` array its shape implies, and
+    ``OSError`` if it cannot be read. The CSR is built with
     ``validate=False``: a full check would read every page.
     """
-    arrays = {}
-    for name in PREPARED_ARRAYS:
-        info = meta["arrays"].get(name)
-        path = entry / f"{name}.npy"
-        if info is None or not path.is_file():
-            raise CacheCorruptionError(f"{name}.npy missing from entry")
-        if path.stat().st_size != int(info["bytes"]):
-            raise CacheCorruptionError(
-                f"{name}.npy truncated or resized "
-                f"({path.stat().st_size} != {info['bytes']} bytes)"
-            )
-        try:
-            arrays[name] = np.load(path, mmap_mode="r", allow_pickle=False)
-        except Exception as exc:  # noqa: BLE001 - bad npy header
-            raise CacheCorruptionError(f"{name}.npy unreadable: {exc}") from exc
     n_x, n_y, nnz = int(meta["n_x"]), int(meta["n_y"]), int(meta["nnz"])
-    if (
-        arrays["x_ptr"].shape != (n_x + 1,)
-        or arrays["y_ptr"].shape != (n_y + 1,)
-        or arrays["x_adj"].shape != (nnz,)
-        or arrays["y_adj"].shape != (nnz,)
-        or arrays["deg_x"].shape != (n_x,)
-        or arrays["deg_y"].shape != (n_y,)
-    ):
-        raise CacheCorruptionError("array shapes disagree with meta.json")
-    graph = BipartiteCSR(
+    length = n_x + 1 + nnz + n_y + 1 + nnz
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size != int(meta["bytes"]):
+            raise CacheCorruptionError(f"{path.name} truncated or resized")
+        offset = _check_npy(path, fh, length)
+        flat = np.memmap(fh, dtype="<i8", mode="r", offset=offset, shape=(length,))
+    x_adj, y_ptr, y_adj = n_x + 1, n_x + 1 + nnz, n_x + n_y + 2 + nnz
+    return BipartiteCSR(
         n_x, n_y,
-        arrays["x_ptr"], arrays["x_adj"],
-        arrays["y_ptr"], arrays["y_adj"],
+        flat[:x_adj], flat[x_adj:y_ptr], flat[y_ptr:y_adj], flat[y_adj:],
         validate=False,
     )
-    graph._deg_x = arrays["deg_x"]
-    graph._deg_y = arrays["deg_y"]
-    return graph
 
 
 def _read_warm_start(path: Path, n_x: int, n_y: int) -> Matching:
     """The warm start stored at ``path`` for an ``n_x`` by ``n_y`` graph.
 
-    Raises :class:`CacheCorruptionError` unless the file loads as one
-    ``int64`` array of ``mate_x ++ mate_y`` followed by the CRC-32 of
-    those mates, the CRC matches and the mates are consistent. The load is
-    a plain read, not a memory map: the engines flip the mates in place.
+    Raises :class:`CacheCorruptionError` unless the file is one ``int64``
+    array of ``mate_x ++ mate_y`` followed by the CRC-32 of those mates,
+    the CRC matches and the mates are consistent, and ``OSError`` if it
+    cannot be read. The load is a plain read, not a memory map: the
+    engines flip the mates in place.
     """
-    try:
-        stored = np.load(path, allow_pickle=False)
-    except Exception as exc:  # noqa: BLE001 - bad npy header or body
-        raise CacheCorruptionError(f"{path.name} unreadable: {exc}") from exc
-    if stored.dtype != np.int64 or stored.shape != (n_x + n_y + 1,):
-        raise CacheCorruptionError(
-            f"{path.name} does not fit the graph ({stored.dtype}{list(stored.shape)}, "
-            f"expected int64[{n_x + n_y + 1}])"
-        )
+    with open(path, "rb") as fh:
+        _check_npy(path, fh, n_x + n_y + 1)
+        stored = np.fromfile(fh, dtype="<i8", count=n_x + n_y + 1)
     mates = stored[:-1]
     if zlib.crc32(mates) != stored[-1]:
         raise CacheCorruptionError(f"{path.name} fails its CRC-32")
@@ -568,13 +506,13 @@ def _read_warm_start(path: Path, n_x: int, n_y: int) -> Matching:
 
 
 def _write_warm_start(path: Path, matching: Matching) -> None:
-    """Write ``mate_x ++ mate_y ++ crc32`` to ``path``; temp file + rename,
-    so atomic."""
+    """Write ``mate_x ++ mate_y ++ crc32`` to ``path`` through a temp file
+    unique to the call, then rename it into place, so atomic."""
     mates = np.concatenate([matching.mate_x, matching.mate_y])
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    os.close(fd)
     try:
-        with open(tmp, "wb") as fh:
-            np.save(fh, np.append(mates, zlib.crc32(mates)))
+        _write_npy(Path(tmp), (mates, np.array([zlib.crc32(mates)])))
         os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        Path(tmp).unlink(missing_ok=True)

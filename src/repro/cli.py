@@ -515,13 +515,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 print(f"{e['key'][:12]}  CORRUPT: {e['corrupt']}")
                 continue
             seeds = f" ks-seeds={e['warm_seeds']}" if e.get("warm_seeds") else ""
-            # Reordered layouts from older versions are never served.
-            kind = "layout (stale)" if e["kind"] == "layout" else e["kind"]
-            print(f"{e['key'][:12]}  {e['bytes']:>12,} B  lru-seq={e['seq']:<6} "
-                  f"{kind}: {e['source']} (n_x={e['n_x']:,} n_y={e['n_y']:,} "
+            print(f"{e['key'][:12]}  {e['bytes']:>12,} B  "
+                  f"{e['kind']}: {e['source']} (n_x={e['n_x']:,} n_y={e['n_y']:,} "
                   f"nnz={e['nnz']:,}){seeds}")
-        print(f"total: {cache.total_bytes:,} bytes in {len(entries)} entries "
-              f"(cap {cache.max_bytes:,})")
+        print(f"total: {cache.total_bytes:,} bytes in {len(entries)} entries, "
+              f"least recently used first (cap {cache.max_bytes:,})")
         return 0
     if args.action == "clear":
         removed = cache.clear()

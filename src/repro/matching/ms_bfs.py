@@ -23,9 +23,6 @@ def ms_bfs(
     deadline=None,
     phase_hook=None,
     telemetry=None,
-    reorder: str = "none",
-    reorder_plan=None,
-    reorder_layout=None,
 ) -> MatchResult:
     """Maximum matching by multi-source BFS without tree grafting."""
     # Imported lazily: repro.core depends on repro.matching.base, and a
@@ -44,7 +41,4 @@ def ms_bfs(
         deadline=deadline,
         phase_hook=phase_hook,
         telemetry=telemetry,
-        reorder=reorder,
-        reorder_plan=reorder_plan,
-        reorder_layout=reorder_layout,
     )

@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Union
 
 from repro.core.options import Deadline
-from repro.errors import DeadlineExceeded, ServiceError
+from repro.errors import DeadlineExceeded, ServiceError, TelemetryError
 from repro.matching.verify import verify_maximum
 from repro.service import protocol
 from repro.service.sessions import SessionManager
@@ -419,19 +419,11 @@ class MatchingDaemon:
             "uptime_seconds": round(uptime, 6),
         }
         if self.telemetry.enabled:
-            metrics = self.telemetry.metrics
+            observed = self._repair_quantiles(result)
+            if observed:
+                result["repairs_observed"] = observed
             try:
-                hist = metrics.get("repro_online_repair_seconds")
-            except Exception:  # noqa: BLE001 - no repairs observed yet
-                hist = None
-            if hist is not None and hist.count:
-                # Guarded on count: an empty histogram's quantile is NaN,
-                # which is not valid JSON on the wire.
-                result["repair_p50_seconds"] = round(hist.quantile(0.50), 6)
-                result["repair_p99_seconds"] = round(hist.quantile(0.99), 6)
-                result["repairs_observed"] = hist.count
-            try:
-                updates = metrics.get("repro_online_updates_total").value
+                updates = self.telemetry.metrics.get("repro_online_updates_total").value
             except Exception:  # noqa: BLE001 - no updates counted yet
                 updates = 0.0
             result["updates_total"] = int(updates)
@@ -462,14 +454,22 @@ class MatchingDaemon:
             "prometheus": self.prometheus_exposition(),
         }
         if self.telemetry.enabled:
-            try:
-                hist = self.telemetry.metrics.get("repro_online_repair_seconds")
-            except Exception:  # noqa: BLE001 - no repairs observed yet
-                hist = None
-            if hist is not None and hist.count:
-                result["repair_p50_seconds"] = round(hist.quantile(0.50), 6)
-                result["repair_p99_seconds"] = round(hist.quantile(0.99), 6)
+            self._repair_quantiles(result)
         return result
+
+    def _repair_quantiles(self, result: Dict[str, Any]) -> int:
+        """Add the repair-time p50/p99 to ``result``; returns how many
+        repairs the histogram holds (0 adds nothing)."""
+        try:
+            hist = self.telemetry.metrics.get("repro_online_repair_seconds")
+        except TelemetryError:  # not registered: no repair observed yet
+            return 0
+        if hist.count:
+            # Guarded on count: an empty histogram's quantile is NaN,
+            # which is not valid JSON on the wire.
+            result["repair_p50_seconds"] = round(hist.quantile(0.50), 6)
+            result["repair_p99_seconds"] = round(hist.quantile(0.99), 6)
+        return hist.count
 
     def _cmd_snapshot(self, request: protocol.Request, rid: int) -> Dict[str, Any]:
         key = self.sessions.snapshot(request.session)

@@ -1,21 +1,27 @@
-"""GraphCache behaviour: hit/miss, integrity, eviction, warm starts.
+"""GraphCache behaviour: hit/miss, integrity, eviction, warm starts,
+concurrent callers.
 
 The store's contract: a hit returns bit-identical arrays to a rebuild, a
 corrupted entry is indistinguishable from a miss (never an error, never a
-wrong graph), and the LRU cap holds after every store. Structural checks
-run on every lookup; ``verify()`` is the deep bit-for-bit pass.
+wrong graph), the LRU cap holds after every store, and threads sharing one
+store see neither errors nor torn entries. Structural checks run on every
+lookup; ``verify()`` is the deep bit-for-bit pass.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import zlib
 
 import numpy as np
 import pytest
 
 from repro.cache import GraphCache
+from repro.cache.keys import hash_file
 from repro.cache.prepare import warm_start_matching
+from repro.cli import main
 from repro.graph.generators import random_bipartite
 from repro.graph.serialize import save_graph
 from repro.telemetry.session import Telemetry
@@ -121,7 +127,7 @@ class TestCorruption:
     def test_truncated_array_falls_back_to_rebuild(self, cache):
         cold, expected = self._seed_entry(cache)
         entry = cache._entry_dir(cold.key)
-        victim = entry / "y_adj.npy"
+        victim = entry / "graph.npy"
         victim.write_bytes(victim.read_bytes()[:-16])
         again = cache.prepare_spec("test", "g", {}, _builder(40, 7))
         assert not again.from_cache, "corrupt entry must read as a miss"
@@ -132,7 +138,7 @@ class TestCorruption:
 
     def test_missing_array_falls_back(self, cache):
         cold, expected = self._seed_entry(cache)
-        (cache._entry_dir(cold.key) / "deg_x.npy").unlink()
+        (cache._entry_dir(cold.key) / "graph.npy").unlink()
         again = cache.prepare_spec("test", "g", {}, _builder(40, 7))
         assert not again.from_cache
         np.testing.assert_array_equal(again.graph.deg_x, expected.deg_x)
@@ -146,7 +152,7 @@ class TestCorruption:
         # A flipped byte mid-array survives the structural lookup checks
         # (size and shape unchanged) — exactly what verify() exists for.
         cold, _ = self._seed_entry(cache)
-        victim = cache._entry_dir(cold.key) / "x_adj.npy"
+        victim = cache._entry_dir(cold.key) / "graph.npy"
         raw = bytearray(victim.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         victim.write_bytes(bytes(raw))
@@ -154,7 +160,7 @@ class TestCorruption:
         problems = cache.verify()
         assert len(problems) == 1
         key, problem = problems[0]
-        assert key == cold.key and "x_adj" in problem
+        assert key == cold.key and "graph.npy checksum mismatch" in problem
 
 
 class TestDeepVerifyWarmStarts:
@@ -217,16 +223,6 @@ class TestEviction:
         held = {e["key"] for e in cache.entries()}
         assert k0 in held, "a freshly hit entry must not be the victim"
 
-    def test_repeat_hit_leaves_index_untouched(self, cache):
-        cache.prepare_spec("test", "g0", {}, _builder(30, 0))
-        cache.prepare_spec("test", "g1", {}, _builder(30, 1))
-        index = cache.root / "index.json"
-        before, inode = index.read_bytes(), index.stat().st_ino
-        for _ in range(3):
-            assert cache.prepare_spec("test", "g1", {}, _builder(30, 1)).from_cache
-        assert index.read_bytes() == before
-        assert index.stat().st_ino == inode, "index.json was rewritten"
-
     def test_hit_on_older_entry_still_bumps_it(self, cache):
         k0 = cache.prepare_spec("test", "g0", {}, _builder(60, 0)).key
         k1 = cache.prepare_spec("test", "g1", {}, _builder(60, 1)).key
@@ -250,19 +246,6 @@ class TestEviction:
         assert cache.entries() == [] and cache.total_bytes == 0
 
 
-class TestIndexRecovery:
-    def test_deleted_index_rebuilt_from_disk(self, cache):
-        key = cache.prepare_spec("test", "g", {}, _builder(30, 8)).key
-        (cache.root / "index.json").unlink()
-        assert cache.prepare_spec("test", "g", {}, _builder(30, 8)).from_cache
-        assert {e["key"] for e in cache.entries()} == {key}
-
-    def test_garbage_index_rebuilt(self, cache):
-        cache.prepare_spec("test", "g", {}, _builder(30, 8))
-        (cache.root / "index.json").write_text("]broken[")
-        assert cache.total_bytes > 0
-
-
 class TestWarmStart:
     def test_cached_per_seed_and_equal_to_fresh(self, cache):
         prepared = cache.prepare_spec("test", "g", {}, _builder(80, 10))
@@ -271,8 +254,8 @@ class TestWarmStart:
             want = warm_start_matching(prepared.graph, seed)
             np.testing.assert_array_equal(got.mate_x, want.mate_x)
             np.testing.assert_array_equal(got.mate_y, want.mate_y)
-        warm = cache.prepare_spec("test", "g", {}, _builder(80, 10))
-        assert warm.warm_seeds == (0, 3)
+        assert cache.prepare_spec("test", "g", {}, _builder(80, 10)).from_cache
+        assert [e["warm_seeds"] for e in cache.entries()] == [[0, 3]]
 
     def test_loaded_warm_start_is_writable(self, cache):
         prepared = cache.prepare_spec("test", "g", {}, _builder(40, 11))
@@ -345,15 +328,118 @@ class TestWarmStart:
 
 class TestEntriesListing:
     def test_meta_summary(self, cache):
-        cache.prepare_spec("suite-ish", "g", {}, _builder(25, 13), source="unit:g")
+        prepared = cache.prepare_spec(
+            "suite-ish", "g", {}, _builder(25, 13), source="unit:g"
+        )
+        cache.warm_start(prepared, 2)
         (entry,) = cache.entries()
         assert entry["kind"] == "suite-ish"
         assert entry["source"] == "unit:g"
         assert entry["n_x"] == 25 and entry["n_y"] == 25
-        assert entry["bytes"] > 0
-        meta = json.loads(
-            (cache._entry_dir(entry["key"]) / "meta.json").read_text()
-        )
-        assert set(meta["arrays"]) == {
-            "x_ptr", "x_adj", "y_ptr", "y_adj", "deg_x", "deg_y"
-        }
+        # The file system is the whole store: no index beside the entries,
+        # and an entry is its meta, one graph file and its warm starts.
+        assert [p.name for p in cache.root.iterdir()] == [entry["key"][:2]]
+        files = {p.name: p for p in prepared.entry_dir.iterdir()}
+        assert sorted(files) == ["graph.npy", "ks_2.npy", "meta.json"]
+        assert entry["bytes"] == sum(p.stat().st_size for p in files.values())
+        meta = json.loads(files["meta.json"].read_text())
+        assert meta["sha256"] == hash_file(files["graph.npy"])
+        assert meta["bytes"] == files["graph.npy"].stat().st_size
+
+
+OLD_KEY = "cd" * 32
+
+
+def _old_format_entry(cache, graph):
+    """An entry as builder v2 wrote it: six per-array ``.npy`` files (the
+    CSR and both degree vectors), each checksummed in ``meta.json``."""
+    entry = cache._entry_dir(OLD_KEY)
+    entry.mkdir(parents=True)
+    arrays = {}
+    for name in ("x_ptr", "x_adj", "y_ptr", "y_adj", "deg_x", "deg_y"):
+        path = entry / f"{name}.npy"
+        np.save(path, getattr(graph, name))
+        arrays[name] = {"sha256": hash_file(path), "bytes": path.stat().st_size}
+    meta = {
+        "version": 1, "key": OLD_KEY, "kind": "suite", "format": "generator",
+        "source": "unit:old", "builder_version": 2, "n_x": graph.n_x,
+        "n_y": graph.n_y, "nnz": graph.nnz, "arrays": arrays,
+    }
+    (entry / "meta.json").write_text(json.dumps(meta))
+    return OLD_KEY
+
+
+class TestOldFormat:
+    def test_old_format_entry_is_listed_reported_cleared_and_never_served(
+        self, cache, capsys
+    ):
+        assert not cache.prepare_spec("test", "g", {}, _builder(40, 15)).from_cache
+        old = _old_format_entry(cache, _builder(40, 15)())
+        root = str(cache.root)
+        assert main(["cache", "ls", "--cache-dir", root]) == 0
+        (line,) = [
+            ln for ln in capsys.readouterr().out.splitlines() if old[:12] in ln
+        ]
+        assert "written by builder v2" in line
+        (key, problem), = cache.verify()
+        assert key == old and "run `repro-match cache clear`" in problem
+        assert main(["cache", "verify", "--cache-dir", root]) == 1
+        # The old entry's trouble stays its own: the current one still hits.
+        assert cache.prepare_spec("test", "g", {}, _builder(40, 15)).from_cache
+        assert cache.clear() == 2
+        assert not cache._entry_dir(old).exists()
+        _old_format_entry(cache, _builder(40, 15)())
+        assert cache.load_entry(old) is None
+
+
+class TestConcurrentCallers:
+    def test_threads_hit_and_store_one_store(self, cache):
+        """4 threads hit 4 entries while 2 threads store the same new keys
+        (and their warm starts): no call raises, every graph is exact."""
+        specs = [(f"g{i}", _builder(60, i)) for i in range(4)]
+        want = {name: build() for name, build in specs}
+        for name, build in specs:
+            cache.prepare_spec("test", name, {}, build)
+        errors: list[BaseException] = []
+
+        def same(got, expected):
+            for name in ("x_ptr", "x_adj", "y_ptr", "y_adj", "deg_x", "deg_y"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+
+        def hit(t):
+            try:
+                for r in range(300):
+                    name, build = specs[(t + r) % 4]
+                    prepared = cache.prepare_spec("test", name, {}, build)
+                    assert prepared.from_cache
+                    same(prepared.graph, want[name])
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def store(t):
+            try:
+                for r in range(40):
+                    build = _builder(50, 100 + r)
+                    prepared = cache.prepare_spec("test", "race", {"round": r}, build)
+                    same(prepared.graph, build())
+                    assert cache.warm_start(prepared, 0) == warm_start_matching(
+                        prepared.graph, 0
+                    )
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hit, args=(t,)) for t in range(4)]
+        threads += [threading.Thread(target=store, args=(t,)) for t in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache.entries()) == 4 + 40
+        assert cache.verify() == []

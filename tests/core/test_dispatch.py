@@ -324,7 +324,7 @@ class TestJointReorderDispatch:
             small_rmat, initial, engine=decision.engine, telemetry=tel,
             reorder_plan=None, reorder_layout=None,
         )
-        via_ms_bfs = repro.ms_bfs(small_rmat, initial, reorder="auto")
+        via_ms_bfs = repro.ms_bfs(small_rmat, initial)
         for result in (via_runner, via_driver, via_ms_bfs):
             assert result.cardinality == expected
         assert not any(s.name.startswith("reorder") for s in tel.tracer.spans)

@@ -172,9 +172,9 @@ TestIncrementalMachine = IncrementalMachine.TestCase
 GOLDEN_EDGE_LIST_SHA = (
     "7cfc06649f73d0262a7fd3d8df075e89867082dde6747457c263042c6c37f0be"
 )
-# The snapshot key hashes ``cache.keys.BUILDER_VERSION`` too (recorded at 2).
+# The snapshot key hashes ``cache.keys.BUILDER_VERSION`` too (recorded at 3).
 GOLDEN_SNAPSHOT_KEY = (
-    "4b874b8ea46d4893d79847432cfa8c88d2aa627514cfb984df7d3c51ae1d4260"
+    "480295524a6602a4f27b3a99b6bc0bdb4ada115866fc1f98fb68f003988f665c"
 )
 
 

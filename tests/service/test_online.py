@@ -321,6 +321,36 @@ class TestEndToEnd:
             t.join(timeout=10)
         assert errors == []
 
+    def test_concurrent_snapshots_of_one_graph_share_a_key(self, daemon):
+        # Two sessions hold the same graph; their snapshots race to store
+        # the same cache entry from two handler threads.
+        edges = [(i, (3 * i) % 40) for i in range(40)] + [(i, (i + 1) % 40) for i in range(40)]
+        with OnlineClient(daemon.config.socket_path) as client:
+            for name in ("a", "b"):
+                client.create(name, 40, 40, edges=edges)
+        start = threading.Barrier(2)
+        keys, errors = {}, []
+
+        def worker(name):
+            try:
+                with OnlineClient(daemon.config.socket_path) as client:
+                    start.wait(timeout=5)
+                    keys[name] = client.snapshot(name)["key"]
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(name,)) for name in ("a", "b")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert keys["a"] == keys["b"]
+        with OnlineClient(daemon.config.socket_path) as client:
+            loaded = client.load("c", keys["a"])
+            assert loaded["cardinality"] == client.match("a")["cardinality"]
+
     def test_updates_on_one_session_are_serialized(self, daemon):
         # Two connections update one session: the repairs must not overlap.
         with OnlineClient(daemon.config.socket_path) as client:

@@ -6,6 +6,7 @@ first and the client saw a closed connection instead.
 """
 
 import os
+import socket
 import subprocess
 import sys
 import time
@@ -18,6 +19,17 @@ RUNS = 20
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
+def _listening(socket_path: Path) -> bool:
+    # The socket file appears at bind(), before listen(); only a connect
+    # tells that the daemon accepts.
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+        try:
+            probe.connect(str(socket_path))
+        except (FileNotFoundError, ConnectionRefusedError):
+            return False
+    return True
+
+
 def _serve(socket_path: Path) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
@@ -27,7 +39,7 @@ def _serve(socket_path: Path) -> subprocess.Popen:
         stderr=subprocess.DEVNULL,
     )
     deadline = time.monotonic() + 30.0
-    while not socket_path.exists():
+    while not _listening(socket_path):
         if proc.poll() is not None or time.monotonic() > deadline:
             proc.kill()
             raise AssertionError(f"serve never bound {socket_path}")
