@@ -1,6 +1,6 @@
 """Correctness tooling for the parallel matching engine.
 
-Four layers, each an executable form of an argument the paper makes in
+Three layers, each an executable form of an argument the paper makes in
 prose (Section III-B):
 
 * :mod:`repro.analysis.racecheck` — a dynamic race detector over the
@@ -10,14 +10,15 @@ prose (Section III-B):
 * :mod:`repro.analysis.invariants` — post-barrier/post-phase checks that
   the matching is mutually consistent, BFS trees are vertex-disjoint, and
   augmenting paths alternate;
-* :mod:`repro.analysis.lint` — repo-specific AST lint rules (shared-array
-  mutation discipline, no global RNG state, no wall-clock in cost models)
-  behind the ``repro-match lint`` subcommand;
-* :mod:`repro.analysis.effects` + :mod:`repro.analysis.phasecheck` — a
-  static phase-safety analyzer: per-function effect summaries over shared
-  arrays (read / raw-written / atomically written), propagated through the
-  call graph, checked against the engines' phase-discipline contracts
-  (rules REP004–REP008) behind ``repro-match analyze``.
+* :mod:`repro.analysis.effects` + :mod:`repro.analysis.phasecheck` — the
+  static analyzer behind ``repro-match analyze``: one rule table
+  (REP001–REP009) run over per-function effect summaries of shared
+  arrays (read / raw-written / atomically written, propagated through the
+  call graph) and over each module's AST, checking the engines'
+  phase-discipline contracts plus the repo-specific AST checks of
+  :mod:`repro.analysis.lint` (shared-array mutation discipline, no global
+  RNG state, no wall-clock in cost models, an engine-free certificate
+  checker).
 """
 
 from repro.analysis.effects import (
@@ -27,23 +28,12 @@ from repro.analysis.effects import (
     build_package_effects,
 )
 from repro.analysis.invariants import InvariantChecker, check_all_invariants
-from repro.analysis.lint import LintViolation, filter_rules, run_lint
-from repro.analysis.phasecheck import (
-    Finding,
-    apply_baseline,
-    load_baseline,
-    rule_catalog,
-    run_analyze,
-    write_baseline,
-)
+from repro.analysis.phasecheck import RULES, Finding, Rule, run_analyze
 from repro.analysis.racecheck import RaceMonitor, RaceReport, run_racecheck
 
 __all__ = [
     "InvariantChecker",
     "check_all_invariants",
-    "LintViolation",
-    "filter_rules",
-    "run_lint",
     "RaceMonitor",
     "RaceReport",
     "run_racecheck",
@@ -51,10 +41,8 @@ __all__ = [
     "FunctionInfo",
     "PackageEffects",
     "build_package_effects",
+    "RULES",
     "Finding",
-    "apply_baseline",
-    "load_baseline",
-    "rule_catalog",
+    "Rule",
     "run_analyze",
-    "write_baseline",
 ]

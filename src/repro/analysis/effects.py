@@ -191,7 +191,7 @@ class FunctionInfo:
         return f"{self.module}::{self.qualname}"
 
 
-def _own_statements(func: ast.AST) -> Iterator[ast.AST]:
+def own_statements(func: ast.AST) -> Iterator[ast.AST]:
     """Walk a function body without descending into nested function defs."""
     stack: List[ast.AST] = list(getattr(func, "body", []))
     while stack:
@@ -200,6 +200,13 @@ def _own_statements(func: ast.AST) -> Iterator[ast.AST]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         stack.extend(ast.iter_child_nodes(node))
+
+
+def is_generator(func: ast.AST) -> bool:
+    """Whether a function's own body (nested functions aside) yields."""
+    return any(
+        isinstance(node, (ast.Yield, ast.YieldFrom)) for node in own_statements(func)
+    )
 
 
 def _has_commit_decorator(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
@@ -236,7 +243,7 @@ def _bound_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> Set[str]:
         elif isinstance(target, ast.Starred):
             add_target(target.value)
 
-    for node in _own_statements(func):
+    for node in own_statements(func):
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 add_target(target)
@@ -260,15 +267,12 @@ def _bound_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> Set[str]:
 
 def _collect_direct_effects(
     func: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> Tuple[Effects, List[CallSite], bool]:
-    """Direct (intraprocedural) effects, call sites, and generator-ness."""
+) -> Tuple[Effects, List[CallSite]]:
+    """Direct (intraprocedural) effects and call sites."""
     eff = Effects()
     calls: List[CallSite] = []
-    is_generator = False
-    for node in _own_statements(func):
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            is_generator = True
-        elif isinstance(node, ast.Subscript):
+    for node in own_statements(func):
+        if isinstance(node, ast.Subscript):
             path = attr_chain(node.value)
             if path is None:
                 continue
@@ -302,7 +306,7 @@ def _collect_direct_effects(
                 continue
             args = tuple(attr_chain(a) for a in node.args)
             calls.append(CallSite(target=func_path, args=args, lineno=node.lineno))
-    return eff, calls, is_generator
+    return eff, calls
 
 
 def _drop_locals(eff: Effects, local: Set[str] | FrozenSet[str]) -> Effects:
@@ -316,9 +320,10 @@ def _drop_locals(eff: Effects, local: Set[str] | FrozenSet[str]) -> Effects:
 
 @dataclass
 class ModuleInfo:
-    """Per-module AST facts: functions, imports, and the parse tree."""
+    """Per-module AST facts: functions, imports, the source and its parse tree."""
 
     relpath: str
+    source: str
     tree: ast.Module
     functions: Dict[str, FunctionInfo]
     """qualname -> info for every function defined in the module."""
@@ -336,7 +341,7 @@ def _module_dotted(relpath: str) -> str:
     return ".".join(["repro"] + parts) if parts else "repro"
 
 
-def _collect_module(relpath: str, tree: ast.Module) -> ModuleInfo:
+def _collect_module(relpath: str, source: str, tree: ast.Module) -> ModuleInfo:
     functions: Dict[str, FunctionInfo] = {}
     import_aliases: Dict[str, str] = {}
     from_imports: Dict[str, Tuple[str, str]] = {}
@@ -351,7 +356,7 @@ def _collect_module(relpath: str, tree: ast.Module) -> ModuleInfo:
 
     def visit(func: ast.FunctionDef | ast.AsyncFunctionDef, prefix: str) -> None:
         qualname = f"{prefix}{func.name}" if prefix else func.name
-        direct, calls, is_gen = _collect_direct_effects(func)
+        direct, calls = _collect_direct_effects(func)
         local = _bound_names(func)
         direct = _drop_locals(direct, local)
         functions[qualname] = FunctionInfo(
@@ -361,7 +366,7 @@ def _collect_module(relpath: str, tree: ast.Module) -> ModuleInfo:
             lineno=func.lineno,
             end_lineno=getattr(func, "end_lineno", func.lineno) or func.lineno,
             params=tuple(a.arg for a in func.args.args),
-            is_generator=is_gen,
+            is_generator=is_generator(func),
             is_commit_boundary=_has_commit_decorator(func),
             direct=direct,
             calls=calls,
@@ -379,7 +384,7 @@ def _collect_module(relpath: str, tree: ast.Module) -> ModuleInfo:
         parent: ast.FunctionDef | ast.AsyncFunctionDef,
         child: ast.FunctionDef | ast.AsyncFunctionDef,
     ) -> bool:
-        for node in _own_statements(parent):
+        for node in own_statements(parent):
             if node is child:
                 return True
         return False
@@ -394,6 +399,7 @@ def _collect_module(relpath: str, tree: ast.Module) -> ModuleInfo:
 
     return ModuleInfo(
         relpath=relpath,
+        source=source,
         tree=tree,
         functions=functions,
         import_aliases=import_aliases,
@@ -408,6 +414,8 @@ class PackageEffects:
     modules: Dict[str, ModuleInfo]
     functions: Dict[str, FunctionInfo]
     """``module::qualname`` -> info, summaries populated."""
+    parse_errors: Dict[str, SyntaxError]
+    """relpath -> why the file does not parse (it has no ModuleInfo)."""
 
     def lookup(self, module: str, qualname: str) -> Optional[FunctionInfo]:
         return self.functions.get(f"{module}::{qualname}")
@@ -478,19 +486,22 @@ def _resolve_call(
 def build_package_effects(root: Path | str) -> PackageEffects:
     """Parse every ``*.py`` under ``root`` and compute effect summaries.
 
-    ``root`` may also be a single file. Files that fail to parse are
-    skipped here — the lint driver reports them separately (REP000).
+    ``root`` may also be a single file. Files that fail to parse get no
+    summaries; their errors land in ``parse_errors`` (the analyzer's REP000).
     """
     root = Path(root)
     modules: Dict[str, ModuleInfo] = {}
+    parse_errors: Dict[str, SyntaxError] = {}
     paths = [root] if root.is_file() else sorted(root.rglob("*.py"))
     for path in paths:
         relpath = path.name if root.is_file() else path.relative_to(root).as_posix()
+        source = path.read_text(encoding="utf-8")
         try:
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        except SyntaxError:
+            tree = ast.parse(source, filename=str(path))
+        except SyntaxError as exc:
+            parse_errors[relpath] = exc
             continue
-        modules[relpath] = _collect_module(relpath, tree)
+        modules[relpath] = _collect_module(relpath, source, tree)
 
     dotted_index = _index_by_dotted_module(modules)
     functions: Dict[str, FunctionInfo] = {}
@@ -535,4 +546,4 @@ def build_package_effects(root: Path | str) -> PackageEffects:
                     if info.summary.merge(translated):
                         changed = True
 
-    return PackageEffects(modules=modules, functions=functions)
+    return PackageEffects(modules=modules, functions=functions, parse_errors=parse_errors)

@@ -1,7 +1,8 @@
-"""Repo-specific AST lint rules for the matching engine.
+"""The analyzer's AST checks: project contracts no generic linter knows.
 
-Generic linters (ruff) cover style and obvious bugs; these rules encode
-*project* contracts that no generic tool knows about:
+Each check takes one module's AST and yields ``(node, message)`` pairs;
+the rule table in :mod:`repro.analysis.phasecheck` scopes them to files
+and runs them with the effect-based rules under ``repro-match analyze``.
 
 * **REP001 shared-array-mutation** — inside item programs (generator
   functions that run on the interleaved simulator, i.e. any function
@@ -23,102 +24,30 @@ Generic linters (ruff) cover style and obvious bugs; these rules encode
   ``repro.parallel`` or ``repro.distributed``: it must not share code with
   the engines whose answers it certifies, so an engine bug cannot also
   hide in the check.
-
-A violation can be locally suppressed with a ``# lint: allow-<rule-name>``
-comment on the offending line *or* on the first line of the enclosing
-statement (so multi-line calls and assignments can carry the comment up
-top). Use sparingly, with justification — the ``unused-suppression``
-analyzer rule (REP007, :mod:`repro.analysis.phasecheck`) flags comments
-that stop suppressing anything.
-
-Run via ``repro-match lint`` (nonzero exit on violations) or
-:func:`run_lint`; ``--select``/``--ignore`` filter rules by code or name.
-The deeper effect-based rules REP004–REP008 run under
-``repro-match analyze``.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from fnmatch import fnmatch
-from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Iterator, List, Tuple
 
-DEFAULT_ROOT = Path(__file__).resolve().parents[1]
-"""The ``src/repro`` package directory — what ``repro-match lint`` scans."""
+from repro.analysis.effects import attr_chain, is_generator, own_statements
 
-
-@dataclass(frozen=True)
-class LintViolation:
-    path: str
-    line: int
-    col: int
-    rule: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-
-CheckFn = Callable[[ast.Module], Iterator[Tuple[ast.AST, str]]]
-
-
-@dataclass(frozen=True)
-class LintRule:
-    code: str
-    name: str
-    description: str
-    scope: Tuple[str, ...]
-    """fnmatch patterns over the package-relative posix path; () = all files."""
-    exclude: Tuple[str, ...]
-    check: CheckFn
-
-    def applies_to(self, relpath: str) -> bool:
-        if any(fnmatch(relpath, pat) for pat in self.exclude):
-            return False
-        return not self.scope or any(fnmatch(relpath, pat) for pat in self.scope)
-
+Hit = Tuple[ast.AST, str]
 
 # --------------------------------------------------------------------------- #
 # REP001: shared arrays are mutated only through AtomicArray/SharedArray ops
 # --------------------------------------------------------------------------- #
 
 
-def _own_body_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function's body without descending into nested functions."""
-    stack = list(getattr(func, "body", []))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _is_generator(func: ast.AST) -> bool:
-    return any(
-        isinstance(node, (ast.Yield, ast.YieldFrom)) for node in _own_body_nodes(func)
-    )
-
-
-def _check_shared_mutation(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
+def check_shared_mutation(tree: ast.Module) -> Iterator[Hit]:
+    """REP001: raw subscript writes inside generator item programs."""
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if not _is_generator(func):
+        if not is_generator(func):
             continue
-        for node in _own_body_nodes(func):
+        for node in own_statements(func):
             targets: List[ast.expr] = []
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -150,19 +79,14 @@ _NP_RANDOM_ALLOWED = {
 }
 
 
-def _attr_chain(node: ast.AST) -> List[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    else:
-        return []
-    return parts[::-1]
+def _call_chain(node: ast.Call) -> List[str]:
+    """``np.random.rand(...)`` -> ``["np", "random", "rand"]``; [] if unnamed."""
+    path = attr_chain(node.func)
+    return path.split(".") if path is not None else []
 
 
-def _check_global_rng(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
+def check_global_rng(tree: ast.Module) -> Iterator[Hit]:
+    """REP002: stdlib ``random`` imports and global ``np.random.*`` calls."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -178,7 +102,7 @@ def _check_global_rng(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
                     "must go through repro.util.rng"
                 )
         elif isinstance(node, ast.Call):
-            chain = _attr_chain(node.func)
+            chain = _call_chain(node)
             if (
                 len(chain) == 3
                 and chain[0] in ("np", "numpy")
@@ -206,7 +130,8 @@ _WALLCLOCK_CALLS = {
 }
 
 
-def _check_wallclock(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
+def check_wallclock(tree: ast.Module) -> Iterator[Hit]:
+    """REP003: host-clock reads (``time.*``, ``datetime.now``)."""
     from_time: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "time":
@@ -215,7 +140,7 @@ def _check_wallclock(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        chain = _attr_chain(node.func)
+        chain = _call_chain(node)
         bad = (
             (len(chain) == 2 and tuple(chain) in _WALLCLOCK_CALLS)
             or (len(chain) == 3 and chain[0] == "datetime" and chain[2] in ("now", "utcnow"))
@@ -239,7 +164,8 @@ def _is_engine_module(name: str) -> bool:
     return any(name == pkg or name.startswith(pkg + ".") for pkg in _ENGINE_PACKAGES)
 
 
-def _check_independent_checker(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
+def check_independent_checker(tree: ast.Module) -> Iterator[Hit]:
+    """REP009: imports of the engine packages."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -254,195 +180,3 @@ def _check_independent_checker(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]
                 f"the certificate checker imports {engine!r}; it must stay "
                 f"independent of the engines it certifies ({', '.join(_ENGINE_PACKAGES)})"
             )
-
-
-# --------------------------------------------------------------------------- #
-# registry + runner
-# --------------------------------------------------------------------------- #
-
-RULES: Tuple[LintRule, ...] = (
-    LintRule(
-        code="REP001",
-        name="shared-array-mutation",
-        description="item programs mutate shared arrays only via AtomicArray/SharedArray ops",
-        scope=("core/*.py", "parallel/*.py"),
-        exclude=(),
-        check=_check_shared_mutation,
-    ),
-    LintRule(
-        code="REP002",
-        name="global-rng",
-        description="no global random state outside repro.util.rng",
-        scope=(),
-        exclude=("util/rng.py",),
-        check=_check_global_rng,
-    ),
-    LintRule(
-        code="REP003",
-        name="wallclock-cost-model",
-        description="cost-model code never reads the host clock",
-        scope=(
-            "parallel/cost_model.py",
-            "parallel/machine.py",
-            "distributed/bsp.py",
-        ),
-        exclude=(),
-        check=_check_wallclock,
-    ),
-    LintRule(
-        code="REP009",
-        name="independent-checker",
-        description="the certificate checker imports nothing from core/, parallel/ or distributed/",
-        scope=("matching/verify.py",),
-        exclude=(),
-        check=_check_independent_checker,
-    ),
-)
-
-
-def filter_rules(
-    rules: Sequence[LintRule],
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> Tuple[LintRule, ...]:
-    """Keep rules matching ``select`` (codes or names), drop ``ignore``.
-
-    Raises ValueError for a key that names no rule — a misspelled
-    ``--select REP01`` should fail loudly, not silently lint nothing.
-    """
-
-    def norm(keys: Optional[Iterable[str]]) -> Dict[str, str]:
-        if keys is None:
-            return {}
-        return {k.strip().upper(): k for k in keys}
-
-    known = {r.code.upper() for r in rules} | {r.name.upper() for r in rules}
-    sel, ign = norm(select), norm(ignore)
-    unknown = [orig for key, orig in {**sel, **ign}.items() if key not in known]
-    if unknown:
-        raise ValueError(f"unknown rule(s): {', '.join(sorted(unknown))}")
-
-    def matches(rule: LintRule, keys: Dict[str, str]) -> bool:
-        return rule.code.upper() in keys or rule.name.upper() in keys
-
-    return tuple(
-        r
-        for r in rules
-        if (not sel or matches(r, sel)) and not matches(r, ign)
-    )
-
-
-def suppression_lines(tree: ast.Module, line: int) -> Set[int]:
-    """Lines where an allow-comment counts for a violation at ``line``.
-
-    The violation's own line, plus the first line of the innermost
-    statement spanning it — so a suppression on the first line of a
-    multi-line call/assignment is honored.
-    """
-    candidates = {line}
-    best: Optional[Tuple[int, int]] = None
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt):
-            continue
-        end = getattr(node, "end_lineno", None) or node.lineno
-        if node.lineno <= line <= end:
-            span = (node.lineno, end)
-            if best is None or (span[0] >= best[0] and span[1] <= best[1]):
-                best = span
-    if best is not None:
-        candidates.add(best[0])
-    return candidates
-
-
-def suppressed_at(
-    source_lines: Sequence[str], candidates: Set[int], rule_name: str
-) -> Optional[int]:
-    """The line carrying an active ``allow-<rule_name>`` comment, if any."""
-    for ln in sorted(candidates):
-        if 1 <= ln <= len(source_lines):
-            if f"lint: allow-{rule_name}" in source_lines[ln - 1]:
-                return ln
-    return None
-
-
-def lint_file(
-    path: Path,
-    relpath: str,
-    rules: Sequence[LintRule] = RULES,
-    used_suppressions: Optional[Set[Tuple[str, int]]] = None,
-) -> List[LintViolation]:
-    """Lint one file; ``relpath`` decides which rules apply.
-
-    ``used_suppressions``, when given, collects ``(relpath, comment_line)``
-    for every allow-comment that actually masked a violation — the
-    unused-suppression rule subtracts these from the comments it finds.
-    """
-    source = path.read_text(encoding="utf-8")
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [
-            LintViolation(
-                path=str(path),
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                rule="REP000",
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
-    lines = source.splitlines()
-    violations: List[LintViolation] = []
-    for rule in rules:
-        if not rule.applies_to(relpath):
-            continue
-        for node, message in rule.check(tree):
-            line = getattr(node, "lineno", 1)
-            hit = suppressed_at(lines, suppression_lines(tree, line), rule.name)
-            if hit is not None:
-                if used_suppressions is not None:
-                    used_suppressions.add((relpath, hit))
-                continue
-            violations.append(
-                LintViolation(
-                    path=str(path),
-                    line=line,
-                    col=getattr(node, "col_offset", 0),
-                    rule=f"{rule.code} ({rule.name})",
-                    message=message,
-                )
-            )
-    return violations
-
-
-def run_lint(
-    root: Path | str = DEFAULT_ROOT,
-    rules: Sequence[LintRule] = RULES,
-    used_suppressions: Optional[Set[Tuple[str, int]]] = None,
-) -> List[LintViolation]:
-    """Lint every ``*.py`` under ``root`` (a package-shaped directory).
-
-    Rule scopes match against paths relative to ``root``, so a fixture
-    tree mimicking the package layout (``<root>/core/foo.py``) exercises
-    the same scoping as the real ``src/repro``.
-    """
-    root = Path(root)
-    if root.is_file():
-        return lint_file(root, root.name, rules, used_suppressions)
-    violations: List[LintViolation] = []
-    for path in sorted(root.rglob("*.py")):
-        relpath = path.relative_to(root).as_posix()
-        violations.extend(lint_file(path, relpath, rules, used_suppressions))
-    return sorted(violations, key=lambda v: (v.path, v.line, v.col, v.rule))
-
-
-def summarize(violations: Sequence[LintViolation]) -> str:
-    """One-line per-rule tally, e.g. ``3 violations (REP001 x2, REP004 x1)``."""
-    if not violations:
-        return "0 violations"
-    counts: dict[str, int] = {}
-    for v in violations:
-        code = v.rule.split(" ")[0]
-        counts[code] = counts.get(code, 0) + 1
-    parts = ", ".join(f"{code} x{n}" for code, n in sorted(counts.items()))
-    noun = "violation" if len(violations) == 1 else "violations"
-    return f"{len(violations)} {noun} ({parts})"

@@ -1,4 +1,4 @@
-"""Phase-discipline contract checking over static effect summaries.
+"""The static analyzer: one rule table (REP001–REP009) and one runner.
 
 The MS-BFS-Graft engines share one correctness contract (the "phase
 discipline"): work happens in barrier-synchronized phases, shared arrays
@@ -7,9 +7,10 @@ are claimed only through atomic first-writer-wins channels, every
 counters exact, and every phase-loop iteration passes through
 ``GraftOptions.begin_phase`` (which bundles ``Deadline.check``, the
 telemetry phase span, and ``phase_hook``).
-This module checks that contract statically, against the interprocedural
-effect summaries of :mod:`repro.analysis.effects`, and extends the lint
-rule set (REP001–REP003 and REP009, :mod:`repro.analysis.lint`) with:
+:data:`RULES` checks that contract statically. The AST checks of
+:mod:`repro.analysis.lint` (REP001–REP003, REP009) and REP005/REP008
+look at one module at a time; the rest read the interprocedural effect
+summaries of :mod:`repro.analysis.effects`:
 
 * **REP004 raw-write-in-phase** — inside a *phase body* (a generator item
   program under ``core/``/``parallel/``, or a phase closure in a
@@ -32,18 +33,19 @@ rule set (REP001–REP003 and REP009, :mod:`repro.analysis.lint`) with:
   and the direction rule and the ``num_unvisited_y == 0`` phase exit read
   those counters, so a raw write that skips them can end a phase early.
 * **REP007 unused-suppression** — a ``# lint: allow-<rule>`` comment that
-  masks no violation (or names no known rule) must be removed; stale
+  masks no finding (or names no known rule) must be removed; stale
   suppressions hide future regressions.
 * **REP008 bare-except-in-engine** — ``except:`` / ``except
   BaseException`` in engine code (``core/``, ``distributed/``,
   ``parallel/``) swallows ``DeadlineExceeded`` and breaks the time-budget
   contract.
 
-Findings carry package-relative paths and stable fingerprints; a
-committed baseline file (``analysis-baseline.json``) lets a finding be
-acknowledged without being fixed, so the CI gate only fails on *new*
-findings. Run via ``repro-match analyze`` with ``--format
-text|json|sarif``.
+A finding is suppressed by a ``# lint: allow-<rule-name>`` comment on its
+line *or* on the first line of the enclosing statement (so multi-line
+calls and assignments can carry the comment up top). A file that does not
+parse is reported as REP000, whatever the rule filter. Findings carry
+package-relative paths and stable fingerprints. Run via ``repro-match
+analyze`` with ``--format text|json|sarif``; it exits 1 on any finding.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from typing import (
     Tuple,
 )
 
+from repro.analysis import lint
 from repro.analysis.effects import (
     FunctionInfo,
     PackageEffects,
@@ -76,16 +79,9 @@ from repro.analysis.effects import (
     base_name,
     build_package_effects,
 )
-from repro.analysis.lint import (
-    DEFAULT_ROOT,
-    RULES as LINT_RULES,
-    lint_file,
-    suppressed_at,
-    suppression_lines,
-)
 
-BASELINE_VERSION = 1
-DEFAULT_BASELINE_NAME = "analysis-baseline.json"
+DEFAULT_ROOT = Path(__file__).resolve().parents[1]
+"""The ``src/repro`` package directory — what ``repro-match analyze`` scans."""
 
 PHASE_NAME_MARKERS = ("topdown", "bottomup", "graft", "augment", "resolve", "claim")
 """Name fragments identifying phase closures in the distributed engines."""
@@ -101,7 +97,6 @@ ENGINE_DIR_PATTERNS = ("core/*.py", "distributed/*.py", "parallel/*.py")
 
 # One finding, pre-suppression: (relpath, line, col, message).
 RawFinding = Tuple[str, int, int, str]
-PhaseCheckFn = Callable[[PackageEffects], Iterator[RawFinding]]
 
 
 @dataclass(frozen=True)
@@ -117,10 +112,11 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching: rule + file + message.
+        """Stable identity across edits: rule + file + message.
 
-        Line numbers are deliberately excluded so unrelated edits above a
-        baselined finding do not resurrect it.
+        Line numbers are deliberately excluded so code scanning keeps
+        matching a finding to its earlier reports after unrelated edits
+        above it (SARIF ``partialFingerprints``).
         """
         raw = f"{self.code}|{self.path}|{self.message}".encode("utf-8")
         return hashlib.sha256(raw).hexdigest()[:16]
@@ -130,17 +126,29 @@ class Finding:
 
 
 @dataclass(frozen=True)
-class PhaseRule:
-    """A package-level contract rule over effect summaries.
+class Rule:
+    """One analyzer rule.
 
-    ``check`` is None for REP007, which the runner evaluates last (it
-    needs to know which suppressions every *other* rule consumed).
+    With ``modules`` set, ``check`` takes one module's AST and yields
+    ``(node, message)``; it runs on every module whose package-relative
+    path matches a ``modules`` pattern and no ``exclude`` pattern. With
+    ``modules`` None, ``check`` takes the whole :class:`PackageEffects`
+    and yields located findings itself. REP007 has no ``check``: the
+    runner evaluates it last, once it knows which suppressions every other
+    rule consumed.
     """
 
     code: str
     name: str
     description: str
-    check: Optional[PhaseCheckFn]
+    check: Optional[Callable[..., Iterator]]
+    modules: Optional[Tuple[str, ...]] = None
+    exclude: Tuple[str, ...] = ()
+
+    def applies_to(self, relpath: str) -> bool:
+        return any(fnmatch(relpath, p) for p in self.modules or ()) and not any(
+            fnmatch(relpath, p) for p in self.exclude
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -198,39 +206,33 @@ def _check_raw_write_in_phase(pkg: PackageEffects) -> Iterator[RawFinding]:
 # --------------------------------------------------------------------------- #
 
 
-def _check_missing_deadline(pkg: PackageEffects) -> Iterator[RawFinding]:
-    for relpath, mod in pkg.modules.items():
-        if not any(fnmatch(relpath, pat) for pat in ENGINE_MODULE_PATTERNS):
+def _check_missing_deadline(tree: ast.Module) -> Iterator[lint.Hit]:
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.While):
             continue
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.While):
-                continue
-            advances_phase = False
-            calls_begin_phase = False
-            for sub in ast.walk(node):
-                target: Optional[ast.expr] = None
-                if isinstance(sub, ast.AugAssign):
-                    target = sub.target
-                elif isinstance(sub, ast.Assign) and len(sub.targets) == 1:
-                    target = sub.targets[0]
-                if target is not None:
-                    path = attr_chain(target)
-                    if path is not None and base_name(path) == "phases":
-                        advances_phase = True
-                if isinstance(sub, ast.Call):
-                    path = attr_chain(sub.func)
-                    if path is not None and base_name(path) == "begin_phase":
-                        calls_begin_phase = True
-            if advances_phase and not calls_begin_phase:
-                yield (
-                    relpath,
-                    node.lineno,
-                    node.col_offset,
-                    "engine phase loop never calls begin_phase(...): "
-                    "Deadline.check, the telemetry phase span, and "
-                    "phase_hook are all skipped — call "
-                    "options.begin_phase(phases) at the top of the loop",
-                )
+        advances_phase = False
+        calls_begin_phase = False
+        for sub in ast.walk(node):
+            target: Optional[ast.expr] = None
+            if isinstance(sub, ast.AugAssign):
+                target = sub.target
+            elif isinstance(sub, ast.Assign) and len(sub.targets) == 1:
+                target = sub.targets[0]
+            if target is not None:
+                path = attr_chain(target)
+                if path is not None and base_name(path) == "phases":
+                    advances_phase = True
+            if isinstance(sub, ast.Call):
+                path = attr_chain(sub.func)
+                if path is not None and base_name(path) == "begin_phase":
+                    calls_begin_phase = True
+        if advances_phase and not calls_begin_phase:
+            yield node, (
+                "engine phase loop never calls begin_phase(...): "
+                "Deadline.check, the telemetry phase span, and "
+                "phase_hook are all skipped — call "
+                "options.begin_phase(phases) at the top of the loop"
+            )
 
 
 # --------------------------------------------------------------------------- #
@@ -284,29 +286,45 @@ def _check_raw_visited_write(pkg: PackageEffects) -> Iterator[RawFinding]:
 # --------------------------------------------------------------------------- #
 
 
-def _check_bare_except(pkg: PackageEffects) -> Iterator[RawFinding]:
-    for relpath, mod in pkg.modules.items():
-        if not any(fnmatch(relpath, pat) for pat in ENGINE_DIR_PATTERNS):
+def _check_bare_except(tree: ast.Module) -> Iterator[lint.Hit]:
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
             continue
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            bare = node.type is None
-            base_exc = isinstance(node.type, ast.Name) and node.type.id == "BaseException"
-            if bare or base_exc:
-                what = "bare 'except:'" if bare else "'except BaseException'"
-                yield (
-                    relpath,
-                    node.lineno,
-                    node.col_offset,
-                    f"{what} in engine code swallows DeadlineExceeded and "
-                    f"KeyboardInterrupt, breaking the time-budget contract; "
-                    f"catch a concrete exception type",
-                )
+        bare = node.type is None
+        base_exc = isinstance(node.type, ast.Name) and node.type.id == "BaseException"
+        if bare or base_exc:
+            what = "bare 'except:'" if bare else "'except BaseException'"
+            yield node, (
+                f"{what} in engine code swallows DeadlineExceeded and "
+                f"KeyboardInterrupt, breaking the time-budget contract; "
+                f"catch a concrete exception type"
+            )
 
 
-PHASE_RULES: Tuple[PhaseRule, ...] = (
-    PhaseRule(
+RULES: Tuple[Rule, ...] = (
+    Rule(
+        code="REP001",
+        name="shared-array-mutation",
+        description="item programs mutate shared arrays only via AtomicArray/SharedArray ops",
+        check=lint.check_shared_mutation,
+        modules=("core/*.py", "parallel/*.py"),
+    ),
+    Rule(
+        code="REP002",
+        name="global-rng",
+        description="no global random state outside repro.util.rng",
+        check=lint.check_global_rng,
+        modules=("*",),
+        exclude=("util/rng.py",),
+    ),
+    Rule(
+        code="REP003",
+        name="wallclock-cost-model",
+        description="cost-model code never reads the host clock",
+        check=lint.check_wallclock,
+        modules=("parallel/cost_model.py", "parallel/machine.py", "distributed/bsp.py"),
+    ),
+    Rule(
         code="REP004",
         name="raw-write-in-phase",
         description=(
@@ -315,7 +333,7 @@ PHASE_RULES: Tuple[PhaseRule, ...] = (
         ),
         check=_check_raw_write_in_phase,
     ),
-    PhaseRule(
+    Rule(
         code="REP005",
         name="missing-deadline-check",
         description=(
@@ -323,8 +341,9 @@ PHASE_RULES: Tuple[PhaseRule, ...] = (
             "telemetry span + phase_hook)"
         ),
         check=_check_missing_deadline,
+        modules=ENGINE_MODULE_PATTERNS,
     ),
-    PhaseRule(
+    Rule(
         code="REP006",
         name="raw-visited-write",
         description=(
@@ -333,29 +352,29 @@ PHASE_RULES: Tuple[PhaseRule, ...] = (
         ),
         check=_check_raw_visited_write,
     ),
-    PhaseRule(
+    Rule(
         code="REP007",
         name="unused-suppression",
         description="every lint suppression comment masks a real violation",
         check=None,
     ),
-    PhaseRule(
+    Rule(
         code="REP008",
         name="bare-except-in-engine",
         description="no bare except / except BaseException in engine code",
         check=_check_bare_except,
+        modules=ENGINE_DIR_PATTERNS,
+    ),
+    Rule(
+        code="REP009",
+        name="independent-checker",
+        description="the certificate checker imports nothing from core/, parallel/ or distributed/",
+        check=lint.check_independent_checker,
+        modules=("matching/verify.py",),
     ),
 )
 
-
-def rule_catalog() -> List[Tuple[str, str, str]]:
-    """(code, name, description) for every analyzer rule, REP001–REP009."""
-    out = [(r.code, r.name, r.description) for r in LINT_RULES]
-    out += [(r.code, r.name, r.description) for r in PHASE_RULES]
-    return sorted(out)
-
-
-_NAME_TO_CODE: Dict[str, str] = {name: code for code, name, _ in rule_catalog()}
+_NAME_TO_CODE: Dict[str, str] = {rule.name: rule.code for rule in RULES}
 
 
 def _active_codes(
@@ -364,13 +383,13 @@ def _active_codes(
     """Rule codes left active after ``--select``/``--ignore`` filtering.
 
     Keys may be codes (``REP004``) or names (``raw-write-in-phase``),
-    case-insensitive; unknown keys raise ValueError.
+    case-insensitive; unknown keys raise ValueError — a misspelled
+    ``--select REP01`` must fail loudly, not silently check nothing.
     """
-    catalog = rule_catalog()
     by_key: Dict[str, str] = {}
-    for code, name, _ in catalog:
-        by_key[code.upper()] = code
-        by_key[name.upper()] = code
+    for rule in RULES:
+        by_key[rule.code.upper()] = rule.code
+        by_key[rule.name.upper()] = rule.code
 
     def resolve(keys: Optional[Iterable[str]]) -> Set[str]:
         out: Set[str] = set()
@@ -387,41 +406,73 @@ def _active_codes(
 
     selected = resolve(select)
     ignored = resolve(ignore)
-    active = selected if selected else {code for code, _, _ in catalog}
+    active = selected if selected else {rule.code for rule in RULES}
     return active - ignored
 
 
-def _split_rule(rule: str) -> Tuple[str, str]:
-    """``"REP001 (shared-array-mutation)"`` -> ``("REP001", "shared-array-mutation")``."""
-    if " (" in rule:
-        code, _, rest = rule.partition(" (")
-        return code, rest.rstrip(")")
-    return rule, "parse-error"
+# --------------------------------------------------------------------------- #
+# runner
+# --------------------------------------------------------------------------- #
+
+
+def _suppression_lines(tree: ast.Module, line: int) -> Set[int]:
+    """Lines where an allow-comment counts for a finding at ``line``.
+
+    The finding's own line, plus the first line of the innermost
+    statement spanning it — so a suppression on the first line of a
+    multi-line call/assignment is honored.
+    """
+    candidates = {line}
+    best: Optional[Tuple[int, int]] = None
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.stmt):
+            continue
+        end = getattr(node, "end_lineno", None) or node.lineno
+        if node.lineno <= line <= end:
+            span = (node.lineno, end)
+            if best is None or (span[0] >= best[0] and span[1] <= best[1]):
+                best = span
+    if best is not None:
+        candidates.add(best[0])
+    return candidates
+
+
+def _suppressed_at(
+    source_lines: Sequence[str], candidates: Set[int], rule_name: str
+) -> Optional[int]:
+    """The line carrying an active ``allow-<rule_name>`` comment, if any."""
+    for ln in sorted(candidates):
+        if 1 <= ln <= len(source_lines):
+            if f"lint: allow-{rule_name}" in source_lines[ln - 1]:
+                return ln
+    return None
+
+
+def _rule_hits(rule: Rule, pkg: PackageEffects) -> Iterator[RawFinding]:
+    """Every finding of one rule, located, before suppression."""
+    if rule.modules is None:
+        yield from rule.check(pkg)
+        return
+    for relpath, mod in pkg.modules.items():
+        if rule.applies_to(relpath):
+            for node, message in rule.check(mod.tree):
+                yield relpath, node.lineno, node.col_offset, message
 
 
 _ALLOW_RE = re.compile(r"lint:\s*allow-([A-Za-z0-9_-]+)")
 
 
 def _check_unused_suppressions(
-    root: Path, active: Set[str], used: Set[Tuple[str, int]]
+    pkg: PackageEffects, active: Set[str], used: Set[Tuple[str, int]]
 ) -> Iterator[Finding]:
     """REP007: allow-comments that masked nothing, or name unknown rules.
 
     A suppression for a rule *not* active in this invocation is skipped —
     it cannot be judged unused when its rule never ran. REP007 itself is
-    not suppressible; acknowledged findings go in the baseline.
+    not suppressible.
     """
-    for path in sorted(root.rglob("*.py")):
-        relpath = path.relative_to(root).as_posix()
-        try:
-            tokens = list(
-                tokenize.generate_tokens(
-                    io.StringIO(path.read_text(encoding="utf-8")).readline
-                )
-            )
-        except (tokenize.TokenError, SyntaxError, IndentationError):
-            continue
-        for tok in tokens:
+    for relpath, mod in pkg.modules.items():
+        for tok in tokenize.generate_tokens(io.StringIO(mod.source).readline):
             if tok.type != tokenize.COMMENT:
                 continue
             match = _ALLOW_RE.search(tok.string)
@@ -431,33 +482,18 @@ def _check_unused_suppressions(
             line, col = tok.start
             code = _NAME_TO_CODE.get(name)
             if code is None:
-                yield Finding(
-                    path=relpath,
-                    line=line,
-                    col=col,
-                    code="REP007",
-                    name="unused-suppression",
-                    message=(
-                        f"suppression references unknown rule {name!r}; "
-                        f"known rules: "
-                        f"{', '.join(sorted(_NAME_TO_CODE))}"
-                    ),
+                message = (
+                    f"suppression references unknown rule {name!r}; "
+                    f"known rules: {', '.join(sorted(_NAME_TO_CODE))}"
                 )
-                continue
-            if code not in active or code == "REP007":
-                continue
-            if (relpath, line) not in used:
-                yield Finding(
-                    path=relpath,
-                    line=line,
-                    col=col,
-                    code="REP007",
-                    name="unused-suppression",
-                    message=(
-                        f"suppression 'allow-{name}' masks no violation; "
-                        f"remove the stale comment"
-                    ),
+            elif code in active and code != "REP007" and (relpath, line) not in used:
+                message = (
+                    f"suppression 'allow-{name}' masks no violation; "
+                    f"remove the stale comment"
                 )
+            else:
+                continue
+            yield Finding(relpath, line, col, "REP007", "unused-suppression", message)
 
 
 def run_analyze(
@@ -465,116 +501,47 @@ def run_analyze(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
 ) -> List[Finding]:
-    """Run every analyzer rule (REP001–REP009) over a package tree.
+    """Run the active rules of :data:`RULES` over a package tree.
 
-    Returns *all* findings, pre-baseline, sorted by location. Suppression
-    comments are honored per rule (except REP007); parse failures surface
-    as REP000 regardless of filtering.
+    Rule scopes match against paths relative to ``root``, so a fixture
+    tree mimicking the package layout (``<root>/core/foo.py``) exercises
+    the same scoping as the real ``src/repro``. Each file is read and
+    parsed once. Returns every finding sorted by location; suppression
+    comments are honored per rule (except REP007), and parse failures
+    surface as REP000 regardless of filtering.
     """
-    root = Path(root)
     active = _active_codes(select, ignore)
     pkg = build_package_effects(root)
+    findings = [
+        Finding(
+            relpath,
+            exc.lineno or 1,
+            exc.offset or 0,
+            "REP000",
+            "parse-error",
+            f"file does not parse: {exc.msg}",
+        )
+        for relpath, exc in pkg.parse_errors.items()
+    ]
     used: Set[Tuple[str, int]] = set()
-    findings: List[Finding] = []
-
-    lint_rules = tuple(r for r in LINT_RULES if r.code in active)
-    for path in sorted(root.rglob("*.py")):
-        relpath = path.relative_to(root).as_posix()
-        for violation in lint_file(path, relpath, lint_rules, used):
-            code, name = _split_rule(violation.rule)
-            findings.append(
-                Finding(
-                    path=relpath,
-                    line=violation.line,
-                    col=violation.col,
-                    code=code,
-                    name=name,
-                    message=violation.message,
-                )
-            )
-
-    source_cache: Dict[str, List[str]] = {}
-    for rule in PHASE_RULES:
+    for rule in RULES:
         if rule.code not in active or rule.check is None:
             continue
-        for relpath, line, col, message in rule.check(pkg):
-            mod = pkg.modules.get(relpath)
-            if mod is not None:
-                if relpath not in source_cache:
-                    source_cache[relpath] = (
-                        (root / relpath).read_text(encoding="utf-8").splitlines()
-                    )
-                hit = suppressed_at(
-                    source_cache[relpath],
-                    suppression_lines(mod.tree, line),
-                    rule.name,
-                )
-                if hit is not None:
-                    used.add((relpath, hit))
-                    continue
-            findings.append(
-                Finding(
-                    path=relpath,
-                    line=line,
-                    col=col,
-                    code=rule.code,
-                    name=rule.name,
-                    message=message,
-                )
+        for relpath, line, col, message in _rule_hits(rule, pkg):
+            mod = pkg.modules[relpath]
+            hit = _suppressed_at(
+                mod.source.splitlines(), _suppression_lines(mod.tree, line), rule.name
             )
+            if hit is not None:
+                used.add((relpath, hit))
+                continue
+            findings.append(Finding(relpath, line, col, rule.code, rule.name, message))
 
     if "REP007" in active:
-        findings.extend(_check_unused_suppressions(root, active, used))
+        findings.extend(_check_unused_suppressions(pkg, active, used))
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings
-
-
-# --------------------------------------------------------------------------- #
-# baseline
-# --------------------------------------------------------------------------- #
-
-
-def load_baseline(path: Path) -> Set[str]:
-    """Fingerprints acknowledged in a baseline file."""
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if data.get("version") != BASELINE_VERSION:
-        raise ValueError(
-            f"baseline {path} has version {data.get('version')!r}; "
-            f"expected {BASELINE_VERSION}"
-        )
-    return {str(entry["fingerprint"]) for entry in data.get("findings", [])}
-
-
-def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    """Write the current finding set as the acknowledged baseline."""
-    data = {
-        "version": BASELINE_VERSION,
-        "comment": (
-            "Acknowledged repro-match analyze findings. Entries are matched "
-            "by fingerprint (rule + path + message, line-independent). "
-            "Keep this empty: fix findings instead of baselining them."
-        ),
-        "findings": [
-            {
-                "fingerprint": f.fingerprint,
-                "rule": f.code,
-                "path": f.path,
-                "line": f.line,
-                "message": f.message,
-            }
-            for f in findings
-        ],
-    }
-    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
-
-
-def apply_baseline(
-    findings: Sequence[Finding], acknowledged: Set[str]
-) -> Tuple[List[Finding], int]:
-    """Split findings into (new, count-baselined)."""
-    fresh = [f for f in findings if f.fingerprint not in acknowledged]
-    return fresh, len(findings) - len(fresh)
 
 
 # --------------------------------------------------------------------------- #
@@ -582,28 +549,25 @@ def apply_baseline(
 # --------------------------------------------------------------------------- #
 
 
-def summarize_findings(findings: Sequence[Finding], baselined: int) -> str:
+def summarize_findings(findings: Sequence[Finding]) -> str:
+    """One-line per-rule tally, e.g. ``3 findings (REP001 x2, REP004 x1)``."""
+    if not findings:
+        return "analyze clean: 0 findings"
     counts: Dict[str, int] = {}
     for f in findings:
         counts[f.code] = counts.get(f.code, 0) + 1
-    if findings:
-        parts = ", ".join(f"{code} x{n}" for code, n in sorted(counts.items()))
-        noun = "finding" if len(findings) == 1 else "findings"
-        head = f"{len(findings)} {noun} ({parts})"
-    else:
-        head = "analyze clean: 0 findings"
-    if baselined:
-        head += f"; {baselined} baselined"
-    return head
+    parts = ", ".join(f"{code} x{n}" for code, n in sorted(counts.items()))
+    noun = "finding" if len(findings) == 1 else "findings"
+    return f"{len(findings)} {noun} ({parts})"
 
 
-def format_text(findings: Sequence[Finding], baselined: int) -> str:
+def format_text(findings: Sequence[Finding]) -> str:
     lines = [f.render() for f in findings]
-    lines.append(summarize_findings(findings, baselined))
+    lines.append(summarize_findings(findings))
     return "\n".join(lines)
 
 
-def format_json(findings: Sequence[Finding], baselined: int, root: str) -> str:
+def format_json(findings: Sequence[Finding], root: str) -> str:
     data = {
         "root": root,
         "findings": [
@@ -618,8 +582,7 @@ def format_json(findings: Sequence[Finding], baselined: int, root: str) -> str:
             }
             for f in findings
         ],
-        "baselined": baselined,
-        "summary": summarize_findings(findings, baselined),
+        "summary": summarize_findings(findings),
     }
     return json.dumps(data, indent=2)
 
@@ -628,12 +591,12 @@ def format_sarif(findings: Sequence[Finding]) -> str:
     """SARIF 2.1.0 — what CI uploads for code-scanning display."""
     rules = [
         {
-            "id": code,
-            "name": name,
-            "shortDescription": {"text": description},
+            "id": rule.code,
+            "name": rule.name,
+            "shortDescription": {"text": rule.description},
             "helpUri": "docs/static_analysis.md",
         }
-        for code, name, description in rule_catalog()
+        for rule in RULES
     ]
     results = [
         {

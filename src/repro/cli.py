@@ -7,7 +7,7 @@ Usage examples::
     repro-match experiment fig3 --scale 0.2
     repro-match experiment all --scale 0.2
     repro-match match path/to/matrix.mtx --algorithm hopcroft-karp
-    repro-match lint
+    repro-match analyze
     repro-match racecheck --seeds 5
 """
 
@@ -538,39 +538,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.lint import DEFAULT_ROOT, RULES, filter_rules, run_lint, summarize
-
-    try:
-        rules = filter_rules(RULES, args.select, args.ignore)
-    except ValueError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-    roots = args.paths or [str(DEFAULT_ROOT)]
-    violations = []
-    for root in roots:
-        violations.extend(run_lint(root, rules))
-    for violation in violations:
-        print(violation.render())
-    if violations:
-        print(summarize(violations), file=sys.stderr)
-        return 1
-    print(f"lint clean ({', '.join(roots)})")
-    return 0
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis.lint import DEFAULT_ROOT
     from repro.analysis.phasecheck import (
-        DEFAULT_BASELINE_NAME,
-        apply_baseline,
+        DEFAULT_ROOT,
         format_json,
         format_sarif,
         format_text,
-        load_baseline,
         run_analyze,
         summarize_findings,
-        write_baseline,
     )
 
     root = Path(args.root) if args.root else DEFAULT_ROOT
@@ -583,42 +558,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"analyze: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path: Path | None
-    if args.baseline == "none":
-        baseline_path = None
-    elif args.baseline == "auto":
-        candidate = Path.cwd() / DEFAULT_BASELINE_NAME
-        baseline_path = candidate if candidate.is_file() else None
-    else:
-        baseline_path = Path(args.baseline)
-
-    if args.write_baseline:
-        target = baseline_path or Path.cwd() / DEFAULT_BASELINE_NAME
-        write_baseline(target, findings)
-        print(f"wrote {len(findings)} finding(s) to {target}")
-        return 0
-
-    acknowledged: set[str] = set()
-    if baseline_path is not None:
-        if not baseline_path.is_file():
-            print(f"analyze: baseline not found: {baseline_path}", file=sys.stderr)
-            return 2
-        acknowledged = load_baseline(baseline_path)
-    fresh, baselined = apply_baseline(findings, acknowledged)
-
     if args.format == "json":
-        report = format_json(fresh, baselined, str(root))
+        report = format_json(findings, str(root))
     elif args.format == "sarif":
-        report = format_sarif(fresh)
+        report = format_sarif(findings)
     else:
-        report = format_text(fresh, baselined)
+        report = format_text(findings)
     if args.output:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
     else:
         print(report)
     if args.format != "text" or args.output:
-        print(summarize_findings(fresh, baselined), file=sys.stderr)
-    return 1 if fresh else 0
+        print(summarize_findings(findings), file=sys.stderr)
+    return 1 if findings else 0
 
 
 def _cmd_racecheck(args: argparse.Namespace) -> int:
@@ -927,29 +879,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache.set_defaults(fn=_cmd_cache)
 
-    p_lint = sub.add_parser("lint", help="repo-specific AST lint rules (REP001-REP003, REP009)")
-    p_lint.add_argument("paths", nargs="*",
-                        help="package-shaped directories to lint (default: src/repro)")
-    p_lint.add_argument("--select", action="append", default=None, metavar="RULE",
-                        help="run only these rules (code or name; repeatable)")
-    p_lint.add_argument("--ignore", action="append", default=None, metavar="RULE",
-                        help="skip these rules (code or name; repeatable)")
-    p_lint.set_defaults(fn=_cmd_lint)
-
     p_an = sub.add_parser(
         "analyze",
-        help="phase-safety static analyzer: effect inference + engine "
-             "contracts (REP001-REP008)",
+        help="static analyzer: AST and effect-inference rules for the "
+             "engines' contracts (REP001-REP009); exits 1 on any finding",
     )
     p_an.add_argument("root", nargs="?", default=None,
                       help="package-shaped directory to analyze (default: src/repro)")
     p_an.add_argument("--format", choices=["text", "json", "sarif"], default="text",
                       help="report format (default: text)")
-    p_an.add_argument("--baseline", default="auto", metavar="FILE",
-                      help="baseline file of acknowledged findings; 'auto' picks "
-                           "./analysis-baseline.json when present, 'none' disables")
-    p_an.add_argument("--write-baseline", action="store_true",
-                      help="write the current findings as the new baseline and exit")
     p_an.add_argument("--select", action="append", default=None, metavar="RULE",
                       help="run only these rules (code or name; repeatable)")
     p_an.add_argument("--ignore", action="append", default=None, metavar="RULE",

@@ -523,12 +523,6 @@ class GraftStats:
     renewable_y: np.ndarray
 
 
-def graft_statistics(state: ForestState) -> GraftStats:
-    """Classify vertices into active / renewable sets and clear the stale
-    root pointers of renewable X vertices."""
-    return graft_partition(state, recycle=False)
-
-
 def _concat_parts(parts: list[np.ndarray]) -> np.ndarray:
     if not parts:
         return np.empty(0, dtype=INDEX_DTYPE)

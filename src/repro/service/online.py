@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import secrets
 import socket
 import socketserver
 import threading
@@ -105,6 +106,21 @@ class _Handler(socketserver.StreamRequestHandler):
 class _Server(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
     daemon_threads = True
     allow_reuse_address = True
+
+
+_SUN_PATH_BYTES = 108
+"""Longest AF_UNIX path Linux accepts (``sizeof(sockaddr_un.sun_path)``)."""
+
+
+def _staging_path(path: str) -> str:
+    """A fresh short name beside ``path`` for the daemon to bind and listen on.
+
+    Eight random hex digits, fewer when the directory leaves less room
+    under the AF_UNIX path limit.
+    """
+    head = os.path.dirname(path)
+    room = _SUN_PATH_BYTES - len(os.fsencode(os.path.join(head, ".")))
+    return os.path.join(head, "." + secrets.token_hex(4)[: max(room, 1)])
 
 
 class _MetricsHandler(BaseHTTPRequestHandler):
@@ -184,10 +200,7 @@ class MatchingDaemon:
     def serve_forever(self) -> None:
         """Bind the socket and serve until a ``shutdown`` request arrives."""
         path = str(self.config.socket_path)
-        parent = Path(path).parent
-        parent.mkdir(parents=True, exist_ok=True)
-        if Path(path).exists():
-            Path(path).unlink()
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         # The metrics endpoint binds before the Unix socket appears, so a
         # caller that has seen the socket can rely on ``metrics_port``.
         if self.config.metrics_port is not None:
@@ -201,8 +214,21 @@ class MatchingDaemon:
                 kwargs={"poll_interval": 0.05},
                 daemon=True,
             ).start()
-        self._server = _Server(path, _Handler)
-        self._server.daemon_ref = self
+        # Bind and listen under a staging name, then rename it onto ``path``:
+        # the path appears only once connects are accepted, and the rename
+        # replaces a stale socket file that a killed daemon left behind.
+        staging = _staging_path(path)
+        server: Optional[_Server] = None
+        try:
+            server = _Server(staging, _Handler)
+            server.daemon_ref = self
+            os.replace(staging, path)
+        except OSError:
+            if server is not None:
+                server.server_close()
+            Path(staging).unlink(missing_ok=True)
+            raise
+        self._server = server
         try:
             self._server.serve_forever(poll_interval=0.05)
         finally:
@@ -224,8 +250,7 @@ class MatchingDaemon:
         deadline = self._clock() + 5.0
         path = str(self.config.socket_path)
         while self._clock() < deadline:
-            # The path appears at bind(), and a connect is refused until
-            # listen(); serve_forever stores the server once it listens.
+            # serve_forever stores the server once its path accepts connects.
             if self._server is not None:
                 return thread
             time.sleep(0.005)

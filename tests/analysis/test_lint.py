@@ -1,30 +1,30 @@
-"""Custom AST lint pass: fixture violations trip, the real tree is clean."""
+"""The AST rules (REP001-REP003, REP009) through the analyzer: fixture
+violations trip, the real tree is clean."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (
+from repro.analysis.phasecheck import (
     DEFAULT_ROOT,
     RULES,
-    filter_rules,
-    lint_file,
-    run_lint,
-    summarize,
+    run_analyze,
+    summarize_findings,
 )
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+AST_RULES = ["REP001", "REP002", "REP003", "REP009"]
 
 
-def codes(violations):
-    return [v.rule.split(" ")[0] for v in violations]
+def codes(findings):
+    return [f.code for f in findings]
 
 
 class TestFixtures:
     @pytest.fixture(scope="class")
     def violations(self):
-        return run_lint(FIXTURES)
+        return run_analyze(FIXTURES, select=AST_RULES)
 
     def test_raw_shared_mutation_trips_rep001(self, violations):
         hits = [v for v in violations if "bad_item_program" in v.path]
@@ -67,7 +67,7 @@ class TestFixtures:
 
 class TestRealTree:
     def test_shipped_package_is_clean(self):
-        violations = run_lint(DEFAULT_ROOT)
+        violations = run_analyze(DEFAULT_ROOT, select=AST_RULES)
         assert violations == [], "\n".join(v.render() for v in violations)
 
     def test_rules_cover_engine_file(self):
@@ -78,18 +78,19 @@ class TestRealTree:
         assert not rep001.applies_to("bench/runner.py")
 
     def test_engine_regression_guard(self, tmp_path):
-        """A future PR reintroducing a raw write in the engine is caught."""
+        """A later change reintroducing a raw write in the engine is caught."""
         bad = tmp_path / "core"
         bad.mkdir()
         source = (DEFAULT_ROOT / "core" / "engine_interleaved.py").read_text()
         source = source.replace("sh_parent.store(y, x)", "parent[y] = x")
         assert "parent[y] = x" in source
         (bad / "engine_interleaved.py").write_text(source)
-        violations = run_lint(tmp_path)
-        assert "REP001" in codes(violations)
+        # The effect rules see the raw write too (REP004); REP001 is the
+        # AST rule under test.
+        assert "REP001" in codes(run_analyze(tmp_path, select=["REP001"]))
 
     def test_checker_regression_guard(self, tmp_path):
-        """A future PR importing engine code into the checker is caught."""
+        """A later change importing engine code into the checker is caught."""
         bad = tmp_path / "matching"
         bad.mkdir()
         source = (DEFAULT_ROOT / "matching" / "verify.py").read_text()
@@ -97,62 +98,62 @@ class TestRealTree:
         assert anchor in source
         source = source.replace(anchor, anchor + "from repro.core.forest import ForestState\n")
         (bad / "verify.py").write_text(source)
-        assert codes(run_lint(tmp_path)) == ["REP009"]
+        assert codes(run_analyze(tmp_path)) == ["REP009"]
 
     def test_syntax_error_reported_not_raised(self, tmp_path):
-        broken = tmp_path / "broken.py"
-        broken.write_text("def f(:\n")
-        violations = lint_file(broken, "broken.py")
-        assert codes(violations) == ["REP000"]
+        (tmp_path / "broken.py").write_text("def f(:\n")
+        findings = run_analyze(tmp_path, select=["REP008"])
+        assert [(f.path, f.code) for f in findings] == [("broken.py", "REP000")]
 
 
 class TestCli:
     def test_lint_fixture_tree_exits_nonzero(self, capsys):
-        assert main(["lint", str(FIXTURES)]) == 1
+        assert main(["analyze", str(FIXTURES)]) == 1
         out = capsys.readouterr().out
-        assert "REP001" in out and "REP002" in out and "REP003" in out
+        assert all(code in out for code in AST_RULES)
 
     def test_lint_shipped_tree_exits_zero(self, capsys):
-        assert main(["lint"]) == 0
-        assert "lint clean" in capsys.readouterr().out
+        assert main(["analyze"]) == 0
+        assert "analyze clean" in capsys.readouterr().out
 
     def test_lint_select_narrows_rules(self, capsys):
-        assert main(["lint", str(FIXTURES), "--select", "REP002"]) == 1
+        assert main(["analyze", str(FIXTURES), "--select", "REP002"]) == 1
         out = capsys.readouterr().out
         assert "REP002" in out
         assert "REP001" not in out and "REP003" not in out
 
     def test_lint_ignore_drops_rule(self, capsys):
-        assert main(["lint", str(FIXTURES), "--ignore", "REP001", "--ignore", "REP002"]) == 1
+        argv = ["analyze", str(FIXTURES), "--ignore", "REP001", "--ignore", "REP002"]
+        assert main(argv) == 1
         out = capsys.readouterr().out
         assert "REP003" in out
         assert "REP001" not in out and "REP002" not in out
 
     def test_lint_unknown_rule_exits_two(self, capsys):
-        assert main(["lint", str(FIXTURES), "--select", "REP999"]) == 2
+        assert main(["analyze", str(FIXTURES), "--select", "REP999"]) == 2
         assert "REP999" in capsys.readouterr().err
 
     def test_lint_summary_line_on_stderr(self, capsys):
-        assert main(["lint", str(FIXTURES)]) == 1
+        assert main(["analyze", str(FIXTURES), "--format", "json"]) == 1
         err = capsys.readouterr().err
-        assert "violations (" in err
+        assert "findings (" in err
 
 
 class TestFilterRules:
     def test_select_by_code_and_name(self):
-        assert [r.code for r in filter_rules(RULES, ["REP002"], None)] == ["REP002"]
-        assert [r.code for r in filter_rules(RULES, ["global-rng"], None)] == ["REP002"]
+        for key in ("REP002", "global-rng"):
+            assert set(codes(run_analyze(FIXTURES, select=[key]))) == {"REP002"}
 
     def test_ignore(self):
-        kept = filter_rules(RULES, None, ["REP001"])
-        assert "REP001" not in [r.code for r in kept]
+        kept = run_analyze(FIXTURES, ignore=["REP001"])
+        assert "REP001" not in codes(kept)
 
     def test_unknown_key_raises(self):
         with pytest.raises(ValueError, match="nope"):
-            filter_rules(RULES, ["nope"], None)
+            run_analyze(FIXTURES, select=["nope"])
 
     def test_summarize_counts_by_code(self):
-        violations = run_lint(FIXTURES)
-        line = summarize(violations)
-        assert line.startswith(f"{len(violations)} violations (")
+        violations = run_analyze(FIXTURES, select=AST_RULES)
+        line = summarize_findings(violations)
+        assert line.startswith(f"{len(violations)} findings (")
         assert "REP002 x3" in line

@@ -1,4 +1,4 @@
-"""Phase-safety analyzer: rules REP004-REP008, baseline, formats, CLI."""
+"""Static analyzer: rules REP004-REP008, suppression, formats, CLI."""
 
 import json
 import shutil
@@ -8,21 +8,17 @@ import pytest
 
 from repro.analysis.phasecheck import (
     DEFAULT_ROOT,
+    RULES,
     Finding,
-    apply_baseline,
     format_json,
     format_sarif,
-    load_baseline,
-    rule_catalog,
     run_analyze,
     summarize_findings,
-    write_baseline,
 )
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC_ROOT = DEFAULT_ROOT
-REPO_ROOT = SRC_ROOT.parents[1]
 
 
 def triples(findings):
@@ -139,13 +135,6 @@ class TestRealTree:
     def test_shipped_tree_is_clean(self):
         assert run_analyze(SRC_ROOT) == []
 
-    def test_committed_baseline_is_empty(self):
-        baseline_path = REPO_ROOT / "analysis-baseline.json"
-        assert baseline_path.exists()
-        payload = json.loads(baseline_path.read_text())
-        assert payload["findings"] == []
-        assert load_baseline(baseline_path) == set()
-
     def _mutated_copy(self, tmp_path, mutations):
         """Copy the real sources into tmp and apply (relpath, old, new) edits."""
         for rel in (
@@ -250,15 +239,8 @@ class TestSuppression:
 
 
 class TestBaseline:
-    def test_round_trip_and_apply(self, tmp_path):
-        findings = run_analyze(FIXTURES, select=["REP008"])
-        assert findings
-        path = tmp_path / "baseline.json"
-        write_baseline(path, findings)
-        acknowledged = load_baseline(path)
-        fresh, baselined = apply_baseline(findings, acknowledged)
-        assert fresh == []
-        assert baselined == len(findings)
+    """Code scanning's baseline: it matches a SARIF result to earlier
+    reports by the finding's fingerprint."""
 
     def test_fingerprint_is_line_independent(self):
         a = Finding(path="p.py", line=3, col=0, code="REP004", name="n", message="m")
@@ -267,23 +249,16 @@ class TestBaseline:
         c = Finding(path="p.py", line=3, col=0, code="REP005", name="n", message="m")
         assert a.fingerprint != c.fingerprint
 
-    def test_bad_version_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(path)
-
 
 class TestFormats:
     def test_rule_catalog_covers_all_codes(self):
-        codes = [code for code, _, _ in rule_catalog()]
+        codes = [rule.code for rule in RULES]
         assert codes == [f"REP00{i}" for i in range(1, 10)]
 
     def test_json_format(self, fixture_findings):
-        payload = json.loads(format_json(fixture_findings, 0, str(FIXTURES)))
+        payload = json.loads(format_json(fixture_findings, str(FIXTURES)))
         assert len(payload["findings"]) == len(fixture_findings)
-        assert payload["baselined"] == 0
-        assert payload["summary"] == summarize_findings(fixture_findings, 0)
+        assert payload["summary"] == summarize_findings(fixture_findings)
         first = payload["findings"][0]
         assert {"path", "line", "col", "rule", "name", "message", "fingerprint"} <= set(
             first
@@ -303,11 +278,10 @@ class TestFormats:
         assert loc["region"]["startColumn"] >= 1
 
     def test_summaries(self, fixture_findings):
-        assert summarize_findings([], 0) == "analyze clean: 0 findings"
-        line = summarize_findings(fixture_findings, 2)
+        assert summarize_findings([]) == "analyze clean: 0 findings"
+        line = summarize_findings(fixture_findings)
         assert line.startswith(f"{len(fixture_findings)} findings (")
         assert "REP004 x2" in line
-        assert line.endswith("; 2 baselined")
 
 
 class TestCli:
@@ -340,35 +314,3 @@ class TestCli:
         sarif = json.loads(out_file.read_text())
         assert sarif["runs"][0]["tool"]["driver"]["name"] == "repro-match-analyze"
         assert "findings" in capsys.readouterr().err
-
-    def test_write_baseline_then_gate_passes(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert (
-            main(
-                [
-                    "analyze",
-                    str(FIXTURES),
-                    "--baseline",
-                    str(baseline),
-                    "--write-baseline",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert (
-            main(["analyze", str(FIXTURES), "--baseline", str(baseline)]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "baselined" in out
-
-    def test_gate_with_committed_baseline(self, capsys):
-        code = main(
-            [
-                "analyze",
-                str(SRC_ROOT),
-                "--baseline",
-                str(REPO_ROOT / "analysis-baseline.json"),
-            ]
-        )
-        assert code == 0

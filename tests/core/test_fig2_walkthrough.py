@@ -80,7 +80,7 @@ class TestGraftingWalkthrough:
             frontier = kernels.topdown_level(graph, state, matching, frontier).next_frontier
         roots, lengths = kernels.augment_all(state, matching)
         assert roots.tolist() == [1] and lengths.tolist() == [3]
-        gstats = kernels.graft_statistics(state)
+        gstats = kernels.graft_partition(state, recycle=False)
         assert gstats.active_x_count == 3  # x0, x2, x3
         # y2 and the path endpoint y3 both sit in the renewable tree.
         assert gstats.renewable_y.tolist() == [2, 3]

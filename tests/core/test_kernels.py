@@ -256,7 +256,7 @@ class TestGraftStatistics:
         kernels.topdown_level(g, state, matching, frontier)
         # Both trees found augmenting paths -> no active vertices remain.
         kernels.augment_all(state, matching)
-        stats = kernels.graft_statistics(state)
+        stats = kernels.graft_partition(state, recycle=False)
         assert stats.active_x_count == 0
         assert sorted(stats.renewable_y.tolist()) == [0, 1]
         assert stats.active_y.size == 0
@@ -268,7 +268,7 @@ class TestGraftStatistics:
         frontier = kernels.rebuild_from_unmatched(state, matching)
         kernels.topdown_level(g, state, matching, frontier)
         kernels.augment_all(state, matching)
-        kernels.graft_statistics(state)
+        kernels.graft_partition(state, recycle=False)
         assert state.root_x[0] == -1  # renewable X root pointer cleared
 
 

@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from repro.parallel.atomics import AtomicArray, AtomicCounter
-from repro.parallel.queues import PrivateQueue, SharedQueue
 
 
 class TestAtomicArray:
@@ -43,64 +41,6 @@ class TestAtomicCounter:
         assert c.fetch_and_add(2) == 3
         assert c.value == 5
         assert c.rmw_ops == 2
-
-
-class TestSharedQueue:
-    def test_reserve_slots(self):
-        q = SharedQueue(10)
-        assert q.reserve(3) == 0
-        assert q.reserve(2) == 3
-        assert len(q) == 5
-
-    def test_overflow(self):
-        q = SharedQueue(2)
-        q.reserve(2)
-        with pytest.raises(IndexError):
-            q.reserve(1)
-
-    def test_contents_snapshot(self):
-        q = SharedQueue(4)
-        start = q.reserve(2)
-        q.buffer[start : start + 2] = [7, 8]
-        assert q.contents().tolist() == [7, 8]
-
-
-class TestPrivateQueue:
-    def test_flush_on_capacity(self):
-        shared = SharedQueue(100)
-        pq = PrivateQueue(shared, capacity=3)
-        for i in range(3):
-            pq.push(i)
-        assert pq.flushes == 1
-        assert len(shared) == 3
-        assert pq.items == []
-
-    def test_manual_flush(self):
-        shared = SharedQueue(100)
-        pq = PrivateQueue(shared, capacity=100)
-        pq.push(5)
-        pq.flush()
-        assert shared.contents().tolist() == [5]
-
-    def test_flush_empty_noop(self):
-        shared = SharedQueue(10)
-        pq = PrivateQueue(shared, capacity=4)
-        pq.flush()
-        assert pq.flushes == 0
-
-    def test_one_atomic_per_flush(self):
-        shared = SharedQueue(1000)
-        pq = PrivateQueue(shared, capacity=10)
-        for i in range(95):
-            pq.push(i)
-        pq.flush()
-        # 9 capacity flushes + 1 manual = 10 reservations.
-        assert shared.tail.rmw_ops == 10
-        assert sorted(shared.contents().tolist()) == list(range(95))
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            PrivateQueue(SharedQueue(4), capacity=0)
 
 
 class RecordingObserver:

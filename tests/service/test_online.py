@@ -259,8 +259,8 @@ def daemon(tmp_path):
 
 class TestEndToEnd:
     def test_start_background_returns_once_listening(self, tmp_path, monkeypatch):
-        # Widen the window between bind(), which creates the socket path,
-        # and listen(): a connect in it is refused.
+        # Widen the window between bind() and listen(), in which a connect
+        # is refused.
         activate = online._Server.server_activate
 
         def slow_activate(server):
@@ -277,6 +277,58 @@ class TestEndToEnd:
             d.shutdown()
             thread.join(timeout=5)
         assert not thread.is_alive()
+
+    def test_socket_path_appears_only_after_listen(self, tmp_path, monkeypatch):
+        # A client that waits for the path to appear must not be refused,
+        # so the path must not exist yet when listen() runs.
+        socket_path = tmp_path / "d.sock"
+        seen = []
+        activate = online._Server.server_activate
+
+        def recording_activate(server):
+            seen.append(socket_path.exists())
+            activate(server)
+
+        monkeypatch.setattr(online._Server, "server_activate", recording_activate)
+        d = MatchingDaemon(OnlineConfig(socket_path=socket_path))
+        thread = d.start_background()
+        try:
+            assert seen == [False]
+            with OnlineClient(socket_path) as client:
+                assert client.ping()["pong"] is True
+        finally:
+            d.shutdown()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stale_socket_file_is_replaced(self, tmp_path):
+        socket_path = tmp_path / "d.sock"
+        socket_path.write_text("left behind by a killed daemon")
+        d = MatchingDaemon(OnlineConfig(socket_path=socket_path))
+        thread = d.start_background()
+        try:
+            with OnlineClient(socket_path) as client:
+                assert client.ping()["pong"] is True
+        finally:
+            d.shutdown()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_failed_rename_leaves_no_staging_file(self, tmp_path):
+        # A non-empty directory at the socket path cannot be replaced.
+        socket_path = tmp_path / "d.sock"
+        (socket_path / "keep").mkdir(parents=True)
+        d = MatchingDaemon(OnlineConfig(socket_path=socket_path))
+        with pytest.raises(OSError):
+            d.serve_forever()
+        assert [p.name for p in tmp_path.iterdir()] == ["d.sock"]
+
+    def test_staging_name_fits_the_af_unix_limit(self):
+        assert len(online._staging_path("run/d.sock")) == len("run/.") + 8
+        deep = "/" + "d" * 100
+        staging = online._staging_path(deep + "/s")
+        assert len(staging) == 108 and staging.startswith(deep + "/.")
 
     def test_full_session_lifecycle(self, daemon):
         with OnlineClient(daemon.config.socket_path) as client:

@@ -131,8 +131,8 @@ class TestNewCommands:
 
 class TestAnalysisCommands:
     def test_lint_default_tree_clean(self, capsys):
-        assert main(["lint"]) == 0
-        assert "lint clean" in capsys.readouterr().out
+        assert main(["analyze"]) == 0
+        assert "analyze clean" in capsys.readouterr().out
 
     def test_lint_flags_violations(self, tmp_path, capsys):
         bad = tmp_path / "core"
@@ -140,7 +140,7 @@ class TestAnalysisCommands:
         (bad / "prog.py").write_text(
             "def program(item, ts):\n    yield\n    shared[item] = 1\n"
         )
-        assert main(["lint", str(tmp_path)]) == 1
+        assert main(["analyze", str(tmp_path)]) == 1
         assert "REP001" in capsys.readouterr().out
 
     def test_racecheck_default_clean(self, capsys):
