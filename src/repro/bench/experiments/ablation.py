@@ -14,12 +14,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import List
 
 from repro.bench.report import format_table
 from repro.bench.runner import suite_initializer
-from repro.bench.suite import build_suite, get_suite_graph
+from repro.bench.suite import get_suite_graph
 from repro.core.driver import ms_bfs_graft
+from repro.errors import BenchmarkError
 from repro.matching.greedy import greedy_matching
 from repro.matching.karp_sipser import karp_sipser
 from repro.parallel.cost_model import CostModel
@@ -134,7 +135,11 @@ def direction_strategy_comparison(
                                   emit_trace=True)
             if baseline is None:
                 baseline = result.cardinality
-            assert result.cardinality == baseline
+            if result.cardinality != baseline:
+                raise BenchmarkError(
+                    f"{name}: {strategy} rule found |M|={result.cardinality}, "
+                    f"vertex rule {baseline}"
+                )
             sim = model.simulate(result.trace, 40)
             rows.append(
                 [name, strategy, result.counters.edges_traversed,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.bench.report import format_series
-from repro.bench.runner import run_algorithm, suite_initializer
+from repro.bench.runner import suite_initializer
 from repro.bench.suite import get_suite_graph
 
 

@@ -16,6 +16,7 @@ from repro.bench.report import format_table
 from repro.bench.runner import suite_initializer
 from repro.bench.suite import get_suite_graph
 from repro.core.driver import ms_bfs_graft
+from repro.errors import BenchmarkError
 from repro.instrument.phases import PhaseProfile, phase_profile
 
 
@@ -62,7 +63,11 @@ def run(
     graft = ms_bfs_graft(sg.graph, init, direction_optimizing=False, emit_trace=True)
     nograft = ms_bfs_graft(sg.graph, init, direction_optimizing=False, grafting=False,
                            emit_trace=True)
-    assert graft.cardinality == nograft.cardinality
+    if graft.cardinality != nograft.cardinality:
+        raise BenchmarkError(
+            f"{graph_name}: grafting found |M|={graft.cardinality}, "
+            f"no grafting {nograft.cardinality}"
+        )
     return PhaseDynamicsResult(
         graph=graph_name,
         graft=phase_profile(graft.trace),

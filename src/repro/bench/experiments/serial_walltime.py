@@ -17,6 +17,7 @@ from typing import Dict, List
 from repro.bench.report import format_table
 from repro.bench.runner import run_algorithm, suite_initializer
 from repro.bench.suite import build_suite
+from repro.errors import BenchmarkError
 from repro.util.stats import geometric_mean
 
 LOOP_ALGOS = ("pothen-fan", "push-relabel", "hopcroft-karp", "ss-bfs")
@@ -72,7 +73,11 @@ def run(scale: float = 0.2, seed: int = 0, repeats: int = 3) -> SerialWalltimeRe
                 best = min(best, result.wall_seconds)
                 if cardinality is None:
                     cardinality = result.cardinality
-                assert result.cardinality == cardinality, algo
+                if result.cardinality != cardinality:
+                    raise BenchmarkError(
+                        f"{sg.name}: {algo} found |M|={result.cardinality}, "
+                        f"expected {cardinality}"
+                    )
             seconds[algo] = best
         rows.append(
             SerialWalltimeRow(

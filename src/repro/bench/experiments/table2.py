@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.bench.report import format_table
-from repro.bench.suite import SuiteGraph, build_suite
+from repro.bench.suite import build_suite
 from repro.core.driver import ms_bfs_graft
 from repro.matching.verify import verify_maximum
 

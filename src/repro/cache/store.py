@@ -21,10 +21,8 @@ Design points:
   read every byte and defeat the mapping, so it lives in the explicit
   :meth:`GraphCache.verify` pass (``repro-match cache verify``).
 * **Headers compared, not parsed.** Both files are plain ``.npy`` arrays
-  whose header the store writes itself (:func:`_npy_header`); a read
-  checks it byte for byte instead of calling ``np.load``. numpy parses a
-  header with ``ast.literal_eval``, and on CPython 3.11.7 concurrent
-  ``ast`` use from several threads can raise ``SystemError``.
+  in the format of :mod:`repro.graph.serialize`, whose reads check the
+  header byte for byte instead of calling ``np.load``.
 * **Raw warm starts.** ``ks_<seed>.npy`` is read whole into a fresh
   writable array (the engines flip mates in place) and served only if its
   shape fits, its trailing CRC-32 matches the mates and the mates are
@@ -32,8 +30,9 @@ Design points:
   the shape into a miss too. :meth:`GraphCache.verify` also checks that
   every warm start is a valid matching of its entry's graph.
 * **Atomicity and concurrent callers.** Entries are built in a temp
-  directory and warm starts in a temp file, each unique to the call
-  (:mod:`tempfile`), then renamed into place. A store that finds its
+  directory and warm starts in a temp file
+  (:func:`~repro.graph.serialize.replacing`), each unique to the call,
+  then renamed into place. A store that finds its
   entry already in place keeps that entry: keys are content-addressed, so
   its bytes are the same. Any ``OSError`` while reading an entry (another
   caller may have evicted it mid-lookup) is a miss.
@@ -49,15 +48,13 @@ Design points:
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import shutil
 import tempfile
 import time
-import zlib
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -66,6 +63,7 @@ from repro.cache.prepare import PreparedGraph, build_suite_graph, warm_start_mat
 from repro.errors import CacheCorruptionError
 from repro.graph.csr import BipartiteCSR
 from repro.graph.readers import read_graph_file, resolve_format
+from repro.graph.serialize import check_npy, read_matching, write_matching, write_npy
 from repro.matching.base import Matching
 from repro.matching.verify import is_valid_matching
 
@@ -163,12 +161,12 @@ class GraphCache:
             return warm_start_matching(graph, seed)
         path = entry / f"ks_{int(seed)}.npy"
         try:
-            return _read_warm_start(path, graph.n_x, graph.n_y)
+            return read_matching(path, graph.n_x, graph.n_y)
         except (CacheCorruptionError, OSError):
             pass  # missing or corrupt warm start: rebuild it
         matching = warm_start_matching(graph, seed)
         try:
-            _write_warm_start(path, matching)
+            write_matching(path, matching)
             _touch(entry)
         except OSError:
             return matching
@@ -247,7 +245,7 @@ class GraphCache:
             return
         graph = _read_graph(entry / _GRAPH_FILE, meta)
         for path in paths:
-            if not is_valid_matching(graph, _read_warm_start(path, graph.n_x, graph.n_y)):
+            if not is_valid_matching(graph, read_matching(path, graph.n_x, graph.n_y)):
                 raise CacheCorruptionError(
                     f"{path.name} is not a valid matching of the entry's graph"
                 )
@@ -324,7 +322,7 @@ class GraphCache:
         tmp = Path(tempfile.mkdtemp(prefix=f".tmp-{key[:16]}-", dir=self.root))
         try:
             path = tmp / _GRAPH_FILE
-            _write_npy(path, (graph.x_ptr, graph.x_adj, graph.y_ptr, graph.y_adj))
+            write_npy(path, (graph.x_ptr, graph.x_adj, graph.y_ptr, graph.y_adj))
             meta = {
                 "key": key,
                 "kind": kind,
@@ -429,38 +427,6 @@ def _touch(entry: Path) -> None:
     os.utime(entry / "meta.json", ns=(now, now))
 
 
-def _npy_header(length: int) -> bytes:
-    """The ``.npy`` header of a 1-D little-endian ``int64`` array of
-    ``length`` values: what the store writes, and expects on read."""
-    buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        buf, {"descr": "<i8", "fortran_order": False, "shape": (length,)}
-    )
-    return buf.getvalue()
-
-
-def _write_npy(path: Path, parts: tuple[np.ndarray, ...]) -> None:
-    """Write the concatenation of the ``int64`` arrays ``parts`` to
-    ``path`` as one ``.npy`` array, without concatenating in memory."""
-    with open(path, "wb") as fh:
-        fh.write(_npy_header(sum(part.shape[0] for part in parts)))
-        for part in parts:
-            fh.write(np.ascontiguousarray(part, dtype="<i8").data)
-
-
-def _check_npy(path: Path, fh: BinaryIO, length: int) -> int:
-    """Raise :class:`CacheCorruptionError` unless the file ``fh``, open at
-    its start, is exactly a ``.npy`` ``int64[length]`` array; returns the
-    data offset, where ``fh`` is left."""
-    header = _npy_header(length)
-    if (
-        os.fstat(fh.fileno()).st_size != len(header) + 8 * length
-        or fh.read(len(header)) != header
-    ):
-        raise CacheCorruptionError(f"{path.name} is not the int64[{length}] array expected")
-    return len(header)
-
-
 def _read_graph(path: Path, meta: dict) -> BipartiteCSR:
     """The graph stored at ``path``, over views of one memory map.
 
@@ -474,7 +440,7 @@ def _read_graph(path: Path, meta: dict) -> BipartiteCSR:
     with open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size != int(meta["bytes"]):
             raise CacheCorruptionError(f"{path.name} truncated or resized")
-        offset = _check_npy(path, fh, length)
+        offset = check_npy(path, fh, length)
         flat = np.memmap(fh, dtype="<i8", mode="r", offset=offset, shape=(length,))
     x_adj, y_ptr, y_adj = n_x + 1, n_x + 1 + nnz, n_x + n_y + 2 + nnz
     return BipartiteCSR(
@@ -482,37 +448,3 @@ def _read_graph(path: Path, meta: dict) -> BipartiteCSR:
         flat[:x_adj], flat[x_adj:y_ptr], flat[y_ptr:y_adj], flat[y_adj:],
         validate=False,
     )
-
-
-def _read_warm_start(path: Path, n_x: int, n_y: int) -> Matching:
-    """The warm start stored at ``path`` for an ``n_x`` by ``n_y`` graph.
-
-    Raises :class:`CacheCorruptionError` unless the file is one ``int64``
-    array of ``mate_x ++ mate_y`` followed by the CRC-32 of those mates,
-    the CRC matches and the mates are consistent, and ``OSError`` if it
-    cannot be read. The load is a plain read, not a memory map: the
-    engines flip the mates in place.
-    """
-    with open(path, "rb") as fh:
-        _check_npy(path, fh, n_x + n_y + 1)
-        stored = np.fromfile(fh, dtype="<i8", count=n_x + n_y + 1)
-    mates = stored[:-1]
-    if zlib.crc32(mates) != stored[-1]:
-        raise CacheCorruptionError(f"{path.name} fails its CRC-32")
-    matching = Matching(n_x, n_y, mates[:n_x], mates[n_x:])
-    if not matching.is_consistent():
-        raise CacheCorruptionError(f"{path.name} holds inconsistent mates")
-    return matching
-
-
-def _write_warm_start(path: Path, matching: Matching) -> None:
-    """Write ``mate_x ++ mate_y ++ crc32`` to ``path`` through a temp file
-    unique to the call, then rename it into place, so atomic."""
-    mates = np.concatenate([matching.mate_x, matching.mate_y])
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
-    os.close(fd)
-    try:
-        _write_npy(Path(tmp), (mates, np.array([zlib.crc32(mates)])))
-        os.replace(tmp, path)
-    finally:
-        Path(tmp).unlink(missing_ok=True)

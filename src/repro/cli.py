@@ -258,7 +258,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     events = read_events(executor.run_dir.events_path)
     print(batch_report(outcomes, summarize_events(events)))
     print(f"run directory: {executor.run_dir.root} "
-          f"(events.jsonl, manifest.json, checkpoints/)")
+          f"(events.jsonl, checkpoints/)")
     if all(o.succeeded for o in outcomes):
         return 0
     print("some jobs did not complete; re-run with the same --run-dir to "
@@ -695,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch of matching jobs (deadlines, checkpoint/resume)",
     )
     p_batch.add_argument("--run-dir", required=True,
-                         help="run directory (manifest, events.jsonl, checkpoints); "
+                         help="run directory (events.jsonl, checkpoints/); "
                               "re-running with the same directory resumes it")
     p_batch.add_argument("--jobs", default=None,
                          help="JSON job-queue file (list of job specs); default: "

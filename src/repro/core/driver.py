@@ -160,7 +160,8 @@ def ms_bfs_graft(
         to numpy). Off by default: only the simulated-time experiments and
         ``run --report`` read a trace, so other runs skip its bookkeeping.
     check_invariants:
-        Assert forest invariants each phase (slow; for tests).
+        Check the engine invariants each phase (raises
+        :class:`~repro.errors.InvariantViolation`; slow, for tests).
     deadline:
         Cooperative soft timeout (:class:`~repro.core.options.Deadline`);
         every engine checks it at phase boundaries and raises

@@ -30,6 +30,7 @@ import numpy as np
 from repro.core import kernels
 from repro.core.engine_loop import PhaseSteps, run_phases
 from repro.core.forest import ForestState
+from repro.core.invariants import check_all_invariants
 from repro.core.options import GraftOptions
 from repro.errors import InvariantViolation, ReproError
 from repro.graph.csr import BipartiteCSR
@@ -268,7 +269,7 @@ class _InterleavedSteps(PhaseSteps):
 
     def end_phase(self, phase: int) -> None:
         if self.check_invariants:
-            self.state.check_invariants(self.graph, self.matching)
+            check_all_invariants(self.graph, self.state, self.matching)
         if self.monitor is not None:
             self.monitor.after_phase()
         if self.max_phases is not None and phase >= self.max_phases:

@@ -227,43 +227,6 @@ class ForestState:
         safe = np.where(self.root_y >= 0, self.root_y, 0)
         return (self.root_y != UNMATCHED) & (self.leaf[safe] != UNMATCHED)
 
-    # ------------------------------------------------------------------ #
-    # invariant checking (used by tests and the interleaved-race suite)
-    # ------------------------------------------------------------------ #
-
-    def check_invariants(self, graph: BipartiteCSR, matching: Matching) -> None:
-        """Assert the structural invariants of an alternating forest.
-
-        * every visited y has a parent that is a graph neighbour and a root;
-        * trees are vertex-disjoint (each y has exactly one parent edge —
-          implied by the single parent array, checked via root consistency);
-        * parent chains alternate: ``parent[y]`` is either the tree root
-          (unmatched) or a matched X vertex whose mate is also in the tree
-          with the same root;
-        * a root's ``leaf`` points to a y in its own tree.
-        """
-        visited_idx = np.flatnonzero(self.visited != 0)
-        for y in visited_idx:
-            y = int(y)
-            x = int(self.parent[y])
-            assert x != UNMATCHED, f"visited y={y} has no parent"
-            assert graph.has_edge(x, y), f"parent edge ({x}, {y}) not in graph"
-            assert self.root_y[y] != UNMATCHED, f"visited y={y} has no root"
-            assert self.root_x[x] == self.root_y[y], (
-                f"parent x={x} root {self.root_x[x]} != y={y} root {self.root_y[y]}"
-            )
-            root = int(self.root_y[y])
-            assert matching.mate_x[root] == UNMATCHED or self.leaf[root] != UNMATCHED, (
-                f"tree root {root} is matched but its tree is not renewable"
-            )
-        roots = np.flatnonzero((self.root_x == np.arange(self.n_x)) & (self.leaf != UNMATCHED))
-        for x0 in roots:
-            y0 = int(self.leaf[x0])
-            if self.visited[y0]:
-                assert self.root_y[y0] == x0, (
-                    f"leaf[{x0}]={y0} lies in tree {self.root_y[y0]}"
-                )
-
     def alternating_path_to_root(self, matching: Matching, y0: int) -> list[int]:
         """The tree path from y0 up to its root, as ``[y0, x1, y1, ..., root]``.
 

@@ -115,7 +115,7 @@ class GraftOptions:
     record_frontiers: bool = False
     emit_trace: bool = False
     check_invariants: bool = False
-    """Run forest invariant assertions every phase (slow; tests only)."""
+    """Check the engine invariants every phase (slow; tests only)."""
     deadline: Optional[Deadline] = field(default=None, compare=False)
     """Cooperative soft timeout, checked at every phase boundary.
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.builder import _from_edge_arrays, from_edges
+from repro.graph.builder import _from_edge_arrays
 from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
 from repro.util.rng import SeedLike, as_rng
 

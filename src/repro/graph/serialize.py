@@ -1,71 +1,89 @@
-"""Fast binary (de)serialization of graphs and matchings via ``.npz``.
+"""Binary graph and matching files, and the atomic rename that writes them.
 
-MatrixMarket (``repro.graph.io``) is the interchange format; this module is
-the fast path for caching suite graphs and checkpointing matchings between
-experiment runs. The file carries a format tag and version so stale caches
-fail loudly instead of mis-deserialising.
+Two formats live here:
 
-Writes are atomic (temp file + :func:`os.replace` in the target directory):
-the batch service checkpoints matchings through this module, and a crash
-mid-write must leave either the old file or the new one, never a torn
-half-checkpoint that a resume would then fail to load.
+* **Graphs as ``.npz``** (:func:`save_graph` / :func:`load_graph`), the
+  fast path beside MatrixMarket (``repro.graph.io``) for handing suite
+  graphs between runs. The file carries a format tag and version so a
+  foreign ``.npz`` fails loudly instead of mis-deserialising.
+* **Raw ``int64`` ``.npy`` arrays** (:func:`write_npy` / :func:`check_npy`):
+  the graph cache's ``graph.npy`` and every stored matching
+  (:func:`write_matching` / :func:`read_matching`), which is one array of
+  ``mate_x ++ mate_y ++ crc32``. The cache's warm starts and the batch
+  service's checkpoints both use it. A read compares the header byte for
+  byte with the one :func:`write_npy` writes instead of calling
+  ``np.load``: numpy parses a header with ``ast.literal_eval``, and on
+  CPython 3.11.7 concurrent ``ast`` use from several threads can raise
+  ``SystemError``.
+
+Every file is written through :func:`replacing`: a temp file unique to
+the call, renamed into place. A crash mid-write leaves the old file or
+the new one, never a torn half, and concurrent writers of one path never
+share a temp file.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import tempfile
+import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Union
+from typing import BinaryIO, Iterator, Union
 
 import numpy as np
 
-from repro.errors import GraphFormatError
+from repro.errors import CacheCorruptionError, GraphFormatError
 from repro.graph.csr import BipartiteCSR
 from repro.matching.base import Matching
 
 _FORMAT = "repro-bipartite-csr"
-_MATCHING_FORMAT = "repro-matching"
 _VERSION = 1
 
 
-def _atomic_savez(path: Union[str, Path], **arrays: np.ndarray) -> None:
-    """``np.savez_compressed`` with write-then-rename atomicity.
-
-    Mirrors numpy's path handling (a missing ``.npz`` suffix is appended)
-    so callers see identical final filenames.
-    """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
-    tmp = path.with_name(path.name + ".tmp")
+@contextmanager
+def replacing(path: Path) -> Iterator[Path]:
+    """A temp path beside ``path``, unique to the call, that is renamed
+    onto ``path`` when the block exits cleanly and removed otherwise."""
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    os.close(fd)
     try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+        yield Path(tmp)
         os.replace(tmp, path)
     finally:
-        if tmp.exists():
-            tmp.unlink()
+        Path(tmp).unlink(missing_ok=True)
 
 
 def save_graph(graph: BipartiteCSR, path: Union[str, Path]) -> None:
-    """Write a graph to ``path`` (``.npz``); atomic against crashes."""
-    _atomic_savez(
-        path,
-        format=np.array(_FORMAT),
-        version=np.array(_VERSION),
-        n_x=np.array(graph.n_x),
-        n_y=np.array(graph.n_y),
-        x_ptr=graph.x_ptr,
-        x_adj=graph.x_adj,
-        y_ptr=graph.y_ptr,
-        y_adj=graph.y_adj,
-    )
+    """Write a graph to ``path`` (``.npz``, appended if missing, as numpy
+    does); atomic against crashes."""
+    path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_name(path.name + ".npz")
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            format=np.array(_FORMAT),
+            version=np.array(_VERSION),
+            n_x=np.array(graph.n_x),
+            n_y=np.array(graph.n_y),
+            x_ptr=graph.x_ptr,
+            x_adj=graph.x_adj,
+            y_ptr=graph.y_ptr,
+            y_adj=graph.y_adj,
+        )
 
 
 def load_graph(path: Union[str, Path]) -> BipartiteCSR:
     """Read a graph written by :func:`save_graph`."""
     with np.load(path, allow_pickle=False) as data:
-        _check_header(data, _FORMAT, path)
+        if "format" not in data or str(data["format"]) != _FORMAT:
+            raise GraphFormatError(f"{path}: not a {_FORMAT} file")
+        if int(data["version"]) > _VERSION:
+            raise GraphFormatError(
+                f"{path}: written by a newer version ({int(data['version'])} > {_VERSION})"
+            )
         return BipartiteCSR(
             int(data["n_x"]),
             int(data["n_y"]),
@@ -77,30 +95,62 @@ def load_graph(path: Union[str, Path]) -> BipartiteCSR:
         )
 
 
-def save_matching(matching: Matching, path: Union[str, Path]) -> None:
-    """Write a matching to ``path`` (``.npz``); atomic against crashes."""
-    _atomic_savez(
-        path,
-        format=np.array(_MATCHING_FORMAT),
-        version=np.array(_VERSION),
-        mate_x=matching.mate_x,
-        mate_y=matching.mate_y,
+def _npy_header(length: int) -> bytes:
+    """The ``.npy`` header of a 1-D little-endian ``int64`` array of
+    ``length`` values: what :func:`write_npy` writes, and expects on read."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<i8", "fortran_order": False, "shape": (length,)}
     )
+    return buf.getvalue()
 
 
-def load_matching(path: Union[str, Path]) -> Matching:
-    """Read a matching written by :func:`save_matching`."""
-    with np.load(path, allow_pickle=False) as data:
-        _check_header(data, _MATCHING_FORMAT, path)
-        mate_x = data["mate_x"]
-        mate_y = data["mate_y"]
-        return Matching(mate_x.shape[0], mate_y.shape[0], mate_x, mate_y)
+def write_npy(path: Path, parts: tuple[np.ndarray, ...]) -> None:
+    """Write the concatenation of the ``int64`` arrays ``parts`` to
+    ``path`` as one ``.npy`` array, without concatenating in memory."""
+    with open(path, "wb") as fh:
+        fh.write(_npy_header(sum(part.shape[0] for part in parts)))
+        for part in parts:
+            fh.write(np.ascontiguousarray(part, dtype="<i8").data)
 
 
-def _check_header(data, expected_format: str, path) -> None:
-    if "format" not in data or str(data["format"]) != expected_format:
-        raise GraphFormatError(f"{path}: not a {expected_format} file")
-    if int(data["version"]) > _VERSION:
-        raise GraphFormatError(
-            f"{path}: written by a newer version ({int(data['version'])} > {_VERSION})"
-        )
+def check_npy(path: Path, fh: BinaryIO, length: int) -> int:
+    """Raise :class:`CacheCorruptionError` unless the file ``fh``, open at
+    its start, is exactly a ``.npy`` ``int64[length]`` array; returns the
+    data offset, where ``fh`` is left."""
+    header = _npy_header(length)
+    if (
+        os.fstat(fh.fileno()).st_size != len(header) + 8 * length
+        or fh.read(len(header)) != header
+    ):
+        raise CacheCorruptionError(f"{path.name} is not the int64[{length}] array expected")
+    return len(header)
+
+
+def read_matching(path: Path, n_x: int, n_y: int) -> Matching:
+    """The matching stored at ``path`` for an ``n_x`` by ``n_y`` graph.
+
+    Raises :class:`CacheCorruptionError` unless the file is one ``int64``
+    array of ``mate_x ++ mate_y`` followed by the CRC-32 of those mates,
+    the CRC matches and the mates are consistent, and ``OSError`` if it
+    cannot be read. The load is a plain read, not a memory map: the
+    engines flip the mates in place.
+    """
+    with open(path, "rb") as fh:
+        check_npy(path, fh, n_x + n_y + 1)
+        stored = np.fromfile(fh, dtype="<i8", count=n_x + n_y + 1)
+    mates = stored[:-1]
+    if zlib.crc32(mates) != stored[-1]:
+        raise CacheCorruptionError(f"{path.name} fails its CRC-32")
+    matching = Matching(n_x, n_y, mates[:n_x], mates[n_x:])
+    if not matching.is_consistent():
+        raise CacheCorruptionError(f"{path.name} holds inconsistent mates")
+    return matching
+
+
+def write_matching(path: Path, matching: Matching) -> None:
+    """Write ``mate_x ++ mate_y ++ crc32`` to ``path`` through
+    :func:`replacing`, so atomic."""
+    mates = np.concatenate([matching.mate_x, matching.mate_y])
+    with replacing(path) as tmp:
+        write_npy(tmp, (mates, np.array([zlib.crc32(mates)])))

@@ -18,7 +18,7 @@ EXPERIMENTS.md documents the calibration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import MachineConfigError
 

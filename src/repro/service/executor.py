@@ -2,19 +2,18 @@
 
 Execution model per job (full semantics in ``docs/service.md``):
 
-1. **Resume** — if the run directory's manifest says the job already
-   completed with the same spec digest, the checkpointed matching is loaded
-   and *re-certified* with :func:`~repro.matching.verify.verify_maximum`
-   against the freshly re-resolved graph. Only a certificate that still
-   holds skips recomputation.
+1. **Resume** — if the run directory holds a checkpoint of the job's
+   current spec (file name carries the spec digest), it is read against
+   the freshly re-resolved graph and *re-certified* with
+   :func:`~repro.matching.verify.verify_maximum`. Only a certificate that
+   still holds skips recomputation.
 2. **Run** — otherwise the job makes one engine run under its cooperative
    deadline. The engines are deterministic, so nothing is retried: a
    deadline expiry ends the job ``timeout`` and any other exception ends
    it ``failed``, with the traceback in the event log.
-3. **Checkpoint** — every successful matching is verified maximum, written
-   atomically via :mod:`repro.graph.serialize`, and recorded in the
-   manifest (checkpoint before manifest, so the manifest never points at a
-   torn file).
+3. **Checkpoint** — every successful matching is verified maximum and
+   written atomically as the job's checkpoint; the file existing is what
+   marks the job done.
 
 All timing flows through an injectable clock, so the fault-injection tests
 expire deadlines without real waiting.
@@ -161,27 +160,22 @@ class BatchExecutor:
         """``(outcome, None)`` if the job resumes from its certified
         checkpoint; ``(None, why)`` if the checkpoint fails re-certification;
         ``(None, None)`` if there is none."""
-        entry = self.run_dir.completed_entry(spec.job_id, spec.digest())
-        if entry is None:
+        digest = spec.digest()
+        if not self.run_dir.checkpoint_path(spec.job_id, digest).exists():
             return None, None
         try:
             graph = resolve_graph(spec, cache=self.cache)
-            matching = self.run_dir.load_checkpoint(spec.job_id)
+            matching = self.run_dir.load_checkpoint(spec.job_id, digest, graph.n_x, graph.n_y)
             verify_maximum(graph, matching)
-            if matching.cardinality != entry["cardinality"]:
-                raise ServiceError(
-                    f"checkpoint cardinality {matching.cardinality} does not "
-                    f"match manifest {entry['cardinality']}"
-                )
         except Exception as exc:  # noqa: BLE001 - any resume defect → recompute
             return None, f"checkpoint rejected: {exc}"
         log.emit(ev.JOB_RESUMED, spec.job_id,
                  cardinality=int(matching.cardinality),
-                 engine=entry.get("engine"), recomputed=False)
+                 engine=spec.run_engine, recomputed=False)
         return JobOutcome(
             spec=spec,
             status="resumed",
-            engine_used=entry.get("engine"),
+            engine_used=spec.run_engine,
             cardinality=int(matching.cardinality),
         ), None
 
@@ -202,20 +196,13 @@ class BatchExecutor:
             if spec.deadline_seconds is not None
             else self.default_deadline
         )
-        # Engine-unaware algorithms have a single native implementation.
-        engine = (spec.engine or "auto") if spec.engine_aware else None
+        engine = spec.run_engine
         log.emit(ev.JOB_STARTED, spec.job_id, engine=engine,
                  deadline_seconds=deadline_seconds, **noted)
         try:
             result = self._run(spec, graph, engine, deadline_seconds)
             verify_maximum(graph, result.matching)
-            path = self.run_dir.record_done(
-                spec.job_id,
-                digest=spec.digest(),
-                matching=result.matching,
-                cardinality=result.cardinality,
-                engine=engine,
-            )
+            path = self.run_dir.record_done(spec.job_id, spec.digest(), result.matching)
         except DeadlineExceeded as exc:
             log.emit(ev.JOB_TIMEOUT, spec.job_id, error=str(exc),
                      engine=engine, deadline_seconds=deadline_seconds)

@@ -82,6 +82,13 @@ class JobSpec:
         override, the deadline and the slow-phase fault apply only there)."""
         return self.algorithm in ENGINE_AWARE
 
+    @property
+    def run_engine(self) -> Optional[str]:
+        """The engine the job runs on: its override, else ``"auto"``;
+        ``None`` for engine-unaware algorithms, which have a single native
+        implementation."""
+        return (self.engine or "auto") if self.engine_aware else None
+
     def digest(self) -> str:
         """Stable content hash of the spec (guards stale checkpoints)."""
         payload = {

@@ -449,7 +449,7 @@ class MatchingDaemon:
                 result["repairs_observed"] = observed
             try:
                 updates = self.telemetry.metrics.get("repro_online_updates_total").value
-            except Exception:  # noqa: BLE001 - no updates counted yet
+            except TelemetryError:  # not registered: no updates counted yet
                 updates = 0.0
             result["updates_total"] = int(updates)
             result["updates_per_second"] = round(

@@ -9,7 +9,7 @@ seeds for repeated runs via :func:`derive_seed`.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

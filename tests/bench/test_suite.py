@@ -4,7 +4,6 @@ from repro.bench.suite import (
     CLASSES,
     NETWORKS,
     SCALE_FREE,
-    SCIENTIFIC,
     build_suite,
     get_suite_graph,
     group_of,

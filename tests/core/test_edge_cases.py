@@ -1,6 +1,5 @@
 """Edge cases and degenerate inputs across the core algorithm surface."""
 
-import numpy as np
 import pytest
 
 from repro.core.driver import ms_bfs_graft

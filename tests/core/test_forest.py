@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import kernels
 from repro.core.forest import ForestState
+from repro.core.invariants import check_all_invariants
+from repro.errors import InvariantViolation
 from repro.graph.builder import from_edges
 from repro.graph.generators import random_bipartite
 from repro.matching.base import Matching
@@ -59,7 +68,7 @@ class TestInvariantChecker:
 
     def test_passes_on_valid_forest(self):
         g, m, s = self._grown()
-        s.check_invariants(g, m)
+        check_all_invariants(g, s, m)
 
     def test_detects_bad_parent_edge(self):
         g, m, s = self._grown()
@@ -69,8 +78,8 @@ class TestInvariantChecker:
             # point the parent at a non-neighbour
             bad = next(x for x in range(g.n_x) if not g.has_edge(x, y))
             s.parent[y] = bad
-            with pytest.raises(AssertionError):
-                s.check_invariants(g, m)
+            with pytest.raises(InvariantViolation):
+                check_all_invariants(g, s, m)
 
     def test_detects_root_mismatch(self):
         g, m, s = self._grown()
@@ -78,8 +87,49 @@ class TestInvariantChecker:
         if visited.size:
             y = int(visited[0])
             s.root_y[y] = -1
-            with pytest.raises(AssertionError):
-                s.check_invariants(g, m)
+            with pytest.raises(InvariantViolation):
+                check_all_invariants(g, s, m)
+
+
+    @pytest.mark.parametrize("engine, steps", [
+        ("numpy", "repro.core.engine_numpy:NumpySteps"),
+        ("interleaved", "repro.core.engine_interleaved:_InterleavedSteps"),
+    ])
+    def test_engine_check_survives_python_O(self, engine, steps):
+        # An engine run with check_invariants=True must still catch a
+        # visited Y with no parent when asserts are compiled out.
+        module, cls = steps.split(":")
+        script = textwrap.dedent(f"""
+            import importlib
+            import numpy as np
+            from repro.core.driver import ms_bfs_graft
+            from repro.errors import InvariantViolation
+            from repro.graph.generators import random_bipartite
+
+            steps = getattr(importlib.import_module("{module}"), "{cls}")
+            end_phase = steps.end_phase
+            def corrupting_end_phase(self, phase):
+                visited = np.flatnonzero(self.state.visited)
+                if visited.size == 0:
+                    raise SystemExit("no visited Y to corrupt")
+                self.state.parent[visited[0]] = -1
+                end_phase(self, phase)
+            steps.end_phase = corrupting_end_phase
+            try:
+                ms_bfs_graft(random_bipartite(40, 40, 120, seed=3),
+                             engine="{engine}", check_invariants=True)
+            except InvariantViolation as exc:
+                print("caught:", exc)
+            else:
+                raise SystemExit("corrupted forest passed the invariant check")
+        """)
+        src = str(Path(repro.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr or proc.stdout
+        assert "has no parent" in proc.stdout
 
 
 class TestPathToRoot:

@@ -22,6 +22,7 @@ from repro.core import kernels
 from repro.core.engine_loop import run_phases
 from repro.core.engine_numpy import NumpySteps
 from repro.core.forest import ForestState
+from repro.core.invariants import check_all_invariants
 from repro.core.options import GraftOptions
 from repro.graph.generators import random_bipartite
 from repro.matching.greedy import greedy_matching
@@ -57,7 +58,7 @@ class SweepBothSteps(NumpySteps):
         twin.workspace = kernels.KernelWorkspace.for_graph(self.graph)
         twin.trace = None
         frontier, edges, grafted = NumpySteps.graft(twin, top_down)
-        twin.state.check_invariants(self.graph, twin.matching)
+        check_all_invariants(self.graph, twin.state, twin.matching)
         return twin.state, frontier, grafted
 
     def graft(self, top_down: bool):

@@ -74,7 +74,7 @@ class TestRacesActuallyHappen:
         graph = complete_bipartite(12, 6)
 
         def run_and_count(seed):
-            from repro.matching.base import Matching, init_matching
+            from repro.matching.base import init_matching
             from repro.core.forest import ForestState
 
             matching = init_matching(graph, None)

@@ -9,7 +9,6 @@ from tests.conftest import EXPECTED_MAXIMUM, reference_maximum
 from repro.core.driver import ms_bfs_graft
 from repro.errors import ReproError
 from repro.graph.generators import random_bipartite, surplus_core_bipartite
-from repro.matching.base import Matching
 from repro.matching.greedy import greedy_matching
 from repro.matching.karp_sipser import karp_sipser
 from repro.matching.verify import verify_maximum

@@ -1,6 +1,5 @@
 """Distributed MS-BFS-Graft: correctness across rank counts + BSP sanity."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

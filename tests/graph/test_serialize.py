@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import GraphFormatError
+from repro.errors import CacheCorruptionError, GraphFormatError
 from repro.graph.generators import random_bipartite, rmat_bipartite
-from repro.graph.serialize import load_graph, load_matching, save_graph, save_matching
+from repro.graph.serialize import load_graph, read_matching, save_graph, write_matching
 from repro.matching.base import Matching
 from repro.matching.greedy import greedy_matching
 
@@ -23,7 +23,7 @@ class TestGraphRoundtrip:
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "m.npz"
-        save_matching(Matching.empty(3, 3), path)
+        np.savez(path, format=np.array("repro-matching"), version=np.array(1))
         with pytest.raises(GraphFormatError):
             load_graph(path)
 
@@ -38,14 +38,14 @@ class TestMatchingRoundtrip:
     def test_roundtrip(self, tmp_path):
         g = random_bipartite(25, 25, 100, seed=2)
         m = greedy_matching(g).matching
-        path = tmp_path / "m.npz"
-        save_matching(m, path)
-        assert load_matching(path) == m
+        path = tmp_path / "m.npy"
+        write_matching(path, m)
+        assert read_matching(path, 25, 25) == m
 
     def test_empty_matching(self, tmp_path):
-        path = tmp_path / "m.npz"
-        save_matching(Matching.empty(4, 7), path)
-        loaded = load_matching(path)
+        path = tmp_path / "m.npy"
+        write_matching(path, Matching.empty(4, 7))
+        loaded = read_matching(path, 4, 7)
         assert loaded.n_x == 4 and loaded.n_y == 7
         assert loaded.cardinality == 0
 
@@ -53,8 +53,20 @@ class TestMatchingRoundtrip:
         g = random_bipartite(5, 5, 10, seed=3)
         path = tmp_path / "g.npz"
         save_graph(g, path)
-        with pytest.raises(GraphFormatError):
-            load_matching(path)
+        with pytest.raises(CacheCorruptionError):
+            read_matching(path, 5, 5)
+
+    def test_rejects_edited_mates(self, tmp_path):
+        m = greedy_matching(random_bipartite(25, 25, 100, seed=2)).matching
+        path = tmp_path / "m.npy"
+        write_matching(path, m)
+        stored = np.load(path)
+        x0, x1 = np.flatnonzero(stored[:25] >= 0)[:2]
+        stored[[x0, x1]] = stored[[x1, x0]]
+        stored[25 + stored[[x0, x1]]] = [x0, x1]  # still consistent mates
+        np.save(path, stored)
+        with pytest.raises(CacheCorruptionError, match="CRC"):
+            read_matching(path, 25, 25)
 
 
 class TestAtomicWrites:
@@ -65,12 +77,13 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == ["g.npz"]
 
     def test_overwrite_keeps_readable_file(self, tmp_path):
-        path = tmp_path / "m.npz"
+        path = tmp_path / "m.npy"
         m1 = greedy_matching(random_bipartite(8, 8, 20, seed=6)).matching
-        save_matching(m1, path)
+        write_matching(path, m1)
         m2 = greedy_matching(random_bipartite(8, 8, 20, seed=7)).matching
-        save_matching(m2, path)
-        assert load_matching(path) == m2
+        write_matching(path, m2)
+        assert read_matching(path, 8, 8) == m2
+        assert [p.name for p in tmp_path.iterdir()] == ["m.npy"]
 
     def test_suffix_appended_like_numpy(self, tmp_path):
         g = random_bipartite(5, 5, 12, seed=8)

@@ -1,7 +1,5 @@
-import numpy as np
 import pytest
 
-from repro.bench.runner import suite_initializer
 from repro.core.driver import ms_bfs_graft
 from repro.graph.generators import surplus_core_bipartite
 from repro.instrument.phases import phase_profile

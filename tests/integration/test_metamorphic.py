@@ -6,7 +6,6 @@ facts that catch subtle algorithmic bugs that exact-value tests miss.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,5 @@
 """Counter semantics across the matching algorithms (Fig. 1 inputs)."""
 
-import pytest
 
 from repro.graph.generators import chain_graph, planted_matching, random_bipartite
 from repro.matching.base import Matching

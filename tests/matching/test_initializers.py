@@ -1,6 +1,5 @@
 """Karp-Sipser (serial + parallel rounds) and greedy initialisers."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

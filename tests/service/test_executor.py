@@ -26,6 +26,10 @@ def expected_cardinality(s):
     return run_algorithm(s.algorithm, resolve_graph(s), seed=s.seed).cardinality
 
 
+def checkpoint(run_dir, s):
+    return RunDirectory(run_dir).checkpoint_path(s.job_id, s.digest())
+
+
 def events_of(run_dir, name, after_seq=0):
     return [e for e in read_events(RunDirectory(run_dir).events_path)
             if e["event"] == name and e["seq"] > after_seq]
@@ -42,7 +46,7 @@ class TestHappyPath:
         assert out.status == "done" and out.succeeded
         assert out.engine_used == "auto"
         assert out.cardinality == expected_cardinality(spec())
-        assert (tmp_path / "run" / "checkpoints" / "j1.npz").exists()
+        assert checkpoint(tmp_path / "run", spec()).exists()
         names = [e["event"] for e in read_events(tmp_path / "run" / "events.jsonl")]
         assert names == [
             ev.BATCH_STARTED, ev.JOB_QUEUED, ev.JOB_STARTED,
@@ -156,8 +160,7 @@ class TestResume:
         # the defect and recompute instead of trusting the bytes.
         s = spec("a")
         BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
-        ckpt = tmp_path / "run" / "checkpoints" / "a.npz"
-        ckpt.write_bytes(b"not an npz file")
+        checkpoint(tmp_path / "run", s).write_bytes(b"not an npy file")
         before = last_seq(tmp_path / "run")
         [out] = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
         assert out.status == "done"  # recomputed, not resumed
@@ -188,15 +191,26 @@ class TestResume:
         assert "checkpoint rejected" in failed["note"]
         assert events_of(tmp_path / "run", ev.JOB_STARTED, after_seq=before) == []
 
-    def test_manifest_cardinality_mismatch_recomputes(self, tmp_path):
+    def test_same_shape_checkpoint_edit_fails_crc_and_recomputes(self, tmp_path):
+        # Swap two matched X vertices' mates in place: the file keeps its
+        # shape and the mates stay a consistent matching, so only the
+        # CRC-32 tells the edit apart.
         s = spec("a")
-        BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
-        manifest_path = tmp_path / "run" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["jobs"]["a"]["cardinality"] += 1
-        manifest_path.write_text(json.dumps(manifest))
+        [first] = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
+        path = checkpoint(tmp_path / "run", s)
+        graph = resolve_graph(s)
+        stored = np.load(path)
+        mate_x, mate_y = stored[:graph.n_x], stored[graph.n_x:-1]
+        x0, x1 = np.flatnonzero(mate_x >= 0)[:2]
+        mate_x[[x0, x1]] = mate_x[[x1, x0]]
+        mate_y[mate_x[[x0, x1]]] = [x0, x1]
+        np.save(path, stored)
+        before = last_seq(tmp_path / "run")
         [out] = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
         assert out.status == "done"
+        assert out.cardinality == first.cardinality
+        [started] = events_of(tmp_path / "run", ev.JOB_STARTED, after_seq=before)
+        assert "CRC-32" in started["note"]
 
     def test_spec_change_invalidates_checkpoint(self, tmp_path):
         BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([spec("a")])
@@ -205,18 +219,21 @@ class TestResume:
                               clock=ManualClock()).run_batch([changed])
         assert out.status == "done"
 
-    def test_old_manifest_entry_still_resumes(self, tmp_path):
-        # Run directories outlive upgrades: an entry written when the
-        # manifest still recorded attempts/degraded resumes as before.
+    def test_old_run_dir_recomputes(self, tmp_path):
+        # Run directories from before per-spec .npy checkpoints kept a
+        # manifest.json and <job_id>.npz files: nothing reads them, so
+        # their jobs recompute.
         s = spec("a")
-        [first] = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
-        manifest_path = tmp_path / "run" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["jobs"]["a"].update(attempts=2, degraded=False)
-        manifest_path.write_text(json.dumps(manifest))
-        [out] = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
-        assert out.status == "resumed"
-        assert out.cardinality == first.cardinality
+        run = tmp_path / "run"
+        (run / "checkpoints").mkdir(parents=True)
+        (run / "checkpoints" / "a.npz").write_bytes(b"old checkpoint")
+        (run / "manifest.json").write_text(json.dumps(
+            {"version": 1, "reports": {}, "jobs": {"a": {
+                "status": "done", "digest": s.digest(),
+                "cardinality": 1, "engine": "auto"}}}))
+        [out] = BatchExecutor(run, clock=ManualClock()).run_batch([s])
+        assert out.status == "done"
+        assert out.cardinality == expected_cardinality(s)
 
     def test_resume_after_faulty_first_run(self, tmp_path):
         # The acceptance drill: a first run under fault injection times one
@@ -274,7 +291,13 @@ class TestBatchReport:
         assert str(outcomes[0].cardinality) in text
 
 
-def test_checkpoint_files_are_valid_npz(tmp_path):
-    BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([spec("a")])
-    with np.load(tmp_path / "run" / "checkpoints" / "a.npz") as data:
-        assert len(data.files) > 0
+def test_checkpoint_files_are_crc_checked_npy(tmp_path):
+    import zlib
+
+    s = spec("a")
+    [out] = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
+    stored = np.load(checkpoint(tmp_path / "run", s))
+    graph = resolve_graph(s)
+    assert stored.shape == (graph.n_x + graph.n_y + 1,)
+    assert zlib.crc32(stored[:-1]) == stored[-1]
+    assert int(np.count_nonzero(stored[:graph.n_x] >= 0)) == out.cardinality
