@@ -3,10 +3,10 @@
 Usage examples::
 
     repro-match run --graph rmat --scale 0.3 --algorithm ms-bfs-graft
-    repro-match suite --scale 0.2
-    repro-match experiment fig3 --scale 0.2
-    repro-match experiment all --scale 0.2
-    repro-match match path/to/matrix.mtx --algorithm hopcroft-karp
+    repro-match run --file path/to/matrix.mtx --algorithm hopcroft-karp
+    repro-match run --graph rmat --trace-out rmat.trace.json --min-coverage 0.95
+    repro-match experiment table2 --scale 0.2
+    repro-match experiment all --scale 0.2 --out report.txt --run-dir reports
     repro-match analyze
     repro-match racecheck --seeds 5
 """
@@ -27,6 +27,9 @@ from repro.graph.io import read_matrix_market
 from repro.graph.readers import GRAPH_FORMATS, read_graph_file
 from repro.matching.verify import verify_maximum
 
+_SHOW_PAIRS = 5
+"""Matched pairs ``run --file`` echoes in a SNAP file's original ids."""
+
 
 def _open_cache(args: argparse.Namespace, telemetry=None):
     """A :class:`~repro.cache.GraphCache` when ``--cache-dir`` was given."""
@@ -38,24 +41,32 @@ def _open_cache(args: argparse.Namespace, telemetry=None):
     return GraphCache(cache_dir, telemetry=telemetry)
 
 
-def _acquire_suite_graph(args: argparse.Namespace, telemetry=None):
-    """Resolve the suite graph for run/trace, through the cache when asked.
+def _acquire_graph(args: argparse.Namespace, telemetry=None):
+    """Resolve ``run``'s graph (suite ``--graph`` or ``--file``).
 
-    Returns ``(graph, initial_matching_or_None, status_line_or_None)``:
-    with a cache the Karp-Sipser warm start comes from the entry too
-    (keyed by seed), so a warm invocation skips the whole ingest path.
+    Returns ``(graph, labels, initial, cache_line)``. With ``--cache-dir``
+    both sources go through the cache and the Karp-Sipser warm start comes
+    from the entry too (keyed by seed), so a warm invocation skips the
+    whole ingest path; ``cache_line`` is then the summary's ``cache`` line.
+    ``labels`` holds a SNAP file's original ids when the file was parsed
+    (the cache stores only the compacted graph); otherwise ``None``.
     """
     cache = _open_cache(args, telemetry=telemetry)
     if cache is None:
-        graph = get_suite_graph(args.graph, scale=args.scale).graph
-        return graph, None, None
-    prepared = cache.prepare_suite(args.graph, args.scale)
+        if args.file:
+            graph, labels = read_graph_file(args.file, args.format)
+            return graph, labels, None, None
+        return get_suite_graph(args.graph, scale=args.scale).graph, None, None, None
+    if args.file:
+        prepared = cache.prepare_file(args.file, args.format)
+    else:
+        prepared = cache.prepare_suite(args.graph, args.scale)
     initial = cache.warm_start(prepared, args.seed)
-    status = (
+    cache_line = (
         f"cache        : {'hit' if prepared.from_cache else 'miss'} "
         f"{prepared.key[:12]} ({cache.total_bytes:,} bytes in store)"
     )
-    return prepared.graph, initial, status
+    return prepared.graph, None, initial, cache_line
 
 
 _EXPERIMENTS: Dict[str, Callable[[float], object]] = {
@@ -86,124 +97,135 @@ def _machine_registry():
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    """Match one graph, certify the result and print one summary block.
+
+    The telemetry outputs (``--metrics-out``, ``--trace-out``,
+    ``--jsonl-out``, ``--min-coverage``) are the only reason to open a
+    :class:`~repro.telemetry.Telemetry` session; without them the run
+    carries none.
+    """
     telemetry = None
-    if args.metrics_out:
+    if (args.metrics_out or args.trace_out or args.jsonl_out
+            or args.min_coverage is not None):
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
-    graph, initial, cache_status = _acquire_suite_graph(args, telemetry=telemetry)
+    graph, labels, initial, cache_line = _acquire_graph(args, telemetry=telemetry)
     result = run_algorithm(args.algorithm, graph, initial, seed=args.seed,
                            engine=args.engine, telemetry=telemetry,
                            emit_trace=args.report)
     verify_maximum(graph, result.matching)
-    if telemetry is not None:
-        from repro.telemetry import write_prometheus
-
-        write_prometheus(telemetry.metrics, args.metrics_out)
-        print(f"metrics      : wrote {args.metrics_out} (Prometheus text format)",
-              file=sys.stderr)
+    if args.file:
+        name = label = args.file
+        shape = f"n_rows={graph.n_x:,} n_cols={graph.n_y:,} nnz={graph.nnz:,}"
+    else:
+        name, label = args.graph, f"{args.graph} ({suite_counterpart(args.graph)})"
+        shape = f"n={graph.num_vertices:,} m={graph.num_directed_edges:,}"
+    print(f"graph        : {label}; {shape}")
+    if cache_line is not None:
+        print(cache_line)
     if args.report:
         from repro.instrument.report import run_report
 
-        print(f"graph        : {args.graph} ({suite_counterpart(args.graph)})")
         print(run_report(result, machine=_machine_registry()[args.machine],
                          threads=args.threads))
-        return 0
-    c = result.counters
-    print(f"graph        : {args.graph} ({suite_counterpart(args.graph)}); n={graph.num_vertices:,} m={graph.num_directed_edges:,}")
-    if cache_status is not None:
-        print(cache_status)
-    print(f"algorithm    : {result.algorithm}")
-    print(f"|M|          : {result.cardinality:,} (maximum, certified)")
-    print(f"fraction     : {result.matching.matching_fraction():.4f} of |V|")
-    print(f"edges        : {c.edges_traversed:,} traversed")
-    print(f"phases       : {c.phases}")
-    print(f"augmentations: {c.augmentations} (avg path length {c.avg_augmenting_path_length:.2f})")
-    print(f"wall time    : {result.wall_seconds:.3f}s")
-    return 0
-
-
-def _cmd_suite(args: argparse.Namespace) -> int:
-    print(experiments.table2.run(scale=args.scale).render())
-    return 0
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    names = list(_EXPERIMENTS) if args.name == "all" else [args.name]
-    for name in names:
-        fn = _EXPERIMENTS.get(name)
-        if fn is None:
-            print(f"unknown experiment {name!r}; known: {', '.join(_EXPERIMENTS)} or 'all'",
-                  file=sys.stderr)
-            return 2
-        result = fn(args.scale)
-        print(result.render())
-        print()
-    return 0
-
-
-def _cmd_match(args: argparse.Namespace) -> int:
-    graph, labels = read_graph_file(args.path, args.format)
-    result = run_algorithm(args.algorithm, graph, seed=args.seed, engine=args.engine)
-    verify_maximum(graph, result.matching)
-    print(f"{args.path}: n_rows={graph.n_x:,} n_cols={graph.n_y:,} nnz={graph.nnz:,}")
-    print(f"maximum matching (structural rank): {result.cardinality:,}")
-    print(f"algorithm {result.algorithm}: {result.counters.edges_traversed:,} edges, "
-          f"{result.counters.phases} phases, {result.wall_seconds:.3f}s")
+    else:
+        c = result.counters
+        print(f"algorithm    : {result.algorithm}")
+        print(f"|M|          : {result.cardinality:,} (maximum, certified)")
+        print(f"fraction     : {result.matching.matching_fraction():.4f} of |V|")
+        print(f"edges        : {c.edges_traversed:,} traversed")
+        print(f"phases       : {c.phases}")
+        print(f"augmentations: {c.augmentations} (avg path length "
+              f"{c.avg_augmenting_path_length:.2f})")
+        print(f"wall time    : {result.wall_seconds:.3f}s")
     if labels is not None:
         pairs = result.matching.pairs()
         shown = ", ".join(
-            f"({labels.x_ids[x]}, {labels.y_ids[y]})" for x, y in pairs[:args.show_pairs]
+            f"({labels.x_ids[x]}, {labels.y_ids[y]})" for x, y in pairs[:_SHOW_PAIRS]
         )
-        suffix = ", ..." if len(pairs) > args.show_pairs else ""
+        suffix = ", ..." if len(pairs) > _SHOW_PAIRS else ""
         print(f"original ids : compacted from {labels.x_ids.size:,} source / "
               f"{labels.y_ids.size:,} target ids in the file")
         if shown:
             print(f"matched pairs: {shown}{suffix} (file ids)")
+    if telemetry is None:
+        return 0
+    return _write_telemetry(args, telemetry, name, result)
+
+
+def _write_telemetry(args: argparse.Namespace, telemetry, name: str, result) -> int:
+    """Write ``run``'s telemetry outputs; 1 iff span coverage falls short."""
+    from repro.telemetry import write_chrome_trace, write_prometheus, write_telemetry_jsonl
+
+    if args.trace_out:
+        metadata = {"graph": name, "algorithm": result.algorithm,
+                    "cardinality": int(result.cardinality)}
+        if not args.file:
+            metadata["scale"] = args.scale
+        write_chrome_trace(telemetry.tracer, args.trace_out, metadata=metadata)
+        spans = [s for s in telemetry.tracer.spans if not s.open]
+        print(f"trace        : {args.trace_out} ({len(spans)} spans; open in "
+              f"https://ui.perfetto.dev or chrome://tracing)")
+    # The engine's ``run`` span is the root to score: on a cold --cache-dir
+    # run the cache's ``build`` span is an earlier root with no children.
+    runs = telemetry.tracer.by_name("run")
+    coverage = telemetry.tracer.coverage(runs[0] if runs else None)
+    if args.trace_out or args.min_coverage is not None:
+        print(f"coverage     : {coverage:.1%} of the run is covered by spans")
+    if args.metrics_out:
+        write_prometheus(telemetry.metrics, args.metrics_out)
+        print(f"metrics      : wrote {args.metrics_out} (Prometheus text format)",
+              file=sys.stderr)
+    if args.jsonl_out:
+        n = write_telemetry_jsonl(args.jsonl_out, telemetry.tracer, telemetry.metrics)
+        print(f"jsonl        : wrote {args.jsonl_out} ({n} records, "
+              f"EventLog-compatible)", file=sys.stderr)
+    if args.min_coverage is not None and coverage < args.min_coverage:
+        print(f"trace coverage {coverage:.1%} below the required "
+              f"{args.min_coverage:.1%}", file=sys.stderr)
+        return 1
     return 0
 
 
-def _cmd_report_all(args: argparse.Namespace) -> int:
-    """Run every experiment and write one consolidated report file.
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """Run one experiment (or ``all``) and render each under a header.
 
     With ``--run-dir`` each experiment's rendered report is checkpointed
-    through the batch service's stage cache, so a crashed or interrupted
-    ``report-all`` resumes where it stopped instead of recomputing every
-    figure (events land in the run directory's ``events.jsonl``).
+    as ``reports/<name>.<key>.txt``, so an interrupted ``experiment all``
+    resumes where it stopped instead of recomputing every figure (events
+    land in the run directory's ``events.jsonl``).
     """
+    names = list(_EXPERIMENTS) if args.name == "all" else [args.name]
     run_dir = None
     if args.run_dir:
         from repro.service.checkpoint import RunDirectory
 
         run_dir = RunDirectory(args.run_dir)
+    key = f"scale={args.scale}"
     lines = []
     reused = 0
-    for name, fn in _EXPERIMENTS.items():
-        key = f"scale={args.scale}"
+    for name in names:
         text = run_dir.cached_report(name, key) if run_dir is not None else None
         if text is None:
-            text = fn(args.scale).render()
+            text = _EXPERIMENTS[name](args.scale).render()
             if run_dir is not None:
                 from repro.service.events import JOB_DONE, EventLog
 
                 run_dir.record_report(name, key, text)
                 with EventLog(run_dir.events_path) as log:
-                    log.emit(JOB_DONE, f"report:{name}", stage="report-all")
+                    log.emit(JOB_DONE, f"report:{name}", stage="experiment")
         else:
             reused += 1
-        lines.append("=" * 78)
-        lines.append(name)
-        lines.append("=" * 78)
-        lines.append(text)
-        lines.append("")
+        lines += ["=" * 78, name, "=" * 78, text, ""]
     text = "\n".join(lines)
-    if run_dir is not None and reused:
-        print(f"resumed {reused}/{len(_EXPERIMENTS)} experiment reports from {args.run_dir}",
+    if reused:
+        print(f"resumed {reused}/{len(names)} experiment reports from {args.run_dir}",
               file=sys.stderr)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {len(_EXPERIMENTS)} experiment reports to {args.out}")
+        print(f"wrote {len(names)} experiment report(s) to {args.out}")
     else:
         print(text)
     return 0
@@ -423,47 +445,6 @@ def _cmd_bench_kernels(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run one algorithm with full telemetry and write a Chrome trace."""
-    from repro.telemetry import Telemetry, write_chrome_trace, write_prometheus
-
-    telemetry = Telemetry()
-    graph, initial, cache_status = _acquire_suite_graph(args, telemetry=telemetry)
-    result = run_algorithm(args.algorithm, graph, initial, seed=args.seed,
-                           engine=args.engine, telemetry=telemetry)
-    verify_maximum(graph, result.matching)
-    out = args.out or f"{args.graph}.trace.json"
-    write_chrome_trace(
-        telemetry.tracer, out,
-        metadata={"graph": args.graph, "scale": args.scale,
-                  "algorithm": result.algorithm,
-                  "cardinality": int(result.cardinality)},
-    )
-    coverage = telemetry.tracer.coverage()
-    spans = [s for s in telemetry.tracer.spans if not s.open]
-    print(f"graph    : {args.graph} (scale {args.scale}); "
-          f"n={graph.num_vertices:,} m={graph.num_directed_edges:,}")
-    if cache_status is not None:
-        print(cache_status.replace("cache        :", "cache    :"))
-    print(f"|M|      : {result.cardinality:,} (maximum, certified)")
-    print(f"trace    : {out} ({len(spans)} spans; open in "
-          f"https://ui.perfetto.dev or chrome://tracing)")
-    print(f"coverage : {coverage:.1%} of the run is covered by spans")
-    if args.metrics_out:
-        write_prometheus(telemetry.metrics, args.metrics_out)
-        print(f"metrics  : {args.metrics_out} (Prometheus text format)")
-    if args.jsonl_out:
-        from repro.telemetry import write_telemetry_jsonl
-
-        n = write_telemetry_jsonl(args.jsonl_out, telemetry.tracer, telemetry.metrics)
-        print(f"jsonl    : {args.jsonl_out} ({n} records, EventLog-compatible)")
-    if coverage < args.min_coverage:
-        print(f"trace coverage {coverage:.1%} below the required "
-              f"{args.min_coverage:.1%}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_perf_check(args: argparse.Namespace) -> int:
     """Compare a fresh kernel-bench run against the committed baseline."""
     from repro.bench.perf_check import parse_tolerance, run_perf_check
@@ -633,14 +614,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one algorithm on one suite graph")
-    p_run.add_argument("--graph", choices=suite_specs(), default="rmat")
+    p_run = sub.add_parser(
+        "run",
+        help="match one suite graph or graph file, certify it, and summarise",
+    )
+    source = p_run.add_mutually_exclusive_group()
+    source.add_argument("--graph", choices=suite_specs(), default="rmat",
+                        help="suite graph to generate (default: rmat)")
+    source.add_argument("--file", default=None, metavar="PATH",
+                        help="graph file to read instead (MatrixMarket, SNAP, "
+                             "DIMACS or .npz)")
+    p_run.add_argument("--format", choices=["auto", *GRAPH_FORMATS], default="auto",
+                       help="--file format (default: by suffix)")
     p_run.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="ms-bfs-graft")
     p_run.add_argument("--scale", type=float, default=0.3)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--engine", choices=ENGINES, default=None,
                        help="override the backend dispatcher (MS-BFS-Graft "
                             "family only; default: cost-model auto-dispatch)")
+    p_run.add_argument("--cache-dir", default=None,
+                       help="content-addressed graph cache directory; warm "
+                            "entries skip generator/ingest work entirely "
+                            "(see 'repro-match cache')")
     p_run.add_argument("--report", action="store_true",
                        help="print the full instrumented run report")
     p_run.add_argument("--machine", choices=["mirasol", "edison", "laptop", "manycore"],
@@ -653,42 +648,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--metrics-out", default=None,
                        help="write run metrics here in Prometheus text "
                             "exposition format")
-    p_run.add_argument("--cache-dir", default=None,
-                       help="content-addressed graph cache directory; warm "
-                            "entries skip generator/ingest work entirely "
-                            "(see 'repro-match cache')")
+    p_run.add_argument("--trace-out", default=None, metavar="FILE",
+                       help="write a chrome://tracing / Perfetto trace here")
+    p_run.add_argument("--jsonl-out", default=None,
+                       help="write spans+metrics as EventLog-compatible JSONL")
+    p_run.add_argument("--min-coverage", type=float, default=None,
+                       help="fail (exit 1) if spans cover less than this "
+                            "fraction of the run (e.g. 0.95)")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_suite = sub.add_parser("suite", help="print the Table II suite report")
-    p_suite.add_argument("--scale", type=float, default=0.3)
-    p_suite.set_defaults(fn=_cmd_suite)
-
-    p_exp = sub.add_parser("experiment", help="run a paper experiment by id")
+    p_exp = sub.add_parser(
+        "experiment",
+        help="run a paper experiment by id (or all of them) into one report",
+    )
     p_exp.add_argument("name", choices=[*_EXPERIMENTS, "all"])
     p_exp.add_argument("--scale", type=float, default=0.2)
-    p_exp.set_defaults(fn=_cmd_experiment)
-
-    p_match = sub.add_parser("match", help="match a graph file (MatrixMarket, SNAP, "
-                                           "DIMACS or .npz)")
-    p_match.add_argument("path")
-    p_match.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="ms-bfs-graft")
-    p_match.add_argument("--seed", type=int, default=0)
-    p_match.add_argument("--engine", choices=ENGINES, default=None,
-                         help="override the backend dispatcher (MS-BFS-Graft "
-                              "family only)")
-    p_match.add_argument("--format", choices=["auto", *GRAPH_FORMATS], default="auto")
-    p_match.add_argument("--show-pairs", type=int, default=5,
-                         help="matched pairs to echo in the file's original "
-                              "vertex ids (SNAP inputs only)")
-    p_match.set_defaults(fn=_cmd_match)
-
-    p_rep = sub.add_parser("report-all", help="run every experiment into one report")
-    p_rep.add_argument("--scale", type=float, default=0.2)
-    p_rep.add_argument("--out", default=None)
-    p_rep.add_argument("--run-dir", default=None,
+    p_exp.add_argument("--out", default=None,
+                       help="write the report here instead of stdout")
+    p_exp.add_argument("--run-dir", default=None,
                        help="checkpoint each experiment's report here so an "
-                            "interrupted report-all resumes instead of recomputing")
-    p_rep.set_defaults(fn=_cmd_report_all)
+                            "interrupted run resumes instead of recomputing")
+    p_exp.set_defaults(fn=_cmd_experiment)
 
     p_batch = sub.add_parser(
         "batch",
@@ -799,31 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="resolve bench inputs through this "
                            "content-addressed cache directory")
     p_bk.set_defaults(fn=_cmd_bench_kernels)
-
-    p_trace = sub.add_parser(
-        "trace",
-        help="run with telemetry and write a chrome://tracing / Perfetto trace",
-    )
-    p_trace.add_argument("graph", choices=suite_specs(),
-                         help="suite graph to trace")
-    p_trace.add_argument("--algorithm", choices=sorted(ALGORITHMS),
-                         default="ms-bfs-graft")
-    p_trace.add_argument("--scale", type=float, default=0.3)
-    p_trace.add_argument("--seed", type=int, default=0)
-    p_trace.add_argument("--engine", choices=ENGINES, default=None)
-    p_trace.add_argument("--out", default=None,
-                         help="trace path (default: <graph>.trace.json)")
-    p_trace.add_argument("--metrics-out", default=None,
-                         help="also write metrics in Prometheus text format")
-    p_trace.add_argument("--jsonl-out", default=None,
-                         help="also write spans+metrics as EventLog-compatible JSONL")
-    p_trace.add_argument("--min-coverage", type=float, default=0.0,
-                         help="fail (exit 1) if spans cover less than this "
-                              "fraction of the run (e.g. 0.95)")
-    p_trace.add_argument("--cache-dir", default=None,
-                         help="content-addressed graph cache directory; on a "
-                              "warm entry the trace contains no build span")
-    p_trace.set_defaults(fn=_cmd_trace)
 
     p_pc = sub.add_parser(
         "perf-check",

@@ -59,7 +59,7 @@ def read_snap_edgelist(
     With ``return_labels=True`` the original ids survive compaction: the
     result is a :class:`LabelledGraph` carrying the per-side label arrays,
     so matchings computed on the compacted graph can be reported in the
-    file's own vertex ids (``repro-match match`` does exactly that).
+    file's own vertex ids (``repro-match run --file`` does exactly that).
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:

@@ -32,7 +32,6 @@ paper relies on (atomic ``visited`` claims; the benign ``leaf`` race).
 
 from repro.parallel.machine import MachineSpec, MIRASOL, EDISON, LAPTOP, MANYCORE
 from repro.parallel.trace import ParallelRegion, WorkTrace
-from repro.parallel.trace_io import save_trace, load_trace
 from repro.parallel.cost_model import CostModel, SimulatedTime
 from repro.parallel.scheduler import static_chunks, assign_contiguous, assign_lpt
 from repro.parallel.simulator import InterleavedSimulator, SimThreadState
@@ -45,8 +44,6 @@ __all__ = [
     "MANYCORE",
     "ParallelRegion",
     "WorkTrace",
-    "save_trace",
-    "load_trace",
     "CostModel",
     "SimulatedTime",
     "static_chunks",

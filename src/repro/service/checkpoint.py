@@ -5,22 +5,24 @@ A batch run lives in one directory; the file names are the only index::
     run_dir/
         events.jsonl                          # structured event log (append-only)
         checkpoints/<job_id>.<digest>.npy     # certified matching per completed job
-        reports/<name>.<key>.txt              # report-all stage cache (optional)
+        reports/<name>.<key>.txt              # experiment stage cache (optional)
 
 ``<digest>`` is :meth:`~repro.service.jobs.JobSpec.digest`, so a job is
 done iff the checkpoint of its current spec exists; a changed spec simply
-addresses another file. A checkpoint is one ``int64`` array of
-``mate_x ++ mate_y ++ crc32``, the graph cache's matching format
-(:mod:`repro.graph.serialize`). Resume reads it against the re-resolved
-graph (header, shape, CRC, consistent mates) and re-certifies it with
-``verify_maximum``; anything less recomputes — resume never trusts bytes
-it cannot re-verify. Every file is written through a temp file unique to
-the call and renamed into place, so concurrent runs on one directory
-never clobber each other's writes.
+addresses another file, and recording it removes the job's older ones. A
+checkpoint is one ``int64`` array of ``mate_x ++ mate_y ++ crc32``, the
+graph cache's matching format (:mod:`repro.graph.serialize`). Resume
+reads it against the re-resolved graph (header, shape, CRC, consistent
+mates) and re-certifies it with ``verify_maximum``; anything less
+recomputes — resume never trusts bytes it cannot re-verify. Every file
+is written through a temp file unique to the call and renamed into
+place, so concurrent runs on one directory never clobber each other's
+writes.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Optional, Union
 
@@ -47,9 +49,18 @@ class RunDirectory:
         return self.checkpoints / f"{job_id}.{digest}.npy"
 
     def record_done(self, job_id: str, digest: str, matching: Matching) -> Path:
-        """Persist a completed job's matching; atomic (temp + rename)."""
+        """Persist a completed job's matching; atomic (temp + rename).
+
+        The job's checkpoints under other digests (earlier specs) are then
+        removed. Only ``<job_id>.<16 hex>.npy`` names match, so job ``a.b``
+        never touches job ``a.b.c``'s files.
+        """
         path = self.checkpoint_path(job_id, digest)
         write_matching(path, matching)
+        own = re.compile(re.escape(job_id) + r"\.[0-9a-f]{16}\.npy")
+        for stale in self.checkpoints.iterdir():
+            if stale != path and own.fullmatch(stale.name):
+                stale.unlink(missing_ok=True)
         return path
 
     def load_checkpoint(self, job_id: str, digest: str, n_x: int, n_y: int) -> Matching:
@@ -62,7 +73,7 @@ class RunDirectory:
         return read_matching(self.checkpoint_path(job_id, digest), n_x, n_y)
 
     # ------------------------------------------------------------------ #
-    # report-all stage cache
+    # experiment stage cache
     # ------------------------------------------------------------------ #
 
     def report_path(self, name: str, key: str) -> Path:

@@ -1,22 +1,23 @@
 """Structured JSON-lines event log of a batch run.
 
-One line per event, append-only, flushed per event so a crash loses at most
+One line per event, append-only, written per event so a crash loses at most
 the event being written. Schema (``docs/service.md`` has the full table):
 
 .. code-block:: json
 
-    {"seq": 7, "ts": 1722873600.1, "event": "job_timeout",
+    {"ts": 1722873600.1, "event": "job_timeout",
      "job": "rmat-ms-bfs-graft", "error": "deadline of 0.200s exceeded ...",
      "engine": "numpy", "deadline_seconds": 0.2}
 
-``seq`` is monotonically increasing across resumes of the same run
-directory (the log is re-opened in append mode), so the full history of an
-interrupted-then-resumed batch reads as one ordered stream.
+File order is the order of the history: each record is one ``os.write`` of
+the whole line on an ``O_APPEND`` descriptor, so resumed and concurrent
+writers on one run directory append whole lines and never splice them.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import Counter
 from pathlib import Path
@@ -42,10 +43,10 @@ EVENT_NAMES = frozenset({
     TELEMETRY_METRIC,
 })
 
-RESERVED_FIELDS = frozenset({"seq", "ts", "event"})
+RESERVED_FIELDS = frozenset({"ts", "event"})
 """Record keys the log itself owns; :meth:`EventLog.emit` rejects them as
-extra fields so a caller can never silently clobber the sequence number,
-timestamp, or event name of a record."""
+extra fields so a caller can never silently clobber the timestamp or event
+name of a record."""
 
 
 class EventLog:
@@ -60,18 +61,16 @@ class EventLog:
     ) -> None:
         self.path = Path(path)
         self._clock = clock
-        self._seq = _last_seq(self.path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         # A crash tears the last line mid-write, leaving no trailing
         # newline; without this the resumed writer's first record would be
         # appended onto the torn fragment and be destroyed with it.
-        if self._fh.tell() > 0:
+        if os.fstat(self._fd).st_size > 0:
             with open(self.path, "rb") as check:
                 check.seek(-1, 2)
                 if check.read(1) != b"\n":
-                    self._fh.write("\n")
-                    self._fh.flush()
+                    os.write(self._fd, b"\n")
 
     def emit(self, event: str, job: str | None = None, **fields: Any) -> Dict[str, Any]:
         """Write one event line; returns the record as written."""
@@ -83,18 +82,17 @@ class EventLog:
                 f"field name(s) {sorted(reserved)} are reserved by the event "
                 f"log record itself; rename the field(s)"
             )
-        self._seq += 1
-        record: Dict[str, Any] = {"seq": self._seq, "ts": round(self._clock(), 6),
-                                  "event": event}
+        record: Dict[str, Any] = {"ts": round(self._clock(), 6), "event": event}
         if job is not None:
             record["job"] = job
         record.update(fields)
-        self._fh.write(json.dumps(record, sort_keys=False) + "\n")
-        self._fh.flush()
+        os.write(self._fd, (json.dumps(record) + "\n").encode("utf-8"))
         return record
 
     def close(self) -> None:
-        self._fh.close()
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
 
     def __enter__(self) -> "EventLog":
         return self
@@ -103,19 +101,9 @@ class EventLog:
         self.close()
 
 
-def _last_seq(path: Path) -> int:
-    if not path.exists():
-        return 0
-    last = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                try:
-                    last = int(json.loads(line).get("seq", last))
-                except (json.JSONDecodeError, TypeError, ValueError):
-                    continue  # torn tail line from a crash; seq restarts above it
-    return last
+def _is_complete(record: Any) -> bool:
+    """A whole record as :meth:`EventLog.emit` writes it."""
+    return isinstance(record, dict) and "event" in record and "ts" in record
 
 
 def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
@@ -123,12 +111,10 @@ def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
 
     A mid-write crash tears at most the line being written. Before a
     resume that torn line is the *last* line; after a crash-then-resume it
-    sits mid-file with well-formed, ``seq``-carrying records appended
-    below it (``_last_seq`` already skips it when computing the resume
-    sequence, so the writer and the reader must agree that it is damage,
-    not data). Torn lines in either position are skipped; a malformed line
-    followed only by records *without* a ``seq`` is not crash-shaped and
-    still raises :class:`~repro.errors.ServiceError`.
+    sits mid-file with complete records (objects carrying ``event`` and
+    ``ts``) appended below it. Torn lines in either position are skipped; a
+    malformed line followed by anything but complete records is not
+    crash-shaped and still raises :class:`~repro.errors.ServiceError`.
     """
     return read_events_with_stats(path)[0]
 
@@ -151,15 +137,16 @@ def read_events_with_stats(
         try:
             record = json.loads(stripped)
         except json.JSONDecodeError:
-            # Crash damage iff every later record carries a seq (a resumed
-            # writer only ever appends full records) — vacuously true for
+            # Crash damage iff every later line is a complete record (a
+            # resumed writer only ever appends those) — vacuously true for
             # tail damage. The check happens as later lines are parsed.
             torn.append(i + 1)
             continue
-        if torn and not (isinstance(record, dict) and "seq" in record):
+        if torn and not _is_complete(record):
             raise ServiceError(
                 f"{path}:{torn[0]}: corrupt event line (line {i + 1} after "
-                f"it carries no seq, so this is not crash-then-resume damage)"
+                f"it is not a complete record, so this is not "
+                f"crash-then-resume damage)"
             )
         events.append(record)
     return events, len(torn)

@@ -12,8 +12,8 @@ Three consumers, three formats:
   invariants without needing promtool itself.
 * :func:`export_jsonl` — appends ``telemetry_span``/``telemetry_metric``
   records through the service's :class:`~repro.service.events.EventLog`,
-  so engine traces and batch lifecycle events interleave in one ordered
-  stream with monotone ``seq``.
+  so engine traces and batch lifecycle events interleave in one stream,
+  ordered by file position.
 """
 
 from __future__ import annotations
@@ -348,8 +348,8 @@ def export_jsonl(
     One ``telemetry_span`` record per closed span and one
     ``telemetry_metric`` record per instrument; returns the number of
     records written. ``log`` is a :class:`repro.service.events.EventLog`
-    (duck-typed on ``emit``), so telemetry lines share the run directory's
-    monotone ``seq`` with the batch lifecycle events.
+    (duck-typed on ``emit``), so telemetry lines land in the run
+    directory's one log, after the batch lifecycle events already there.
     """
     from repro.service.events import TELEMETRY_METRIC, TELEMETRY_SPAN
 

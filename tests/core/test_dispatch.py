@@ -194,15 +194,13 @@ class TestOneEngineList:
             JobSpec(job_id="j", graph={"suite": "rmat", "scale": 0.05}, engine="mp")
         assert all(name in str(err.value) for name in ENGINES)
 
-    @pytest.mark.parametrize("command", ["run", "match", "batch", "trace"])
+    @pytest.mark.parametrize("command", ["run", "batch"])
     def test_cli_rejects_mp(self, command, capsys):
         from repro.cli import build_parser
 
         argv = {
             "run": ["run"],
-            "match": ["match", "graph.mtx"],
             "batch": ["batch", "--run-dir", "d"],
-            "trace": ["trace", "rmat"],
         }[command]
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args([*argv, "--engine", "mp"])

@@ -30,13 +30,14 @@ def checkpoint(run_dir, s):
     return RunDirectory(run_dir).checkpoint_path(s.job_id, s.digest())
 
 
-def events_of(run_dir, name, after_seq=0):
-    return [e for e in read_events(RunDirectory(run_dir).events_path)
-            if e["event"] == name and e["seq"] > after_seq]
+def events_of(run_dir, name, after=0):
+    """Records named ``name`` from record offset ``after`` on (file order)."""
+    return [e for e in read_events(RunDirectory(run_dir).events_path)[after:]
+            if e["event"] == name]
 
 
-def last_seq(run_dir):
-    return max(e["seq"] for e in read_events(RunDirectory(run_dir).events_path))
+def record_count(run_dir):
+    return len(read_events(RunDirectory(run_dir).events_path))
 
 
 class TestHappyPath:
@@ -136,17 +137,19 @@ class TestResume:
         assert all(o.status == "done" for o in first)
 
         # "Kill" = a fresh executor process against the same run directory.
-        before = last_seq(tmp_path / "run")
+        before = record_count(tmp_path / "run")
         second = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch(jobs)
         assert all(o.status == "resumed" for o in second)
         # Zero recomputation: the second run started no engine.
-        assert events_of(tmp_path / "run", ev.JOB_STARTED, after_seq=before) == []
+        assert events_of(tmp_path / "run", ev.JOB_STARTED, after=before) == []
         assert [o.cardinality for o in second] == [o.cardinality for o in first]
         resumed = events_of(tmp_path / "run", ev.JOB_RESUMED)
         assert [e["job"] for e in resumed] == ["a", "b"]
-        # The event log reads as one stream with monotone seq across runs.
-        seqs = [e["seq"] for e in read_events(tmp_path / "run" / "events.jsonl")]
-        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+        # The event log reads as one stream across runs: the second run's
+        # records follow the first run's, batch_started to batch_done.
+        names = [e["event"] for e in read_events(tmp_path / "run" / "events.jsonl")]
+        assert names[before] == ev.BATCH_STARTED and names[-1] == ev.BATCH_DONE
+        assert names[:before].count(ev.BATCH_DONE) == 1
 
     def test_partial_run_finishes_remaining_jobs(self, tmp_path):
         a, b = spec("a"), spec("b", seed=1)
@@ -161,13 +164,13 @@ class TestResume:
         s = spec("a")
         BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
         checkpoint(tmp_path / "run", s).write_bytes(b"not an npy file")
-        before = last_seq(tmp_path / "run")
+        before = record_count(tmp_path / "run")
         [out] = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
         assert out.status == "done"  # recomputed, not resumed
         assert out.cardinality == expected_cardinality(s)
         # One start event for the one engine run, carrying why the
         # checkpoint was not trusted.
-        started = events_of(tmp_path / "run", ev.JOB_STARTED, after_seq=before)
+        started = events_of(tmp_path / "run", ev.JOB_STARTED, after=before)
         assert len(started) == 1
         assert "checkpoint rejected" in started[0]["note"]
 
@@ -183,13 +186,13 @@ class TestResume:
         s = spec("a", graph={"path": str(path)})
         BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
         path.unlink()
-        before = last_seq(tmp_path / "run")
+        before = record_count(tmp_path / "run")
         [out] = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
         assert out.status == "failed"
-        [failed] = events_of(tmp_path / "run", ev.JOB_FAILED, after_seq=before)
+        [failed] = events_of(tmp_path / "run", ev.JOB_FAILED, after=before)
         assert failed["stage"] == "resolve-graph"
         assert "checkpoint rejected" in failed["note"]
-        assert events_of(tmp_path / "run", ev.JOB_STARTED, after_seq=before) == []
+        assert events_of(tmp_path / "run", ev.JOB_STARTED, after=before) == []
 
     def test_same_shape_checkpoint_edit_fails_crc_and_recomputes(self, tmp_path):
         # Swap two matched X vertices' mates in place: the file keeps its
@@ -205,11 +208,11 @@ class TestResume:
         mate_x[[x0, x1]] = mate_x[[x1, x0]]
         mate_y[mate_x[[x0, x1]]] = [x0, x1]
         np.save(path, stored)
-        before = last_seq(tmp_path / "run")
+        before = record_count(tmp_path / "run")
         [out] = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([s])
         assert out.status == "done"
         assert out.cardinality == first.cardinality
-        [started] = events_of(tmp_path / "run", ev.JOB_STARTED, after_seq=before)
+        [started] = events_of(tmp_path / "run", ev.JOB_STARTED, after=before)
         assert "CRC-32" in started["note"]
 
     def test_spec_change_invalidates_checkpoint(self, tmp_path):
@@ -218,6 +221,20 @@ class TestResume:
         [out] = BatchExecutor(tmp_path / "run",
                               clock=ManualClock()).run_batch([changed])
         assert out.status == "done"
+        # The old spec's checkpoint is pruned: one file remains for job a.
+        files = sorted((tmp_path / "run" / "checkpoints").iterdir())
+        assert files == [checkpoint(tmp_path / "run", changed)]
+
+    def test_spec_change_keeps_dotted_sibling_checkpoints(self, tmp_path):
+        # Job ids may contain dots: pruning job a.b's stale checkpoints
+        # must not touch a.b.c.<digest>.npy, which belongs to job a.b.c.
+        jobs = [spec("a.b"), spec("a.b.c")]
+        BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch(jobs)
+        changed = spec("a.b", seed=7)
+        BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch([changed])
+        files = sorted((tmp_path / "run" / "checkpoints").iterdir())
+        assert files == sorted([checkpoint(tmp_path / "run", changed),
+                                checkpoint(tmp_path / "run", jobs[1])])
 
     def test_old_run_dir_recomputes(self, tmp_path):
         # Run directories from before per-spec .npy checkpoints kept a
@@ -244,10 +261,10 @@ class TestResume:
             tmp_path / "run", slow_phase_seconds=0.15, clock=ManualClock(),
         ).run_batch(jobs)
         assert [o.status for o in first] == ["timeout", "done"]
-        before = last_seq(tmp_path / "run")
+        before = record_count(tmp_path / "run")
         second = BatchExecutor(tmp_path / "run", clock=ManualClock()).run_batch(jobs)
         assert [o.status for o in second] == ["done", "resumed"]
-        started = events_of(tmp_path / "run", ev.JOB_STARTED, after_seq=before)
+        started = events_of(tmp_path / "run", ev.JOB_STARTED, after=before)
         assert [e["job"] for e in started] == ["a"]
         assert second[0].cardinality == expected_cardinality(jobs[0])
         assert second[1].cardinality == first[1].cardinality

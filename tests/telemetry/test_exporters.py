@@ -155,7 +155,7 @@ class TestJsonlExport:
         written = write_telemetry_jsonl(path, small_trace(), small_registry())
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(records) == written == 3 + 3
-        assert [r["seq"] for r in records] == list(range(1, written + 1))
+        assert all("seq" not in r and "ts" in r for r in records)
         span_records = [r for r in records if r["event"] == "telemetry_span"]
         assert {r["name"] for r in span_records} == {"run", "phase", "topdown"}
         metric_records = [r for r in records if r["event"] == "telemetry_metric"]
@@ -172,9 +172,8 @@ class TestJsonlExport:
         written = write_telemetry_jsonl(path, small_trace())
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert written == 3
-        assert records[0]["event"] == "batch_started"
-        # seq keeps increasing across the re-opened log
-        assert [r["seq"] for r in records] == list(range(1, 5))
+        # the re-opened log appends after the lifecycle record
+        assert [r["event"] for r in records] == ["batch_started"] + ["telemetry_span"] * 3
 
 
 class TestJsonSafe:

@@ -48,9 +48,9 @@ class TestEngineInstrumentation:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_coverage_accounts_for_most_wall_time(self, runs, engine):
         # The ≥0.95 acceptance bar is checked on suite-scale graphs by
-        # `repro-match trace --min-coverage` (see CI); on the small graphs
-        # unit tests can afford, fixed span overhead eats a few percent, so
-        # bound at 0.90 to stay deterministic across machines.
+        # `repro-match run --trace-out FILE --min-coverage` (see CI); on the
+        # small graphs unit tests can afford, fixed span overhead eats a few
+        # percent, so bound at 0.90 to stay deterministic across machines.
         tel, _ = runs[engine]
         assert tel.tracer.coverage() >= 0.90
 

@@ -25,6 +25,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    def test_run_graph_and_file_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "--graph", "road-like", "--file", "g.mtx"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_run_command(self, capsys):
@@ -39,7 +45,7 @@ class TestCommands:
                          "--algorithm", algo]) == 0
 
     def test_suite_command(self, capsys):
-        assert main(["suite", "--scale", "0.05"]) == 0
+        assert main(["experiment", "table2", "--scale", "0.05"]) == 0
         assert "Table II" in capsys.readouterr().out
 
     def test_experiment_command(self, capsys):
@@ -56,10 +62,10 @@ class TestCommands:
 
         path = tmp_path / "m.mtx"
         write_matrix_market(planted_matching(15, extra_edges=20, seed=0), path)
-        assert main(["match", str(path)]) == 0
+        assert main(["run", "--file", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "structural rank" in out
-        assert "15" in out
+        assert "n_rows=15 n_cols=15" in out
+        assert "|M|          : 15 (maximum, certified)" in out
 
 
 class TestNewCommands:
@@ -97,7 +103,7 @@ class TestNewCommands:
 
     def test_report_all(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
-        assert main(["report-all", "--scale", "0.05", "--out", str(out)]) == 0
+        assert main(["experiment", "all", "--scale", "0.05", "--out", str(out)]) == 0
         text = out.read_text()
         assert "fig3" in text and "Table II" in text and "phase-dynamics" in text
 
@@ -110,23 +116,23 @@ class TestNewCommands:
     def test_match_snap_format(self, tmp_path, capsys):
         path = tmp_path / "g.snap"
         path.write_text("# c\n0 0\n1 1\n")
-        assert main(["match", str(path), "--format", "snap"]) == 0
-        assert "structural rank" in capsys.readouterr().out
+        assert main(["run", "--file", str(path), "--format", "snap"]) == 0
+        assert "|M|          : 2 (maximum, certified)" in capsys.readouterr().out
 
     def test_match_reads_max_and_npz_by_suffix(self, tmp_path, capsys):
-        # ``match``, ``batch`` and the cache share one suffix table: a DIMACS
-        # max-flow file and a saved .npz graph both load under ``auto``.
+        # ``run --file``, ``batch`` and the cache share one suffix table: a
+        # DIMACS max-flow file and a saved .npz graph both load under ``auto``.
         from repro.graph.generators import planted_matching
         from repro.graph.serialize import save_graph
 
         dimacs = tmp_path / "g.max"
         dimacs.write_text("c flow\np max 6 3\nn 1 s\na 1 4 1\na 2 5 1\na 3 4 1\n")
-        assert main(["match", str(dimacs)]) == 0
-        assert "maximum matching (structural rank): 2" in capsys.readouterr().out
+        assert main(["run", "--file", str(dimacs)]) == 0
+        assert "|M|          : 2 (maximum, certified)" in capsys.readouterr().out
         npz = tmp_path / "g.npz"
         save_graph(planted_matching(12, extra_edges=10, seed=1), npz)
-        assert main(["match", str(npz)]) == 0
-        assert "maximum matching (structural rank): 12" in capsys.readouterr().out
+        assert main(["run", "--file", str(npz)]) == 0
+        assert "|M|          : 12 (maximum, certified)" in capsys.readouterr().out
 
 
 class TestAnalysisCommands:
@@ -248,17 +254,17 @@ class TestBatchCommand:
     def test_match_shows_original_snap_ids(self, tmp_path, capsys):
         path = tmp_path / "edges.txt"
         path.write_text("100 202\n300 201\n305 203\n")
-        assert main(["match", str(path), "--format", "snap"]) == 0
+        assert main(["run", "--file", str(path), "--format", "snap"]) == 0
         out = capsys.readouterr().out
         assert "file ids" in out
         assert "100" in out and "202" in out
 
     def test_report_all_resumes_from_run_dir(self, tmp_path, capsys):
         run_dir = str(tmp_path / "reports")
-        assert main(["report-all", "--scale", "0.05",
+        assert main(["experiment", "all", "--scale", "0.05",
                      "--run-dir", run_dir]) == 0
         capsys.readouterr()
-        assert main(["report-all", "--scale", "0.05",
+        assert main(["experiment", "all", "--scale", "0.05",
                      "--run-dir", run_dir]) == 0
         captured = capsys.readouterr()
         assert "resumed 16/16" in captured.err
@@ -291,8 +297,8 @@ class TestTelemetryCommands:
         import json
 
         out = tmp_path / "rmat.trace.json"
-        assert main(["trace", "rmat", "--scale", "0.05",
-                     "--out", str(out), "--min-coverage", "0.9"]) == 0
+        assert main(["run", "--graph", "rmat", "--scale", "0.05",
+                     "--trace-out", str(out), "--min-coverage", "0.9"]) == 0
         doc = json.loads(out.read_text())
         names = {e.get("name") for e in doc["traceEvents"] if e.get("ph") == "X"}
         assert {"run", "setup", "phase"} <= names
@@ -300,8 +306,8 @@ class TestTelemetryCommands:
 
     def test_trace_min_coverage_failure_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "t.json"
-        assert main(["trace", "rmat", "--scale", "0.05",
-                     "--out", str(out), "--min-coverage", "1.0"]) == 1
+        assert main(["run", "--graph", "rmat", "--scale", "0.05",
+                     "--trace-out", str(out), "--min-coverage", "1.0"]) == 1
         assert "below the required" in capsys.readouterr().err
 
     def test_trace_sidecar_outputs(self, tmp_path, capsys):
@@ -311,14 +317,66 @@ class TestTelemetryCommands:
 
         prom = tmp_path / "m.prom"
         jsonl = tmp_path / "t.jsonl"
-        assert main(["trace", "rmat", "--scale", "0.05",
-                     "--out", str(tmp_path / "t.json"),
+        assert main(["run", "--graph", "rmat", "--scale", "0.05",
+                     "--trace-out", str(tmp_path / "t.json"),
                      "--metrics-out", str(prom),
                      "--jsonl-out", str(jsonl)]) == 0
         assert lint_prometheus(prom.read_text())
         records = [json.loads(line) for line in jsonl.read_text().splitlines()]
         assert {r["event"] for r in records} == {"telemetry_span",
                                                 "telemetry_metric"}
+
+    def test_run_without_telemetry_flags_opens_no_session(self, monkeypatch, capsys):
+        import repro.telemetry
+
+        def refuse():
+            raise AssertionError("run opened a Telemetry session unasked")
+
+        monkeypatch.setattr(repro.telemetry, "Telemetry", refuse)
+        assert main(["run", "--graph", "rmat", "--scale", "0.05"]) == 0
+        assert "trace" not in capsys.readouterr().out
+
+    def test_cold_then_warm_cache_trace(self, tmp_path, capsys):
+        # The cold run builds the graph inside a ``build`` span; the warm
+        # run loads it from the store, so its trace has no such span, and
+        # both certify the same |M|.
+        import json
+
+        def traced_run(name):
+            trace = tmp_path / f"{name}.trace.json"
+            assert main(["run", "--graph", "rmat", "--scale", "0.05",
+                         "--cache-dir", str(tmp_path / "cache"),
+                         "--trace-out", str(trace)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            doc = json.loads(trace.read_text())
+            spans = {e.get("name") for e in doc["traceEvents"] if e.get("ph") == "X"}
+            return lines, spans
+
+        cold, cold_spans = traced_run("cold")
+        warm, warm_spans = traced_run("warm")
+        assert any(line.startswith("cache        : miss") for line in cold)
+        assert any(line.startswith("cache        : hit") for line in warm)
+        assert "build" in cold_spans
+        assert "build" not in warm_spans
+        # Coverage scores the engine's run span, not the cold build span.
+        assert "coverage     : 0.0%" not in "\n".join(cold)
+        m_lines = [[line for line in out if line.startswith("|M|")]
+                   for out in (cold, warm)]
+        assert m_lines[0] == m_lines[1] and len(m_lines[0]) == 1
+
+    def test_run_file_through_cache(self, tmp_path, capsys):
+        from repro.graph.generators import planted_matching
+        from repro.graph.io import write_matrix_market
+
+        path = tmp_path / "m.mtx"
+        write_matrix_market(planted_matching(15, extra_edges=20, seed=0), path)
+        argv = ["run", "--file", str(path), "--cache-dir", str(tmp_path / "c")]
+        assert main(argv) == 0
+        assert "cache        : miss" in capsys.readouterr().out
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "cache        : hit" in out
+        assert "|M|          : 15 (maximum, certified)" in out
 
     def test_perf_check_self_consistency(self, capsys):
         assert main(["perf-check", "--tolerance", "1x",
