@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.graph.csr import BipartiteCSR
+from repro.graph.readers import LabelledGraph
 
 
 @dataclass
@@ -26,6 +27,8 @@ class PreparedGraph:
     """Human-readable provenance (``suite:rmat scale=1.0`` or a file path)."""
     entry_dir: Path | None = None
     """Backing cache entry, when the graph went through a store."""
+    labels: LabelledGraph | None = None
+    """A SNAP file's original ids; ``None`` for every other source."""
 
 
 def build_suite_graph(name: str, scale: float) -> BipartiteCSR:

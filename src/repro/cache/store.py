@@ -10,6 +10,8 @@ system is the only index)::
                                            x_ptr ++ x_adj ++ y_ptr ++ y_adj
     <root>/<key[:2]>/<key>/ks_<seed>.npy   Karp-Sipser warm start per seed (one
                                            int64 array, mate_x ++ mate_y ++ crc32)
+    <root>/<key[:2]>/<key>/ids.npy         SNAP entries only: the file's original
+                                           ids, x_ids ++ y_ids ++ crc32
 
 Design points:
 
@@ -29,6 +31,10 @@ Design points:
   consistent; anything else is recomputed. The CRC turns damage that kept
   the shape into a miss too. :meth:`GraphCache.verify` also checks that
   every warm start is a valid matching of its entry's graph.
+* **SNAP ids kept.** A SNAP edge list's sparse ids are compacted on read;
+  its entry stores them in ``ids.npy`` (same checksummed format), so a hit
+  can still report pairs in the file's own ids. A SNAP entry whose
+  ``ids.npy`` is missing or fails its checks is corrupt, so a miss.
 * **Atomicity and concurrent callers.** Entries are built in a temp
   directory and warm starts in a temp file
   (:func:`~repro.graph.serialize.replacing`), each unique to the call,
@@ -62,13 +68,21 @@ from repro.cache.keys import BUILDER_VERSION, file_key, hash_file, spec_key
 from repro.cache.prepare import PreparedGraph, build_suite_graph, warm_start_matching
 from repro.errors import CacheCorruptionError
 from repro.graph.csr import BipartiteCSR
-from repro.graph.readers import read_graph_file, resolve_format
-from repro.graph.serialize import check_npy, read_matching, write_matching, write_npy
+from repro.graph.readers import LabelledGraph, read_graph_file, resolve_format
+from repro.graph.serialize import (
+    check_npy,
+    read_checked,
+    read_matching,
+    write_checked,
+    write_matching,
+    write_npy,
+)
 from repro.matching.base import Matching
 from repro.matching.verify import is_valid_matching
 
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 _GRAPH_FILE = "graph.npy"
+_IDS_FILE = "ids.npy"
 _META_FIELDS = frozenset(
     {"key", "builder_version", "n_x", "n_y", "nnz", "sha256", "bytes"}
 )
@@ -104,14 +118,15 @@ class GraphCache:
         )
 
     def prepare_file(self, path: Union[str, Path], fmt: str = "auto") -> PreparedGraph:
-        """Prepared on-disk graph, keyed by the file's raw bytes + format."""
+        """Prepared on-disk graph, keyed by the file's raw bytes + format.
+        A SNAP file's original ids come back as ``labels``."""
         # The resolved format is part of the key: two byte-identical files
         # read by different parsers get distinct entries.
         fmt = resolve_format(path, fmt)
         key = file_key(path, fmt)
         return self._prepare(
             key,
-            lambda: read_graph_file(path, fmt)[0],
+            lambda: read_graph_file(path, fmt),
             kind="file",
             fmt=fmt,
             source=str(path),
@@ -129,7 +144,7 @@ class GraphCache:
         """Prepared graph for any deterministic generator spec."""
         key = spec_key(kind, name, params)
         return self._prepare(
-            key, builder, kind=kind, fmt="generator",
+            key, lambda: (builder(), None), kind=kind, fmt="generator",
             source=source or f"{kind}:{name} {dict(params)}",
         )
 
@@ -231,6 +246,7 @@ class GraphCache:
                         f"{_GRAPH_FILE} checksum mismatch "
                         f"(stored {meta['sha256'][:12]}, actual {digest[:12]})"
                     )
+                _read_labels(entry, meta, None)
                 self._verify_warm_starts(entry, meta)
             except (CacheCorruptionError, OSError) as exc:
                 problems.append((key, str(exc)))
@@ -257,7 +273,7 @@ class GraphCache:
     def _prepare(
         self,
         key: str,
-        builder: Callable[[], BipartiteCSR],
+        builder: Callable[[], tuple[BipartiteCSR, Optional[LabelledGraph]]],
         *,
         kind: str,
         fmt: str,
@@ -272,10 +288,10 @@ class GraphCache:
             return prepared
         if tel is not None:
             with tel.step("build"):
-                graph = builder()
+                graph, labels = builder()
         else:
-            graph = builder()
-        self._store(key, graph, kind=kind, fmt=fmt, source=source)
+            graph, labels = builder()
+        self._store(key, graph, labels, kind=kind, fmt=fmt, source=source)
         if tel is not None:
             tel.count_cache(False, self.total_bytes)
         # Serve the stored entry so hot arrays are the memory-mapped ones
@@ -287,7 +303,8 @@ class GraphCache:
             return prepared
         # Entry evicted immediately (max_bytes smaller than the graph):
         # fall back to the freshly built object.
-        return PreparedGraph(graph=graph, key=key, from_cache=False, source=source)
+        return PreparedGraph(graph=graph, key=key, from_cache=False, source=source,
+                             labels=labels)
 
     def _lookup(self, key: str) -> Optional[PreparedGraph]:
         entry = self._entry_dir(key)
@@ -296,6 +313,7 @@ class GraphCache:
         try:
             meta = self._read_meta(key)
             graph = _read_graph(entry / _GRAPH_FILE, meta)
+            labels = _read_labels(entry, meta, graph)
             _touch(entry)
         except (CacheCorruptionError, OSError):
             # Fallback-to-rebuild: a broken entry must never mask the source.
@@ -307,12 +325,14 @@ class GraphCache:
             from_cache=True,
             source=str(meta.get("source", "")),
             entry_dir=entry,
+            labels=labels,
         )
 
     def _store(
         self,
         key: str,
         graph: BipartiteCSR,
+        labels: Optional[LabelledGraph],
         *,
         kind: str,
         fmt: str,
@@ -323,6 +343,8 @@ class GraphCache:
         try:
             path = tmp / _GRAPH_FILE
             write_npy(path, (graph.x_ptr, graph.x_adj, graph.y_ptr, graph.y_adj))
+            if labels is not None:
+                write_checked(tmp / _IDS_FILE, np.concatenate([labels.x_ids, labels.y_ids]))
             meta = {
                 "key": key,
                 "kind": kind,
@@ -425,6 +447,21 @@ def _touch(entry: Path) -> None:
     """Mark ``entry`` most recently used (its ``meta.json`` mtime)."""
     now = time.time_ns()
     os.utime(entry / "meta.json", ns=(now, now))
+
+
+def _read_labels(
+    entry: Path, meta: dict, graph: Optional[BipartiteCSR]
+) -> Optional[LabelledGraph]:
+    """A SNAP entry's original ids (``None`` for any other format).
+
+    Raises :class:`CacheCorruptionError` or ``OSError`` when a SNAP entry's
+    ``ids.npy`` is missing, misshapen or fails its CRC-32.
+    """
+    if meta.get("format") != "snap":
+        return None
+    n_x = int(meta["n_x"])
+    ids = read_checked(entry / _IDS_FILE, n_x + int(meta["n_y"]))
+    return LabelledGraph(graph, ids[:n_x], ids[n_x:])
 
 
 def _read_graph(path: Path, meta: dict) -> BipartiteCSR:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Dict
 
 from repro.bench import experiments
-from repro.bench.runner import ALGORITHMS, run_algorithm
+from repro.bench.runner import ALGORITHMS, ENGINE_AWARE, run_algorithm
 from repro.bench.suite import get_suite_graph, suite_counterpart, suite_specs
 from repro.core.driver import ENGINES
 from repro.errors import ServiceError
@@ -48,8 +48,8 @@ def _acquire_graph(args: argparse.Namespace, telemetry=None):
     both sources go through the cache and the Karp-Sipser warm start comes
     from the entry too (keyed by seed), so a warm invocation skips the
     whole ingest path; ``cache_line`` is then the summary's ``cache`` line.
-    ``labels`` holds a SNAP file's original ids when the file was parsed
-    (the cache stores only the compacted graph); otherwise ``None``.
+    ``labels`` holds a SNAP file's original ids (the cache keeps them
+    beside the compacted graph); otherwise ``None``.
     """
     cache = _open_cache(args, telemetry=telemetry)
     if cache is None:
@@ -66,7 +66,7 @@ def _acquire_graph(args: argparse.Namespace, telemetry=None):
         f"cache        : {'hit' if prepared.from_cache else 'miss'} "
         f"{prepared.key[:12]} ({cache.total_bytes:,} bytes in store)"
     )
-    return prepared.graph, None, initial, cache_line
+    return prepared.graph, prepared.labels, initial, cache_line
 
 
 _EXPERIMENTS: Dict[str, Callable[[float], object]] = {
@@ -102,11 +102,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     The telemetry outputs (``--metrics-out``, ``--trace-out``,
     ``--jsonl-out``, ``--min-coverage``) are the only reason to open a
     :class:`~repro.telemetry.Telemetry` session; without them the run
-    carries none.
+    carries none. They and ``--engine`` apply only to the algorithms in
+    :data:`~repro.bench.runner.ENGINE_AWARE`; any other algorithm is
+    refused before its graph is built.
     """
+    telemetry_flags = [flag for flag, value in (
+        ("--metrics-out", args.metrics_out), ("--trace-out", args.trace_out),
+        ("--jsonl-out", args.jsonl_out), ("--min-coverage", args.min_coverage))
+        if value is not None]
+    driver_flags = (["--engine"] if args.engine is not None else []) + telemetry_flags
+    if driver_flags and args.algorithm not in ENGINE_AWARE:
+        print(f"error: {', '.join(driver_flags)} cannot be used with --algorithm "
+              f"{args.algorithm}; accepted only by {', '.join(ENGINE_AWARE)}",
+              file=sys.stderr)
+        return 2
     telemetry = None
-    if (args.metrics_out or args.trace_out or args.jsonl_out
-            or args.min_coverage is not None):
+    if telemetry_flags:
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()

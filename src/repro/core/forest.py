@@ -9,7 +9,11 @@ Exactly the pointer arrays of the paper's Section III-B:
   containing the vertex, -1 if in no tree;
 * ``leaf[x]`` — for a tree root x: the unmatched Y leaf of its augmenting
   path, or -1 while the tree is *active*. A tree whose root has
-  ``leaf != -1`` is *renewable*.
+  ``leaf != -1`` is *renewable*. ``leaf`` is a view of the first ``n_x``
+  entries of ``leaf_buf``, whose one extra slot ``leaf_buf[n_x]`` holds a
+  sentinel other than -1: an unrooted vertex's ``root == -1`` then reads
+  that slot, so active-tree membership is the single gather
+  ``leaf_buf[root] == -1`` with no guard for ``root == -1``.
 
 Matched X vertices are entered through their mates, so they need no visited
 flag or parent pointer (their tree path continues through ``mate``).
@@ -58,7 +62,7 @@ class ForestState:
     """
 
     __slots__ = (
-        "n_x", "n_y", "visited", "parent", "root_x", "root_y", "leaf",
+        "n_x", "n_y", "visited", "parent", "root_x", "root_y", "leaf_buf",
         "num_unvisited_y", "observer", "candidates_y",
         "num_candidates", "seeds_x", "unvisited_deg", "last_scan_cost",
         "tree_x_parts", "tree_y_parts", "_deg_y",
@@ -71,7 +75,8 @@ class ForestState:
         self.parent = np.full(n_y, UNMATCHED, dtype=INDEX_DTYPE)
         self.root_x = np.full(n_x, UNMATCHED, dtype=INDEX_DTYPE)
         self.root_y = np.full(n_y, UNMATCHED, dtype=INDEX_DTYPE)
-        self.leaf = np.full(n_x, UNMATCHED, dtype=INDEX_DTYPE)
+        self.leaf_buf = np.full(n_x + 1, UNMATCHED, dtype=INDEX_DTYPE)
+        self.leaf_buf[n_x] = n_y  # the sentinel: no Y vertex, and not UNMATCHED
         self.num_unvisited_y = n_y
         self.observer = None
         self.candidates_y = np.arange(n_y, dtype=INDEX_DTYPE)
@@ -92,6 +97,13 @@ class ForestState:
     @classmethod
     def for_graph(cls, graph: BipartiteCSR) -> "ForestState":
         return cls(graph.n_x, graph.n_y)
+
+    @property
+    def leaf(self) -> np.ndarray:
+        """``leaf[x]`` for every X vertex: a view of ``leaf_buf`` without
+        its sentinel slot, so writes through it reach the one buffer (and
+        survive ``copy.deepcopy``, which copies only the buffer)."""
+        return self.leaf_buf[: self.n_x]
 
     # ------------------------------------------------------------------ #
     # incremental visited / candidate bookkeeping
@@ -177,7 +189,7 @@ class ForestState:
             # Superset invariant: equal length implies the sets are equal,
             # so the filter only runs when something was claimed since the
             # last compaction.
-            self.candidates_y = cand[self.visited[cand] == 0]
+            self.candidates_y = cand.compress(self.visited[cand] == 0)
 
     def unvisited_candidates(self) -> np.ndarray:
         """The unvisited Y vertices, in O(candidates) — never O(n_y).
@@ -211,21 +223,18 @@ class ForestState:
     # ------------------------------------------------------------------ #
 
     def active_x_mask(self) -> np.ndarray:
-        """X vertices in an active tree: root set and root's leaf unset."""
-        safe = np.where(self.root_x >= 0, self.root_x, 0)
-        return (self.root_x != UNMATCHED) & (self.leaf[safe] == UNMATCHED)
+        """X vertices in an active tree: root set and root's leaf unset.
+        An unset root reads the sentinel slot, which is never UNMATCHED."""
+        return self.leaf_buf[self.root_x] == UNMATCHED
 
     def renewable_x_mask(self) -> np.ndarray:
-        safe = np.where(self.root_x >= 0, self.root_x, 0)
-        return (self.root_x != UNMATCHED) & (self.leaf[safe] != UNMATCHED)
+        return (self.root_x != UNMATCHED) & (self.leaf_buf[self.root_x] != UNMATCHED)
 
     def active_y_mask(self) -> np.ndarray:
-        safe = np.where(self.root_y >= 0, self.root_y, 0)
-        return (self.root_y != UNMATCHED) & (self.leaf[safe] == UNMATCHED)
+        return self.leaf_buf[self.root_y] == UNMATCHED
 
     def renewable_y_mask(self) -> np.ndarray:
-        safe = np.where(self.root_y >= 0, self.root_y, 0)
-        return (self.root_y != UNMATCHED) & (self.leaf[safe] != UNMATCHED)
+        return (self.root_y != UNMATCHED) & (self.leaf_buf[self.root_y] != UNMATCHED)
 
     def alternating_path_to_root(self, matching: Matching, y0: int) -> list[int]:
         """The tree path from y0 up to its root, as ``[y0, x1, y1, ..., root]``.

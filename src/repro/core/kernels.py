@@ -25,6 +25,19 @@ Implementation notes on the fast path:
   ``visited`` bytes of the targets, and all visited transitions go through
   ``ForestState.mark_visited``/``clear_visited`` so the incremental
   candidate list and direction counters stay exact.
+* Selection uses ``ndarray.compress`` wherever the mask depends on the
+  data and is not nearly all true: on a half-true mask of 30k entries it
+  is about 4.5x faster than boolean indexing, whose per-entry branch the
+  CPU cannot predict; on a mask that is nearly all true boolean indexing
+  wins, so those sites keep it
+  (docs/performance.md, "Selection without boolean masks").
+* Active-tree membership is one gather, ``state.leaf_buf[root] == -1``:
+  the forest's ``leaf`` buffer has a sentinel slot that an unrooted
+  vertex's ``root == -1`` reads, so no ``np.where`` guard is needed.
+* A regular bottom-up level probes every live row's first neighbour with
+  one ``adj[start]`` gather before the chunked scan; only the misses go
+  on, and the probe counts one edge per row, so ``edges`` and the
+  per-item costs are those of the plain scan.
 * Augmentation advances all discovered augmenting paths in lockstep
   (:func:`augment_all`): the paths are vertex-disjoint, so the per-step
   scatter writes never conflict — the same argument that lets the paper
@@ -56,11 +69,11 @@ def _active_tree_mask(state: ForestState, vertices: np.ndarray) -> np.ndarray:
 
     Same predicate as ``state.active_x_mask()`` but computed only for the
     queried vertices — the full-mask gather is O(n_x) per call, which used
-    to dominate shallow levels on large graphs.
+    to dominate shallow levels on large graphs. An unrooted vertex's
+    ``root_x == -1`` reads ``leaf_buf``'s sentinel slot, so the test is
+    one gather per vertex with no guard.
     """
-    rx = state.root_x[vertices]
-    safe = np.where(rx >= 0, rx, 0)
-    return (rx != UNMATCHED) & (state.leaf[safe] == UNMATCHED)
+    return state.leaf_buf[state.root_x[vertices]] == UNMATCHED
 
 
 class KernelWorkspace:
@@ -204,6 +217,8 @@ def topdown_level(
     obs = state.observer
     frontier = np.asarray(frontier, dtype=INDEX_DTYPE)
     if frontier.size:
+        # Nearly every frontier vertex is still active (99.9% on scratch-er),
+        # where boolean indexing beats ``compress`` (docs/performance.md).
         frontier = frontier[_active_tree_mask(state, frontier)]
     if frontier.size == 0:
         return _empty_stats()
@@ -361,6 +376,24 @@ def bottomup_level(
         chunk = max(4, min(512, total_deg // max(n, 1)))
     else:
         chunk = 4
+        if idx_l.size:
+            # Most regular rows hit on their very first neighbour, so one
+            # ``adj[start]`` gather probes that neighbour for every live
+            # row, and only the misses enter the chunked scan. Each probed
+            # row read one edge, which keeps ``edges`` and the costs equal
+            # to a scan that starts at the first neighbour.
+            first = adj[start_l]
+            hit = full_mask[first] if full_mask is not None else _active_tree_mask(state, first)
+            if obs is not None:
+                obs.record_bulk("root_x", first, READ, False, rows[idx_l])
+            edges += int(idx_l.shape[0])
+            if track:
+                scanned[idx_l] += 1
+            claim_of[idx_l.compress(hit)] = first.compress(hit)
+            keep = ~hit & (rem_l > 1)
+            idx_l = idx_l.compress(keep)
+            start_l = start_l.compress(keep) + 1
+            rem_l = rem_l.compress(keep) - 1
     while idx_l.size:
         take = np.minimum(rem_l, chunk)
         slot, offsets, total = _segment_slots(start_l, take, ws)
@@ -382,7 +415,7 @@ def bottomup_level(
             first_edge = hit_positions[safe_pos]
             has_hit = (pos < hit_positions.shape[0]) & (first_edge < offsets[1:])
             cost = np.where(has_hit, first_edge - starts + 1, take)
-            claim_of[idx_l[has_hit]] = dst[first_edge[has_hit]]
+            claim_of[idx_l.compress(has_hit)] = dst[first_edge.compress(has_hit)]
         else:
             has_hit = None
             cost = take
@@ -390,14 +423,14 @@ def bottomup_level(
         if track:
             scanned[idx_l] += cost
         keep = rem_l > take if has_hit is None else ~has_hit & (rem_l > take)
-        idx_l = idx_l[keep]
-        start_l = (start_l + take)[keep]
-        rem_l = (rem_l - take)[keep]
+        idx_l = idx_l.compress(keep)
+        start_l = (start_l + take).compress(keep)
+        rem_l = (rem_l - take).compress(keep)
         chunk *= 4
 
     has_hit_all = claim_of != UNMATCHED
-    winners = rows[has_hit_all]
-    claim_src = claim_of[has_hit_all]
+    winners = rows.compress(has_hit_all)
+    claim_src = claim_of.compress(has_hit_all)
     item_costs = scanned.astype(np.float64) + 1.0 if track else _NO_COSTS
     if obs is not None and winners.size:
         # Owned-row visited store: no atomic needed (Section III-B).
@@ -436,8 +469,8 @@ def _apply_claims(
             obs.record_bulk("root_y", winners, WRITE, False, claim_threads)
         mates = matching.mate_y[winners]
         matched = mates != UNMATCHED
-        next_frontier = mates[matched].astype(INDEX_DTYPE, copy=False)
-        state.root_x[next_frontier] = roots[matched]
+        next_frontier = mates.compress(matched).astype(INDEX_DTYPE, copy=False)
+        state.root_x[next_frontier] = roots.compress(matched)
         # Incremental tree membership: winners joined a tree on the Y side,
         # their mates on the X side. graft_partition(tracked=True) partitions
         # exactly these vertices instead of scanning both full sides.
@@ -445,20 +478,25 @@ def _apply_claims(
         if next_frontier.size:
             state.tree_x_parts.append(next_frontier)
         if obs is not None and next_frontier.size:
-            obs.record_bulk("root_x", next_frontier, WRITE, False, claim_threads[matched])
+            obs.record_bulk(
+                "root_x", next_frontier, WRITE, False, claim_threads.compress(matched)
+            )
         # Unmatched winners end augmenting paths; one leaf survives per tree
         # (the paper's benign race — we keep the first claimant's endpoint,
         # deterministically).
-        endpoint_y = winners[~matched]
-        endpoint_roots = roots[~matched]
+        unmatched = ~matched
+        endpoint_y = winners.compress(unmatched)
+        endpoint_roots = roots.compress(unmatched)
         if endpoint_y.size:
             win = first_claim(endpoint_roots, ws.slot_x, ws)
-            state.leaf[endpoint_roots[win]] = endpoint_y[win]
+            state.leaf[endpoint_roots.compress(win)] = endpoint_y.compress(win)
             endpoints = int(np.count_nonzero(win))
             if obs is not None:
                 # Every endpoint attempts the leaf write; concurrent attempts
                 # on one root are the paper's benign write-write race.
-                obs.record_bulk("leaf", endpoint_roots, WRITE, False, claim_threads[~matched])
+                obs.record_bulk(
+                    "leaf", endpoint_roots, WRITE, False, claim_threads.compress(unmatched)
+                )
         else:
             endpoints = 0
     else:
@@ -508,9 +546,9 @@ def augment_all(
             obs.record_bulk("mate_y", y, WRITE, False, roots[live])
         lengths[live] += 1
         cont = prev_mate != UNMATCHED
-        live = live[cont]
+        live = live.compress(cont)
         lengths[live] += 1
-        y = prev_mate[cont].astype(INDEX_DTYPE, copy=False)
+        y = prev_mate.compress(cont).astype(INDEX_DTYPE, copy=False)
     return roots, lengths
 
 
@@ -550,14 +588,15 @@ def graft_partition(
     tests or the interleaved programs must use the default full scan.
     """
     if tracked:
+        # Each side's mask is built once and selects both of its halves.
         tx = _concat_parts(state.tree_x_parts)
         renew_tx = state.leaf[state.root_x[tx]] != UNMATCHED
-        state.root_x[tx[renew_tx]] = UNMATCHED
-        active_x = tx[~renew_tx]
+        state.root_x[tx.compress(renew_tx)] = UNMATCHED
+        active_x = tx.compress(~renew_tx)
         ty = _concat_parts(state.tree_y_parts)
         renew_ty = state.leaf[state.root_y[ty]] != UNMATCHED
-        active_y = ty[~renew_ty]
-        renewable_y = ty[renew_ty]
+        active_y = ty.compress(~renew_ty)
+        renewable_y = ty.compress(renew_ty)
         state.tree_x_parts = [active_x]
         state.tree_y_parts = [active_y]
         if recycle:
@@ -567,16 +606,11 @@ def graft_partition(
             active_y=active_y,
             renewable_y=renewable_y,
         )
-    rooted_x = state.root_x != UNMATCHED
-    safe_x = np.where(rooted_x, state.root_x, 0)
-    renewable_mask_x = rooted_x & (state.leaf[safe_x] != UNMATCHED)
+    renewable_mask_x = state.renewable_x_mask()
+    active_x_count = int(np.count_nonzero(state.active_x_mask()))
     state.root_x[renewable_mask_x] = UNMATCHED
-    active_x_count = int(np.count_nonzero(rooted_x & ~renewable_mask_x))
-    rooted_y = state.root_y != UNMATCHED
-    safe_y = np.where(rooted_y, state.root_y, 0)
-    renewable_mask_y = rooted_y & (state.leaf[safe_y] != UNMATCHED)
-    active_y = np.flatnonzero(rooted_y & ~renewable_mask_y).astype(INDEX_DTYPE)
-    renewable_y = np.flatnonzero(renewable_mask_y).astype(INDEX_DTYPE)
+    active_y = np.flatnonzero(state.active_y_mask()).astype(INDEX_DTYPE)
+    renewable_y = np.flatnonzero(state.renewable_y_mask()).astype(INDEX_DTYPE)
     if recycle:
         reset_rows(state, renewable_y)
     return GraftStats(active_x_count=active_x_count, active_y=active_y, renewable_y=renewable_y)

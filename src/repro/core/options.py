@@ -18,8 +18,11 @@ amortises. Analogous to the paper's direction rule (top-down while
 ``|F| < numUnvisitedY / alpha``), the dispatcher therefore picks the
 interpreted backend while the run's estimated work ``nnz + n_x + n_y``
 is below this threshold. The value is calibrated on ER bipartite graphs
-(``random_bipartite(n, n, 4n)``): the measured python/numpy runtime ratio
-crosses 1.0 between work ≈ 2,400 (ratio 0.5) and work ≈ 4,800 (ratio 1.0);
+(``random_bipartite(n, n, 4n)``, three seeds, median of 100 alternating
+runs): python wins on every graph up to work 2,400 (ratio 0.5) and numpy
+on every graph from 7,200 (ratio 1.16); in between the per-graph ratio
+straddles 1.0 and its geometric mean crosses it at work ≈ 4,800. The
+threshold stays inside that band, where no value is measurably better;
 ``docs/performance.md`` records the calibration table."""
 
 

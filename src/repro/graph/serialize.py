@@ -7,10 +7,13 @@ Two formats live here:
   graphs between runs. The file carries a format tag and version so a
   foreign ``.npz`` fails loudly instead of mis-deserialising.
 * **Raw ``int64`` ``.npy`` arrays** (:func:`write_npy` / :func:`check_npy`):
-  the graph cache's ``graph.npy`` and every stored matching
-  (:func:`write_matching` / :func:`read_matching`), which is one array of
-  ``mate_x ++ mate_y ++ crc32``. The cache's warm starts and the batch
-  service's checkpoints both use it. A read compares the header byte for
+  the graph cache's ``graph.npy``, and every *checksummed* array
+  (:func:`write_checked` / :func:`read_checked`): one array of
+  ``values ++ crc32(values)``. A stored matching
+  (:func:`write_matching` / :func:`read_matching`) is the checksummed
+  ``mate_x ++ mate_y``; the cache's warm starts and the batch service's
+  checkpoints both use it, and the cache keeps a SNAP file's original ids
+  the same way. A read compares the header byte for
   byte with the one :func:`write_npy` writes instead of calling
   ``np.load``: numpy parses a header with ``ast.literal_eval``, and on
   CPython 3.11.7 concurrent ``ast`` use from several threads can raise
@@ -127,21 +130,40 @@ def check_npy(path: Path, fh: BinaryIO, length: int) -> int:
     return len(header)
 
 
+def read_checked(path: Path, length: int) -> np.ndarray:
+    """The ``length`` ``int64`` values stored at ``path`` by
+    :func:`write_checked`, as a fresh writable array.
+
+    Raises :class:`CacheCorruptionError` unless the file is one ``int64``
+    array of the values followed by their CRC-32 and the CRC matches, and
+    ``OSError`` if it cannot be read.
+    """
+    with open(path, "rb") as fh:
+        check_npy(path, fh, length + 1)
+        stored = np.fromfile(fh, dtype="<i8", count=length + 1)
+    values = stored[:-1]
+    if zlib.crc32(values) != stored[-1]:
+        raise CacheCorruptionError(f"{path.name} fails its CRC-32")
+    return values
+
+
+def write_checked(path: Path, values: np.ndarray) -> None:
+    """Write ``values ++ crc32(values)`` to ``path`` through
+    :func:`replacing`, so atomic."""
+    values = np.ascontiguousarray(values, dtype="<i8")
+    with replacing(path) as tmp:
+        write_npy(tmp, (values, np.array([zlib.crc32(values)])))
+
+
 def read_matching(path: Path, n_x: int, n_y: int) -> Matching:
     """The matching stored at ``path`` for an ``n_x`` by ``n_y`` graph.
 
-    Raises :class:`CacheCorruptionError` unless the file is one ``int64``
-    array of ``mate_x ++ mate_y`` followed by the CRC-32 of those mates,
-    the CRC matches and the mates are consistent, and ``OSError`` if it
-    cannot be read. The load is a plain read, not a memory map: the
-    engines flip the mates in place.
+    Raises :class:`CacheCorruptionError` unless the file holds the
+    checksummed ``mate_x ++ mate_y`` (:func:`read_checked`) and the mates
+    are consistent, and ``OSError`` if it cannot be read. The load is a
+    plain read, not a memory map: the engines flip the mates in place.
     """
-    with open(path, "rb") as fh:
-        check_npy(path, fh, n_x + n_y + 1)
-        stored = np.fromfile(fh, dtype="<i8", count=n_x + n_y + 1)
-    mates = stored[:-1]
-    if zlib.crc32(mates) != stored[-1]:
-        raise CacheCorruptionError(f"{path.name} fails its CRC-32")
+    mates = read_checked(path, n_x + n_y)
     matching = Matching(n_x, n_y, mates[:n_x], mates[n_x:])
     if not matching.is_consistent():
         raise CacheCorruptionError(f"{path.name} holds inconsistent mates")
@@ -149,8 +171,5 @@ def read_matching(path: Path, n_x: int, n_y: int) -> Matching:
 
 
 def write_matching(path: Path, matching: Matching) -> None:
-    """Write ``mate_x ++ mate_y ++ crc32`` to ``path`` through
-    :func:`replacing`, so atomic."""
-    mates = np.concatenate([matching.mate_x, matching.mate_y])
-    with replacing(path) as tmp:
-        write_npy(tmp, (mates, np.array([zlib.crc32(mates)])))
+    """Write the checksummed ``mate_x ++ mate_y`` to ``path``."""
+    write_checked(path, np.concatenate([matching.mate_x, matching.mate_y]))

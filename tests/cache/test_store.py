@@ -117,6 +117,51 @@ class TestPrepareRoundTrip:
         assert tel.metrics.gauge("repro_cache_bytes", "").value == cache.total_bytes
 
 
+class TestSnapIds:
+    """A SNAP entry keeps the file's original ids beside the compacted graph."""
+
+    @pytest.fixture
+    def snap(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("100 300\n100 200\n500 200\n")
+        return path
+
+    def test_miss_and_hit_carry_the_ids(self, cache, snap):
+        cold = cache.prepare_file(snap, "snap")
+        warm = cache.prepare_file(snap, "snap")
+        assert not cold.from_cache and warm.from_cache
+        for prepared in (cold, warm):
+            assert prepared.labels.x_ids.tolist() == [100, 500]
+            assert prepared.labels.y_ids.tolist() == [200, 300]
+        assert (cache._entry_dir(warm.key) / "ids.npy").is_file()
+        assert cache.verify() == []
+
+    def test_other_formats_store_no_ids(self, cache, tmp_path):
+        path = tmp_path / "graph.npz"
+        save_graph(random_bipartite(10, 10, 30, seed=1), path)
+        prepared = cache.prepare_file(path)
+        assert prepared.labels is None
+        assert not (cache._entry_dir(prepared.key) / "ids.npy").exists()
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "bit-flip"])
+    def test_damaged_ids_are_a_miss(self, cache, snap, damage):
+        cold = cache.prepare_file(snap, "snap")
+        ids = cache._entry_dir(cold.key) / "ids.npy"
+        if damage == "missing":
+            ids.unlink()
+        elif damage == "truncated":
+            ids.write_bytes(ids.read_bytes()[:-8])
+        else:
+            raw = bytearray(ids.read_bytes())
+            raw[-9] ^= 1  # the last id's top byte; the CRC no longer matches
+            ids.write_bytes(bytes(raw))
+        assert [key for key, _ in cache.verify()] == [cold.key]
+        again = cache.prepare_file(snap, "snap")
+        assert not again.from_cache
+        assert again.labels.y_ids.tolist() == [200, 300]
+        assert cache.verify() == []
+
+
 class TestCorruption:
     def _seed_entry(self, cache):
         cold = cache.prepare_spec("test", "g", {}, _builder(40, 7))

@@ -39,6 +39,11 @@ class TestChooseEngine:
         assert decision.work == small_graph.nnz + 60
         assert decision.work < decision.threshold == DISPATCH_WORK_THRESHOLD
 
+    def test_threshold_lies_in_the_calibrated_band(self):
+        # docs/performance.md, "Calibration": python wins on every graph
+        # measured up to work 2,400 and numpy on every graph from 7,200.
+        assert 2_400 < DISPATCH_WORK_THRESHOLD < 7_200
+
     def test_large_graph_uses_numpy(self, large_graph):
         decision = choose_engine(large_graph, emit_trace=False)
         assert decision.engine == "numpy"

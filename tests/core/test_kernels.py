@@ -17,6 +17,7 @@ from repro.graph.generators import complete_bipartite, random_bipartite, rmat_bi
 from repro.matching.base import Matching
 from repro.matching.greedy import greedy_matching
 from repro.matching.karp_sipser import karp_sipser
+from repro.parallel.shared import READ
 
 
 def fresh(graph, matching=None):
@@ -334,3 +335,149 @@ class TestTrackedPartition:
             # are reset before the next phase rebuilds from unmatched seeds.
             kernels.reset_rows(s1, tracked.active_y)
             kernels.reset_rows(s2, full.active_y)
+
+
+def reference_active(root: np.ndarray, leaf: np.ndarray) -> np.ndarray:
+    """Active-tree membership with an explicit guard for unrooted vertices."""
+    return (root != -1) & (leaf[np.maximum(root, 0)] == -1)
+
+
+def random_forest(seed: int, n_x: int = 40, n_y: int = 35) -> ForestState:
+    """A forest with unrooted vertices, renewable trees and a live tree
+    rooted at ``n_x - 1``, the entry that an unguarded ``leaf[-1]`` reads."""
+    rng = np.random.default_rng(seed)
+    state = ForestState(n_x, n_y)
+    roots = np.append(rng.choice(n_x - 1, size=6, replace=False), n_x - 1)
+    state.root_x[:] = rng.choice(np.append(roots, -1), size=n_x)
+    state.root_y[:] = rng.choice(np.append(roots, -1), size=n_y)
+    state.root_x[roots] = roots
+    state.leaf[roots[:3]] = rng.integers(0, n_y, size=3)
+    assert (state.root_x == -1).any() and (state.root_y == -1).any()
+    assert state.leaf[n_x - 1] == -1 and (state.root_x == n_x - 1).any()
+    return state
+
+
+class TestSentinelLeaf:
+    """``leaf_buf``'s extra slot makes active-tree membership one gather."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_gather_matches_guarded_reference(self, seed):
+        state = random_forest(seed)
+        want_x = reference_active(state.root_x, state.leaf)
+        want_y = reference_active(state.root_y, state.leaf)
+        everyone = np.arange(state.n_x)
+        np.testing.assert_array_equal(kernels._active_tree_mask(state, everyone), want_x)
+        np.testing.assert_array_equal(state.active_x_mask(), want_x)
+        np.testing.assert_array_equal(state.active_y_mask(), want_y)
+        np.testing.assert_array_equal(
+            state.renewable_x_mask(), (state.root_x != -1) & ~want_x
+        )
+        np.testing.assert_array_equal(
+            state.renewable_y_mask(), (state.root_y != -1) & ~want_y
+        )
+
+    def test_leaf_is_a_view_without_the_sentinel(self):
+        state = ForestState(5, 3)
+        assert state.leaf.shape == (5,)
+        assert state.leaf_buf.shape == (6,) and state.leaf_buf[5] != -1
+        state.leaf[2] = 1
+        assert state.leaf_buf[2] == 1
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy])
+    def test_leaf_writes_reach_the_active_test_after_copy(self, clone):
+        state = random_forest(3)
+        twin = clone(state)
+        live = state.n_x - 1
+        members = np.flatnonzero(twin.root_x == live)
+        assert kernels._active_tree_mask(twin, members).all()
+        twin.leaf[live] = 0
+        assert not kernels._active_tree_mask(twin, members).any()
+        assert not twin.active_y_mask()[twin.root_y == live].any()
+        # A deep copy owns its buffer; a shallow one shares it.
+        shared = clone is copy.copy
+        assert kernels._active_tree_mask(state, members).all() != shared
+
+
+def scan_rows_reference(g, state, rows):
+    """Algorithm 6 one row at a time: each row reads its neighbours up to and
+    including its first active one. Returns ``(claims, edges, costs)``."""
+    active = reference_active(state.root_x, state.leaf)
+    claims, costs = {}, []
+    for y in rows.tolist():
+        nbrs = g.y_adj[g.y_ptr[y]:g.y_ptr[y + 1]].tolist()
+        cost = len(nbrs)
+        for k, x in enumerate(nbrs):
+            if active[x]:
+                claims[y], cost = x, k + 1
+                break
+        costs.append(cost)
+    return claims, int(sum(costs)), np.asarray(costs, dtype=np.float64) + 1.0
+
+
+class TestBottomUpMatchesRowScan:
+    """The probe-then-chunked scan against a per-row Python scan, on states
+    with active, renewable and tree-less X, in both regions and both
+    active-test paths (the level-start full mask and the per-vertex test)."""
+
+    @staticmethod
+    def _mixed_state(seed):
+        g = random_bipartite(120, 110, 520, seed=seed)
+        matching = greedy_matching(g, shuffle=True, seed=seed).matching
+        state = ForestState.for_graph(g)
+        state.attach_degrees(g.deg_y)
+        frontier = kernels.rebuild_from_unmatched(state, matching)
+        kernels.topdown_level(g, state, matching, frontier)
+        # Make some trees renewable, as if they had found augmenting paths.
+        state.leaf[frontier[::3]] = 0
+        return g, matching, state
+
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    @pytest.mark.parametrize("region", ["bottomup", "grafting"])
+    @pytest.mark.parametrize("full_mask", [True, False])
+    def test_same_claims_edges_and_costs(self, seed, region, full_mask):
+        g, matching, state = self._mixed_state(seed)
+        rows = state.unvisited_candidates().copy()
+        if not full_mask:
+            # Few enough rows that the kernel tests each neighbour on its own.
+            keep = np.cumsum(g.deg_y[rows]) < state.n_x // 2
+            rows = rows[keep]
+        assert (int(g.deg_y[rows].sum()) >= state.n_x // 2) == full_mask
+        claims, edges, costs = scan_rows_reference(g, state, rows)
+        assert claims and len(claims) < rows.size
+        ws = kernels.KernelWorkspace.for_graph(g)
+        assert ws.want_costs
+        stats = kernels.bottomup_level(g, state, matching, rows, ws, region=region)
+        assert stats.edges == edges
+        np.testing.assert_array_equal(stats.item_costs, costs)
+        assert stats.claims == len(claims)
+        won = np.array(sorted(claims), dtype=np.int64)
+        assert state.visited[won].all()
+        np.testing.assert_array_equal(state.parent[won], [claims[y] for y in won.tolist()])
+
+
+class RecordingObserver:
+    def __init__(self):
+        self.records = []
+
+    def begin_region(self, kind):
+        self.records.append(("region", kind))
+
+    def record_bulk(self, array, indices, kind, atomic, threads):
+        self.records.append((array, np.array(indices), kind, atomic, np.array(threads)))
+
+
+def test_first_probe_reports_one_root_x_read_per_row():
+    # Two roots; every Y row's first neighbour is root 0, so each row hits
+    # on its probe and no chunked round runs.
+    g = from_edges(2, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2)])
+    state, matching, _ = fresh(g)
+    observer = RecordingObserver()
+    state.observer = observer
+    rows = np.array([0, 1, 2])
+    stats = kernels.bottomup_level(g, state, matching, rows)
+    assert stats.claims == 3 and stats.edges == 3
+    reads = [r for r in observer.records if r[0] == "root_x" and r[2] == READ]
+    assert len(reads) == 1
+    _, indices, _, atomic, threads = reads[0]
+    assert indices.tolist() == [0, 0, 0] and threads.tolist() == [0, 1, 2]
+    assert not atomic

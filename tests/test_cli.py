@@ -259,6 +259,24 @@ class TestBatchCommand:
         assert "file ids" in out
         assert "100" in out and "202" in out
 
+    def test_snap_ids_survive_the_cache(self, tmp_path, capsys):
+        path = tmp_path / "edges.txt"
+        path.write_text("100 300\n100 200\n500 200\n")
+
+        def pair_lines(*extra):
+            assert main(["run", "--file", str(path), "--format", "snap", *extra]) == 0
+            out = capsys.readouterr().out.splitlines()
+            return [line for line in out
+                    if line.startswith(("cache", "original ids", "matched pairs"))]
+
+        uncached = pair_lines()
+        assert "matched pairs: (100, 300), (500, 200) (file ids)" in uncached
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        miss, hit = pair_lines(*cache), pair_lines(*cache)
+        assert miss[0].startswith("cache        : miss")
+        assert hit[0].startswith("cache        : hit")
+        assert miss[1:] == hit[1:] == uncached
+
     def test_report_all_resumes_from_run_dir(self, tmp_path, capsys):
         run_dir = str(tmp_path / "reports")
         assert main(["experiment", "all", "--scale", "0.05",
@@ -325,6 +343,30 @@ class TestTelemetryCommands:
         records = [json.loads(line) for line in jsonl.read_text().splitlines()]
         assert {r["event"] for r in records} == {"telemetry_span",
                                                 "telemetry_metric"}
+
+    @pytest.mark.parametrize("flags", [
+        ["--metrics-out", "m.prom"],
+        ["--trace-out", "t.json", "--jsonl-out", "t.jsonl"],
+        ["--min-coverage", "0.5"],
+        ["--engine", "numpy"],
+    ])
+    def test_driver_flags_refused_for_other_algorithms(self, tmp_path, monkeypatch,
+                                                       capsys, flags):
+        import repro.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the graph was built before the flags were checked")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(repro.cli, "_acquire_graph", refuse)
+        code = main(["run", "--algorithm", "hopcroft-karp", "--scale", "0.05", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert flags[0] in errors[0] and "ms-bfs-graft" in errors[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_without_telemetry_flags_opens_no_session(self, monkeypatch, capsys):
         import repro.telemetry
