@@ -53,7 +53,6 @@ def run(
             init,
             grafting=(algo == "graft"),
             direction_optimizing=False,  # pure frontier dynamics, as Fig. 8
-            record_frontiers=True,
         )
         log = result.frontier_log
         out = []

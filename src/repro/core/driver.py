@@ -110,7 +110,6 @@ def ms_bfs_graft(
     grafting: bool = True,
     direction_strategy: str = "vertex",
     engine: str = "auto",
-    record_frontiers: bool = False,
     emit_trace: bool = False,
     check_invariants: bool = False,
     deadline: Deadline | None = None,
@@ -152,8 +151,6 @@ def ms_bfs_graft(
         ``"interleaved"`` (simulated concurrent execution; honours
         ``threads`` and ``seed``); :data:`ENGINES` lists them. Passing a
         concrete engine name is the explicit override of the dispatcher.
-    record_frontiers:
-        Record per-level frontier sizes (Fig. 8).
     emit_trace:
         Build the :class:`~repro.parallel.trace.WorkTrace` the parallel
         machine simulator reads (numpy engine only, so it steers ``"auto"``
@@ -187,15 +184,14 @@ def ms_bfs_graft(
     Returns
     -------
     MatchResult
-        Maximum matching plus counters, step breakdown, and optional trace /
-        frontier log.
+        Maximum matching plus counters, step breakdown, the per-level
+        frontier log, and an optional trace.
     """
     options = GraftOptions(
         alpha=alpha,
         direction_optimizing=direction_optimizing,
         grafting=grafting,
         direction_strategy=direction_strategy,
-        record_frontiers=record_frontiers,
         emit_trace=emit_trace,
         check_invariants=check_invariants,
         deadline=deadline,

@@ -117,7 +117,6 @@ class _InterleavedSteps(PhaseSteps):
         if monitor is not None:
             monitor.bind(sim=sim, graph=graph, state=state, matching=matching)
         self.edges = 0
-        state.attach_degrees(graph.deg_y)
         # Initial frontier: all unmatched X vertices become tree roots
         # (seeds the state's persistent unmatched-X list).
         self.frontier = state.refresh_seeds(matching)
@@ -191,8 +190,8 @@ class _InterleavedSteps(PhaseSteps):
 
     def _run_region(self, items: np.ndarray, program):
         """One ``parallel for`` over ``items``; returns
-        ``(next_frontier, edges, claims)`` with the per-thread queues merged."""
-        before, edges_before = self.state.num_unvisited_y, self.edges
+        ``(next_frontier, edges)`` with the per-thread queues merged."""
+        edges_before = self.edges
         thread_states = self.sim.parallel_for(
             items,
             program,
@@ -203,11 +202,7 @@ class _InterleavedSteps(PhaseSteps):
             merged.extend(ts.local["queue"])
         if self.monitor is not None:
             self.monitor.after_barrier()
-        return (
-            np.asarray(merged, dtype=np.int64),
-            self.edges - edges_before,
-            before - self.state.num_unvisited_y,
-        )
+        return np.asarray(merged, dtype=np.int64), self.edges - edges_before
 
     def topdown(self, frontier: np.ndarray):
         return self._run_region(frontier, self.topdown_program)
@@ -255,9 +250,12 @@ class _InterleavedSteps(PhaseSteps):
         # Serial recycling goes through the state helpers so the candidate
         # list and direction counters stay exact.
         kernels.reset_rows(self.state, self.renewable_y)
+        before = self.state.num_unvisited_y
         if top_down:
-            return self._run_region(self.active_x, self.topdown_program)
-        return self._run_region(self.renewable_y, self.bottomup_program)
+            frontier, edges = self._run_region(self.active_x, self.topdown_program)
+        else:
+            frontier, edges = self._run_region(self.renewable_y, self.bottomup_program)
+        return frontier, edges, before - self.state.num_unvisited_y
 
     def rebuild(self) -> np.ndarray:
         kernels.reset_rows(self.state, self.renewable_y)

@@ -5,8 +5,13 @@ The python, numpy and interleaved engines all run through
 holding its kernels; the driver owns the control flow around them: the run
 span and ``setup`` step, the phase counter and ``options.begin_phase``, the
 frontier log, the alpha direction rule (``vertex`` and ``edge``), the level,
-step and edge counters with their telemetry hooks, the stop when a phase
-augments nothing, the alpha graft-or-rebuild test, and the ``MatchResult``.
+step, edge and claim counts, the stop when a phase augments nothing, the
+alpha graft-or-rebuild test, and the ``MatchResult``.
+
+Each fact is counted once, in the run's own record (``Counters`` and the
+``FrontierLog``, plus the few facts ``Counters`` lacks as locals), and
+:meth:`~repro.telemetry.session.Telemetry.finish_run` mirrors the record into
+the metrics registry when the run ends, however it ends.
 
 The result's matching carries the Y side of the final forest as
 ``cover_y``. The last phase augments nothing, so every tree is active and
@@ -23,7 +28,7 @@ exactly the step spans the run emitted.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Tuple
 
 from repro.core.options import GraftOptions
 from repro.graph.csr import BipartiteCSR
@@ -46,7 +51,9 @@ class PhaseSteps:
     and implement:
 
     * ``topdown(frontier)`` / ``bottomup(frontier)`` — grow one level
-      (Algorithms 4 and 6); return ``(next_frontier, edges, claims)``;
+      (Algorithms 4 and 6); return ``(next_frontier, edges)``. Each claim
+      of the level must lower ``num_unvisited_y`` by one: the driver
+      counts a level's claims as that drop;
     * ``augment()`` — flip every discovered path; return their lengths;
     * ``partition()`` — the GRAFT statistics pass; return
       ``(active_x_count, renewable_y_count)``;
@@ -85,7 +92,7 @@ def run_phases(
         with tel.step("setup"):
             matching = init_matching(graph, initial)
             counters = Counters()
-            frontier_log = FrontierLog() if options.record_frontiers else None
+            frontier_log = FrontierLog()
             steps = make_steps(matching, counters)
             frontier = steps.frontier
         breakdown: Dict[str, float] = {}
@@ -100,73 +107,82 @@ def run_phases(
         alpha = options.alpha
         deg_x = graph.deg_x
         edge_rule = options.direction_strategy == "edge"
-        while True:
-            counters.phases += 1
-            options.begin_phase(counters.phases)
-            if frontier_log is not None:
+        # What the run's record lacks for the telemetry mirror: visited
+        # claims, the unvisited count after the last level and one
+        # ``(direction, edges)`` pair per graft sweep.
+        claims = 0
+        remaining = None
+        sweeps: List[Tuple[str, int]] = []
+        completed = False
+        try:
+            while True:
+                counters.phases += 1
+                options.begin_phase(counters.phases)
                 frontier_log.start_phase()
 
-            # --- Step 1: grow the alternating BFS forest ------------------- #
-            while len(frontier):
-                if steps.num_unvisited_y == 0:
-                    # No undiscovered Y vertex remains: the frontier cannot
-                    # make progress or find an augmenting path.
-                    frontier = frontier[:0]
-                    break
-                size = len(frontier)
-                if frontier_log is not None:
+                # --- Step 1: grow the alternating BFS forest --------------- #
+                while len(frontier):
+                    unvisited = steps.num_unvisited_y
+                    if unvisited == 0:
+                        # No undiscovered Y vertex remains: the frontier
+                        # cannot make progress or find an augmenting path.
+                        frontier = frontier[:0]
+                        break
+                    size = len(frontier)
                     frontier_log.record(size)
-                tel.observe_frontier(size)
-                counters.bfs_levels += 1
-                if not options.direction_optimizing:
-                    top_down = True
-                elif edge_rule:
-                    # unvisited_deg is kept as a running sum, so the switch
-                    # costs O(|frontier|), not an O(n_y) sum per level.
-                    top_down = int(deg_x[frontier].sum()) < steps.unvisited_deg / alpha
-                else:
-                    top_down = size < steps.num_unvisited_y / alpha
-                if top_down:
-                    counters.topdown_steps += 1
-                    frontier, edges, claims = timed("topdown", steps.topdown, frontier)
-                    tel.count_level("topdown", claims=claims)
-                else:
-                    counters.bottomup_steps += 1
-                    frontier, edges, claims = timed("bottomup", steps.bottomup, frontier)
-                    tel.count_level("bottomup", claims=claims)
-                counters.edges_traversed += edges
-                tel.count_edges(edges)
-                tel.observe_candidates(steps.num_unvisited_y)
+                    counters.bfs_levels += 1
+                    if not options.direction_optimizing:
+                        top_down = True
+                    elif edge_rule:
+                        # unvisited_deg is kept as a running sum, so the
+                        # switch costs O(|frontier|), not an O(n_y) sum.
+                        top_down = int(deg_x[frontier].sum()) < steps.unvisited_deg / alpha
+                    else:
+                        top_down = size < unvisited / alpha
+                    if top_down:
+                        counters.topdown_steps += 1
+                        frontier, edges = timed("topdown", steps.topdown, frontier)
+                    else:
+                        counters.bottomup_steps += 1
+                        frontier, edges = timed("bottomup", steps.bottomup, frontier)
+                    counters.edges_traversed += edges
+                    # Every claim flips one visited flag, so a level's claims
+                    # are the drop in the unvisited count across it.
+                    remaining = steps.num_unvisited_y
+                    claims += unvisited - remaining
 
-            # --- Step 2: augment along the discovered paths ---------------- #
-            lengths = timed("augment", steps.augment)
-            counters.record_paths(lengths)
-            if len(lengths) == 0:
-                break  # no augmenting path in this phase: the matching is maximum
+                # --- Step 2: augment along the discovered paths ------------ #
+                lengths = timed("augment", steps.augment)
+                counters.record_paths(lengths)
+                if len(lengths) == 0:
+                    break  # no augmenting path in this phase: the matching is maximum
 
-            # --- Step 3: graft or rebuild (Algorithm 7) -------------------- #
-            active_x, renewable_y = timed("statistics", steps.partition)
-            if options.grafting and active_x > renewable_y / alpha:
-                # Graft from the smaller side. Every unvisited Y next to an
-                # active X is renewable (the phase exhausted the active
-                # trees' neighbourhoods), so both sweeps claim the same rows
-                # and differ only in the parent each row gets.
-                top_down = options.direction_optimizing and active_x < renewable_y
-                direction = "topdown" if top_down else "bottomup"
-                frontier, edges, grafted = timed(
-                    "grafting", steps.graft, top_down, direction=direction
-                )
-                counters.edges_traversed += edges
-                tel.count_edges(edges)
-                tel.count_graft(direction, edges)
-                counters.grafts += grafted
-            else:
-                counters.tree_rebuilds += 1
-                frontier = timed("grafting", steps.rebuild)
-            steps.end_phase(counters.phases)
+                # --- Step 3: graft or rebuild (Algorithm 7) ---------------- #
+                active_x, renewable_y = timed("statistics", steps.partition)
+                if options.grafting and active_x > renewable_y / alpha:
+                    # Graft from the smaller side. Every unvisited Y next to
+                    # an active X is renewable (the phase exhausted the
+                    # active trees' neighbourhoods), so both sweeps claim the
+                    # same rows and differ only in the parent each row gets.
+                    top_down = options.direction_optimizing and active_x < renewable_y
+                    direction = "topdown" if top_down else "bottomup"
+                    frontier, edges, grafted = timed(
+                        "grafting", steps.graft, top_down, direction=direction
+                    )
+                    counters.edges_traversed += edges
+                    counters.grafts += grafted
+                    sweeps.append((direction, edges))
+                else:
+                    counters.tree_rebuilds += 1
+                    frontier = timed("grafting", steps.rebuild)
+                steps.end_phase(counters.phases)
+            completed = True
+        finally:
+            tel.finish_run(
+                counters, frontier_log, claims, remaining, sweeps, completed=completed
+            )
 
         matching.cover_y = steps.cover_y()
-        tel.finish_run(counters)
         return MatchResult(
             matching=matching,
             algorithm=algorithm or options.algorithm_name,

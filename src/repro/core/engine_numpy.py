@@ -67,7 +67,6 @@ class NumpySteps(PhaseSteps):
         self.alpha = options.alpha
         self.trace = WorkTrace() if options.emit_trace else None
         workspace.want_costs = self.trace is not None
-        state.attach_degrees(graph.deg_y)
         self.frontier = kernels.rebuild_from_unmatched(state, matching)
         self.fresh = True
         """The next level is a fresh phase's first: its frontier is the
@@ -84,7 +83,7 @@ class NumpySteps(PhaseSteps):
 
     def topdown(self, frontier: np.ndarray):
         self.fresh = False
-        return self._expand(frontier, "topdown")
+        return self._expand(frontier, "topdown")[:2]
 
     def _expand(self, frontier: np.ndarray, region: str):
         stats = kernels.topdown_level(
@@ -115,8 +114,8 @@ class NumpySteps(PhaseSteps):
             stats = kernels.bottomup_from_frontier(
                 self.graph, self.state, self.matching, frontier, self.workspace
             )
-            return stats.next_frontier, stats.edges, stats.claims
-        return self._attach(self.state.unvisited_candidates(), "bottomup")
+            return stats.next_frontier, stats.edges
+        return self._attach(self.state.unvisited_candidates(), "bottomup")[:2]
 
     def _attach(self, rows: np.ndarray, region: str):
         stats = kernels.bottomup_level(

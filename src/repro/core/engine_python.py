@@ -99,7 +99,7 @@ class _PythonSteps(PhaseSteps):
                     break  # serial semantics: stop growing this tree
         self.num_unvisited_y -= claimed
         self.unvisited_deg -= claimed_deg
-        return queue, edges, claimed
+        return queue, edges
 
     def bottomup(self, frontier: List[int]):
         visited = self.visited
@@ -132,7 +132,7 @@ class _PythonSteps(PhaseSteps):
                     break  # stop exploring y's neighbours (Alg. 6 line 7)
         self.num_unvisited_y -= claimed
         self.unvisited_deg -= claimed_deg
-        return queue, edges, claimed
+        return queue, edges
 
     def augment(self) -> List[int]:
         mate_x, mate_y, parent, leaf = self.mate_x, self.mate_y, self.parent, self.leaf
@@ -191,9 +191,9 @@ class _PythonSteps(PhaseSteps):
     def graft(self, top_down: bool):
         self._reset_rows(self.renewable_y)
         if top_down:
-            queue, edges, _ = self.topdown(self.active_x)
+            queue, edges = self.topdown(self.active_x)
         else:
-            queue, edges, _ = self._attach(self.renewable_y)
+            queue, edges = self._attach(self.renewable_y)
         return queue, edges, len(queue)
 
     def rebuild(self) -> List[int]:

@@ -23,16 +23,15 @@ that keeps per-level work proportional to *remaining* work instead of graph
 size:
 
 * ``candidates_y`` — a phase-persistent superset of the unvisited Y
-  vertices (minus isolated ones once :meth:`attach_degrees` ran),
-  compacted lazily by :meth:`unvisited_candidates` so a bottom-up level
-  costs O(candidates), never O(n_y);
+  vertices with at least one edge, compacted lazily by
+  :meth:`unvisited_candidates` so a bottom-up level costs O(candidates),
+  never O(n_y);
 * ``seeds_x`` — the incrementally-shrunk unmatched-X seed list behind
   ``rebuild_from_unmatched`` (a matching only grows inside one run, so the
   seed list only loses members and never needs a rescan);
 * ``unvisited_deg`` — running sum of unvisited-Y degrees, giving the
   "edge" direction strategy its threshold in O(1) instead of an O(n_y)
-  masked sum per level (attach the degree vector with
-  :meth:`attach_degrees` to enable it).
+  masked sum per level.
 
 All visited-flag transitions must go through :meth:`mark_visited` /
 :meth:`clear_visited` (bulk) or :meth:`count_visit` (the interleaved
@@ -65,10 +64,19 @@ class ForestState:
         "n_x", "n_y", "visited", "parent", "root_x", "root_y", "leaf_buf",
         "num_unvisited_y", "observer", "candidates_y",
         "num_candidates", "seeds_x", "unvisited_deg", "last_scan_cost",
-        "tree_x_parts", "tree_y_parts", "_deg_y",
+        "tree_x_parts", "tree_y_parts", "deg_y",
     )
 
-    def __init__(self, n_x: int, n_y: int) -> None:
+    def __init__(self, n_x: int, n_y: int, deg_y: np.ndarray) -> None:
+        """An empty forest over ``n_x`` X and ``n_y`` Y vertices, where Y
+        vertex ``y`` has degree ``deg_y[y]``.
+
+        Isolated (degree-0) Y vertices never enter the candidate list: no
+        claim can reach them, yet on skewed inputs they are a third of the
+        side and every bottom-up level would re-gather them.
+        ``num_unvisited_y`` still counts them (the direction heuristic and
+        termination check are unchanged).
+        """
         self.n_x = n_x
         self.n_y = n_y
         self.visited = np.zeros(n_y, dtype=np.uint8)
@@ -79,10 +87,11 @@ class ForestState:
         self.leaf_buf[n_x] = n_y  # the sentinel: no Y vertex, and not UNMATCHED
         self.num_unvisited_y = n_y
         self.observer = None
-        self.candidates_y = np.arange(n_y, dtype=INDEX_DTYPE)
-        self.num_candidates = n_y
+        self.deg_y = deg_y
+        self.candidates_y = np.flatnonzero(deg_y).astype(INDEX_DTYPE, copy=False)
+        self.num_candidates = int(self.candidates_y.shape[0])
         self.seeds_x = None
-        self.unvisited_deg = 0
+        self.unvisited_deg = int(deg_y.sum())
         self.last_scan_cost = 0
         # Incremental tree membership for the numpy engine's GRAFT pass:
         # every array of vertices that entered a tree since the last
@@ -92,11 +101,10 @@ class ForestState:
         # kernels.graft_partition(tracked=True).
         self.tree_x_parts: list[np.ndarray] = []
         self.tree_y_parts: list[np.ndarray] = []
-        self._deg_y = None
 
     @classmethod
     def for_graph(cls, graph: BipartiteCSR) -> "ForestState":
-        return cls(graph.n_x, graph.n_y)
+        return cls(graph.n_x, graph.n_y, graph.deg_y)
 
     @property
     def leaf(self) -> np.ndarray:
@@ -109,26 +117,6 @@ class ForestState:
     # incremental visited / candidate bookkeeping
     # ------------------------------------------------------------------ #
 
-    def attach_degrees(self, deg_y: np.ndarray) -> None:
-        """Enable O(1) unvisited-degree tracking for the edge strategy.
-
-        Must be called while *all* Y vertices are unvisited (engine setup);
-        from then on :meth:`mark_visited`/:meth:`clear_visited`/
-        :meth:`count_visit` keep ``unvisited_deg`` exact.
-
-        Also drops isolated (degree-0) Y vertices from the candidate list —
-        they have no incident edge, so no claim can ever reach them, yet on
-        skewed inputs they are a third of the side and would be re-gathered
-        by every bottom-up level. ``num_unvisited_y`` still counts them
-        (the direction heuristic and termination check are unchanged).
-        """
-        self._deg_y = deg_y
-        self.unvisited_deg = int(deg_y.sum()) - int(deg_y[self.visited != 0].sum())
-        self._compact_candidates()
-        cand = self.candidates_y
-        self.candidates_y = cand[deg_y[cand] > 0]
-        self.num_candidates = int(self.candidates_y.shape[0])
-
     def mark_visited(self, rows: np.ndarray) -> None:
         """Flag ``rows`` (all currently unvisited) as visited, updating the
         direction-strategy counters."""
@@ -137,12 +125,9 @@ class ForestState:
             return
         self.visited[rows] = 1
         self.num_unvisited_y -= n
-        if self._deg_y is not None:
-            d = self._deg_y[rows]
-            self.unvisited_deg -= int(d.sum())
-            self.num_candidates -= int(np.count_nonzero(d))
-        else:
-            self.num_candidates -= n
+        d = self.deg_y[rows]
+        self.unvisited_deg -= int(d.sum())
+        self.num_candidates -= int(np.count_nonzero(d))
 
     def clear_visited(self, rows: np.ndarray) -> None:
         """Un-flag ``rows`` (all currently visited) and put them back in the
@@ -150,19 +135,17 @@ class ForestState:
 
         Compaction happens *before* the append: any stale copy of a recycled
         row still in ``candidates_y`` is dropped while its flag is still
-        set, so the list never holds duplicates.
+        set, so the list never holds duplicates. Every visited row was
+        claimed through an edge, so none of them is isolated.
         """
         n = int(rows.shape[0])
         if n == 0:
             return
         self._compact_candidates()
         back = np.asarray(rows, dtype=INDEX_DTYPE)
-        if self._deg_y is not None:
-            d = self._deg_y[back]
-            self.unvisited_deg += int(d.sum())
-            back = back[d > 0]
+        self.unvisited_deg += int(self.deg_y[back].sum())
         self.candidates_y = np.concatenate([self.candidates_y, back])
-        self.num_candidates += int(back.shape[0])
+        self.num_candidates += n
         self.visited[rows] = 0
         self.num_unvisited_y += n
 
@@ -175,12 +158,9 @@ class ForestState:
         array, so the lazy superset invariant holds.
         """
         self.num_unvisited_y -= 1
-        if self._deg_y is not None:
-            d = int(self._deg_y[y])
-            self.unvisited_deg -= d
-            if d:
-                self.num_candidates -= 1
-        else:
+        d = int(self.deg_y[y])
+        self.unvisited_deg -= d
+        if d:
             self.num_candidates -= 1
 
     def _compact_candidates(self) -> None:

@@ -136,8 +136,6 @@ class LevelStats:
     """Successful visited-flag claims (atomic CAS wins)."""
     attempts: int
     """Total claim attempts (wins + losses); losses model CAS contention."""
-    endpoints: int
-    """Unmatched Y vertices reached (augmenting paths discovered)."""
 
 
 _NO_COSTS = np.empty(0)
@@ -151,7 +149,6 @@ def _empty_stats() -> LevelStats:
         edges=0,
         claims=0,
         attempts=0,
-        endpoints=0,
     )
 
 
@@ -490,25 +487,20 @@ def _apply_claims(
         if endpoint_y.size:
             win = first_claim(endpoint_roots, ws.slot_x, ws)
             state.leaf[endpoint_roots.compress(win)] = endpoint_y.compress(win)
-            endpoints = int(np.count_nonzero(win))
             if obs is not None:
                 # Every endpoint attempts the leaf write; concurrent attempts
                 # on one root are the paper's benign write-write race.
                 obs.record_bulk(
                     "leaf", endpoint_roots, WRITE, False, claim_threads.compress(unmatched)
                 )
-        else:
-            endpoints = 0
     else:
         next_frontier = np.empty(0, dtype=INDEX_DTYPE)
-        endpoints = 0
     return LevelStats(
         next_frontier=next_frontier,
         item_costs=item_costs,
         edges=edges,
         claims=claims,
         attempts=max(attempts, claims),
-        endpoints=endpoints,
     )
 
 

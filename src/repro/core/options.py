@@ -115,7 +115,6 @@ class GraftOptions:
       divided by alpha. Degree-weighted, so hub-heavy frontiers switch
       earlier; exposed for the ablation bench.
     """
-    record_frontiers: bool = False
     emit_trace: bool = False
     check_invariants: bool = False
     """Check the engine invariants every phase (slow; tests only)."""

@@ -42,6 +42,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.core.engine_loop import PhaseSteps, run_phases
+from repro.core.kernels import _gather_segments
 from repro.core.options import GraftOptions
 from repro.distributed.bsp import SuperstepLog
 from repro.distributed.commit import (
@@ -78,22 +79,12 @@ class DistributedResult:
         return self.matching.cardinality
 
 
-def gather_segments(rows: np.ndarray, ptr, adj):
-    """Adjacency of ``rows`` flattened: ``(source row, target, offsets)``."""
-    starts = ptr[rows]
-    deg = ptr[rows + 1] - starts
-    offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(deg)])
-    # Entry k of row i sits at ptr[i] + (k - offsets[i]) in adj.
-    slot = np.arange(offsets[-1], dtype=np.int64) + np.repeat(starts - offsets[:-1], deg)
-    return np.repeat(rows, deg), adj[slot], offsets
-
-
 class BSPForest(PhaseSteps):
     """The forest over the ranks of ``layout`` (:class:`Partition1D` or ``Grid2D``).
 
     A routing subclass sets ``statistics_compute`` and ``rebuild_compute``
     (per-rank work) and implements ``topdown(frontier, label="topdown")`` and
-    ``bottomup_level(rows, label)``, returning ``(frontier, edges, claims)``.
+    ``bottomup_level(rows, label)``, returning ``(frontier, edges)``.
     """
 
     statistics_compute: np.ndarray
@@ -235,9 +226,9 @@ class BSPForest(PhaseSteps):
             # After the statistics retired the renewable trees, every live
             # root_x belongs to an active tree.
             active = np.flatnonzero(self.root_x != UNMATCHED)
-            frontier, edges, _ = self.topdown(active, "grafting")
+            frontier, edges = self.topdown(active, "grafting")
         else:
-            frontier, edges, _ = self.bottomup_level(self.renewable_y, "grafting")
+            frontier, edges = self.bottomup_level(self.renewable_y, "grafting")
         return frontier, edges, int(frontier.size)
 
     def rebuild(self) -> np.ndarray:
@@ -264,7 +255,7 @@ class Forest1D(BSPForest):
         # --- superstep A: local scans, claim messages ------------------- #
         graph, owner_x, owner_y = self.graph, self.owner_x, self.owner_y
         local = frontier[self.active_x_mask()[frontier]]
-        src, dst, _ = gather_segments(local, graph.x_ptr, graph.x_adj)
+        src, dst, _ = _gather_segments(graph.x_ptr, graph.x_adj, local)
         compute = self.per_rank(owner_x[src]) + self.per_rank(owner_x[local])
         edges = int(dst.size)
         # Aggregate: one claim per target y from each rank (its first x).
@@ -279,7 +270,7 @@ class Forest1D(BSPForest):
         )
         # --- boundary + superstep B: activations + renewable broadcasts - #
         activations, claims = self._claim_at_y_owners(claim_y, claim_x, f"{label}-activate")
-        return activations, edges + claims, claims
+        return activations, edges + claims
 
     def bottomup_level(self, rows: np.ndarray, label: str):
         graph, owner_x, owner_y = self.graph, self.owner_x, self.owner_y
@@ -288,7 +279,7 @@ class Forest1D(BSPForest):
         self.log.record(f"{label}-bitmap", self.bitmap_compute, self.bitmap_bytes)
 
         # --- superstep B: local scans up to the first active X ----------- #
-        _, dst, offsets = gather_segments(rows, graph.y_ptr, graph.y_adj)
+        _, dst, offsets = _gather_segments(graph.y_ptr, graph.y_adj, rows, need_sources=False)
         starts, ends = offsets[:-1], offsets[1:]
         hits = np.flatnonzero(active[dst])
         # The first hit at or after each row start; past the last hit, a
@@ -307,7 +298,7 @@ class Forest1D(BSPForest):
         # Root responses: x-owner -> y-owner.
         bytes_out += self.send_bytes(owner_x[win_x], owner_y[winners], 2)
         self.log.record(f"{label}-respond", self.per_rank(owner_x[win_x]), bytes_out)
-        return activations, int(scanned.sum()), int(winners.size)
+        return activations, int(scanned.sum())
 
 
 def run_bsp(

@@ -28,14 +28,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.kernels import _gather_segments
 from repro.core.options import GraftOptions
-from repro.distributed.engine import (
-    WORD,
-    BSPForest,
-    DistributedResult,
-    gather_segments,
-    run_bsp,
-)
+from repro.distributed.engine import WORD, BSPForest, DistributedResult, run_bsp
 from repro.distributed.grid import Grid2D
 from repro.graph.csr import BipartiteCSR
 from repro.matching.base import Matching
@@ -76,7 +71,7 @@ class Forest2D(BSPForest):
         )
 
         # --- superstep B: tile scans + claim reduction along columns ---- #
-        src, dst, _ = gather_segments(np.sort(frontier), self.graph.x_ptr, self.graph.x_adj)
+        src, dst, _ = _gather_segments(self.graph.x_ptr, self.graph.x_adj, np.sort(frontier))
         compute = self.per_rank(self._tile(src, dst))
         # One claim per (tile, y): first unvisited target per y per tile.
         keep = self.visited[dst] == 0
@@ -92,8 +87,8 @@ class Forest2D(BSPForest):
             compute,
             self.send_bytes(self._tile(claim_x, claim_y), self.owner_y[claim_y], 3),
         )
-        activations, claims = self._claim_at_y_owners(claim_y, claim_x, "activate")
-        return activations, int(dst.size) + int(claim_y.size), claims
+        activations, _ = self._claim_at_y_owners(claim_y, claim_x, "activate")
+        return activations, int(dst.size) + int(claim_y.size)
 
     def bottomup_level(self, rows: np.ndarray, label: str):
         # --- superstep A: X bitmaps broadcast along grid rows ----------- #
@@ -101,7 +96,7 @@ class Forest2D(BSPForest):
         self.log.record(f"{label}-bitmap", self.bitmap_compute, self.bitmap_bytes)
 
         # --- superstep B: tile sub-row scans + candidate reduction ------ #
-        src, dst, _ = gather_segments(rows, self.graph.y_ptr, self.graph.y_adj)  # src=y, dst=x
+        src, dst, _ = _gather_segments(self.graph.y_ptr, self.graph.y_adj, rows)  # src=y, dst=x
         compute = self.per_rank(self._tile(dst, src))
         hit = active[dst]
         src_h, dst_h = src[hit], dst[hit]
@@ -115,8 +110,8 @@ class Forest2D(BSPForest):
             compute,
             self.send_bytes(self._tile(cand_x, cand_y), self.owner_y[cand_y], 2),
         )
-        activations, claims = self._claim_at_y_owners(cand_y, cand_x, "activate")
-        return activations, int(dst.size), claims
+        activations, _ = self._claim_at_y_owners(cand_y, cand_x, "activate")
+        return activations, int(dst.size)
 
 
 def distributed_ms_bfs_graft_2d(

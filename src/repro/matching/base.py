@@ -178,7 +178,8 @@ class MatchResult:
     ``matching`` is the final matching; ``counters`` the paper's Fig. 1
     metrics; ``trace`` (when the algorithm was asked to emit one) the
     parallel work trace for the cost model; ``breakdown`` wall-clock seconds
-    per step; ``frontier_log`` per-level frontier sizes (Fig. 8).
+    per step; ``frontier_log`` per-level frontier sizes (Fig. 8), which
+    every MS-BFS-Graft engine run keeps.
     """
 
     matching: Matching

@@ -18,7 +18,6 @@ def ms_bfs(
     initial: Matching | None = None,
     *,
     engine: str = "auto",
-    record_frontiers: bool = False,
     emit_trace: bool = False,
     deadline=None,
     phase_hook=None,
@@ -36,7 +35,6 @@ def ms_bfs(
         direction_optimizing=False,
         grafting=False,
         engine=engine,
-        record_frontiers=record_frontiers,
         emit_trace=emit_trace,
         deadline=deadline,
         phase_hook=phase_hook,

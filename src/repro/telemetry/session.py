@@ -4,8 +4,9 @@
 (``ms_bfs_graft(..., telemetry=...)``), the batch executor, and the CLI.
 It bundles a :class:`~repro.telemetry.spans.Tracer` and a
 :class:`~repro.telemetry.metrics.MetricsRegistry` and adds the engine- and
-service-level vocabulary on top — phase spans, step spans, frontier/claim
-metrics, job counters — so the instrumented code stays one line per site.
+service-level vocabulary on top — phase spans, step spans, the end-of-run
+mirror of an engine run's counters, job counters — so the instrumented code
+stays one line per site.
 
 :data:`NULL_TELEMETRY` is the disabled implementation the engines fall back
 to when :attr:`GraftOptions.telemetry` is ``None``: every method is a no-op
@@ -18,7 +19,7 @@ bench).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Tuple
 
 from repro.telemetry.metrics import (
     FRONTIER_BUCKETS,
@@ -26,6 +27,10 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
 )
 from repro.telemetry.spans import Span, Tracer
+
+if TYPE_CHECKING:
+    from repro.instrument.counters import Counters
+    from repro.instrument.frontier import FrontierLog
 
 ENGINE_STEPS = ("setup", "topdown", "bottomup", "augment", "grafting", "statistics")
 """Span names the engines emit inside each phase (Fig. 6 legend + setup)."""
@@ -65,22 +70,9 @@ class NullTelemetry:
     def begin_phase(self, phase: int) -> None:
         return None
 
-    def observe_frontier(self, size: int) -> None:
-        return None
-
-    def count_level(self, direction: str, claims: int = 0) -> None:
-        return None
-
-    def count_edges(self, edges: int) -> None:
-        return None
-
-    def count_graft(self, direction: str, edges: int) -> None:
-        return None
-
-    def observe_candidates(self, remaining: int) -> None:
-        return None
-
-    def finish_run(self, counters: Any = None) -> None:
+    def finish_run(
+        self, counters, frontiers, claims, remaining, sweeps, *, completed=True
+    ) -> None:
         return None
 
     def count_cache(self, hit: bool, total_bytes: int | None = None) -> None:
@@ -185,81 +177,91 @@ class Telemetry(NullTelemetry):
         """Span for one engine step (topdown/bottomup/augment/...)."""
         return self.tracer.span(name, **attributes)
 
-    def observe_frontier(self, size: int) -> None:
-        self.metrics.histogram(
-            "repro_frontier_size_vertices",
-            "BFS frontier size at each level (Fig. 8 trajectories)",
-            buckets=FRONTIER_BUCKETS,
-        ).observe(int(size))
+    def finish_run(
+        self,
+        counters: Counters,
+        frontiers: FrontierLog,
+        claims: int,
+        remaining: Optional[int],
+        sweeps: Sequence[Tuple[str, int]],
+        *,
+        completed: bool = True,
+    ) -> None:
+        """Close the open phase span and mirror the run's record.
 
-    def count_level(self, direction: str, claims: int = 0) -> None:
-        """One traversal level finished: direction + visited-flag claims."""
-        self.metrics.counter(
-            "repro_bfs_levels_total",
-            "Traversal levels by direction (top-down vs bottom-up)",
-            labels={"direction": direction},
-        ).inc()
-        if claims:
-            self.metrics.counter(
-                "repro_visited_claims_total",
-                "Y vertices claimed via the visited flag (CAS wins)",
-            ).inc(int(claims))
-
-    def count_edges(self, edges: int) -> None:
-        if edges:
-            self.metrics.counter(
-                "repro_edges_traversed_total",
-                "Adjacency entries examined (the paper's MTEPS numerator)",
-            ).inc(int(edges))
-
-    def count_graft(self, direction: str, edges: int) -> None:
-        """One grafting sweep finished, by direction (topdown/bottomup)."""
-        labels = {"direction": direction}
-        self.metrics.counter(
-            "repro_graft_sweeps_total",
-            "Grafting sweeps (Algorithm 7) by direction",
-            labels=labels,
-        ).inc()
-        self.metrics.counter(
-            "repro_graft_edges_total",
-            "Adjacency entries examined by grafting sweeps, by direction",
-            labels=labels,
-        ).inc(int(edges))
-
-    def observe_candidates(self, remaining: int) -> None:
-        """Per-level gauge: unvisited-Y candidates left after this level."""
-        self.metrics.gauge(
-            "repro_candidates_remaining",
-            "Unvisited-Y candidates remaining after the last traversal level",
-        ).set(int(remaining))
-
-    def finish_run(self, counters: Any = None) -> None:
-        """Close the open phase span and mirror the final counters.
-
-        ``counters`` is a :class:`~repro.instrument.counters.Counters`;
-        grafts, rebuilds, and augmenting paths only become known at run
-        end, so they land in the registry here.
+        Writes every engine family but ``repro_phases_total`` (counted at
+        the phase seam), once per run, from ``counters``, ``frontiers``
+        and what ``Counters`` lacks: the visited ``claims``, the
+        unvisited-Y count ``remaining`` after the last level (``None``
+        before the first) and one ``(direction, edges)`` pair per graft
+        sweep. A run that did not complete skips the families only a
+        finished run knows: grafted vertices, rebuilds and augmentations.
         """
         if self._phase_span is not None and self._phase_span.open:
             self.tracer.end_span(self._phase_span)
         self._phase_span = None
-        if counters is None:
-            return
-        # Mirroring the path lengths is one vectorised histogram update; it
-        # keeps its own span so the run's coverage accounts for it too.
+        metrics = self.metrics
+        # Mirroring is a few vectorised updates; it keeps its own span so
+        # the run's coverage accounts for it too.
         with self.tracer.span("finalize"):
-            self.metrics.counter(
+            sizes = [size for phase in frontiers.phases for size in phase]
+            if sizes:
+                metrics.histogram(
+                    "repro_frontier_size_vertices",
+                    "BFS frontier size at each level (Fig. 8 trajectories)",
+                    buckets=FRONTIER_BUCKETS,
+                ).observe_many(sizes)
+            for direction, levels in (
+                ("topdown", counters.topdown_steps),
+                ("bottomup", counters.bottomup_steps),
+            ):
+                if levels:
+                    metrics.counter(
+                        "repro_bfs_levels_total",
+                        "Traversal levels by direction (top-down vs bottom-up)",
+                        labels={"direction": direction},
+                    ).inc(levels)
+            if claims:
+                metrics.counter(
+                    "repro_visited_claims_total",
+                    "Y vertices claimed via the visited flag (CAS wins)",
+                ).inc(int(claims))
+            if counters.edges_traversed:
+                metrics.counter(
+                    "repro_edges_traversed_total",
+                    "Adjacency entries examined (the paper's MTEPS numerator)",
+                ).inc(int(counters.edges_traversed))
+            if remaining is not None:
+                metrics.gauge(
+                    "repro_candidates_remaining",
+                    "Unvisited-Y candidates remaining after the last traversal level",
+                ).set(int(remaining))
+            for direction, edges in sweeps:
+                labels = {"direction": direction}
+                metrics.counter(
+                    "repro_graft_sweeps_total",
+                    "Grafting sweeps (Algorithm 7) by direction",
+                    labels=labels,
+                ).inc()
+                metrics.counter(
+                    "repro_graft_edges_total",
+                    "Adjacency entries examined by grafting sweeps, by direction",
+                    labels=labels,
+                ).inc(int(edges))
+            if not completed:
+                return
+            metrics.counter(
                 "repro_grafted_vertices_total",
                 "Y vertices re-attached by tree grafting",
             ).inc(int(counters.grafts))
-            self.metrics.counter(
+            metrics.counter(
                 "repro_tree_rebuilds_total",
                 "Phases that fell back to destroy-and-rebuild",
             ).inc(int(counters.tree_rebuilds))
-            self.metrics.counter(
+            metrics.counter(
                 "repro_augmentations_total", "Augmenting paths applied"
             ).inc(int(counters.augmentations))
-            self.metrics.histogram(
+            metrics.histogram(
                 "repro_augmenting_path_length_edges",
                 "Augmenting path lengths in edges (always odd)",
                 buckets=PATH_LENGTH_BUCKETS,

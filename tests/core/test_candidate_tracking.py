@@ -30,12 +30,12 @@ from repro.matching.verify import verify_maximum
 
 class TestCandidateList:
     def test_starts_with_all_y(self):
-        s = ForestState(4, 9)
+        s = ForestState(4, 9, np.ones(9, dtype=np.int64))
         np.testing.assert_array_equal(s.unvisited_candidates(), np.arange(9))
         assert s.num_candidates == 9
 
     def test_mark_shrinks_lazily_then_compacts(self):
-        s = ForestState(4, 10)
+        s = ForestState(4, 10, np.ones(10, dtype=np.int64))
         s.mark_visited(np.array([2, 5, 7]))
         # Lazy: the list still physically holds 10 entries...
         assert s.candidates_y.shape[0] == 10
@@ -49,7 +49,7 @@ class TestCandidateList:
         assert s.last_scan_cost == 7
 
     def test_clear_restores_without_duplicates(self):
-        s = ForestState(4, 8)
+        s = ForestState(4, 8, np.ones(8, dtype=np.int64))
         s.mark_visited(np.array([1, 2, 3]))
         s.clear_visited(np.array([2]))
         got = np.sort(s.unvisited_candidates())
@@ -61,10 +61,9 @@ class TestCandidateList:
         np.testing.assert_array_equal(got, np.arange(8))
         assert got.shape[0] == len(set(got.tolist()))
 
-    def test_attach_degrees_drops_isolated(self):
-        s = ForestState(3, 6)
+    def test_isolated_y_are_never_candidates(self):
         deg = np.array([2, 0, 1, 0, 0, 3])
-        s.attach_degrees(deg)
+        s = ForestState(3, 6, deg)
         np.testing.assert_array_equal(np.sort(s.unvisited_candidates()), [0, 2, 5])
         # Isolated vertices still count as unvisited for termination.
         assert s.num_unvisited_y == 6
@@ -78,7 +77,7 @@ class TestCandidateList:
 
     def test_seed_list_shrinks_in_place(self):
         m = Matching.empty(5, 5)
-        s = ForestState(5, 5)
+        s = ForestState(5, 5, np.ones(5, dtype=np.int64))
         np.testing.assert_array_equal(s.refresh_seeds(m), np.arange(5))
         m.mate_x[1] = 0
         m.mate_x[3] = 2

@@ -117,7 +117,7 @@ class TestTraceIsOptIn:
         from repro.core.forest import ForestState
 
         assert "visited_words" not in ForestState.__slots__
-        assert not hasattr(ForestState(4, 4), "visited_words")
+        assert not hasattr(ForestState(4, 4, np.ones(4, dtype=np.int64)), "visited_words")
 
 
 class TestMpDispatch:

@@ -62,7 +62,7 @@ class TestDegenerateGraphs:
 class TestNumpyEngineInternalEdges:
     def test_frontier_log_empty_phase(self):
         graph = from_edges(3, 3, [])
-        result = ms_bfs_graft(graph, record_frontiers=True)
+        result = ms_bfs_graft(graph)
         assert result.frontier_log.num_phases == 1
         # The three isolated roots form one recorded level that finds nothing.
         assert result.frontier_log.levels(0) == [3]

@@ -34,7 +34,7 @@ def case():
 @pytest.mark.parametrize("engine", ENGINES)
 def test_frontier_log_has_one_entry_per_phase(case, engine):
     graph, init = case
-    result = ENGINES[engine](graph, init, GraftOptions(record_frontiers=True))
+    result = ENGINES[engine](graph, init, GraftOptions())
     assert result.frontier_log is not None
     assert result.frontier_log.num_phases == result.counters.phases
     assert sum(len(p) for p in result.frontier_log.phases) == result.counters.bfs_levels

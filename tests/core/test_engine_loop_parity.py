@@ -95,7 +95,6 @@ def run_engine(engine, graph, initial, grafting, direction, strategy):
         grafting=grafting,
         direction_optimizing=direction,
         direction_strategy=strategy,
-        record_frontiers=True,
     )
     if engine == "python":
         return run_python(graph, initial, options)

@@ -20,7 +20,7 @@ from repro.matching.greedy import greedy_matching
 
 class TestInitialState:
     def test_sizes(self):
-        s = ForestState(3, 5)
+        s = ForestState(3, 5, np.ones(5, dtype=np.int64))
         assert s.visited.shape == (5,)
         assert s.root_x.shape == (3,)
         assert s.num_unvisited_y == 5
@@ -31,7 +31,7 @@ class TestInitialState:
         assert s.n_x == 2 and s.n_y == 4
 
     def test_all_unset(self):
-        s = ForestState(2, 2)
+        s = ForestState(2, 2, np.ones(2, dtype=np.int64))
         assert not s.visited.any()
         assert (s.parent == -1).all()
         assert (s.leaf == -1).all()
@@ -51,7 +51,7 @@ class TestMasks:
         assert not (ay & ry).any()
 
     def test_vertex_not_in_tree_in_neither(self):
-        s = ForestState(3, 3)
+        s = ForestState(3, 3, np.ones(3, dtype=np.int64))
         assert not s.active_x_mask().any()
         assert not s.renewable_x_mask().any()
 

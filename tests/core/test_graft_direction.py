@@ -32,7 +32,7 @@ from tests.matching.test_differential import scipy_cardinality
 
 
 def clone_state(state: ForestState) -> ForestState:
-    twin = ForestState(state.n_x, state.n_y)
+    twin = ForestState(state.n_x, state.n_y, state.deg_y)
     for name in ForestState.__slots__:
         value = getattr(state, name)
         if isinstance(value, np.ndarray):

@@ -46,17 +46,15 @@ class TestTopDown:
     def test_unmatched_target_sets_leaf(self):
         g = from_edges(1, 1, [(0, 0)])
         state, matching, frontier = fresh(g)
-        stats = kernels.topdown_level(g, state, matching, frontier)
-        assert stats.endpoints == 1
-        assert state.leaf[0] == 0
+        kernels.topdown_level(g, state, matching, frontier)
+        assert state.leaf.tolist() == [0]
 
     def test_one_leaf_per_tree(self):
         # One root adjacent to 3 free Y vertices: only one becomes the leaf.
         g = from_edges(1, 3, [(0, 0), (0, 1), (0, 2)])
         state, matching, frontier = fresh(g)
-        stats = kernels.topdown_level(g, state, matching, frontier)
-        assert stats.endpoints == 1
-        assert state.leaf[0] == 0  # deterministic first winner
+        kernels.topdown_level(g, state, matching, frontier)
+        assert state.leaf.tolist() == [0]  # one leaf: the deterministic first winner
         assert int(state.visited.sum()) == 3  # others still claimed (benign race)
 
     def test_matched_target_enqueues_mate(self):
@@ -111,9 +109,8 @@ class TestBottomUp:
     def test_unmatched_row_creates_leaf(self):
         g = from_edges(1, 1, [(0, 0)])
         state, matching, frontier = fresh(g)
-        stats = kernels.bottomup_level(g, state, matching, np.array([0]))
-        assert stats.endpoints == 1
-        assert state.leaf[0] == 0
+        kernels.bottomup_level(g, state, matching, np.array([0]))
+        assert state.leaf.tolist() == [0]
 
     def test_degree_zero_rows(self):
         g = from_edges(1, 2, [(0, 0)])
@@ -142,7 +139,6 @@ class TestBottomUpFromFrontier:
     @staticmethod
     def _fresh_state(g, matching):
         state = ForestState.for_graph(g)
-        state.attach_degrees(g.deg_y)
         return state, kernels.rebuild_from_unmatched(state, matching)
 
     @staticmethod
@@ -175,7 +171,7 @@ class TestBottomUpFromFrontier:
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b, err_msg=name)
         np.testing.assert_array_equal(sweep.next_frontier, scan.next_frontier)
-        assert (sweep.claims, sweep.endpoints) == (scan.claims, scan.endpoints)
+        assert sweep.claims == scan.claims
         # Each side reads what it reads: the frontier's full rows here.
         assert sweep.edges == int(g.deg_x[frontier].sum())
 
@@ -211,7 +207,7 @@ class TestBottomUpFromFrontier:
         g = rmat_bipartite(10, edge_factor=8, seed=0)
         initial = karp_sipser(g).matching
         runs = [
-            run_numpy(g, initial, GraftOptions(emit_trace=trace, record_frontiers=True))
+            run_numpy(g, initial, GraftOptions(emit_trace=trace))
             for trace in (True, False)
         ]
         traced, untraced = runs
@@ -346,7 +342,7 @@ def random_forest(seed: int, n_x: int = 40, n_y: int = 35) -> ForestState:
     """A forest with unrooted vertices, renewable trees and a live tree
     rooted at ``n_x - 1``, the entry that an unguarded ``leaf[-1]`` reads."""
     rng = np.random.default_rng(seed)
-    state = ForestState(n_x, n_y)
+    state = ForestState(n_x, n_y, np.ones(n_y, dtype=np.int64))
     roots = np.append(rng.choice(n_x - 1, size=6, replace=False), n_x - 1)
     state.root_x[:] = rng.choice(np.append(roots, -1), size=n_x)
     state.root_y[:] = rng.choice(np.append(roots, -1), size=n_y)
@@ -377,7 +373,7 @@ class TestSentinelLeaf:
         )
 
     def test_leaf_is_a_view_without_the_sentinel(self):
-        state = ForestState(5, 3)
+        state = ForestState(5, 3, np.ones(3, dtype=np.int64))
         assert state.leaf.shape == (5,)
         assert state.leaf_buf.shape == (6,) and state.leaf_buf[5] != -1
         state.leaf[2] = 1
@@ -424,7 +420,6 @@ class TestBottomUpMatchesRowScan:
         g = random_bipartite(120, 110, 520, seed=seed)
         matching = greedy_matching(g, shuffle=True, seed=seed).matching
         state = ForestState.for_graph(g)
-        state.attach_degrees(g.deg_y)
         frontier = kernels.rebuild_from_unmatched(state, matching)
         kernels.topdown_level(g, state, matching, frontier)
         # Make some trees renewable, as if they had found augmenting paths.

@@ -106,7 +106,7 @@ class TestDriverOptions:
 
     def test_frontier_recording(self):
         graph = surplus_core_bipartite(30, 10, seed=5)
-        result = ms_bfs_graft(graph, record_frontiers=True)
+        result = ms_bfs_graft(graph)
         assert result.frontier_log is not None
         assert result.frontier_log.num_phases == result.counters.phases
 

@@ -52,7 +52,7 @@ class TestGraftGolden:
         """
         graph, init = surplus_case
         result = repro.ms_bfs_graft(
-            graph, init, engine="python", record_frontiers=True
+            graph, init, engine="python"
         )
         assert result.counters.phases == 2
         assert result.frontier_log.phases == [[181, 290], []]
@@ -66,7 +66,7 @@ class TestGraftGolden:
         """
         graph, init = surplus_case
         result = repro.ms_bfs_graft(
-            graph, init, engine="numpy", record_frontiers=True
+            graph, init, engine="numpy"
         )
         assert result.counters.phases == 2
         assert result.frontier_log.phases == [[181, 275, 22], []]

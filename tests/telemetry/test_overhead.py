@@ -18,16 +18,13 @@ from repro.telemetry.session import NULL_TELEMETRY, Telemetry
 
 
 def _per_call_seconds(repeats: int = 20000) -> float:
-    """Median-of-5 per-invocation cost of one null step + two null counters."""
+    """Median-of-5 per-invocation cost of one null step span."""
     samples = []
     for _ in range(5):
         t0 = time.perf_counter()
         for _ in range(repeats):
             with NULL_TELEMETRY.step("topdown"):
                 pass
-            NULL_TELEMETRY.observe_frontier(0)
-            NULL_TELEMETRY.count_level("topdown", claims=0)
-            NULL_TELEMETRY.count_edges(0)
         samples.append((time.perf_counter() - t0) / repeats)
     return sorted(samples)[2]
 
@@ -36,10 +33,10 @@ def test_disabled_telemetry_overhead_within_budget():
     graph = surplus_core_bipartite(600, 360, seed=5)
     init = greedy_matching(graph, shuffle=True, seed=1).matching
 
-    # Count hook invocations with a live session: one step span per level/
-    # kernel step plus the per-level metric calls is bounded by the number
-    # of spans the tracer recorded (each span = one step() call, and each
-    # level makes at most 3 metric calls alongside its span).
+    # Count hook invocations with a live session: every hook the engine
+    # calls per level or kernel step is a step span, so the number of spans
+    # the tracer recorded bounds them (the engine metrics are written once,
+    # by finish_run, at the end of the run).
     tel = Telemetry()
     traced = ms_bfs_graft(graph, init, engine="numpy", telemetry=tel)
     hook_calls = len(tel.tracer.spans)

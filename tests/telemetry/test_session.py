@@ -6,6 +6,8 @@ from repro.core.driver import ms_bfs_graft
 from repro.graph.generators import random_bipartite, surplus_core_bipartite
 from repro.matching.greedy import greedy_matching
 from repro.errors import TelemetryError
+from repro.instrument.counters import Counters
+from repro.instrument.frontier import FrontierLog
 from repro.telemetry.exporters import lint_prometheus, prometheus_text
 from repro.telemetry.session import NULL_TELEMETRY, NullTelemetry, Telemetry
 
@@ -183,12 +185,10 @@ class TestNullTelemetry:
         with null.run_span("python"):
             null.begin_phase(1)
             with null.step("topdown"):
-                null.observe_frontier(10)
-                null.count_level("topdown", claims=5)
-                null.count_edges(100)
+                pass
             with null.step("grafting", direction="topdown"):
-                null.count_graft("topdown", 50)
-            null.finish_run()
+                pass
+            null.finish_run(Counters(), FrontierLog(), 5, 3, [("topdown", 50)])
         null.count_job("done")
         assert not null.enabled
 
