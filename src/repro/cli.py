@@ -175,7 +175,7 @@ def _write_telemetry(args: argparse.Namespace, telemetry, name: str, result) -> 
         if not args.file:
             metadata["scale"] = args.scale
         write_chrome_trace(telemetry.tracer, args.trace_out, metadata=metadata)
-        spans = [s for s in telemetry.tracer.spans if not s.open]
+        spans = [s for s in telemetry.tracer.snapshot() if not s.open]
         print(f"trace        : {args.trace_out} ({len(spans)} spans; open in "
               f"https://ui.perfetto.dev or chrome://tracing)")
     # The engine's ``run`` span is the root to score: on a cold --cache-dir
@@ -301,10 +301,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the online matching daemon until a client sends shutdown."""
-    from repro.service.online import MatchingDaemon, OnlineConfig, daemon_telemetry
-    from repro.telemetry import write_prometheus
+    from repro.service.online import MatchingDaemon, OnlineConfig
+    from repro.telemetry import lint_prometheus
 
-    telemetry = daemon_telemetry()
     daemon = MatchingDaemon(
         OnlineConfig(
             socket_path=args.socket,
@@ -314,7 +313,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             metrics_port=args.metrics_port,
             flight_dir=args.flight_dir,
         ),
-        telemetry=telemetry,
     )
     print(f"online daemon listening on {args.socket} "
           f"(max_sessions={args.max_sessions}"
@@ -329,10 +327,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("interrupted; shutting down", file=sys.stderr)
     if args.metrics_out:
-        write_prometheus(telemetry.metrics, args.metrics_out)
+        text = daemon.prometheus_exposition()  # the text a live scrape gets
+        lint_prometheus(text)
+        Path(args.metrics_out).write_text(text, encoding="utf-8")
         print(f"metrics: wrote {args.metrics_out}", file=sys.stderr)
-    print(f"served {daemon.requests_served} requests; "
-          f"{daemon.sessions.evictions} session evictions", file=sys.stderr)
+    evictions = daemon.telemetry.metrics.total("repro_online_session_evictions_total")
+    print(f"served {daemon.requests_served()} requests; "
+          f"{int(evictions)} session evictions", file=sys.stderr)
     return 0
 
 
@@ -738,9 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "this loopback port while running (0 picks an "
                               "ephemeral port)")
     p_serve.add_argument("--flight-dir", default=None,
-                         help="keep a flight-recorder ring of recent requests "
-                              "and dump it here as JSONL whenever a request "
-                              "fails")
+                         help="whenever a request fails, dump the daemon's "
+                              "span ring here as JSONL, the failure last")
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_client = sub.add_parser(

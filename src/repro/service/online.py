@@ -22,18 +22,20 @@ Failures are reported, never retried:
   p50/p99 the ``stats`` and ``metrics`` commands report, and the
   session-eviction counter).
 
-Observability (``docs/observability.md``): every request gets a
-monotonically increasing request id ``rid`` that is carried through the
-``request`` span into the nested ``repair`` span, a ``metrics`` RPC
-returns the Prometheus text exposition over the wire, and
-``metrics_port`` additionally serves it over plain HTTP ``GET /metrics``
-for scrapers that do not speak the line protocol. When ``flight_dir``
-is set the daemon keeps a :class:`~repro.telemetry.flight.FlightRecorder`
-ring of recent requests and dumps it as post-mortem JSONL whenever a
-request fails — the failing request is the last line of the dump.
-:func:`daemon_telemetry` is the telemetry ``repro-match serve`` runs
-with: its tracer keeps only the newest :data:`SPAN_CAPACITY` spans, so
-the ``request``/``repair`` spans of a long-lived daemon do not pile up.
+Observability (``docs/observability.md``): the daemon always holds a live
+:class:`~repro.telemetry.session.Telemetry`, and its metrics registry and
+span ring are the only record of what it served. ``stats``, the
+``shutdown`` reply and ``serve``'s exit line read their request and
+eviction counts from the registry. Every request gets a monotonically
+increasing request id ``rid`` on its ``request`` span and the nested
+``repair`` span; the ``repair`` span carries the repair's counts and a
+failed ``request`` span the error. The tracer keeps only the newest
+:data:`SPAN_CAPACITY` spans, so a long-lived daemon's spans do not pile
+up. A ``metrics`` RPC returns the Prometheus text exposition over the
+wire, and ``metrics_port`` additionally serves it over plain HTTP
+``GET /metrics`` for scrapers that do not speak the line protocol. When
+``flight_dir`` is set, a failed request dumps the span ring as
+post-mortem JSONL whose last line is the failure.
 
 ``repro-match serve`` is the CLI front end; ``repro-match client`` drives
 a scripted session against it (the CI ``online-smoke`` job does exactly
@@ -59,20 +61,13 @@ from repro.errors import DeadlineExceeded, ServiceError, TelemetryError
 from repro.matching.verify import verify_maximum
 from repro.service import protocol
 from repro.service.sessions import SessionManager
-from repro.telemetry.flight import DEFAULT_CAPACITY, FlightRecorder
-from repro.telemetry.session import NULL_TELEMETRY, Telemetry
+from repro.telemetry.exporters import prometheus_text, write_flight_dump
+from repro.telemetry.session import Telemetry
 from repro.telemetry.spans import Tracer
 
 SPAN_CAPACITY = 1024
-"""Spans the serving daemon's tracer retains (the newest; see
-:func:`daemon_telemetry`)."""
-
-
-def daemon_telemetry() -> Telemetry:
-    """Telemetry for a long-lived daemon: every metric, and a span ring of
-    :data:`SPAN_CAPACITY`. Nothing in ``serve`` reads old spans, and an
-    unbounded tracer would grow by a few spans per request for good."""
-    return Telemetry(tracer=Tracer(capacity=SPAN_CAPACITY))
+"""Spans the daemon's default tracer retains (the newest): the flight
+dump's depth, and a bound on a long-lived daemon's span memory."""
 
 
 @dataclass
@@ -92,10 +87,8 @@ class OnlineConfig:
     the bound port is published as :attr:`MatchingDaemon.metrics_port`
     once the daemon is serving."""
     flight_dir: Optional[Union[str, Path]] = None
-    """Directory for flight-recorder dumps on failed requests; ``None``
-    disables the recorder entirely."""
-    flight_capacity: int = DEFAULT_CAPACITY
-    """Ring size of the request flight recorder."""
+    """Directory for span-ring dumps on failed requests; ``None`` writes
+    none."""
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -155,7 +148,11 @@ class _MetricsServer(ThreadingHTTPServer):
 
 
 class MatchingDaemon:
-    """Long-lived online matching server over a local Unix stream socket."""
+    """Long-lived online matching server over a local Unix stream socket.
+
+    ``telemetry`` defaults to a fresh :class:`Telemetry` whose tracer keeps
+    :data:`SPAN_CAPACITY` spans.
+    """
 
     def __init__(
         self,
@@ -166,7 +163,11 @@ class MatchingDaemon:
         wall=time.time,
     ) -> None:
         self.config = config
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = (
+            telemetry
+            if telemetry is not None
+            else Telemetry(tracer=Tracer(capacity=SPAN_CAPACITY))
+        )
         self._clock = clock
         self._wall = wall
         self._started = clock()
@@ -174,21 +175,16 @@ class MatchingDaemon:
         if config.cache_dir is not None:
             from repro.cache import GraphCache
 
-            cache = GraphCache(config.cache_dir, telemetry=telemetry)
+            cache = GraphCache(config.cache_dir, telemetry=self.telemetry)
         self.sessions = SessionManager(
             max_sessions=config.max_sessions,
             cache=cache,
             telemetry=self.telemetry,
         )
-        self.requests_served = 0
         self._server: Optional[_Server] = None
         self._shutdown = threading.Event()
         self._rid = itertools.count(1)
-        self.flight = (
-            FlightRecorder(config.flight_capacity, wall=wall)
-            if config.flight_dir is not None
-            else None
-        )
+        self._dumps = itertools.count()
         self._metrics_server: Optional[_MetricsServer] = None
         self.metrics_port: Optional[int] = None
         """The bound metrics port once serving (resolves ``port=0``)."""
@@ -292,46 +288,41 @@ class MatchingDaemon:
         """Decode, dispatch, and classify one request (pure; testable).
 
         Every request is stamped with a server-side request id ``rid``
-        that flows into the ``request``/``repair`` spans and the flight
-        recorder, tying a trace lane, a metrics increment, and a flight
-        event back to one wire request.
+        that flows into the ``request``/``repair`` spans and a flight
+        dump, tying a trace lane, a metrics increment, and a post-mortem
+        back to one wire request. A failed dispatch puts its error on the
+        ``request`` span; a line that does not parse opens no span.
         """
-        req_id = 0
-        cmd = "?"
         rid = next(self._rid)
+        cmd = "?"
         try:
             request = protocol.Request.from_line(line)
-            req_id, cmd = request.id, request.cmd
-            with self.telemetry.request_span(cmd, rid, session=request.session):
-                result = self._dispatch(request, rid)
-            self.telemetry.count_request(cmd, "ok")
-            self.requests_served += 1
-            if self.flight is not None:
-                self.flight.record(
-                    "request", rid=rid, cmd=cmd, session=request.session,
-                    status="ok",
-                )
-            return protocol.ok_response(req_id, result)
         except Exception as exc:  # noqa: BLE001 - mapped onto the taxonomy
-            response = protocol.error_response(req_id, exc)
-            self.telemetry.count_request(cmd, response["error"]["kind"])
-            self.requests_served += 1
-            if self.flight is not None:
-                # The failing request is recorded last, then the whole ring
-                # is dumped — so the dump's tail is the failure itself.
-                self.flight.record(
-                    "request_error", rid=rid, cmd=cmd,
-                    error_kind=response["error"]["kind"],
-                    error_type=response["error"]["type"],
-                    error=response["error"]["message"],
-                )
-                self.flight.dump_to_dir(
-                    self.config.flight_dir, f"online-req{rid}",
-                    reason=response["error"]["type"],
-                    context={"rid": rid, "cmd": cmd,
-                             "kind": response["error"]["kind"]},
-                )
-            return response
+            response = protocol.error_response(0, exc)
+        else:
+            cmd = request.cmd
+            with self.telemetry.request_span(cmd, rid, session=request.session) as span:
+                try:
+                    response = protocol.ok_response(
+                        request.id, self._dispatch(request, rid)
+                    )
+                except Exception as exc:  # noqa: BLE001 - mapped onto the taxonomy
+                    response = protocol.error_response(request.id, exc)
+                    error = response["error"]
+                    span.set(error_kind=error["kind"], error_type=error["type"],
+                             error=error["message"])
+        error = response.get("error")
+        self.telemetry.count_request(cmd, error["kind"] if error else "ok")
+        if error and self.config.flight_dir is not None:
+            write_flight_dump(
+                Path(self.config.flight_dir)
+                / f"flight-online-req{rid}-pid{os.getpid()}-{next(self._dumps)}.jsonl",
+                self.telemetry.tracer,
+                {"kind": "request_error", "rid": rid, "cmd": cmd,
+                 "error_kind": error["kind"], "error_type": error["type"],
+                 "error": error["message"]},
+            )
+        return response
 
     def _deadline(self, payload: Mapping[str, Any]) -> Optional[Deadline]:
         seconds = payload.get(
@@ -389,28 +380,22 @@ class MatchingDaemon:
             for x, y in protocol.parse_edge_pairs(payload, "deletes")
         ]
         deadline = self._deadline(payload)
-        with session.lock:
+        with session.lock, self.telemetry.repair_span(session.name, rid) as span:
             started = self._clock()
             try:
-                with self.telemetry.repair_span(session.name, rid):
-                    stats = session.matcher.apply_batch(updates, deadline=deadline)
+                stats = session.matcher.apply_batch(updates, deadline=deadline)
             finally:
                 elapsed = self._clock() - started
                 self.telemetry.observe_repair(elapsed)
             session.record_batch(stats, elapsed)
+            result = {"repair_seconds": round(elapsed, 6), **stats.to_dict()}
+            span.set(**result)
         self.telemetry.count_updates(stats.inserted + stats.deleted)
         self.telemetry.count_session_updates(
             session.name, stats.inserted + stats.deleted
         )
         self.telemetry.count_repair_sweeps(stats.bfs_rounds)
-        if self.flight is not None:
-            self.flight.record(
-                "repair", rid=rid, session=session.name,
-                inserted=stats.inserted, deleted=stats.deleted,
-                augmented=stats.augmented, bfs_rounds=stats.bfs_rounds,
-                repair_seconds=round(elapsed, 6),
-            )
-        return {"repair_seconds": round(elapsed, 6), **stats.to_dict()}
+        return result
 
     def _cmd_match(self, request: protocol.Request, rid: int) -> Dict[str, Any]:
         session = self.sessions.get(request.session)
@@ -435,51 +420,47 @@ class MatchingDaemon:
         if request.session:
             return self.sessions.get(request.session).describe()
         uptime = self._clock() - self._started
+        metrics = self.telemetry.metrics
+        updates = metrics.total("repro_online_updates_total")
         result: Dict[str, Any] = {
             "sessions": len(self.sessions),
             "session_names": self.sessions.names(),
             "max_sessions": self.sessions.max_sessions,
-            "evictions": self.sessions.evictions,
-            "requests_served": self.requests_served,
+            "evictions": int(metrics.total("repro_online_session_evictions_total")),
+            "requests_served": self.requests_served(),
             "uptime_seconds": round(uptime, 6),
         }
-        if self.telemetry.enabled:
-            observed = self._repair_quantiles(result)
-            if observed:
-                result["repairs_observed"] = observed
-            try:
-                updates = self.telemetry.metrics.get("repro_online_updates_total").value
-            except TelemetryError:  # not registered: no updates counted yet
-                updates = 0.0
-            result["updates_total"] = int(updates)
-            result["updates_per_second"] = round(
-                updates / uptime if uptime > 0 else 0.0, 3
-            )
+        observed = self._repair_quantiles(result)
+        if observed:
+            result["repairs_observed"] = observed
+        result["updates_total"] = int(updates)
+        result["updates_per_second"] = round(
+            updates / uptime if uptime > 0 else 0.0, 3
+        )
         return result
 
+    def requests_served(self) -> int:
+        """Requests answered so far: the sum over
+        ``repro_online_requests_total``, whose ``cmd`` x ``status`` label
+        sets stay under the registry's label cap."""
+        return int(self.telemetry.metrics.total("repro_online_requests_total"))
+
     def prometheus_exposition(self) -> str:
-        """The daemon's metrics as Prometheus text (RPC + HTTP endpoint).
+        """The daemon's metrics as Prometheus text (RPC, HTTP endpoint and
+        ``serve --metrics-out``).
 
-        Refreshes the derived gauges (resident sessions, snapshot-store
-        bytes) right before rendering, so a scrape never reports a stale
-        resource footprint. Empty when telemetry is disabled.
+        The only place the derived gauges (resident sessions,
+        snapshot-store bytes) are set: right before rendering, so a scrape
+        never reports a stale resource footprint.
         """
-        if not self.telemetry.enabled:
-            return ""
-        from repro.telemetry.exporters import prometheus_text
-
         self.telemetry.set_sessions(len(self.sessions))
         if self.sessions.cache is not None:
             self.telemetry.set_snapshot_bytes(self.sessions.cache.total_bytes)
         return prometheus_text(self.telemetry.metrics)
 
     def _cmd_metrics(self, request: protocol.Request, rid: int) -> Dict[str, Any]:
-        result: Dict[str, Any] = {
-            "enabled": self.telemetry.enabled,
-            "prometheus": self.prometheus_exposition(),
-        }
-        if self.telemetry.enabled:
-            self._repair_quantiles(result)
+        result: Dict[str, Any] = {"prometheus": self.prometheus_exposition()}
+        self._repair_quantiles(result)
         return result
 
     def _repair_quantiles(self, result: Dict[str, Any]) -> int:
@@ -497,10 +478,7 @@ class MatchingDaemon:
         return hist.count
 
     def _cmd_snapshot(self, request: protocol.Request, rid: int) -> Dict[str, Any]:
-        key = self.sessions.snapshot(request.session)
-        if self.sessions.cache is not None:
-            self.telemetry.set_snapshot_bytes(self.sessions.cache.total_bytes)
-        return {"session": request.session, "key": key}
+        return {"session": request.session, "key": self.sessions.snapshot(request.session)}
 
     def _cmd_close(self, request: protocol.Request, rid: int) -> Dict[str, Any]:
         return {
@@ -510,7 +488,8 @@ class MatchingDaemon:
 
     def _cmd_shutdown(self, request: protocol.Request, rid: int) -> Dict[str, Any]:
         self._shutdown.set()  # handle_stream stops serving once the reply is out
-        return {"stopping": True, "requests_served": self.requests_served + 1}
+        # this request is counted once its reply is built: add it here
+        return {"stopping": True, "requests_served": self.requests_served() + 1}
 
 
 class OnlineClient:

@@ -5,8 +5,9 @@ maximum matching (:class:`~repro.matching.incremental.IncrementalMatcher`)
 and its service counters. The :class:`SessionManager` holds sessions in an
 LRU map capped at ``max_sessions``: every create/load/touch bumps recency,
 and creating past the cap evicts the least-recently-used session (counted
-through telemetry — an eviction is an SLO-relevant event, because the next
-request for that graph pays a full rebuild or snapshot restore).
+once, in the telemetry registry's ``repro_online_session_evictions_total``:
+an eviction is an SLO-relevant event, because the next request for that
+graph pays a full rebuild or snapshot restore).
 
 Snapshots go through the existing content-addressed graph cache
 (:class:`repro.cache.GraphCache`): the session's canonical (sorted) edge
@@ -30,7 +31,7 @@ import numpy as np
 
 from repro.errors import ServiceError
 from repro.matching.incremental import BatchRepairStats, IncrementalMatcher
-from repro.telemetry.session import NULL_TELEMETRY
+from repro.telemetry.session import Telemetry
 
 
 @dataclass
@@ -95,8 +96,9 @@ class SessionManager:
     Thread-safe: the daemon serves connections from multiple threads, and
     every public method takes the manager lock. The lock is coarse by
     design — session operations are short relative to repair work, and a
-    single lock keeps the LRU order, the eviction count, and the session
-    map trivially consistent.
+    single lock keeps the LRU order and the session map trivially
+    consistent. Evictions are counted in ``telemetry`` (a fresh
+    :class:`~repro.telemetry.session.Telemetry` when none is given).
     """
 
     def __init__(
@@ -110,8 +112,7 @@ class SessionManager:
             raise ServiceError(f"max_sessions must be >= 1, got {max_sessions}")
         self.max_sessions = int(max_sessions)
         self.cache = cache
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.evictions = 0
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._lock = threading.RLock()
         self._sessions: "OrderedDict[str, Session]" = OrderedDict()
 
@@ -187,9 +188,7 @@ class SessionManager:
     def close(self, name: str) -> bool:
         """Drop a session; returns whether it existed."""
         with self._lock:
-            existed = self._sessions.pop(name, None) is not None
-            self.telemetry.set_sessions(len(self._sessions))
-            return existed
+            return self._sessions.pop(name, None) is not None
 
     def names(self) -> List[str]:
         with self._lock:
@@ -209,8 +208,6 @@ class SessionManager:
             self._sessions[name] = session
             self._sessions.move_to_end(name)
             while len(self._sessions) > self.max_sessions:
-                victim, _ = self._sessions.popitem(last=False)
-                self.evictions += 1
+                self._sessions.popitem(last=False)
                 self.telemetry.count_eviction()
-            self.telemetry.set_sessions(len(self._sessions))
         return session

@@ -7,12 +7,13 @@ The observability layer of the reproduction (see ``docs/observability.md``):
 * :mod:`repro.telemetry.metrics` — counters / gauges / fixed-bucket
   histograms with Prometheus naming rules;
 * :mod:`repro.telemetry.exporters` — Chrome ``chrome://tracing`` JSON,
-  Prometheus text exposition (+ lint), and a JSONL stream that composes
-  with the service :class:`~repro.service.events.EventLog`;
+  Prometheus text exposition (+ lint), a JSONL stream that composes
+  with the service :class:`~repro.service.events.EventLog`, and the
+  flight dump: the span ring the online daemon writes when a request
+  fails, with the failure as its last line;
 * :mod:`repro.telemetry.session` — the :class:`Telemetry` bundle the
-  driver, batch executor, and CLI accept, plus :data:`NULL_TELEMETRY`;
-* :mod:`repro.telemetry.flight` — the bounded crash flight recorder the
-  online daemon dumps on failed requests.
+  driver, batch executor, CLI and online daemon accept, plus
+  :data:`NULL_TELEMETRY`.
 """
 
 from repro.telemetry.exporters import (
@@ -22,9 +23,9 @@ from repro.telemetry.exporters import (
     prometheus_text,
     write_chrome_trace,
     write_prometheus,
+    write_flight_dump,
     write_telemetry_jsonl,
 )
-from repro.telemetry.flight import FlightRecorder, read_flight_dump
 from repro.telemetry.metrics import (
     DEFAULT_SECONDS_BUCKETS,
     FRONTIER_BUCKETS,
@@ -48,8 +49,6 @@ __all__ = [
     "NullTelemetry",
     "NULL_TELEMETRY",
     "ENGINE_STEPS",
-    "FlightRecorder",
-    "read_flight_dump",
     "DEFAULT_SECONDS_BUCKETS",
     "FRONTIER_BUCKETS",
     "PATH_LENGTH_BUCKETS",
@@ -60,4 +59,5 @@ __all__ = [
     "lint_prometheus",
     "export_jsonl",
     "write_telemetry_jsonl",
+    "write_flight_dump",
 ]

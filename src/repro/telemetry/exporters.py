@@ -14,6 +14,8 @@ Three consumers, three formats:
   records through the service's :class:`~repro.service.events.EventLog`,
   so engine traces and batch lifecycle events interleave in one stream,
   ordered by file position.
+* :func:`write_flight_dump` — the online daemon's post-mortem: the
+  tracer's span ring as JSONL, with the failure record as the last line.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.errors import TelemetryError
 from repro.telemetry.metrics import (
@@ -33,7 +35,7 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.spans import Tracer
+from repro.telemetry.spans import Span, Tracer
 
 # --------------------------------------------------------------------------- #
 # Chrome trace (chrome://tracing, Perfetto)
@@ -65,7 +67,7 @@ def chrome_trace(
     compacted to small integers in first-seen order, with ``thread_name``
     metadata so Perfetto labels the rows.
     """
-    spans = [s for s in tracer.spans if not s.open]
+    spans = [s for s in tracer.snapshot() if not s.open]
     origin = min((s.start for s in spans), default=0.0)
     tids: Dict[int, int] = {}
     events: List[Dict[str, Any]] = [
@@ -334,8 +336,20 @@ def _split_labels(label_text: str) -> List[str]:
 
 
 # --------------------------------------------------------------------------- #
-# JSONL stream (composes with the service EventLog)
+# JSONL stream (composes with the service EventLog) and the flight dump
 # --------------------------------------------------------------------------- #
+
+
+def span_record(span: Span) -> Dict[str, Any]:
+    """One closed span as strict-JSON fields (JSONL stream and flight dump)."""
+    return {
+        "name": span.name,
+        "span_id": span.span_id,
+        "parent_id": span.parent_id,
+        "start_wall": round(span.start_wall, 6),
+        "duration_seconds": round(span.duration, 9),
+        "attributes": {k: _json_safe(v) for k, v in span.attributes.items()},
+    }
 
 
 def export_jsonl(
@@ -355,19 +369,10 @@ def export_jsonl(
 
     written = 0
     if tracer is not None:
-        for span in tracer.spans:
-            if span.open:
-                continue
-            log.emit(
-                TELEMETRY_SPAN,
-                name=span.name,
-                span_id=span.span_id,
-                parent_id=span.parent_id,
-                start_wall=round(span.start_wall, 6),
-                duration_seconds=round(span.duration, 9),
-                attributes={k: _json_safe(v) for k, v in span.attributes.items()},
-            )
-            written += 1
+        for span in tracer.snapshot():
+            if not span.open:
+                log.emit(TELEMETRY_SPAN, **span_record(span))
+                written += 1
     if registry is not None:
         for name, kind, _, instruments in registry.families():
             for inst in instruments:
@@ -398,3 +403,27 @@ def write_telemetry_jsonl(
 
     with EventLog(path) as log:
         return export_jsonl(log, tracer, registry)
+
+
+def write_flight_dump(
+    path: Union[str, Path], tracer: Tracer, failure: Mapping[str, Any]
+) -> Path:
+    """Write a post-mortem JSONL file; returns the path written.
+
+    One ``{"kind": "span", ...}`` line per closed span in the tracer's ring,
+    oldest first, then ``failure`` as the last line, where ``tail -1`` finds
+    it. Every line is strict JSON. The writer needs nothing but ``open`` and
+    :mod:`json`, so it works while the caller is handling a failure.
+    """
+    records = [
+        {"kind": "span", **span_record(span)}
+        for span in tracer.snapshot()
+        if not span.open
+    ]
+    records.append({k: _json_safe(v) for k, v in failure.items()})
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n")
+    return path

@@ -344,6 +344,14 @@ class MetricsRegistry:
                 out.append((name, kind, help, members))
             return out
 
+    def total(self, name: str) -> float:
+        """Sum of a counter or gauge family's exported values (0 if the
+        family was never registered)."""
+        with self._lock:
+            return sum(
+                inst.value for (fam, _), inst in self._instruments.items() if fam == name
+            )
+
     def get(self, name: str, labels: Optional[Mapping[str, str]] = None) -> _Instrument:
         """Look up an existing instrument; raises if never registered."""
         instrument = self._instruments.get((name, _label_items(labels)))

@@ -8,12 +8,14 @@ service-level vocabulary on top — phase spans, step spans, the end-of-run
 mirror of an engine run's counters, job counters — so the instrumented code
 stays one line per site.
 
-:data:`NULL_TELEMETRY` is the disabled implementation the engines fall back
-to when :attr:`GraftOptions.telemetry` is ``None``: every method is a no-op
-and ``run_span``/``step`` return one shared reusable context manager, so
-the disabled path costs a method call and nothing else (the overhead test
-in ``tests/telemetry/test_overhead.py`` bounds it against the kernel
-bench).
+:data:`NULL_TELEMETRY` is the disabled implementation the engines, the
+graph cache and the batch executor fall back to when no telemetry is
+given: every method is a no-op and ``run_span``/``step`` return one shared
+reusable context manager, so the disabled path costs a method call and
+nothing else (the overhead test in ``tests/telemetry/test_overhead.py``
+bounds it against the kernel bench). The online daemon has no disabled
+path: it always holds a live :class:`Telemetry`, whose registry and span
+ring are its only record of what it served.
 """
 
 from __future__ import annotations
@@ -82,38 +84,6 @@ class NullTelemetry:
         return _NULL_CONTEXT
 
     def count_job(self, status: str) -> None:
-        return None
-
-    def count_request(self, cmd: str, status: str) -> None:
-        return None
-
-    def count_updates(self, n: int) -> None:
-        return None
-
-    def observe_repair(self, seconds: float) -> None:
-        return None
-
-    def count_eviction(self) -> None:
-        return None
-
-    def set_sessions(self, n: int) -> None:
-        return None
-
-    def request_span(
-        self, cmd: str, rid: int, session: Optional[str] = None
-    ) -> _NullContext:
-        return _NULL_CONTEXT
-
-    def repair_span(self, session: str, rid: int) -> _NullContext:
-        return _NULL_CONTEXT
-
-    def count_repair_sweeps(self, n: int) -> None:
-        return None
-
-    def count_session_updates(self, session: str, n: int) -> None:
-        return None
-
-    def set_snapshot_bytes(self, n: int) -> None:
         return None
 
 

@@ -13,8 +13,10 @@ The tracer keeps one open-span stack per OS thread, so concurrent
 instrumented code attributes spans to the thread that opened them. Both
 clocks are injectable for deterministic tests. A long-lived process (the
 online daemon) gives the tracer a ``capacity``: it then keeps only the
-newest spans, like the flight recorder's ring, so retention stays bounded
-however many requests it serves.
+newest spans in a ring, so retention stays bounded however many requests
+it serves, and the daemon dumps that ring when a request fails. Other
+threads may append to the ring at any time, so readers go through
+:meth:`Tracer.snapshot`, which copies it under the tracer's lock.
 """
 
 from __future__ import annotations
@@ -92,7 +94,8 @@ class Tracer:
         self._next_id = 0
         self.spans: Deque[Span] = deque(maxlen=capacity)
         """Recorded spans, oldest first; with a ``capacity`` only the newest
-        that many (evicted spans still close normally)."""
+        that many (evicted spans still close normally). Appended under the
+        lock: read it through :meth:`snapshot` while other threads trace."""
 
     # ------------------------------------------------------------------ #
     # span lifecycle
@@ -170,14 +173,23 @@ class Tracer:
     # tree queries
     # ------------------------------------------------------------------ #
 
+    def snapshot(self) -> List[Span]:
+        """The recorded spans, oldest first, copied under the lock.
+
+        Iterating :attr:`spans` directly races with :meth:`start_span` on
+        other threads (a deque raises if it is mutated mid-iteration).
+        """
+        with self._lock:
+            return list(self.spans)
+
     def roots(self) -> List[Span]:
-        return [s for s in self.spans if s.parent_id is None]
+        return [s for s in self.snapshot() if s.parent_id is None]
 
     def children(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
+        return [s for s in self.snapshot() if s.parent_id == span.span_id]
 
     def by_name(self, name: str) -> List[Span]:
-        return [s for s in self.spans if s.name == name]
+        return [s for s in self.snapshot() if s.name == name]
 
     def coverage(self, root: Optional[Span] = None) -> float:
         """Fraction of a root span's duration covered by its direct children.

@@ -1,10 +1,11 @@
 """Observability of the online daemon: request ids, the ``metrics`` RPC,
-the HTTP scrape endpoint, and the request flight recorder."""
+the HTTP scrape endpoint, and the span-ring flight dump."""
 
 from __future__ import annotations
 
 import glob
 import json
+import os
 import urllib.request
 
 import pytest
@@ -15,17 +16,15 @@ from repro.service.online import (
     MatchingDaemon,
     OnlineClient,
     OnlineConfig,
-    daemon_telemetry,
 )
 from repro.service.protocol import COMMANDS
 from repro.telemetry import Telemetry, lint_prometheus
-from repro.telemetry.flight import read_flight_dump
 
 
 @pytest.fixture()
 def obs_daemon(tmp_path):
     """Daemon with every observability surface on: metrics RPC + HTTP
-    endpoint (ephemeral port) + flight recorder."""
+    endpoint (ephemeral port) + flight dumps."""
     d = MatchingDaemon(
         OnlineConfig(
             socket_path=tmp_path / "d.sock",
@@ -73,11 +72,8 @@ class TestRequestIds:
 class TestSpanRetention:
     def test_daemon_tracer_stays_bounded(self, tmp_path):
         # 1000 in-process requests open 1500 request/repair spans; the
-        # serving daemon's tracer keeps only the newest SPAN_CAPACITY.
-        d = MatchingDaemon(
-            OnlineConfig(socket_path=tmp_path / "d.sock"),
-            telemetry=daemon_telemetry(),
-        )
+        # daemon's default tracer keeps only the newest SPAN_CAPACITY.
+        d = MatchingDaemon(OnlineConfig(socket_path=tmp_path / "d.sock"))
 
         def send(cmd, **payload):
             response = d.handle_line(json.dumps({"cmd": cmd, **payload}))
@@ -106,7 +102,6 @@ class TestMetricsRPC:
         seed_session(obs_daemon)
         with OnlineClient(obs_daemon.config.socket_path) as client:
             result = client.metrics()
-        assert result["enabled"] is True
         families = set(lint_prometheus(result["prometheus"]))
         assert {
             "repro_online_requests_total",
@@ -128,17 +123,6 @@ class TestMetricsRPC:
             stats = client.stats()
         # NaN is not valid JSON; the daemon must omit, not emit, it
         assert "repair_p99_seconds" not in stats
-
-    def test_disabled_telemetry_reports_empty(self, tmp_path):
-        d = MatchingDaemon(OnlineConfig(socket_path=tmp_path / "d.sock"))
-        thread = d.start_background()
-        try:
-            with OnlineClient(d.config.socket_path) as client:
-                result = client.metrics()
-            assert result == {"enabled": False, "prometheus": ""}
-        finally:
-            d.shutdown()
-            thread.join(timeout=5)
 
 
 class TestHTTPEndpoint:
@@ -186,6 +170,9 @@ class TestHTTPEndpoint:
 
 
 class TestRequestFlightRecorder:
+    def read(self, path):
+        return [json.loads(line) for line in open(path, encoding="utf-8")]
+
     def test_failed_request_dumps_ring_with_failure_at_tail(self, obs_daemon, tmp_path):
         seed_session(obs_daemon)
         with OnlineClient(obs_daemon.config.socket_path) as client:
@@ -193,16 +180,31 @@ class TestRequestFlightRecorder:
                 client.update("no-such-session", inserts=[(0, 0)])
         dumps = glob.glob(str(tmp_path / "flight" / "flight-online-*.jsonl"))
         assert len(dumps) == 1
-        records = read_flight_dump(dumps[0])
-        header, tail = records[0], records[-1]
-        assert header["reason"] == "ServiceError"
-        assert header["context"]["cmd"] == "update"
+        records = self.read(dumps[0])
+        *spans, tail = records
         assert tail["kind"] == "request_error"
+        assert tail["cmd"] == "update"
         assert tail["error_kind"] == "permanent"
+        assert tail["error_type"] == "ServiceError"
+        assert f"req{tail['rid']}-pid{os.getpid()}-" in os.path.basename(dumps[0])
         # the preceding traffic is in the ring: context for the failure
-        assert any(
-            r["kind"] == "request" and r["status"] == "ok" for r in records
-        )
+        assert all(r["kind"] == "span" for r in spans)
+        assert [s["attributes"]["cmd"] for s in spans if s["name"] == "request"] == [
+            "create", "update", "update",
+        ]
+        # the failed request closed its span before the dump, with its error
+        failed = spans[-1]
+        assert failed["attributes"]["rid"] == tail["rid"]
+        assert failed["attributes"]["error_kind"] == "permanent"
+        assert failed["attributes"]["error"] == tail["error"]
+
+    def test_unparsed_line_dumps_failure_without_a_span(self, obs_daemon, tmp_path):
+        response = obs_daemon.handle_line("{broken")
+        assert response["error"]["kind"] == "permanent"
+        (path,) = glob.glob(str(tmp_path / "flight" / "*.jsonl"))
+        (record,) = self.read(path)
+        assert record["cmd"] == "?" and record["error_kind"] == "permanent"
+        assert obs_daemon.telemetry.tracer.by_name("request") == []
 
     def test_successful_traffic_writes_nothing(self, obs_daemon, tmp_path):
         seed_session(obs_daemon)
@@ -210,12 +212,15 @@ class TestRequestFlightRecorder:
 
     def test_repair_events_recorded(self, obs_daemon, tmp_path):
         seed_session(obs_daemon)
-        events = obs_daemon.flight.snapshot()
-        repair = next(e for e in events if e["kind"] == "repair")
-        assert repair["session"] == "orders"
-        assert repair["inserted"] == 2
-        assert repair["bfs_rounds"] >= 1
+        (repair,) = obs_daemon.telemetry.tracer.by_name("repair")
+        assert repair.attributes["session"] == "orders"
+        assert repair.attributes["inserted"] == 2
+        assert repair.attributes["deleted"] == 0
+        assert repair.attributes["augmented"] == 2
+        assert repair.attributes["bfs_rounds"] >= 1
+        assert repair.attributes["repair_seconds"] >= 0
 
     def test_no_flight_dir_no_recorder(self, tmp_path):
         d = MatchingDaemon(OnlineConfig(socket_path=tmp_path / "d.sock"))
-        assert d.flight is None
+        assert not d.handle_line('{"cmd": "match", "session": "ghost"}')["ok"]
+        assert list(tmp_path.iterdir()) == []

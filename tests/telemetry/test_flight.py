@@ -1,4 +1,9 @@
-"""FlightRecorder: bounded ring, dump format, crash-at-tail contract."""
+"""The flight dump: a tracer's span ring as post-mortem JSONL.
+
+:func:`~repro.telemetry.exporters.write_flight_dump` writes the ring's
+closed spans oldest first and the failure record last; the online daemon
+calls it for every failed request when ``flight_dir`` is set.
+"""
 
 import json
 import math
@@ -7,102 +12,108 @@ import os
 import numpy as np
 import pytest
 
-from repro.telemetry.flight import (
-    DEFAULT_CAPACITY,
-    FlightRecorder,
-    read_flight_dump,
-)
+from repro.errors import TelemetryError
+from repro.service.online import SPAN_CAPACITY, MatchingDaemon, OnlineConfig
+from repro.telemetry.exporters import write_flight_dump
+from repro.telemetry.spans import Tracer
+
+FAILURE = {"kind": "request_error", "rid": 9, "cmd": "update",
+           "error_kind": "permanent", "error_type": "ServiceError", "error": "boom"}
 
 
-def manual_recorder(capacity=4):
+def manual_tracer(capacity=4):
     ticks = iter(float(i) for i in range(10_000))
-    return FlightRecorder(capacity, wall=lambda: next(ticks))
+    return Tracer(clock=lambda: next(ticks), wall=lambda: 1.0e9, capacity=capacity)
+
+
+def read_dump(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def dump(tmp_path, tracer, name="f.jsonl"):
+    return read_dump(write_flight_dump(tmp_path / name, tracer, FAILURE))
 
 
 class TestRing:
-    def test_events_kept_oldest_first(self):
-        rec = manual_recorder()
+    def test_events_kept_oldest_first(self, tmp_path):
+        tracer = manual_tracer()
         for i in range(3):
-            rec.record("level", level=i)
-        assert [e["level"] for e in rec.snapshot()] == [0, 1, 2]
-        assert len(rec) == 3
+            with tracer.span("request", rid=i):
+                pass
+        spans = dump(tmp_path, tracer)[:-1]
+        assert [s["attributes"]["rid"] for s in spans] == [0, 1, 2]
+        assert all(s["kind"] == "span" for s in spans)
 
-    def test_bounded_eviction(self):
-        rec = manual_recorder(capacity=2)
+    def test_bounded_eviction(self, tmp_path):
+        tracer = manual_tracer(capacity=2)
         for i in range(5):
-            rec.record("level", level=i)
-        assert [e["level"] for e in rec.snapshot()] == [3, 4]
-        assert len(rec) == 2
+            with tracer.span("request", rid=i):
+                pass
+        spans = dump(tmp_path, tracer)[:-1]
+        assert [s["attributes"]["rid"] for s in spans] == [3, 4]
 
-    def test_default_capacity(self):
-        assert FlightRecorder().capacity == DEFAULT_CAPACITY
+    def test_default_capacity(self, tmp_path):
+        daemon = MatchingDaemon(OnlineConfig(socket_path=tmp_path / "d.sock"))
+        assert daemon.telemetry.tracer.spans.maxlen == SPAN_CAPACITY
 
     def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(0)
-
-    def test_events_are_json_safe_at_record_time(self):
-        rec = manual_recorder()
-        rec.record(
-            "level",
-            frontier=np.int64(42),
-            ratio=math.inf,
-            pids=[np.int64(1), np.int64(2)],
-            nested={"k": np.float64(0.5)},
-        )
-        event = rec.snapshot()[0]
-        # must already round-trip through strict json
-        text = json.dumps(event, allow_nan=False)
-        back = json.loads(text)
-        assert back["frontier"] == 42
-        assert back["ratio"] == "inf"
-        assert back["pids"] == [1, 2]
-        assert back["nested"]["k"] == 0.5
+        with pytest.raises(TelemetryError):
+            Tracer(capacity=0)
 
 
 class TestDump:
-    def test_header_then_events_tail_is_most_recent(self, tmp_path):
-        rec = manual_recorder()
-        rec.record("level", level=1)
-        rec.record("crash", error="boom")
-        path = rec.dump(tmp_path / "f.jsonl", reason="DeadlineExceeded",
-                        context={"phase": 3})
-        records = read_flight_dump(path)
-        header = records[0]
-        assert header["kind"] == "flight_dump"
-        assert header["reason"] == "DeadlineExceeded"
-        assert header["pid"] == os.getpid()
-        assert header["events"] == 2
-        assert header["context"] == {"phase": 3}
-        # the crash event is the LAST line: `tail -1` finds it
-        assert records[-1]["kind"] == "crash"
-        assert records[-1]["error"] == "boom"
+    def test_failure_is_the_last_line(self, tmp_path):
+        tracer = manual_tracer()
+        with tracer.span("request", rid=1, cmd="update"):
+            with tracer.span("repair", rid=1, inserted=2):
+                pass
+        records = dump(tmp_path, tracer)
+        assert [r.get("name") for r in records[:-1]] == ["request", "repair"]
+        repair = records[1]
+        assert repair["parent_id"] == records[0]["span_id"]
+        assert repair["duration_seconds"] == 1.0
+        # the failure is the LAST line: `tail -1` finds it
+        assert records[-1] == FAILURE
+
+    def test_open_spans_are_left_out(self, tmp_path):
+        tracer = manual_tracer()
+        with tracer.span("request", rid=1):
+            with tracer.span("repair", rid=1):
+                pass
+            assert [r.get("name") for r in dump(tmp_path, tracer)] == ["repair", None]
 
     def test_dump_creates_parent_dirs(self, tmp_path):
-        rec = manual_recorder()
-        rec.record("x")
-        path = rec.dump(tmp_path / "deep" / "nested" / "f.jsonl", reason="r")
+        path = write_flight_dump(
+            tmp_path / "deep" / "nested" / "f.jsonl", manual_tracer(), FAILURE
+        )
         assert path.exists()
 
     def test_dump_to_dir_names_never_collide(self, tmp_path):
-        rec = manual_recorder()
-        rec.record("x")
-        p1 = rec.dump_to_dir(tmp_path, "online", reason="a")
-        p2 = rec.dump_to_dir(tmp_path, "online", reason="b")
-        assert p1 != p2
-        assert rec.dumps_written == 2
-        assert all(p.name.startswith("flight-online-pid") for p in (p1, p2))
+        daemon = MatchingDaemon(
+            OnlineConfig(socket_path=tmp_path / "d.sock", flight_dir=tmp_path / "flight")
+        )
+        for _ in range(2):
+            assert not daemon.handle_line('{"cmd": "match", "session": "ghost"}')["ok"]
+        names = sorted(p.name for p in (tmp_path / "flight").iterdir())
+        pid = os.getpid()
+        assert names == [
+            f"flight-online-req1-pid{pid}-0.jsonl",
+            f"flight-online-req2-pid{pid}-1.jsonl",
+        ]
 
     def test_every_line_is_strict_json(self, tmp_path):
-        rec = manual_recorder()
-        rec.record("level", ratio=math.nan)
-        path = rec.dump(tmp_path / "f.jsonl", reason="r")
-        for line in path.read_text().splitlines():
+        tracer = manual_tracer()
+        with tracer.span("repair", frontier=np.int64(42), ratio=math.inf,
+                         rate=np.float64(math.nan)):
+            pass
+        path = write_flight_dump(tmp_path / "f.jsonl", tracer,
+                                 {**FAILURE, "seconds": math.nan})
+        records = [
             json.loads(line, parse_constant=lambda tok: pytest.fail(tok))
+            for line in path.read_text().splitlines()
+        ]
+        assert records[0]["attributes"] == {"frontier": 42, "ratio": "inf", "rate": "nan"}
+        assert records[-1]["seconds"] == "nan"
 
-    def test_empty_ring_dumps_header_only(self, tmp_path):
-        rec = manual_recorder()
-        path = rec.dump(tmp_path / "f.jsonl", reason="r")
-        records = read_flight_dump(path)
-        assert len(records) == 1
-        assert records[0]["events"] == 0
+    def test_empty_ring_dumps_failure_only(self, tmp_path):
+        assert dump(tmp_path, manual_tracer()) == [FAILURE]
