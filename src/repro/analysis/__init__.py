@@ -12,13 +12,13 @@ prose (Section III-B):
   augmenting paths alternate;
 * :mod:`repro.analysis.effects` + :mod:`repro.analysis.phasecheck` — the
   static analyzer behind ``repro-match analyze``: one rule table
-  (REP001–REP009) run over per-function effect summaries of shared
+  (REP001–REP010) run over per-function effect summaries of shared
   arrays (read / raw-written / atomically written, propagated through the
   call graph) and over each module's AST, checking the engines'
   phase-discipline contracts plus the repo-specific AST checks of
   :mod:`repro.analysis.lint` (shared-array mutation discipline, no global
   RNG state, no wall-clock in cost models, an engine-free certificate
-  checker).
+  checker, no hashed ``np.unique``).
 """
 
 from repro.analysis.effects import (

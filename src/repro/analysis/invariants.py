@@ -5,6 +5,7 @@ from repro.core.invariants import (
     InvariantChecker,
     check_all_invariants,
     check_alternating_paths,
+    check_forest_counters,
     check_mate_consistency,
     check_tree_disjointness,
 )
@@ -13,6 +14,7 @@ __all__ = [
     "InvariantChecker",
     "check_all_invariants",
     "check_alternating_paths",
+    "check_forest_counters",
     "check_mate_consistency",
     "check_tree_disjointness",
 ]

@@ -24,6 +24,11 @@ and runs them with the effect-based rules under ``repro-match analyze``.
   ``repro.parallel`` or ``repro.distributed``: it must not share code with
   the engines whose answers it certifies, so an engine bug cannot also
   hide in the check.
+* **REP010 hashed-unique** — no plain ``np.unique(a)``: since numpy 2.3
+  it takes a hash path several times slower than one sort and a mask,
+  which :func:`repro.graph.csr.sorted_unique` does with the same result.
+  Calls passing ``return_index``, ``return_inverse``, ``return_counts``
+  or ``axis`` are left alone.
 """
 
 from __future__ import annotations
@@ -180,3 +185,27 @@ def check_independent_checker(tree: ast.Module) -> Iterator[Hit]:
                 f"the certificate checker imports {engine!r}; it must stay "
                 f"independent of the engines it certifies ({', '.join(_ENGINE_PACKAGES)})"
             )
+
+
+# --------------------------------------------------------------------------- #
+# REP010: deduplicate by sorting, not through np.unique's hash path
+# --------------------------------------------------------------------------- #
+
+_UNIQUE_EXTRAS = {"return_index", "return_inverse", "return_counts", "axis"}
+
+
+def check_hashed_unique(tree: ast.Module) -> Iterator[Hit]:
+    """REP010: ``np.unique``/``numpy.unique`` calls with none of its extras."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain = _call_chain(node)
+        if chain[:1] not in (["np"], ["numpy"]) or chain[1:] != ["unique"]:
+            continue
+        if any(kw.arg in _UNIQUE_EXTRAS for kw in node.keywords):
+            continue
+        yield node, (
+            f"{'.'.join(chain)}() without return_index/return_inverse/"
+            f"return_counts/axis hashes on numpy >= 2.3; use "
+            f"repro.graph.csr.sorted_unique (one sort and a mask, same result)"
+        )

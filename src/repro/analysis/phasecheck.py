@@ -1,4 +1,4 @@
-"""The static analyzer: one rule table (REP001–REP009) and one runner.
+"""The static analyzer: one rule table (REP001–REP010) and one runner.
 
 The MS-BFS-Graft engines share one correctness contract (the "phase
 discipline"): work happens in barrier-synchronized phases, shared arrays
@@ -8,7 +8,7 @@ counters exact, and every phase-loop iteration passes through
 ``GraftOptions.begin_phase`` (which bundles ``Deadline.check``, the
 telemetry phase span, and ``phase_hook``).
 :data:`RULES` checks that contract statically. The AST checks of
-:mod:`repro.analysis.lint` (REP001–REP003, REP009) and REP005/REP008
+:mod:`repro.analysis.lint` (REP001–REP003, REP009, REP010) and REP005/REP008
 look at one module at a time; the rest read the interprocedural effect
 summaries of :mod:`repro.analysis.effects`:
 
@@ -371,6 +371,13 @@ RULES: Tuple[Rule, ...] = (
         description="the certificate checker imports nothing from core/, parallel/ or distributed/",
         check=lint.check_independent_checker,
         modules=("matching/verify.py",),
+    ),
+    Rule(
+        code="REP010",
+        name="hashed-unique",
+        description="deduplicate with repro.graph.csr.sorted_unique, not a plain np.unique",
+        check=lint.check_hashed_unique,
+        modules=("*",),
     ),
 )
 

@@ -848,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser(
         "analyze",
         help="static analyzer: AST and effect-inference rules for the "
-             "engines' contracts (REP001-REP009); exits 1 on any finding",
+             "engines' contracts (REP001-REP010); exits 1 on any finding",
     )
     p_an.add_argument("root", nargs="?", default=None,
                       help="package-shaped directory to analyze (default: src/repro)")

@@ -119,15 +119,18 @@ class ForestState:
 
     def mark_visited(self, rows: np.ndarray) -> None:
         """Flag ``rows`` (all currently unvisited) as visited, updating the
-        direction-strategy counters."""
+        direction-strategy counters.
+
+        Every row was claimed through an edge, so none of them is isolated
+        and all of them leave the candidate count.
+        """
         n = int(rows.shape[0])
         if n == 0:
             return
         self.visited[rows] = 1
         self.num_unvisited_y -= n
-        d = self.deg_y[rows]
-        self.unvisited_deg -= int(d.sum())
-        self.num_candidates -= int(np.count_nonzero(d))
+        self.unvisited_deg -= int(self.deg_y[rows].sum())
+        self.num_candidates -= n
 
     def clear_visited(self, rows: np.ndarray) -> None:
         """Un-flag ``rows`` (all currently visited) and put them back in the

@@ -11,9 +11,13 @@ which disappears under ``python -O``) so fault-injected runs fail loudly:
   this hold under any interleaving; a de-atomised claim breaks it);
 * **alternating paths** — each live root's ``leaf`` pointer reaches the
   root through a cycle-free path that strictly alternates unmatched and
-  matched edges.
+  matched edges;
+* **forest counters** — ``num_unvisited_y``, ``unvisited_deg`` and
+  ``num_candidates`` agree with ``visited`` and ``deg_y`` (the direction
+  rule and the phase's exit read them, so a drifted count ends a phase
+  early or picks the wrong direction).
 
-The engines run all three at every phase end under
+The engines run all four at every phase end under
 ``GraftOptions.check_invariants``, and :class:`InvariantChecker` bundles
 them as a post-barrier/post-phase hook (the race monitor drives it after
 every simulated barrier). :mod:`repro.analysis.invariants` re-exports
@@ -153,6 +157,22 @@ def check_alternating_paths(
             y = nxt
 
 
+def check_forest_counters(state: ForestState) -> None:
+    """The running counters equal their recount from ``visited`` and ``deg_y``."""
+    unvisited = state.visited == 0
+    recount = {
+        "num_unvisited_y": int(np.count_nonzero(unvisited)),
+        "unvisited_deg": int(state.deg_y[unvisited].sum()),
+        "num_candidates": int(np.count_nonzero(unvisited & (state.deg_y > 0))),
+    }
+    for name, expected in recount.items():
+        held = int(getattr(state, name))
+        if held != expected:
+            raise InvariantViolation(
+                f"forest counter {name}={held} but visited and deg_y give {expected}"
+            )
+
+
 def check_all_invariants(
     graph: BipartiteCSR, state: ForestState, matching: Matching
 ) -> None:
@@ -160,6 +180,7 @@ def check_all_invariants(
     check_mate_consistency(graph, matching)
     check_tree_disjointness(graph, state, matching)
     check_alternating_paths(graph, state, matching)
+    check_forest_counters(state)
 
 
 class InvariantChecker:

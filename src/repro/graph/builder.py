@@ -12,17 +12,7 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
-
-
-def _csr_from_sorted(
-    n_rows: int, rows: np.ndarray, cols: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Build (ptr, adj) from edge arrays already sorted by (row, col)."""
-    ptr = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
-    ptr[1:] = np.bincount(rows, minlength=n_rows)
-    np.cumsum(ptr, out=ptr)
-    return ptr, cols.astype(INDEX_DTYPE, copy=True)
+from repro.graph.csr import INDEX_DTYPE, BipartiteCSR, edge_keys
 
 
 def from_edges(
@@ -56,18 +46,16 @@ def from_edges(
 def _from_edge_arrays(
     n_x: int, n_y: int, xs: np.ndarray, ys: np.ndarray, *, validate: bool = True
 ) -> BipartiteCSR:
-    """Internal: build from (already range-checked) parallel edge arrays."""
-    if xs.size:
-        # Deduplicate via a combined key, then sort by (x, y).
-        key = xs * np.int64(n_y) + ys
-        key = np.unique(key)
-        xs = (key // n_y).astype(INDEX_DTYPE)
-        ys = (key % n_y).astype(INDEX_DTYPE)
-    x_ptr, x_adj = _csr_from_sorted(n_x, xs, ys)
-    # Transpose: sort by (y, x).
-    order = np.lexsort((xs, ys))
-    y_ptr, y_adj = _csr_from_sorted(n_y, ys[order], xs[order])
-    return BipartiteCSR(n_x, n_y, x_ptr, x_adj, y_ptr, y_adj, validate=validate)
+    """Internal: build from (already range-checked) parallel edge arrays.
+
+    Both directions come out of one sorted, duplicate-free key array each
+    (:func:`~repro.graph.csr.edge_keys`), so the CSR holds by construction
+    and ``validate`` only re-checks it.
+    """
+    graph = BipartiteCSR.from_sorted_keys(n_x, n_y, *edge_keys(n_x, n_y, xs, ys))
+    if validate:
+        graph._validate()
+    return graph
 
 
 def from_biadjacency_lists(adjacency: Sequence[Sequence[int]], n_y: int | None = None) -> BipartiteCSR:

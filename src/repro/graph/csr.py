@@ -28,6 +28,49 @@ INDEX_DTYPE = np.int64
 """Dtype used for all adjacency and pointer arrays."""
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of integer array ``a``, as ``np.unique(a)``.
+
+    One sort, an adjacent-difference mask and a ``compress``. Since numpy
+    2.3 a plain ``np.unique`` takes a hash path that is several times
+    slower than this at every size, and every graph build deduplicates
+    its edge keys, so builds call this instead (rule REP010 flags the
+    plain call).
+    """
+    s = np.sort(a, axis=None)
+    keep = np.empty(s.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s.compress(keep)
+
+
+def transpose_keys(x_keys: np.ndarray, n_x: int, n_y: int) -> np.ndarray:
+    """Y-major keys ``y * n_x + x`` of the edges behind X-major keys
+    ``x * n_y + y``, in the order of ``x_keys`` (not sorted)."""
+    xs, keys = np.divmod(x_keys, n_y)
+    keys *= n_x
+    keys += xs
+    return keys
+
+
+def edge_keys(
+    n_x: int, n_y: int, xs: np.ndarray, ys: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted, duplicate-free X-major and Y-major keys of an edge list.
+
+    ``xs``/``ys`` are parallel, range-checked endpoint arrays of any
+    integer dtype; keys are formed in int64. The pair feeds
+    :meth:`BipartiteCSR.from_sorted_keys`.
+    """
+    keys = xs.astype(INDEX_DTYPE)
+    keys *= n_y
+    keys += ys
+    x_keys = sorted_unique(keys)
+    y_keys = transpose_keys(x_keys, n_x, n_y)
+    y_keys.sort()
+    return x_keys, y_keys
+
+
 class BipartiteCSR:
     """Immutable CSR bipartite graph.
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.builder import _from_edge_arrays
-from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
+from repro.graph.csr import INDEX_DTYPE, BipartiteCSR, sorted_unique
 from repro.util.rng import SeedLike, as_rng
 
 
@@ -43,10 +43,10 @@ def _sample_distinct_edges(
     if total <= 4 * nnz or total < 1 << 20:
         keys = rng.choice(total, size=nnz, replace=False)
     else:
-        keys = np.unique(rng.integers(0, total, size=int(nnz * 1.2) + 16))
+        keys = sorted_unique(rng.integers(0, total, size=int(nnz * 1.2) + 16))
         while keys.shape[0] < nnz:
             extra = rng.integers(0, total, size=nnz)
-            keys = np.unique(np.concatenate([keys, extra]))
+            keys = sorted_unique(np.concatenate([keys, extra]))
         keys = rng.permutation(keys)[:nnz]
     xs = (keys // n_y).astype(INDEX_DTYPE)
     ys = (keys % n_y).astype(INDEX_DTYPE)
@@ -90,16 +90,21 @@ def rmat_bipartite(
     n = 1 << scale
     m = edge_factor * n
     rng = as_rng(seed)
-    rows = np.zeros(m, dtype=INDEX_DTYPE)
-    cols = np.zeros(m, dtype=INDEX_DTYPE)
-    for level in range(scale):
+    # Each level appends one bit, most significant first, so the
+    # accumulators only need to hold a vertex id; the build forms its
+    # int64 keys from them.
+    acc = np.int32 if scale < 32 else INDEX_DTYPE
+    rows = np.zeros(m, dtype=acc)
+    cols = np.zeros(m, dtype=acc)
+    for _ in range(scale):
         r = rng.random(m)
         # Quadrant thresholds: [a, a+b, a+b+c, 1].
         go_down = r >= a + b  # row bit set (quadrants c, d)
         go_right = (r >= a) & (r < a + b) | (r >= a + b + c)  # col bit (b, d)
-        bit = INDEX_DTYPE(1 << (scale - 1 - level))
-        rows += bit * go_down
-        cols += bit * go_right
+        rows <<= 1
+        rows |= go_down
+        cols <<= 1
+        cols |= go_right
     return _from_edge_arrays(n, n, rows, cols, validate=False)
 
 

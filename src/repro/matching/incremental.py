@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import MatchingError
-from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
+from repro.graph.csr import INDEX_DTYPE, BipartiteCSR, edge_keys, transpose_keys
 from repro.matching.base import UNMATCHED, Matching
 
 INSERT = "insert"
@@ -124,8 +124,7 @@ class IncrementalMatcher:
         if bad.any():
             i = int(np.argmax(bad))
             matcher._check(int(xs[i]), int(ys[i]))
-        matcher._x_keys = np.unique(xs * n_y + ys)
-        matcher._y_keys = np.unique(ys * n_x + xs)
+        matcher._x_keys, matcher._y_keys = edge_keys(n_x, n_y, xs, ys)
         matcher.repair()
         return matcher
 
@@ -257,7 +256,9 @@ class IncrementalMatcher:
             drop = np.array(sorted(k for k, p in net.items() if not p), dtype=INDEX_DTYPE)
             self._x_keys = _edit_keys(self._x_keys, drop, add)
             self._y_keys = _edit_keys(
-                self._y_keys, np.sort(self._transpose(drop)), np.sort(self._transpose(add))
+                self._y_keys,
+                np.sort(transpose_keys(drop, self.n_x, self.n_y)),
+                np.sort(transpose_keys(add, self.n_x, self.n_y)),
             )
         augmented, rounds = self._run_repair(deadline)
         return BatchRepairStats(
@@ -277,11 +278,6 @@ class IncrementalMatcher:
     def _check(self, x: int, y: int) -> None:
         if not (0 <= x < self.n_x and 0 <= y < self.n_y):
             raise MatchingError(f"edge ({x}, {y}) out of range")
-
-    def _transpose(self, x_keys: np.ndarray) -> np.ndarray:
-        """Y-major keys of the edges behind X-major ``x_keys``."""
-        xs, ys = np.divmod(x_keys, self.n_y)
-        return ys * self.n_x + xs
 
     def _run_repair(self, deadline: Optional[object]) -> Tuple[int, int]:
         """Rebuild the CSR from the keys and run the engine from the

@@ -46,7 +46,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import VerificationError
-from repro.graph.csr import BipartiteCSR
+from repro.graph.csr import BipartiteCSR, sorted_unique
 from repro.matching.base import UNMATCHED, Matching
 
 Reach = Tuple[np.ndarray, np.ndarray, bool]
@@ -76,7 +76,7 @@ def alternating_reach(
     found = False
     while frontier.size:
         dst = _rows(ptr, adj, frontier)
-        dst = np.unique(dst[~reach_dst[dst]])
+        dst = sorted_unique(dst[~reach_dst[dst]])
         reach_dst[dst] = True
         mates = mate_dst[dst]
         found = found or bool(np.any(mates == UNMATCHED))

@@ -269,7 +269,12 @@ class MatchingDaemon:
             try:
                 line = protocol.read_line(rfile)
             except ServiceError as exc:
-                wfile.write(protocol.encode(protocol.error_response(0, exc)))
+                # An oversized line is a failed request like any other:
+                # counted, and dumped under ``flight_dir``.
+                response = self._finish(
+                    next(self._rid), "?", protocol.error_response(0, exc)
+                )
+                wfile.write(protocol.encode(response))
                 wfile.flush()
                 return
             if line is None:
@@ -311,6 +316,11 @@ class MatchingDaemon:
                     error = response["error"]
                     span.set(error_kind=error["kind"], error_type=error["type"],
                              error=error["message"])
+        return self._finish(rid, cmd, response)
+
+    def _finish(self, rid: int, cmd: str, response: Dict[str, Any]) -> Dict[str, Any]:
+        """Count request ``rid``'s reply and, if it failed under
+        ``flight_dir``, dump the span ring; returns ``response``."""
         error = response.get("error")
         self.telemetry.count_request(cmd, error["kind"] if error else "ok")
         if error and self.config.flight_dir is not None:

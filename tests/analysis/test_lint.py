@@ -1,5 +1,5 @@
-"""The AST rules (REP001-REP003, REP009) through the analyzer: fixture
-violations trip, the real tree is clean."""
+"""The AST rules (REP001-REP003, REP009, REP010) through the analyzer:
+fixture violations trip, the real tree is clean."""
 
 from pathlib import Path
 
@@ -14,7 +14,7 @@ from repro.analysis.phasecheck import (
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
-AST_RULES = ["REP001", "REP002", "REP003", "REP009"]
+AST_RULES = ["REP001", "REP002", "REP003", "REP009", "REP010"]
 
 
 def codes(findings):
@@ -64,6 +64,18 @@ class TestFixtures:
         assert [v.line for v in hits] == [3, 4, 9]
         assert "repro.distributed" in hits[2].message
 
+    def test_plain_unique_trips_rep010(self, violations):
+        hits = [v for v in violations if "hashed_unique" in v.path]
+        assert codes(hits) == ["REP010", "REP010"]
+        assert [v.line for v in hits] == [8, 12]
+        assert "repro.graph.csr.sorted_unique" in hits[0].message
+        assert hits[1].message.startswith("numpy.unique()")
+
+    def test_unique_with_extra_outputs_not_flagged(self, violations):
+        # compact() asks np.unique for inverse/index/counts/axis (lines 17-20)
+        hits = [v for v in violations if "hashed_unique" in v.path]
+        assert all(v.line < 17 for v in hits)
+
 
 class TestRealTree:
     def test_shipped_package_is_clean(self):
@@ -99,6 +111,17 @@ class TestRealTree:
         source = source.replace(anchor, anchor + "from repro.core.forest import ForestState\n")
         (bad / "verify.py").write_text(source)
         assert codes(run_analyze(tmp_path)) == ["REP009"]
+
+    def test_unique_regression_guard(self, tmp_path):
+        """A later change putting a plain np.unique back in a build is caught."""
+        bad = tmp_path / "graph"
+        bad.mkdir()
+        source = (DEFAULT_ROOT / "graph" / "generators.py").read_text()
+        call = "keys = sorted_unique(np.concatenate([keys, extra]))"
+        assert call in source
+        source = source.replace(call, "keys = np.unique(np.concatenate([keys, extra]))")
+        (bad / "generators.py").write_text(source)
+        assert codes(run_analyze(tmp_path, select=["REP010"])) == ["REP010"]
 
     def test_syntax_error_reported_not_raised(self, tmp_path):
         (tmp_path / "broken.py").write_text("def f(:\n")

@@ -253,7 +253,7 @@ class TestBaseline:
 class TestFormats:
     def test_rule_catalog_covers_all_codes(self):
         codes = [rule.code for rule in RULES]
-        assert codes == [f"REP00{i}" for i in range(1, 10)]
+        assert codes == [f"REP{i:03d}" for i in range(1, 11)]
 
     def test_json_format(self, fixture_findings):
         payload = json.loads(format_json(fixture_findings, str(FIXTURES)))
@@ -269,7 +269,7 @@ class TestFormats:
         assert sarif["version"] == "2.1.0"
         run = sarif["runs"][0]
         rules = run["tool"]["driver"]["rules"]
-        assert [r["id"] for r in rules] == [f"REP00{i}" for i in range(1, 10)]
+        assert [r["id"] for r in rules] == [f"REP{i:03d}" for i in range(1, 11)]
         assert len(run["results"]) == len(fixture_findings)
         result = run["results"][0]
         assert result["partialFingerprints"]["reproAnalyze/v1"]

@@ -9,6 +9,9 @@ import pytest
 
 import repro
 from repro.core import kernels
+from repro.core.driver import ms_bfs_graft
+from repro.core.engine_interleaved import _InterleavedSteps
+from repro.core.engine_numpy import NumpySteps
 from repro.core.forest import ForestState
 from repro.core.invariants import check_all_invariants
 from repro.errors import InvariantViolation
@@ -90,6 +93,32 @@ class TestInvariantChecker:
             with pytest.raises(InvariantViolation):
                 check_all_invariants(g, s, m)
 
+    @pytest.mark.parametrize("counter", ["num_unvisited_y", "unvisited_deg", "num_candidates"])
+    def test_detects_drifted_counter(self, counter):
+        g, m, s = self._grown()
+        setattr(s, counter, getattr(s, counter) - 1)
+        with pytest.raises(InvariantViolation, match=counter):
+            check_all_invariants(g, s, m)
+
+    @pytest.mark.parametrize("counter", ["num_unvisited_y", "unvisited_deg", "num_candidates"])
+    @pytest.mark.parametrize("engine, steps", [
+        ("numpy", NumpySteps),
+        ("interleaved", _InterleavedSteps),
+    ])
+    def test_engine_check_catches_drifted_counter(self, monkeypatch, engine, steps, counter):
+        end_phase = steps.end_phase
+
+        def drifting_end_phase(self, phase):
+            setattr(self.state, counter, getattr(self.state, counter) + 1)
+            end_phase(self, phase)
+
+        monkeypatch.setattr(steps, "end_phase", drifting_end_phase)
+        graph = random_bipartite(40, 40, 120, seed=3)
+        with pytest.raises(InvariantViolation, match=counter):
+            ms_bfs_graft(graph, engine=engine, check_invariants=True)
+        # the same run without the drift passes its checks
+        monkeypatch.setattr(steps, "end_phase", end_phase)
+        ms_bfs_graft(graph, engine=engine, check_invariants=True)
 
     @pytest.mark.parametrize("engine, steps", [
         ("numpy", "repro.core.engine_numpy:NumpySteps"),

@@ -113,5 +113,21 @@ def test_oversized_line_closes_the_connection_with_one_error(monkeypatch):
     assert not second["ok"] and second["id"] == 0
     assert second["error"]["kind"] == "permanent"
     assert "exceeds 64 bytes" in second["error"]["message"]
+    # the oversized line is counted like any other request
+    assert daemon.requests_served() == 2
     # the daemon still serves: a fresh request is answered
     assert daemon.handle_line(ping.decode())["result"]["pong"] is True
+
+
+def test_oversized_line_writes_one_flight_dump(monkeypatch, tmp_path):
+    monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 64)
+    daemon = MatchingDaemon(
+        OnlineConfig(socket_path="unused.sock", flight_dir=tmp_path / "flight")
+    )
+    ping = b'{"id": 1, "cmd": "ping"}\n'
+    oversized = json.dumps({"id": 2, "cmd": "ping", "pad": "x" * 100}).encode() + b"\n"
+    daemon.handle_stream(io.BytesIO(ping + oversized), io.BytesIO())
+    (dump,) = (tmp_path / "flight").glob("flight-*.jsonl")
+    last = json.loads(dump.read_text().splitlines()[-1])
+    assert last["kind"] == "request_error" and last["cmd"] == "?"
+    assert last["error_kind"] == "permanent"
