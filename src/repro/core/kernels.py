@@ -17,8 +17,13 @@ Implementation notes on the fast path:
   an O(k log k) sort — the winner for a contested Y vertex is the first
   claimant in frontier order, which is both deterministic and exactly the
   serialisation a first-come-first-served CAS would impose.
-* Kernels accept an optional :class:`KernelWorkspace` so the per-level
-  scratch arrays are allocated once per run, not once per level.
+* Kernels accept an optional :class:`KernelWorkspace` holding the
+  vertex-sized claim slots and a shared ``arange``, so those are allocated
+  once per run. Edge-sized arrays are still allocated per level, but only
+  what the level reads: a selection whose mask is all true returns its
+  input instead of a copy (:func:`_select`). Preallocated edge-sized
+  buffers written through ``out=`` were measured and ran slower
+  (docs/performance.md, "Allocate only what a level reads").
 * Per-level work is proportional to the level, never to the graph: tree
   membership is derived per frontier vertex / per gathered edge instead of
   via the O(n_x) ``active_x_mask`` gather, visited pre-checks gather the
@@ -82,29 +87,47 @@ class KernelWorkspace:
     ``slot_x`` / ``slot_y`` back the :func:`first_claim` scatter; their
     contents are meaningless between calls (every slot that is read was
     written earlier in the same call), so no per-level clearing is needed.
-    ``iota`` is a precomputed ``arange`` sliced instead of re-filled on
-    every segment gather. ``want_costs`` lets the engine skip per-item
-    cost vectors when no work trace is being emitted.
+    ``iota`` is an ``arange`` sliced instead of re-filled on every segment
+    gather; it starts vertex-sized and :meth:`order` grows it to the
+    largest level a run gathers, so a run never pays for an edge-sized
+    ``arange`` up front. ``want_costs`` lets the engine skip per-item cost
+    vectors when no work trace is being emitted.
     """
 
     __slots__ = ("slot_x", "slot_y", "iota", "want_costs")
 
-    def __init__(self, n_x: int, n_y: int, max_edges: int = 0) -> None:
+    def __init__(self, n_x: int, n_y: int) -> None:
         self.slot_x = np.empty(n_x, dtype=np.int64)
         self.slot_y = np.empty(n_y, dtype=np.int64)
-        self.iota = np.arange(max(n_x, n_y, max_edges), dtype=np.int64)
+        self.iota = np.arange(max(n_x, n_y), dtype=np.int64)
         self.want_costs = True
 
     @classmethod
     def for_graph(cls, graph: BipartiteCSR) -> "KernelWorkspace":
-        return cls(graph.n_x, graph.n_y, graph.nnz)
+        return cls(graph.n_x, graph.n_y)
 
     def order(self, k: int) -> np.ndarray:
-        """``arange(k)`` as a view of the precomputed buffer (grown on
-        demand for callers whose index range exceeds the graph's)."""
+        """``arange(k)`` as a view of the shared buffer (grown on demand)."""
         if k > self.iota.shape[0]:
             self.iota = np.arange(max(k, 2 * self.iota.shape[0]), dtype=np.int64)
         return self.iota[:k]
+
+
+def _select(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``values.compress(mask)``, or ``values`` itself when ``mask`` is all
+    true.
+
+    A level often selects every entry (no target visited yet, no contested
+    claim, every winner matched), and skipping that copy keeps the level's
+    allocations, and so the heap top, small. The result may therefore be
+    ``values``, and through it a caller's input: ``bottomup_level``'s
+    ``rows`` can be the forest's ``candidates_y``. Selected arrays are only
+    stored (``tree_x_parts``/``tree_y_parts``) or read (as claims, as the
+    next frontier); no kernel writes one, or its source, in place.
+    """
+    if np.count_nonzero(mask) == mask.shape[0]:
+        return values
+    return values.compress(mask)
 
 
 def first_claim(
@@ -252,14 +275,14 @@ def _claim_search(
     # numpy's general fancy-index path, in about a quarter of the time on
     # 100k entries.
     unvis = state.visited[dst] == 0
-    src_u = src.compress(unvis)
-    dst_u = dst.compress(unvis)
+    src_u = _select(src, unvis)
+    dst_u = _select(dst, unvis)
     attempts = int(dst_u.shape[0])
     if attempts:
         # First occurrence per target = the winning atomic claim.
         win = first_claim(dst_u, ws.slot_y, ws)
-        winners = dst_u.compress(win)
-        claim_src = src_u.compress(win)
+        winners = _select(dst_u, win)
+        claim_src = _select(src_u, win)
         if obs is not None:
             # CAS on visited: winners write atomically, losers observe the
             # set flag (the failing read half of the CAS).
@@ -426,8 +449,8 @@ def bottomup_level(
         chunk *= 4
 
     has_hit_all = claim_of != UNMATCHED
-    winners = rows.compress(has_hit_all)
-    claim_src = claim_of.compress(has_hit_all)
+    winners = _select(rows, has_hit_all)
+    claim_src = _select(claim_of, has_hit_all)
     item_costs = scanned.astype(np.float64) + 1.0 if track else _NO_COSTS
     if obs is not None and winners.size:
         # Owned-row visited store: no atomic needed (Section III-B).
@@ -466,8 +489,8 @@ def _apply_claims(
             obs.record_bulk("root_y", winners, WRITE, False, claim_threads)
         mates = matching.mate_y[winners]
         matched = mates != UNMATCHED
-        next_frontier = mates.compress(matched).astype(INDEX_DTYPE, copy=False)
-        state.root_x[next_frontier] = roots.compress(matched)
+        next_frontier = _select(mates, matched).astype(INDEX_DTYPE, copy=False)
+        state.root_x[next_frontier] = _select(roots, matched)
         # Incremental tree membership: winners joined a tree on the Y side,
         # their mates on the X side. graft_partition(tracked=True) partitions
         # exactly these vertices instead of scanning both full sides.

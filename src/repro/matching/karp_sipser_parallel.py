@@ -163,7 +163,7 @@ def karp_sipser_parallel(
     counters = Counters()
     mate_x = matching.mate_x
     mate_y = matching.mate_y
-    ws = KernelWorkspace(graph.n_x, graph.n_y)
+    ws = KernelWorkspace.for_graph(graph)
 
     X = _Side(graph.x_ptr, graph.x_adj, graph.deg_x, mate_x == -1)
     Y = _Side(graph.y_ptr, graph.y_adj, graph.deg_y, mate_y == -1)

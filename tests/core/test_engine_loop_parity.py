@@ -23,10 +23,11 @@ deliberate changes were re-recorded since:
   1133 -> 582); every other field, the frontier sizes and the matching
   were checked unchanged before re-recording.
 
-Every other row is the original recording. Each row keeps the headline
-counters readable next to a digest of the full record. The interleaved
-engine kept no frontier log before the driver existed, so its digest
-leaves the frontier sizes out.
+The ``paths`` rows were added later, recorded before the numpy kernels
+stopped copying all-true selections. Every other row is the original
+recording. Each row keeps the headline counters readable next to a
+digest of the full record. The interleaved engine kept no frontier log
+before the driver existed, so its digest leaves the frontier sizes out.
 """
 
 from __future__ import annotations
@@ -72,6 +73,19 @@ def _isolated_case():
     return from_edges(90, 80, sorted(edges)), None
 
 
+def _paths_case():
+    # Six disjoint chains of 3..8 X/Y pairs, each matched like the chain
+    # case: six trees grow in lockstep and no claim is ever contested, so
+    # every numpy-kernel selection also meets an all-true mask.
+    edges, pairs, base = [], [], 0
+    for k in range(3, 9):
+        edges += [(base + i, base + i) for i in range(k)]
+        edges += [(base + i + 1, base + i) for i in range(k - 1)]
+        pairs += [(base + i + 1, base + i) for i in range(k - 1)]
+        base += k
+    return from_edges(base, base, edges), Matching.from_pairs(base, base, pairs)
+
+
 def _surplus_case():
     graph = surplus_core_bipartite(150, 90, seed=5)
     return graph, greedy_matching(graph, shuffle=True, seed=1).matching
@@ -84,6 +98,7 @@ GRAPHS = {
     "grid": lambda: (grid_bipartite(10, 10), None),
     "chain": _chain_case,
     "isolated": _isolated_case,
+    "paths": _paths_case,
 }
 
 FLAGS = list(itertools.product((True, False), (True, False), ("vertex", "edge")))
@@ -269,6 +284,30 @@ GOLDEN = {
     ('isolated', 'python', False, False, 'edge'): (5, 23, 284, 59, 0, 4, '0084ee6ed55c7278'),
     ('isolated', 'numpy', False, False, 'edge'): (6, 28, 589, 59, 0, 5, '00dd5b5bec2efbe4'),
     ('isolated', 'interleaved', False, False, 'edge'): (5, 24, 424, 59, 0, 4, '788b45757a7e71e3'),
+    ('paths', 'python', True, True, 'vertex'): (2, 2, 33, 6, 0, 1, '03fcd4225ce8e73f'),
+    ('paths', 'python', True, True, 'edge'): (2, 2, 33, 6, 0, 1, '03fcd4225ce8e73f'),
+    ('paths', 'python', True, False, 'vertex'): (2, 8, 60, 6, 0, 1, 'd6818ff6f59e7a7a'),
+    ('paths', 'python', True, False, 'edge'): (2, 8, 60, 6, 0, 1, 'd6818ff6f59e7a7a'),
+    ('paths', 'python', False, True, 'vertex'): (2, 2, 33, 6, 0, 1, 'd984f3e194214c34'),
+    ('paths', 'python', False, True, 'edge'): (2, 2, 33, 6, 0, 1, 'd984f3e194214c34'),
+    ('paths', 'python', False, False, 'vertex'): (2, 8, 60, 6, 0, 1, 'c9d34fd40d7d6b5b'),
+    ('paths', 'python', False, False, 'edge'): (2, 8, 60, 6, 0, 1, 'c9d34fd40d7d6b5b'),
+    ('paths', 'numpy', True, True, 'vertex'): (2, 8, 124, 6, 0, 1, 'ccded5b4e18754cb'),
+    ('paths', 'numpy', True, True, 'edge'): (2, 8, 124, 6, 0, 1, 'ccded5b4e18754cb'),
+    ('paths', 'numpy', True, False, 'vertex'): (2, 8, 60, 6, 0, 1, 'd6818ff6f59e7a7a'),
+    ('paths', 'numpy', True, False, 'edge'): (2, 8, 60, 6, 0, 1, 'd6818ff6f59e7a7a'),
+    ('paths', 'numpy', False, True, 'vertex'): (2, 8, 124, 6, 0, 1, '5a1cf3b640bcb683'),
+    ('paths', 'numpy', False, True, 'edge'): (2, 8, 124, 6, 0, 1, '5a1cf3b640bcb683'),
+    ('paths', 'numpy', False, False, 'vertex'): (2, 8, 60, 6, 0, 1, 'c9d34fd40d7d6b5b'),
+    ('paths', 'numpy', False, False, 'edge'): (2, 8, 60, 6, 0, 1, 'c9d34fd40d7d6b5b'),
+    ('paths', 'interleaved', True, True, 'vertex'): (2, 6, 62, 6, 0, 1, 'b17473ffdfb7e25b'),
+    ('paths', 'interleaved', True, True, 'edge'): (2, 6, 62, 6, 0, 1, 'b17473ffdfb7e25b'),
+    ('paths', 'interleaved', True, False, 'vertex'): (2, 8, 60, 6, 0, 1, 'd9a1ce904e3c7713'),
+    ('paths', 'interleaved', True, False, 'edge'): (2, 8, 60, 6, 0, 1, 'd9a1ce904e3c7713'),
+    ('paths', 'interleaved', False, True, 'vertex'): (2, 6, 62, 6, 0, 1, '7b336b2254cb8e9b'),
+    ('paths', 'interleaved', False, True, 'edge'): (2, 6, 62, 6, 0, 1, '7b336b2254cb8e9b'),
+    ('paths', 'interleaved', False, False, 'vertex'): (2, 8, 60, 6, 0, 1, '1d183645e99ffd74'),
+    ('paths', 'interleaved', False, False, 'edge'): (2, 8, 60, 6, 0, 1, '1d183645e99ffd74'),
 }
 
 

@@ -1,11 +1,14 @@
 """Unit tests of the vectorized level kernels."""
 
 import copy
+import inspect
+import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from tests.core.test_engine_loop_parity import FLAGS, run_engine
 from tests.core.test_engine_loop_parity import GRAPHS as PARITY_GRAPHS
 
 from repro.core import kernels
@@ -476,3 +479,44 @@ def test_first_probe_reports_one_root_x_read_per_row():
     _, indices, _, atomic, threads = reads[0]
     assert indices.tolist() == [0, 0, 0] and threads.tolist() == [0, 1, 2]
     assert not atomic
+
+
+class TestSelect:
+    def test_all_true_mask_returns_the_input(self):
+        values = np.arange(5, dtype=np.int64)
+        assert kernels._select(values, np.ones(5, dtype=bool)) is values
+        empty = values[:0]
+        assert kernels._select(empty, np.ones(0, dtype=bool)) is empty
+
+    def test_partial_mask_returns_a_compressed_copy(self):
+        values = np.arange(5, dtype=np.int64)
+        mask = np.array([True, False, True, True, False])
+        out = kernels._select(values, mask)
+        assert out is not values
+        np.testing.assert_array_equal(out, values.compress(mask))
+
+    def test_paths_parity_graph_runs_every_all_true_branch(self, monkeypatch):
+        # Every call site of ``_select`` in the kernels must meet an
+        # all-true mask on the ``paths`` parity graph; its golden row
+        # (test_engine_loop_parity) pins that those branches change nothing.
+        select = kernels._select
+        calls = set()
+        all_true = set()
+
+        def recording(values, mask):
+            out = select(values, mask)
+            np.testing.assert_array_equal(out, values.compress(mask))
+            caller = sys._getframe(1)
+            site = (caller.f_code.co_name, caller.f_lineno)
+            calls.add(site)
+            if out is values:
+                all_true.add(site)
+            return out
+
+        monkeypatch.setattr(kernels, "_select", recording)
+        graph, initial = PARITY_GRAPHS["paths"]()
+        for flags in FLAGS:
+            run_engine("numpy", graph, initial, *flags)
+        call_sites = inspect.getsource(kernels).count("_select(") - 1  # the def
+        assert len(calls) == call_sites
+        assert all_true == calls
