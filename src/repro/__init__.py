@@ -19,23 +19,26 @@ rates), :mod:`repro.apps` (Dulmage-Mendelsohn / block triangular form),
 :mod:`repro.bench` (experiment harness for every paper table and figure).
 """
 
-from repro import graph
-from repro.core.driver import ms_bfs_graft
-from repro.errors import ReproError
-from repro.matching.base import Matching, MatchResult
-from repro.matching.greedy import greedy_matching
-from repro.matching.incremental import IncrementalMatcher
-from repro.matching.hopcroft_karp import hopcroft_karp
-from repro.matching.karp_sipser import karp_sipser
-from repro.matching.karp_sipser_parallel import karp_sipser_parallel
-from repro.matching.ms_bfs import ms_bfs
-from repro.matching.pothen_fan import pothen_fan
-from repro.matching.push_relabel import push_relabel
-from repro.matching.ss_bfs import ss_bfs
-from repro.matching.ss_dfs import ss_dfs
-from repro.matching.verify import is_maximum_matching, verify_maximum
-from repro.parallel.cost_model import CostModel
-from repro.parallel.machine import EDISON, LAPTOP, MIRASOL, MachineSpec
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.driver": ("ms_bfs_graft",),
+    "repro.errors": ("ReproError",),
+    "repro.matching.base": ("Matching", "MatchResult"),
+    "repro.matching.greedy": ("greedy_matching",),
+    "repro.matching.incremental": ("IncrementalMatcher",),
+    "repro.matching.hopcroft_karp": ("hopcroft_karp",),
+    "repro.matching.karp_sipser": ("karp_sipser",),
+    "repro.matching.karp_sipser_parallel": ("karp_sipser_parallel",),
+    "repro.matching.ms_bfs": ("ms_bfs",),
+    "repro.matching.pothen_fan": ("pothen_fan",),
+    "repro.matching.push_relabel": ("push_relabel",),
+    "repro.matching.ss_bfs": ("ss_bfs",),
+    "repro.matching.ss_dfs": ("ss_dfs",),
+    "repro.matching.verify": ("is_maximum_matching", "verify_maximum"),
+    "repro.parallel.cost_model": ("CostModel",),
+    "repro.parallel.machine": ("EDISON", "LAPTOP", "MIRASOL", "MachineSpec"),
+})
 
 __version__ = "1.0.0"
 

@@ -21,15 +21,19 @@ prose (Section III-B):
   checker, no hashed ``np.unique``).
 """
 
-from repro.analysis.effects import (
-    Effects,
-    FunctionInfo,
-    PackageEffects,
-    build_package_effects,
-)
-from repro.analysis.invariants import InvariantChecker, check_all_invariants
-from repro.analysis.phasecheck import RULES, Finding, Rule, run_analyze
-from repro.analysis.racecheck import RaceMonitor, RaceReport, run_racecheck
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.effects": (
+        "Effects",
+        "FunctionInfo",
+        "PackageEffects",
+        "build_package_effects",
+    ),
+    "repro.analysis.invariants": ("InvariantChecker", "check_all_invariants"),
+    "repro.analysis.phasecheck": ("RULES", "Finding", "Rule", "run_analyze"),
+    "repro.analysis.racecheck": ("RaceMonitor", "RaceReport", "run_racecheck"),
+})
 
 __all__ = [
     "InvariantChecker",

@@ -15,9 +15,20 @@ can work block by block. This package implements that pipeline on top of
   pattern.
 """
 
-from repro.apps.dulmage_mendelsohn import DMDecomposition, dulmage_mendelsohn
-from repro.apps.btf import BlockTriangularForm, block_triangular_form, structural_rank
-from repro.apps.btf_solve import solve_btf
+from repro._lazy import lazy_exports
+
+# Names shared with their submodule stay eager (see repro._lazy).
+from repro.apps.dulmage_mendelsohn import dulmage_mendelsohn
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.dulmage_mendelsohn": ("DMDecomposition",),
+    "repro.apps.btf": (
+        "BlockTriangularForm",
+        "block_triangular_form",
+        "structural_rank",
+    ),
+    "repro.apps.btf_solve": ("solve_btf",),
+})
 
 __all__ = [
     "DMDecomposition",

@@ -6,14 +6,23 @@ them on the command line. All drivers return plain data structures plus a
 ``render`` helper producing the paper-style ASCII table.
 """
 
-from repro.bench.suite import SuiteGraph, build_suite, suite_specs, get_suite_graph
-from repro.bench.runner import run_algorithm, ALGORITHMS
-from repro.bench.report import format_table, format_bar_chart, format_series
-from repro.bench.kernels_bench import (
-    run_kernel_bench,
-    validate_kernel_bench,
-    render_kernel_bench,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.bench.suite": (
+        "SuiteGraph",
+        "build_suite",
+        "suite_specs",
+        "get_suite_graph",
+    ),
+    "repro.bench.runner": ("run_algorithm", "ALGORITHMS"),
+    "repro.bench.report": ("format_table", "format_bar_chart", "format_series"),
+    "repro.bench.kernels_bench": (
+        "run_kernel_bench",
+        "validate_kernel_bench",
+        "render_kernel_bench",
+    ),
+})
 
 __all__ = [
     "SuiteGraph",

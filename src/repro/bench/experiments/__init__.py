@@ -17,21 +17,9 @@ ablation    alpha sweep / initialiser choice / queue capacity      §III-B
 ==========  ====================================================== =========
 """
 
-from repro.bench.experiments import (  # noqa: F401
-    ablation,
-    serial_walltime,
-    phase_dynamics,
-    fig1,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    sensitivity,
-    table1,
-    table2,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {})
 
 __all__ = [
     "table1",

@@ -2,36 +2,44 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+import importlib
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.core.driver import check_no_reorder, ms_bfs_graft
 from repro.core.options import Deadline
 from repro.errors import BenchmarkError
 from repro.graph.csr import BipartiteCSR
 from repro.matching.base import MatchResult, Matching
-from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.karp_sipser import karp_sipser
 from repro.matching.karp_sipser_parallel import suite_warm_start
-from repro.matching.ms_bfs import ms_bfs
-from repro.matching.pothen_fan import pothen_fan
-from repro.matching.push_relabel import push_relabel
-from repro.matching.ss_bfs import ss_bfs
-from repro.matching.ss_dfs import ss_dfs
-from repro.parallel.cost_model import CostModel, SimulatedTime
-from repro.parallel.machine import MachineSpec
+
+if TYPE_CHECKING:
+    from repro.parallel.cost_model import SimulatedTime
+    from repro.parallel.machine import MachineSpec
 
 AlgorithmFn = Callable[[BipartiteCSR, Optional[Matching]], MatchResult]
+
+
+def _baseline(name: str) -> AlgorithmFn:
+    """The baseline ``repro.matching.<name>.<name>``, imported when called."""
+
+    def run(graph: BipartiteCSR, initial: Optional[Matching], **kwargs) -> MatchResult:
+        module = importlib.import_module(f"repro.matching.{name}")
+        return getattr(module, name)(graph, initial, **kwargs)
+
+    return run
+
 
 ALGORITHMS: Dict[str, AlgorithmFn] = {
     "ms-bfs-graft": lambda g, m, **kw: ms_bfs_graft(g, m, **kw),
     "ms-bfs-graft-td": lambda g, m, **kw: ms_bfs_graft(g, m, direction_optimizing=False, **kw),
     "ms-bfs-do": lambda g, m, **kw: ms_bfs_graft(g, m, grafting=False, **kw),
-    "ms-bfs": lambda g, m, **kw: ms_bfs(g, m, **kw),
-    "pothen-fan": lambda g, m, **kw: pothen_fan(g, m, **kw),
-    "push-relabel": lambda g, m, **kw: push_relabel(g, m, **kw),
-    "hopcroft-karp": lambda g, m: hopcroft_karp(g, m),
-    "ss-bfs": lambda g, m: ss_bfs(g, m),
-    "ss-dfs": lambda g, m: ss_dfs(g, m),
+    "ms-bfs": _baseline("ms_bfs"),
+    "pothen-fan": _baseline("pothen_fan"),
+    "push-relabel": _baseline("push_relabel"),
+    "hopcroft-karp": _baseline("hopcroft_karp"),
+    "ss-bfs": _baseline("ss_bfs"),
+    "ss-dfs": _baseline("ss_dfs"),
 }
 """Every algorithm the evaluation section compares, by paper name."""
 
@@ -131,6 +139,8 @@ def simulated_seconds(
     result: MatchResult, machine: MachineSpec, threads: int
 ) -> SimulatedTime:
     """Simulate a result's work trace on a machine at a thread count."""
+    from repro.parallel.cost_model import CostModel
+
     if result.trace is None:
         raise BenchmarkError(
             f"algorithm {result.algorithm!r} emitted no work trace; "

@@ -15,9 +15,13 @@ Wired into ``repro-match run/trace/batch/bench-kernels`` via
 ``--cache-dir`` and managed with ``repro-match cache {warm,ls,clear,verify}``.
 """
 
-from repro.cache.keys import BUILDER_VERSION, file_key, spec_key
-from repro.cache.prepare import PreparedGraph
-from repro.cache.store import DEFAULT_MAX_BYTES, GraphCache
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cache.keys": ("BUILDER_VERSION", "file_key", "spec_key"),
+    "repro.cache.prepare": ("PreparedGraph",),
+    "repro.cache.store": ("DEFAULT_MAX_BYTES", "GraphCache"),
+})
 
 __all__ = [
     "BUILDER_VERSION",

@@ -16,16 +16,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from types import ModuleType
 from typing import Callable, Dict
 
-from repro.bench import experiments
-from repro.bench.runner import ALGORITHMS, ENGINE_AWARE, run_algorithm
-from repro.bench.suite import get_suite_graph, suite_counterpart, suite_specs
-from repro.core.driver import ENGINES
 from repro.errors import ServiceError
-from repro.graph.io import read_matrix_market
-from repro.graph.readers import GRAPH_FORMATS, read_graph_file
-from repro.matching.verify import verify_maximum
+
+# Each command imports what it runs, so a start pays only for its own
+# command (see docs/performance.md, "Cold start").
 
 _SHOW_PAIRS = 5
 """Matched pairs ``run --file`` echoes in a SNAP file's original ids."""
@@ -53,6 +50,9 @@ def _acquire_graph(args: argparse.Namespace, telemetry=None):
     """
     cache = _open_cache(args, telemetry=telemetry)
     if cache is None:
+        from repro.bench.suite import get_suite_graph
+        from repro.graph.readers import read_graph_file
+
         if args.file:
             graph, labels = read_graph_file(args.file, args.format)
             return graph, labels, None, None
@@ -69,24 +69,26 @@ def _acquire_graph(args: argparse.Namespace, telemetry=None):
     return prepared.graph, prepared.labels, initial, cache_line
 
 
-_EXPERIMENTS: Dict[str, Callable[[float], object]] = {
-    "table1": lambda scale: experiments.table1.run(),
-    "table2": lambda scale: experiments.table2.run(scale=scale),
-    "fig1": lambda scale: experiments.fig1.run(scale=scale),
-    "fig3": lambda scale: experiments.fig3.run(scale=scale),
-    "fig4": lambda scale: experiments.fig4.run(scale=scale),
-    "fig5": lambda scale: experiments.fig5.run(scale=scale),
-    "fig6": lambda scale: experiments.fig6.run(scale=scale),
-    "fig7": lambda scale: experiments.fig7.run(scale=scale),
-    "fig8": lambda scale: experiments.fig8.run(scale=scale),
-    "sensitivity": lambda scale: experiments.sensitivity.run(scale=scale, runs=5),
-    "ablation-alpha": lambda scale: experiments.ablation.alpha_sweep(scale=scale),
-    "ablation-init": lambda scale: experiments.ablation.initializer_comparison(scale=scale),
-    "ablation-queue": lambda scale: experiments.ablation.queue_capacity_sweep(scale=scale),
-    "ablation-direction": lambda scale: experiments.ablation.direction_strategy_comparison(scale=scale),
-    "serial-walltime": lambda scale: experiments.serial_walltime.run(scale=scale),
-    "phase-dynamics": lambda scale: experiments.phase_dynamics.run(scale=scale),
+_EXPERIMENTS: Dict[str, Callable[[ModuleType, float], object]] = {
+    "table1": lambda ex, scale: ex.table1.run(),
+    "table2": lambda ex, scale: ex.table2.run(scale=scale),
+    "fig1": lambda ex, scale: ex.fig1.run(scale=scale),
+    "fig3": lambda ex, scale: ex.fig3.run(scale=scale),
+    "fig4": lambda ex, scale: ex.fig4.run(scale=scale),
+    "fig5": lambda ex, scale: ex.fig5.run(scale=scale),
+    "fig6": lambda ex, scale: ex.fig6.run(scale=scale),
+    "fig7": lambda ex, scale: ex.fig7.run(scale=scale),
+    "fig8": lambda ex, scale: ex.fig8.run(scale=scale),
+    "sensitivity": lambda ex, scale: ex.sensitivity.run(scale=scale, runs=5),
+    "ablation-alpha": lambda ex, scale: ex.ablation.alpha_sweep(scale=scale),
+    "ablation-init": lambda ex, scale: ex.ablation.initializer_comparison(scale=scale),
+    "ablation-queue": lambda ex, scale: ex.ablation.queue_capacity_sweep(scale=scale),
+    "ablation-direction": lambda ex, scale: ex.ablation.direction_strategy_comparison(scale=scale),
+    "serial-walltime": lambda ex, scale: ex.serial_walltime.run(scale=scale),
+    "phase-dynamics": lambda ex, scale: ex.phase_dynamics.run(scale=scale),
 }
+"""Each experiment id's driver call on :mod:`repro.bench.experiments`, whose
+modules import on first access."""
 
 
 def _machine_registry():
@@ -106,6 +108,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     :data:`~repro.bench.runner.ENGINE_AWARE`; any other algorithm is
     refused before its graph is built.
     """
+    from repro.bench.runner import ENGINE_AWARE, run_algorithm
+    from repro.matching.verify import verify_maximum
+
     telemetry_flags = [flag for flag, value in (
         ("--metrics-out", args.metrics_out), ("--trace-out", args.trace_out),
         ("--jsonl-out", args.jsonl_out), ("--min-coverage", args.min_coverage))
@@ -130,6 +135,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         name = label = args.file
         shape = f"n_rows={graph.n_x:,} n_cols={graph.n_y:,} nnz={graph.nnz:,}"
     else:
+        from repro.bench.suite import suite_counterpart
+
         name, label = args.graph, f"{args.graph} ({suite_counterpart(args.graph)})"
         shape = f"n={graph.num_vertices:,} m={graph.num_directed_edges:,}"
     print(f"graph        : {label}; {shape}")
@@ -207,6 +214,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     resumes where it stopped instead of recomputing every figure (events
     land in the run directory's ``events.jsonl``).
     """
+    from repro.bench import experiments
+
     names = list(_EXPERIMENTS) if args.name == "all" else [args.name]
     run_dir = None
     if args.run_dir:
@@ -219,7 +228,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     for name in names:
         text = run_dir.cached_report(name, key) if run_dir is not None else None
         if text is None:
-            text = _EXPERIMENTS[name](args.scale).render()
+            text = _EXPERIMENTS[name](experiments, args.scale).render()
             if run_dir is not None:
                 from repro.service.events import JOB_DONE, EventLog
 
@@ -381,6 +390,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.bench.suite import get_suite_graph
     from repro.graph.io import write_matrix_market
     from repro.graph.serialize import save_graph
 
@@ -398,6 +408,8 @@ def _cmd_btf(args: argparse.Namespace) -> int:
     from repro.apps.btf import block_triangular_form
     from repro.apps.dulmage_mendelsohn import dulmage_mendelsohn
     from repro.core.driver import ms_bfs_graft
+    from repro.graph.io import read_matrix_market
+    from repro.matching.verify import verify_maximum
 
     graph = read_matrix_market(args.path)
     result = ms_bfs_graft(graph)
@@ -412,20 +424,21 @@ def _cmd_btf(args: argparse.Namespace) -> int:
 
 
 def _cmd_distributed(args: argparse.Namespace) -> int:
+    from repro.bench.runner import suite_initializer
+    from repro.bench.suite import get_suite_graph
     from repro.distributed import (
         BSPCostModel,
         ClusterSpec,
         distributed_ms_bfs_graft,
         distributed_ms_bfs_graft_2d,
     )
+    from repro.matching.verify import verify_maximum
 
     engine = (
         distributed_ms_bfs_graft_2d if args.decomposition == "2d"
         else distributed_ms_bfs_graft
     )
     sg = get_suite_graph(args.graph, scale=args.scale)
-    from repro.bench.runner import suite_initializer
-
     init = suite_initializer(sg.graph, seed=args.seed)
     print(f"graph {args.graph}: n={sg.graph.num_vertices:,}, "
           f"m={sg.graph.num_directed_edges:,} [{args.decomposition.upper()} decomposition]")
@@ -481,6 +494,7 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     """Manage the content-addressed graph-preparation cache."""
+    from repro.bench.suite import suite_specs
     from repro.cache import DEFAULT_MAX_BYTES, GraphCache
 
     max_bytes = getattr(args, "max_bytes", None) or DEFAULT_MAX_BYTES
@@ -568,6 +582,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_racecheck(args: argparse.Namespace) -> int:
     from repro.analysis.racecheck import run_racecheck
+    from repro.bench.suite import get_suite_graph
     from repro.graph.generators import random_bipartite
     from repro.matching.greedy import greedy_matching
 
@@ -620,6 +635,11 @@ def _cmd_racecheck(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the repro-match argument parser."""
+    from repro.bench.runner import ALGORITHMS
+    from repro.bench.suite import suite_specs
+    from repro.core.driver import ENGINES
+    from repro.graph.readers import GRAPH_FORMATS
+
     parser = argparse.ArgumentParser(
         prog="repro-match",
         description="MS-BFS-Graft maximum bipartite matching (IPDPS 2015 reproduction)",

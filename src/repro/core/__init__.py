@@ -17,7 +17,12 @@ algorithm semantics:
   semantics (Section III-B's benign ``leaf`` race included).
 """
 
-from repro.core.driver import ms_bfs_graft, GraftOptions
-from repro.core.forest import ForestState
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.driver": ("ms_bfs_graft",),
+    "repro.core.options": ("GraftOptions",),
+    "repro.core.forest": ("ForestState",),
+})
 
 __all__ = ["ms_bfs_graft", "GraftOptions", "ForestState"]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.engine_interleaved import run_interleaved
 from repro.core.engine_numpy import run_numpy
 from repro.core.engine_python import run_python
 from repro.core.options import (
@@ -206,5 +205,8 @@ def ms_bfs_graft(
     if engine == "python":
         return run_python(graph, initial, options)
     if engine == "interleaved":
+        # Only this engine needs the thread simulator (repro.parallel).
+        from repro.core.engine_interleaved import run_interleaved
+
         return run_interleaved(graph, initial, options, threads=threads, seed=seed)
     raise ReproError(f"unknown engine {engine!r}; expected one of {ENGINES}")

@@ -19,7 +19,6 @@ import numpy as np
 from repro.core import kernels
 from repro.core.engine_loop import PhaseSteps, run_phases
 from repro.core.forest import ForestState
-from repro.core.invariants import check_all_invariants
 from repro.core.options import GraftOptions
 from repro.graph.csr import BipartiteCSR
 from repro.matching.base import MatchResult, Matching
@@ -158,6 +157,8 @@ class NumpySteps(PhaseSteps):
 
     def end_phase(self, phase: int) -> None:
         if self.check_invariants:
+            from repro.core.invariants import check_all_invariants  # test-only option
+
             check_all_invariants(self.graph, self.state, self.matching)
 
     def cover_y(self) -> np.ndarray:

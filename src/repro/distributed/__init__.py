@@ -31,11 +31,15 @@ superstep log that the cost model turns into distributed scaling curves —
 the extension experiment ``benchmarks/bench_ext_distributed.py``.
 """
 
-from repro.distributed.bsp import BSPCostModel, ClusterSpec, SuperstepLog
-from repro.distributed.engine import DistributedResult, distributed_ms_bfs_graft
-from repro.distributed.engine2d import distributed_ms_bfs_graft_2d
-from repro.distributed.grid import Grid2D
-from repro.distributed.partition import Partition1D
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.distributed.bsp": ("BSPCostModel", "ClusterSpec", "SuperstepLog"),
+    "repro.distributed.engine": ("DistributedResult", "distributed_ms_bfs_graft"),
+    "repro.distributed.engine2d": ("distributed_ms_bfs_graft_2d",),
+    "repro.distributed.grid": ("Grid2D",),
+    "repro.distributed.partition": ("Partition1D",),
+})
 
 __all__ = [
     "Partition1D",

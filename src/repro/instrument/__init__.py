@@ -9,10 +9,14 @@ Everything the paper's evaluation section measures lives here:
 * :func:`parallel_sensitivity` — psi = 100 * sigma / mu (Section V-B).
 """
 
-from repro.instrument.counters import Counters
-from repro.instrument.frontier import FrontierLog
-from repro.instrument.phases import PhaseProfile, PhaseRecord, phase_profile
-from repro.instrument.rates import mteps, parallel_sensitivity
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.instrument.counters": ("Counters",),
+    "repro.instrument.frontier": ("FrontierLog",),
+    "repro.instrument.phases": ("PhaseProfile", "PhaseRecord", "phase_profile"),
+    "repro.instrument.rates": ("mteps", "parallel_sensitivity"),
+})
 
 __all__ = [
     "Counters",

@@ -17,26 +17,32 @@ Maximum-matching baselines (the five algorithms of Fig. 1 plus PR):
 The paper's own algorithm, MS-BFS-Graft, lives in :mod:`repro.core`.
 """
 
-from repro.matching.base import Matching, MatchResult
-from repro.matching.verify import (
-    assert_valid_matching,
-    is_valid_matching,
-    is_maximal_matching,
-    is_maximum_matching,
-    verify_maximum,
-    koenig_vertex_cover,
-    hall_violator,
-)
+from repro._lazy import lazy_exports
+
+# Names shared with their submodule stay eager (see repro._lazy).
 from repro.matching.karp_sipser import karp_sipser
 from repro.matching.karp_sipser_parallel import karp_sipser_parallel
-from repro.matching.greedy import greedy_matching
 from repro.matching.ss_bfs import ss_bfs
 from repro.matching.ss_dfs import ss_dfs
 from repro.matching.ms_bfs import ms_bfs
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.pothen_fan import pothen_fan
 from repro.matching.push_relabel import push_relabel
-from repro.matching.incremental import IncrementalMatcher
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.matching.base": ("Matching", "MatchResult"),
+    "repro.matching.verify": (
+        "assert_valid_matching",
+        "is_valid_matching",
+        "is_maximal_matching",
+        "is_maximum_matching",
+        "verify_maximum",
+        "koenig_vertex_cover",
+        "hall_violator",
+    ),
+    "repro.matching.greedy": ("greedy_matching",),
+    "repro.matching.incremental": ("IncrementalMatcher",),
+})
 
 __all__ = [
     "Matching",

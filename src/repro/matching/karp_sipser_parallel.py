@@ -34,14 +34,17 @@ The serial heuristic lives in :mod:`repro.matching.karp_sipser`.
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.kernels import KernelWorkspace, _gather_segments, first_claim
 from repro.graph.csr import BipartiteCSR
 from repro.instrument.counters import Counters
 from repro.matching.base import MatchResult, Matching, init_matching
 from repro.util.rng import SeedLike, as_rng
+
+if TYPE_CHECKING:
+    from repro.core.kernels import KernelWorkspace
 
 PUSH_PULL_COST_RATIO = 4
 """Time of one pushed adjacency entry over one pulled entry.
@@ -91,6 +94,8 @@ class _Side:
         """Take the newly matched ``other`` vertices ``taken`` out of the
         degrees: push their rows, or pull a recount when pushing would take
         longer. Returns the entries read."""
+        from repro.core.kernels import _gather_segments
+
         push = int(other.lengths[taken].sum())
         if push > self.pull_cost:
             return self.recount(other.free)
@@ -157,6 +162,10 @@ def karp_sipser_parallel(
     so a path-like graph that needs O(n) uncapped degree-1 rounds costs
     O(n * rounds).
     """
+    # The kernels live in repro.core, whose modules import repro.matching:
+    # a top-level import here would close that cycle.
+    from repro.core.kernels import KernelWorkspace, _gather_segments, first_claim
+
     start = time.perf_counter()
     rng = as_rng(seed)
     matching = init_matching(graph, initial)

@@ -30,11 +30,21 @@ simulated atomic compare-and-swap, to exercise the concurrency semantics the
 paper relies on (atomic ``visited`` claims; the benign ``leaf`` race).
 """
 
-from repro.parallel.machine import MachineSpec, MIRASOL, EDISON, LAPTOP, MANYCORE
-from repro.parallel.trace import ParallelRegion, WorkTrace
-from repro.parallel.cost_model import CostModel, SimulatedTime
-from repro.parallel.scheduler import static_chunks, assign_contiguous, assign_lpt
-from repro.parallel.simulator import InterleavedSimulator, SimThreadState
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.parallel.machine": (
+        "MachineSpec",
+        "MIRASOL",
+        "EDISON",
+        "LAPTOP",
+        "MANYCORE",
+    ),
+    "repro.parallel.trace": ("ParallelRegion", "WorkTrace"),
+    "repro.parallel.cost_model": ("CostModel", "SimulatedTime"),
+    "repro.parallel.scheduler": ("static_chunks", "assign_contiguous", "assign_lpt"),
+    "repro.parallel.simulator": ("InterleavedSimulator", "SimThreadState"),
+})
 
 __all__ = [
     "MachineSpec",

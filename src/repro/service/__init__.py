@@ -19,21 +19,25 @@ absorbing edge-update batches over a line-delimited JSON protocol
 multi-source BFS per request. ``repro-match serve`` starts it.
 """
 
-from repro.core.options import Deadline
-from repro.errors import DeadlineExceeded, ServiceError
-from repro.service.checkpoint import RunDirectory
-from repro.service.events import EventLog, read_events, summarize_events
-from repro.service.executor import BatchExecutor, ManualClock, SystemClock
-from repro.service.faults import KNOWN_FAULTS, parse_faults
-from repro.service.jobs import (
-    JobOutcome,
-    JobSpec,
-    load_jobs_file,
-    resolve_graph,
-    suite_jobs,
-)
-from repro.service.online import MatchingDaemon, OnlineClient, OnlineConfig
-from repro.service.sessions import Session, SessionManager
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.options": ("Deadline",),
+    "repro.errors": ("DeadlineExceeded", "ServiceError"),
+    "repro.service.checkpoint": ("RunDirectory",),
+    "repro.service.events": ("EventLog", "read_events", "summarize_events"),
+    "repro.service.executor": ("BatchExecutor", "ManualClock", "SystemClock"),
+    "repro.service.faults": ("KNOWN_FAULTS", "parse_faults"),
+    "repro.service.jobs": (
+        "JobOutcome",
+        "JobSpec",
+        "load_jobs_file",
+        "resolve_graph",
+        "suite_jobs",
+    ),
+    "repro.service.online": ("MatchingDaemon", "OnlineClient", "OnlineConfig"),
+    "repro.service.sessions": ("Session", "SessionManager"),
+})
 
 __all__ = [
     "BatchExecutor",

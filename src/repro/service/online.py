@@ -52,9 +52,8 @@ import socketserver
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional, Union
 
 from repro.core.options import Deadline
 from repro.errors import DeadlineExceeded, ServiceError, TelemetryError
@@ -64,6 +63,9 @@ from repro.service.sessions import SessionManager
 from repro.telemetry.exporters import prometheus_text, write_flight_dump
 from repro.telemetry.session import Telemetry
 from repro.telemetry.spans import Tracer
+
+if TYPE_CHECKING:
+    from repro.service.metrics_http import MetricsServer
 
 SPAN_CAPACITY = 1024
 """Spans the daemon's default tracer retains (the newest): the flight
@@ -116,37 +118,6 @@ def _staging_path(path: str) -> str:
     return os.path.join(head, "." + secrets.token_hex(4)[: max(room, 1)])
 
 
-class _MetricsHandler(BaseHTTPRequestHandler):
-    """``GET /metrics`` → the daemon's Prometheus text exposition.
-
-    Deliberately tiny: scrape-only, no other routes, loopback-bound. The
-    line protocol's ``metrics`` command returns the same text for clients
-    already on the socket; this endpoint exists for scrapers that only
-    speak HTTP.
-    """
-
-    server_version = "repro-match"
-
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        if self.path.split("?", 1)[0] not in ("/metrics", "/"):
-            self.send_error(404, "only /metrics is served")
-            return
-        body = self.server.daemon_ref.prometheus_exposition().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, fmt: str, *args: Any) -> None:  # noqa: D102
-        return  # scrapes are high-frequency noise; the daemon stays quiet
-
-
-class _MetricsServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-
 class MatchingDaemon:
     """Long-lived online matching server over a local Unix stream socket.
 
@@ -185,7 +156,7 @@ class MatchingDaemon:
         self._shutdown = threading.Event()
         self._rid = itertools.count(1)
         self._dumps = itertools.count()
-        self._metrics_server: Optional[_MetricsServer] = None
+        self._metrics_server: Optional[MetricsServer] = None
         self.metrics_port: Optional[int] = None
         """The bound metrics port once serving (resolves ``port=0``)."""
 
@@ -200,8 +171,10 @@ class MatchingDaemon:
         # The metrics endpoint binds before the Unix socket appears, so a
         # caller that has seen the socket can rely on ``metrics_port``.
         if self.config.metrics_port is not None:
-            self._metrics_server = _MetricsServer(
-                ("127.0.0.1", int(self.config.metrics_port)), _MetricsHandler
+            from repro.service.metrics_http import MetricsHandler, MetricsServer
+
+            self._metrics_server = MetricsServer(
+                ("127.0.0.1", int(self.config.metrics_port)), MetricsHandler
             )
             self._metrics_server.daemon_ref = self
             self.metrics_port = self._metrics_server.server_address[1]

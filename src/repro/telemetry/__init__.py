@@ -16,27 +16,36 @@ The observability layer of the reproduction (see ``docs/observability.md``):
   :data:`NULL_TELEMETRY`.
 """
 
-from repro.telemetry.exporters import (
-    chrome_trace,
-    export_jsonl,
-    lint_prometheus,
-    prometheus_text,
-    write_chrome_trace,
-    write_prometheus,
-    write_flight_dump,
-    write_telemetry_jsonl,
-)
-from repro.telemetry.metrics import (
-    DEFAULT_SECONDS_BUCKETS,
-    FRONTIER_BUCKETS,
-    PATH_LENGTH_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.session import ENGINE_STEPS, NULL_TELEMETRY, NullTelemetry, Telemetry
-from repro.telemetry.spans import Span, Tracer
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.exporters": (
+        "chrome_trace",
+        "export_jsonl",
+        "lint_prometheus",
+        "prometheus_text",
+        "write_chrome_trace",
+        "write_prometheus",
+        "write_flight_dump",
+        "write_telemetry_jsonl",
+    ),
+    "repro.telemetry.metrics": (
+        "DEFAULT_SECONDS_BUCKETS",
+        "FRONTIER_BUCKETS",
+        "PATH_LENGTH_BUCKETS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+    ),
+    "repro.telemetry.session": (
+        "ENGINE_STEPS",
+        "NULL_TELEMETRY",
+        "NullTelemetry",
+        "Telemetry",
+    ),
+    "repro.telemetry.spans": ("Span", "Tracer"),
+})
 
 __all__ = [
     "Span",
