@@ -8,7 +8,7 @@ Refresh the baseline with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py -m slow
 
-or equivalently ``repro-match bench-kernels --out benchmarks/BENCH_kernels.json``.
+``repro-match perf-check`` re-times it at the same scale and repeats.
 """
 
 import os

@@ -1,24 +1,27 @@
-"""Kernel backend benchmark: the python engine against the numpy engine.
+"""Kernel backend benchmark and its regression gate: python against numpy.
 
-This is the repo's recorded perf trajectory for the MS-BFS-Graft hot path.
-:func:`run_kernel_bench` times the driver backends on three input families
-(RMAT, Erdős–Rényi, skewed power-law bipartite), checks that they agree on
-the matching cardinality, and produces a JSON-serialisable document; the
-committed baseline lives at ``benchmarks/BENCH_kernels.json`` and is
-refreshed with::
+This module is the one owner of the recorded perf trajectory for the
+MS-BFS-Graft hot path. :func:`run_kernel_bench` times the driver backends
+on three input families (RMAT, Erdős–Rényi, skewed power-law bipartite),
+checks that they agree on the matching cardinality, certifies the numpy
+result, and produces a JSON-serialisable document. The committed baseline
+lives at ``benchmarks/BENCH_kernels.json`` and is refreshed with::
 
-    repro-match bench-kernels --out benchmarks/BENCH_kernels.json
+    PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py -m slow
 
 ``scale=1.0`` sizes the RMAT instance at 2^14 vertices per side (the
-acceptance graph for the vectorization work); the CI smoke job runs the
-same harness at a tiny scale and only validates the schema
-(:func:`validate_kernel_bench`), because absolute timings are
-machine-specific. Schema v4 dropped the per-ordering rows of v3 (vertex
-reordering was removed): one row per graph, on the generator's own
-numbering. Schema v5 drops the process-pool engine's timings, its worker
-count and its scaling sweep (that engine was removed): every row times
-python and numpy only. See ``docs/performance.md`` for the kernel design
-and ``docs/multicore.md`` for why there is no process-parallel engine.
+acceptance graph for the vectorization work). :func:`run_perf_check` is
+``repro-match perf-check``: it re-times the catalogue at the scale and
+repeats the baseline records, requires every row's ``nnz`` and
+``cardinality`` to equal the recorded ones (so the committed cardinalities
+are a cross-platform golden), and flags any (graph, engine) whose best
+seconds exceed the baseline's by more than :data:`TOLERANCE`. Schema v4
+dropped the per-ordering rows of v3 (vertex reordering was removed): one
+row per graph, on the generator's own numbering. Schema v5 drops the
+process-pool engine's timings, its worker count and its scaling sweep
+(that engine was removed): every row times python and numpy only. See
+``docs/performance.md`` for the kernel design and ``docs/multicore.md``
+for why there is no process-parallel engine.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 import platform
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -41,6 +44,13 @@ from repro.matching.verify import verify_maximum
 SCHEMA_VERSION = 5
 
 ENGINES = ("python", "numpy")
+
+TOLERANCE = 5.0
+"""Slowdown factor past which ``perf-check`` flags a (graph, engine) row.
+
+Generous on purpose: the gate catches order-of-magnitude regressions (an
+accidentally quadratic kernel, a dropped fast path), not noise.
+"""
 
 
 @dataclass(frozen=True)
@@ -89,73 +99,43 @@ BENCH_GRAPHS: tuple[KernelBenchGraph, ...] = (
 )
 
 
-def _time_engine(
-    graph: BipartiteCSR, engine: str, repeats: int
-) -> tuple[Dict[str, object], int]:
-    """Best/mean wall seconds over ``repeats`` runs plus the cardinality."""
+def _time_engine(graph: BipartiteCSR, engine: str, repeats: int):
+    """Best/mean wall seconds over ``repeats`` runs plus the last result."""
     times: List[float] = []
-    cardinality = -1
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         result = ms_bfs_graft(graph, engine=engine)
         times.append(time.perf_counter() - t0)
-        cardinality = result.cardinality
     stats = {
         "best_seconds": min(times),
         "mean_seconds": sum(times) / len(times),
         "runs": len(times),
     }
-    return stats, cardinality
+    return stats, result
 
 
-def run_kernel_bench(
-    scale: float = 1.0,
-    repeats: int = 3,
-    graphs: Sequence[str] | None = None,
-    verify: bool = True,
-    cache=None,
-) -> Dict[str, object]:
+def run_kernel_bench(scale: float = 1.0, repeats: int = 3) -> Dict[str, object]:
     """Time every backend on every benchmark input; return the JSON doc.
 
     Runs start from the empty matching so the engines do *all* the work
     (Karp-Sipser initialisation would hide most of the kernel time). The
     backends must agree on the cardinality graph by graph — the benchmark
-    doubles as a coarse differential test — and ``verify=True``
-    additionally certifies the vectorized result (Berge + König).
-    ``cache`` is an optional :class:`repro.cache.GraphCache`: the bench
-    inputs then resolve content-addressed (keyed under ``kind="bench"`` so
-    they never collide with same-named suite graphs).
+    doubles as a coarse differential test — and the numpy result is
+    certified maximum (Berge + König) after its timed runs.
     """
-    selected = [g for g in BENCH_GRAPHS if graphs is None or g.name in graphs]
-    if graphs is not None:
-        unknown = set(graphs) - {g.name for g in BENCH_GRAPHS}
-        if unknown:
-            raise BenchmarkError(
-                f"unknown bench graph(s) {sorted(unknown)}; "
-                f"known: {[g.name for g in BENCH_GRAPHS]}"
-            )
     entries: List[Dict[str, object]] = []
-    for spec in selected:
-        if cache is not None:
-            graph = cache.prepare_spec(
-                "bench", spec.name, {"scale": float(scale)},
-                lambda spec=spec: spec.build(scale),
-                source=f"bench:{spec.name} {spec.describe(scale)}",
-            ).graph
-        else:
-            graph = spec.build(scale)
+    for spec in BENCH_GRAPHS:
+        graph = spec.build(scale)
         timings: Dict[str, Dict[str, object]] = {}
-        cardinalities: Dict[str, int] = {}
+        results = {}
         for engine in ENGINES:
-            timings[engine], cardinalities[engine] = _time_engine(graph, engine, repeats)
+            timings[engine], results[engine] = _time_engine(graph, engine, repeats)
+        cardinalities = {engine: r.cardinality for engine, r in results.items()}
         if len(set(cardinalities.values())) != 1:
             raise BenchmarkError(
                 f"backends disagree on {spec.name}: {cardinalities}"
             )
-        cardinality = cardinalities["numpy"]
-        if verify:
-            result = ms_bfs_graft(graph, engine="numpy")
-            verify_maximum(graph, result.matching)
+        verify_maximum(graph, results["numpy"].matching)
         entry: Dict[str, object] = {
             "name": spec.name,
             "family": spec.family,
@@ -163,7 +143,7 @@ def run_kernel_bench(
             "n_x": graph.n_x,
             "n_y": graph.n_y,
             "nnz": graph.nnz,
-            "cardinality": int(cardinality),
+            "cardinality": int(cardinalities["numpy"]),
             "timings": timings,
             "speedup": timings["python"]["best_seconds"]
             / max(timings["numpy"]["best_seconds"], 1e-12),
@@ -187,7 +167,7 @@ def run_kernel_bench(
 def validate_kernel_bench(doc: Dict[str, object]) -> Dict[str, object]:
     """Validate the BENCH_kernels.json schema; raise BenchmarkError on drift.
 
-    Used by the CI bench-smoke job and the tier-1 schema test, so a field
+    The writer, the loader and the gate all pass through here, so a field
     rename or type change in the benchmark output fails loudly instead of
     silently producing an unreadable baseline.
     """
@@ -204,6 +184,8 @@ def validate_kernel_bench(doc: Dict[str, object]) -> Dict[str, object]:
            f"schema_version != {SCHEMA_VERSION}: {doc.get('schema_version')!r}")
     expect(isinstance(doc.get("scale"), (int, float)) and doc.get("scale", 0) > 0,
            "scale must be a positive number")
+    expect(isinstance(doc.get("repeats"), int) and doc.get("repeats", 0) >= 1,
+           "repeats must be a positive integer")
     expect(doc.get("engines") == list(ENGINES), f"engines must be {list(ENGINES)}")
     entries = doc.get("graphs")
     expect(isinstance(entries, list) and len(entries) >= 1, "graphs must be a non-empty list")
@@ -287,6 +269,98 @@ def write_kernel_bench(doc: Dict[str, object], path: str) -> None:
 
 
 def load_kernel_bench(path: str) -> Dict[str, object]:
-    """Read and validate a benchmark document from disk."""
+    """Read and validate a benchmark document from disk.
+
+    A missing or unreadable file raises ``OSError``; anything that is not a
+    valid document raises :class:`BenchmarkError`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return validate_kernel_bench(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise BenchmarkError(f"{path} is not a JSON document: {exc}") from exc
+    return validate_kernel_bench(doc)
+
+
+@dataclass(frozen=True)
+class PerfCheckRow:
+    """One (graph, engine) comparison of best seconds."""
+
+    graph: str
+    engine: str
+    baseline_seconds: float
+    fresh_seconds: float
+
+    @property
+    def ratio(self) -> float:
+        """Fresh / baseline best seconds; > 1 means slower than the baseline."""
+        return self.fresh_seconds / self.baseline_seconds
+
+    @property
+    def regressed(self) -> bool:
+        return self.ratio > TOLERANCE
+
+
+def compare_kernel_bench(
+    fresh: Dict[str, object], baseline: Dict[str, object]
+) -> List[PerfCheckRow]:
+    """Compare two validated documents row by row, on best seconds.
+
+    Every fresh row must have a baseline row of the same name with the same
+    ``nnz`` and ``cardinality``; otherwise the graph, the generator or an
+    engine changed and the baseline must be re-recorded, so this raises
+    :class:`BenchmarkError` naming the graph.
+    """
+    validate_kernel_bench(fresh)
+    validate_kernel_bench(baseline)
+    recorded = {entry["name"]: entry for entry in baseline["graphs"]}
+    rows: List[PerfCheckRow] = []
+    for entry in fresh["graphs"]:
+        name = entry["name"]
+        base = recorded.get(name)
+        if base is None:
+            raise BenchmarkError(f"{name}: the baseline has no row for it; re-record it")
+        for key in ("nnz", "cardinality"):
+            if entry[key] != base[key]:
+                raise BenchmarkError(
+                    f"{name}: fresh {key} {entry[key]} != baseline {base[key]}; "
+                    f"re-record the baseline if the change is intended"
+                )
+        rows.extend(
+            PerfCheckRow(
+                graph=name,
+                engine=engine,
+                baseline_seconds=base["timings"][engine]["best_seconds"],
+                fresh_seconds=entry["timings"][engine]["best_seconds"],
+            )
+            for engine in ENGINES
+        )
+    return rows
+
+
+def run_perf_check(baseline: Dict[str, object]) -> List[PerfCheckRow]:
+    """Re-time the catalogue at the baseline's own scale and repeats; compare."""
+    fresh = run_kernel_bench(scale=baseline["scale"], repeats=baseline["repeats"])
+    return compare_kernel_bench(fresh, baseline)
+
+
+def render_perf_check(rows: List[PerfCheckRow]) -> str:
+    """The gate's table and its one-line verdict."""
+    from repro.bench.report import format_table
+
+    table = format_table(
+        ["graph", "engine", "baseline (s)", "fresh (s)", "ratio", "status"],
+        [
+            [row.graph, row.engine, row.baseline_seconds, row.fresh_seconds,
+             f"{row.ratio:.2f}x", "REGRESSED" if row.regressed else "ok"]
+            for row in rows
+        ],
+        title=f"perf-check vs committed baseline (tolerance {TOLERANCE:g}x)",
+    )
+    regressed = sum(row.regressed for row in rows)
+    if not regressed:
+        return table + "\nperf-check PASSED: all best times within tolerance"
+    return (
+        f"{table}\nperf-check FAILED: {regressed} (graph, engine) "
+        f"pair(s) beyond {TOLERANCE:g}x"
+    )

@@ -11,8 +11,8 @@ file system is the only index: ``meta.json``'s mtime orders the LRU
 eviction, and concurrent callers in threads or processes share a store
 safely.
 
-Wired into ``repro-match run/trace/batch/bench-kernels`` via
-``--cache-dir`` and managed with ``repro-match cache {warm,ls,clear,verify}``.
+Wired into ``repro-match run`` and ``batch`` via ``--cache-dir`` and
+managed with ``repro-match cache {warm,ls,clear,verify}``.
 """
 
 from repro._lazy import lazy_exports

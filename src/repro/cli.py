@@ -19,7 +19,7 @@ from pathlib import Path
 from types import ModuleType
 from typing import Callable, Dict
 
-from repro.errors import ServiceError
+from repro.errors import BenchmarkError, GraphFormatError, ServiceError
 
 # Each command imports what it runs, so a start pays only for its own
 # command (see docs/performance.md, "Cold start").
@@ -454,42 +454,21 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_kernels(args: argparse.Namespace) -> int:
-    from repro.bench.kernels_bench import (
-        render_kernel_bench,
-        run_kernel_bench,
-        write_kernel_bench,
-    )
-
-    doc = run_kernel_bench(scale=args.scale, repeats=args.repeats, graphs=args.graphs,
-                           cache=_open_cache(args))
-    print(render_kernel_bench(doc))
-    if args.out:
-        write_kernel_bench(doc, args.out)
-        print(f"wrote {args.out}")
-    return 0
-
-
 def _cmd_perf_check(args: argparse.Namespace) -> int:
-    """Compare a fresh kernel-bench run against the committed baseline."""
-    from repro.bench.perf_check import parse_tolerance, run_perf_check
-
-    tolerance = parse_tolerance(args.tolerance)
-    fresh = None
-    if args.fresh:
-        from repro.bench.kernels_bench import load_kernel_bench
-
-        fresh = load_kernel_bench(args.fresh)
-    report = run_perf_check(
-        args.baseline,
-        tolerance=tolerance,
-        scale=args.scale,
-        repeats=args.repeats,
-        graphs=args.graphs,
-        fresh=fresh,
+    """Re-time the kernel benchmark against the committed baseline."""
+    from repro.bench.kernels_bench import (
+        load_kernel_bench,
+        render_perf_check,
+        run_perf_check,
     )
-    print(report.render())
-    return 0 if report.ok else 1
+
+    try:
+        baseline = load_kernel_bench(args.baseline)
+    except BenchmarkError as exc:
+        return _input_error(exc)
+    rows = run_perf_check(baseline)
+    print(render_perf_check(rows))
+    return 1 if any(row.regressed for row in rows) else 0
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -792,46 +771,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--decomposition", choices=["1d", "2d"], default="1d")
     p_dist.set_defaults(fn=_cmd_distributed)
 
-    p_bk = sub.add_parser(
-        "bench-kernels",
-        help="time the python/numpy backends (BENCH_kernels.json baseline)",
-    )
-    p_bk.add_argument("--scale", type=float, default=1.0,
-                      help="instance scale; 1.0 = the 2^14-vertex RMAT baseline")
-    p_bk.add_argument("--repeats", type=int, default=3,
-                      help="timed runs per (graph, engine); best + mean recorded")
-    p_bk.add_argument("--graphs", nargs="+", default=None,
-                      choices=["rmat", "er", "skewed"],
-                      help="subset of bench inputs (default: all three)")
-    p_bk.add_argument("--out", default=None,
-                      help="write the validated JSON document here "
-                           "(e.g. benchmarks/BENCH_kernels.json)")
-    p_bk.add_argument("--cache-dir", default=None,
-                      help="resolve bench inputs through this "
-                           "content-addressed cache directory")
-    p_bk.set_defaults(fn=_cmd_bench_kernels)
-
     p_pc = sub.add_parser(
         "perf-check",
-        help="regression gate: fresh kernel-bench vs the committed baseline",
+        help="regression gate: re-time the kernel benchmark at the committed "
+             "baseline's scale; exit 1 past 5x",
     )
     p_pc.add_argument("--baseline", default="benchmarks/BENCH_kernels.json",
                       help="committed baseline document to compare against")
-    p_pc.add_argument("--tolerance", default="5x",
-                      help="allowed per-edge slowdown factor, e.g. '5x' or '2.5' "
-                           "(generous by default: the gate catches "
-                           "order-of-magnitude regressions, not noise)")
-    p_pc.add_argument("--scale", type=float, default=0.05,
-                      help="scale of the fresh timing run (per-edge "
-                           "normalisation makes scales comparable)")
-    p_pc.add_argument("--repeats", type=int, default=1)
-    p_pc.add_argument("--graphs", nargs="+", default=None,
-                      choices=["rmat", "er", "skewed"],
-                      help="subset of bench inputs to re-time")
-    p_pc.add_argument("--fresh", default=None,
-                      help="compare this pre-recorded benchmark document "
-                           "instead of re-timing (passing the baseline itself "
-                           "must exit 0)")
     p_pc.set_defaults(fn=_cmd_perf_check)
 
     p_cache = sub.add_parser(
@@ -904,19 +850,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(exc: Exception) -> int:
+    """Report a usage error as one ``error:`` line; exit code 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    A :class:`~repro.errors.ServiceError` (a bad jobs file, an unknown
-    fault name, ...) is a usage error: one ``error:`` line on stderr and
-    exit code 2, as argparse does for a bad flag.
+    Bad input is a usage error: one ``error:`` line on stderr and exit
+    code 2, as argparse does for a bad flag. That covers a
+    :class:`~repro.errors.ServiceError` (a bad jobs file, an unknown fault
+    name, ...), a missing or unreadable file (``OSError``) and a malformed
+    graph file (:class:`~repro.errors.GraphFormatError`). A correctness
+    failure (backends disagreeing, a failed certificate) is not one: it
+    propagates and exits 1.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ServiceError, GraphFormatError, OSError) as exc:
+        return _input_error(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,6 +20,11 @@ BASELINE_PATH = os.path.join(
 )
 
 
+@pytest.fixture(scope="module")
+def tiny_doc():
+    return run_kernel_bench(scale=0.02, repeats=1)
+
+
 class TestCommittedBaseline:
     """The committed artifact stays loadable and keeps its headline claim."""
 
@@ -43,10 +48,6 @@ class TestCommittedBaseline:
 
 
 class TestHarness:
-    @pytest.fixture(scope="class")
-    def tiny_doc(self):
-        return run_kernel_bench(scale=0.02, repeats=1, verify=True)
-
     def test_tiny_run_validates(self, tiny_doc):
         validate_kernel_bench(tiny_doc)
         for entry in tiny_doc["graphs"]:
@@ -58,16 +59,8 @@ class TestHarness:
         write_kernel_bench(tiny_doc, path)
         assert load_kernel_bench(path) == json.loads(json.dumps(tiny_doc))
 
-    def test_graph_subset(self):
-        doc = run_kernel_bench(scale=0.02, repeats=1, graphs=["er"], verify=False)
-        assert [g["name"] for g in doc["graphs"]] == ["er"]
-
-    def test_unknown_graph_rejected(self):
-        with pytest.raises(BenchmarkError, match="unknown bench graph"):
-            run_kernel_bench(scale=0.02, graphs=["torus"])
-
     def test_catalogue_names_are_stable(self):
-        # CI and the CLI --graphs choices both rely on these exact names.
+        # The committed baseline's rows are matched to these names.
         assert [g.name for g in BENCH_GRAPHS] == ["rmat", "er", "skewed"]
 
 
@@ -75,14 +68,15 @@ class TestValidator:
     """Schema drift must fail loudly, field by field."""
 
     @pytest.fixture()
-    def doc(self):
-        return run_kernel_bench(scale=0.02, repeats=1, graphs=["er"], verify=False)
+    def doc(self, tiny_doc):
+        return copy.deepcopy(tiny_doc)
 
     @pytest.mark.parametrize(
         "mutate, message",
         [
             (lambda d: d.update(schema_version=99), "schema_version"),
             (lambda d: d.update(scale=-1), "scale"),
+            (lambda d: d.pop("repeats"), "repeats"),
             (lambda d: d.update(engines=["python"]), "engines"),
             (lambda d: d.update(graphs=[]), "non-empty"),
             (lambda d: d["graphs"][0].pop("name"), "name"),

@@ -9,6 +9,7 @@ import repro
 from repro.cli import build_parser, main
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
+BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "BENCH_kernels.json"
 
 
 class TestParser:
@@ -420,23 +421,46 @@ class TestTelemetryCommands:
         assert "cache        : hit" in out
         assert "|M|          : 15 (maximum, certified)" in out
 
-    def test_perf_check_self_consistency(self, capsys):
-        assert main(["perf-check", "--tolerance", "1x",
-                     "--fresh", "benchmarks/BENCH_kernels.json"]) == 0
-        assert "PASSED" in capsys.readouterr().out
-
-    def test_perf_check_detects_regression(self, tmp_path, capsys):
+    @staticmethod
+    def _fresh_run_returns(monkeypatch, edit):
+        """Stand the committed baseline, edited, in for perf-check's timing run."""
+        import copy
         import json
 
-        doc = json.loads(open("benchmarks/BENCH_kernels.json").read())
-        for entry in doc["graphs"]:
-            for engine in entry["timings"]:
-                entry["timings"][engine]["best_seconds"] *= 100.0
-        slow = tmp_path / "slow.json"
-        slow.write_text(json.dumps(doc))
-        assert main(["perf-check", "--tolerance", "5x",
-                     "--fresh", str(slow)]) == 1
-        assert "FAILED" in capsys.readouterr().out
+        baseline = json.loads(BASELINE.read_text())
+        fresh = copy.deepcopy(baseline)
+        edit(fresh)
+
+        def timed(scale, repeats):
+            assert (scale, repeats) == (baseline["scale"], baseline["repeats"])
+            return fresh
+
+        monkeypatch.setattr("repro.bench.kernels_bench.run_kernel_bench", timed)
+
+    def test_perf_check_self_consistency(self, monkeypatch, capsys):
+        self._fresh_run_returns(monkeypatch, lambda doc: None)
+        assert main(["perf-check", "--baseline", str(BASELINE)]) == 0
+        assert "PASSED" in capsys.readouterr().out
+
+    def test_perf_check_detects_regression(self, monkeypatch, capsys):
+        def slower(doc):
+            for entry in doc["graphs"]:
+                for engine in entry["timings"]:
+                    entry["timings"][engine]["best_seconds"] *= 10.0
+
+        self._fresh_run_returns(monkeypatch, slower)
+        assert main(["perf-check", "--baseline", str(BASELINE)]) == 1
+        out = capsys.readouterr().out
+        assert "FAILED: 6 (graph, engine) pair(s) beyond 5x" in out
+
+    @pytest.mark.parametrize("key", ["nnz", "cardinality"])
+    def test_perf_check_refuses_a_changed_graph(self, monkeypatch, key):
+        from repro.errors import BenchmarkError
+
+        self._fresh_run_returns(monkeypatch, lambda doc: doc["graphs"][1].update(
+            {key: doc["graphs"][1][key] + 1}))
+        with pytest.raises(BenchmarkError, match=f"^er: fresh {key} .*re-record"):
+            main(["perf-check", "--baseline", str(BASELINE)])
 
     def test_batch_metrics_out_and_progress(self, tmp_path, capsys):
         import json
@@ -456,3 +480,40 @@ class TestTelemetryCommands:
                   for line in (run_dir / "events.jsonl").read_text().splitlines()]
         assert any(e["event"] == "telemetry_span" for e in events)
         assert any(e["event"] == "telemetry_metric" for e in events)
+
+
+class TestInputErrors:
+    """Bad input is one ``error:`` line and exit 2; a wrong answer is not."""
+
+    @pytest.mark.parametrize("argv", [
+        ["perf-check"],
+        ["perf-check", "--baseline", "bad.json"],
+        ["perf-check", "--baseline", "not-json.json"],
+        ["run", "--file", "missing.mtx"],
+        ["run", "--file", "bad.mtx"],
+        ["btf", "bad.mtx"],
+    ], ids=["perf-check-outside-repo", "perf-check-bad-baseline",
+            "perf-check-not-json", "run-missing-file", "run-bad-mtx", "btf-bad-mtx"])
+    def test_bad_input_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        (tmp_path / "bad.json").write_text('{"schema_version": 1}')
+        (tmp_path / "not-json.json").write_text("{not json")
+        (tmp_path / "bad.mtx").write_text("not a matrix\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("error", [
+        "BenchmarkError", "VerificationError", "InvariantViolation",
+    ])
+    def test_correctness_failure_propagates(self, error, monkeypatch):
+        import repro.errors
+
+        exc_type = getattr(repro.errors, error)
+
+        def fails(args):
+            raise exc_type("wrong answer")
+
+        monkeypatch.setattr("repro.cli._cmd_btf", fails)
+        with pytest.raises(exc_type):
+            main(["btf", "any.mtx"])
